@@ -1,165 +1,51 @@
-"""Profile the simulator hot path, or emit the engine benchmark artifact.
+"""Profile the simulator hot path.
 
-Profiling (default mode) prints the top functions for one of the golden
-hot-path workloads.  The two engine cores need different plumbing:
-
-* ``--engine threads`` — ``cProfile`` only observes the thread it was
-  started in, but the threaded engine's work happens on one worker
-  thread per rank.  This mode patches ``Engine._thread_main`` so every
-  rank thread runs under its own profiler and merges the per-thread
-  stats.
-* ``--engine eventloop`` — every continuation resumes on the calling
-  thread, so a single profiler around the workload sees everything;
-  the workload table swaps to the co_* ports of the same programs.
+Prints the top functions for one of the golden hot-path workloads, in
+its generator spelling (:mod:`tests.golden.hotpath_workloads_ev`): every
+rank continuation resumes on the calling thread, so one ``cProfile``
+around the workload sees everything.
 
 Usage::
 
-    PYTHONPATH=src python scripts/profile_hotpath.py [workload] [top_n] \
-        [--engine {threads,eventloop}]
-    PYTHONPATH=src python scripts/profile_hotpath.py --bench-json \
-        BENCH_engine.json [--ci]
-
-``--bench-json`` runs the engine-core A/B benchmark instead
-(:mod:`repro.experiments.engine_bench`): cold fig5 cells on both cores,
-the per-switch handoff microbench, the event-core scale curve, and the
-threaded big-world failure probe — then writes the
-``repro-bench-engine/1`` document CI validates.  ``--ci`` shrinks the
-grid for smoke runs.
+    PYTHONPATH=src python scripts/profile_hotpath.py [workload] [top_n]
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import json
 import os
 import pstats
 import sys
-import threading
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 
-def _profile_threads(workload: str, top_n: int) -> None:
-    from repro.simmpi.engine import Engine
-    from tests.golden.hotpath_workloads import WORKLOADS
-
-    if workload not in WORKLOADS:
-        sys.exit(f"unknown workload {workload!r}; "
-                 f"choose from {', '.join(sorted(WORKLOADS))}")
-    profiles = []
-    lock = threading.Lock()
-    orig = Engine._thread_main
-
-    def patched(self, *args, **kwargs):
-        prof = cProfile.Profile()
-        prof.enable()
-        try:
-            return orig(self, *args, **kwargs)
-        finally:
-            prof.disable()
-            with lock:
-                profiles.append(prof)
-
-    Engine._thread_main = patched
-    try:
-        engine, _ = WORKLOADS[workload]()
-    finally:
-        Engine._thread_main = orig
-
-    stats = pstats.Stats(profiles[0])
-    for prof in profiles[1:]:
-        stats.add(prof)
-    stats.sort_stats("cumulative")
-    print(f"\n{workload} [threads]: {engine.messages} messages, "
-          f"{engine.switches} switches, max_clock={engine.max_clock:.6g}")
-    print(f"top {top_n} by cumulative time across "
-          f"{len(profiles)} rank threads:\n")
-    stats.print_stats(top_n)
-
-
-def _profile_eventloop(workload: str, top_n: int) -> None:
+def main() -> None:
     from tests.golden.hotpath_workloads_ev import WORKLOADS_EV
 
-    if workload not in WORKLOADS_EV:
-        sys.exit(f"unknown workload {workload!r}; "
-                 f"choose from {', '.join(sorted(WORKLOADS_EV))}")
+    parser = argparse.ArgumentParser(
+        prog="python scripts/profile_hotpath.py",
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("workload", nargs="?", default="fig5_shaped",
+                        choices=sorted(WORKLOADS_EV))
+    parser.add_argument("top_n", nargs="?", type=int, default=20)
+    args = parser.parse_args()
+
     prof = cProfile.Profile()
     prof.enable()
     try:
-        engine, _ = WORKLOADS_EV[workload]()
+        engine, _ = WORKLOADS_EV[args.workload]()
     finally:
         prof.disable()
 
     stats = pstats.Stats(prof)
     stats.sort_stats("cumulative")
-    print(f"\n{workload} [eventloop]: {engine.messages} messages, "
-          f"{engine.resumes} resumes, max_clock={engine.max_clock:.6g}")
-    print(f"top {top_n} by cumulative time on the scheduler thread:\n")
-    stats.print_stats(top_n)
-
-
-def _bench_json(out_path: str, ci: bool) -> int:
-    from repro.experiments import engine_bench
-
-    if ci:
-        doc = engine_bench.build_artifact(
-            cell_ranks=(16, 64),
-            cell_sizes=(1_000_000, 5_000_000),
-            scale_ranks=(256, 4096),
-            cold_runs=1,
-        )
-    else:
-        doc = engine_bench.build_artifact()
-    errors = engine_bench.verify_artifact(doc)
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    print(f"wrote {out_path}")
-    if errors:
-        for err in errors:
-            print(f"BENCH INVALID: {err}", file=sys.stderr)
-        return 1
-    for row in doc["fig5_cell"]:
-        print(f"  fig5 @ {row['n_ranks']:>5d} ranks: "
-              f"threads {row['threads_wall_seconds']:.3f}s vs eventloop "
-              f"{row['eventloop_wall_seconds']:.3f}s "
-              f"({row['speedup']:.2f}x, bit-identical results)")
-    ps = doc["per_switch"]
-    print(f"  per switch: {ps['threads_seconds_per_switch'] * 1e6:.2f}us vs "
-          f"{ps['eventloop_seconds_per_switch'] * 1e6:.2f}us "
-          f"({ps['ratio']:.1f}x)")
-    top = doc["scale_curve"][-1]
-    print(f"  scale: eventloop ran {top['n_ranks']} ranks in "
-          f"{top['wall_seconds']:.2f}s; threads at "
-          f"{doc['threads_big_world']['n_ranks']} ranks -> "
-          f"{doc['threads_big_world']['outcome']}")
-    return 0
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(
-        prog="python scripts/profile_hotpath.py",
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("workload", nargs="?", default="fig5_shaped")
-    parser.add_argument("top_n", nargs="?", type=int, default=20)
-    parser.add_argument("--engine", choices=["threads", "eventloop"],
-                        default="threads",
-                        help="which engine core to profile (default: threads)")
-    parser.add_argument("--bench-json", metavar="PATH", default=None,
-                        help="skip profiling; run the engine-core A/B "
-                             "benchmark and write the artifact to PATH")
-    parser.add_argument("--ci", action="store_true",
-                        help="with --bench-json: reduced smoke grid")
-    args = parser.parse_args()
-
-    if args.bench_json:
-        sys.exit(_bench_json(args.bench_json, args.ci))
-    if args.engine == "eventloop":
-        _profile_eventloop(args.workload, args.top_n)
-    else:
-        _profile_threads(args.workload, args.top_n)
+    print(f"\n{args.workload}: {engine.messages} messages, "
+          f"{engine.switches} switches, max_clock={engine.max_clock:.6g}")
+    print(f"top {args.top_n} by cumulative time:\n")
+    stats.print_stats(args.top_n)
 
 
 if __name__ == "__main__":

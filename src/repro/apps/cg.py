@@ -24,6 +24,11 @@ Two execution modes:
   256 cores of PlaFRIM; we model the compute and simulate every
   message).
 
+The kernel is written once, as generators over the ``co_*`` API
+(``yield from co_run_cg(comm, config)``); ``run_cg`` and
+``cg_outer_iteration`` are the blocking spellings for plain-callable
+rank programs.
+
 Per-rank statistics mirror the paper's measurement: total time and
 time spent in MPI calls ("we have added a timer that measures the time
 spent by rank 0 in MPI calls").
@@ -38,10 +43,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.simmpi.comm import Communicator
+from repro.simmpi.engine import _drive
 
 __all__ = ["CGClass", "CG_CLASSES", "CGConfig", "CGState", "cg_setup",
-           "cg_outer_iteration", "run_cg", "grid_shape", "make_spd_matrix",
-           "sequential_cg"]
+           "cg_outer_iteration", "co_cg_outer_iteration", "run_cg",
+           "co_run_cg", "grid_shape", "make_spd_matrix", "sequential_cg"]
 
 
 @dataclass(frozen=True)
@@ -246,15 +252,15 @@ def cg_setup(comm: Communicator, config: CGConfig) -> CGState:
 
 
 def _timed_sendrecv(comm, state: CGState, value, dest, source, tag, nbytes=None):
-    t0 = comm.time
-    msg = comm.sendrecv(value, dest=dest, source=source, sendtag=tag,
-                        recvtag=tag, nbytes=nbytes)
-    state.comm_time += comm.time - t0
+    t0 = yield from comm.co_time()
+    msg = yield from comm.co_sendrecv(value, dest=dest, source=source,
+                                      sendtag=tag, recvtag=tag, nbytes=nbytes)
+    state.comm_time += (yield from comm.co_time()) - t0
     state.mpi_calls += 2
     return msg
 
 
-def _row_ladder_sum(comm, state: CGState, value: float, tag: int) -> float:
+def _row_ladder_sum(comm, state: CGState, value: float, tag: int):
     """Scalar all-sum along the processor row: l2npcols pairwise
     exchanges with reduce_exch_proc (8-byte messages)."""
     c = state.proc_col
@@ -263,7 +269,7 @@ def _row_ladder_sum(comm, state: CGState, value: float, tag: int) -> float:
     for i in range(state.l2npcols):
         d = state.npcols >> (i + 1)
         partner = state.rank_of(state.proc_row, c ^ d)
-        msg = _timed_sendrecv(
+        msg = yield from _timed_sendrecv(
             comm, state,
             np.float64(acc) if numeric else None,
             dest=partner, source=partner, tag=tag + i,
@@ -294,15 +300,16 @@ def _reduce_scatter_row(comm, state: CGState, w, tag: int):
             keep_low = (c & d) == 0
             mine = seg[:half] if keep_low else seg[half:]
             theirs = seg[half:] if keep_low else seg[:half]
-            msg = _timed_sendrecv(comm, state, theirs, dest=partner,
-                                  source=partner, tag=tag + i)
+            msg = yield from _timed_sendrecv(comm, state, theirs, dest=partner,
+                                             source=partner, tag=tag + i)
             seg = mine + msg.payload
             if not keep_low:
                 lo += half
             length = half
         else:
-            _timed_sendrecv(comm, state, None, dest=partner, source=partner,
-                            tag=tag + i, nbytes=8 * half)
+            yield from _timed_sendrecv(comm, state, None, dest=partner,
+                                       source=partner, tag=tag + i,
+                                       nbytes=8 * half)
             length = half
     return seg, lo
 
@@ -322,12 +329,13 @@ def _allgather_column(comm, state: CGState, seg, tag: int):
         if numeric:
             nbytes = None
             payload = dict(pieces)
-            msg = _timed_sendrecv(comm, state, payload, dest=partner,
-                                  source=partner, tag=tag + i)
+            msg = yield from _timed_sendrecv(comm, state, payload, dest=partner,
+                                             source=partner, tag=tag + i)
             pieces.update(msg.payload)
         else:
-            _timed_sendrecv(comm, state, None, dest=partner, source=partner,
-                            tag=tag + i, nbytes=8 * length)
+            yield from _timed_sendrecv(comm, state, None, dest=partner,
+                                       source=partner, tag=tag + i,
+                                       nbytes=8 * length)
             length *= 2
     if numeric:
         out = np.concatenate([pieces[j] for j in sorted(pieces)])
@@ -346,6 +354,11 @@ def _next_tag(state: CGState) -> int:
     return (tag % 30_000) * 32
 
 
+def _ladder(comm, state: CGState, value: float):
+    """:func:`_row_ladder_sum` under the next phase tag."""
+    return _row_ladder_sum(comm, state, value, tag=_next_tag(state))
+
+
 def _matvec(comm, state: CGState, p_seg):
     """q = A·p with the NPB communication skeleton:
     local partial product, reduce-scatter along the row, transpose
@@ -353,34 +366,37 @@ def _matvec(comm, state: CGState, p_seg):
     numeric = state.config.mode == "numeric"
     if numeric:
         w = state.A_local @ p_seg
-        comm.compute(2.0 * state.A_local.nnz / state.config.compute_rate)
+        yield from comm.co_compute(
+            2.0 * state.A_local.nnz / state.config.compute_rate)
     else:
         nnz_local = state.config.cg_class.approx_nnz / (state.nprows * state.npcols)
-        comm.compute(2.0 * nnz_local / state.config.compute_rate)
+        yield from comm.co_compute(2.0 * nnz_local / state.config.compute_rate)
         w = None
 
-    seg, _lo = _reduce_scatter_row(comm, state, w, tag=_next_tag(state))
+    seg, _lo = yield from _reduce_scatter_row(comm, state, w,
+                                              tag=_next_tag(state))
 
     tag = _next_tag(state)
-    msg = None
-    t0 = comm.time
+    t0 = yield from comm.co_time()
     req = comm.irecv(source=state.transpose_recv_from, tag=tag)
-    comm.isend(seg, dest=state.transpose_send_to, tag=tag,
-               nbytes=None if numeric else 8 * state.chunk)
-    msg = req.wait()
-    state.comm_time += comm.time - t0
+    yield from comm.co_isend(seg, dest=state.transpose_send_to, tag=tag,
+                             nbytes=None if numeric else 8 * state.chunk)
+    msg = yield from req.co_wait()
+    state.comm_time += (yield from comm.co_time()) - t0
     state.mpi_calls += 2
 
     chunk = msg.payload if numeric else None
-    return _allgather_column(comm, state, chunk, tag=_next_tag(state))
+    return (yield from _allgather_column(comm, state, chunk,
+                                         tag=_next_tag(state)))
 
 
-def _vector_ops_cost(comm, state: CGState, n_ops: int) -> None:
+def _vector_ops_cost(comm, state: CGState, n_ops: int):
     """Charge modeled time for n_ops AXPY/dot passes over the segment."""
-    comm.compute(n_ops * state.col_len / state.config.compute_rate)
+    yield from comm.co_compute(
+        n_ops * state.col_len / state.config.compute_rate)
 
 
-def _conj_grad(comm, state: CGState):
+def _co_conj_grad(comm, state: CGState):
     """One NPB ``conj_grad`` call: cgitmax inner CG iterations plus the
     residual-norm evaluation.  Returns (z_seg, rnorm) in numeric mode,
     (None, 0.0) in modeled mode."""
@@ -390,61 +406,70 @@ def _conj_grad(comm, state: CGState):
         z = np.zeros_like(x)
         r = x.copy()
         p = r.copy()
-        rho = _row_ladder_sum(comm, state, float(r @ r), tag=_next_tag(state))
+        rho = yield from _ladder(comm, state, float(r @ r))
     else:
         z = r = p = x = None
-        _row_ladder_sum(comm, state, 0.0, tag=_next_tag(state))
+        yield from _ladder(comm, state, 0.0)
         rho = 1.0
 
     for _ in range(state.config.cgitmax):
-        q = _matvec(comm, state, p)
+        q = yield from _matvec(comm, state, p)
         if numeric:
-            d = _row_ladder_sum(comm, state, float(p @ q), tag=_next_tag(state))
+            d = yield from _ladder(comm, state, float(p @ q))
             alpha = rho / d
             z += alpha * p
             r -= alpha * q
             rho0 = rho
-            rho = _row_ladder_sum(comm, state, float(r @ r), tag=_next_tag(state))
+            rho = yield from _ladder(comm, state, float(r @ r))
             p = r + (rho / rho0) * p
         else:
-            _vector_ops_cost(comm, state, 5)
-            _row_ladder_sum(comm, state, 0.0, tag=_next_tag(state))
-            _row_ladder_sum(comm, state, 0.0, tag=_next_tag(state))
+            yield from _vector_ops_cost(comm, state, 5)
+            yield from _ladder(comm, state, 0.0)
+            yield from _ladder(comm, state, 0.0)
 
     # Residual norm ||x - A z|| (one extra mat-vec, as in NPB).
-    az = _matvec(comm, state, z)
+    az = yield from _matvec(comm, state, z)
     if numeric:
         local = float(((x - az) ** 2).sum())
-        rnorm = np.sqrt(_row_ladder_sum(comm, state, local, tag=_next_tag(state)))
+        rnorm = np.sqrt((yield from _ladder(comm, state, local)))
         return z, float(rnorm)
-    _vector_ops_cost(comm, state, 2)
-    _row_ladder_sum(comm, state, 0.0, tag=_next_tag(state))
+    yield from _vector_ops_cost(comm, state, 2)
+    yield from _ladder(comm, state, 0.0)
     return None, 0.0
 
 
-def cg_outer_iteration(comm, state: CGState, it: int) -> float:
+def _conj_grad(comm, state: CGState):
+    """Blocking :func:`_co_conj_grad`."""
+    return _drive(_co_conj_grad(comm, state))
+
+
+def co_cg_outer_iteration(comm, state: CGState, it: int):
     """One outer iteration: conj_grad + zeta + renormalization of x.
 
     Returns the residual norm (numeric) or 0.0 (modeled).
     """
-    z, rnorm = _conj_grad(comm, state)
+    z, rnorm = yield from _co_conj_grad(comm, state)
     numeric = state.config.mode == "numeric"
     if numeric:
-        tnorm1 = _row_ladder_sum(comm, state, float(state.x_seg @ z),
-                                 tag=_next_tag(state))
-        tnorm2 = _row_ladder_sum(comm, state, float(z @ z), tag=_next_tag(state))
+        tnorm1 = yield from _ladder(comm, state, float(state.x_seg @ z))
+        tnorm2 = yield from _ladder(comm, state, float(z @ z))
         state.zeta = state.config.cg_class.shift + 1.0 / tnorm1
         state.x_seg = z / np.sqrt(tnorm2)
         state.z_seg = z
     else:
-        _row_ladder_sum(comm, state, 0.0, tag=_next_tag(state))
-        _row_ladder_sum(comm, state, 0.0, tag=_next_tag(state))
-        _vector_ops_cost(comm, state, 2)
+        yield from _ladder(comm, state, 0.0)
+        yield from _ladder(comm, state, 0.0)
+        yield from _vector_ops_cost(comm, state, 2)
     return rnorm
 
 
-def run_cg(comm, config: CGConfig, skip_init: bool = False,
-           niter: Optional[int] = None) -> Dict[str, float]:
+def cg_outer_iteration(comm, state: CGState, it: int) -> float:
+    """Blocking :func:`co_cg_outer_iteration`."""
+    return _drive(co_cg_outer_iteration(comm, state, it))
+
+
+def co_run_cg(comm, config: CGConfig, skip_init: bool = False,
+              niter: Optional[int] = None):
     """Run the kernel like the NPB main program: one untimed
     initialization iteration (the one the paper monitors for its
     reordering), then ``niter`` timed iterations.
@@ -454,20 +479,27 @@ def run_cg(comm, config: CGConfig, skip_init: bool = False,
     """
     state = cg_setup(comm, config)
     if not skip_init:
-        cg_outer_iteration(comm, state, 0)
+        yield from co_cg_outer_iteration(comm, state, 0)
         if state.config.mode == "numeric":
             state.x_seg = np.ones(state.col_len, dtype=np.float64)
     n = niter if niter is not None else config.outer_iterations
-    t0, c0, m0 = comm.time, state.comm_time, state.mpi_calls
+    t0 = yield from comm.co_time()
+    c0, m0 = state.comm_time, state.mpi_calls
     for it in range(1, n + 1):
-        cg_outer_iteration(comm, state, it)
+        yield from co_cg_outer_iteration(comm, state, it)
     return {
-        "time": comm.time - t0,
+        "time": (yield from comm.co_time()) - t0,
         "comm_time": state.comm_time - c0,
         "mpi_calls": state.mpi_calls - m0,
         "iterations": n,
         "zeta": state.zeta,
     }
+
+
+def run_cg(comm, config: CGConfig, skip_init: bool = False,
+           niter: Optional[int] = None) -> Dict[str, float]:
+    """Blocking :func:`co_run_cg`."""
+    return _drive(co_run_cg(comm, config, skip_init, niter))
 
 
 def main(argv=None) -> int:
@@ -495,7 +527,7 @@ def main(argv=None) -> int:
         engine = Engine(cluster, seed=args.seed)
         config = CGConfig(CG_CLASSES[args.cg_class], mode="modeled",
                           niter=args.iters)
-        stats = engine.run(lambda comm: run_cg(comm, config))
+        stats = engine.run(co_run_cg, args=(config,))
         r0 = stats[0]
         rows.append((np_count, round(r0["time"], 4),
                      round(r0["comm_time"], 4), r0["mpi_calls"]))

@@ -31,6 +31,12 @@ __all__ = [
 
 def collective_kernel(comm, op: str, n_ints: int, root: int = 0,
                       algorithm: Optional[str] = None) -> float:
+    """Blocking :func:`co_collective_kernel`."""
+    return _drive(co_collective_kernel(comm, op, n_ints, root, algorithm))
+
+
+def co_collective_kernel(comm, op: str, n_ints: int, root: int = 0,
+                         algorithm: Optional[str] = None):
     """One timed collective; returns the caller's elapsed virtual time.
 
     ``op`` is ``"reduce"`` (binary tree by default, as in Fig. 5a:
@@ -38,12 +44,6 @@ def collective_kernel(comm, op: str, n_ints: int, root: int = 0,
     The buffer is ``n_ints`` 4-byte integers, abstract (never
     allocated: the paper goes up to 2·10⁸ ints = 800 MB).
     """
-    return _drive(co_collective_kernel(comm, op, n_ints, root, algorithm))
-
-
-def co_collective_kernel(comm, op: str, n_ints: int, root: int = 0,
-                         algorithm: Optional[str] = None):
-    """Resumable :func:`collective_kernel` (the canonical body)."""
     nbytes = 4 * n_ints
     t0 = yield from comm.co_time()
     if op == "reduce":
@@ -77,10 +77,6 @@ class GroupBenchResult:
         return 100.0 * (self.t1 - (self.t2 + self.t3)) / self.t1
 
 
-def _allgather_loop(comm, n_ints: int, iterations: int) -> float:
-    return _drive(_co_allgather_loop(comm, n_ints, iterations))
-
-
 def _co_allgather_loop(comm, n_ints: int, iterations: int):
     nbytes = 4 * n_ints
     t0 = yield from comm.co_time()
@@ -98,19 +94,7 @@ def grouped_allgather_benchmark(
     manage_env: bool = True,
     measure_iterations: Optional[int] = None,
 ) -> GroupBenchResult:
-    """The §6.4 protocol on one rank (call from every rank).
-
-    Groups are blocks of ``group_size`` consecutive ranks, so with a
-    round-robin binding each group's communicator spans all the nodes
-    (the paper's setup).  Phase 1
-    times ``iterations`` allgathers, phase 2 monitors one allgather and
-    reorders the group, phase 3 times ``iterations`` again.
-
-    ``measure_iterations`` (default: min(iterations, 30)) bounds how
-    many iterations are *simulated*; the exact per-iteration virtual
-    time is scaled to ``iterations``, which is exact for this perfectly
-    periodic workload (see DESIGN.md §6).
-    """
+    """Blocking :func:`co_grouped_allgather_benchmark`."""
     return _drive(co_grouped_allgather_benchmark(
         comm, group_size, n_ints, iterations,
         manage_env=manage_env, measure_iterations=measure_iterations,
@@ -125,11 +109,22 @@ def co_grouped_allgather_benchmark(
     manage_env: bool = True,
     measure_iterations: Optional[int] = None,
 ):
-    """Resumable :func:`grouped_allgather_benchmark` (the canonical body).
+    """The §6.4 protocol on one rank (call from every rank).
 
-    The monitoring API calls stay the plain blocking ones — they are
-    local, and the ``co_sync`` before each one settles any deferred
-    send so their internal pvar-read settles no-op (DESIGN.md §4.5).
+    Groups are blocks of ``group_size`` consecutive ranks, so with a
+    round-robin binding each group's communicator spans all the nodes
+    (the paper's setup).  Phase 1
+    times ``iterations`` allgathers, phase 2 monitors one allgather and
+    reorders the group, phase 3 times ``iterations`` again.
+
+    ``measure_iterations`` (default: min(iterations, 30)) bounds how
+    many iterations are *simulated*; the exact per-iteration virtual
+    time is scaled to ``iterations``, which is exact for this perfectly
+    periodic workload (see DESIGN.md §6).
+
+    The monitoring API calls are the plain local ones: the ``co_sync``
+    before each one settles any deferred send, so their internal
+    pvar-read settles find nothing to park on (DESIGN.md §4.5).
     """
     if comm.size % group_size:
         raise ValueError(f"{comm.size} ranks not divisible into groups of {group_size}")
@@ -197,7 +192,10 @@ def main(argv=None) -> int:
     engine = Engine(cluster, seed=args.seed)
 
     def program(comm):
-        return [(n, collective_kernel(comm, args.op, n)) for n in sizes]
+        rows = []
+        for n in sizes:
+            rows.append((n, (yield from co_collective_kernel(comm, args.op, n))))
+        return rows
 
     rows = engine.run(program)[0]
     print(render_table(

@@ -16,8 +16,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.simmpi.engine import _drive
+
 __all__ = ["StencilConfig", "StencilState", "stencil_setup",
-           "stencil_iteration", "run_stencil", "process_grid"]
+           "stencil_iteration", "co_stencil_iteration", "run_stencil",
+           "co_run_stencil", "process_grid"]
 
 
 def process_grid(p: int) -> Tuple[int, int]:
@@ -91,6 +94,11 @@ def stencil_setup(comm, config: StencilConfig) -> StencilState:
 
 
 def stencil_iteration(comm, state: StencilState, it: int) -> None:
+    """Blocking :func:`co_stencil_iteration`."""
+    _drive(co_stencil_iteration(comm, state, it))
+
+
+def co_stencil_iteration(comm, state: StencilState, it: int):
     """Halo exchange + Jacobi sweep.  ``comm`` may be the reordered
     communicator: neighbours are *logical ranks*, so reordering changes
     which physical process plays which grid role."""
@@ -106,7 +114,7 @@ def stencil_iteration(comm, state: StencilState, it: int) -> None:
         "e": (lambda: f[1:-1, -2].copy()) if f is not None else None,
     }
     halo_nbytes = 8 * t
-    t0 = comm.time
+    t0 = yield from comm.co_time()
     reqs = []
     for send_dir, recv_dir in pairs:
         dst = nb[send_dir]
@@ -116,12 +124,13 @@ def stencil_iteration(comm, state: StencilState, it: int) -> None:
             reqs.append((recv_dir, comm.irecv(source=src, tag=tag)))
         if dst >= 0:
             payload = extract[send_dir]() if cfg.numeric else None
-            comm.isend(payload, dest=dst, tag=tag,
-                       nbytes=None if cfg.numeric else halo_nbytes)
+            yield from comm.co_isend(
+                payload, dest=dst, tag=tag,
+                nbytes=None if cfg.numeric else halo_nbytes)
     received = {}
     for direction, req in reqs:
-        received[direction] = req.wait().payload
-    state.comm_time += comm.time - t0
+        received[direction] = (yield from req.co_wait()).payload
+    state.comm_time += (yield from comm.co_time()) - t0
 
     if cfg.numeric:
         if "n" in received:
@@ -134,19 +143,22 @@ def stencil_iteration(comm, state: StencilState, it: int) -> None:
             f[1:-1, -1] = received["e"]
         inner = 0.25 * (f[:-2, 1:-1] + f[2:, 1:-1] + f[1:-1, :-2] + f[1:-1, 2:])
         f[1:-1, 1:-1] = inner
-        comm.compute(5.0 * t * t / cfg.compute_rate)
-    else:
-        comm.compute(5.0 * t * t / cfg.compute_rate)
+    yield from comm.co_compute(5.0 * t * t / cfg.compute_rate)
 
 
 def run_stencil(comm, config: StencilConfig, iterations: int) -> Dict[str, float]:
+    """Blocking :func:`co_run_stencil`."""
+    return _drive(co_run_stencil(comm, config, iterations))
+
+
+def co_run_stencil(comm, config: StencilConfig, iterations: int):
     """Run the stencil; returns per-rank total and communication time."""
     state = stencil_setup(comm, config)
-    t0 = comm.time
+    t0 = yield from comm.co_time()
     for it in range(iterations):
-        stencil_iteration(comm, state, it)
+        yield from co_stencil_iteration(comm, state, it)
     return {
-        "time": comm.time - t0,
+        "time": (yield from comm.co_time()) - t0,
         "comm_time": state.comm_time,
         "iterations": iterations,
         "checksum": float(state.field.sum()) if state.field is not None else 0.0,
@@ -173,9 +185,8 @@ def main(argv=None) -> int:
     for tile in tiles:
         cluster = Cluster.plafrim(args.nodes, binding="rr")
         engine = Engine(cluster, seed=args.seed)
-        stats = engine.run(
-            lambda comm: run_stencil(comm, StencilConfig(tile=tile),
-                                     args.iters))
+        stats = engine.run(co_run_stencil,
+                           args=(StencilConfig(tile=tile), args.iters))
         worst = max(stats, key=lambda s: s["time"])
         rows.append((tile, round(worst["time"], 5),
                      round(worst["comm_time"], 5)))

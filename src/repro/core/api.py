@@ -40,7 +40,7 @@ from repro.core.constants import (
 from repro.core.errors import InvalidMsid, InvalidRoot, MonitoringError
 from repro.core.flushio import write_local_profile, write_root_profiles
 from repro.core.session import MonitoringRuntime, Session
-from repro.simmpi.engine import current_process
+from repro.simmpi.engine import _drive, current_process
 from repro.simmpi.mpit import MpitError
 
 __all__ = [
@@ -262,9 +262,38 @@ def mpi_m_get_data(msid, msg_counts=None, msg_sizes=None, flags=Flags.ALL_COMM):
     return MPI_SUCCESS, _fill(msg_counts, counts), _fill(msg_sizes, sizes)
 
 
-@_guard
-def mpi_m_allgather_data(msid, matrix_counts=None, matrix_sizes=None,
-                         flags=Flags.ALL_COMM):
+# ---------------------------------------------------------------------------
+# the communicating accessors
+#
+# The purely local calls above never need to park as long as the
+# caller's deferred send is settled first — generator rank programs do
+# that with ``yield from comm.co_sync()`` and then call them directly.
+# The accessors below really communicate (allgather/gather over the
+# session's communicator), so they are written once as ``co_``
+# generators; the C-style blocking names drive them.
+
+
+def _check_root(session, root) -> int:
+    if not isinstance(root, (int, np.integer)) or not 0 <= root < session.comm.size:
+        raise InvalidRoot(f"root {root!r} not in [0, {session.comm.size})")
+    return int(root)
+
+
+def _co_gather_rows(msid, root, flags):
+    """``(session, root, rows)``: every rank's ``(counts, sizes)``
+    gathered at ``root`` (``rows`` is None elsewhere)."""
+    rt = MonitoringRuntime.of(current_process())
+    _no_all_msid(msid)
+    session = rt.lookup(msid)
+    root = _check_root(session, root)
+    yield from session.comm.co_sync()
+    rows = yield from session.comm.co_gather(session.data(flags), root=root)
+    return session, root, rows
+
+
+@_co_guard
+def co_mpi_m_allgather_data(msid, matrix_counts=None, matrix_sizes=None,
+                            flags=Flags.ALL_COMM):
     """Full matrices on every process: ``(err, counts, sizes)``.
 
     Equivalent to ``get_data`` followed by ``MPI_Allgather`` (§4.1);
@@ -274,55 +303,8 @@ def mpi_m_allgather_data(msid, matrix_counts=None, matrix_sizes=None,
     rt = MonitoringRuntime.of(current_process())
     _no_all_msid(msid)
     session = rt.lookup(msid)
-    counts, sizes = session.data(flags)
-    rows = session.comm.allgather((counts, sizes))
-    n = session.comm.size
-    cmat = np.concatenate([r[0] for r in rows]).astype(np.uint64)
-    smat = np.concatenate([r[1] for r in rows]).astype(np.uint64)
-    assert cmat.size == n * n and smat.size == n * n
-    return MPI_SUCCESS, _fill(matrix_counts, cmat), _fill(matrix_sizes, smat)
-
-
-@_guard
-def mpi_m_rootgather_data(msid, root, matrix_counts=None, matrix_sizes=None,
-                          flags=Flags.ALL_COMM):
-    """Like allgather_data but only ``root`` receives the matrices;
-    other ranks get ``(MPI_SUCCESS, None, None)``."""
-    rt = MonitoringRuntime.of(current_process())
-    _no_all_msid(msid)
-    session = rt.lookup(msid)
-    if not isinstance(root, (int, np.integer)) or not 0 <= root < session.comm.size:
-        raise InvalidRoot(f"root {root!r} not in [0, {session.comm.size})")
-    counts, sizes = session.data(flags)
-    rows = session.comm.gather((counts, sizes), root=int(root))
-    if session.comm.rank != root:
-        return MPI_SUCCESS, None, None
-    cmat = np.concatenate([r[0] for r in rows]).astype(np.uint64)
-    smat = np.concatenate([r[1] for r in rows]).astype(np.uint64)
-    return MPI_SUCCESS, _fill(matrix_counts, cmat), _fill(matrix_sizes, smat)
-
-
-# ---------------------------------------------------------------------------
-# resumable variants of the communicating accessors
-#
-# The purely local calls (init/start/suspend/...) never need to park as
-# long as the caller's deferred send is settled first — co rank
-# programs do that with ``yield from comm.co_sync()`` and then call the
-# blocking functions directly.  The accessors below really communicate
-# (allgather/gather over the session's communicator), so they get co
-# twins whose engine call sequence matches the blocking ones exactly.
-
-
-@_co_guard
-def co_mpi_m_allgather_data(msid, matrix_counts=None, matrix_sizes=None,
-                            flags=Flags.ALL_COMM):
-    """Resumable :func:`mpi_m_allgather_data`."""
-    rt = MonitoringRuntime.of(current_process())
-    _no_all_msid(msid)
-    session = rt.lookup(msid)
     yield from session.comm.co_sync()
-    counts, sizes = session.data(flags)
-    rows = yield from session.comm.co_allgather((counts, sizes))
+    rows = yield from session.comm.co_allgather(session.data(flags))
     n = session.comm.size
     cmat = np.concatenate([r[0] for r in rows]).astype(np.uint64)
     smat = np.concatenate([r[1] for r in rows]).astype(np.uint64)
@@ -333,15 +315,9 @@ def co_mpi_m_allgather_data(msid, matrix_counts=None, matrix_sizes=None,
 @_co_guard
 def co_mpi_m_rootgather_data(msid, root, matrix_counts=None,
                              matrix_sizes=None, flags=Flags.ALL_COMM):
-    """Resumable :func:`mpi_m_rootgather_data`."""
-    rt = MonitoringRuntime.of(current_process())
-    _no_all_msid(msid)
-    session = rt.lookup(msid)
-    if not isinstance(root, (int, np.integer)) or not 0 <= root < session.comm.size:
-        raise InvalidRoot(f"root {root!r} not in [0, {session.comm.size})")
-    yield from session.comm.co_sync()
-    counts, sizes = session.data(flags)
-    rows = yield from session.comm.co_gather((counts, sizes), root=int(root))
+    """Like allgather_data but only ``root`` receives the matrices;
+    other ranks get ``(MPI_SUCCESS, None, None)``."""
+    session, root, rows = yield from _co_gather_rows(msid, root, flags)
     if session.comm.rank != root:
         return MPI_SUCCESS, None, None
     cmat = np.concatenate([r[0] for r in rows]).astype(np.uint64)
@@ -351,22 +327,36 @@ def co_mpi_m_rootgather_data(msid, root, matrix_counts=None,
 
 @_co_guard
 def co_mpi_m_rootflush(msid, root, filename: str, flags=Flags.ALL_COMM):
-    """Resumable :func:`mpi_m_rootflush`."""
-    rt = MonitoringRuntime.of(current_process())
-    _no_all_msid(msid)
-    session = rt.lookup(msid)
-    if not isinstance(root, (int, np.integer)) or not 0 <= root < session.comm.size:
-        raise InvalidRoot(f"root {root!r} not in [0, {session.comm.size})")
-    yield from session.comm.co_sync()
-    counts, sizes = session.data(flags)
-    rows = yield from session.comm.co_gather((counts, sizes), root=int(root))
-    if session.comm.rank == int(root):
+    """``root`` gathers all data and writes ``filename_counts.[rank].prof``
+    and ``filename_sizes.[rank].prof``, where ``[rank]`` is the root's
+    rank in MPI_COMM_WORLD (per the paper's API table)."""
+    session, root, rows = yield from _co_gather_rows(msid, root, flags)
+    if session.comm.rank == root:
         n = session.comm.size
         cmat = np.stack([r[0] for r in rows]).astype(np.uint64).reshape(n, n)
         smat = np.stack([r[1] for r in rows]).astype(np.uint64).reshape(n, n)
-        world_rank = session.comm.world_rank(int(root))
+        world_rank = session.comm.world_rank(root)
         write_root_profiles(filename, world_rank, cmat, smat, flags)
     return MPI_SUCCESS
+
+
+def mpi_m_allgather_data(msid, matrix_counts=None, matrix_sizes=None,
+                         flags=Flags.ALL_COMM):
+    """Blocking :func:`co_mpi_m_allgather_data`."""
+    return _drive(co_mpi_m_allgather_data(msid, matrix_counts, matrix_sizes,
+                                          flags))
+
+
+def mpi_m_rootgather_data(msid, root, matrix_counts=None, matrix_sizes=None,
+                          flags=Flags.ALL_COMM):
+    """Blocking :func:`co_mpi_m_rootgather_data`."""
+    return _drive(co_mpi_m_rootgather_data(msid, root, matrix_counts,
+                                           matrix_sizes, flags))
+
+
+def mpi_m_rootflush(msid, root, filename: str, flags=Flags.ALL_COMM) -> ErrorCode:
+    """Blocking :func:`co_mpi_m_rootflush`."""
+    return _drive(co_mpi_m_rootflush(msid, root, filename, flags))
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +372,4 @@ def mpi_m_flush(msid, filename: str, flags=Flags.ALL_COMM) -> ErrorCode:
     session = rt.lookup(msid)
     counts, sizes = session.data(flags)
     write_local_profile(filename, session.comm.rank, counts, sizes, flags)
-    return MPI_SUCCESS
-
-
-@_guard
-def mpi_m_rootflush(msid, root, filename: str, flags=Flags.ALL_COMM) -> ErrorCode:
-    """``root`` gathers all data and writes ``filename_counts.[rank].prof``
-    and ``filename_sizes.[rank].prof``, where ``[rank]`` is the root's
-    rank in MPI_COMM_WORLD (per the paper's API table)."""
-    rt = MonitoringRuntime.of(current_process())
-    _no_all_msid(msid)
-    session = rt.lookup(msid)
-    if not isinstance(root, (int, np.integer)) or not 0 <= root < session.comm.size:
-        raise InvalidRoot(f"root {root!r} not in [0, {session.comm.size})")
-    counts, sizes = session.data(flags)
-    rows = session.comm.gather((counts, sizes), root=int(root))
-    if session.comm.rank == int(root):
-        n = session.comm.size
-        cmat = np.stack([r[0] for r in rows]).astype(np.uint64).reshape(n, n)
-        smat = np.stack([r[1] for r in rows]).astype(np.uint64).reshape(n, n)
-        world_rank = session.comm.world_rank(int(root))
-        write_root_profiles(filename, world_rank, cmat, smat, flags)
     return MPI_SUCCESS

@@ -74,13 +74,18 @@ def _sender(comm, duration: float, sample_dt: float, seed: int,
     times: List[float] = []
     hw: List[int] = []
     mon: List[int] = []
-    hw_prev = nic.port_xmit_data(my_node, comm.time) * lanes
-    next_sample = comm.time + sample_dt
+    def now():
+        return comm.co_time()
+
+    hw_prev = nic.port_xmit_data(my_node, (yield from now())) * lanes
+    next_sample = (yield from now()) + sample_dt
     total_sent = 0
 
-    def sample() -> None:
+    def sample(t: float) -> None:
+        # ``t`` is the caller's clock, read (and its deferred send
+        # settled) just now, so the plain monitoring calls below find
+        # nothing to park on.
         nonlocal hw_prev
-        t = comm.time
         hw_now = nic.port_xmit_data(my_node, t) * lanes
         raise_for_code(mapi.mpi_m_suspend(msid))
         err, _, sizes = mapi.mpi_m_get_data(
@@ -94,24 +99,26 @@ def _sender(comm, duration: float, sample_dt: float, seed: int,
         mon.append(int(sizes.sum()))
         hw_prev = hw_now
 
-    t_end = comm.time + duration
-    while comm.time < t_end:
+    t_end = (yield from now()) + duration
+    while (yield from now()) < t_end:
         size = int(rng.integers(size_range[0], size_range[1]))
-        comm.send(None, dest=1, tag=_DATA_TAG, nbytes=size)
+        yield from comm.co_send(None, dest=1, tag=_DATA_TAG, nbytes=size)
         total_sent += size
         sleep_for = float(rng.uniform(*sleep_range))
-        target = comm.time + sleep_for
-        while comm.time < target:
+        target = (yield from now()) + sleep_for
+        while (yield from now()) < target:
             if next_sample <= target:
-                comm.sleep(max(0.0, next_sample - comm.time))
-                sample()
+                yield from comm.co_sleep(
+                    max(0.0, next_sample - (yield from now())))
+                sample((yield from now()))
                 next_sample += sample_dt
             else:
-                comm.sleep(target - comm.time)
+                yield from comm.co_sleep(target - (yield from now()))
     # Final drain sample, then stop the receiver.
-    comm.sleep(max(0.0, next_sample - comm.time))
-    sample()
-    comm.send(None, dest=1, tag=_SENTINEL_TAG, nbytes=0)
+    yield from comm.co_sleep(max(0.0, next_sample - (yield from now())))
+    sample((yield from now()))
+    yield from comm.co_send(None, dest=1, tag=_SENTINEL_TAG, nbytes=0)
+    yield from comm.co_sync()
     raise_for_code(mapi.mpi_m_suspend(msid))
     raise_for_code(mapi.mpi_m_free(msid))
     raise_for_code(mapi.mpi_m_finalize())
@@ -125,7 +132,7 @@ def _sender(comm, duration: float, sample_dt: float, seed: int,
 
 def _receiver(comm):
     while True:
-        msg = comm.recv(source=0)
+        msg = yield from comm.co_recv(source=0)
         if msg.tag == _SENTINEL_TAG:
             return None
 
@@ -138,9 +145,9 @@ def run(duration: float = 5.0, sample_dt: float = 0.010, seed: int = 42,
 
     def program(comm):
         if comm.rank == 0:
-            return _sender(comm, duration, sample_dt, seed,
-                           size_range=size_range)
-        return _receiver(comm)
+            return (yield from _sender(comm, duration, sample_dt, seed,
+                                       size_range=size_range))
+        return (yield from _receiver(comm))
 
     results = engine.run(program)
     return results[0]

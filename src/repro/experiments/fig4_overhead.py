@@ -24,7 +24,7 @@ from repro.core.errors import raise_for_code
 from repro.experiments.common import (experiment_parser, full_scale,
                                       handle_trace_in, render_table,
                                       trace_capture)
-from repro.simmpi import Cluster, Engine
+from repro.simmpi import MAX, Cluster, Engine
 
 __all__ = ["OverheadPoint", "measure_reduce_times", "run_point", "run",
            "report", "main"]
@@ -70,14 +70,15 @@ def measure_reduce_times(
             err, msid = mapi.mpi_m_start(comm)
             raise_for_code(err)
         times = []
-        from repro.simmpi.op import MAX
-
         for _ in range(reps):
-            comm.barrier()
-            t0 = comm.time
-            comm.reduce(None, MAX, root=0, nbytes=size_bytes, algorithm="binary")
-            times.append(comm.time - t0)
+            yield from comm.co_barrier()
+            t0 = yield from comm.co_time()
+            yield from comm.co_reduce(None, MAX, root=0, nbytes=size_bytes,
+                                      algorithm="binary")
+            times.append((yield from comm.co_time()) - t0)
         if monitored:
+            # co_time just settled the last send, so the plain calls
+            # below never need to park (DESIGN.md §4.5).
             raise_for_code(mapi.mpi_m_suspend(msid))
             raise_for_code(mapi.mpi_m_free(msid))
             raise_for_code(mapi.mpi_m_finalize())

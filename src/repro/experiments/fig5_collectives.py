@@ -31,9 +31,9 @@ from repro.core.errors import raise_for_code
 from repro.experiments.common import (Series, experiment_parser, full_scale,
                                       handle_trace_in, render_table,
                                       trace_capture)
-from repro.placement.reorder import reorder_from_matrix
-from repro.simmpi import Cluster, Engine
-from repro.apps.microbench import collective_kernel
+from repro.apps.microbench import co_collective_kernel
+from repro.placement.reorder import co_reorder_from_matrix
+from repro.simmpi import MAX, Cluster, Engine
 
 __all__ = ["CollectivePoint", "run_cell", "run", "report", "main",
            "DEFAULT_SIZES", "FULL_SIZES"]
@@ -55,44 +55,23 @@ class CollectivePoint:
         return self.t_baseline / self.t_reordered if self.t_reordered else float("inf")
 
 
-def _measure(comm, op: str, n_ints: int, reps: int = 3) -> float:
+def _co_measure(comm, op: str, n_ints: int, reps: int = 3):
     """Median collective time: at the root for reduce ("MPI_Reduce time
     at root"), max over ranks for bcast ("Total MPI_Bcast time")."""
-    times = []
-    for _ in range(reps):
-        comm.barrier()
-        t = collective_kernel(comm, op, n_ints)
-        times.append(t)
-    # np.median of a single sample is that sample; skip the array
-    # round-trip for the common reps=1 sweep.
-    local = times[0] if len(times) == 1 else float(np.median(times))
-    from repro.simmpi.op import MAX as MAXOP
-
-    if op == "reduce":
-        # Broadcast the root's own timing so every rank returns it.
-        val = comm.bcast(np.float64(local) if comm.rank == 0 else None, root=0)
-        return float(val)
-    return float(comm.allreduce(np.float64(local), MAXOP))
-
-
-def _co_measure(comm, op: str, n_ints: int, reps: int = 3):
-    """Resumable twin of :func:`_measure` (same call sequence, co_*
-    spellings) for event-driven-core cells."""
-    from repro.apps.microbench import co_collective_kernel
-
     times = []
     for _ in range(reps):
         yield from comm.co_barrier()
         t = yield from co_collective_kernel(comm, op, n_ints)
         times.append(t)
+    # np.median of a single sample is that sample; skip the array
+    # round-trip for the common reps=1 sweep.
     local = times[0] if len(times) == 1 else float(np.median(times))
-    from repro.simmpi.op import MAX as MAXOP
-
     if op == "reduce":
+        # Broadcast the root's own timing so every rank returns it.
         val = yield from comm.co_bcast(
             np.float64(local) if comm.rank == 0 else None, root=0)
         return float(val)
-    res = yield from comm.co_allreduce(np.float64(local), MAXOP)
+    res = yield from comm.co_allreduce(np.float64(local), MAX)
     return float(res)
 
 
@@ -103,7 +82,6 @@ def run_cell(
     reps: int = 3,
     seed: int = 0,
     engine: Optional[Engine] = None,
-    core: str = "threads",
 ) -> List[CollectivePoint]:
     """One Fig. 5 cell: a single (op, node count) engine run covering
     the whole buffer-size sweep.  The monitoring + reordering step is
@@ -113,56 +91,23 @@ def run_cell(
 
     ``engine`` lets a caller supply a pre-built (e.g. instrumented)
     Engine for ``n_nodes`` PlaFRIM nodes; by default the cell builds
-    its own.  ``core`` selects the engine core for the default-built
-    engine (``"threads"`` or ``"eventloop"``); a supplied engine's own
-    core wins.  Both cores produce bit-identical points — the
-    event-driven spelling mirrors the threaded program line for line
-    under the co_* API."""
+    its own."""
     if sizes is None:
         sizes = FULL_SIZES if full_scale() else DEFAULT_SIZES
     if engine is None:
-        cluster = Cluster.plafrim(n_nodes, binding="rr")
-        engine = Engine(cluster, seed=seed, core=core)
-    else:
-        cluster = engine.cluster
+        engine = Engine(Cluster.plafrim(n_nodes, binding="rr"), seed=seed)
+    cluster = engine.cluster
 
-    def program(comm):
+    def co_program(comm):
+        # The co_sync calls before the plain monitoring-API calls settle
+        # the caller's deferred send, so those calls' internal settles
+        # find nothing to park on (DESIGN.md §4.5).
         out = []
         # --- baseline sweep on the round-robin mapping
         for n_ints in sizes:
-            out.append(("base", n_ints, _measure(comm, op, n_ints, reps)))
-        # --- monitor one collective's decomposition and reorder
-        raise_for_code(mapi.mpi_m_init())
-        err, msid = mapi.mpi_m_start(comm)
-        raise_for_code(err)
-        collective_kernel(comm, op, sizes[0])
-        raise_for_code(mapi.mpi_m_suspend(msid))
-        err, _, size_mat = mapi.mpi_m_rootgather_data(
-            msid, 0, MPI_M_DATA_IGNORE, None, Flags.COLL_ONLY
-        )
-        raise_for_code(err)
-        raise_for_code(mapi.mpi_m_free(msid))
-        raise_for_code(mapi.mpi_m_finalize())
-        opt, _k = reorder_from_matrix(comm, size_mat)
-        # --- reordered sweep
-        for n_ints in sizes:
-            out.append(("reord", n_ints, _measure(opt, op, n_ints, reps)))
-        return out
-
-    def co_program(comm):
-        # Event-driven spelling of ``program``, one continuation per
-        # rank.  The co_sync calls before the plain (blocking)
-        # monitoring-API calls are the settle-idempotence discipline of
-        # DESIGN.md §4.5: with the deferred send already settled, the
-        # blocking call's internal settle no-ops and it runs park-free
-        # inside the continuation.
-        from repro.apps.microbench import co_collective_kernel
-        from repro.placement.reorder import co_reorder_from_matrix
-
-        out = []
-        for n_ints in sizes:
             t = yield from _co_measure(comm, op, n_ints, reps)
             out.append(("base", n_ints, t))
+        # --- monitor one collective's decomposition and reorder
         yield from comm.co_sync()
         raise_for_code(mapi.mpi_m_init())
         err, msid = mapi.mpi_m_start(comm)
@@ -178,12 +123,13 @@ def run_cell(
         raise_for_code(mapi.mpi_m_free(msid))
         raise_for_code(mapi.mpi_m_finalize())
         opt, _k = yield from co_reorder_from_matrix(comm, size_mat)
+        # --- reordered sweep
         for n_ints in sizes:
             t = yield from _co_measure(opt, op, n_ints, reps)
             out.append(("reord", n_ints, t))
         return out
 
-    results = engine.run(co_program if engine.core == "eventloop" else program)
+    results = engine.run(co_program)
     rows = results[0]
     base = {n: t for kind, n, t in rows if kind == "base"}
     reord = {n: t for kind, n, t in rows if kind == "reord"}

@@ -20,7 +20,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.microbench import grouped_allgather_benchmark
+from repro.apps.microbench import co_grouped_allgather_benchmark
+from repro.core import api as mapi
+from repro.core.errors import raise_for_code
 from repro.experiments.common import (experiment_parser, full_scale,
                                       handle_trace_in, render_table,
                                       trace_capture)
@@ -66,14 +68,12 @@ def run_cell(
     engine = Engine(cluster, seed=seed)
 
     def program(comm):
-        from repro.core import api as mapi
-        from repro.core.errors import raise_for_code
-
         raise_for_code(mapi.mpi_m_init())
-        res = grouped_allgather_benchmark(
+        res = yield from co_grouped_allgather_benchmark(
             comm, group_size=group_size, n_ints=n_ints,
             iterations=iterations, manage_env=False,
         )
+        yield from comm.co_sync()
         raise_for_code(mapi.mpi_m_finalize())
         return res.t1, res.t2, res.t3
 
@@ -111,18 +111,16 @@ def run(
         grid = [(s, it) for s in sizes for it in iteration_counts]
 
         def program(comm):
-            from repro.core import api as mapi
-            from repro.core.errors import raise_for_code
-
             raise_for_code(mapi.mpi_m_init())
             out = []
             for n_ints, iters in grid:
-                res = grouped_allgather_benchmark(
+                res = yield from co_grouped_allgather_benchmark(
                     comm, group_size=group_size, n_ints=n_ints,
                     iterations=iters, manage_env=False,
                 )
                 out.append((n_ints, iters, res.t1, res.t2, res.t3,
                             res.gain_percent))
+            yield from comm.co_sync()
             raise_for_code(mapi.mpi_m_finalize())
             return out
 

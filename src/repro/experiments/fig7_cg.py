@@ -29,14 +29,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apps.cg import CG_CLASSES, CGConfig, cg_outer_iteration, cg_setup
+from repro.apps.cg import (CG_CLASSES, CGConfig, cg_setup,
+                          co_cg_outer_iteration)
 from repro.core import api as mapi
 from repro.core.constants import Flags, MPI_M_DATA_IGNORE
 from repro.core.errors import raise_for_code
 from repro.experiments.common import (experiment_parser, full_scale,
                                       handle_trace_in, render_table,
                                       trace_capture)
-from repro.placement.reorder import reorder_from_matrix
+from repro.placement.reorder import co_reorder_from_matrix
 from repro.simmpi import Cluster, Engine
 
 __all__ = ["CGPoint", "run_one", "run", "report", "nodes_for", "main",
@@ -74,35 +75,42 @@ def _cg_program(comm, config: CGConfig, sim_iters: int, niter: int,
                 reorder: bool):
     """Returns (total_time, rank0_comm_time) scaled to ``niter``."""
     state = cg_setup(comm, config)
-    t_start = comm.time
+    t_start = yield from comm.co_time()
 
     if reorder:
+        # The plain monitoring calls run with no deferred send pending
+        # (co_time / co_sync just settled it): DESIGN.md §4.5.
         raise_for_code(mapi.mpi_m_init())
         err, msid = mapi.mpi_m_start(comm)
         raise_for_code(err)
-        cg_outer_iteration(comm, state, 0)  # the monitored init phase
+        # The monitored init phase.
+        yield from co_cg_outer_iteration(comm, state, 0)
+        yield from comm.co_sync()
         raise_for_code(mapi.mpi_m_suspend(msid))
-        err, _, size_mat = mapi.mpi_m_rootgather_data(
+        err, _, size_mat = yield from mapi.co_mpi_m_rootgather_data(
             msid, 0, MPI_M_DATA_IGNORE, None, Flags.P2P_ONLY
         )
         raise_for_code(err)
+        yield from comm.co_sync()
         raise_for_code(mapi.mpi_m_free(msid))
         raise_for_code(mapi.mpi_m_finalize())
-        run_comm, _k = reorder_from_matrix(comm, size_mat)
+        run_comm, _k = yield from co_reorder_from_matrix(comm, size_mat)
         # Logical roles follow the new ranks; NPB's init structure means
         # no data needs to move (the paper's trick).
         state = cg_setup(run_comm, config)
         state_comm = run_comm
     else:
-        cg_outer_iteration(comm, state, 0)  # untimed init, as in NPB
+        # Untimed init, as in NPB.
+        yield from co_cg_outer_iteration(comm, state, 0)
         state_comm = comm
 
-    reorder_cost = comm.time - t_start
+    reorder_cost = (yield from comm.co_time()) - t_start
 
-    t0, c0 = state_comm.time, state.comm_time
+    t0 = yield from state_comm.co_time()
+    c0 = state.comm_time
     for it in range(1, sim_iters + 1):
-        cg_outer_iteration(state_comm, state, it)
-    per_iter = (state_comm.time - t0) / sim_iters
+        yield from co_cg_outer_iteration(state_comm, state, it)
+    per_iter = ((yield from state_comm.co_time()) - t0) / sim_iters
     per_iter_comm = (state.comm_time - c0) / sim_iters
 
     total = reorder_cost + per_iter * niter if reorder else per_iter * niter

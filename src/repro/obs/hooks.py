@@ -12,7 +12,7 @@ engines carry a plain ``None`` and pay nothing.  It does three things:
   depth at block time, PML batch segment counts at close);
 * publishes everything into the metrics registry once, at
   :meth:`run_finished`, together with the engine's own counters
-  (switches, messages, deferred sends, elided handoffs) and the
+  (switches, messages, deferred sends, elided switches) and the
   per-category monitoring totals.
 """
 
@@ -94,8 +94,7 @@ class EngineObserver:
     def run_started(self) -> None:
         if self.spans is not None:
             self.spans.wall_begin("engine.run",
-                                  {"n_ranks": self.engine.n_ranks,
-                                   "handoff": self.engine.handoff})
+                                  {"n_ranks": self.engine.n_ranks})
 
     def run_finished(self) -> None:
         if self.spans is not None:
@@ -108,12 +107,11 @@ class EngineObserver:
         net = eng.network
         reg.counter("repro_engine_runs_total").inc()
         reg.counter("repro_engine_context_switches_total").inc(eng._switches)
-        # Paired with context_switches_total: on the event-driven core
-        # each "switch" is a generator resume on the scheduler thread;
-        # on the threaded core the pair is degenerate (resumes ==
-        # switches by definition).  Divergence between the two counters
-        # on an event run would mean the scheduler resumed a rank
-        # outside the baton order — the bit-exactness invariant.
+        # Paired with context_switches_total: every switch is followed
+        # by exactly one scheduler resume (a ``task.send``), counted
+        # independently.  Divergence between the two on a completed run
+        # would mean the scheduler resumed a rank it was not told to —
+        # the bit-exactness invariant.
         reg.counter("repro_engine_resumes_total").inc(eng.resumes)
         if eng.max_clock > 0:
             reg.gauge("repro_engine_resumes_per_virtual_second").set_max(

@@ -162,7 +162,11 @@ def refine_groups(W, groups, max_passes: int = 4):
         improved = False
         for gi in range(g):
             for gj in range(gi + 1, g):
-                while True:
+                # Every productive swap lowers the cut, so one per
+                # (a, b) combination is a generous bound — and it stops
+                # round-off (deltas of ~-1e-10 on 1e6-scale weights) from
+                # swapping the same two items back and forth for ever.
+                for _ in range(len(groups[gi]) * len(groups[gj])):
                     ga = np.asarray(groups[gi], dtype=np.intp)
                     gb = np.asarray(groups[gj], dtype=np.intp)
                     delta = (

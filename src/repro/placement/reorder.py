@@ -22,6 +22,7 @@ cost vs. iteration gain) is reproduced honestly.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.core.errors import raise_for_code
 from repro.obs.spans import virtual_span
 from repro.placement.mapping import invert_permutation, reorder_permutation
 from repro.placement.treematch import treematch
+from repro.simmpi.engine import _drive
 
 __all__ = [
     "treematch_model_seconds",
@@ -41,6 +43,7 @@ __all__ = [
     "redistribute_data",
     "co_redistribute_data",
     "reorder_iterative",
+    "co_reorder_iterative",
 ]
 
 
@@ -70,34 +73,11 @@ def compute_mapping(size_mat: np.ndarray, cluster, world_ranks) -> np.ndarray:
     return reorder_permutation(placement, pus)
 
 
-def reorder_from_matrix(
-    comm,
-    size_mat: Optional[np.ndarray],
-    charge_mapping_time: bool = True,
-) -> Tuple[object, np.ndarray]:
-    """Lines 7–11 of Fig. 1: mapping at rank 0, bcast of k, comm split.
-
-    ``size_mat`` is only significant at rank 0 (the gathered byte
-    matrix).  Returns ``(opt_comm, k)`` on every rank.
-    """
-    me = comm.rank
-    rec = comm.engine._obs_spans
-    proc = comm._current() if rec is not None else None
-    with virtual_span(rec, proc, "reorder.from_matrix"):
-        if me == 0:
-            if size_mat is None:
-                raise ValueError("rank 0 must supply the gathered size matrix")
-            with virtual_span(rec, proc, "treematch.compute_mapping",
-                              {"n": comm.size}):
-                k = compute_mapping(size_mat, comm.engine.cluster, comm.group)
-                if charge_mapping_time:
-                    comm.compute(treematch_model_seconds(comm.size))
-            k = np.asarray(k, dtype=np.int32)
-        else:
-            k = None
-        k = comm.bcast(k, root=0)
-        opt_comm = comm.split(0, int(k[me]))
-    return opt_comm, k
+def reorder_from_matrix(comm, size_mat: Optional[np.ndarray],
+                        charge_mapping_time: bool = True
+                        ) -> Tuple[object, np.ndarray]:
+    """Blocking :func:`co_reorder_from_matrix`."""
+    return _drive(co_reorder_from_matrix(comm, size_mat, charge_mapping_time))
 
 
 def co_reorder_from_matrix(
@@ -105,7 +85,11 @@ def co_reorder_from_matrix(
     size_mat: Optional[np.ndarray],
     charge_mapping_time: bool = True,
 ):
-    """Resumable :func:`reorder_from_matrix` for co rank programs."""
+    """Lines 7–11 of Fig. 1: mapping at rank 0, bcast of k, comm split.
+
+    ``size_mat`` is only significant at rank 0 (the gathered byte
+    matrix).  Returns ``(opt_comm, k)`` on every rank.
+    """
     me = comm.rank
     rec = comm.engine._obs_spans
     proc = comm._current() if rec is not None else None
@@ -127,6 +111,11 @@ def co_reorder_from_matrix(
 
 
 def redistribute_data(comm, k: np.ndarray, payload=None, nbytes: int = 0) -> object:
+    """Blocking :func:`co_redistribute_data`."""
+    return _drive(co_redistribute_data(comm, k, payload, nbytes))
+
+
+def co_redistribute_data(comm, k: np.ndarray, payload=None, nbytes: int = 0):
     """Line 12 of Fig. 1: move each logical rank's data to its new owner.
 
     The process that takes over logical rank j (the one with k[i] == j)
@@ -144,23 +133,6 @@ def redistribute_data(comm, k: np.ndarray, payload=None, nbytes: int = 0) -> obj
         return payload
     req = comm.irecv(source=recv_from, tag=4242) if recv_from != me else None
     if send_to != me:
-        comm.isend(payload, dest=send_to, tag=4242, nbytes=nbytes if payload is None else None)
-    if req is not None:
-        return req.wait().payload
-    return payload
-
-
-def co_redistribute_data(comm, k: np.ndarray, payload=None, nbytes: int = 0):
-    """Resumable :func:`redistribute_data` for co rank programs."""
-    k = np.asarray(k, dtype=np.intp)
-    me = comm.rank
-    inv = invert_permutation(k)
-    send_to = int(inv[me])
-    recv_from = int(k[me])
-    if send_to == me and recv_from == me:
-        return payload
-    req = comm.irecv(source=recv_from, tag=4242) if recv_from != me else None
-    if send_to != me:
         yield from comm.co_isend(payload, dest=send_to, tag=4242,
                                  nbytes=nbytes if payload is None else None)
     if req is not None:
@@ -169,7 +141,24 @@ def co_redistribute_data(comm, k: np.ndarray, payload=None, nbytes: int = 0):
     return payload
 
 
-def reorder_iterative(
+def _co_call(fn, *args):
+    """Call a rank-program callback written in either spelling: a
+    generator function is run in place, a plain callable just called
+    (its blocking calls park through the caller's thread)."""
+    result = fn(*args)
+    if inspect.isgenerator(result):
+        result = yield from result
+    return result
+
+
+def reorder_iterative(comm, compute_iteration: Callable[[int, object], None],
+                      max_it: int, **options) -> Tuple[object, np.ndarray]:
+    """Blocking :func:`co_reorder_iterative`."""
+    return _drive(co_reorder_iterative(comm, compute_iteration, max_it,
+                                       **options))
+
+
+def co_reorder_iterative(
     comm,
     compute_iteration: Callable[[int, object], None],
     max_it: int,
@@ -178,36 +167,46 @@ def reorder_iterative(
     redistribute_nbytes: int = 0,
     manage_env: bool = True,
     charge_mapping_time: bool = True,
-) -> Tuple[object, np.ndarray]:
+):
     """The complete Fig. 1 algorithm.
 
     Runs ``compute_iteration(1, comm)`` under monitoring, reorders, and
     runs iterations ``2..max_it`` on the optimized communicator.
-    Returns ``(opt_comm, k)``.
+    ``compute_iteration`` may be a generator function or a plain
+    (blocking) callable.  Returns ``(opt_comm, k)``.
+
+    The monitoring calls are the plain local ones: the ``co_sync``
+    before each settles the caller's deferred send, so their internal
+    settles find nothing to park on (DESIGN.md §4.5).
     """
-    if manage_env:
-        raise_for_code(mapi.mpi_m_init())
     rec = comm.engine._obs_spans
     proc = comm._current() if rec is not None else None
+    yield from comm.co_sync()
+    if manage_env:
+        raise_for_code(mapi.mpi_m_init())
     err, msid = mapi.mpi_m_start(comm)
     raise_for_code(err)
     with virtual_span(rec, proc, "reorder.monitored_iteration",
                       {"iteration": 1}):
-        compute_iteration(1, comm)
+        yield from _co_call(compute_iteration, 1, comm)
+    yield from comm.co_sync()
     raise_for_code(mapi.mpi_m_suspend(msid))
-    err, _, size_mat = mapi.mpi_m_rootgather_data(
+    err, _, size_mat = yield from mapi.co_mpi_m_rootgather_data(
         msid, 0, MPI_M_DATA_IGNORE, None, flags
     )
     raise_for_code(err)
+    yield from comm.co_sync()
     raise_for_code(mapi.mpi_m_free(msid))
 
-    opt_comm, k = reorder_from_matrix(comm, size_mat,
-                                      charge_mapping_time=charge_mapping_time)
+    opt_comm, k = yield from co_reorder_from_matrix(
+        comm, size_mat, charge_mapping_time=charge_mapping_time)
     with virtual_span(rec, proc, "reorder.redistribute"):
-        redistribute_data(comm, k, payload=payload, nbytes=redistribute_nbytes)
+        yield from co_redistribute_data(comm, k, payload=payload,
+                                        nbytes=redistribute_nbytes)
     for it in range(2, max_it + 1):
         with virtual_span(rec, proc, f"iteration[{it}]"):
-            compute_iteration(it, opt_comm)
+            yield from _co_call(compute_iteration, it, opt_comm)
     if manage_env:
+        yield from comm.co_sync()
         raise_for_code(mapi.mpi_m_finalize())
     return opt_comm, k

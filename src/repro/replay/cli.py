@@ -86,18 +86,17 @@ def _cmd_record(args) -> int:
         "sizes": list(sizes),
         "reps": args.reps,
         "seed": args.seed,
-        "core": args.core,
     }
     autorecord.enable_to(args.out, meta=meta)
     try:
         points = fig5_collectives.run_cell(
             args.op, args.nodes, sizes=tuple(sizes), reps=args.reps,
-            seed=args.seed, core=args.core)
+            seed=args.seed)
     finally:
         autorecord.disable()
     trace = _load(args.out)
     print(f"recorded {len(trace.events)} events from fig5[{args.op}] "
-          f"({trace.world_size} ranks, {args.core} core) -> {args.out}")
+          f"({trace.world_size} ranks) -> {args.out}")
     for p in points:
         print(f"  n_ints={p.n_ints:>10}  baseline {p.t_baseline:.4f}s  "
               f"reordered {p.t_reordered:.4f}s")
@@ -340,10 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default 1000000,5000000)")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--core", choices=["threads", "eventloop"],
-                   default="threads",
-                   help="engine core to record under; both cores "
-                        "produce bit-identical traces")
     p.set_defaults(func=_cmd_record)
 
     p = sub.add_parser("replay", help="re-cost a recorded trace")

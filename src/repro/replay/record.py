@@ -128,7 +128,6 @@ class ReplayRecorder:
             params=params_to_json(engine.cluster.params),
             seed=engine.seed,
             monitoring_overhead=engine.monitoring_overhead,
-            handoff=engine.handoff,
             comms=self.comms,
             clocks=[p.clock for p in engine.procs],
             events=self.events,

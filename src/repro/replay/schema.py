@@ -8,7 +8,7 @@ one-sided puts/gets, collective begin/end markers (post-decomposition,
 so the point-to-point pattern inside each collective is preserved) and
 per-rank finish times — plus everything needed to rebuild the network
 cost model exactly: topology, binding, link parameters, jitter seed,
-monitoring overhead and handoff policy.
+monitoring overhead.
 
 File format (schema 1)::
 
@@ -132,7 +132,6 @@ class ReplayTrace:
     params: dict                   # params_to_json() form
     seed: int                      # engine/network jitter seed
     monitoring_overhead: float
-    handoff: str
     comms: Dict[int, List[int]]    # comm_id -> world ranks (group order)
     clocks: List[float]            # final per-rank virtual clocks
     events: List[tuple] = field(default_factory=list)
@@ -149,7 +148,9 @@ class ReplayTrace:
             "params": self.params,
             "seed": int(self.seed),
             "monitoring_overhead": self.monitoring_overhead,
-            "handoff": self.handoff,
+            # Schema 1 readers expect this key; the engine has one
+            # scheduling policy, so it is a constant.
+            "handoff": "exact",
             "comms": {str(k): [int(r) for r in v]
                       for k, v in self.comms.items()},
             "clocks": [float(c).hex() for c in self.clocks],
@@ -196,7 +197,6 @@ class ReplayTrace:
             params=hdr["params"],
             seed=int(hdr["seed"]),
             monitoring_overhead=float(hdr["monitoring_overhead"]),
-            handoff=str(hdr["handoff"]),
             comms={int(k): [int(r) for r in v]
                    for k, v in hdr["comms"].items()},
             clocks=[float.fromhex(c) for c in hdr["clocks"]],

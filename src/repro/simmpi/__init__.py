@@ -1,9 +1,10 @@
 """``repro.simmpi`` — a deterministic, simulated MPI runtime.
 
 The simulator replaces the Open MPI + PlaFRIM-cluster substrate of the
-paper (see DESIGN.md §2): rank programs are ordinary blocking Python
-functions run under a cooperative scheduler with per-rank virtual
-clocks; collectives are decomposed into point-to-point messages at a
+paper (see DESIGN.md §2): rank programs are generators over the ``co_*``
+API — or ordinary blocking Python functions, run through a thread
+adapter — resumed one at a time by a deterministic scheduler with
+per-rank virtual clocks; collectives are decomposed into point-to-point messages at a
 single monitored choke point; message timing follows a hierarchical
 Hockney model over an hwloc-like topology with per-node NIC
 serialization and simulated hardware counters.

@@ -10,17 +10,15 @@ Each module offers several algorithms (mirroring Open MPI's tuned
 collective component); the paper's experiments use the binomial-tree
 broadcast and the in-order binary-tree reduce (Fig. 5 captions).
 
-Every collective exists in two spellings sharing one implementation:
-the resumable ``co_*`` generator (canonical — the event-driven
-engine's yield protocol) and the blocking name, which drives the
-generator to completion on the calling thread.
+Every decomposition is written once, as a ``co_*`` generator; the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
-from repro.simmpi.collectives.barrier import barrier, co_barrier  # noqa: F401
-from repro.simmpi.collectives.bcast import bcast, co_bcast  # noqa: F401
-from repro.simmpi.collectives.reduce import reduce, co_reduce  # noqa: F401
-from repro.simmpi.collectives.allreduce import allreduce, co_allreduce  # noqa: F401
-from repro.simmpi.collectives.gather import gather, co_gather  # noqa: F401
-from repro.simmpi.collectives.scatter import scatter, co_scatter  # noqa: F401
-from repro.simmpi.collectives.allgather import allgather, co_allgather  # noqa: F401
-from repro.simmpi.collectives.alltoall import alltoall, co_alltoall  # noqa: F401
+from repro.simmpi.collectives.barrier import co_barrier  # noqa: F401
+from repro.simmpi.collectives.bcast import co_bcast  # noqa: F401
+from repro.simmpi.collectives.reduce import co_reduce  # noqa: F401
+from repro.simmpi.collectives.allreduce import co_allreduce  # noqa: F401
+from repro.simmpi.collectives.gather import co_gather  # noqa: F401
+from repro.simmpi.collectives.scatter import co_scatter  # noqa: F401
+from repro.simmpi.collectives.allgather import co_allgather  # noqa: F401
+from repro.simmpi.collectives.alltoall import co_alltoall  # noqa: F401

@@ -3,34 +3,21 @@
 Used by the paper's §6.4 micro-benchmark, where groups of ranks
 allgather every iteration and reordering restores data locality.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.simmpi.collectives.util import as_buffer, is_pow2, unwrap
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["allgather", "co_allgather", "ALGORITHMS"]
+__all__ = ["co_allgather", "ALGORITHMS"]
 
 ALGORITHMS = ("ring", "recursive_doubling", "bruck", "gather_bcast")
-
-
-def allgather(
-    comm,
-    value: Any,
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-) -> List[Any]:
-    """Gather every rank's ``value``; all ranks return the full list,
-    indexed by rank."""
-    return _drive(co_allgather(comm, value, nbytes, algorithm))
 
 
 def co_allgather(
@@ -39,7 +26,8 @@ def co_allgather(
     nbytes: Optional[int] = None,
     algorithm: Optional[str] = None,
 ):
-    """Resumable :func:`allgather`."""
+    """Gather every rank's ``value``; all ranks return the full list,
+    indexed by rank."""
     if algorithm is None:
         algorithm = "recursive_doubling" if is_pow2(comm.size) else "ring"
     if algorithm not in ALGORITHMS:

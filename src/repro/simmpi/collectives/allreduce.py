@@ -3,9 +3,8 @@
 The default is recursive doubling for power-of-two communicators
 (log₂ p full-buffer exchanges) and reduce+bcast otherwise.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
@@ -13,24 +12,12 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.simmpi.collectives.util import as_buffer, is_pow2, unwrap
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 from repro.simmpi.op import Op, combine
 
-__all__ = ["allreduce", "co_allreduce", "ALGORITHMS"]
+__all__ = ["co_allreduce", "ALGORITHMS"]
 
 ALGORITHMS = ("recursive_doubling", "reduce_bcast", "rabenseifner")
-
-
-def allreduce(
-    comm,
-    value: Any,
-    op: Op,
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-) -> Any:
-    """Reduce ``value`` across ranks; every rank returns the result."""
-    return _drive(co_allreduce(comm, value, op, nbytes, algorithm))
 
 
 def co_allreduce(
@@ -40,7 +27,7 @@ def co_allreduce(
     nbytes: Optional[int] = None,
     algorithm: Optional[str] = None,
 ):
-    """Resumable :func:`allreduce`."""
+    """Reduce ``value`` across ranks; every rank returns the result."""
     if algorithm is None:
         algorithm = "recursive_doubling" if is_pow2(comm.size) else "reduce_bcast"
     if algorithm not in ALGORITHMS:

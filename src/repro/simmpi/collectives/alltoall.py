@@ -1,8 +1,7 @@
 """All-to-all personalized exchange: pairwise (default) and linear.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
@@ -10,23 +9,11 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from repro.simmpi.collectives.util import as_buffer, is_pow2, unwrap
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["alltoall", "co_alltoall", "ALGORITHMS"]
+__all__ = ["co_alltoall", "ALGORITHMS"]
 
 ALGORITHMS = ("pairwise", "linear")
-
-
-def alltoall(
-    comm,
-    values: Sequence[Any],
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-) -> List[Any]:
-    """Send ``values[j]`` to rank j; returns the items received, by
-    source rank.  ``nbytes`` is the per-item size for abstract items."""
-    return _drive(co_alltoall(comm, values, nbytes, algorithm))
 
 
 def co_alltoall(
@@ -35,7 +22,8 @@ def co_alltoall(
     nbytes: Optional[int] = None,
     algorithm: Optional[str] = None,
 ):
-    """Resumable :func:`alltoall`."""
+    """Send ``values[j]`` to rank j; returns the items received, by
+    source rank.  ``nbytes`` is the per-item size for abstract items."""
     algorithm = algorithm or "pairwise"
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown alltoall algorithm {algorithm!r}; have {ALGORITHMS}")

@@ -6,12 +6,10 @@ counts still increment, which is exactly the caveat the paper gives in
 zero-length messages"), and what the quickstart example shows for
 ``MPI_Barrier``.
 
-Like every collective, the decomposition is written once as a
-resumable ``co_`` generator (the event-driven engine's native
-spelling); the blocking entry point drives it to completion on the
-spot — under the threaded engine the co primitives never yield, so the
-generator runs in a single resume and the engine call sequence is
-identical to the classic blocking implementation.
+Like every collective, the decomposition is written once, as a ``co_``
+generator a rank program drives with ``yield from``; the blocking
+spelling, ``Communicator.barrier``, runs the same generator through the
+engine's adapter, so both execute the identical engine call sequence.
 """
 
 from __future__ import annotations
@@ -20,23 +18,17 @@ from typing import Optional
 
 from repro.simmpi.collectives.util import ceil_log2
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["barrier", "co_barrier", "ALGORITHMS"]
+__all__ = ["co_barrier", "ALGORITHMS"]
 
 ALGORITHMS = ("dissemination", "tree")
 
 _TOKEN = Buffer(None, nbytes=0)
 
 
-def barrier(comm, algorithm: Optional[str] = None) -> None:
-    """Block until every rank has entered the barrier."""
-    return _drive(co_barrier(comm, algorithm=algorithm))
-
-
 def co_barrier(comm, algorithm: Optional[str] = None):
-    """Resumable :func:`barrier`."""
+    """Block until every rank has entered the barrier."""
     algorithm = algorithm or "dissemination"
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown barrier algorithm {algorithm!r}; have {ALGORITHMS}")

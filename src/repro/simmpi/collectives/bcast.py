@@ -6,9 +6,8 @@ inside nodes.  Large buffers are segmented and pipelined through the
 tree (like Open MPI's tuned component), so the monitoring component
 records one point-to-point message per segment per edge.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
@@ -18,30 +17,11 @@ from typing import Any, List, Optional
 from repro.simmpi.collectives.segment import n_segments, join_payloads, split_buffer
 from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["bcast", "co_bcast", "ALGORITHMS"]
+__all__ = ["co_bcast", "ALGORITHMS"]
 
 ALGORITHMS = ("binomial", "flat", "chain")
-
-
-def bcast(
-    comm,
-    value: Any = None,
-    root: int = 0,
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-    segments: Optional[int] = None,
-) -> Any:
-    """Broadcast ``value`` from ``root``; every rank returns the value.
-
-    ``segments`` overrides the pipelining factor (1 disables it); by
-    default large buffers are cut into up to 16 segments.  Segmented
-    array payloads arrive flat at non-root ranks (shape travels with
-    the data only in the unsegmented path).
-    """
-    return _drive(co_bcast(comm, value, root, nbytes, algorithm, segments))
 
 
 def co_bcast(
@@ -52,7 +32,13 @@ def co_bcast(
     algorithm: Optional[str] = None,
     segments: Optional[int] = None,
 ):
-    """Resumable :func:`bcast`."""
+    """Broadcast ``value`` from ``root``; every rank returns the value.
+
+    ``segments`` overrides the pipelining factor (1 disables it); by
+    default large buffers are cut into up to 16 segments.  Segmented
+    array payloads arrive flat at non-root ranks (shape travels with
+    the data only in the unsegmented path).
+    """
     comm._check_rank(root)
     algorithm = algorithm or "binomial"
     if algorithm not in ALGORITHMS:

@@ -1,34 +1,20 @@
 """Gather algorithms: binomial tree (default) and linear.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["gather", "co_gather", "ALGORITHMS"]
+__all__ = ["co_gather", "ALGORITHMS"]
 
 ALGORITHMS = ("binomial", "linear")
-
-
-def gather(
-    comm,
-    value: Any,
-    root: int = 0,
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-) -> Optional[List[Any]]:
-    """Gather every rank's ``value`` at ``root`` (returns ``None``
-    elsewhere)."""
-    return _drive(co_gather(comm, value, root, nbytes, algorithm))
 
 
 def co_gather(
@@ -38,7 +24,8 @@ def co_gather(
     nbytes: Optional[int] = None,
     algorithm: Optional[str] = None,
 ):
-    """Resumable :func:`gather`."""
+    """Gather every rank's ``value`` at ``root`` (returns ``None``
+    elsewhere)."""
     comm._check_rank(root)
     algorithm = algorithm or "binomial"
     if algorithm not in ALGORITHMS:

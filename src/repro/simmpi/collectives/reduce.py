@@ -6,9 +6,8 @@ buffer from each child.  Like Open MPI's tuned component, large
 buffers are segmented and pipelined through the tree; the monitoring
 component records one point-to-point message per segment per edge.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
@@ -18,32 +17,12 @@ from typing import Any, List, Optional
 from repro.simmpi.collectives.segment import join_payloads, n_segments, split_buffer
 from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 from repro.simmpi.op import Op, combine
 
-__all__ = ["reduce", "co_reduce", "ALGORITHMS"]
+__all__ = ["co_reduce", "ALGORITHMS"]
 
 ALGORITHMS = ("binomial", "binary", "flat")
-
-
-def reduce(
-    comm,
-    value: Any,
-    op: Op,
-    root: int = 0,
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-    segments: Optional[int] = None,
-) -> Any:
-    """Reduce ``value`` across ranks with ``op``; the result lands at
-    ``root`` (other ranks return ``None``).
-
-    The segment count is derived from the (uniform) buffer size; pass
-    ``segments=1`` to disable pipelining (required for concrete
-    payloads that are not NumPy arrays).
-    """
-    return _drive(co_reduce(comm, value, op, root, nbytes, algorithm, segments))
 
 
 def co_reduce(
@@ -55,7 +34,13 @@ def co_reduce(
     algorithm: Optional[str] = None,
     segments: Optional[int] = None,
 ):
-    """Resumable :func:`reduce`."""
+    """Reduce ``value`` across ranks with ``op``; the result lands at
+    ``root`` (other ranks return ``None``).
+
+    The segment count is derived from the (uniform) buffer size; pass
+    ``segments=1`` to disable pipelining (required for concrete
+    payloads that are not NumPy arrays).
+    """
     comm._check_rank(root)
     algorithm = algorithm or "binomial"
     if algorithm not in ALGORITHMS:

@@ -4,9 +4,8 @@ Not used by the paper's experiments, but part of the MPI collective
 surface an adopter expects — and more decompositions for the monitor
 to see.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
@@ -15,23 +14,16 @@ from typing import Any, List, Optional
 
 from repro.simmpi.collectives.util import as_buffer, unwrap
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.op import Op, combine
 
-__all__ = ["scan", "exscan", "reduce_scatter",
-           "co_scan", "co_exscan", "co_reduce_scatter"]
+__all__ = ["co_scan", "co_exscan", "co_reduce_scatter"]
 
 
-def scan(comm, value: Any, op: Op, nbytes: Optional[int] = None) -> Any:
+def co_scan(comm, value: Any, op: Op, nbytes: Optional[int] = None):
     """Inclusive prefix reduction: rank i returns op(v_0, ..., v_i).
 
     Hillis-Steele doubling: log₂ p rounds of one send/recv pair.
     """
-    return _drive(co_scan(comm, value, op, nbytes))
-
-
-def co_scan(comm, value: Any, op: Op, nbytes: Optional[int] = None):
-    """Resumable :func:`scan`."""
     ctx = comm._next_collective_context("scan")
     me, size = comm.rank, comm.size
     acc = as_buffer(value, nbytes)
@@ -50,14 +42,9 @@ def co_scan(comm, value: Any, op: Op, nbytes: Optional[int] = None):
     return unwrap(acc)
 
 
-def exscan(comm, value: Any, op: Op, nbytes: Optional[int] = None) -> Any:
+def co_exscan(comm, value: Any, op: Op, nbytes: Optional[int] = None):
     """Exclusive prefix reduction: rank i returns op(v_0, ..., v_{i-1});
     rank 0 returns ``None`` (like MPI_Exscan's undefined result)."""
-    return _drive(co_exscan(comm, value, op, nbytes))
-
-
-def co_exscan(comm, value: Any, op: Op, nbytes: Optional[int] = None):
-    """Resumable :func:`exscan`."""
     ctx = comm._next_collective_context("exscan")
     me, size = comm.rank, comm.size
     mine = as_buffer(value, nbytes)
@@ -77,19 +64,13 @@ def co_exscan(comm, value: Any, op: Op, nbytes: Optional[int] = None):
     return None if acc is None else unwrap(acc)
 
 
-def reduce_scatter(comm, values: List[Any], op: Op,
-                   nbytes: Optional[int] = None) -> Any:
+def co_reduce_scatter(comm, values: List[Any], op: Op,
+                      nbytes: Optional[int] = None):
     """Reduce ``values[j]`` across ranks, scatter result j to rank j.
 
     ``values`` has one item per rank.  Implemented as pairwise
     recursive halving for power-of-two sizes, reduce+scatter otherwise.
     """
-    return _drive(co_reduce_scatter(comm, values, op, nbytes))
-
-
-def co_reduce_scatter(comm, values: List[Any], op: Op,
-                      nbytes: Optional[int] = None):
-    """Resumable :func:`reduce_scatter`."""
     me, size = comm.rank, comm.size
     if len(values) != size:
         from repro.simmpi.errorsim import CommError

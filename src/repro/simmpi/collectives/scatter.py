@@ -1,8 +1,7 @@
 """Scatter algorithms: binomial tree (default) and linear.
 
-The decompositions are written once as resumable ``co_`` generators;
-the blocking entry point drives them to completion (see barrier.py for
-the pattern).
+The decompositions are ``co_`` generators (see barrier.py); the
+blocking spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
@@ -11,27 +10,11 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["scatter", "co_scatter", "ALGORITHMS"]
+__all__ = ["co_scatter", "ALGORITHMS"]
 
 ALGORITHMS = ("binomial", "linear")
-
-
-def scatter(
-    comm,
-    values: Optional[Sequence[Any]] = None,
-    root: int = 0,
-    nbytes: Optional[int] = None,
-    algorithm: Optional[str] = None,
-) -> Any:
-    """Scatter ``values`` (one item per rank, significant at ``root``);
-    every rank returns its item.
-
-    ``nbytes``, if given, is the per-item size (for abstract items).
-    """
-    return _drive(co_scatter(comm, values, root, nbytes, algorithm))
 
 
 def co_scatter(
@@ -41,7 +24,11 @@ def co_scatter(
     nbytes: Optional[int] = None,
     algorithm: Optional[str] = None,
 ):
-    """Resumable :func:`scatter`."""
+    """Scatter ``values`` (one item per rank, significant at ``root``);
+    every rank returns its item.
+
+    ``nbytes``, if given, is the per-item size (for abstract items).
+    """
     comm._check_rank(root)
     algorithm = algorithm or "binomial"
     if algorithm not in ALGORITHMS:

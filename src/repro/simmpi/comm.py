@@ -9,7 +9,7 @@ point of Open MPI's ``pml_monitoring``.
 
 Collectives live in :mod:`repro.simmpi.collectives` and are attached
 here as thin delegating methods; all of them are implemented strictly
-on top of :meth:`_isend`/:meth:`_irecv`.
+on top of :meth:`_co_isend`/:meth:`_irecv`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _State, _tls, current_process
+from repro.simmpi.engine import _State, _drive, _tls, current_process
 from repro.simmpi.errorsim import CommError, SimError
 from repro.simmpi.match import ANY_SOURCE, ANY_TAG, MatchQueue, Message
 from repro.simmpi.op import Op
@@ -91,45 +91,33 @@ class Communicator:
         return self._current().rank in self._local_of_world
 
     # -- time -----------------------------------------------------------------
+    #
+    # Every service that can park is written once, as a ``co_``
+    # generator (``t = yield from comm.co_time()``), and the blocking
+    # name is ``_drive`` over it: one implementation, two spellings
+    # (see the engine module docstring).  The only place these timed
+    # services park is settling the caller's deferred send.
 
     @property
     def time(self) -> float:
         """The calling rank's virtual clock, in seconds."""
-        proc = self._current()
-        if proc.pending is not None:
-            self.engine.settle(proc)
-        return proc.clock
+        return _drive(self.co_time())
 
     def compute(self, seconds: float) -> None:
         """Model local computation: advance the caller's clock."""
-        self._current().advance(seconds)
+        _drive(self.co_compute(seconds))
 
     def sleep(self, seconds: float) -> None:
         """Model idle time (identical to :meth:`compute` in the model)."""
-        self._current().advance(seconds)
-
-    # -- resumable (co) twins of the timed services -------------------------
-    #
-    # The ``co_`` API is the canonical spelling for generator rank
-    # programs (the event-driven engine).  Each co method performs the
-    # *identical* engine call sequence as its blocking twin, with the
-    # parking primitives routed through Engine.co_settle/co_block —
-    # which, under the threaded engine, delegate to the blocking ones
-    # without yielding.  Library code written against co_* therefore
-    # runs bit-exactly on both cores.
-    #
-    # The workhorse pattern: settle the caller's deferred send *first*
-    # (the only point where these services can park), after which the
-    # blocking implementation is guaranteed park-free and is invoked
-    # directly — one implementation, two drivers.
+        _drive(self.co_compute(seconds))
 
     def co_sync(self):
-        """Settle the caller's deferred send (resumable).
+        """Settle the caller's deferred send.
 
-        Use before calling blocking library code that settles
-        internally (pvar reads, session snapshots, ``pml.set_mode``):
-        with the send already settled those inner settles no-op, so
-        the blocking call can run unmodified inside a co program.
+        Generator programs use this before calling plain library code
+        that settles internally (pvar reads, session snapshots,
+        ``pml.set_mode``): with the send already settled those inner
+        settles find nothing, so the call never needs to park.
         """
         proc = self._current()
         if proc.pending is not None:
@@ -137,14 +125,14 @@ class Communicator:
         return proc
 
     def co_time(self):
-        """Resumable :attr:`time` (``t = yield from comm.co_time()``)."""
+        """:attr:`time`, for generator programs."""
         proc = self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
         return proc.clock
 
     def co_compute(self, seconds: float):
-        """Resumable :meth:`compute`."""
+        """:meth:`compute`, for generator programs."""
         if seconds < 0:
             raise ValueError("cannot advance time backwards")
         proc = self._current()
@@ -153,76 +141,51 @@ class Communicator:
         proc.clock += seconds
 
     def co_sleep(self, seconds: float):
-        """Resumable :meth:`sleep`."""
+        """:meth:`sleep`, for generator programs."""
         yield from self.co_compute(seconds)
 
     # -- user point-to-point ----------------------------------------------
 
-    def send(
-        self,
-        value: Any = None,
-        dest: int = 0,
-        tag: int = 0,
-        nbytes: Optional[int] = None,
-    ) -> None:
+    def send(self, value: Any = None, dest: int = 0, tag: int = 0,
+             nbytes: Optional[int] = None) -> None:
         """Blocking (buffered-eager) send of ``value`` to ``dest``."""
-        self.isend(value, dest=dest, tag=tag, nbytes=nbytes)
+        _drive(self.co_isend(value, dest=dest, tag=tag, nbytes=nbytes))
 
-    def isend(
-        self,
-        value: Any = None,
-        dest: int = 0,
-        tag: int = 0,
-        nbytes: Optional[int] = None,
-    ) -> Request:
-        if tag < 0:
-            raise CommError(f"user tags must be >= 0, got {tag}")
-        self._check_rank(dest)
-        buf = Buffer.wrap(value, nbytes)
-        self._isend(buf, dest, tag, _PT2PT_CONTEXT, "p2p")
-        return SendRequest(buf.nbytes)
+    def isend(self, value: Any = None, dest: int = 0, tag: int = 0,
+              nbytes: Optional[int] = None) -> Request:
+        return _drive(self.co_isend(value, dest=dest, tag=tag, nbytes=nbytes))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
         """Blocking receive; returns the matched :class:`Message`."""
-        return self.irecv(source=source, tag=tag).wait()
+        return _drive(self.co_recv(source=source, tag=tag))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         if source != ANY_SOURCE:
             self._check_rank(source)
         return self._irecv(source, tag, _PT2PT_CONTEXT)
 
-    def sendrecv(
-        self,
-        value: Any,
-        dest: int,
-        source: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        nbytes: Optional[int] = None,
-    ) -> Message:
+    def sendrecv(self, value: Any, dest: int, source: int = ANY_SOURCE,
+                 sendtag: int = 0, recvtag: int = ANY_TAG,
+                 nbytes: Optional[int] = None) -> Message:
         """Combined send+receive (deadlock-free exchange)."""
-        req = self.irecv(source=source, tag=recvtag)
-        self.isend(value, dest=dest, tag=sendtag, nbytes=nbytes)
-        return req.wait()
+        return _drive(self.co_sendrecv(value, dest, source=source,
+                                       sendtag=sendtag, recvtag=recvtag,
+                                       nbytes=nbytes))
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Message]:
         """Non-blocking probe of the unexpected queue (no clock cost)."""
-        proc = self._current()
-        if proc.pending is not None:
-            self.engine.settle(proc)
-        mq = self._queue(self._local_of_world[proc.rank])
-        return mq.probe(source, tag, _PT2PT_CONTEXT)
+        return _drive(self.co_probe(source=source, tag=tag))
 
-    # -- resumable (co) point-to-point --------------------------------------
+    # -- point-to-point, written once ----------------------------------------
 
     def co_send(self, value: Any = None, dest: int = 0, tag: int = 0,
                 nbytes: Optional[int] = None):
-        """Resumable :meth:`send`."""
+        """:meth:`send`, for generator programs."""
         yield from self.co_isend(value, dest=dest, tag=tag, nbytes=nbytes)
 
     def co_isend(self, value: Any = None, dest: int = 0, tag: int = 0,
                  nbytes: Optional[int] = None):
-        """Resumable :meth:`isend` (the returned request is complete)."""
+        """Eager send; the returned request is already complete."""
         if tag < 0:
             raise CommError(f"user tags must be >= 0, got {tag}")
         self._check_rank(dest)
@@ -231,20 +194,20 @@ class Communicator:
         return SendRequest(buf.nbytes)
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Resumable :meth:`recv`."""
+        """:meth:`recv`, for generator programs."""
         req = self.irecv(source=source, tag=tag)
         return (yield from req.co_wait())
 
     def co_sendrecv(self, value: Any, dest: int, source: int = ANY_SOURCE,
                     sendtag: int = 0, recvtag: int = ANY_TAG,
                     nbytes: Optional[int] = None):
-        """Resumable :meth:`sendrecv`."""
+        """:meth:`sendrecv`, for generator programs."""
         req = self.irecv(source=source, tag=recvtag)
         yield from self.co_isend(value, dest=dest, tag=sendtag, nbytes=nbytes)
         return (yield from req.co_wait())
 
     def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Resumable :meth:`probe`."""
+        """:meth:`probe`, for generator programs."""
         proc = self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
@@ -257,11 +220,13 @@ class Communicator:
         self, buf: Buffer, dest: int, tag: int, context: Hashable, category: str,
         batch=None,
     ) -> Request:
+        # Park-free injection; only :meth:`_co_isend`, which has settled
+        # the caller's previous send, calls this.
         # The payload is snapshotted here (the caller may reuse its
         # buffer after the eager return); recording, the overhead
         # charge, and the actual network transfer happen inside the
         # engine — immediately when this rank is frontmost in virtual
-        # time, deferred otherwise (see Engine.post_send).
+        # time (Engine.post_send), deferred otherwise.
         # Sends carrying a ``batch`` (PeerBatch) tally into it instead
         # of the per-message accumulator update; see _open_peer_batch.
         # ``dest`` is trusted (user entry points validate); the caller
@@ -288,47 +253,46 @@ class Communicator:
         mq = self._queues[dest]
         if mq is None:
             mq = self._queue(dest)
-        # Engine.post_send's deferral fast path, inlined (the branch
-        # nearly every exact-mode message takes — keep in sync with the
-        # engine): settle our previous send, then defer this one when
-        # any rank or queued send is due before us.
+        # The deferral fast path (the branch nearly every message
+        # takes): defer this send when any rank or queued send is due
+        # before us.  The caller has settled our previous send.
         eng = self.engine
-        if proc.pending is not None:
-            eng.settle(proc)
-        if not eng._fast:
-            clock = proc.clock
-            heap = eng._ready_heap
-            pop = heapq.heappop
-            entry = None
-            while heap:
-                e = heap[0]
-                p = e[3]
-                if p.ready_seq == e[2]:
-                    if e[4] is None:
-                        if p.state is _READY:
-                            entry = e
-                            break
-                    elif p.state is _BLOCKED:
+        clock = proc.clock
+        heap = eng._ready_heap
+        pop = heapq.heappop
+        entry = None
+        # Engine._clean_front, inlined.
+        while heap:
+            e = heap[0]
+            p = e[3]
+            if p.ready_seq == e[2]:
+                if e[4] is None:
+                    if p.state is _READY:
                         entry = e
                         break
-                pop(heap)
-            ph = eng._pending_heap
-            if (entry is not None and entry[0] < clock) or \
-                    (ph and ph[0][0] < clock):
-                msg = Message.__new__(Message)
-                msg.src = self._local_of_world[proc.rank]
-                msg.dst = dest
-                msg.tag = tag
-                msg.context = context
-                msg.buf = wire
-                msg.arrival = 0.0
-                msg.category = category
-                ps = [proc, mq, msg, self.group[dest], nbytes, batch, False]
-                proc.pending = ps
-                eng._qseq += 1
-                heapq.heappush(ph, (clock, proc.rank, eng._qseq, ps))
-                return _SEND_DONE
-        # Frontmost, or fast mode: the engine runs the transfer now.
+                elif p.state is _BLOCKED:
+                    entry = e
+                    break
+            pop(heap)
+        ph = eng._pending_heap
+        if (entry is not None and entry[0] < clock) or \
+                (ph and ph[0][0] < clock):
+            # Message.__init__, unrolled (skips the generated dataclass
+            # frame; arrival is filled at materialization).
+            msg = Message.__new__(Message)
+            msg.src = self._local_of_world[proc.rank]
+            msg.dst = dest
+            msg.tag = tag
+            msg.context = context
+            msg.buf = wire
+            msg.arrival = 0.0
+            msg.category = category
+            ps = [proc, mq, msg, self.group[dest], nbytes, batch, False]
+            proc.pending = ps
+            eng._qseq += 1
+            heapq.heappush(ph, (clock, proc.rank, eng._qseq, ps))
+            return _SEND_DONE
+        # Frontmost: the engine runs the transfer now.
         eng.post_send(
             proc,
             mq,
@@ -347,14 +311,9 @@ class Communicator:
         self, buf: Buffer, dest: int, tag: int, context: Hashable, category: str,
         batch=None,
     ):
-        """Resumable :meth:`_isend`.
-
-        The blocking ``_isend`` parks in exactly one place: settling
-        the caller's previous deferred send.  Settle it here through
-        the co protocol, then run the blocking implementation — which
-        is then park-free (posting a *new* deferred send only pushes a
-        heap entry) — so the two spellings share one hot path.
-        """
+        """Internal send (collectives, OSC): settle the caller's
+        previous deferred send — the one place a send can park — then
+        inject through the park-free :meth:`_isend`."""
         try:
             proc = _tls.proc
         except AttributeError:
@@ -363,12 +322,9 @@ class Communicator:
             # Engine.co_settle, unrolled: settle without allocating a
             # sub-generator unless a park is actually needed (rare).
             eng = self.engine
-            if not eng._ev:
-                eng.settle(proc)
-            else:
-                nxt = eng._settle_scan(proc)
-                if nxt is not None:
-                    yield from eng._co_settle_park(proc, nxt)
+            nxt = eng._settle_scan(proc)
+            if nxt is not None:
+                yield from eng._co_settle_park(proc, nxt)
         return self._isend(buf, dest, tag, context, category, batch)
 
     def _open_peer_batch(self, dest: int, category: str) -> PeerBatch:
@@ -378,17 +334,14 @@ class Communicator:
         regular tag their segment sends with the returned batch; each
         send is still mode-gated individually when it materializes, but
         the tallies fold into the monitoring accumulators in one update
-        at :meth:`_close_peer_batch`."""
+        at :meth:`_co_close_peer_batch`."""
         proc = self._current()
         return PeerBatch(proc.rank, self.group[dest], category)
 
-    def _close_peer_batch(self, batch: PeerBatch) -> None:
-        self.engine.pml.close_batch(batch)
-
     def _co_close_peer_batch(self, batch: PeerBatch):
-        """Resumable :meth:`_close_peer_batch`: settle the caller's
-        deferred send through the co protocol so ``close_batch``'s own
-        sync (a blocking settle) no-ops."""
+        """Fold a batch's tallies into the monitoring accumulators;
+        the caller's deferred send is settled first so ``close_batch``'s
+        own sync finds nothing pending."""
         proc = self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
@@ -454,44 +407,12 @@ class Communicator:
     # -- communicator management --------------------------------------------
 
     def split(self, color: int, key: int) -> Optional["Communicator"]:
-        """MPI_Comm_split: group by ``color``, order by ``(key, rank)``.
-
-        Color ``< 0`` (MPI_UNDEFINED) yields ``None``.  The exchange of
-        (color, key) pairs is itself a monitored collective (allgather),
-        as in a real MPI implementation.
-        """
-        from repro.simmpi.collectives.allgather import allgather
-
-        me = self.rank
-        pairs = allgather(self, (int(color), int(key)))
-        seq = self._split_seq()
-        my_color = int(color)
-        if my_color < 0:
-            return None
-        members = [
-            (k, r) for r, (c, k) in enumerate(pairs) if c == my_color
-        ]
-        members.sort()
-        group_world = [self.group[r] for _, r in members]
-        reg_key = ("split", self.id, seq, my_color)
-        comm = self.engine.comm_registry.get(reg_key)
-        if comm is None:
-            comm = Communicator(self.engine, group_world)
-            self.engine.comm_registry[reg_key] = comm
-        return comm
+        """Blocking :meth:`co_split`."""
+        return _drive(self.co_split(color, key))
 
     def dup(self) -> "Communicator":
-        """MPI_Comm_dup: same group, fresh context."""
-        seq = self._split_seq()
-        from repro.simmpi.collectives.barrier import barrier
-
-        barrier(self)  # a dup synchronizes, like the real thing
-        reg_key = ("dup", self.id, seq)
-        comm = self.engine.comm_registry.get(reg_key)
-        if comm is None:
-            comm = Communicator(self.engine, list(self.group))
-            self.engine.comm_registry[reg_key] = comm
-        return comm
+        """Blocking :meth:`co_dup`."""
+        return _drive(self.co_dup())
 
     def _split_seq(self) -> int:
         proc = self._current()
@@ -501,10 +422,15 @@ class Communicator:
         return seq
 
     def co_split(self, color: int, key: int):
-        """Resumable :meth:`split` (same exchange, same registry)."""
+        """MPI_Comm_split: group by ``color``, order by ``(key, rank)``.
+
+        Color ``< 0`` (MPI_UNDEFINED) yields ``None``.  The exchange of
+        (color, key) pairs is itself a monitored collective (allgather),
+        as in a real MPI implementation.
+        """
         from repro.simmpi.collectives.allgather import co_allgather
 
-        me = self.rank  # noqa: F841 - membership check, like split()
+        self.rank  # membership check: raises for a non-member caller
         pairs = yield from co_allgather(self, (int(color), int(key)))
         seq = self._split_seq()
         my_color = int(color)
@@ -523,11 +449,11 @@ class Communicator:
         return comm
 
     def co_dup(self):
-        """Resumable :meth:`dup`."""
+        """MPI_Comm_dup: same group, fresh context."""
         seq = self._split_seq()
         from repro.simmpi.collectives.barrier import co_barrier
 
-        yield from co_barrier(self)
+        yield from co_barrier(self)  # a dup synchronizes, like the real thing
         reg_key = ("dup", self.id, seq)
         comm = self.engine.comm_registry.get(reg_key)
         if comm is None:
@@ -535,9 +461,9 @@ class Communicator:
             self.engine.comm_registry[reg_key] = comm
         return comm
 
-    # -- collectives (implemented over _isend/_irecv) -------------------------
+    # -- collectives (implemented over _co_isend/_irecv) ---------------------
 
-    def _spanned(self, opname, _alg, fn, *args, **kwargs):
+    def _co_spanned(self, opname, _alg, gen, *args, **kwargs):
         """Run one collective, tracing it as a virtual-time span.
 
         Observation-only: the span recorder reads the caller's raw
@@ -550,7 +476,7 @@ class Communicator:
         rec = eng._obs_spans
         rr = eng._rr
         if rec is None and rr is None:
-            return fn(*args, **kwargs)
+            return (yield from gen(*args, **kwargs))
         try:
             proc = _tls.proc
         except AttributeError:
@@ -561,122 +487,59 @@ class Communicator:
             name = opname if _alg is None else f"{opname}[{_alg}]"
             rec.begin(proc.rank, name, proc.clock)
         try:
-            return fn(*args, **kwargs)
+            return (yield from gen(*args, **kwargs))
         finally:
             if rec is not None:
                 rec.end(proc.rank, proc.clock)
             if rr is not None:
                 rr.on_coll_end(proc)
 
-    def barrier(self, algorithm: Optional[str] = None) -> None:
-        from repro.simmpi.collectives.barrier import barrier
+    # Blocking spellings: each drives its co_ form (below).
 
-        self._spanned("barrier", algorithm, barrier, self,
-                      algorithm=algorithm)
+    def barrier(self, algorithm: Optional[str] = None) -> None:
+        _drive(self.co_barrier(algorithm))
 
     def bcast(self, value: Any = None, root: int = 0, nbytes: Optional[int] = None,
               algorithm: Optional[str] = None,
               segments: Optional[int] = None) -> Any:
-        from repro.simmpi.collectives.bcast import bcast
-
-        return self._spanned("bcast", algorithm, bcast, self, value,
-                             root=root, nbytes=nbytes,
-                             algorithm=algorithm, segments=segments)
+        return _drive(self.co_bcast(value, root, nbytes, algorithm, segments))
 
     def reduce(self, value: Any, op: Op, root: int = 0,
                nbytes: Optional[int] = None, algorithm: Optional[str] = None,
                segments: Optional[int] = None) -> Any:
-        from repro.simmpi.collectives.reduce import reduce as _reduce
-
-        return self._spanned("reduce", algorithm, _reduce, self, value, op,
-                             root=root, nbytes=nbytes,
-                             algorithm=algorithm, segments=segments)
+        return _drive(self.co_reduce(value, op, root, nbytes, algorithm,
+                                     segments))
 
     def allreduce(self, value: Any, op: Op, nbytes: Optional[int] = None,
                   algorithm: Optional[str] = None) -> Any:
-        from repro.simmpi.collectives.allreduce import allreduce
-
-        return self._spanned("allreduce", algorithm, allreduce, self,
-                             value, op, nbytes=nbytes, algorithm=algorithm)
+        return _drive(self.co_allreduce(value, op, nbytes, algorithm))
 
     def gather(self, value: Any, root: int = 0, nbytes: Optional[int] = None,
                algorithm: Optional[str] = None) -> Optional[List[Any]]:
-        from repro.simmpi.collectives.gather import gather
-
-        return self._spanned("gather", algorithm, gather, self, value,
-                             root=root, nbytes=nbytes, algorithm=algorithm)
+        return _drive(self.co_gather(value, root, nbytes, algorithm))
 
     def scatter(self, values: Optional[Sequence[Any]] = None, root: int = 0,
                 nbytes: Optional[int] = None,
                 algorithm: Optional[str] = None) -> Any:
-        from repro.simmpi.collectives.scatter import scatter
-
-        return self._spanned("scatter", algorithm, scatter, self, values,
-                             root=root, nbytes=nbytes, algorithm=algorithm)
+        return _drive(self.co_scatter(values, root, nbytes, algorithm))
 
     def allgather(self, value: Any, nbytes: Optional[int] = None,
                   algorithm: Optional[str] = None) -> List[Any]:
-        from repro.simmpi.collectives.allgather import allgather
-
-        return self._spanned("allgather", algorithm, allgather, self,
-                             value, nbytes=nbytes, algorithm=algorithm)
+        return _drive(self.co_allgather(value, nbytes, algorithm))
 
     def alltoall(self, values: Sequence[Any], nbytes: Optional[int] = None,
                  algorithm: Optional[str] = None) -> List[Any]:
-        from repro.simmpi.collectives.alltoall import alltoall
-
-        return self._spanned("alltoall", algorithm, alltoall, self,
-                             values, nbytes=nbytes, algorithm=algorithm)
+        return _drive(self.co_alltoall(values, nbytes, algorithm))
 
     def scan(self, value: Any, op: Op, nbytes: Optional[int] = None) -> Any:
-        from repro.simmpi.collectives.scan import scan
-
-        return self._spanned("scan", None, scan, self, value, op,
-                             nbytes=nbytes)
+        return _drive(self.co_scan(value, op, nbytes))
 
     def exscan(self, value: Any, op: Op, nbytes: Optional[int] = None) -> Any:
-        from repro.simmpi.collectives.scan import exscan
-
-        return self._spanned("exscan", None, exscan, self, value, op,
-                             nbytes=nbytes)
+        return _drive(self.co_exscan(value, op, nbytes))
 
     def reduce_scatter(self, values: Sequence[Any], op: Op,
                        nbytes: Optional[int] = None) -> Any:
-        from repro.simmpi.collectives.scan import reduce_scatter
-
-        return self._spanned("reduce_scatter", None, reduce_scatter, self,
-                             list(values), op, nbytes=nbytes)
-
-    # -- resumable (co) collectives ----------------------------------------
-
-    def _co_spanned(self, opname, _alg, gen, *args, **kwargs):
-        """Resumable :meth:`_spanned`.
-
-        Identical observation protocol — same ``kwargs`` dict handed to
-        the trace recorder, same span names — so traces recorded from
-        the event-driven engine are byte-identical to threaded ones.
-        """
-        eng = self.engine
-        rec = eng._obs_spans
-        rr = eng._rr
-        if rec is None and rr is None:
-            return (yield from gen(*args, **kwargs))
-        try:
-            proc = _tls.proc
-        except AttributeError:
-            raise SimError("not inside a simulated MPI process") from None
-        if rr is not None:
-            rr.on_coll_begin(proc, self, opname, _alg, kwargs)
-        if rec is not None:
-            name = opname if _alg is None else f"{opname}[{_alg}]"
-            rec.begin(proc.rank, name, proc.clock)
-        try:
-            return (yield from gen(*args, **kwargs))
-        finally:
-            if rec is not None:
-                rec.end(proc.rank, proc.clock)
-            if rr is not None:
-                rr.on_coll_end(proc)
+        return _drive(self.co_reduce_scatter(values, op, nbytes))
 
     def co_barrier(self, algorithm: Optional[str] = None):
         from repro.simmpi.collectives.barrier import co_barrier
@@ -769,9 +632,7 @@ class Communicator:
     # -- one-sided --------------------------------------------------------
 
     def win_create(self, local_data: Any = None, nbytes: Optional[int] = None):
-        from repro.simmpi.osc import Window
-
-        return Window.create(self, local_data, nbytes=nbytes)
+        return _drive(self.co_win_create(local_data, nbytes))
 
     def co_win_create(self, local_data: Any = None,
                       nbytes: Optional[int] = None):

@@ -1,24 +1,29 @@
-"""Deterministic cooperative-thread simulation engine.
+"""Deterministic event-driven simulation engine.
 
-Every MPI rank runs its per-rank program on a real Python thread, but a
-*baton* protocol guarantees that exactly one thread executes at any
-instant.  The baton moves by **direct handoff**: the thread that is
-about to stop running (because it blocked, yielded, or finished) pops
-the next runnable rank from the ready heap and signals it directly.
-There is no scheduler thread in the steady state — the main thread only
-kicks off the first rank and is woken again when the simulation
-finishes, aborts, or stalls (deadlock).
+Every MPI rank is a *continuation*: a generator that runs until its
+next park and yields a scheduler directive.  One single-threaded loop
+(:meth:`Engine._run_eventloop`) resumes exactly one continuation at a
+time, so the simulation is logically sequential and deterministic; a
+switch costs one generator ``send``.  The services that can park —
+settling a deferred send, waiting on a receive, giving way to a rank
+that is behind in virtual time — exist once, as ``co_*`` generators,
+here and in :mod:`repro.simmpi.comm` / :mod:`repro.simmpi.request`.
 
-Because the baton is unique, every park has exactly one matching wake,
-so the signal itself needs no shared lock and no condition variable: a
-per-thread ``threading.Lock`` used as a binary semaphore (created
-locked; park = ``acquire``, wake = ``release``) is enough, and the
-release-before-acquire case is handled by the lock itself.  A handoff
-is therefore one futex wake plus one futex wait — measurably cheaper
-than the earlier shared-lock + per-process ``Condition`` handshake
-(which paid an extra waiter allocation and outer-lock reacquisition on
-every switch), and about half the cost again of the original
-double-``Event`` scheduler-loop design.
+Rank programs come in two spellings and the engine reads the driver off
+the program (``inspect.isgeneratorfunction``), never off a knob:
+
+* a **generator program** (``yield from comm.co_barrier()``) is resumed
+  natively: zero OS threads, 10k-rank worlds;
+* a **plain callable** (blocking, mpi4py-style ``comm.barrier()``) runs
+  on one OS thread per rank behind :class:`_ThreadTask`, an adapter
+  that speaks the generator protocol to the same loop.  Every blocking
+  public method is ``_drive(self.co_…(...))``: :func:`_drive` runs the
+  canonical generator and forwards each directive it yields to the
+  rank's task, which hands it to the loop and sleeps until resumed.
+  Both spellings therefore execute the identical engine call sequence
+  (clocks, matrices and switch counts are bit-equal); what the blocking
+  spelling pays is two lock handoffs (rank thread → loop → rank thread)
+  per switch instead of one ``send``.
 
 Virtual time: each rank owns a clock (seconds).  Point-to-point sends
 and receives advance clocks according to the :mod:`repro.simmpi.network`
@@ -30,29 +35,26 @@ Scheduling policy
 -----------------
 
 Shared timed resources (NIC/memory busy windows, the jitter RNG
-stream) must be claimed in the same global order regardless of baton
-order, so a rank about to inject a message first gives way to every
-runnable rank whose virtual clock is strictly behind its own.  The
-classic engine implemented this by parking the sender's thread;
-profiling shows those parks dominate wall-clock time at paper-scale
-rank counts.  This engine eliminates most of them with **deferred
-sends**: a sender that must give way enqueues its fully-described
-transfer (buffer copy, destination, category) keyed by ``(clock,
-rank)`` and *keeps running* — it only stops at its next engine
-interaction (``wait``, ``time``, another send, …), and whoever holds
-the baton materializes due transfers inline, in exactly the order the
-park-based engine produced.  A sender's thread now parks only when a
-real thread (not just a pending transfer) must run before it.
+stream) must be claimed in the same global ``(clock, rank)`` order
+whatever order ranks happen to run in, so a rank about to inject a
+message first gives way to every runnable rank whose virtual clock is
+strictly behind its own.  Most of those parks are eliminated by
+**deferred sends**: a sender that must give way enqueues its
+fully-described transfer (buffer copy, destination, category) keyed by
+``(clock, rank)`` and *keeps running* — it only stops at its next
+engine interaction (``wait``, ``time``, another send, …), and whichever
+rank is running materializes due transfers inline, in exactly the
+order a park-per-send engine would produce.  A sender parks only when
+a real rank (not just a pending transfer) must run before it.
 
-Ready-heap entries are ``(clock, rank, seq, proc, marker)`` — ordered
-exactly like the classic ``(clock, rank)`` policy.  The ``marker``
-field carries one further switch elision applied only *at pop time*,
-when the entry wins the heap, so it cannot perturb the order: a
-*phantom* marker means a message bind targeted a request of a blocked
-rank other than the one it is waiting on.  The classic engine wakes
-the rank, which re-checks its wait loop and immediately blocks again
-— no application code runs.  A phantom entry occupies the identical
-heap slot (so other ranks' yield decisions still see it) but simply
+Ready-heap entries are ``(clock, rank, seq, proc, marker)``.  The
+``marker`` field carries one further switch elision applied only *at
+pop time*, when the entry wins the heap, so it cannot perturb the
+order: a *phantom* marker means a message bind targeted a request of a
+blocked rank other than the one it is waiting on.  Waking the rank
+would only make it re-check its wait loop and block again — no
+application code runs.  A phantom entry occupies the identical heap
+slot (so other ranks' yield decisions still see it) but simply
 evaporates when popped, unless the awaited message has arrived in the
 meantime.  (Elisions that would delay a *real* resume — e.g. skipping
 ahead to the receiver's post-recv clock — are deliberately absent:
@@ -110,28 +112,131 @@ def current_process() -> "SimProcess":
     return proc
 
 
-def _drive(gen):
-    """Run a co-generator to completion on the calling thread.
+# -- the blocking-program adapter ------------------------------------------
+#
+# Everything thread-shaped in the simulator lives between these rules.
 
-    Blocking wrappers use this to run the canonical ``co_*``
-    implementations on the thread-per-rank engine: there the engine's
-    co services delegate to their blocking equivalents without ever
-    yielding, so the whole generator runs start-to-finish in a single
-    resume and its return value pops out of ``StopIteration``.  A
-    yield reaching this frame means co code ran outside the event
-    loop's scheduler — always a bug.
+
+class _ThreadTask:
+    """A plain-callable rank program as a scheduler task.
+
+    Runs ``body`` (the rank's :meth:`Engine._rank_main` generator, whose
+    ``main`` is the blocking program) on an OS thread and speaks the
+    generator protocol to the event loop: ``send`` lets the thread run
+    to its next park and returns the directive it parked with, ``throw``
+    raises at its park site, a finished thread is ``StopIteration``.
+    Exactly one of {loop, rank thread} runs at any instant, so two locks
+    used as binary semaphores are the whole handshake.  The thread is
+    created by the first ``send``; a task aborted earlier never has one.
     """
+
+    def __init__(self, proc: "SimProcess", body):
+        self._proc = proc
+        self._body = body
+        self._thread: Optional[threading.Thread] = None
+        self._resume = threading.Lock()  # loop -> thread: run
+        self._resume.acquire()
+        self._parked = threading.Lock()  # thread -> loop: parked/finished
+        self._parked.acquire()
+        self._directive = None
+        self._throw = None
+        self._finished = False
+
+    def send(self, _value):
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name=f"simmpi-rank-{self._proc.rank}",
+                daemon=True)
+            self._thread.start()
+        else:
+            self._resume.release()
+        self._parked.acquire()
+        if self._finished:
+            self._thread.join()
+            raise StopIteration
+        return self._directive
+
+    def throw(self, exc):
+        if self._thread is None or self._finished:
+            self._finished = True  # never started: the body never runs
+            raise exc
+        self._throw = exc
+        return self.send(None)
+
+    def park(self, directive) -> None:
+        """Rank-thread side: hand ``directive`` to the loop and sleep
+        until the loop resumes (or throws into) this task."""
+        self._directive = directive
+        self._parked.release()
+        self._resume.acquire()
+        exc, self._throw = self._throw, None
+        if exc is not None:
+            raise exc
+
+    def _run(self) -> None:
+        _tls.proc = self._proc
+        try:
+            _drive(self._body)
+        finally:
+            self._finished = True
+            self._parked.release()
+
+
+def _drive(gen):
+    """Run a ``co_*`` generator to completion from blocking code.
+
+    A generator that finishes without parking (the common case) just
+    returns its value.  Each directive it yields goes to the calling
+    rank's :class:`_ThreadTask`; whatever the park raises (teardown's
+    :class:`Aborted`) is thrown into the generator so its ``finally``
+    blocks run.  With no thread task to park on — a blocking call inside
+    a generator rank program, or outside any run — the call fails
+    instead of hanging.
+    """
+    step, arg = gen.send, None
     try:
-        next(gen)
+        while True:
+            directive = step(arg)
+            step, arg = gen.send, None
+            try:
+                proc = getattr(_tls, "proc", None)
+                park = getattr(getattr(proc, "task", None), "park", None)
+                if park is None:
+                    if proc is not None and proc.engine._aborting:
+                        raise Aborted()  # unwinding: not this rank's fault
+                    raise SimError(
+                        "a blocking call had to park, but this is not a "
+                        "plain-callable rank program; generator rank "
+                        "programs use the co_* API (yield from ...)")
+                park(directive)
+            except BaseException as exc:  # noqa: BLE001 - forwarded
+                step, arg = gen.throw, exc
     except StopIteration as stop:
         return stop.value
-    gen.close()
-    raise SimError("co_ continuation yielded outside the event-driven engine")
+
+
+def _as_generator(main: Callable) -> Callable:
+    """A plain-callable rank program as a generator function that never
+    yields (its parks go through :func:`_drive`), so one
+    :meth:`Engine._rank_main` serves both spellings."""
+
+    def co_main(world, *args, **kwargs):
+        result = main(world, *args, **kwargs)
+        if inspect.isgenerator(result):
+            result.close()
+            raise SimError(
+                "the rank program returned a generator that was never "
+                "run; pass the generator function itself, e.g. "
+                "engine.run(gen_fn, args=(...)), not a lambda calling it")
+        return result
+        yield  # pragma: no cover - makes co_main a generator function
+
+    return co_main
 
 
 # A deferred message injection, materialized in ``(clock, rank)`` order
-# by whichever thread holds the baton when it comes due.  Represented as
-# a plain list (building one is a single C-level op on the per-message
+# by whichever rank is running when it comes due.  Represented as a
+# plain list (building one is a single C-level op on the per-message
 # hot path); the slots are:
 #
 #   [0] proc      — the sending SimProcess
@@ -142,26 +247,24 @@ def _drive(gen):
 #   [5] batch     — PeerBatch for batched collectives, else None; the
 #                   send is still gated (and charged monitoring
 #                   overhead) individually at materialization
-#   [6] parked    — True once the owning thread parks awaiting
-#                   materialization; tells the materializer to hand the
-#                   owner the baton right after the transfer (transfer +
-#                   continuation form one tenure, exactly as when the
-#                   park-based engine resumed a sender)
+#   [6] parked    — True once the owner parks awaiting
+#                   materialization; tells the materializer to resume
+#                   the owner right after the transfer (transfer +
+#                   continuation form one tenure, exactly as if the
+#                   sender had parked for every rank behind it)
 _PS_PROC, _PS_QUEUE, _PS_MSG, _PS_DSTW, _PS_NBYTES, _PS_BATCH, _PS_PARKED = \
     range(7)
 
 
 class SimProcess:
-    """Per-rank simulation state: clock, scheduler handshake, userdata."""
+    """Per-rank simulation state: clock, continuation, userdata."""
 
     __slots__ = (
         "engine",
         "rank",
         "clock",
         "state",
-        "thread",
         "task",
-        "sem",
         "blocked_on",
         "wait_obj",
         "pending",
@@ -171,29 +274,19 @@ class SimProcess:
         "ready_seq",
     )
 
-    #: Live execution state that cannot (and need not) survive pickling:
-    #: the OS thread, the baton semaphore, and the rank continuation.
-    _EPHEMERAL = ("thread", "task", "sem")
-
     def __init__(self, engine: "Engine", rank: int):
         self.engine = engine
         self.rank = rank
         self.clock = 0.0
         self.state = _State.NEW
-        self.thread: Optional[threading.Thread] = None
-        # The rank continuation (a generator) on the event-driven core;
-        # None on the thread-per-rank core.
+        # The rank continuation the scheduler resumes: a generator, or
+        # a _ThreadTask for a blocking program.  Live execution state —
+        # it does not survive pickling.
         self.task: Any = None
-        # Binary semaphore carrying the baton: created locked, released
-        # by whoever hands this rank the baton, acquired by this rank's
-        # thread to park.  The baton is unique, so releases and
-        # acquires pair up exactly.
-        self.sem = threading.Lock()
-        self.sem.acquire()
         self.blocked_on: Any = ""
         # The request this rank is currently parked in ``wait()`` on,
         # if any.  Message binds to *other* requests of this rank are
-        # provably spurious wakes (see Engine.wake).
+        # provably spurious wakes (see Engine._wake_bound).
         self.wait_obj: Any = None
         # This rank's deferred send, if any (at most one: posting a
         # second send settles the first, since its injection clock
@@ -213,25 +306,19 @@ class SimProcess:
         if seconds < 0:
             raise ValueError("cannot advance time backwards")
         if self.pending is not None:
-            self.engine.settle(self)
+            _drive(self.engine.co_settle(self))
         self.clock += seconds
 
     # -- pickling ---------------------------------------------------------
 
     def __getstate__(self):
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in self._EPHEMERAL
-        }
+        return {slot: getattr(self, slot) for slot in self.__slots__
+                if slot != "task"}
 
     def __setstate__(self, state):
         for key, value in state.items():
             setattr(self, key, value)
-        self.thread = None
         self.task = None
-        self.sem = threading.Lock()
-        self.sem.acquire()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -253,33 +340,6 @@ class Engine:
         CPU seconds charged to a sender per message *recorded* by the
         monitoring component (the cost the paper's Fig. 4 measures).
         Zero when monitoring is disabled.
-    handoff:
-        Scheduler handoff policy.  ``"exact"`` (default) reproduces
-        the park-based engine's serialization bit-for-bit: transfers
-        claim the shared NIC/memory windows and the jitter stream in
-        global ``(clock, rank)`` order, so every virtual clock and
-        monitoring matrix matches the seed implementation.  ``"fast"``
-        drops the virtual-time give-way entirely: a rank injects its
-        messages immediately and keeps the baton until it hits a real
-        data dependency (a receive whose message has not arrived), so
-        shared resources are claimed in baton order instead.  On
-        pipelined workloads this collapses the one-handoff-per-message
-        lockstep into long tenures (fewer baton handoffs by an order
-        of magnitude).  Fast mode is fully deterministic for a given
-        seed and uses the identical network model; only the
-        interleaving of concurrent transfers — and hence low-order
-        timing details — may differ from exact mode.
-    core:
-        Execution core.  ``"auto"`` (default) picks per program:
-        generator rank programs run on the event-driven core (one
-        continuation per rank, zero OS threads), plain callables on
-        the thread-per-rank core.  ``"threads"`` forces OS threads —
-        generator programs are then driven to completion on their
-        thread, which is the A/B path the bit-exactness tests use.
-        ``"eventloop"`` requires a generator program and rejects
-        plain callables.  Both cores produce bit-identical clocks,
-        matrices, and switch counts for the same program (a switch is
-        a scheduler resume on the event core).
     """
 
     def __init__(
@@ -287,38 +347,24 @@ class Engine:
         cluster: Cluster,
         seed: int = 0,
         monitoring_overhead: float = 5.0e-8,
-        handoff: str = "exact",
-        core: str = "auto",
     ):
-        if handoff not in ("exact", "fast"):
-            raise ValueError("handoff must be 'exact' or 'fast'")
-        if core not in ("auto", "threads", "eventloop"):
-            raise ValueError("core must be 'auto', 'threads', or 'eventloop'")
-        self.core = core
-        # True while running on the event-driven core (set by run());
-        # the co_* services dispatch on it.
-        self._ev = False
-        # task.send() count on the event core (the event-side analogue
-        # of a baton handoff; switches are counted identically on both
-        # cores, resumes only grow on the event core).
+        # task.send() count: one per scheduler resume.  Every resume is
+        # preceded by exactly one switch, so on a completed run this
+        # equals ``switches`` — counted independently as a consistency
+        # signal for dashboards.
         self._resumes = 0
-        self.handoff = handoff
-        self._fast = handoff == "fast"
         self.seed = int(seed)
         self.cluster = cluster
         self.network = Network(
             cluster.topology, cluster.binding, cluster.params, seed=seed
         )
         self.monitoring_overhead = float(monitoring_overhead)
-        # The main thread's park/wake semaphore (see SimProcess.sem).
-        self._main_sem = threading.Lock()
-        self._main_sem.acquire()
         self.procs: List[SimProcess] = []
         self.mpit = MpiToolInterface()
         self.pml = PmlMonitoring(cluster.n_ranks, mpit=self.mpit)
         self.pml.sync = self._settle_caller
         # Shared registries used by the communicator layer; only one
-        # thread runs at a time so plain dicts are safe.
+        # rank runs at a time so plain dicts are safe.
         self.comm_registry: Dict[Any, Any] = {}
         self.match_queues: Dict[Any, Any] = {}
         self._next_comm_id = 0
@@ -330,10 +376,10 @@ class Engine:
         self._pending_heap: List = []
         self._qseq = 0
         self._n_done = 0
-        # Elided handoffs (self-handoffs and evaporated phantoms):
-        # plain ints bumped on branches that are rare by construction,
-        # published by the observer — and useful diagnostics even
-        # without it.
+        # Elided switches (a rank that pops itself, and evaporated
+        # phantoms): plain ints bumped on branches that are rare by
+        # construction, published by the observer — and useful
+        # diagnostics even without it.
         self._self_handoffs = 0
         self._phantom_elisions = 0
         # Observability: None unless the obs layer was enabled when
@@ -367,7 +413,7 @@ class Engine:
 
     @property
     def switches(self) -> int:
-        """Number of baton handoffs so far (a cost/diagnostic metric)."""
+        """Number of rank switches so far (a cost/diagnostic metric)."""
         return self._switches
 
     @property
@@ -377,11 +423,8 @@ class Engine:
 
     @property
     def resumes(self) -> int:
-        """Scheduler resumes so far.  On the event-driven core every
-        ``task.send()`` counts; on the thread-per-rank core a resume
-        and a baton handoff are the same event, so dashboards keep a
-        comparable signal across both cores."""
-        return self._resumes if self._ev else self._switches
+        """Scheduler resumes (``task.send()`` calls) so far."""
+        return self._resumes
 
     # -- running a program --------------------------------------------------
 
@@ -393,70 +436,44 @@ class Engine:
     ) -> List[Any]:
         """Execute ``main(world_comm, *args, **kwargs)`` on every rank.
 
-        Returns the per-rank return values, in rank order.  Any rank
-        exception is re-raised as :class:`RankFailure`; a global hang
-        raises :class:`DeadlockError`.
+        A generator function is resumed natively, one continuation per
+        rank; a plain callable runs on one thread per rank behind
+        :class:`_ThreadTask`.  Returns the per-rank return values, in
+        rank order.  Any rank exception is re-raised as
+        :class:`RankFailure`; a global hang raises
+        :class:`DeadlockError`.
         """
         from repro.simmpi.comm import Communicator  # local: avoid cycle
 
         if self.procs:
             raise SimError("Engine.run is single-shot; build a new Engine")
         kwargs = kwargs or {}
-        is_gen = inspect.isgeneratorfunction(main)
-        if self.core == "eventloop" and not is_gen:
-            raise SimError(
-                "core='eventloop' requires a generator rank program; "
-                "write it against the co_* API (or use core='threads')"
-            )
-        self._ev = is_gen and self.core != "threads"
+        native = inspect.isgeneratorfunction(main)
+        if not native:
+            main = _as_generator(main)
         self.procs = [SimProcess(self, r) for r in range(self.n_ranks)]
         self.world = Communicator(self, list(range(self.n_ranks)))
-
-        if self._ev:
-            for proc in self.procs:
-                proc.task = self._rank_main(proc, main, args, kwargs)
-                self._set_ready(proc)
-        else:
-            target = main
-            if is_gen:
-                # Thread-core fallback for generator programs: each
-                # rank thread drives its continuation to completion —
-                # the A/B path bit-exactness runs compare against.
-                def target(world, *a, **k):
-                    return _drive(main(world, *a, **k))
-
-            for proc in self.procs:
-                t = threading.Thread(
-                    target=self._thread_main,
-                    args=(proc, target, args, kwargs),
-                    name=f"simmpi-rank-{proc.rank}",
-                    daemon=True,
-                )
-                proc.thread = t
-                self._set_ready(proc)
-                t.start()
+        for proc in self.procs:
+            body = self._rank_main(proc, main, args, kwargs)
+            proc.task = body if native else _ThreadTask(proc, body)
+            self._set_ready(proc)
 
         if self._obs is not None:
             self._obs.run_started()
+        # The scheduler runs on the calling thread and leaves the
+        # current-process slot exactly as it found it (nested engines,
+        # post-run library calls).
+        prev_proc = getattr(_tls, "proc", None)
         try:
-            if self._ev:
-                # The scheduler runs on the calling thread and leaves
-                # the current-process slot exactly as it found it
-                # (nested engines, post-run library calls).
-                prev_proc = getattr(_tls, "proc", None)
-                try:
-                    self._run_eventloop()
-                finally:
-                    _tls.proc = prev_proc
-            else:
-                self._main_loop()
+            self._run_eventloop()
         finally:
             # Sampled before _drain(), which unconditionally raises the
-            # abort flag while unwinding parked threads.
+            # abort flag while unwinding parked ranks.
             clean = (not self._aborting
                      and self._n_done == len(self.procs)
                      and all(p.exc is None for p in self.procs))
             self._drain()
+            _tls.proc = prev_proc
             if self._obs is not None:
                 self._obs.run_finished()
             if clean and self._rr is not None:
@@ -480,16 +497,15 @@ class Engine:
 
     # -- pickling ----------------------------------------------------------
 
-    # Live machinery that cannot cross a pickle boundary: the main
-    # thread's park semaphore, the MPI_T registry (its readers are
-    # closures over this engine's components), and the optional
-    # observer/recorder taps.  ``__setstate__`` rebuilds the semaphore
-    # and the registry and leaves the taps detached: a thawed engine is
-    # inspectable state (clocks, matrices, NIC counters) and can run a
-    # fresh program if it never ran one, but it is not a resumable
-    # mid-run scheduler — rank continuations and threads do not
-    # survive the trip (see SimProcess._EPHEMERAL).
-    _EPHEMERAL = ("_main_sem", "mpit", "_obs", "_obs_spans", "_rr")
+    # Live machinery that cannot cross a pickle boundary: the MPI_T
+    # registry (its readers are closures over this engine's components)
+    # and the optional observer/recorder taps.  ``__setstate__``
+    # rebuilds the registry and leaves the taps detached: a thawed
+    # engine is inspectable state (clocks, matrices, NIC counters) and
+    # can run a fresh program if it never ran one, but it is not a
+    # resumable mid-run scheduler — rank continuations do not survive
+    # the trip (see SimProcess.__getstate__).
+    _EPHEMERAL = ("mpit", "_obs", "_obs_spans", "_rr")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -499,9 +515,6 @@ class Engine:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        sem = threading.Lock()
-        sem.acquire()
-        self._main_sem = sem
         self.mpit = MpiToolInterface()
         self.pml.register(self.mpit)
         self.pml.sync = self._settle_caller
@@ -512,7 +525,7 @@ class Engine:
         self._obs_spans = None
         self._rr = None
 
-    # -- ready heap (baton holder only; no lock needed) -------------------
+    # -- ready heap ---------------------------------------------------------
 
     def _set_ready(self, proc: SimProcess) -> None:
         """Transition a process to READY and enqueue it for scheduling."""
@@ -528,10 +541,9 @@ class Engine:
 
         An entry is live when its sequence number is current and its
         process is in the state the entry stands for — READY for a
-        normal entry, BLOCKED for a phantom.  This is the one lazy
-        cleanup shared by :meth:`_pop_ready` and
-        :meth:`min_ready_clock` (inlined: it runs once per send and
-        once per yield check).
+        normal entry, BLOCKED for a phantom.  The hot paths
+        (:meth:`_pop_ready`, :meth:`_settle_scan`, ``comm._isend``)
+        inline this loop.
         """
         heap = self._ready_heap
         pop = heapq.heappop
@@ -548,7 +560,7 @@ class Engine:
         return None
 
     def min_ready_clock(self) -> Optional[float]:
-        """Clock of the frontmost due work — thread or deferred send."""
+        """Clock of the frontmost due work — rank or deferred send."""
         entry = self._clean_front()
         clock = None if entry is None else entry[0]
         ph = self._pending_heap
@@ -556,22 +568,12 @@ class Engine:
             return ph[0][0]
         return clock
 
-    def _pop_ready(self, settle_for: Optional[SimProcess] = None
-                   ) -> Optional[SimProcess]:
-        """Materialize due deferred sends, then pop the next thread.
-
-        With ``settle_for``, stop (returning None) as soon as that
-        process's own deferred send has been materialized — used by
-        :meth:`settle` so the caller keeps the baton, exactly as the
-        park-based engine resumed a sender the moment its transfer
-        completed.
-        """
+    def _pop_ready(self) -> Optional[SimProcess]:
+        """Materialize due deferred sends, then pop the next rank."""
         heap = self._ready_heap
         ph = self._pending_heap
         pop = heapq.heappop
         while True:
-            if settle_for is not None and settle_for.pending is None:
-                return None
             # _clean_front, inlined (this loop runs once per switch).
             t = None
             while heap:
@@ -592,10 +594,9 @@ class Engine:
                     pop(ph)
                     owner = self._materialize(p[3])
                     if owner is not None:
-                        # The sender's thread is parked on this very
-                        # transfer: it resumes here, mid-tenure, just
-                        # as the park-based engine resumed it after
-                        # the transfer it parked on.
+                        # The sender is parked on this very transfer:
+                        # it resumes here, mid-tenure (its post-transfer
+                        # code belongs to the tenure that sent).
                         return owner
                     continue
             if t is None:
@@ -608,9 +609,8 @@ class Engine:
                     # The awaited message arrived while the phantom was
                     # queued: this is a real resume after all.
                     return proc
-                # The classic engine would resume the blocked rank here
-                # only for it to re-check its wait loop and block again
-                # at the same clock.  Evaporate instead.
+                # A real resume here would only re-check the wait loop
+                # and block again at the same clock.  Evaporate instead.
                 self._phantom_elisions += 1
                 continue
             return proc
@@ -620,59 +620,12 @@ class Engine:
     def post_send(self, proc: SimProcess, queue, src_local: int,
                   dst_local: int, dst_world: int, buf, tag: int,
                   context, category: str, batch=None) -> None:
-        """Inject a message, deferring it if ranks are due before us.
-
-        The transfer executes immediately when this rank is frontmost
-        (same condition under which the classic engine proceeded
-        without parking); otherwise it is queued at ``(clock, rank)``
-        and the calling thread keeps running — its clock and the
-        message's delivery are settled lazily, in global order.
-        """
-        if proc.pending is not None:
-            self.settle(proc)
+        """Inject a message now: the caller (``comm._isend``) has settled
+        this rank's previous send and found nothing due before its
+        clock, so the transfer runs inline without a pending-send
+        record.  This duplicates :meth:`_materialize` minus the
+        deferral bookkeeping — keep the two in sync."""
         clock = proc.clock
-        if not self._fast:
-            # Fast handoff skips the deferral check entirely: transfers
-            # claim the network in baton order.  Exact mode defers when
-            # any rank or queued send is due before us (this is
-            # min_ready_clock with _clean_front's lazy cleanup, both
-            # inlined — it runs once per message).
-            heap = self._ready_heap
-            pop = heapq.heappop
-            entry = None
-            while heap:
-                e = heap[0]
-                p = e[3]
-                if p.ready_seq == e[2]:
-                    if e[4] is None:
-                        if p.state is _State.READY:
-                            entry = e
-                            break
-                    elif p.state is _State.BLOCKED:
-                        entry = e
-                        break
-                pop(heap)
-            ph = self._pending_heap
-            if (entry is not None and entry[0] < clock) or \
-                    (ph and ph[0][0] < clock):
-                # Message.__init__, unrolled (skips the generated
-                # dataclass frame; arrival is filled at materialization).
-                msg = Message.__new__(Message)
-                msg.src = src_local
-                msg.dst = dst_local
-                msg.tag = tag
-                msg.context = context
-                msg.buf = buf
-                msg.arrival = 0.0
-                msg.category = category
-                ps = [proc, queue, msg, dst_world, buf.nbytes, batch, False]
-                proc.pending = ps
-                self._qseq += 1
-                heapq.heappush(ph, (clock, proc.rank, self._qseq, ps))
-                return
-        # Frontmost (or fast mode): run the transfer inline, without
-        # building a pending-send record.  This duplicates _materialize
-        # minus the deferral bookkeeping — keep the two in sync.
         nbytes = buf.nbytes
         if batch is None:
             recorded = self.pml.record(proc.rank, dst_world, nbytes,
@@ -718,11 +671,11 @@ class Engine:
         """Execute a send: record, charge, transfer, deliver.
 
         Runs at the exact position in the global ``(clock, rank)``
-        order where the park-based engine resumed the sender, so the
-        monitoring mode, jitter stream, and NIC/memory windows all see
-        the same sequence of operations.  Returns the owning process
-        when its thread is parked on this transfer and must be handed
-        the baton now (its post-transfer code belongs to this tenure).
+        order where a park-per-send engine would resume the sender, so
+        the monitoring mode, jitter stream, and NIC/memory windows all
+        see the same sequence of operations.  Returns the owning process
+        when it is parked on this transfer and must be resumed now (its
+        post-transfer code belongs to this tenure).
         """
         proc, mq, msg, dst_world, nbytes, batch, parked = ps
         proc.pending = None
@@ -852,280 +805,30 @@ class Engine:
         return None
 
     def _settle_caller(self) -> None:
-        """Settle the calling thread's deferred send, if it has one.
+        """Settle the calling rank's deferred send, if it has one.
 
         Installed as ``pml.sync``: monitoring-state reads and mode
         changes observe/affect the global record order, so they must
         happen at the same position a non-deferred engine would put
         them — right after the caller's own sends have completed.
+        Generator programs settle beforehand (``comm.co_sync()``), so
+        this finds nothing pending there.
         """
         proc = getattr(_tls, "proc", None)
         if proc is not None and proc.engine is self and proc.pending is not None:
-            self.settle(proc)
+            _drive(self.co_settle(proc))
 
-    def settle(self, proc: SimProcess) -> None:
-        """Materialize this process's deferred send, in global order.
-
-        Runs every piece of due work keyed before the send — deferred
-        transfers inline, threads by handing them the baton and parking
-        until our send has been materialized.
-        """
-        heap = self._ready_heap
-        ph = self._pending_heap
-        pop = heapq.heappop
-        while proc.pending is not None:
-            # _pop_ready(settle_for=proc), inlined: most settles drain
-            # the due deferred sends right here without a switch, so the
-            # scan-materialize loop runs in this frame.
-            nxt = None
-            while True:
-                # _clean_front, inlined.
-                t = None
-                while heap:
-                    e = heap[0]
-                    p = e[3]
-                    if p.ready_seq == e[2]:
-                        if e[4] is None:
-                            if p.state is _State.READY:
-                                t = e
-                                break
-                        elif p.state is _State.BLOCKED:
-                            t = e
-                            break
-                    pop(heap)
-                if ph:
-                    p = ph[0]
-                    if t is None or p[0] < t[0] or \
-                            (p[0] == t[0] and p[1] < t[1]):
-                        pop(ph)
-                        owner = self._materialize(p[3])
-                        if owner is not None:
-                            # That send's thread is parked on it and
-                            # must resume mid-tenure.
-                            nxt = owner
-                            break
-                        if proc.pending is None:
-                            break
-                        continue
-                if t is None:
-                    break
-                entry = pop(heap)
-                nxt = entry[3]
-                if entry[4] is _PHANTOM:
-                    wo = nxt.wait_obj
-                    if wo is not None and wo._msg is not None:
-                        # The awaited message arrived while the phantom
-                        # was queued: a real resume after all.
-                        break
-                    self._phantom_elisions += 1
-                    nxt = None
-                    continue
-                break
-            if nxt is None:
-                if proc.pending is not None:  # pragma: no cover - invariant
-                    raise SimError("deferred send lost from the queue")
-                return
-            # A thread is due before our deferred send: it gets the
-            # baton; our send will be materialized (and this thread
-            # re-enqueued at its completion clock) when it comes due.
-            # (_switch_to inlined: this runs once per handed-off send.)
-            if self._ev:
-                self._no_blocking_park()
-            proc.pending[_PS_PARKED] = True
-            proc.state = _State.READY
-            self._switches += 1
-            nxt.state = _State.RUNNING
-            nxt.sem.release()
-            proc.sem.acquire()
-            if self._aborting:
-                raise Aborted()
-            proc.state = _State.RUNNING
-            proc.blocked_on = ""
-
-    # -- direct handoff core ----------------------------------------------
-
-    def _no_blocking_park(self) -> None:
-        """A blocking park would hang the event loop (no thread will
-        ever release the semaphore).  During teardown this is the
-        normal unwind path — a parked thread woken by _drain raises
-        Aborted from the same spot; otherwise it is co code that
-        called a blocking API which needed to park, a bug."""
-        if self._aborting:
-            raise Aborted()
-        raise SimError(
-            "blocking engine call needed to park inside the event-driven "
-            "core; use the co_* API from generator rank programs"
-        )
-
-    def _signal(self, proc: SimProcess) -> None:
-        """Hand the baton to ``proc`` (the caller must hold it).
-
-        Cold-path helper (startup, teardown, main loop); the per-switch
-        hot paths (:meth:`_switch_to`, :meth:`block`, :meth:`settle`)
-        inline these three lines.
-        """
-        self._switches += 1
-        proc.state = _State.RUNNING
-        proc.sem.release()
-
-    def _switch_to(self, nxt: SimProcess, proc: SimProcess) -> None:
-        """Signal ``nxt`` and park the calling thread until re-signalled."""
-        if self._ev:
-            self._no_blocking_park()
-        self._switches += 1
-        nxt.state = _State.RUNNING
-        nxt.sem.release()
-        proc.sem.acquire()
-        if self._aborting:
-            raise Aborted()
-
-    def _handoff_from(self, proc: SimProcess) -> None:
-        """Pass the baton to the next due rank and park the caller.
-
-        When no rank is ready the main thread is woken instead — it
-        decides between normal completion, abort unwinding, and
-        deadlock.  Returns once this process is signalled again; raises
-        :class:`Aborted` if the simulation is being torn down.
-        """
-        nxt = self._pop_ready()
-        if nxt is proc:
-            # Materialized sends can leave this process frontmost again:
-            # handing the baton to ourselves is a no-op, skip the park.
-            self._self_handoffs += 1
-            proc.state = _State.RUNNING
-            if self._aborting:
-                raise Aborted()
-            return
-        if self._ev:
-            self._no_blocking_park()
-        if nxt is not None:
-            self._switches += 1
-            nxt.state = _State.RUNNING
-            nxt.sem.release()
-        else:
-            self._main_sem.release()
-        proc.sem.acquire()
-        if self._aborting:
-            raise Aborted()
-
-    def _main_loop(self) -> None:
-        """Kick off the first rank, then sleep until finish/abort/stall."""
-        first = self._pop_ready()
-        if first is None:  # pragma: no cover - zero-rank engine
-            return
-        self._signal(first)
-        while True:
-            self._main_sem.acquire()
-            if self._aborting or self._n_done == len(self.procs):
-                return
-            nxt = self._pop_ready()
-            if nxt is not None:  # pragma: no cover - defensive
-                self._signal(nxt)
-                continue
-            blocked = [
-                (p.rank, f"blocked on {p.blocked_on} at t={p.clock:.6g}")
-                for p in self.procs
-                if p.state is _State.BLOCKED
-            ]
-            self._aborting = True
-            raise DeadlockError(blocked)
-
-    def _drain(self) -> None:
-        """Unwind any live rank threads after an abort or failure.
-
-        Parked threads are woken one at a time; each observes
-        ``_aborting``, raises :class:`Aborted`, marks itself DONE and
-        wakes the main thread back (its ``finally`` block), so the
-        handshake stays strictly sequential.
-
-        On the event-driven core the same handshake is a direct
-        ``throw``: each live continuation gets :class:`Aborted` raised
-        at its suspension point (never-started tasks surface it from
-        ``throw`` itself — their bodies never run, like a thread that
-        aborts in ``_await_first``).  A task that yields while
-        unwinding is thrown at again, mirroring a parked thread
-        re-observing ``_aborting`` after every wake.
-        """
-        self._aborting = True
-        if self._ev:
-            for proc in self.procs:
-                while proc.state is not _State.DONE:
-                    try:
-                        proc.task.throw(Aborted)
-                    except (StopIteration, Aborted):
-                        proc.state = _State.DONE
-                        self._n_done += 1
-            return
-        for proc in self.procs:
-            while proc.state is not _State.DONE:
-                try:
-                    proc.sem.release()
-                except RuntimeError:
-                    # Torn down mid-handoff (e.g. an interrupt landed
-                    # between a signal and its consumption): the baton
-                    # is already pending; the thread will observe
-                    # ``_aborting`` when it consumes it.
-                    pass
-                self._main_sem.acquire()
-        for proc in self.procs:
-            if proc.thread is not None:
-                proc.thread.join(timeout=10.0)
-
-    # -- rank-thread side ---------------------------------------------------
-
-    def _thread_main(self, proc: SimProcess, main, args, kwargs) -> None:
-        _tls.proc = proc
-        try:
-            self._await_first(proc)
-            proc.result = main(self.world, *args, **kwargs)
-            if proc.pending is not None:
-                self.settle(proc)
-        except Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported via RankFailure
-            proc.exc = exc
-            self._aborting = True
-        finally:
-            proc.state = _State.DONE
-            self._n_done += 1
-            if self._aborting:
-                nxt = None
-            else:
-                nxt = self._pop_ready()
-            if nxt is not None:
-                self._signal(nxt)
-            else:
-                self._main_sem.release()
-
-    def _await_first(self, proc: SimProcess) -> None:
-        proc.sem.acquire()
-        if self._aborting:
-            raise Aborted()
-
-    # -- event-driven core --------------------------------------------------
+    # -- the scheduler --------------------------------------------------------
     #
-    # Rank programs become generators; a park is a ``yield`` carrying a
-    # scheduler directive — the SimProcess to resume next (the co code
-    # already did the heap pop and switch bookkeeping, exactly like the
-    # threaded release sites), or None to let the scheduler make the
-    # main thread's decision (finish / defensive pop / deadlock).  The
-    # co_* services below are line-by-line transliterations of their
-    # blocking twins: every ``nxt.sem.release(); proc.sem.acquire()``
-    # pair becomes ``yield nxt`` followed by the same abort check, and
-    # every heap decision and switch increment happens at the same
-    # program point — which is how bit-exactness (clocks, matrices,
-    # switch counters) against the thread-per-rank core is proven.
-    # On the threaded core the same services delegate to their blocking
-    # twins without yielding, so one canonical co implementation serves
-    # both cores (see _drive).
+    # A park is a ``yield`` carrying a scheduler directive — the
+    # SimProcess to resume next (the yield site already did the heap pop
+    # and the switch bookkeeping), or None to let the loop decide
+    # (finish / defensive pop / deadlock).
 
     def _rank_main(self, proc: SimProcess, main, args, kwargs):
-        """Generator twin of :meth:`_thread_main`.
-
-        The scheduler's first ``send()`` plays the role of
-        ``_await_first``'s baton grant; completion bookkeeping (DONE,
-        handing off) lives in the scheduler, at ``StopIteration``.
-        """
+        """One rank's continuation: run the program, settle its last
+        send, record failure.  Completion bookkeeping (DONE, picking
+        the next rank) lives in the scheduler, at ``StopIteration``."""
         try:
             if self._aborting:
                 raise Aborted()
@@ -1139,19 +842,14 @@ class Engine:
             self._aborting = True
 
     def _run_eventloop(self) -> None:
-        """Single-threaded scheduler: resume rank continuations directly.
+        """The scheduler: resume rank continuations one at a time.
 
-        One iteration of this loop is what a baton handoff costs on the
-        event core: a generator ``send`` instead of two futex syscalls
-        and an OS reschedule.  It mirrors :meth:`_main_loop` plus
-        :meth:`_thread_main`'s scheduling epilogue exactly, so switch
-        counters and the global ``(clock, rank)`` order are
-        bit-identical to the threaded core.
-        """
+        One iteration of this loop is what a switch costs: a generator
+        ``send`` (plus, for a blocking program, the adapter's two lock
+        handoffs)."""
         current = self._pop_ready()
         if current is None:  # pragma: no cover - zero-rank engine
             return
-        # _signal, minus the semaphore: the first task starts here.
         self._switches += 1
         current.state = _State.RUNNING
         while True:
@@ -1160,7 +858,7 @@ class Engine:
             try:
                 nxt = current.task.send(None)
             except StopIteration:
-                # _thread_main's finally: this rank finished/aborted.
+                # This rank finished (or failed, or unwound).
                 current.state = _State.DONE
                 self._n_done += 1
                 nxt = None if self._aborting else self._pop_ready()
@@ -1174,7 +872,7 @@ class Engine:
                     # The yield site already did the switch bookkeeping.
                     current = nxt
                     continue
-            # The main thread's decision (one _main_loop iteration).
+            # Nobody was named: finished, aborting, or stalled.
             if self._aborting or self._n_done == len(self.procs):
                 return
             nxt = self._pop_ready()
@@ -1191,10 +889,29 @@ class Engine:
             self._aborting = True
             raise DeadlockError(blocked)
 
+    def _drain(self) -> None:
+        """Unwind any live rank after an abort or failure.
+
+        Each live continuation gets :class:`Aborted` raised at its
+        suspension point (a never-started task surfaces it from
+        ``throw`` itself — its body never runs, and a blocking program
+        never gets a thread).  A task that yields while unwinding is
+        thrown at again.
+        """
+        self._aborting = True
+        for proc in self.procs:
+            _tls.proc = proc
+            while proc.state is not _State.DONE:
+                try:
+                    proc.task.throw(Aborted)
+                except (StopIteration, Aborted):
+                    proc.state = _State.DONE
+                    self._n_done += 1
+
     def _settle_scan(self, proc: SimProcess) -> Optional[SimProcess]:
-        """One settle pass for the event core: materialize due deferred
-        sends until ``proc``'s own send is done (return None) or a rank
-        continuation must run first (return it — the caller parks).
+        """One settle pass: materialize due deferred sends until
+        ``proc``'s own send is done (return None) or a rank continuation
+        must run first (return it — the caller parks).
 
         This is the park-free common case of :meth:`co_settle`, split
         out as a plain method so the per-send settle costs no generator
@@ -1203,7 +920,7 @@ class Engine:
         heap = self._ready_heap
         ph = self._pending_heap
         pop = heapq.heappop
-        # settle()'s scan-materialize loop, verbatim.
+        # _pop_ready's scan, stopping once proc's own send is done.
         while True:
             t = None
             while heap:
@@ -1263,61 +980,35 @@ class Engine:
                 return
 
     def co_settle(self, proc: SimProcess):
-        """Continuation twin of :meth:`settle` (idempotent: no-op when
-        nothing is pending, so co code may pre-settle right before
-        blocking library calls that settle internally — the inner
-        settle then no-ops and the engine op order is unchanged)."""
-        if not self._ev:
-            if proc.pending is not None:
-                self.settle(proc)
-            return
+        """Materialize this process's deferred send, in global order:
+        every piece of due work keyed before it runs first — deferred
+        transfers inline, ranks by parking for them.  Idempotent (a
+        no-op when nothing is pending), so generator code may settle
+        right before plain library calls that settle internally — the
+        inner settle then finds nothing and never needs to park."""
         if proc.pending is None:
             return
         nxt = self._settle_scan(proc)
         if nxt is not None:
             yield from self._co_settle_park(proc, nxt)
 
-    def co_block(self, proc: SimProcess, reason: Any):
-        """Continuation twin of :meth:`block`."""
-        if not self._ev:
-            self.block(proc, reason)
-            return
-        proc.state = _State.BLOCKED
-        proc.blocked_on = reason
-        o = self._obs
-        if o is not None:
-            o.note_block(len(self._ready_heap))
-        nxt = self._pop_ready()
-        if nxt is not proc:
-            if nxt is not None:
-                self._switches += 1
-                nxt.state = _State.RUNNING
-                yield nxt
-            else:
-                yield None
-        else:
-            self._self_handoffs += 1
-        if self._aborting:
-            raise Aborted()
-        proc.state = _State.RUNNING
-        proc.blocked_on = ""
-
     def co_give_way(self, proc: SimProcess):
-        """Continuation twin of :meth:`maybe_yield` (give way to ranks
-        behind in virtual time; includes :meth:`_handoff_from`)."""
-        if not self._ev:
-            self.maybe_yield(proc)
-            return
-        if self._fast:
-            return
+        """Give way to ranks that are behind in virtual time.
+
+        Called at communication points so that shared timed resources
+        (the per-node NIC busy windows) are claimed in virtual-time
+        order rather than execution order.  While this rank remains
+        frontmost it keeps running — no heap traffic.
+        """
         if proc.pending is not None:
             yield from self.co_settle(proc)
         f = self.min_ready_clock()
         if f is not None and f < proc.clock:
             self._set_ready(proc)
-            # _handoff_from, transliterated.
             nxt = self._pop_ready()
             if nxt is proc:
+                # Materialized sends can leave this process frontmost
+                # again: switching to ourselves is a no-op.
                 self._self_handoffs += 1
                 proc.state = _State.RUNNING
                 if self._aborting:
@@ -1332,45 +1023,22 @@ class Engine:
             if self._aborting:
                 raise Aborted()
 
+    def maybe_yield(self, proc: SimProcess) -> None:
+        """Blocking :meth:`co_give_way`."""
+        _drive(self.co_give_way(proc))
+
     # -- primitives used by the communicator layer ---------------------------
-
-    def block(self, proc: SimProcess, reason: Any) -> None:
-        """Park the calling rank until another rank calls :meth:`wake`.
-
-        ``reason`` may be any object; it is only formatted (via
-        ``str``) if a deadlock dump has to display it.  This is the
-        per-wait hot path: :meth:`_handoff_from` is inlined here."""
-        proc.state = _State.BLOCKED
-        proc.blocked_on = reason
-        o = self._obs
-        if o is not None:
-            o.note_block(len(self._ready_heap))
-        nxt = self._pop_ready()
-        if nxt is not proc:
-            if self._ev:
-                self._no_blocking_park()
-            if nxt is not None:
-                self._switches += 1
-                nxt.state = _State.RUNNING
-                nxt.sem.release()
-            else:
-                self._main_sem.release()
-            proc.sem.acquire()
-        else:
-            self._self_handoffs += 1
-        if self._aborting:
-            raise Aborted()
-        proc.state = _State.RUNNING
-        proc.blocked_on = ""
 
     def _wake_bound(self, req) -> None:
         """Wake the poster of a receive that delivery just bound.
 
-        Same phantom-elision logic as :meth:`wake`, specialized for the
-        per-message delivery path: it runs only when the message
-        matched a *posted* receive, so the not-blocked early-out of the
-        generic wake (binds at post time, poster still running) never
-        pays a call frame.
+        A wake of a rank that is still waiting on a *different* request
+        whose message has not arrived (``waitall`` progress) is provably
+        spurious — the rank would resume, re-check its wait loop, and
+        block again at the same clock.  Such wakes are enqueued as
+        phantom entries: they occupy the identical heap slot (so other
+        ranks' scheduling decisions are unchanged) but evaporate at pop
+        time without a switch.  (:meth:`_materialize` inlines this.)
         """
         proc = req.proc
         if proc.state is not _State.BLOCKED:
@@ -1388,53 +1056,6 @@ class Engine:
             self._ready_heap,
             (proc.clock, proc.rank, proc.ready_seq, proc, None),
         )
-
-    def wake(self, proc: SimProcess) -> None:
-        """Mark a blocked rank runnable (called while holding the baton).
-
-        A wake of a rank that is still waiting on a request whose
-        message has not arrived (``waitall`` progress) is provably
-        spurious — the rank would resume, re-check its wait loop, and
-        block again at the same clock.  Such wakes are enqueued as
-        phantom entries: they occupy the identical heap slot (so other
-        ranks' scheduling decisions are unchanged) but evaporate at pop
-        time without a thread switch.
-        """
-        if proc.state is not _State.BLOCKED:
-            return
-        wo = proc.wait_obj
-        proc.ready_seq += 1
-        if wo is not None and wo._msg is None:
-            heapq.heappush(
-                self._ready_heap,
-                (proc.clock, proc.rank, proc.ready_seq, proc, _PHANTOM),
-            )
-            return
-        # _set_ready, inlined (this runs once per delivered message).
-        proc.state = _State.READY
-        heapq.heappush(
-            self._ready_heap,
-            (proc.clock, proc.rank, proc.ready_seq, proc, None),
-        )
-
-    def maybe_yield(self, proc: SimProcess) -> None:
-        """Give way to ranks that are behind in virtual time.
-
-        Called at communication points so that shared timed resources
-        (the per-node NIC busy windows) are claimed in virtual-time
-        order rather than baton order.  While this rank remains
-        frontmost it keeps running — no heap or lock traffic.  Fast
-        handoff skips the give-way entirely: a rank runs until it hits
-        a data dependency (an unarrived message).
-        """
-        if self._fast:
-            return
-        if proc.pending is not None:
-            self.settle(proc)
-        f = self.min_ready_clock()
-        if f is not None and f < proc.clock:
-            self._set_ready(proc)
-            self._handoff_from(proc)
 
     def charge_monitoring_overhead(self, proc: SimProcess, n_records: int = 1) -> None:
         """Charge the per-message bookkeeping cost to a sender's clock."""

@@ -21,6 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.simmpi.datatypes import Buffer
+from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
 __all__ = ["FileSystem", "File"]
@@ -73,18 +74,10 @@ class FileSystem:
 
     # -- timing ------------------------------------------------------------
 
-    def transfer(self, proc, nbytes: int) -> None:
+    def co_transfer(self, proc, nbytes: int):
         """Stream ``nbytes`` through the shared FS, advancing the
         calling rank's clock (ops serialize on the storage resource)."""
-        self.engine.maybe_yield(proc)
-        self._stream(proc, nbytes)
-
-    def co_transfer(self, proc, nbytes: int):
-        """Resumable :meth:`transfer`."""
         yield from self.engine.co_give_way(proc)
-        self._stream(proc, nbytes)
-
-    def _stream(self, proc, nbytes: int) -> None:
         start = max(proc.clock + self.params.latency, self._busy_until)
         dur = nbytes / self.params.bandwidth
         self._busy_until = start + dur
@@ -106,13 +99,10 @@ class File:
 
     @classmethod
     def open(cls, comm, name: str) -> "File":
-        f = cls._lookup(comm, name)
-        comm.barrier()
-        return f
+        return _drive(cls.co_open(comm, name))
 
     @classmethod
     def co_open(cls, comm, name: str):
-        """Resumable :meth:`open`."""
         f = cls._lookup(comm, name)
         yield from comm.co_barrier()
         return f
@@ -130,26 +120,19 @@ class File:
         return f
 
     def close(self) -> None:
-        self.comm.barrier()
-        self._closed = True
+        _drive(self.co_close())
 
     def co_close(self):
-        """Resumable :meth:`close`."""
         yield from self.comm.co_barrier()
         self._closed = True
 
     # -- independent operations ---------------------------------------------
 
     def write_at(self, offset: int, data=None, nbytes: Optional[int] = None) -> int:
-        """Write at an explicit offset; returns the bytes written."""
-        self._check()
-        buf = Buffer.wrap(data, nbytes)
-        proc = self.comm._current()
-        self.fs.transfer(proc, buf.nbytes)
-        return self._note_write(proc, offset, buf)
+        return _drive(self.co_write_at(offset, data, nbytes))
 
     def co_write_at(self, offset: int, data=None, nbytes: Optional[int] = None):
-        """Resumable :meth:`write_at`."""
+        """Write at an explicit offset; returns the bytes written."""
         self._check()
         buf = Buffer.wrap(data, nbytes)
         proc = self.comm._current()
@@ -165,16 +148,11 @@ class File:
         return buf.nbytes
 
     def read_at(self, offset: int, nbytes: int):
-        """Read ``nbytes`` at an offset; returns stored bytes or None
-        for abstract regions."""
-        self._check()
-        proc = self.comm._current()
-        self.fs.transfer(proc, nbytes)
-        self.fs.bytes_read[proc.rank] += np.uint64(nbytes)
-        return self._data.get(offset)
+        return _drive(self.co_read_at(offset, nbytes))
 
     def co_read_at(self, offset: int, nbytes: int):
-        """Resumable :meth:`read_at`."""
+        """Read ``nbytes`` at an offset; returns stored bytes or None
+        for abstract regions."""
         self._check()
         proc = self.comm._current()
         yield from self.fs.co_transfer(proc, nbytes)
@@ -185,17 +163,12 @@ class File:
 
     def write_at_all(self, offset: int, data=None,
                      nbytes: Optional[int] = None) -> int:
-        """Collective write: every rank writes its block at
-        ``offset + rank * block``; synchronizes like MPI_File_write_at_all."""
-        self._check()
-        self.comm.barrier()
-        buf = Buffer.wrap(data, nbytes)
-        my_offset = offset + self.comm.rank * buf.nbytes
-        return self.write_at(my_offset, data=buf)
+        return _drive(self.co_write_at_all(offset, data, nbytes))
 
     def co_write_at_all(self, offset: int, data=None,
                         nbytes: Optional[int] = None):
-        """Resumable :meth:`write_at_all`."""
+        """Collective write: every rank writes its block at
+        ``offset + rank * block``; synchronizes like MPI_File_write_at_all."""
         self._check()
         yield from self.comm.co_barrier()
         buf = Buffer.wrap(data, nbytes)
@@ -203,13 +176,9 @@ class File:
         return (yield from self.co_write_at(my_offset, data=buf))
 
     def read_at_all(self, offset: int, nbytes: int):
-        self._check()
-        self.comm.barrier()
-        my_offset = offset + self.comm.rank * nbytes
-        return self.read_at(my_offset, nbytes)
+        return _drive(self.co_read_at_all(offset, nbytes))
 
     def co_read_at_all(self, offset: int, nbytes: int):
-        """Resumable :meth:`read_at_all`."""
         self._check()
         yield from self.comm.co_barrier()
         my_offset = offset + self.comm.rank * nbytes

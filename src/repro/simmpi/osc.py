@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.simmpi.collectives.util import ceil_log2
 from repro.simmpi.datatypes import Buffer
+from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
 
 __all__ = ["Window"]
@@ -36,14 +37,12 @@ class Window:
 
     @classmethod
     def create(cls, comm, local_data: Any = None, nbytes: Optional[int] = None) -> "Window":
-        """Collective window creation (synchronizes like MPI_Win_create)."""
-        win = cls._lookup(comm, local_data, nbytes)
-        win.fence()
-        return win
+        """Blocking :meth:`co_create`."""
+        return _drive(cls.co_create(comm, local_data, nbytes))
 
     @classmethod
     def co_create(cls, comm, local_data: Any = None, nbytes: Optional[int] = None):
-        """Resumable :meth:`create`."""
+        """Collective window creation (synchronizes like MPI_Win_create)."""
         win = cls._lookup(comm, local_data, nbytes)
         yield from win.co_fence()
         return win
@@ -65,20 +64,11 @@ class Window:
     # -- epochs -----------------------------------------------------------
 
     def fence(self) -> None:
-        """Synchronize all window members (dissemination, osc traffic)."""
-        comm = self.comm
-        ctx = ("osc-fence", self.id, self._fence_seq())
-        me, size = comm.rank, comm.size
-        token = Buffer(None, nbytes=0)
-        for k in range(ceil_log2(size)) if size > 1 else []:
-            dist = 1 << k
-            req = comm._irecv((me - dist) % size, tag=k, context=ctx)
-            comm._isend(token, (me + dist) % size, tag=k, context=ctx,
-                        category="osc")
-            req.wait()
+        """Blocking :meth:`co_fence`."""
+        _drive(self.co_fence())
 
     def co_fence(self):
-        """Resumable :meth:`fence`."""
+        """Synchronize all window members (dissemination, osc traffic)."""
         comm = self.comm
         ctx = ("osc-fence", self.id, self._fence_seq())
         me, size = comm.rank, comm.size
@@ -99,16 +89,11 @@ class Window:
     # -- RMA operations ------------------------------------------------------
 
     def put(self, value: Any, target: int, nbytes: Optional[int] = None) -> None:
-        """Write ``value`` into the target's window memory."""
-        comm = self.comm
-        comm._check_rank(target)
-        proc = comm._current()
-        buf = Buffer.wrap(value, nbytes)
-        comm.engine.maybe_yield(proc)
-        self._put_body(proc, buf, target)
+        """Blocking :meth:`co_put`."""
+        _drive(self.co_put(value, target, nbytes))
 
     def co_put(self, value: Any, target: int, nbytes: Optional[int] = None):
-        """Resumable :meth:`put`."""
+        """Write ``value`` into the target's window memory."""
         comm = self.comm
         comm._check_rank(target)
         proc = comm._current()
@@ -138,21 +123,16 @@ class Window:
         self._nbytes[target] = buf.nbytes
 
     def get(self, target: int, nbytes: Optional[int] = None) -> Any:
+        """Blocking :meth:`co_get`."""
+        return _drive(self.co_get(target, nbytes))
+
+    def co_get(self, target: int, nbytes: Optional[int] = None):
         """Read the target's window memory into the origin.
 
         The wire transfer flows target→origin, so the monitoring
         component books the bytes as *sent by the target* — matching
         how RDMA reads show up on NIC counters.
         """
-        comm = self.comm
-        comm._check_rank(target)
-        proc = comm._current()
-        n = self._nbytes.get(target, 0) if nbytes is None else int(nbytes)
-        comm.engine.maybe_yield(proc)
-        return self._get_body(proc, n, target)
-
-    def co_get(self, target: int, nbytes: Optional[int] = None):
-        """Resumable :meth:`get`."""
         comm = self.comm
         comm._check_rank(target)
         proc = comm._current()
@@ -186,18 +166,12 @@ class Window:
         return data
 
     def accumulate(self, value: Any, target: int, op, nbytes: Optional[int] = None) -> None:
-        """Atomic read-modify-write on the target memory (SUM etc.)."""
-        comm = self.comm
-        comm._check_rank(target)
-        buf = Buffer.wrap(value, nbytes)
-        existing = self._memory.get(target)
-        self.put(value, target, nbytes=buf.nbytes)
-        if existing is not None and buf.payload is not None:
-            self._memory[target] = op(existing, buf.payload)
+        """Blocking :meth:`co_accumulate`."""
+        _drive(self.co_accumulate(value, target, op, nbytes))
 
     def co_accumulate(self, value: Any, target: int, op,
                       nbytes: Optional[int] = None):
-        """Resumable :meth:`accumulate`."""
+        """Atomic read-modify-write on the target memory (SUM etc.)."""
         comm = self.comm
         comm._check_rank(target)
         buf = Buffer.wrap(value, nbytes)
@@ -213,8 +187,7 @@ class Window:
         return self._memory.get(self.comm.rank)
 
     def free(self) -> None:
-        self.fence()
+        _drive(self.co_free())
 
     def co_free(self):
-        """Resumable :meth:`free`."""
         yield from self.co_fence()

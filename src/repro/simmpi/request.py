@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional
 
-from repro.simmpi.engine import _tls, current_process
 from repro.simmpi.engine import Aborted as _Aborted
 from repro.simmpi.engine import _State as _St
+from repro.simmpi.engine import _drive, _tls
 from repro.simmpi.errorsim import SimError
 from repro.simmpi.match import Message
 
@@ -27,16 +27,13 @@ __all__ = ["Request", "SendRequest", "RecvRequest", "waitall", "co_waitall"]
 class Request:
     """Base request; subclasses define completion semantics.
 
-    Every request offers two completion idioms: the blocking
-    :meth:`wait` (thread-per-rank engine) and the resumable
-    :meth:`co_wait` generator (``yield from req.co_wait()`` from co
-    rank programs).  Under the threaded engine ``co_wait`` degenerates
-    to the blocking path without ever yielding, so co-style library
-    code runs unmodified on both cores.
+    Completion is written once, as the :meth:`co_wait` generator
+    (``msg = yield from req.co_wait()``); the blocking :meth:`wait`
+    drives it.
     """
 
-    def wait(self):  # pragma: no cover - interface
-        raise NotImplementedError
+    def wait(self):
+        return _drive(self.co_wait())
 
     def co_wait(self):  # pragma: no cover - interface
         raise NotImplementedError
@@ -52,9 +49,6 @@ class SendRequest(Request):
 
     def __init__(self, nbytes: int):
         self.nbytes = nbytes
-
-    def wait(self) -> None:
-        return None
 
     def co_wait(self):
         return None
@@ -101,15 +95,17 @@ class RecvRequest(Request):
         # operations can be observed.
         proc = self.proc
         if proc.pending is not None:
-            proc.engine.settle(proc)
+            _drive(proc.engine.co_settle(proc))
 
     @property
     def matched(self) -> bool:
         self._settle_sender()
         return self._msg is not None
 
-    def wait(self) -> Message:
-        """Block until matched, then synchronize the clock and return."""
+    def co_wait(self):
+        """Park until matched, then synchronize the clock and return
+        the message.  This is the simulator's one park-on-a-message
+        site (and its per-wait hot path)."""
         proc = self.proc
         engine = proc.engine
         if proc is not getattr(_tls, "proc", None):
@@ -117,79 +113,38 @@ class RecvRequest(Request):
         if self._msg is None or proc.pending is not None:
             # wait_obj is set before settling so the engine knows what
             # this rank is waiting on while its deferred send is being
-            # materialized (and can elide wakes that would be spurious).
+            # materialized (and can turn spurious wakes into phantoms).
             proc.wait_obj = self
             try:
+                # Engine.co_settle, inlined: a sub-generator allocation
+                # per park is measurable.  Keep in sync with engine.py.
                 if proc.pending is not None:
-                    engine.settle(proc)
+                    nxt = engine._settle_scan(proc)
+                    if nxt is not None:
+                        yield from engine._co_settle_park(proc, nxt)
                 while self._msg is None:
                     # The request itself is the block reason: its repr
                     # is only rendered if a deadlock dump needs it, so
                     # the hot path never formats a string.
-                    engine.block(proc, self)
-            finally:
-                proc.wait_obj = None
-        msg = self._msg
-        t_pre = proc.clock
-        proc.clock = max(t_pre, msg.arrival) + engine.network.recv_overhead
-        rr = engine._rr
-        if rr is not None:
-            rr.on_recv(proc, t_pre, msg)
-        return msg
-
-    def co_wait(self):
-        """Resumable twin of :meth:`wait` for co rank programs.
-
-        Byte-for-byte the same engine call sequence as :meth:`wait`
-        with the parking primitives swapped for their ``co_``
-        counterparts; under the threaded engine those delegate to the
-        blocking ones without yielding, so both spellings are
-        equivalent there by construction.
-        """
-        proc = self.proc
-        engine = proc.engine
-        if proc is not getattr(_tls, "proc", None):
-            raise SimError("a request must be waited by the rank that posted it")
-        if self._msg is None or proc.pending is not None:
-            # wait_obj before settling, exactly like wait(): the engine
-            # must know the wait target while the deferred send is
-            # materialized so spurious wakes become phantom entries.
-            proc.wait_obj = self
-            try:
-                if not engine._ev:
-                    if proc.pending is not None:
-                        engine.settle(proc)
-                    while self._msg is None:
-                        engine.block(proc, self)
-                else:
-                    # Engine.co_settle and Engine.co_block, inlined:
-                    # this is the per-wait hot path, and a sub-generator
-                    # allocation per park is measurable.  Keep in sync
-                    # with engine.py.
-                    if proc.pending is not None:
-                        nxt = engine._settle_scan(proc)
+                    proc.state = _St.BLOCKED
+                    proc.blocked_on = self
+                    o = engine._obs
+                    if o is not None:
+                        o.note_block(len(engine._ready_heap))
+                    nxt = engine._pop_ready()
+                    if nxt is not proc:
                         if nxt is not None:
-                            yield from engine._co_settle_park(proc, nxt)
-                    while self._msg is None:
-                        proc.state = _St.BLOCKED
-                        proc.blocked_on = self
-                        o = engine._obs
-                        if o is not None:
-                            o.note_block(len(engine._ready_heap))
-                        nxt = engine._pop_ready()
-                        if nxt is not proc:
-                            if nxt is not None:
-                                engine._switches += 1
-                                nxt.state = _St.RUNNING
-                                yield nxt
-                            else:
-                                yield None
+                            engine._switches += 1
+                            nxt.state = _St.RUNNING
+                            yield nxt
                         else:
-                            engine._self_handoffs += 1
-                        if engine._aborting:
-                            raise _Aborted()
-                        proc.state = _St.RUNNING
-                        proc.blocked_on = ""
+                            yield None
+                    else:
+                        engine._self_handoffs += 1
+                    if engine._aborting:
+                        raise _Aborted()
+                    proc.state = _St.RUNNING
+                    proc.blocked_on = ""
             finally:
                 proc.wait_obj = None
         msg = self._msg
@@ -209,14 +164,11 @@ class RecvRequest(Request):
 def waitall(requests: Iterable[Request]) -> List[Optional[Message]]:
     """Wait on every request, in order; returns received messages
     (``None`` for send requests)."""
-    out: List[Optional[Message]] = []
-    for req in requests:
-        out.append(req.wait())
-    return out
+    return _drive(co_waitall(requests))
 
 
 def co_waitall(requests: Iterable[Request]):
-    """Resumable :func:`waitall` (same order, same semantics)."""
+    """:func:`waitall`, for generator programs."""
     out: List[Optional[Message]] = []
     for req in requests:
         out.append((yield from req.co_wait()))

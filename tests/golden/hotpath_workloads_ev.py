@@ -1,12 +1,13 @@
-"""Event-driven-core ports of the golden hot-path workloads.
+"""Generator spellings of the golden hot-path workloads.
 
 Each entry mirrors a workload in :mod:`tests.golden.hotpath_workloads`
-line for line, rewritten against the resumable ``co_*`` API and run
-with ``core="eventloop"`` — one continuation per rank, zero OS
-threads.  The event-loop equivalence test asserts that every snapshot
-field (clocks, matrices, NIC counters, switch counts) matches the same
-``hotpath_golden.json`` the threaded engine is pinned to: the two
-cores must be bit-identical, not merely statistically close.
+line for line, rewritten against the ``co_*`` API, so the scheduler
+resumes it natively — one continuation per rank, zero OS threads —
+where the blocking table goes through the engine's thread adapter.
+The equivalence test asserts that every snapshot field (clocks,
+matrices, NIC counters, switch counts) matches the same
+``hotpath_golden.json``: the two spellings must be bit-identical, not
+merely statistically close.
 
 The ``co_sync`` calls before plain (blocking) monitoring-API calls are
 the settle-idempotence discipline of DESIGN.md §4.5: with the deferred
@@ -37,7 +38,7 @@ def fig5_shaped():
 
     sizes = (1_000_000, 5_000_000)
     cluster = Cluster.plafrim(2, binding="rr")
-    engine = Engine(cluster, seed=0, core="eventloop")
+    engine = Engine(cluster, seed=0)
 
     def program(comm):
         out = []
@@ -77,7 +78,7 @@ def fig6_shaped():
     from repro.apps.microbench import co_grouped_allgather_benchmark
 
     cluster = Cluster.plafrim(2, binding="rr")
-    engine = Engine(cluster, seed=0, core="eventloop")
+    engine = Engine(cluster, seed=0)
 
     def program(comm):
         out = []
@@ -97,7 +98,7 @@ def mixed_monitored():
     from repro.core import Flags, MonitoringSession, monitoring
 
     cluster = Cluster.plafrim(2, binding="rr")
-    engine = Engine(cluster, seed=3, core="eventloop")
+    engine = Engine(cluster, seed=3)
 
     def program(comm):
         me, n = comm.rank, comm.size
@@ -132,7 +133,7 @@ def mixed_monitored():
 def jittered_p2p():
     """Seeded jitter stream: block-drawn jitter must match scalar draws."""
     cluster = Cluster.plafrim(2, binding="rr", jitter=0.15)
-    engine = Engine(cluster, seed=11, core="eventloop")
+    engine = Engine(cluster, seed=11)
 
     def program(comm):
         me, n = comm.rank, comm.size
@@ -152,8 +153,7 @@ def jittered_p2p():
 def osc_and_overhead():
     """One-sided traffic plus the per-record monitoring-overhead charge."""
     cluster = Cluster.plafrim(1, binding="packed")
-    engine = Engine(cluster, seed=0, monitoring_overhead=1e-6,
-                    core="eventloop")
+    engine = Engine(cluster, seed=0, monitoring_overhead=1e-6)
 
     def program(comm):
         yield from comm.co_sync()

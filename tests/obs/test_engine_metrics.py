@@ -70,13 +70,13 @@ class TestEngineMetrics:
         assert depth["count"] > 0
 
     def test_eventloop_run_publishes_scheduler_metrics(self, enabled):
-        """The event-driven core feeds the same registry: the
+        """A generator program feeds the same registry: the
         resumes/switches counter pair must agree (bit-exact scheduling)
         and the per-virtual-second rate gauge must be consistent with
         the published makespan."""
         registry, _ = enabled
         topo = Topology([("node", 2), ("socket", 2), ("core", 4)])
-        engine = Engine(Cluster(topo, 8), seed=0, core="eventloop")
+        engine = Engine(Cluster(topo, 8), seed=0)
 
         def prog(comm):
             me, n = comm.rank, comm.size
@@ -88,7 +88,6 @@ class TestEngineMetrics:
         engine.run(prog)
         snap = registry.snapshot()
         counters = snap["counters"]
-        assert engine._ev
         assert counters["repro_engine_resumes_total"] == engine.resumes > 0
         assert counters["repro_engine_resumes_total"] == \
             counters["repro_engine_context_switches_total"]
@@ -97,7 +96,7 @@ class TestEngineMetrics:
             pytest.approx(engine.resumes / engine.max_clock)
         assert gauges["repro_engine_virtual_makespan_seconds"] == \
             engine.max_clock
-        # Ready-queue depth sampling works on the event core too: parks
+        # Ready-queue depth sampling works for generator programs too: parks
         # go through the same note_block tap.
         assert snap["histograms"]["repro_engine_ready_queue_depth"]["count"] > 0
 

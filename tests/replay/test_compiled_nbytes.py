@@ -45,7 +45,6 @@ def test_nbytes_scales_with_trace_size(fig5_trace):
         params=fig5_trace.params,
         seed=fig5_trace.seed,
         monitoring_overhead=fig5_trace.monitoring_overhead,
-        handoff=fig5_trace.handoff,
         comms=fig5_trace.comms,
         clocks=fig5_trace.clocks,
         events=fig5_trace.events[: len(fig5_trace.events) // 2],

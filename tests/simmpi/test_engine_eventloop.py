@@ -1,16 +1,17 @@
-"""Event-driven core: golden equivalence and scheduler unit tests.
+"""Generator rank programs: golden equivalence and scheduler unit tests.
 
-The event-driven core (one continuation per rank, zero OS threads)
-must be *bit-exact* against the same golden snapshots the threaded
-engine is pinned to — clocks, monitoring matrices, NIC counters, and
-switch counts (a switch is a scheduler resume on the event core).
-The A/B tests here also drive the *same generator program* on both
-cores and compare full snapshots, so the equivalence is established
-against a live threaded run, not only against the checked-in file.
+A generator program (one continuation per rank, zero OS threads) must
+be *bit-exact* against the same golden snapshots the blocking spelling
+is pinned to — clocks, monitoring matrices, NIC counters, and switch
+counts.  The A/B test here also runs one program in both spellings and
+compares full snapshots, so the equivalence of the thread adapter and
+the native driver is established against a live run, not only against
+the checked-in file.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import threading
@@ -45,11 +46,10 @@ def golden():
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS_EV))
 def test_eventloop_matches_seed_golden(name, golden):
-    """The event core reproduces the seed snapshots bit-for-bit —
-    including ``switches``, i.e. the continuation scheduler resumes
-    ranks in exactly the order the baton-passing threads ran."""
+    """Generator programs reproduce the seed snapshots bit-for-bit —
+    including ``switches``, i.e. the scheduler resumes ranks in exactly
+    the order the seed's baton-passing threads ran."""
     engine, results = WORKLOADS_EV[name]()
-    assert engine._ev  # really ran on the event core
     snap = snapshot_engine(engine)
     snap["results"] = results
     expected = golden[name]
@@ -60,15 +60,14 @@ def test_eventloop_matches_seed_golden(name, golden):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS_EV))
 def test_eventloop_counts_resumes(name):
-    """On the event core every switch is a ``task.send()`` resume, so
-    the two counters tick together (the golden run pins their value)."""
+    """Every switch is followed by one ``task.send()`` resume, so the
+    two counters tick together (the golden run pins their value)."""
     engine, _ = WORKLOADS_EV[name]()
-    assert engine.resumes == engine._resumes
     assert engine.resumes == engine.switches
     assert engine.resumes > 0
 
 
-# -- A/B: the same generator program on both cores --------------------------
+# -- A/B: one program, both spellings ----------------------------------------
 
 
 def _mixed_generator_program(comm):
@@ -87,44 +86,86 @@ def _mixed_generator_program(comm):
     return out, float(total), t
 
 
-def _run_generator_on(core: str):
+def _mixed_blocking_program(comm):
+    """:func:`_mixed_generator_program`, written blocking."""
+    me, n = comm.rank, comm.size
+    out = []
+    comm.barrier()
+    for it in range(3):
+        msg = comm.sendrecv(
+            np.float64(me), dest=(me + 1) % n, source=(me - 1) % n,
+            sendtag=it, recvtag=it, nbytes=10_000,
+        )
+        out.append(float(msg.payload))
+    total = comm.allreduce(np.float64(me), SUM)
+    comm.compute(1e-4 * me)
+    return out, float(total), comm.time
+
+
+def _run(program):
     cluster = Cluster.plafrim(1, binding="rr", jitter=0.05)
-    engine = Engine(cluster, seed=21, core=core)
-    results = engine.run(_mixed_generator_program)
+    engine = Engine(cluster, seed=21)
+    results = engine.run(program)
     return engine, results
 
 
-def test_generator_program_core_ab_equivalence():
-    """core='threads' drives the identical generator program on OS
-    threads; every snapshot field must match the event-core run."""
-    eng_threads, res_threads = _run_generator_on("threads")
-    eng_event, res_event = _run_generator_on("eventloop")
-    assert not eng_threads._ev
-    assert eng_event._ev
-    assert res_threads == res_event
-    assert snapshot_engine(eng_threads) == snapshot_engine(eng_event)
+def test_blocking_spelling_matches_generator_spelling():
+    """The thread adapter drives the same ``co_*`` services the native
+    driver resumes: every snapshot field must match, switches included."""
+    eng_blocking, res_blocking = _run(_mixed_blocking_program)
+    eng_native, res_native = _run(_mixed_generator_program)
+    assert res_blocking == res_native
+    assert snapshot_engine(eng_blocking) == snapshot_engine(eng_native)
+    assert eng_blocking.resumes == eng_native.resumes
+
+
+def test_adapter_handshake_under_thread_stress():
+    """24 rank threads on a host with fewer cores, preempted as often as
+    the interpreter allows: the loop/thread handshake must still let
+    exactly one of them run at a time (a lost or doubled wake-up would
+    change the switch count or a clock)."""
+    import sys
+
+    reference = snapshot_engine(_run(_mixed_generator_program)[0])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            engine, _ = _run(_mixed_blocking_program)
+            assert snapshot_engine(engine) == reference
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("simmpi-rank-")]
 
 
 def test_auto_core_picks_eventloop_for_generators():
-    cluster = Cluster.plafrim(1, binding="rr")
-    engine = Engine(cluster, seed=21)
-    assert engine.core == "auto"
-    engine.run(_mixed_generator_program)
-    assert engine._ev
+    """The driver is read off the program: a generator function gets a
+    native continuation per rank, a plain callable a thread task."""
+    engine, _ = _run(_mixed_generator_program)
+    assert all(inspect.isgenerator(p.task) for p in engine.procs)
+    engine, _ = _run(_mixed_blocking_program)
+    assert not any(inspect.isgenerator(p.task) for p in engine.procs)
 
 
 def test_eventloop_runs_on_zero_extra_threads():
     """The headline property: no OS thread is created per rank."""
+    seen = []
+
+    def program(comm):
+        seen.append(threading.active_count())
+        return (yield from _mixed_generator_program(comm))
+
     before = threading.active_count()
-    engine, _ = _run_generator_on("eventloop")
+    engine, _ = _run(program)
     assert threading.active_count() == before
-    assert all(p.thread is None for p in engine.procs)
+    assert set(seen) == {before}
     assert all(p.task is not None for p in engine.procs)
 
 
 def test_eventloop_deterministic():
-    eng_a, res_a = _run_generator_on("eventloop")
-    eng_b, res_b = _run_generator_on("eventloop")
+    eng_a, res_a = _run(_mixed_generator_program)
+    eng_b, res_b = _run(_mixed_generator_program)
     assert res_a == res_b
     assert snapshot_engine(eng_a) == snapshot_engine(eng_b)
 
@@ -132,23 +173,9 @@ def test_eventloop_deterministic():
 # -- validation and failure modes -------------------------------------------
 
 
-def test_core_validation():
-    cluster = Cluster.plafrim(1)
-    with pytest.raises(ValueError):
-        Engine(cluster, core="fibers")
-    assert Engine(cluster).core == "auto"
-
-
-def test_eventloop_rejects_plain_callable():
-    cluster = Cluster(Topology([("node", 1), ("core", 2)]), 2)
-    engine = Engine(cluster, core="eventloop")
-    with pytest.raises(SimError, match="generator"):
-        engine.run(lambda comm: comm.rank)
-
-
 def test_eventloop_rank_failure():
     cluster = Cluster(Topology([("node", 1), ("core", 4)]), 4)
-    engine = Engine(cluster, core="eventloop")
+    engine = Engine(cluster)
 
     def program(comm):
         yield from comm.co_barrier()
@@ -162,7 +189,7 @@ def test_eventloop_rank_failure():
 
 def test_eventloop_deadlock_detection():
     cluster = Cluster(Topology([("node", 1), ("core", 2)]), 2)
-    engine = Engine(cluster, core="eventloop")
+    engine = Engine(cluster)
 
     def program(comm):
         # Both ranks receive, nobody sends.
@@ -177,12 +204,12 @@ def test_eventloop_deadlock_detection():
 def test_eventloop_restores_current_process():
     """After a run (successful or failed) the scheduler leaves no
     dangling thread-local process binding behind."""
-    engine, _ = _run_generator_on("eventloop")
+    engine, _ = _run(_mixed_generator_program)
     with pytest.raises(SimError):
         current_process()
 
     cluster = Cluster(Topology([("node", 1), ("core", 2)]), 2)
-    failing = Engine(cluster, core="eventloop")
+    failing = Engine(cluster)
 
     def program(comm):
         yield from comm.co_sync()
@@ -196,7 +223,7 @@ def test_eventloop_restores_current_process():
 
 def test_eventloop_negative_compute_rejected():
     cluster = Cluster(Topology([("node", 1), ("core", 1)]), 1)
-    engine = Engine(cluster, core="eventloop")
+    engine = Engine(cluster)
 
     def program(comm):
         yield from comm.co_compute(-1.0)
@@ -206,8 +233,8 @@ def test_eventloop_negative_compute_rejected():
 
 
 def test_drive_rejects_yielding_generator():
-    """_drive is the blocking bridge: a generator that actually yields
-    outside the event core is a programming error, not a hang."""
+    """_drive is the blocking bridge: a generator that has to park with
+    no rank thread to park on is a programming error, not a hang."""
     from repro.simmpi.engine import _drive
 
     def co_bogus():

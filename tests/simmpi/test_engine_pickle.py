@@ -2,7 +2,7 @@
 
 A finished engine is an analysis artifact: sweep workers ship results
 across process boundaries and cache layers persist them to disk, so
-``pickle.dumps(engine)`` must work — no live threads, semaphores, or
+``pickle.dumps(engine)`` must work — no live threads, continuations, or
 MPI_T reader closures in the state.  The thawed engine must preserve
 every observable (clocks, matrices, totals, NIC counters, switches)
 and have a working, freshly rebuilt MPI_T registry.
@@ -11,16 +11,14 @@ and have a working, freshly rebuilt MPI_T registry.
 from __future__ import annotations
 
 import pickle
-import threading
 
 import numpy as np
-import pytest
 
 from repro.simmpi import SUM, Cluster, Engine
 from scripts.capture_hotpath_golden import snapshot_engine
 
 
-def _finished_engine(core: str = "auto"):
+def _finished_engine():
     """A small monitored run touching p2p, coll, and osc state.
 
     Deliberately mapi-free: the monitoring *runtime* (pvar handles in
@@ -28,7 +26,7 @@ def _finished_engine(core: str = "auto"):
     engine-as-artifact contract.
     """
     cluster = Cluster.plafrim(1, binding="rr", jitter=0.1)
-    engine = Engine(cluster, seed=13, core=core)
+    engine = Engine(cluster, seed=13)
 
     def program(comm):
         comm.engine.pml.set_mode(2)
@@ -64,22 +62,18 @@ def test_round_trip_preserves_observables():
 def test_no_live_threads_or_semaphores_in_state():
     engine, _ = _finished_engine()
     state = engine.__getstate__()
-    for key in ("_main_sem", "mpit", "_obs", "_obs_spans", "_rr"):
+    for key in ("mpit", "_obs", "_obs_spans", "_rr"):
         assert key not in state
     for proc in state["procs"]:
-        pstate = proc.__getstate__()
-        assert "thread" not in pstate
-        assert "task" not in pstate
-        assert "sem" not in pstate
+        assert proc.task is not None  # the (finished) thread task
+        assert "task" not in proc.__getstate__()
 
 
 def test_thawed_engine_rewires_runtime_taps():
     engine, _ = _finished_engine()
     thawed = pickle.loads(pickle.dumps(engine))
-    # Fresh, locked main semaphore; fresh MPI_T registry wired to the
-    # same pml; sync reinstalled as the settle bridge.
-    assert isinstance(thawed._main_sem, type(threading.Lock()))
-    assert not thawed._main_sem.acquire(blocking=False)
+    # Fresh MPI_T registry wired to the same pml; sync reinstalled as
+    # the settle bridge.
     assert thawed.mpit is not engine.mpit
     assert thawed.pml.sync is not None
     assert thawed._obs is None and thawed._rr is None
@@ -94,16 +88,14 @@ def test_thawed_procs_are_inert():
     engine, _ = _finished_engine()
     thawed = pickle.loads(pickle.dumps(engine))
     for proc in thawed.procs:
-        assert proc.thread is None
         assert proc.task is None
-        assert not proc.sem.acquire(blocking=False)  # parked (locked)
 
 
 def test_round_trip_from_event_core():
-    """The event core leaves rank continuations on the procs; they are
-    ephemeral too."""
+    """A generator program leaves rank continuations on the procs; they
+    are ephemeral too."""
     cluster = Cluster.plafrim(1, binding="rr")
-    engine = Engine(cluster, seed=2, core="eventloop")
+    engine = Engine(cluster, seed=2)
 
     def program(comm):
         yield from comm.co_barrier()
@@ -157,10 +149,3 @@ def test_unreadable_live_run_state_is_dropped_not_fatal():
     thawed = pickle.loads(pickle.dumps(engine))
     assert thawed.procs == []
     assert thawed.world is None
-
-
-@pytest.mark.parametrize("core", ["auto", "threads"])
-def test_round_trip_across_cores_matches(core):
-    engine, _ = _finished_engine(core=core)
-    thawed = pickle.loads(pickle.dumps(engine))
-    assert snapshot_engine(thawed) == snapshot_engine(engine)

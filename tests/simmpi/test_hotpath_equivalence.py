@@ -1,12 +1,12 @@
-"""Hot-path equivalence and scheduler fast-handoff tests.
+"""Hot-path equivalence tests, blocking spelling.
 
 The optimized engine (precomputed route tables, batched monitoring,
 fused send materialization) must be *bit-exact* against the golden
 snapshots captured from the seed implementation: every per-rank virtual
 clock, monitoring matrix digest, NIC counter, and switch count.  The
-``fast`` handoff policy trades that exactness for fewer baton handoffs;
-it must still be deterministic per seed and preserve the monitoring
-totals (message counts and bytes do not depend on interleaving).
+workloads here are plain-callable programs, so they also pin the thread
+adapter: ``tests/simmpi/test_engine_eventloop.py`` runs the same
+programs written as generators against the same file.
 """
 
 from __future__ import annotations
@@ -44,77 +44,6 @@ def test_matches_seed_golden(name, golden):
     assert sorted(snap) == sorted(expected)
     for key in expected:
         assert snap[key] == expected[key], f"{name}: {key} diverged from seed"
-
-
-# -- fast handoff -----------------------------------------------------------
-
-
-def _fig6_shaped(handoff: str, seed: int = 7):
-    """Fig. 6-shaped pipelined workload, built directly so the engine's
-    ``handoff`` policy can be chosen (the golden workloads pin exact)."""
-    from repro.apps.microbench import grouped_allgather_benchmark
-
-    cluster = Cluster.plafrim(2, binding="rr")
-    engine = Engine(cluster, seed=seed, handoff=handoff)
-
-    def program(comm):
-        res = grouped_allgather_benchmark(
-            comm, group_size=8, n_ints=256, iterations=3
-        )
-        return [float.hex(res.t1), float.hex(res.t2), float.hex(res.t3)]
-
-    results = engine.run(program)
-    return engine, results
-
-
-def test_handoff_validation():
-    cluster = Cluster.plafrim(1)
-    with pytest.raises(ValueError):
-        Engine(cluster, handoff="bogus")
-    assert Engine(cluster).handoff == "exact"
-    assert Engine(cluster, handoff="fast").handoff == "fast"
-
-
-def test_fast_mode_deterministic():
-    """Two runs with the same seed produce identical snapshots."""
-    eng_a, res_a = _fig6_shaped("fast")
-    eng_b, res_b = _fig6_shaped("fast")
-    assert res_a == res_b
-    assert snapshot_engine(eng_a) == snapshot_engine(eng_b)
-
-
-def test_fast_mode_reduces_switches():
-    """Acceptance bar: >= 30% fewer baton handoffs on the Fig. 6
-    microbenchmark (pipelined ring allgathers)."""
-    eng_exact, _ = _fig6_shaped("exact")
-    eng_fast, _ = _fig6_shaped("fast")
-    assert eng_fast.messages == eng_exact.messages  # same traffic
-    assert eng_fast.switches <= 0.7 * eng_exact.switches
-
-
-def test_fast_mode_preserves_monitoring_totals():
-    """Interleaving may differ, but what was sent does not: per-category
-    (messages, bytes) totals are identical across handoff policies."""
-    from repro.simmpi.pml_monitoring import CATEGORIES
-
-    def build(handoff):
-        cluster = Cluster.plafrim(2, binding="rr")
-        engine = Engine(cluster, seed=5, handoff=handoff)
-
-        def program(comm):
-            comm.engine.pml.set_mode(2)
-            comm.barrier()
-            comm.allgather(None, nbytes=4_000, algorithm="ring")
-            comm.sendrecv(None, dest=(comm.rank + 1) % comm.size,
-                          source=(comm.rank - 1) % comm.size, nbytes=64)
-
-        engine.run(program)
-        return engine
-
-    eng_exact = build("exact")
-    eng_fast = build("fast")
-    for cat in CATEGORIES:
-        assert eng_fast.pml.totals(cat) == eng_exact.pml.totals(cat)
 
 
 def test_messages_counter():

@@ -3,7 +3,7 @@ invariants."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.placement.grouping import greedy_group, symmetrize
@@ -97,6 +97,12 @@ def test_greedy_group_is_partition(m, data):
 
 
 @given(square_matrix(n_max=8))
+# Round-off made refine_groups swap two items back and forth for ever.
+@example(np.array([[0.0, 48575.0, 1.9999999998835847, 48575.0, 0.0, 0.0],
+                   [0.0, 0.0, 1000000.0, 0.0, 0.0, 0.0],
+                   [0.0, 48575.0, 0.0, 48575.0, 0.0, 0.0],
+                   [0.0, 0.0, 1000000.0, 0.0, 0.0, 0.0],
+                   [0.0] * 6, [0.0] * 6]))
 @settings(suppress_health_check=[HealthCheck.filter_too_much], deadline=None)
 def test_treematch_placement_valid(m):
     n = m.shape[0]
