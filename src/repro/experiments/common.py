@@ -161,7 +161,7 @@ def handle_trace_in(args: argparse.Namespace, consumer=None) -> bool:
     meta = trace.meta or {}
     workload = meta.get("workload", "?")
     print(f"replayed {path} (workload {workload}): "
-          f"{trace.world_size} ranks, {len(trace.events)} events, "
+          f"{trace.world_size} ranks, {trace.n_events} events, "
           f"{res.n_messages} messages, {total} bytes on the wire")
     print(f"  makespan {res.max_clock:.6f}s (bit-exact vs recorded run)")
     return True

@@ -57,7 +57,7 @@ def _load(path: str):
 
 def _summary_lines(trace, res) -> List[str]:
     lines = [
-        f"events      {len(trace.events)}",
+        f"events      {trace.n_events}",
         f"ranks       {trace.world_size}",
         f"messages    {res.n_messages}",
         f"mode        {'exact (bit-identical to the live run)' if res.exact else 'recosted'}",
@@ -95,7 +95,7 @@ def _cmd_record(args) -> int:
     finally:
         autorecord.disable()
     trace = _load(args.out)
-    print(f"recorded {len(trace.events)} events from fig5[{args.op}] "
+    print(f"recorded {trace.n_events} events from fig5[{args.op}] "
           f"({trace.world_size} ranks) -> {args.out}")
     for p in points:
         print(f"  n_ints={p.n_ints:>10}  baseline {p.t_baseline:.4f}s  "
@@ -181,7 +181,7 @@ def _cmd_search(args) -> int:
          "wall (ms)"],
         rows,
         title=f"what-if placement search over {args.trace} "
-              f"({trace.world_size} ranks, {len(trace.events)} events)"))
+              f"({trace.world_size} ranks, {trace.n_events} events)"))
     print(f"\nbest: {res.best.strategy} "
           f"(makespan {res.best.makespan:.6f}s, "
           f"{res.speedup:.2f}x vs recorded; search took {search_wall:.3f}s)")
@@ -252,7 +252,7 @@ def _write_bench(path: str, trace, res, search_wall: float) -> None:
         "cell": {k: meta[k] for k in
                  ("op", "n_nodes", "sizes", "reps", "seed") if k in meta},
         "world_size": trace.world_size,
-        "n_events": len(trace.events),
+        "n_events": trace.n_events,
         "strategies": [c.strategy for c in res.candidates],
         "replay_search": {
             "total_wall_seconds": search_wall,
@@ -293,7 +293,7 @@ def _cmd_diff(args) -> int:
     ra = replay(ta)
     rb = replay(tb, substitute=sub)
     rc = 0
-    print(f"events     {len(ta.events)} vs {len(tb.events)}")
+    print(f"events     {ta.n_events} vs {tb.n_events}")
     print(f"messages   {ra.n_messages} vs {rb.n_messages}")
     print(f"makespan   {ra.max_clock:.6f} vs {rb.max_clock:.6f} "
           f"(delta {rb.max_clock - ra.max_clock:+.6f})")

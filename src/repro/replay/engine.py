@@ -46,7 +46,15 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 from repro.replay.schema import (
+    K_B,
+    K_F,
+    K_G,
+    K_P,
+    K_R,
+    K_S,
     ReplayTrace,
+    kind_rows,
+    merge_by_kind,
     params_from_json,
     topology_from_json,
 )
@@ -215,79 +223,70 @@ def replay(
 
 def _replay_recorded(trace: ReplayTrace, net, exact: bool,
                      verify: bool) -> ReplayResult:
-    n = trace.world_size
-    last = [0.0] * n
-    # Sequence numbers are dense (a single recorder counter), so a
-    # flat slot table beats a dict on the per-event hot path.
-    arrivals: List[Optional[float]] = [None] * (len(trace.events) + 1)
-    books = _Books(n)
-    ovh = trace.monitoring_overhead
+    """The interpreter: every message through :meth:`Network.transfer`,
+    over the compiled op stream.  Exact mode issues each event at its
+    recorded ``t`` (the compile cache's parallel column); the books are
+    placement-invariant and come from the compile cache — treat the
+    result's matrices as read-only."""
+    prog, counts, sizes, total_counts, total_sizes, _n, max_seq, t_col = \
+        _compile_trace(trace)
+    last = [0.0] * trace.world_size
+    arrivals: List[Optional[float]] = [None] * (max_seq + 1)
     orecv = net.recv_overhead
     alpha = net._alpha_l
     nr = net._n_ranks
     transfer = net.transfer
     bad: List[str] = []
 
-    def check(r: int, t: float, gap: float) -> None:
-        if gap == 0.0 and last[r] != t:
+    for rec, t in zip(prog, t_col.tolist()):
+        k = rec[0]
+        r = rec[1]
+        gap = rec[-1] if k else rec[6]   # a send's last slot is its pair
+        if verify and gap == 0.0 and last[r] != t:
             bad.append(f"rank {r}: computed {last[r]!r} != recorded {t!r}")
-
-    for ev in trace.events:
-        kind = ev[0]
-        if kind == "S":
-            _, r, dst, nb, cat, mcat, seq, t, gap = ev
-            if verify:
-                check(r, t, gap)
-            tt = t if exact else last[r] + gap
-            if mcat and ovh > 0.0:
-                tt = tt + ovh
+        tt = t if exact else last[r] + gap
+        if k == 0:  # send
+            _, _r, dst, nb, o, seq, _gap, _pidx = rec
+            if o:
+                tt = tt + o
             done, arr = transfer(r, dst, nb, tt)
             arrivals[seq] = arr
             last[r] = done
-            books.book(cat, mcat, r, dst, nb)
-        elif kind == "R":
-            _, r, seq, t, gap = ev
-            if verify:
-                check(r, t, gap)
-            tt = t if exact else last[r] + gap
-            arr = arrivals[seq]
+        elif k == 1:  # receive-wait
+            arr = arrivals[rec[2]]
             if arr is None:
                 raise ReplayError(
-                    f"receive references unsent message #{seq}")
+                    f"receive references unsent message #{rec[2]}")
             last[r] = max(tt, arr) + orecv
-        elif kind == "P":
-            _, r, dst, nb, mcat, t, gap = ev
-            if verify:
-                check(r, t, gap)
-            tt = t if exact else last[r] + gap
-            if mcat and ovh > 0.0:
-                tt = tt + ovh
+        elif k == 2:  # final compute tail
+            last[r] = tt
+        elif k == 3:  # one-sided put
+            _, _r, dst, nb, o, _gap = rec
+            if o:
+                tt = tt + o
             done, _arr = transfer(r, dst, nb, tt)
             last[r] = done
-            books.book("osc", mcat, r, dst, nb)
-        elif kind == "G":
-            _, r, target, nb, mcat, t, gap = ev
-            if verify:
-                check(r, t, gap)
-            tt = t if exact else last[r] + gap
-            if mcat and ovh > 0.0:
-                tt = tt + ovh
+        else:  # one-sided get
+            _, _r, target, nb, o, _gap = rec
+            if o:
+                tt = tt + o
             t_req = tt + alpha[r * nr + target]
             _done, arr = transfer(target, r, nb, t_req)
             last[r] = max(tt, arr) + orecv
-            books.book("osc", mcat, target, r, nb)
-        elif kind == "F":
-            _, r, t, gap = ev
-            if verify:
-                check(r, t, gap)
-            last[r] = t if exact else last[r] + gap
-        # "B"/"E" markers carry no cost in recorded order.
 
     if bad:
         head = "; ".join(bad[:5])
         raise ReplayVerifyError(
             f"{len(bad)} clock divergences in exact replay: {head}")
-    return books.result(last, net.n_messages, exact)
+    return ReplayResult(
+        clocks=last,
+        counts=counts,
+        sizes=sizes,
+        total_counts=total_counts,
+        total_sizes=total_sizes,
+        n_messages=net.n_messages,
+        exact=exact,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +296,21 @@ def _replay_recorded(trace: ReplayTrace, net, exact: bool,
 class CompiledTrace(NamedTuple):
     """A trace pre-digested for repeated re-costing.
 
-    Tuple-compatible with the historical 7-tuple (the per-candidate
-    loop still destructures it positionally); :meth:`nbytes` adds the
-    memory estimate the serving layer's byte-bounded LRU evicts by.
+    ``prog`` is the compact op stream of the timed events, one record
+    per event with the rank-pair index and the monitoring-overhead
+    charge resolved::
+
+        (0, rank, dst, nbytes, ovh, seq, gap, rank * n + dst)   send
+        (1, rank, seq, gap)                                     receive-wait
+        (2, rank, gap)                                          finish
+        (3, rank, target, nbytes, ovh, gap)                     put
+        (4, rank, target, nbytes, ovh, gap)                     get
+
+    ``t`` is the recorded issue time of each record, a float64 column
+    parallel to ``prog``: only the exact interpreter reads it, so the
+    per-candidate records stay as narrow as the hot loop needs.
+    :meth:`nbytes` is the memory estimate the serving layer's
+    byte-bounded LRU evicts by.
     """
 
     prog: List[tuple]
@@ -309,6 +320,7 @@ class CompiledTrace(NamedTuple):
     total_sizes: Dict[str, "np.ndarray"]
     n_messages: int
     max_seq: int
+    t: "np.ndarray"
 
     def nbytes(self) -> int:
         """Resident size of the book, in bytes.
@@ -320,7 +332,7 @@ class CompiledTrace(NamedTuple):
         slot is a deliberate slight over-estimate — an LRU should err
         toward evicting early, not late).
         """
-        total = 0
+        total = int(self.t.nbytes)
         for table in (self.counts, self.sizes,
                       self.total_counts, self.total_sizes):
             for mat in table.values():
@@ -341,71 +353,87 @@ def compile_trace(trace: ReplayTrace) -> CompiledTrace:
     return _compile_trace(trace)
 
 
+def _pair_matrices(flat, nb, codes, n: int):
+    """Per-category (count, byte) matrices of the messages whose
+    ``codes`` entry names the category (code 0 books nowhere)."""
+    counts, sizes = {}, {}
+    for code, cat in enumerate(CATEGORIES, start=1):
+        sel = codes == code
+        idx = flat[sel]
+        counts[cat] = np.bincount(idx, minlength=n * n) \
+            .astype(np.uint64).reshape(n, n)
+        mat = np.zeros(n * n, dtype=np.uint64)
+        np.add.at(mat, idx, nb[sel])
+        sizes[cat] = mat.reshape(n, n)
+    return counts, sizes
+
+
 def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     """Pre-digest a trace for repeated re-costing (cached on the trace).
 
     Two facts make this profitable: the byte matrices are
     *placement-invariant* (what was sent does not depend on where ranks
     sit), so the books can be built once per trace instead of once per
-    candidate; and B/E markers carry no cost in recorded order, so the
-    per-candidate loop only needs a compact op stream of the timed
-    events, with the rank-pair index and the monitoring-overhead charge
-    resolved at compile time.  Assumes ``trace.events`` is not mutated
-    afterwards (nothing in this package mutates a loaded trace).
+    replay; and B/E markers carry no cost in recorded order, so the
+    replay loops only need a compact op stream of the timed events.
+    Both are built from the trace's columns — vectorised books, op
+    records zipped from ``.tolist()`` columns — without touching the
+    event tuples.  Assumes the trace is not mutated afterwards (nothing
+    in this package mutates a trace).
     """
-    cached = getattr(trace, "_compiled", None)
+    cached = trace._compiled
     if cached is not None:
         return cached
+    c = trace.columns()
     n = trace.world_size
+    kind = c.kind
+
+    # The books: every S/P/G moves nbytes rank -> peer, except that a
+    # get's data flows target -> origin.
+    msg = np.flatnonzero((kind == K_S) | (kind == K_P) | (kind == K_G))
+    rank = c.rank[msg].astype(np.intp)
+    peer = c.peer[msg].astype(np.intp)
+    is_get = kind[msg] == K_G
+    flat = np.where(is_get, peer, rank) * n + np.where(is_get, rank, peer)
+    nb = c.nbytes[msg].astype(np.uint64)
+    counts, sizes = _pair_matrices(flat, nb, c.mcat[msg], n)
+    total_counts, total_sizes = _pair_matrices(flat, nb, c.cat[msg], n)
+
+    # The op stream: per-kind records over python-native columns,
+    # merged back into recorded order.  Kind codes of the timed events
+    # are the opcodes.
     ovh = trace.monitoring_overhead
-    books = _Books(n)
-    prog: List[tuple] = []
-    n_messages = 0
-    max_seq = 0
-    for ev in trace.events:
-        kind = ev[0]
-        if kind == "S":
-            _, r, dst, nb, cat, mcat, seq, _t, gap = ev
-            o = ovh if (mcat and ovh > 0.0) else 0.0
-            prog.append((0, r, dst, nb, o, seq, gap, r * n + dst))
-            books.book(cat, mcat, r, dst, nb)
-            n_messages += 1
-            max_seq = seq if seq > max_seq else max_seq
-        elif kind == "R":
-            prog.append((1, ev[1], ev[2], ev[4]))
-        elif kind == "F":
-            prog.append((2, ev[1], ev[3]))
-        elif kind == "P":
-            _, r, dst, nb, mcat, _t, gap = ev
-            o = ovh if (mcat and ovh > 0.0) else 0.0
-            prog.append((3, r, dst, nb, o, gap))
-            books.book("osc", mcat, r, dst, nb)
-            n_messages += 1
-        elif kind == "G":
-            _, r, target, nb, mcat, _t, gap = ev
-            o = ovh if (mcat and ovh > 0.0) else 0.0
-            prog.append((4, r, target, nb, o, gap))
-            books.book("osc", mcat, target, r, nb)
-            n_messages += 1
-        # "B"/"E" markers cost nothing in recorded order.
-    counts = books._dense(books.mon, weights=False)
-    sizes = books._dense(books.mon, weights=True)
-    total_counts = books._dense(books.tot, weights=False)
-    total_sizes = books._dense(books.tot, weights=True)
-    compiled = CompiledTrace(prog, counts, sizes, total_counts, total_sizes,
-                             n_messages, max_seq)
+    charge = np.where(c.mcat != 0, ovh, 0.0) if ovh > 0.0 \
+        else np.zeros(len(kind))
+    pair = c.rank.astype(np.intp) * n + c.peer
+    timed = kind < K_B
+    prog = merge_by_kind(kind[timed], (
+        kind_rows(kind, K_S, K_S, c.rank, c.peer, c.nbytes, charge, c.seq,
+                  c.gap, pair),
+        kind_rows(kind, K_R, K_R, c.rank, c.seq, c.gap),
+        kind_rows(kind, K_F, K_F, c.rank, c.gap),
+        kind_rows(kind, K_P, K_P, c.rank, c.peer, c.nbytes, charge, c.gap),
+        kind_rows(kind, K_G, K_G, c.rank, c.peer, c.nbytes, charge, c.gap),
+    ))
+    seqs = c.seq[(kind == K_S) | (kind == K_R)]
+    compiled = CompiledTrace(
+        prog, counts, sizes, total_counts, total_sizes,
+        n_messages=len(msg),
+        max_seq=int(seqs.max()) if len(seqs) else 0,
+        t=c.t[timed],
+    )
     trace._compiled = compiled
     return compiled
 
 
 def trace_byte_matrix(trace: ReplayTrace,
                       monitored_only: bool = False) -> np.ndarray:
-    """Same matrix as :meth:`ReplayTrace.byte_matrix`, but summed from
-    the compile cache — one event sweep serves both the matrix and all
+    """Per-pair byte totals (all categories summed) from the compile
+    cache — one pass over the columns serves both the matrix and all
     subsequent re-costings, which matters when the search is racing a
-    live re-simulation."""
+    live re-simulation.  :meth:`ReplayTrace.byte_matrix` is this."""
     compiled = _compile_trace(trace)
-    src = compiled[2] if monitored_only else compiled[4]
+    src = compiled.sizes if monitored_only else compiled.total_sizes
     out = np.zeros((trace.world_size, trace.world_size), dtype=np.uint64)
     for mat in src.values():
         out += mat
@@ -423,7 +451,7 @@ def _replay_compiled(trace: ReplayTrace, net) -> ReplayResult:
     replayer never reads.  The shared matrices in the result come from
     the per-trace compile cache; treat them as read-only.
     """
-    prog, counts, sizes, total_counts, total_sizes, n_messages, max_seq = \
+    prog, counts, sizes, total_counts, total_sizes, n_messages, max_seq, _t = \
         _compile_trace(trace)
     n = trace.world_size
     last = [0.0] * n

@@ -10,22 +10,7 @@ per-rank finish times — plus everything needed to rebuild the network
 cost model exactly: topology, binding, link parameters, jitter seed,
 monitoring overhead.
 
-File format (schema 1)::
-
-    # repro.replay trace schema=1
-    # header {"schema": 1, "world_size": 48, ...}
-    S 0 13 65536 coll p2p 17 0x1.9p-10 0x0p+0
-    R 13 17 0x1.ap-10 0x0p+0
-    ...
-
-Times are stored as ``float.hex`` so replay on the identity placement
-is bit-exact.  Each timed event carries *both* its absolute issue time
-``t`` (used when replaying the recorded configuration verbatim) and the
-local-computation gap ``gap = t - clock_after_previous_event`` (used
-when re-costing under a different placement, topology or collective
-algorithm, where absolute times are no longer valid).
-
-Event tuples (in-memory)::
+Event tuples (``trace.events``, the form the recorder produces)::
 
     ("S", rank, dst, nbytes, cat, mcat, seq, t, gap)   point-to-point send
     ("R", rank, seq, t, gap)                           matching receive-wait
@@ -35,26 +20,89 @@ Event tuples (in-memory)::
     ("E", rank)                                        collective ends
     ("F", rank, t, gap)                                rank finished
 
-``cat`` is the raw wire category ("p2p"/"coll"/"osc"); ``mcat`` is the
-category the monitoring layer actually charged ("" when the message was
-not monitored, "p2p" for collectives under mode-1 counting, etc.), so a
+Each timed event carries *both* its absolute issue time ``t`` (used
+when replaying the recorded configuration verbatim) and the
+local-computation gap ``gap = t - clock_after_previous_event`` (used
+when re-costing under a different placement, topology or collective
+algorithm, where absolute times are no longer valid).  ``cat`` is the
+raw wire category ("p2p"/"coll"/"osc"); ``mcat`` is the category the
+monitoring layer actually charged ("" when the message was not
+monitored, "p2p" for collectives under mode-1 counting, etc.), so a
 replay reproduces the recorded monitored byte matrix bit-exactly.
+
+File format (schema 2) — two text lines, then raw columns::
+
+    # repro.replay trace schema=2
+    # header {"schema":2,"world_size":48,...,"n_events":N,"columns":[...],"colls":[...]}
+    <N float64 t><N float64 gap><N int64 nbytes><N int32 rank> ...
+
+The header line is padded with spaces so the data section starts on an
+8-byte boundary; the columns follow back to back, little-endian, each
+exactly ``n_events`` long, in the order of :data:`COLUMN_LAYOUT`
+(widest first, so every column is naturally aligned and the file can
+be memory-mapped)::
+
+    t       <f8  issue time          (S R P G F; raw IEEE-754 bits)
+    gap     <f8  computation gap     (S R P G F; raw IEEE-754 bits)
+    nbytes  <i8  message size        (S P G)
+    rank    <i4  issuing rank        (every kind)
+    peer    <i4  dst / target (S P G); index into header "colls" (B)
+    seq     <i4  message sequence no (S R)
+    kind    |u1  index into KINDS = S R F P G B E
+    cat     |u1  index into CATS  = "" p2p coll osc   (S; always osc for P G)
+    mcat    |u1  index into CATS                      (S P G)
+
+Slots a kind does not use are zero.  ``t``/``gap`` are stored as the
+raw float64 bits, so bit-exact identity replay needs no text
+round-trip (schema 1 spelled them ``float.hex``).  The few strings of
+a trace live in the header: ``"colls"`` lists every distinct
+``[comm_id, op, alg, root, nbytes, segs]`` signature of a ``B`` event,
+and the event's ``peer`` slot indexes it.  The layout is fixed, so the
+file size is fully determined by the header: anything else — a
+truncated or overlong file, an unknown kind/category code, an index
+out of range — raises :class:`TraceSchemaError`.
+
+To read a file by hand: ``ReplayTrace.load(path).events`` gives the
+tuples above; ``ReplayTrace.load(path).columns()`` the numpy columns.
+
+Schema 1 (one text line per event, times as ``float.hex``) is still
+*read*; nothing writes it any more.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional
+
+import numpy as np
 
 from repro.core.errors import TraceSchemaError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MAGIC = "# repro.replay trace"
+
+#: Event kind codes.  The five timed kinds come first, in the order of
+#: the compiled op stream's opcodes (see ``replay.engine``).
+KINDS = ("S", "R", "F", "P", "G", "B", "E")
+K_S, K_R, K_F, K_P, K_G, K_B, K_E = range(7)
+#: Category codes, shared by ``cat`` and ``mcat``; 0 is "not monitored".
+CATS = ("", "p2p", "coll", "osc")
+#: On-disk column order and dtypes (widest first: natural alignment).
+COLUMN_LAYOUT = (
+    ("t", "<f8"), ("gap", "<f8"), ("nbytes", "<i8"),
+    ("rank", "<i4"), ("peer", "<i4"), ("seq", "<i4"),
+    ("kind", "|u1"), ("cat", "|u1"), ("mcat", "|u1"),
+)
+_ROW_BYTES = sum(np.dtype(dt).itemsize for _, dt in COLUMN_LAYOUT)
+_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
+_CAT_CODE = {c: i for i, c in enumerate(CATS)}
+_OSC = _CAT_CODE["osc"]
 
 __all__ = [
     "SCHEMA_VERSION",
     "ReplayTrace",
+    "TraceColumns",
     "params_to_json",
     "params_from_json",
     "topology_to_json",
@@ -121,21 +169,204 @@ def build_cluster(trace: "ReplayTrace", binding: Optional[List[int]] = None):
 
 
 # ---------------------------------------------------------------------------
+# the columnar event store
+
+
+class TraceColumns(NamedTuple):
+    """The event stream as equal-length numpy columns (see the module
+    docstring for what each slot means per kind) plus the table of
+    distinct collective signatures ``B`` events index."""
+
+    t: np.ndarray
+    gap: np.ndarray
+    nbytes: np.ndarray
+    rank: np.ndarray
+    peer: np.ndarray
+    seq: np.ndarray
+    kind: np.ndarray
+    cat: np.ndarray
+    mcat: np.ndarray
+    colls: List[tuple]   # (comm_id, op, alg, root, nbytes, segs)
+
+    def footprint(self) -> int:
+        """Resident bytes of the columns (exact: numpy buffers)."""
+        return sum(int(col.nbytes) for col in self[:len(COLUMN_LAYOUT)])
+
+
+def _columns_from_events(events: List[tuple]) -> TraceColumns:
+    """Recorder tuples -> columns (one grouping pass, then per-kind
+    bulk conversion; no per-event numpy call)."""
+    n = len(events)
+    groups: Dict[str, List[tuple]] = {k: [] for k in KINDS}
+    try:
+        for ev in events:
+            groups[ev[0]].append(ev)
+        kind = np.fromiter((_KIND_CODE[ev[0]] for ev in events),
+                           dtype=np.uint8, count=n)
+    except KeyError as exc:
+        raise ValueError(f"unknown event kind {exc.args[0]!r}") from None
+    col = {name: np.zeros(n, dtype=dt) for name, dt in COLUMN_LAYOUT}
+    col["kind"] = kind
+
+    def fill(tag: str, **slots) -> None:
+        """Column <- tuple slot, for every event of one kind."""
+        if not groups[tag]:
+            return
+        pos = np.flatnonzero(kind == _KIND_CODE[tag])
+        values = list(zip(*groups[tag]))
+        for name, slot in slots.items():
+            column = values[slot]
+            if name in ("cat", "mcat"):
+                column = [_CAT_CODE[c] for c in column]
+            col[name][pos] = column
+
+    try:
+        fill("S", rank=1, peer=2, nbytes=3, cat=4, mcat=5, seq=6, t=7, gap=8)
+        fill("P", rank=1, peer=2, nbytes=3, mcat=4, t=5, gap=6)
+        fill("G", rank=1, peer=2, nbytes=3, mcat=4, t=5, gap=6)
+    except KeyError as exc:
+        raise ValueError(
+            f"unknown message category {exc.args[0]!r}; have {CATS}") from None
+    col["cat"][(kind == K_P) | (kind == K_G)] = _OSC
+    fill("R", rank=1, seq=2, t=3, gap=4)
+    fill("F", rank=1, t=2, gap=3)
+    fill("B", rank=1)
+    fill("E", rank=1)
+    table: Dict[tuple, int] = {}
+    col["peer"][kind == K_B] = [table.setdefault(ev[2:], len(table))
+                                for ev in groups["B"]]
+    return TraceColumns(colls=list(table), **col)
+
+
+def kind_rows(kind: np.ndarray, code: int, tag, *fields):
+    """Iterator of ``(tag, *fields)`` over the events of one kind, in
+    recorded order, as python scalars (``.tolist()`` columns)."""
+    pos = np.flatnonzero(kind == code)
+    return zip(repeat(tag), *(f[pos].tolist() for f in fields))
+
+
+def merge_by_kind(kind: np.ndarray, iters) -> List[tuple]:
+    """Interleave per-kind row iterators (indexed by kind code) back
+    into the order of the ``kind`` column."""
+    nxt = [it.__next__ for it in iters]
+    return [nxt[k]() for k in kind.tolist()]
+
+
+def _events_from_columns(c: TraceColumns) -> List[tuple]:
+    """Columns -> the tuples the recorder produced (python ``int`` /
+    ``float`` / ``str`` throughout)."""
+    kind = c.kind
+    names = np.array(CATS, dtype=object)
+    cat, mcat = names[c.cat], names[c.mcat]
+    colls = c.colls
+    iters = [None] * len(KINDS)
+    iters[K_S] = kind_rows(kind, K_S, "S", c.rank, c.peer, c.nbytes, cat,
+                           mcat, c.seq, c.t, c.gap)
+    iters[K_R] = kind_rows(kind, K_R, "R", c.rank, c.seq, c.t, c.gap)
+    iters[K_F] = kind_rows(kind, K_F, "F", c.rank, c.t, c.gap)
+    iters[K_P] = kind_rows(kind, K_P, "P", c.rank, c.peer, c.nbytes, mcat,
+                           c.t, c.gap)
+    iters[K_G] = kind_rows(kind, K_G, "G", c.rank, c.peer, c.nbytes, mcat,
+                           c.t, c.gap)
+    iters[K_B] = (("B", r) + colls[i]
+                  for _, r, i in kind_rows(kind, K_B, "B", c.rank, c.peer))
+    iters[K_E] = kind_rows(kind, K_E, "E", c.rank)
+    return merge_by_kind(kind, iters)
+
+
+def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
+    """Reject column values no recorder writes — a replay would turn
+    them into wrong answers (numpy wraps negative indices silently)."""
+    def bad(what: str) -> TraceSchemaError:
+        return TraceSchemaError(f"{path}: corrupt trace — {what}")
+
+    n = len(c.kind)
+    if n == 0:
+        return
+    if int(c.kind.max()) >= len(KINDS):
+        raise bad(f"unknown event kind code {int(c.kind.max())}")
+    if max(int(c.cat.max()), int(c.mcat.max())) >= len(CATS):
+        raise bad("unknown message category code")
+    if int(c.rank.min()) < 0 or int(c.rank.max()) >= world_size:
+        raise bad(f"rank outside [0, {world_size})")
+    kind = c.kind
+    msg = (kind == K_S) | (kind == K_P) | (kind == K_G)
+    peer = c.peer[msg]
+    if len(peer) and (int(peer.min()) < 0 or int(peer.max()) >= world_size):
+        raise bad(f"message peer outside [0, {world_size})")
+    if len(peer) and int(c.nbytes[msg].min()) < 0:
+        raise bad("negative message size")
+    if np.any(c.cat[kind == K_S] == 0) or \
+            np.any(c.cat[(kind == K_P) | (kind == K_G)] != _OSC):
+        raise bad("message with an invalid wire category")
+    if int(c.seq.min()) < 0 or int(c.seq.max()) >= n:
+        raise bad("message sequence number out of range")
+    coll = c.peer[kind == K_B]
+    if len(coll) and (int(coll.min()) < 0
+                      or int(coll.max()) >= len(c.colls)):
+        raise bad("collective signature index out of range")
+
+
+# ---------------------------------------------------------------------------
 # the trace object
 
 
-@dataclass
 class ReplayTrace:
-    world_size: int
-    topology: list                 # [[level_name, arity], ...]
-    binding: List[int]             # recorded rank -> PU map
-    params: dict                   # params_to_json() form
-    seed: int                      # engine/network jitter seed
-    monitoring_overhead: float
-    comms: Dict[int, List[int]]    # comm_id -> world ranks (group order)
-    clocks: List[float]            # final per-rank virtual clocks
-    events: List[tuple] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """Header + event stream of one recorded run.
+
+    The event stream has two interchangeable forms: the recorder's
+    tuple list (``events``) and numpy columns (:meth:`columns`, the
+    stored form).  A trace is constructed with one of them and derives
+    the other lazily, once; both are read-only afterwards (the compile
+    cache and the derived form would not see a mutation).
+    """
+
+    def __init__(
+        self,
+        world_size: int,
+        topology: list,                # [[level_name, arity], ...]
+        binding: List[int],            # recorded rank -> PU map
+        params: dict,                  # params_to_json() form
+        seed: int,                     # engine/network jitter seed
+        monitoring_overhead: float,
+        comms: Dict[int, List[int]],   # comm_id -> world ranks (group order)
+        clocks: List[float],           # final per-rank virtual clocks
+        events: Optional[List[tuple]] = None,
+        meta: Optional[dict] = None,
+    ):
+        self.world_size = world_size
+        self.topology = topology
+        self.binding = binding
+        self.params = params
+        self.seed = seed
+        self.monitoring_overhead = monitoring_overhead
+        self.comms = comms
+        self.clocks = clocks
+        self.meta = {} if meta is None else meta
+        self._events: Optional[List[tuple]] = [] if events is None else events
+        self._columns: Optional[TraceColumns] = None
+        self._compiled = None          # replay.engine's compile cache
+
+    # -- the two forms of the event stream -------------------------------
+
+    @property
+    def events(self) -> List[tuple]:
+        """The event tuples; materialised on first use for a loaded
+        trace.  Consumers that only need a count use :attr:`n_events`."""
+        if self._events is None:
+            self._events = _events_from_columns(self._columns)
+        return self._events
+
+    @property
+    def n_events(self) -> int:
+        if self._events is not None:
+            return len(self._events)
+        return len(self._columns.kind)
+
+    def columns(self) -> TraceColumns:
+        if self._columns is None:
+            self._columns = _columns_from_events(self._events)
+        return self._columns
 
     # -- header ---------------------------------------------------------
 
@@ -148,65 +379,81 @@ class ReplayTrace:
             "params": self.params,
             "seed": int(self.seed),
             "monitoring_overhead": self.monitoring_overhead,
-            # Schema 1 readers expect this key; the engine has one
-            # scheduling policy, so it is a constant.
-            "handoff": "exact",
             "comms": {str(k): [int(r) for r in v]
                       for k, v in self.comms.items()},
             "clocks": [float(c).hex() for c in self.clocks],
-            "n_events": len(self.events),
+            "n_events": self.n_events,
             "meta": self.meta,
         }
 
     # -- serialization --------------------------------------------------
 
     def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{MAGIC} schema={SCHEMA_VERSION}\n")
-            fh.write("# header "
-                     + json.dumps(self.header(), separators=(",", ":"))
-                     + "\n")
-            w = fh.write
-            for ev in self.events:
-                w(_format_event(ev))
+        cols = self.columns()
+        hdr = self.header()
+        hdr["columns"] = [list(c) for c in COLUMN_LAYOUT]
+        hdr["colls"] = [list(sig) for sig in cols.colls]
+        head = (f"{MAGIC} schema={SCHEMA_VERSION}\n# header "
+                + json.dumps(hdr, separators=(",", ":"))).encode("ascii")
+        pad = -(len(head) + 1) % 8     # data section on an 8-byte boundary
+        with open(path, "wb") as fh:
+            fh.write(head + b" " * pad + b"\n")
+            for name, dt in COLUMN_LAYOUT:
+                fh.write(np.ascontiguousarray(getattr(cols, name),
+                                              dtype=dt).data)
 
     @classmethod
     def load(cls, path: str) -> "ReplayTrace":
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first.startswith(MAGIC):
-                raise TraceSchemaError(
-                    f"{path}: not a repro.replay trace "
-                    f"(expected leading {MAGIC!r} line)")
-            schema = _parse_schema_token(first, path)
-            if schema != SCHEMA_VERSION:
-                raise TraceSchemaError(
-                    f"{path}: trace schema {schema} is not supported "
-                    f"(this build reads schema {SCHEMA_VERSION})")
-            second = fh.readline()
-            if not second.startswith("# header "):
-                raise TraceSchemaError(f"{path}: missing '# header' line")
-            hdr = json.loads(second[len("# header "):])
-            events = [_parse_event(line, path, lineno)
-                      for lineno, line in enumerate(fh, start=3)
-                      if line.strip() and not line.startswith("#")]
-        trace = cls(
-            world_size=int(hdr["world_size"]),
-            topology=hdr["topology"],
-            binding=[int(b) for b in hdr["binding"]],
-            params=hdr["params"],
-            seed=int(hdr["seed"]),
-            monitoring_overhead=float(hdr["monitoring_overhead"]),
-            comms={int(k): [int(r) for r in v]
-                   for k, v in hdr["comms"].items()},
-            clocks=[float.fromhex(c) for c in hdr["clocks"]],
-            events=events,
-            meta=hdr.get("meta", {}),
-        )
-        if trace.header()["n_events"] != hdr["n_events"]:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        end1 = raw.find(b"\n")
+        first = raw[:max(end1, 0)].decode("ascii", "replace")
+        if not first.startswith(MAGIC):
+            raise TraceSchemaError(
+                f"{path}: not a repro.replay trace "
+                f"(expected leading {MAGIC!r} line)")
+        schema = _parse_schema_token(first, path)
+        if schema not in (1, SCHEMA_VERSION):
+            raise TraceSchemaError(
+                f"{path}: trace schema {schema} is not supported "
+                f"(this build reads schemas 1 and {SCHEMA_VERSION})")
+        end2 = raw.find(b"\n", end1 + 1)
+        if end2 < 0 or not raw.startswith(b"# header ", end1 + 1):
+            raise TraceSchemaError(
+                f"{path}: missing or truncated '# header' line")
+        try:
+            hdr = json.loads(raw[end1 + 1 + len(b"# header "):end2])
+            n_events = int(hdr["n_events"])
+            trace = cls(
+                world_size=int(hdr["world_size"]),
+                topology=hdr["topology"],
+                binding=[int(b) for b in hdr["binding"]],
+                params=hdr["params"],
+                seed=int(hdr["seed"]),
+                monitoring_overhead=float(hdr["monitoring_overhead"]),
+                comms={int(k): [int(r) for r in v]
+                       for k, v in hdr["comms"].items()},
+                clocks=[float.fromhex(c) for c in hdr["clocks"]],
+                meta=hdr.get("meta", {}),
+            )
+            if schema == 1:
+                trace._events = _parse_text_events(raw, end2 + 1, path)
+            else:
+                trace._events = None
+                trace._columns = _parse_columns(raw, end2 + 1, hdr, n_events,
+                                                path)
+        except TraceSchemaError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise TraceSchemaError(
+                f"{path}: malformed trace header "
+                f"({type(exc).__name__}: {exc})") from exc
+        if trace.n_events != n_events:
             raise TraceSchemaError(
                 f"{path}: truncated trace — header promises "
-                f"{hdr['n_events']} events, found {len(events)}")
+                f"{n_events} events, found {trace.n_events}")
+        if schema == SCHEMA_VERSION:
+            _check_columns(trace._columns, trace.world_size, path)
         return trace
 
     # -- convenience ----------------------------------------------------
@@ -216,64 +463,59 @@ class ReplayTrace:
 
         With ``monitored_only`` the matrix only counts events the
         monitoring layer recorded, split no further by category — the
-        aggregate the placement stack consumes.
+        aggregate the placement stack consumes.  Summed from the
+        compile cache (:func:`repro.replay.engine.trace_byte_matrix`).
         """
-        import numpy as np
+        from repro.replay.engine import trace_byte_matrix
 
-        n = self.world_size
-        mat = np.zeros((n, n), dtype=np.uint64)
-        for ev in self.events:
-            kind = ev[0]
-            if kind == "S" or kind == "P":
-                rank, dst, nbytes = ev[1], ev[2], ev[3]
-                mcat = ev[5] if kind == "S" else ev[4]
-                if monitored_only and not mcat:
-                    continue
-                mat[rank, dst] += np.uint64(nbytes)
-            elif kind == "G":
-                rank, target, nbytes, mcat = ev[1], ev[2], ev[3], ev[4]
-                if monitored_only and not mcat:
-                    continue
-                # gets move bytes target -> origin, as monitored
-                mat[target, rank] += np.uint64(nbytes)
-        return mat
+        return trace_byte_matrix(self, monitored_only)
 
 
 # ---------------------------------------------------------------------------
-# event line round-trip
+# schema 2: the raw column section
 
 
-def _opt(s: str) -> str:
-    return s if s else "-"
+def _parse_columns(raw: bytes, offset: int, hdr: dict, n_events: int,
+                   path: str) -> TraceColumns:
+    if hdr["columns"] != [list(c) for c in COLUMN_LAYOUT]:
+        raise TraceSchemaError(
+            f"{path}: unknown column layout {hdr['columns']!r}")
+    have = len(raw) - offset
+    if n_events < 0 or have != n_events * _ROW_BYTES:
+        raise TraceSchemaError(
+            f"{path}: truncated or overlong trace — header promises "
+            f"{n_events} events ({n_events * _ROW_BYTES} column bytes), "
+            f"found {have}")
+    cols = {}
+    for name, dt in COLUMN_LAYOUT:
+        cols[name] = np.frombuffer(raw, dtype=dt, count=n_events,
+                                   offset=offset)
+        offset += cols[name].nbytes
+    colls = [(int(cid), str(op), str(alg), int(root), int(nb), int(segs))
+             for cid, op, alg, root, nb, segs in hdr["colls"]]
+    return TraceColumns(colls=colls, **cols)
+
+
+# ---------------------------------------------------------------------------
+# schema 1: one text line per event (read only)
+
+
+def _parse_text_events(raw: bytes, offset: int, path: str) -> List[tuple]:
+    try:
+        text = raw[offset:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceSchemaError(
+            f"{path}: schema-1 event section is not text ({exc})") from exc
+    if text and not text.endswith("\n"):
+        raise TraceSchemaError(f"{path}: truncated trace — last event line "
+                               "is cut short")
+    return [_parse_event(line, path, lineno)
+            for lineno, line in enumerate(text.split("\n"), start=3)
+            if line.strip() and not line.startswith("#")]
 
 
 def _unopt(s: str) -> str:
     return "" if s == "-" else s
-
-
-def _format_event(ev: tuple) -> str:
-    kind = ev[0]
-    if kind == "S":
-        _, rank, dst, nbytes, cat, mcat, seq, t, gap = ev
-        return (f"S {rank} {dst} {nbytes} {cat} {_opt(mcat)} {seq} "
-                f"{t.hex()} {gap.hex()}\n")
-    if kind == "R":
-        _, rank, seq, t, gap = ev
-        return f"R {rank} {seq} {t.hex()} {gap.hex()}\n"
-    if kind == "P" or kind == "G":
-        _, rank, peer, nbytes, mcat, t, gap = ev
-        return (f"{kind} {rank} {peer} {nbytes} {_opt(mcat)} "
-                f"{t.hex()} {gap.hex()}\n")
-    if kind == "B":
-        _, rank, comm_id, op, alg, root, nbytes, segs = ev
-        return (f"B {rank} {comm_id} {op} {_opt(alg)} {root} "
-                f"{nbytes} {segs}\n")
-    if kind == "E":
-        return f"E {ev[1]}\n"
-    if kind == "F":
-        _, rank, t, gap = ev
-        return f"F {rank} {t.hex()} {gap.hex()}\n"
-    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def _parse_event(line: str, path: str, lineno: int) -> tuple:

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs as _obs
-from repro.replay.engine import replay, trace_byte_matrix
+from repro.replay.engine import ReplayResult, replay, trace_byte_matrix
 from repro.replay.schema import ReplayTrace, params_from_json, topology_from_json
 
 __all__ = ["STRATEGIES", "Candidate", "SearchResult", "score_candidate",
@@ -120,13 +120,23 @@ def _generator_matrix(matrix, topology, recorded, focus):
 
 def _score(trace: ReplayTrace, strategy: str, matrix, gen_matrix, topology,
            params, recorded, seed: int,
-           substitute: Optional[Dict[str, str]]) -> Candidate:
+           substitute: Optional[Dict[str, str]],
+           replays: Dict[tuple, ReplayResult]) -> Candidate:
+    """``replays`` memoises the replay per distinct placement: every
+    replay rebuilds the network from the trace header with the recorded
+    seed, so it is a pure function of the placement within one search
+    (the paper's baseline binding *is* round-robin: ``identity`` and
+    ``round_robin`` coincide on every rr-recorded trace)."""
     from repro.placement import metrics as pmetrics
 
     t0 = time.perf_counter()
     placement = _candidate_placement(strategy, gen_matrix, topology,
                                      recorded, seed)
-    res = replay(trace, binding=placement, substitute=substitute)
+    key = tuple(placement)
+    res = replays.get(key)
+    if res is None:
+        res = replays[key] = replay(trace, binding=placement,
+                                    substitute=substitute)
     wall = time.perf_counter() - t0
     return Candidate(
         strategy=strategy,
@@ -165,7 +175,7 @@ def score_candidate(
     matrix = trace_byte_matrix(trace)
     gen_matrix = _generator_matrix(matrix, topology, recorded, focus)
     return _score(trace, strategy, matrix, gen_matrix, topology, params,
-                  recorded, seed, substitute)
+                  recorded, seed, substitute, {})
 
 
 def what_if_search(
@@ -197,20 +207,21 @@ def what_if_search(
     topology = topology_from_json(trace.topology)
     params = params_from_json(trace.params)
     recorded = list(trace.binding)
-    # One event sweep builds both this matrix and the compiled program
-    # every candidate replay reuses.
+    # One pass over the columns builds both this matrix and the compiled
+    # program every candidate replay reuses.
     matrix = trace_byte_matrix(trace)
     gen_matrix = _generator_matrix(matrix, topology, recorded, focus)
     reg = _obs.registry()
     rec = _obs.spans()
 
     candidates: List[Candidate] = []
+    replays: Dict[tuple, ReplayResult] = {}
     for strategy in names:
         if rec is not None:
             rec.wall_begin(f"replay.search[{strategy}]")
         try:
             cand = _score(trace, strategy, matrix, gen_matrix, topology,
-                          params, recorded, seed, substitute)
+                          params, recorded, seed, substitute, replays)
         finally:
             if rec is not None:
                 rec.wall_end()
@@ -236,6 +247,6 @@ def what_if_search(
             "substitute": dict(substitute) if substitute else None,
             "focus": focus.to_dict() if focus else None,
             "world_size": trace.world_size,
-            "n_events": len(trace.events),
+            "n_events": trace.n_events,
         },
     )

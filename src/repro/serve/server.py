@@ -278,7 +278,7 @@ class PlacementServer:
             reply["compiled"] = True
             reply["nbytes"] = entry.nbytes
             reply["world_size"] = entry.trace.world_size
-            reply["n_events"] = len(entry.trace.events)
+            reply["n_events"] = entry.trace.n_events
         self._observe_store()
         return reply
 
@@ -440,7 +440,7 @@ class PlacementServer:
                 "substitute": dict(substitute) if substitute else None,
                 "focus": focus,
                 "world_size": entry.trace.world_size,
-                "n_events": len(entry.trace.events),
+                "n_events": entry.trace.n_events,
             },
         }
         self._responses[response_key] = reply

@@ -10,9 +10,10 @@ a *different* book.
 
 Eviction is by real resident size, not entry count: each entry's
 ``nbytes`` sums the compiled book's numpy buffers + op stream
-(:meth:`CompiledTrace.nbytes`) and an estimate of the raw event
-tuples, and the store drops least-recently-used entries until the
-total fits ``max_bytes``.  The most recent entry is never evicted —
+(:meth:`CompiledTrace.nbytes`) and the trace's event columns
+(:meth:`TraceColumns.footprint` — a served trace never materialises
+its tuple view), and the store drops least-recently-used entries until
+the total fits ``max_bytes``.  The most recent entry is never evicted —
 a budget smaller than one book still serves that book (it just can't
 keep a second one warm).
 
@@ -23,25 +24,11 @@ a private instance.
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-__all__ = ["BookEntry", "BookStore", "trace_events_nbytes"]
-
-
-def trace_events_nbytes(trace) -> int:
-    """Estimated resident size of a trace's raw event stream.
-
-    Same accounting as :meth:`CompiledTrace.nbytes`: list spine +
-    tuple shells + 32 bytes per boxed payload slot.
-    """
-    events = trace.events
-    total = sys.getsizeof(events)
-    for ev in events:
-        total += sys.getsizeof(ev) + 32 * (len(ev) - 1)
-    return total
+__all__ = ["BookEntry", "BookStore"]
 
 
 @dataclass
@@ -62,7 +49,7 @@ class BookEntry:
             path=path,
             trace=trace,
             compiled=compiled,
-            nbytes=compiled.nbytes() + trace_events_nbytes(trace),
+            nbytes=compiled.nbytes() + trace.columns().footprint(),
         )
 
 

@@ -415,7 +415,7 @@ def _whatif_compute(params: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "op": params["op"],
         "np_ranks": trace.world_size,
-        "n_events": len(trace.events),
+        "n_events": trace.n_events,
         "recorded_makespan": res.recorded_makespan,
         "best": res.best.strategy,
         "speedup": res.speedup,

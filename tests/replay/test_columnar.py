@@ -1,0 +1,345 @@
+"""The columnar event store: schema-2 round-trips, the legacy schema-1
+fixtures, compile/replay straight from the columns, and truncation.
+
+The digests below were captured with the last text-format build (the
+parent of the columnar change): they pin the interpreter's clocks on a
+permuted binding, which no other golden reaches.
+"""
+
+import hashlib
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.errors import TraceSchemaError
+from repro.replay import autorecord
+from repro.replay.engine import (
+    CATEGORIES,
+    _build_network,
+    _replay_compiled,
+    _replay_recorded,
+    compile_trace,
+    replay,
+)
+from repro.replay.schema import ReplayTrace
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+FIXTURES = ("fig5.schema1.trace", "osc.schema1.trace")
+#: sha256[:16] over the hex clocks: (exact replay, interpreter under
+#: ``default_rng(5).permutation(binding)``), from the parent build.
+PARENT_CLOCKS = {
+    "fig5.schema1.trace": ("8a76ef4832125efd", "02698e3dd1b8f232"),
+    "osc.schema1.trace": ("8969fba3f64ad84a", "ce81bae7b45b98d9"),
+    "fig5_shaped": ("463d7313d157b7dd", "c598ff45323bf3ab"),
+    "osc_and_overhead": ("ee40938a7f2fbd6d", "d863e753f1fb97e8"),
+}
+
+
+def _digest(clocks) -> str:
+    text = " ".join(float(c).hex() for c in clocks)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _permuted(trace):
+    return [int(p) for p in np.random.default_rng(5).permutation(trace.binding)]
+
+
+def _through_schema_2(trace, tmp_path) -> ReplayTrace:
+    path = str(tmp_path / "roundtrip.trace")
+    trace.dump(path)
+    return ReplayTrace.load(path)
+
+
+def _hand_built() -> ReplayTrace:
+    """Every event kind, and the floats a text format gets wrong."""
+    tiny = 5e-324                       # smallest subnormal
+    events = [
+        ("B", 0, 7, "bcast", "binomial", 0, 4096, 2),
+        ("B", 1, 7, "bcast", "binomial", 0, -1, 2),
+        ("S", 0, 1, 4096, "coll", "", 0, 0.0, -0.0),
+        ("R", 1, 0, 1.5e-300, tiny),
+        ("E", 0),
+        ("E", 1),
+        ("B", 2, 0, "barrier", "", -1, -1, 0),
+        ("P", 2, 3, 2 ** 40, "osc", 0.25, 0.25),
+        ("G", 3, 2, 0, "", 0.1 + 0.2, -tiny),
+        ("S", 3, 0, 0, "p2p", "p2p", 1, 1e300, 3.0),
+        ("S", 1, 2, 17, "coll", "p2p", 2, float.fromhex("0x1.fffffffffffffp-1"),
+         0.0),
+        ("R", 0, 1, 2.0, 0.0),
+        ("E", 2),
+        ("F", 0, 2.5, 0.5), ("F", 1, 1.0, 0.0), ("F", 2, 0.75, -0.0),
+        ("F", 3, 1e300, 0.0),
+    ]
+    return ReplayTrace(
+        world_size=4, topology=[["node", 2], ["core", 2]],
+        binding=[0, 1, 2, 3],
+        params={"links": {"cluster": [1e-6, 1e9], "node": [1e-7, 1e10],
+                          "self": [1e-8, 1e11]},
+                "send_overhead": 1e-7, "recv_overhead": 1e-7,
+                "nic_serialize": True, "mem_bandwidth": None,
+                "jitter": 0.0, "lanes": 1},
+        seed=3, monitoring_overhead=1e-6, comms={7: [0, 1], 0: [0, 1, 2, 3]},
+        clocks=[2.5, 1.0, -0.0, 1e300], events=events,
+        meta={"workload": "hand-built", "note": "µ"})
+
+
+def _bits(events):
+    """Events with floats replaced by their hex (-0.0 != 0.0 here)."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in ev)
+            for ev in events]
+
+
+# ---------------------------------------------------------------------------
+# round trips
+
+
+def test_schema_2_roundtrip_is_bit_exact(tmp_path):
+    trace = _hand_built()
+    back = _through_schema_2(trace, tmp_path)
+    assert back._events is None                 # stored form: the columns
+    assert back.n_events == len(trace.events)
+    assert back.events == trace.events
+    assert _bits(back.events) == _bits(trace.events)
+    assert [c.hex() for c in back.clocks] == [c.hex() for c in trace.clocks]
+    assert back.comms == trace.comms and back.meta == trace.meta
+    # The view is what the recorder produced: python scalars, not numpy.
+    for got, want in zip(back.events, trace.events):
+        assert [type(v) for v in got] == [type(v) for v in want]
+    assert back.events is back.events           # materialised once
+    # ... and dumping the loaded trace reproduces the file byte for byte.
+    again = str(tmp_path / "again.trace")
+    back.dump(again)
+    assert open(again, "rb").read() == \
+        open(str(tmp_path / "roundtrip.trace"), "rb").read()
+
+
+def test_recorded_trace_roundtrip(fig5_trace, tmp_path):
+    back = _through_schema_2(fig5_trace, tmp_path)
+    assert back.events == fig5_trace.events
+    assert _bits(back.events) == _bits(fig5_trace.events)
+    assert back.clocks == fig5_trace.clocks
+    assert back.n_events == fig5_trace.n_events == len(fig5_trace.events)
+
+
+def test_empty_trace_roundtrip(tmp_path):
+    trace = _hand_built()
+    empty = ReplayTrace(
+        world_size=4, topology=trace.topology, binding=trace.binding,
+        params=trace.params, seed=0, monitoring_overhead=0.0, comms={},
+        clocks=[0.0] * 4)
+    back = _through_schema_2(empty, tmp_path)
+    assert back.events == [] and back.n_events == 0
+    assert replay(back).clocks == [0.0] * 4
+
+
+def test_unknown_kind_or_category_cannot_be_dumped(tmp_path):
+    trace = _hand_built()
+    for bad in (("X", 0), ("S", 0, 1, 8, "rdma", "", 9, 0.0, 0.0)):
+        broken = ReplayTrace(
+            world_size=4, topology=trace.topology, binding=trace.binding,
+            params=trace.params, seed=0, monitoring_overhead=0.0, comms={},
+            clocks=[0.0] * 4, events=[bad])
+        with pytest.raises(ValueError, match="unknown"):
+            broken.dump(str(tmp_path / "broken.trace"))
+
+
+# ---------------------------------------------------------------------------
+# the committed schema-1 files
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_legacy_fixture_loads_converts_and_verifies(name, tmp_path):
+    legacy = ReplayTrace.load(str(DATA / name))
+    assert legacy.n_events == len(legacy.events) > 0
+    if name.startswith("osc"):
+        assert {ev[0] for ev in legacy.events} == set("SRPGBEF")
+    converted = _through_schema_2(legacy, tmp_path)
+    assert converted._events is None
+    assert converted.events == legacy.events
+    assert _bits(converted.events) == _bits(legacy.events)
+    assert converted.clocks == legacy.clocks
+    exact, permuted = PARENT_CLOCKS[name]
+    for trace in (legacy, converted):
+        res = replay(trace, verify=True)
+        assert res.clocks == trace.clocks
+        assert _digest(res.clocks) == exact
+        slow = _replay_recorded(
+            trace, _build_network(trace, _permuted(trace), None, None, None),
+            exact=False, verify=False)
+        assert _digest(slow.clocks) == permuted
+        assert replay(trace, binding=_permuted(trace)).clocks == slow.clocks
+
+
+# ---------------------------------------------------------------------------
+# compile and the interpreter, from the columns
+
+
+def _compile_from_tuples(trace):
+    """The per-event compile the columnar one replaced (reference)."""
+    n, ovh = trace.world_size, trace.monitoring_overhead
+    prog, t = [], []
+    zeros = lambda: {c: np.zeros((n, n), dtype=np.uint64) for c in CATEGORIES}
+    counts, sizes, total_counts, total_sizes = zeros(), zeros(), zeros(), zeros()
+
+    def book(cat, mcat, src, dst, nb):
+        total_counts[cat][src, dst] += np.uint64(1)
+        total_sizes[cat][src, dst] += np.uint64(nb)
+        if mcat:
+            counts[mcat][src, dst] += np.uint64(1)
+            sizes[mcat][src, dst] += np.uint64(nb)
+
+    for ev in trace.events:
+        kind = ev[0]
+        if kind == "S":
+            _, r, dst, nb, cat, mcat, seq, t_, gap = ev
+            o = ovh if (mcat and ovh > 0.0) else 0.0
+            prog.append((0, r, dst, nb, o, seq, gap, r * n + dst))
+            book(cat, mcat, r, dst, nb)
+        elif kind == "R":
+            prog.append((1, ev[1], ev[2], ev[4]))
+            t_ = ev[3]
+        elif kind == "F":
+            prog.append((2, ev[1], ev[3]))
+            t_ = ev[2]
+        elif kind in "PG":
+            _, r, peer, nb, mcat, t_, gap = ev
+            o = ovh if (mcat and ovh > 0.0) else 0.0
+            prog.append((3 if kind == "P" else 4, r, peer, nb, o, gap))
+            book("osc", mcat, *((r, peer) if kind == "P" else (peer, r)), nb)
+        else:
+            continue
+        t.append(t_)
+    return prog, counts, sizes, total_counts, total_sizes, t
+
+
+def _one_sided_recording():
+    from tests.golden.hotpath_workloads import osc_and_overhead
+
+    with autorecord.capture() as traces:
+        osc_and_overhead()
+    return traces[0]
+
+
+@pytest.mark.parametrize("source", ["fig5_shaped", "osc_and_overhead",
+                                    "osc.schema1.trace", "hand-built"])
+def test_compile_from_columns_equals_per_event_compile(source, fig5_trace,
+                                                       tmp_path):
+    recorded = {"fig5_shaped": lambda: fig5_trace,
+                "osc_and_overhead": _one_sided_recording,
+                "osc.schema1.trace":
+                    lambda: ReplayTrace.load(str(DATA / "osc.schema1.trace")),
+                "hand-built": _hand_built}[source]()
+    prog, counts, sizes, total_counts, total_sizes, t = \
+        _compile_from_tuples(recorded)
+    for trace in (recorded, _through_schema_2(recorded, tmp_path)):
+        trace._compiled = None
+        book = compile_trace(trace)
+        assert book.prog == prog
+        assert [[type(v) for v in rec] for rec in book.prog] == \
+            [[type(v) for v in rec] for rec in prog]
+        assert [x.hex() for x in book.t.tolist()] == [x.hex() for x in t]
+        assert book.n_messages == sum(rec[0] in (0, 3, 4) for rec in prog)
+        for got, want in ((book.counts, counts), (book.sizes, sizes),
+                          (book.total_counts, total_counts),
+                          (book.total_sizes, total_sizes)):
+            assert list(got) == list(CATEGORIES)
+            for c in CATEGORIES:
+                assert got[c].dtype == np.uint64
+                assert np.array_equal(got[c], want[c])
+        assert np.array_equal(trace.byte_matrix(),
+                              sum(total_sizes.values()))
+        assert np.array_equal(trace.byte_matrix(monitored_only=True),
+                              sum(sizes.values()))
+
+
+def test_byte_sums_do_not_round_through_float():
+    """2**53 + 1 bytes on one pair: a float64-weighted bincount loses
+    the last bit."""
+    trace = _hand_built()
+    big = 2 ** 53
+    heavy = ReplayTrace(
+        world_size=4, topology=trace.topology, binding=trace.binding,
+        params=trace.params, seed=0, monitoring_overhead=0.0, comms={},
+        clocks=[0.0] * 4,
+        events=[("S", 0, 1, big, "p2p", "p2p", 0, 0.0, 0.0),
+                ("S", 0, 1, 1, "p2p", "p2p", 1, 0.0, 0.0)])
+    assert int(heavy.byte_matrix()[0, 1]) == big + 1
+
+
+@pytest.mark.parametrize("workload", ["fig5_shaped", "osc_and_overhead"])
+def test_interpreter_clocks_unchanged_from_the_text_format_build(
+        workload, fig5_trace, tmp_path):
+    recorded = fig5_trace if workload == "fig5_shaped" \
+        else _one_sided_recording()
+    exact, permuted = PARENT_CLOCKS[workload]
+    perm = _permuted(recorded)
+    for trace in (recorded, _through_schema_2(recorded, tmp_path)):
+        assert _digest(replay(trace).clocks) == exact
+        assert _digest(replay(trace, verify=True).clocks) == exact
+        identity = _replay_recorded(
+            trace, _build_network(trace, None, None, None, None),
+            exact=False, verify=False)
+        assert not identity.exact
+        slow = _replay_recorded(
+            trace, _build_network(trace, perm, None, None, None),
+            exact=False, verify=False)
+        assert _digest(slow.clocks) == permuted
+        fast = _replay_compiled(
+            trace, _build_network(trace, perm, None, None, None))
+        assert fast.clocks == slow.clocks
+        for c in CATEGORIES:
+            assert slow.total_sizes[c] is compile_trace(trace).total_sizes[c]
+
+
+def test_verify_audits_every_timed_event(fig5_trace):
+    """A zero-gap event whose recorded ``t`` is off by one ulp fails."""
+    events = list(fig5_trace.events)
+    idx = next(i for i, ev in enumerate(events)
+               if ev[0] == "R" and ev[-1] == 0.0 and ev[-2] > 0.0)
+    ev = events[idx]
+    events[idx] = ev[:3] + (np.nextafter(ev[3], 1.0).item(), 0.0)
+    from repro.replay.engine import ReplayVerifyError
+
+    tampered = ReplayTrace(
+        world_size=fig5_trace.world_size, topology=fig5_trace.topology,
+        binding=fig5_trace.binding, params=fig5_trace.params,
+        seed=fig5_trace.seed,
+        monitoring_overhead=fig5_trace.monitoring_overhead,
+        comms=fig5_trace.comms, clocks=fig5_trace.clocks, events=events)
+    with pytest.raises(ReplayVerifyError, match="1 clock divergences"):
+        replay(tampered, verify=True)
+
+
+# ---------------------------------------------------------------------------
+# truncation: explicit error, never a wrong answer
+
+
+@pytest.fixture(scope="module")
+def whole_files(tmp_path_factory):
+    """(schema-2 bytes, schema-1 bytes) of the one-sided fixture."""
+    legacy = DATA / "osc.schema1.trace"
+    path = tmp_path_factory.mktemp("cut") / "whole.trace"
+    ReplayTrace.load(str(legacy)).dump(str(path))
+    return path.read_bytes(), legacy.read_bytes()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_file_cut_anywhere_raises_schema_error(whole_files, tmp_path, data):
+    raw = data.draw(st.sampled_from(whole_files))
+    header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    # Bias toward the interesting places: inside the two text lines and
+    # just around the header/data boundary, as well as anywhere at all.
+    cut = data.draw(st.one_of(
+        st.integers(0, len(raw) - 1),
+        st.integers(0, header_end + 64).filter(lambda c: c < len(raw))))
+    path = str(tmp_path / "cut.trace")
+    with open(path, "wb") as fh:
+        fh.write(raw[:cut])
+    with pytest.raises(TraceSchemaError, match="cut.trace"):
+        ReplayTrace.load(path)

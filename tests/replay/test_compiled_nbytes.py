@@ -9,12 +9,14 @@ def test_compile_trace_is_cached_and_tuple_compatible(fig5_trace):
     book = compile_trace(fig5_trace)
     assert isinstance(book, CompiledTrace)
     assert compile_trace(fig5_trace) is book        # cached on the trace
-    # Legacy positional destructuring still works (NamedTuple).
-    prog, counts, sizes, total_counts, total_sizes, n_messages, max_seq = \
+    # Positional destructuring still works (NamedTuple); the recorded
+    # issue times ride in a column parallel to the op stream.
+    prog, counts, sizes, total_counts, total_sizes, n_messages, max_seq, t = \
         book
     assert prog is book.prog
     assert n_messages == book.n_messages
     assert n_messages > 0
+    assert t.dtype == np.float64 and len(t) == len(prog)
 
 
 def test_nbytes_counts_numpy_tables_and_op_stream(fig5_trace):
@@ -25,7 +27,7 @@ def test_nbytes_counts_numpy_tables_and_op_stream(fig5_trace):
         for table in (book.counts, book.sizes, book.total_counts,
                       book.total_sizes)
         for mat in table.values())
-    assert nbytes > matrix_bytes                    # op stream counted too
+    assert nbytes > matrix_bytes + book.t.nbytes    # op stream counted too
     assert nbytes > len(book.prog) * 32             # per-slot floor
     # Every matrix really is a dense numpy buffer over the world.
     n = fig5_trace.world_size

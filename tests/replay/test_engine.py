@@ -141,14 +141,31 @@ class TestSubstitution:
             replay(fig5_trace, substitute={"bcast": "no-such-alg"})
 
 
+def _without_first_send(trace):
+    """A copy of ``trace`` whose first send is gone (a trace's events
+    are read-only once built, so corruption means a new trace)."""
+    from repro.replay.schema import ReplayTrace
+
+    events = list(trace.events)
+    del events[next(i for i, ev in enumerate(events) if ev[0] == "S")]
+    return ReplayTrace(
+        world_size=trace.world_size, topology=trace.topology,
+        binding=trace.binding, params=trace.params, seed=trace.seed,
+        monitoring_overhead=trace.monitoring_overhead, comms=trace.comms,
+        clocks=trace.clocks, events=events, meta=trace.meta)
+
+
 def test_unsent_receive_raises(fig5_trace, tmp_path):
     from repro.replay.schema import ReplayTrace
 
-    path = str(tmp_path / "t.trace")
-    fig5_trace.dump(path)
-    trace = ReplayTrace.load(path)
-    # Drop the first send; its receive must now fail loudly.
-    idx = next(i for i, ev in enumerate(trace.events) if ev[0] == "S")
-    del trace.events[idx]
+    # Drop the first send; its receive must now fail loudly, on the
+    # compiled path, the interpreter, and after a trip through a file.
+    trace = _without_first_send(fig5_trace)
     with pytest.raises(ReplayError, match="unsent"):
         replay(trace, binding=list(reversed(trace.binding)))
+    with pytest.raises(ReplayError, match="unsent"):
+        replay(trace)
+    path = str(tmp_path / "t.trace")
+    trace.dump(path)
+    with pytest.raises(ReplayError, match="unsent"):
+        replay(ReplayTrace.load(path), binding=list(reversed(trace.binding)))

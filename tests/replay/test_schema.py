@@ -1,10 +1,16 @@
 """Trace persistence: exact round-trips and schema gating."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.core.errors import TraceSchemaError
-from repro.replay.schema import SCHEMA_VERSION, ReplayTrace
+from repro.replay.schema import (COLUMN_LAYOUT, KINDS, SCHEMA_VERSION,
+                                 ReplayTrace)
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_dump_load_roundtrip_is_exact(fig5_trace, tmp_path):
@@ -31,16 +37,141 @@ def test_byte_matrix_roundtrip(fig5_trace, tmp_path):
                           fig5_trace.byte_matrix(monitored_only=True))
 
 
+def test_file_is_schema_2_columns(fig5_trace, tmp_path):
+    path = str(tmp_path / "t.trace")
+    fig5_trace.dump(path)
+    raw = open(path, "rb").read()
+    assert raw.startswith(b"# repro.replay trace schema=2\n# header {")
+    assert SCHEMA_VERSION == 2
+    magic, hdr, data = _split(raw)
+    # Data section 8-byte aligned, and exactly n_events rows long.
+    assert (len(raw) - len(data)) % 8 == 0
+    assert len(data) == 39 * hdr["n_events"] == 39 * len(fig5_trace.events)
+    assert hdr["columns"] == [list(c) for c in COLUMN_LAYOUT]
+    # Readable by hand: each column is a plain little-endian array.
+    n = hdr["n_events"]
+    t = np.frombuffer(data, dtype="<f8", count=n)
+    assert t.max() == max(ev[-2] for ev in fig5_trace.events
+                          if ev[0] in "SRF")
+
+
+def _split(raw: bytes):
+    magic, header, data = raw.split(b"\n", 2)
+    assert header.startswith(b"# header ")
+    return magic, json.loads(header[len(b"# header "):]), data
+
+
+def _join(magic: bytes, hdr: dict, data: bytes) -> bytes:
+    return (magic + b"\n# header "
+            + json.dumps(hdr, separators=(",", ":")).encode() + b"\n" + data)
+
+
+def _poke(data: bytes, n: int, column: str, row: int, value) -> bytes:
+    """``data`` with one slot of one column overwritten."""
+    offset = 0
+    for name, dt in COLUMN_LAYOUT:
+        if name == column:
+            cell = np.array([value], dtype=dt).tobytes()
+            at = offset + row * len(cell)
+            return data[:at] + cell + data[at + len(cell):]
+        offset += n * np.dtype(dt).itemsize
+    raise KeyError(column)
+
+
+def _first_row(data: bytes, n: int, kind: str) -> int:
+    kinds = np.frombuffer(data, dtype="|u1", count=n, offset=36 * n)
+    return int(np.flatnonzero(kinds == KINDS.index(kind))[0])
+
+
+def _mangle_schema(magic, hdr, data):
+    return _join(magic.replace(b"schema=2", b"schema=3"), hdr, data)
+
+
+def _mangle_n_events(magic, hdr, data):
+    return _join(magic, dict(hdr, n_events=hdr["n_events"] - 1), data)
+
+
+def _mangle_layout(magic, hdr, data):
+    return _join(magic, dict(hdr, columns=hdr["columns"][::-1]), data)
+
+
+def _mangle_header_shape(magic, hdr, data):
+    return _join(magic, [hdr], data)
+
+
+def _mangle_header_key(magic, hdr, data):
+    return _join(magic, {k: v for k, v in hdr.items() if k != "binding"},
+                 data)
+
+
+def _poker(column, kind, value):
+    def mangle(magic, hdr, data):
+        n = hdr["n_events"]
+        return _join(magic, hdr,
+                     _poke(data, n, column, _first_row(data, n, kind), value))
+    return mangle
+
+
+BAD_FILES = {
+    "schema=3": _mangle_schema,
+    "n_events disagrees with the columns": _mangle_n_events,
+    "a column one byte long": lambda m, h, d: _join(m, h, d + b"\0"),
+    "a column one byte short": lambda m, h, d: _join(m, h, d[:-1]),
+    "columns of unequal length":            # one `t` slot missing
+        lambda m, h, d: _join(m, h, d[8:]),
+    "no columns at all": lambda m, h, d: _join(m, h, b""),
+    "text garbage after the header": lambda m, h, d: _join(
+        m, h, b"S 0 1 8 p2p p2p 0 0x0p+0 0x0p+0\n"),
+    "unknown column layout": _mangle_layout,
+    "header is not an object": _mangle_header_shape,
+    "header lacks a field": _mangle_header_key,
+    "header is not JSON": lambda m, h, d: m + b"\n# header {nope\n" + d,
+    "unknown kind code": _poker("kind", "S", 9),
+    "unknown category code": _poker("cat", "S", 7),
+    "unknown monitored-category code": _poker("mcat", "S", 200),
+    "send without a wire category": _poker("cat", "S", 0),
+    "rank out of range": _poker("rank", "R", 48),
+    "negative rank": _poker("rank", "F", -1),
+    "peer out of range": _poker("peer", "S", 4800),
+    "negative size": _poker("nbytes", "S", -5),
+    "sequence number out of range": _poker("seq", "R", 2 ** 31 - 1),
+    "collective index out of range": _poker("peer", "B", 10 ** 6),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BAD_FILES))
+def test_bad_file_raises_schema_error_naming_the_path(what, fig5_trace,
+                                                      tmp_path):
+    good = str(tmp_path / "good.trace")
+    fig5_trace.dump(good)
+    bad = str(tmp_path / "bad.trace")
+    open(bad, "wb").write(BAD_FILES[what](*_split(open(good, "rb").read())))
+    with pytest.raises(TraceSchemaError, match="bad.trace"):
+        ReplayTrace.load(bad)
+
+
 def test_future_schema_rejected(fig5_trace, tmp_path):
     path = str(tmp_path / "t.trace")
     fig5_trace.dump(path)
-    lines = open(path).read().splitlines(keepends=True)
-    lines[0] = lines[0].replace(f"schema={SCHEMA_VERSION}",
-                                f"schema={SCHEMA_VERSION + 1}")
+    raw = open(path, "rb").read()
+    token = f"schema={SCHEMA_VERSION}".encode()
+    assert raw.count(token, 0, 64) == 1
     mangled = str(tmp_path / "future.trace")
-    open(mangled, "w").writelines(lines)
-    with pytest.raises(TraceSchemaError):
+    open(mangled, "wb").write(raw.replace(
+        token, f"schema={SCHEMA_VERSION + 1}".encode(), 1))
+    with pytest.raises(TraceSchemaError, match="schema 3 is not supported"):
         ReplayTrace.load(mangled)
+
+
+def test_schema_1_header_followed_by_garbage_rejected(tmp_path):
+    raw = (DATA / "osc.schema1.trace").read_bytes()
+    magic, header, _events = raw.split(b"\n", 2)
+    for tail in (b"\xaf\x00\xff binary\n", b"Z 1 2 3\n", b"S 0 1\n",
+                 b"F 0 0x0p+0 0x0p"):
+        path = str(tmp_path / "garbage.trace")
+        open(path, "wb").write(magic + b"\n" + header + b"\n" + tail)
+        with pytest.raises(TraceSchemaError, match="garbage.trace"):
+            ReplayTrace.load(path)
 
 
 def test_missing_schema_token_rejected(tmp_path):

@@ -23,10 +23,8 @@ class TestWhatIfSearch:
     def test_identity_candidate_reproduces_recording(self, fig5_trace):
         res = what_if_search(fig5_trace, strategies=["identity"])
         cand = res.candidates[0]
-        # Identity goes through the non-exact fast path, which tracks
-        # the recorded makespan to float-noise, not to the bit.
-        assert cand.makespan == pytest.approx(res.recorded_makespan,
-                                              rel=1e-9)
+        # Identity is an exact replay: the recording, to the bit.
+        assert cand.makespan == res.recorded_makespan
         assert res.k.tolist() == list(range(fig5_trace.world_size))
 
     def test_search_beats_recorded_placement(self, fig5_trace):
@@ -45,6 +43,46 @@ class TestWhatIfSearch:
                              substitute={"bcast": "chain"})
         assert len(res.candidates) == 2
         assert res.meta["substitute"] == {"bcast": "chain"}
+
+
+    def test_one_replay_per_distinct_placement(self, fig5_trace,
+                                               monkeypatch):
+        """The paper's baseline binding is round-robin, so on an
+        rr-recorded trace ``identity`` and ``round_robin`` are one
+        placement — scored by one replay — and memoising changes no
+        candidate: each equals ``score_candidate`` run alone."""
+        import dataclasses
+
+        from repro.replay import search
+
+        replayed = []
+
+        def counting_replay(trace, binding=None, **kwargs):
+            replayed.append(tuple(binding))
+            return real_replay(trace, binding=binding, **kwargs)
+
+        real_replay = search.replay
+        monkeypatch.setattr(search, "replay", counting_replay)
+        res = what_if_search(fig5_trace, seed=3)
+        by_name = {c.strategy: c for c in res.candidates}
+        assert by_name["identity"].placement == \
+            by_name["round_robin"].placement == list(fig5_trace.binding)
+        distinct = {tuple(c.placement) for c in res.candidates}
+        assert len(replayed) == len(set(replayed)) == len(distinct) <= 5
+        assert by_name["identity"].makespan == res.recorded_makespan
+
+        def fields(cand):
+            doc = dataclasses.asdict(cand)
+            del doc["wall_seconds"]
+            return doc
+
+        for cand in res.candidates:
+            alone = search.score_candidate(fig5_trace, cand.strategy, seed=3)
+            assert fields(alone) == fields(cand)
+        # A fresh search replays again: the memo lives in one call.
+        before = len(replayed)
+        what_if_search(fig5_trace, strategies=["identity", "round_robin"])
+        assert len(replayed) == before + 1
 
 
 @pytest.fixture(scope="module")

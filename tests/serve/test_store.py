@@ -63,11 +63,32 @@ def test_budget_must_be_positive():
 
 
 def test_built_entries_account_compiled_plus_events(serve_traces):
+    """A book is the compiled form plus the event columns — their real
+    numpy sizes, not an estimate of tuples nobody built."""
     from repro.replay.schema import ReplayTrace
-    from repro.serve.store import trace_events_nbytes
 
     trace = ReplayTrace.load(serve_traces[0])
     entry = BookEntry.build("f" * 64, serve_traces[0], trace)
-    assert entry.nbytes == (entry.compiled.nbytes()
-                            + trace_events_nbytes(trace))
-    assert entry.nbytes > len(trace.events) * 32      # events alone exceed
+    cols = trace.columns()
+    assert cols.footprint() == sum(
+        getattr(cols, name).nbytes for name in cols._fields
+        if name != "colls")
+    assert cols.footprint() == 39 * trace.n_events    # the on-disk row
+    assert entry.nbytes == entry.compiled.nbytes() + cols.footprint()
+    assert entry.compiled.nbytes() > entry.compiled.t.nbytes > 0
+
+
+def test_serving_a_trace_never_builds_the_tuple_view(serve_traces):
+    """load -> compile -> search -> book: all on the columns."""
+    from repro.replay import compile_trace, what_if_search
+    from repro.replay.schema import ReplayTrace
+
+    trace = ReplayTrace.load(serve_traces[0])
+    compile_trace(trace)
+    res = what_if_search(trace)
+    entry = BookEntry.build("f" * 64, serve_traces[0], trace)
+    assert res.meta["n_events"] == trace.n_events > 0
+    assert entry.nbytes > 0
+    assert trace._events is None                      # still unmaterialised
+    assert len(trace.events) == trace.n_events        # and now it is
+    assert trace._events is not None
