@@ -16,12 +16,14 @@ never how they are *ranked*.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["Focus", "focus_from_report", "load_focus", "weighted_matrix"]
+__all__ = ["Focus", "focus_from_report", "load_focus", "focus_from_args",
+           "weighted_matrix"]
 
 #: Default multiplier for focused rows/columns/pairs.  Applied once per
 #: matching axis, so a pair that is both straggler-adjacent and on a
@@ -107,6 +109,23 @@ def load_focus(path: str, weight: float = DEFAULT_WEIGHT) -> Focus:
         return focus_from_report(doc, weight=weight)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def focus_from_args(args) -> Optional[Focus]:
+    """The ``--focus-from REPORT.json [--focus-weight W]`` pair of the
+    replay and serve CLIs; says on stderr what it will steer by."""
+    if not args.focus_from:
+        return None
+    focus = load_focus(
+        args.focus_from,
+        weight=DEFAULT_WEIGHT if args.focus_weight is None
+        else args.focus_weight)
+    print(f"focus from {args.focus_from}: "
+          f"stragglers {list(focus.straggler_ranks) or '-'}, "
+          f"congested {list(focus.congested_classes) or '-'} "
+          f"(weight {focus.weight:g}x on the generator matrix)",
+          file=sys.stderr)
+    return focus
 
 
 def weighted_matrix(matrix, topology, binding: Sequence[int],

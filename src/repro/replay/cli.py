@@ -4,13 +4,14 @@ Subcommands::
 
     record   run a Fig. 5 collective cell under the recorder, write a trace
     replay   re-cost a trace (identity, new binding, or substituted algs)
-    search   score candidate placements offline; optionally benchmark
-             the search against live re-simulation (``--bench``)
+    search   score candidate placements offline
     diff     compare two traces (or two replays of one trace)
 
 The trace file is the interchange format: any experiment driver can
 produce one via its shared ``--trace-out`` flag
 (:mod:`repro.experiments.common`), and everything here consumes it.
+How fast search is, and how far replayed makespans sit from live ones,
+is measured by ``benchmarks/ledger/run.py --workload advice``.
 """
 
 from __future__ import annotations
@@ -19,28 +20,13 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["main"]
-
-BENCH_SCHEMA = 1
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _parse_substitute(pairs: Optional[List[str]]) -> Optional[Dict[str, str]]:
-    if not pairs:
-        return None
-    out: Dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise argparse.ArgumentTypeError(
-                f"--substitute wants op=alg, got {pair!r}")
-        op, alg = pair.split("=", 1)
-        out[op.strip()] = alg.strip()
-    return out
 
 
 def _parse_binding(text: Optional[str]) -> Optional[List[int]]:
@@ -109,6 +95,7 @@ def _cmd_record(args) -> int:
 
 def _cmd_replay(args) -> int:
     from repro.replay.engine import replay
+    from repro.replay.patterns import parse_substitute
 
     trace = _load(args.trace)
     binding = _parse_binding(args.binding)
@@ -117,7 +104,7 @@ def _cmd_replay(args) -> int:
         a, b = args.swap_pus
         binding = [b if pu == a else a if pu == b else pu for pu in binding]
     res = replay(trace, binding=binding, seed=args.seed,
-                 substitute=_parse_substitute(args.substitute),
+                 substitute=parse_substitute(args.substitute),
                  verify=args.verify)
     for line in _summary_lines(trace, res):
         print(line)
@@ -146,27 +133,18 @@ def _cmd_replay(args) -> int:
 
 def _cmd_search(args) -> int:
     from repro.experiments.common import render_table
+    from repro.placement.focus import focus_from_args
     from repro.replay.engine import compile_trace
+    from repro.replay.patterns import parse_substitute
     from repro.replay.search import STRATEGIES, what_if_search
 
     trace = _load(args.trace)
     strategies = ([s.strip() for s in args.strategies.split(",") if s.strip()]
                   if args.strategies else list(STRATEGIES))
-    focus = None
-    if args.focus_from:
-        from repro.placement.focus import DEFAULT_WEIGHT, load_focus
-
-        weight = (args.focus_weight if args.focus_weight is not None
-                  else DEFAULT_WEIGHT)
-        focus = load_focus(args.focus_from, weight=weight)
-        print(f"focus from {args.focus_from}: "
-              f"stragglers {list(focus.straggler_ranks) or '-'}, "
-              f"congested {list(focus.congested_classes) or '-'} "
-              f"(weight {focus.weight:g}x on the generator matrix)",
-              file=sys.stderr)
+    focus = focus_from_args(args)
     t0 = time.perf_counter()
     res = what_if_search(trace, strategies=strategies, seed=args.seed,
-                         substitute=_parse_substitute(args.substitute),
+                         substitute=parse_substitute(args.substitute),
                          focus=focus)
     search_wall = time.perf_counter() - t0
     book = compile_trace(trace)
@@ -189,8 +167,6 @@ def _cmd_search(args) -> int:
     print(f"compiled book: {book.nbytes():,} bytes resident "
           f"({book.n_messages} messages), shared across all "
           f"{len(res.candidates)} candidates")
-    if args.bench:
-        _write_bench(args.bench, trace, res, search_wall)
     if args.json:
         doc = {
             "recorded_makespan": res.recorded_makespan,
@@ -213,69 +189,6 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _write_bench(path: str, trace, res, search_wall: float) -> None:
-    """Benchmark the replay search against live re-simulation.
-
-    For every candidate the search scored, re-run the *recording
-    workload* live under that candidate's binding and wall-time it —
-    the honest comparator: what scoring the same placements would cost
-    without the trace.  Only traces recorded by ``record`` (or any
-    driver that stamps ``meta["workload"]``) know their workload.
-    """
-    from repro.experiments import fig5_collectives
-    from repro.replay.schema import build_cluster
-    from repro.simmpi import Engine
-
-    meta = trace.meta or {}
-    if meta.get("workload") != "fig5":
-        raise SystemExit(
-            "--bench needs a trace recorded by `repro-replay record` "
-            f"(meta.workload == 'fig5'); this trace has {meta!r}")
-    live: Dict[str, Dict[str, float]] = {}
-    live_total = 0.0
-    for c in res.candidates:
-        cluster = build_cluster(trace, binding=c.placement)
-        engine = Engine(cluster, seed=int(meta.get("seed", 0)))
-        t0 = time.perf_counter()
-        fig5_collectives.run_cell(
-            meta["op"], int(meta["n_nodes"]),
-            sizes=tuple(meta["sizes"]), reps=int(meta["reps"]),
-            seed=int(meta.get("seed", 0)), engine=engine)
-        wall = time.perf_counter() - t0
-        live_total += wall
-        live[c.strategy] = {"wall_seconds": wall,
-                            "makespan": engine.max_clock}
-    replay_total = sum(c.wall_seconds for c in res.candidates)
-    doc = {
-        "schema": BENCH_SCHEMA,
-        "workload": meta.get("workload"),
-        "cell": {k: meta[k] for k in
-                 ("op", "n_nodes", "sizes", "reps", "seed") if k in meta},
-        "world_size": trace.world_size,
-        "n_events": trace.n_events,
-        "strategies": [c.strategy for c in res.candidates],
-        "replay_search": {
-            "total_wall_seconds": search_wall,
-            "candidate_wall_seconds": replay_total,
-            "per_strategy": {
-                c.strategy: {"wall_seconds": c.wall_seconds,
-                             "makespan": c.makespan}
-                for c in res.candidates
-            },
-        },
-        "live_rerun": {
-            "total_wall_seconds": live_total,
-            "per_strategy": live,
-        },
-        "speedup": live_total / search_wall if search_wall else float("inf"),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"bench: live {live_total:.3f}s vs replay search "
-          f"{search_wall:.3f}s = {doc['speedup']:.1f}x -> {path}")
-
-
 # ---------------------------------------------------------------------------
 # diff
 
@@ -284,12 +197,13 @@ def _cmd_diff(args) -> int:
     import numpy as np
 
     from repro.replay.engine import replay
+    from repro.replay.patterns import parse_substitute
 
     ta, tb = _load(args.a), _load(args.b)
     if ta.world_size != tb.world_size:
         print(f"world size differs: {ta.world_size} vs {tb.world_size}")
         return 1
-    sub = _parse_substitute(args.substitute)
+    sub = parse_substitute(args.substitute)
     ra = replay(ta)
     rb = replay(tb, substitute=sub)
     rc = 0
@@ -371,9 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="W", help="generator-matrix multiplier for "
                                      "focused traffic (default 4)")
     p.add_argument("--json", metavar="PATH", default=None)
-    p.add_argument("--bench", metavar="PATH", default=None,
-                   help="also wall-time live re-simulation of every "
-                        "candidate and write a benchmark JSON")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("diff", help="compare two traces")

@@ -40,12 +40,25 @@ from typing import Dict, List, Optional, Tuple
 from repro.replay.schema import ReplayTrace
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["SUBSTITUTABLE", "apply_substitution"]
+__all__ = ["SUBSTITUTABLE", "apply_substitution", "parse_substitute"]
 
 SUBSTITUTABLE = {
     "bcast": ("binomial", "flat", "chain"),
     "reduce": ("binomial", "binary", "flat"),
 }
+
+
+def parse_substitute(pairs: Optional[List[str]]) -> Optional[Dict[str, str]]:
+    """Repeated ``--substitute OP=ALG`` arguments → ``{op: alg}``."""
+    if not pairs:
+        return None
+    out: Dict[str, str] = {}
+    for pair in pairs:
+        op, eq, alg = pair.partition("=")
+        if not eq:
+            raise SystemExit(f"--substitute wants op=alg, got {pair!r}")
+        out[op.strip()] = alg.strip()
+    return out
 
 
 def apply_substitution(trace: ReplayTrace,

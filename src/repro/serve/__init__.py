@@ -18,19 +18,18 @@ Pieces:
   validator;
 * :mod:`repro.serve.store` — the compiled-book LRU (evicts by the
   books' real :meth:`~repro.replay.engine.CompiledTrace.nbytes`);
-* :mod:`repro.serve.workers` — the supervised scoring pool
-  (per-batch timeouts, bounded retries with backoff, crashed-worker
-  replacement — the :mod:`repro.sweep.executor` discipline);
+* :mod:`repro.serve.workers` — candidate scoring on the supervised
+  worker pool (:mod:`repro.core.pool`: per-batch timeouts, bounded
+  retries with backoff, crashed-worker replacement);
 * :mod:`repro.serve.server` — the async core: accept loop, per-trace
   compile deduplication, candidate batching across queries, bounded
   queue with explicit backpressure, graceful drain on SIGTERM;
 * :mod:`repro.serve.client` — the thin blocking client the CLI and
-  tests use;
-* :mod:`repro.serve.bench` — the load generator behind
-  ``python -m repro.serve bench`` and ``BENCH_serve.json``.
+  tests use.
 
-CLI: ``python -m repro.serve start|ingest|query|stats|bench`` (also
-installed as the ``repro-serve`` console script).
+CLI: ``python -m repro.serve start|ingest|query|stats|stop`` (also
+installed as the ``repro-serve`` console script).  The daemon under
+load is the ``serve`` workload of ``benchmarks/ledger/run.py``.
 """
 
 from __future__ import annotations

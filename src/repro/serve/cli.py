@@ -7,11 +7,13 @@ Subcommands::
     query    ask a daemon for placement advice on a fingerprint/trace
     stats    dump a daemon's live statistics
     stop     ask a daemon to drain and exit
-    bench    spawn a daemon and measure it (writes BENCH_serve.json)
 
 Output convention (shared with ``repro.obs diagnose --json``):
 machine-readable reports go to **stdout**, all human/log chatter goes
 to **stderr** — piping any subcommand into a JSON consumer just works.
+The daemon's speed (first answer, cold and hot paths, parity with a
+direct search) is measured by ``benchmarks/ledger/run.py --workload
+serve``.
 """
 
 from __future__ import annotations
@@ -19,21 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = ["main"]
-
-
-def _parse_substitute(pairs: Optional[List[str]]) -> Optional[Dict[str, str]]:
-    if not pairs:
-        return None
-    out: Dict[str, str] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--substitute wants op=alg, got {pair!r}")
-        op, alg = pair.split("=", 1)
-        out[op.strip()] = alg.strip()
-    return out
 
 
 def _endpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -54,22 +44,6 @@ def _emit(doc) -> None:
     """The machine-readable report — stdout, nothing else on stdout."""
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _load_focus(args):
-    if not getattr(args, "focus_from", None):
-        return None
-    from repro.placement.focus import DEFAULT_WEIGHT, load_focus
-
-    weight = (args.focus_weight if args.focus_weight is not None
-              else DEFAULT_WEIGHT)
-    focus = load_focus(args.focus_from, weight=weight)
-    print(f"focus from {args.focus_from}: "
-          f"stragglers {list(focus.straggler_ranks) or '-'}, "
-          f"congested {list(focus.congested_classes) or '-'} "
-          f"(weight {focus.weight:g}x on the generator matrix)",
-          file=sys.stderr)
-    return focus.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +76,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    focus = _load_focus(args)
+    from repro.placement.focus import focus_from_args
+    from repro.replay.patterns import parse_substitute
+
+    focus = focus_from_args(args)
     strategies = ([s.strip() for s in args.strategies.split(",") if s.strip()]
                   if args.strategies else None)
     with _client(args) as client:
@@ -111,8 +88,8 @@ def _cmd_query(args) -> int:
         else:
             fp = args.fingerprint
         reply = client.query(fp, strategies=strategies, seed=args.seed,
-                             substitute=_parse_substitute(args.substitute),
-                             focus=focus)
+                             substitute=parse_substitute(args.substitute),
+                             focus=focus.to_dict() if focus else None)
     print(f"best: {reply['best']} ({reply['speedup']:.2f}x vs recorded, "
           f"cache {reply['cache']['hits']}h/{reply['cache']['misses']}m)",
           file=sys.stderr)
@@ -132,31 +109,6 @@ def _cmd_stop(args) -> int:
         reply = client.shutdown()
     print("daemon draining", file=sys.stderr)
     _emit(reply)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.serve.bench import run_bench, verify_bench
-
-    if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        verify_bench(doc, min_qps=args.min_qps)
-        print(f"{args.verify}: ok "
-              f"(sustained {doc['sustained_qps']} qps, parity exact)",
-              file=sys.stderr)
-        return 0
-    if not args.trace:
-        raise SystemExit("bench needs --trace (or --verify FILE)")
-    connections = tuple(int(c) for c in args.connections.split(","))
-    doc = run_bench(args.trace, out_path=args.out, jobs=args.jobs,
-                    duration_s=args.duration, connection_ramp=connections,
-                    cold_queries=args.cold, min_qps=args.min_qps)
-    _emit(doc)
-    if args.check:
-        verify_bench(doc, min_qps=args.min_qps)
-        print(f"bench ok: sustained {doc['sustained_qps']} qps "
-              f">= {doc['min_qps']}", file=sys.stderr)
     return 0
 
 
@@ -219,25 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _endpoint_args(p)
     p.set_defaults(func=_cmd_stop)
 
-    p = sub.add_parser("bench", help="benchmark a daemon under load")
-    p.add_argument("--trace", default=None,
-                   help="trace file to serve")
-    p.add_argument("-o", "--out", default=None, metavar="PATH",
-                   help="write the benchmark JSON here")
-    p.add_argument("--jobs", type=int, default=2)
-    p.add_argument("--duration", type=float, default=2.0,
-                   help="seconds per hot phase")
-    p.add_argument("--connections", default="1,4,16", metavar="N,N,...",
-                   help="hot-phase connection ramp")
-    p.add_argument("--cold", type=int, default=16,
-                   help="cold (unique-seed) queries")
-    p.add_argument("--min-qps", type=float, default=None,
-                   help="QPS floor for --check/--verify")
-    p.add_argument("--check", action="store_true",
-                   help="fail if the fresh bench misses the QPS floor")
-    p.add_argument("--verify", default=None, metavar="BENCH.json",
-                   help="validate an existing bench file instead of running")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

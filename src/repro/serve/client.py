@@ -2,12 +2,13 @@
 
 One socket, one request/response at a time — deliberately boring.  The
 CLI, the tests, and anything embedding advice into a run loop use this;
-the load generator (:mod:`repro.serve.bench`) drives the asyncio stream
-helpers directly instead.
+the benchmark's load generator (``benchmarks/ledger/serve.py``) drives
+the asyncio stream helpers directly instead.
 
 An ``error`` response raises :class:`ServeError` carrying the server's
 error ``code`` (``overloaded`` → back off and retry; ``bad-request`` →
-fix the caller; ``shutting-down`` → find another daemon).
+fix the caller; ``trace-changed`` → ingest the file again;
+``shutting-down`` → find another daemon).
 """
 
 from __future__ import annotations

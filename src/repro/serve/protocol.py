@@ -23,10 +23,12 @@ Request types (client → server)::
 
 Response types (server → client): ``pong``, ``ingested``, ``result``,
 ``stats``, ``bye`` — plus ``error`` with ``code`` one of
-``bad-request`` / ``unknown-fingerprint`` / ``overloaded`` /
-``shutting-down`` / ``internal``.  An ``overloaded`` error is the
-backpressure signal: the scoring queue is full and the request was
-rejected *before* admission, so retrying later is safe.
+``bad-request`` / ``unknown-fingerprint`` / ``trace-changed`` /
+``overloaded`` / ``shutting-down`` / ``internal``.  An ``overloaded``
+error is the backpressure signal: the scoring queue is full and the
+request was rejected *before* admission, so retrying later is safe.
+``trace-changed`` means the file behind the fingerprint was rewritten
+or replaced since it was ingested: ingest it again.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ _LEN = struct.Struct(">I")
 
 REQUEST_TYPES = ("ping", "ingest", "query", "stats", "shutdown")
 RESPONSE_TYPES = ("pong", "ingested", "result", "stats", "bye", "error")
-ERROR_CODES = ("bad-request", "unknown-fingerprint", "overloaded",
-               "shutting-down", "internal")
+ERROR_CODES = ("bad-request", "unknown-fingerprint", "trace-changed",
+               "overloaded", "shutting-down", "internal")
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.errors import ServeProtocolError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
-from repro.serve.store import BookEntry, BookStore
-from repro.serve.workers import ScoreTask, WorkerPool
+from repro.serve.store import (BookEntry, BookStore, TraceChangedError,
+                               file_identity, require_unchanged)
+from repro.serve.workers import ScoreTask, WorkerPool, WorkerScoreError
 
 __all__ = ["ServeConfig", "PlacementServer", "LATENCY_BUCKETS"]
 
@@ -100,7 +101,8 @@ class PlacementServer:
             jobs=config.jobs, timeout_s=config.timeout_s,
             retries=config.retries, backoff_s=config.backoff_s,
             batch=config.batch, book_bytes=config.cache_bytes)
-        self._paths: Dict[str, str] = {}          # fingerprint -> trace path
+        # fingerprint -> (trace path, its file_identity when hashed)
+        self._paths: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
         self._compiling: Dict[str, asyncio.Future] = {}
         self._results: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self._responses: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
@@ -228,7 +230,7 @@ class PlacementServer:
                 self.request_shutdown()
             reply.setdefault("elapsed_s", time.perf_counter() - t0)
             await protocol.write_frame_async(writer, reply)
-        except _Reject as rej:
+        except (_Reject, TraceChangedError) as rej:
             self.metrics.counter("repro_serve_rejected_total",
                                  code=rej.code).inc()
             await self._send_error(writer, rej.code, str(rej))
@@ -263,9 +265,11 @@ class PlacementServer:
 
         path = os.path.abspath(doc["path"])
         loop = asyncio.get_running_loop()
+        identity = file_identity(path)
         fp = await loop.run_in_executor(None, file_digest, path)
+        require_unchanged(fp, path, identity)   # rewritten mid-hash
         known = fp in self._paths
-        self._paths[fp] = path
+        self._paths[fp] = (path, identity)
         reply = {
             "type": "ingested",
             "fingerprint": fp,
@@ -298,13 +302,12 @@ class PlacementServer:
         fut = loop.create_future()
         self._compiling[fp] = fut
         try:
-            path = self._paths.get(fp)
-            if path is None:
+            if fp not in self._paths:
                 raise _Reject(
                     "unknown-fingerprint",
                     f"fingerprint {fp[:12]}… was never ingested here")
             entry = await loop.run_in_executor(
-                None, self._compile_blocking, fp, path)
+                None, BookEntry.load, fp, *self._paths[fp])
             self.metrics.counter("repro_serve_compiles_total").inc()
             evicted = self.store.put(entry)
             for gone in evicted:
@@ -319,13 +322,6 @@ class PlacementServer:
             raise
         finally:
             del self._compiling[fp]
-
-    @staticmethod
-    def _compile_blocking(fp: str, path: str) -> BookEntry:
-        from repro.replay.schema import ReplayTrace
-
-        trace = ReplayTrace.load(path)
-        return BookEntry.build(fp, path, trace)
 
     # -- query ---------------------------------------------------------
 
@@ -395,8 +391,9 @@ class PlacementServer:
         # Register + submit cold cells *before* the first await: between
         # classification and registration the loop must not suspend, or
         # a concurrent identical query would double-score the cell.
+        path, identity = self._paths[fp]
         for i, key in cold:
-            task = ScoreTask(fingerprint=fp, path=self._paths[fp],
+            task = ScoreTask(fingerprint=fp, path=path, identity=identity,
                              strategy=strategies[i], seed=seed,
                              substitute=substitute, focus=focus)
             fut = self.pool.submit(task)
@@ -413,8 +410,14 @@ class PlacementServer:
         # needs (workers load their own copy from the path).
         entry = await self._ensure_book(fp)
 
-        for i, fut in waits:
-            results[i] = await asyncio.shield(fut)
+        try:
+            for i, fut in waits:
+                results[i] = await asyncio.shield(fut)
+        except WorkerScoreError:
+            # A worker that (re)loads the book refuses a replaced file;
+            # say so with the explicit code instead of "internal".
+            require_unchanged(fp, path, identity)
+            raise
 
         order = sorted(range(len(results)),
                        key=lambda i: (results[i]["makespan"], i))
@@ -482,9 +485,9 @@ class PlacementServer:
     def _do_stats(self) -> Dict[str, Any]:
         self._observe_store()
         self._observe_queue()
+        pool = self.pool.stats()
         self.metrics.gauge("repro_serve_worker_utilization").set(
-            round(self.pool.stats.utilization(), 4))
-        pool = self.pool.stats
+            pool["utilization"])
         return {
             "type": "stats",
             "endpoint": self.config.endpoint(),
@@ -500,16 +503,7 @@ class PlacementServer:
                 "pending_cells": self._pending_cells,
                 "max_queue": self.config.max_queue,
             },
-            "pool": {
-                "workers": pool.workers,
-                "spawned": pool.workers_spawned,
-                "replaced": pool.workers_replaced,
-                "batches": pool.batches,
-                "tasks_ok": pool.tasks_ok,
-                "tasks_failed": pool.tasks_failed,
-                "retries": pool.retries,
-                "utilization": round(pool.utilization(), 4),
-            },
+            "pool": pool,
             "metrics": self.metrics.snapshot(),
         }
 

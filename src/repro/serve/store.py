@@ -6,7 +6,10 @@ A *book* is one ingested trace held hot: the parsed
 fingerprints** (:func:`repro.core.fingerprint.file_digest` of the
 trace file), so the same trace ingested twice — or by two different
 paths — occupies one slot, and a re-recorded file at the same path is
-a *different* book.
+a *different* book: ingest notes the hashed file's
+:func:`file_identity`, and :meth:`BookEntry.load` refuses a file that
+no longer has it (:class:`TraceChangedError`) instead of filing the new
+bytes under the old fingerprint.
 
 Eviction is by real resident size, not entry count: each entry's
 ``nbytes`` sums the compiled book's numpy buffers + op stream
@@ -24,11 +27,37 @@ a private instance.
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["BookEntry", "BookStore"]
+__all__ = ["BookEntry", "BookStore", "TraceChangedError", "file_identity",
+           "require_unchanged"]
+
+
+class TraceChangedError(ValueError):
+    """The trace file behind a fingerprint is no longer the file that
+    was fingerprinted."""
+
+    code = "trace-changed"  # the protocol error it is answered with
+
+
+def file_identity(path: str) -> Tuple[int, int, int]:
+    """``(size, mtime_ns, inode)`` — what a rewrite or a replacement of
+    the file changes, at the price of one ``stat`` (re-hashing megabytes
+    on every book load would be paid by every first answer)."""
+    st = os.stat(path)
+    return (st.st_size, st.st_mtime_ns, st.st_ino)
+
+
+def require_unchanged(fingerprint: str, path: str, identity) -> None:
+    """Raise :class:`TraceChangedError` unless ``path`` still has the
+    identity it had when it hashed to ``fingerprint``."""
+    if file_identity(path) != identity:
+        raise TraceChangedError(
+            f"trace file {path} changed on disk since it was ingested as "
+            f"{fingerprint[:12]}…; ingest it again")
 
 
 @dataclass
@@ -38,6 +67,18 @@ class BookEntry:
     trace: object          # ReplayTrace
     compiled: object       # CompiledTrace
     nbytes: int
+
+    @classmethod
+    def load(cls, fingerprint: str, path: str,
+             identity: Tuple[int, int, int]) -> "BookEntry":
+        """Load and compile ``path``, which must still be the file that
+        hashed to ``fingerprint`` (``identity`` was taken then).  Checked
+        after the read, so a rewrite racing it is caught too."""
+        from repro.replay.schema import ReplayTrace
+
+        trace = ReplayTrace.load(path)
+        require_unchanged(fingerprint, path, identity)
+        return cls.build(fingerprint, path, trace)
 
     @classmethod
     def build(cls, fingerprint: str, path: str, trace) -> "BookEntry":

@@ -1,67 +1,42 @@
-"""Supervised scoring pool: candidate replays in worker processes.
+"""Scoring pool: candidate replays in supervised worker processes.
 
 The asyncio server cannot score candidates on its own thread — a cold
 replay of a large trace costs tens of milliseconds of pure CPU and
 would stall every connection — so scoring is dispatched to a small
-pool of worker processes.  The pool re-applies the
-:mod:`repro.sweep.executor` supervision discipline, translated to the
-event loop:
-
-* **batched dispatch** — the dispatcher drains up to ``batch`` queued
-  candidate tasks into one worker message, so concurrent queries for
-  the same book amortize the IPC round trip;
-* **per-batch timeouts** — a worker that exceeds
-  ``timeout_s x batch-size`` is killed and replaced by a fresh
-  process;
-* **crash replacement** — a worker that dies mid-batch is detected by
-  the broken pipe and replaced; its tasks are requeued;
-* **bounded retries with backoff** — every requeue counts as an
-  attempt; a task failing ``retries + 1`` times surfaces the error to
-  the awaiting query.
+:class:`repro.core.pool.SupervisedPool`, which owns the processes,
+batching (concurrent queries for one book share a pipe round trip),
+per-batch timeouts, crash replacement and bounded retries.  This module
+only says what a scoring worker does.
 
 Each worker owns a private :class:`~repro.serve.store.BookStore`
 (loaded lazily from the trace *path*, keyed by the parent's
-fingerprint), so a hot worker replays straight from memory.  Scoring
+fingerprint, refused when the file is no longer the one that was
+fingerprinted), so a hot worker replays straight from memory.  Scoring
 calls :func:`repro.replay.search.score_candidate` — the exact code
 path of a direct ``repro.replay search`` — which is what makes served
 results bit-identical to offline ones.
 
-Chaos injection for the tests/CI mirrors the sweep executor:
-``REPRO_SERVE_CHAOS="stall=0.5"`` makes every batch sleep first (holds
-tasks in flight, exercising backpressure and drain), and
-``"crash=N"`` makes N batches hard-exit the worker mid-flight.
+Chaos injection for the tests/CI is read from ``REPRO_SERVE_CHAOS``:
+``"stall=0.5"`` makes every batch sleep first (holds tasks in flight,
+exercising backpressure and drain), and ``"crash=N"`` makes N batches
+hard-exit the worker mid-flight.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import functools
 import os
-import time
-import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["ScoreTask", "WorkerPool", "parse_chaos"]
+from repro.core.pool import PoolTaskError, SupervisedPool, parse_chaos
+from repro.serve.store import BookEntry, BookStore
 
-_EXIT = ("exit",)
+__all__ = ["ScoreTask", "WorkerPool", "WorkerScoreError"]
 
-
-def parse_chaos(text: Optional[str]) -> Dict[str, float]:
-    """``"stall=0.5,crash=2"`` → ``{"stall": 0.5, "crash": 2.0}``."""
-    out: Dict[str, float] = {}
-    if not text:
-        return out
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        kind, _, value = token.partition("=")
-        if kind not in ("stall", "crash"):
-            raise ValueError(f"unknown chaos kind {kind!r} "
-                             "(expected stall=SECONDS or crash=N)")
-        out[kind] = float(value or 1)
-    return out
+#: A task failed terminally (all retries exhausted).
+WorkerScoreError = PoolTaskError
 
 
 @dataclass
@@ -70,54 +45,25 @@ class ScoreTask:
 
     fingerprint: str
     path: str
+    identity: Tuple[int, ...]  # store.file_identity(path) at ingest
     strategy: str
     seed: int = 0
     substitute: Optional[Dict[str, str]] = None
     focus: Optional[Dict[str, Any]] = None
-    attempts: int = 0
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "path": self.path,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "substitute": self.substitute,
-            "focus": self.focus,
-        }
 
 
-class WorkerScoreError(RuntimeError):
-    """A task failed terminally (all retries exhausted)."""
-
-
-# ---------------------------------------------------------------------------
-# worker process
-
-
-def _score_one(payload: Dict[str, Any], store) -> Dict[str, Any]:
+def _score_one(store: BookStore, task: ScoreTask) -> Dict[str, Any]:
+    from repro.placement.focus import Focus
     from repro.replay.search import score_candidate
-    from repro.serve.store import BookEntry
 
-    fp = payload["fingerprint"]
-    entry = store.get(fp)
+    entry = store.get(task.fingerprint)
     if entry is None:
-        from repro.replay.schema import ReplayTrace
-
-        trace = ReplayTrace.load(payload["path"])
-        entry = BookEntry.build(fp, payload["path"], trace)
+        entry = BookEntry.load(task.fingerprint, task.path, task.identity)
         store.put(entry)
-    focus = payload.get("focus")
-    if focus:
-        from repro.placement.focus import Focus
-
-        focus = Focus.from_dict(focus)
-    else:
-        focus = None
-    cand = score_candidate(entry.trace, payload["strategy"],
-                           seed=int(payload.get("seed", 0)),
-                           substitute=payload.get("substitute"),
-                           focus=focus)
+    cand = score_candidate(
+        entry.trace, task.strategy, seed=int(task.seed),
+        substitute=task.substitute,
+        focus=Focus.from_dict(task.focus) if task.focus else None)
     return {
         "strategy": cand.strategy,
         "placement": [int(p) for p in cand.placement],
@@ -129,117 +75,8 @@ def _score_one(payload: Dict[str, Any], store) -> Dict[str, Any]:
     }
 
 
-def _worker_main(conn, book_bytes: int, chaos_stall: float,
-                 chaos_crash) -> None:
-    """One worker: receive batches of score payloads, reply per-task."""
-    from repro.serve.store import BookStore
-
-    store = BookStore(max_bytes=book_bytes)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg[0] == "exit":
-            return
-        _, payloads = msg
-        if chaos_stall > 0.0:
-            time.sleep(chaos_stall)
-        if chaos_crash is not None:
-            with chaos_crash.get_lock():
-                take = chaos_crash.value > 0
-                if take:
-                    chaos_crash.value -= 1
-            if take:
-                os._exit(42)  # simulated hard crash mid-batch
-        t0 = time.perf_counter()
-        results: List[Tuple[str, Any]] = []
-        for payload in payloads:
-            try:
-                results.append(("ok", _score_one(payload, store)))
-            except BaseException:
-                results.append(("err", traceback.format_exc(limit=20)))
-        try:
-            conn.send(("batch", results, time.perf_counter() - t0,
-                       store.stats()))
-        except (BrokenPipeError, OSError):
-            return
-
-
-def _recv_quietly(conn):
-    """Blocking recv that never raises (runs on an executor thread —
-    the supervisor decides what a dead pipe means, not the thread)."""
-    try:
-        return conn.recv()
-    except BaseException as exc:
-        return ("__dead__", repr(exc))
-
-
-# ---------------------------------------------------------------------------
-# the pool
-
-
-class _Slot:
-    def __init__(self, ctx, slot_id: int, book_bytes: int,
-                 chaos_stall: float, chaos_crash):
-        self.id = slot_id
-        parent_conn, child_conn = ctx.Pipe()
-        self.conn = parent_conn
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, book_bytes, chaos_stall, chaos_crash),
-            daemon=True,
-            name=f"serve-worker-{slot_id}",
-        )
-        self.proc.start()
-        child_conn.close()
-        self.busy_s = 0.0
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except (OSError, AttributeError):  # pragma: no cover - raced exit
-            pass
-        self.proc.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(_EXIT)
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=5.0)
-        if self.proc.is_alive():  # pragma: no cover - stuck worker
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-@dataclass
-class PoolStats:
-    workers: int = 0
-    workers_spawned: int = 0
-    workers_replaced: int = 0
-    batches: int = 0
-    tasks_ok: int = 0
-    tasks_failed: int = 0
-    retries: int = 0
-    busy_s: float = 0.0
-    started_at: float = field(default_factory=time.monotonic)
-
-    def utilization(self) -> float:
-        wall = max(time.monotonic() - self.started_at, 1e-9)
-        return min(1.0, self.busy_s / (wall * max(self.workers, 1)))
-
-
-class WorkerPool:
-    """Async facade over the supervised worker processes."""
+class WorkerPool(SupervisedPool):
+    """The daemon's scoring pool: :class:`ScoreTask` in, result dict out."""
 
     def __init__(
         self,
@@ -251,146 +88,16 @@ class WorkerPool:
         book_bytes: int = 256 * 1024 * 1024,
         chaos: Optional[Dict[str, float]] = None,
     ):
-        self.jobs = max(1, int(jobs))
-        self.timeout_s = float(timeout_s)
-        self.retries = max(0, int(retries))
-        self.backoff_s = float(backoff_s)
-        self.batch = max(1, int(batch))
-        self.book_bytes = int(book_bytes)
         if chaos is None:
             chaos = parse_chaos(os.environ.get("REPRO_SERVE_CHAOS"))
-        self.chaos = chaos
-        self.stats = PoolStats()
-        self._queue: "asyncio.Queue" = asyncio.Queue()
-        self._slots: List[_Slot] = []
-        self._loops: List[asyncio.Task] = []
-        self._stopping = False
-        self._ctx = None
-        self._chaos_crash = None
-        self.worker_stores: Dict[int, Dict[str, Any]] = {}
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        crash_budget = int(self.chaos.get("crash", 0))
-        self._chaos_crash = (self._ctx.Value("i", crash_budget)
-                             if crash_budget else None)
-        self.stats.workers = self.jobs
-        self.stats.started_at = time.monotonic()
-        for _ in range(self.jobs):
-            self._slots.append(self._spawn())
-        self._loops = [asyncio.create_task(self._slot_loop(i))
-                       for i in range(self.jobs)]
-
-    def _spawn(self) -> _Slot:
-        slot = _Slot(self._ctx, self.stats.workers_spawned, self.book_bytes,
-                     float(self.chaos.get("stall", 0.0)), self._chaos_crash)
-        self.stats.workers_spawned += 1
-        return slot
-
-    async def stop(self) -> None:
-        """Stop the loops after in-queue work is handed out, then the
-        workers.  Callers drain pending futures first if they care."""
-        self._stopping = True
-        for _ in self._loops:
-            self._queue.put_nowait(None)
-        if self._loops:
-            await asyncio.gather(*self._loops, return_exceptions=True)
-        for slot in self._slots:
-            slot.shutdown()
-        self._slots = []
-        self._loops = []
-
-    # -- dispatch ------------------------------------------------------
+        super().__init__(
+            functools.partial(BookStore, max_bytes=int(book_bytes)),
+            _score_one,
+            jobs=jobs, timeout_s=timeout_s, retries=retries,
+            backoff_s=backoff_s, batch=batch, chaos=chaos)
 
     def submit(self, task: ScoreTask) -> "asyncio.Future":
-        """Queue one task; the future resolves to the result dict."""
-        fut = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait((task, fut))
-        return fut
-
-    def queue_depth(self) -> int:
-        return self._queue.qsize()
-
-    async def _slot_loop(self, index: int) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                return
-            batch: List[Tuple[ScoreTask, asyncio.Future]] = [item]
-            while len(batch) < self.batch:
-                try:
-                    nxt = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:  # propagate the stop token
-                    self._queue.put_nowait(None)
-                    break
-                batch.append(nxt)
-            await self._run_batch(loop, index, batch)
-
-    async def _run_batch(self, loop, index: int, batch) -> None:
-        slot = self._slots[index]
-        payloads = [task.payload() for task, _fut in batch]
-        deadline = self.timeout_s * len(batch)
-        t0 = time.monotonic()
-        try:
-            slot.conn.send(("score", payloads))
-            reply = await asyncio.wait_for(
-                loop.run_in_executor(None, _recv_quietly, slot.conn),
-                timeout=deadline)
-        except asyncio.TimeoutError:
-            self._replace(index, f"batch timeout after {deadline:.1f}s")
-            self._requeue_all(batch, f"worker timeout ({deadline:.1f}s)")
-            return
-        except (BrokenPipeError, OSError) as exc:
-            self._replace(index, "send failed")
-            self._requeue_all(batch, f"worker pipe broke: {exc}")
-            return
-        finally:
-            slot.busy_s += time.monotonic() - t0
-            self.stats.busy_s += time.monotonic() - t0
-        if reply[0] == "__dead__":
-            self._replace(index, "crashed mid-batch")
-            self._requeue_all(batch, f"worker crashed mid-batch: {reply[1]}")
-            return
-        _, results, _elapsed, store_stats = reply
-        self.stats.batches += 1
-        self.worker_stores[slot.id] = store_stats
-        for (task, fut), (status, payload) in zip(batch, results):
-            if fut.cancelled():
-                continue
-            if status == "ok":
-                self.stats.tasks_ok += 1
-                fut.set_result(payload)
-            else:
-                self._retry_or_fail(task, fut, f"error in worker:\n{payload}")
-
-    # -- supervision ---------------------------------------------------
-
-    def _replace(self, index: int, why: str) -> None:
-        self._slots[index].kill()
-        self._slots[index] = self._spawn()
-        self.stats.workers_replaced += 1
-
-    def _requeue_all(self, batch, reason: str) -> None:
-        for task, fut in batch:
-            if not fut.cancelled():
-                self._retry_or_fail(task, fut, reason)
-
-    def _retry_or_fail(self, task: ScoreTask, fut, reason: str) -> None:
-        task.attempts += 1
-        if task.attempts <= self.retries and not self._stopping:
-            self.stats.retries += 1
-            delay = self.backoff_s * (2.0 ** (task.attempts - 1))
-            asyncio.get_running_loop().call_later(
-                delay, self._queue.put_nowait, (task, fut))
-        else:
-            self.stats.tasks_failed += 1
-            fut.set_exception(WorkerScoreError(
-                f"scoring {task.strategy} on {task.fingerprint[:12]} failed "
-                f"after {task.attempts} attempt(s): {reason}"))
+        """Queue one candidate; the future resolves to its result dict
+        or raises :class:`WorkerScoreError`."""
+        label = f"{task.strategy} on {task.fingerprint[:12]}"
+        return super().submit(task, index=label).future

@@ -21,12 +21,13 @@ jitter so that repeated runs show the run-to-run variance the paper's
 §6.2 statistics (180 repetitions, Welch t-test) rely on.
 
 Hot-path design: :meth:`Network.transfer` runs once per simulated
-message — millions of times per experiment — so the per-pair route is
-resolved *once*, at construction.  ``Network.__init__`` walks every
-(src_rank, dst_rank) pair and precomputes the sharing-class index,
-``alpha``, ``1/bandwidth``, the endpoint node indices and the
-cross-node mask into flat tables; ``transfer`` is then pure arithmetic
-plus the shared-resource bookkeeping and never calls
+message — millions of times per experiment — so a pair's route
+(``alpha``, bandwidth, endpoint nodes, NIC/memory gates) is resolved
+*once*, the first time the pair talks, and memoized; construction keeps
+only O(n) ingredients (PU and node per rank, one link per common-ancestor
+depth), so a 4096-rank world costs what its communication pattern
+touches, not n² entries.  ``transfer`` is then a dict hit, pure
+arithmetic and the shared-resource bookkeeping, and never calls
 ``Topology.common_level_name`` or ``NetworkParams.link_for``.  Jitter
 factors are drawn from the seeded RNG in blocks and handed out in
 stream order, so a jittered run consumes the *same* draw sequence as
@@ -50,21 +51,15 @@ __all__ = ["LinkParams", "NetworkParams", "Network", "plafrim_params", "ib_pair_
 #: ``_JITTER_BLOCK / 2`` messages.
 _JITTER_BLOCK = 1024
 
-#: Worlds at or above this rank count build lazy per-pair route views
-#: instead of the dense n² tables (override with ``lazy_routes=``).
-#: 4096 ranks would otherwise materialize ~2 GB of mirrors before the
-#: first message moves.
-_LAZY_THRESHOLD = 1024
-
 
 class _LazyPairView(dict):
     """Flat ``src * n + dst``-indexed mapping, computed on first touch.
 
-    Drop-in for the dense list mirrors: every consumer (engine send
-    materialization, replay scoring, obs link accounting) only ever
-    does ``view[pair]``, and dict indexing with ``__missing__`` makes
-    that resolve-and-memoize.  A 4096-rank world touches the pairs its
-    communication pattern actually uses — thousands, not 16.7 million.
+    Every consumer (engine send materialization, replay scoring, obs
+    link accounting) only ever does ``view[pair]``, and dict indexing
+    with ``__missing__`` makes that resolve-and-memoize.  A 4096-rank
+    world touches the pairs its communication pattern actually uses —
+    thousands, not 16.7 million.
     """
 
     __slots__ = ("_resolve",)
@@ -190,16 +185,8 @@ def ib_pair_params(jitter: float = 0.0) -> NetworkParams:
 class Network:
     """Timed message transport over a :class:`Topology` and a binding.
 
-    Public route tables (all precomputed at construction, read-only):
-
-    * ``route_classes`` — tuple of sharing-class names;
-    * ``route_class`` — (n, n) uint16 index into ``route_classes``;
-    * ``route_alpha`` / ``route_inv_bw`` — (n, n) float64 latency and
-      inverse bandwidth of the link class serving each pair;
-    * ``route_src_node`` / ``route_dst_node`` — (n, n) endpoint node
-      indices;
-    * ``route_cross`` — (n, n) bool, True where the pair crosses nodes.
-
+    ``route_classes`` is the tuple of sharing-class names the binding
+    can produce, in row-major first-appearance order over rank pairs;
     ``n_messages`` counts every completed :meth:`transfer`.
     """
 
@@ -210,7 +197,6 @@ class Network:
         params: NetworkParams,
         seed: int = 0,
         record_nic: bool = True,
-        lazy_routes: Optional[bool] = None,
     ):
         self.topology = topology
         self.binding = list(binding)
@@ -232,133 +218,21 @@ class Network:
         self._jit_blk: List[float] = []
         self._jit_pos = 0
         self.n_messages = 0
-        if lazy_routes is None:
-            lazy_routes = len(self.binding) >= _LAZY_THRESHOLD
-        self.lazy_routes = bool(lazy_routes)
-        if self.lazy_routes:
-            self._build_routes_lazy()
-        else:
-            self._build_routes()
+        self._build_routes()
 
     # -- route tables ------------------------------------------------------
 
     def _build_routes(self) -> None:
-        topo = self.topology
-        params = self.params
-        binding = self.binding
-        n = len(binding)
-        self._n_ranks = n
-
-        pu = np.asarray(binding, dtype=np.int64)
-        strides = topo._strides
-        depth = len(strides)
-        rank_node = pu // strides[0]
-
-        # Vectorized common-ancestor depth: components are nested, so
-        # the depth of the deepest common ancestor of two PUs is simply
-        # the number of levels at which they fall in the same component
-        # (equality at a deep level implies equality at every shallower
-        # one).  This replaces an O(n^2) Python loop of per-pair
-        # topology queries.
-        cd = np.zeros((n, n), dtype=np.int64)
-        for stride in strides:
-            comp = pu // stride
-            cd += comp[:, None] == comp[None, :]
-
-        # Sharing classes in first-appearance (row-major) order — the
-        # order the scalar per-pair loop produced, which route_classes
-        # consumers observe.  Depth <-> class name is a bijection:
-        # 0 = "cluster", depth = "self", else the level name.
-        flat = cd.ravel()
-        first_seen = {
-            int(d): int(np.argmax(flat == d)) for d in np.unique(flat)
-        }
-        class_names: List[str] = []
-        class_index: Dict[str, int] = {}
-        lut_idx = np.zeros(depth + 1, dtype=np.uint16)
-        lut_alpha = np.zeros(depth + 1, dtype=np.float64)
-        lut_bw = np.ones(depth + 1, dtype=np.float64)
-        for d in sorted(first_seen, key=first_seen.get):
-            if d == 0:
-                cls = "cluster"
-            elif d == depth:
-                cls = "self"
-            else:
-                cls = topo._names[d - 1]
-            class_index[cls] = len(class_names)
-            class_names.append(cls)
-            lp = params.link_for(cls, topo)
-            lut_idx[d] = class_index[cls]
-            lut_alpha[d] = lp.latency
-            lut_bw[d] = lp.bandwidth
-        cls_idx = lut_idx[cd]
-        alpha = lut_alpha[cd]
-        bw = lut_bw[cd]
-        cross = cd == 0
-        has_mem = bool(params.mem_bandwidth)
-        mem_gate = (cd != depth) if has_mem else np.zeros((n, n), dtype=bool)
-
-        self.route_classes: Tuple[str, ...] = tuple(class_names)
-        self.route_class = cls_idx
-        self.route_alpha = alpha
-        self.route_inv_bw = 1.0 / bw
-        self.route_src_node = np.broadcast_to(rank_node[:, None], (n, n))
-        self.route_dst_node = np.broadcast_to(rank_node[None, :], (n, n))
-        self.route_cross = cross
-
-        # Flat per-pair mirrors (index src*n + dst) as plain Python
-        # scalars: transfer() runs per message, and plain-float
-        # arithmetic beats numpy scalar extraction there.  Bandwidth is
-        # kept (not its inverse) because ``nbytes / bw`` must stay the
-        # exact division the un-tabled model performed.
-        self._alpha_l = alpha.ravel().tolist()
-        self._bw_l = bw.ravel().tolist()
-        self._src_l = self.route_src_node.ravel().tolist()
-        self._dst_l = self.route_dst_node.ravel().tolist()
-        self._cross_l = cross.ravel().tolist()
-        nic_gate = cross if params.nic_serialize else np.zeros_like(cross)
-        self._nic_l = nic_gate.ravel().tolist()
-        self._mem_l = mem_gate.ravel().tolist()
-        self._cls_l = [class_names[i] for i in cls_idx.ravel().tolist()]
-        # Class-index mirror of _cls_l for observability consumers that
-        # accumulate per-class totals in flat lists (repro.obs.hooks).
-        self._clsidx_l = cls_idx.ravel().tolist()
-        # Fused per-pair records: transfer() reads all seven parameters
-        # of a pair with one list index + tuple unpack instead of seven
-        # separate list probes.  The values are the same float/int
-        # objects as in the flat mirrors above, so costs stay bit-exact.
-        counted = (self._cross_l if self._record_nic
-                   else [False] * len(self._cross_l))
-        self._pair_l = list(zip(self._alpha_l, self._bw_l, self._src_l,
-                                self._dst_l, counted, self._nic_l,
-                                self._mem_l))
-        self._o_send = float(params.send_overhead)
-        self._mem_bw = params.mem_bandwidth
-        # Plain attribute (not a property): read once per receive
-        # completion on the hot path.
-        self.recv_overhead = params.recv_overhead
-
-    # -- lazy route views (big worlds) -------------------------------------
-
-    def _build_routes_lazy(self) -> None:
         """O(n) route construction: per-pair views resolve on demand.
 
-        The dense builder materializes six (n, n) arrays plus eight
-        n²-element list mirrors — ~2 GB and tens of seconds at 4096
-        ranks, before the first message moves.  Here only the O(n)
-        ingredients are kept (PU per rank, node per rank, per-depth
-        link LUTs) and every mirror becomes a :class:`_LazyPairView`
-        memoizing ``src * n + dst -> value``.  Resolved entries carry
-        the same Python floats the dense tables would, so ``transfer``
-        arithmetic — and therefore every virtual clock — is
-        bit-identical across the two modes.
-
-        The dense 2D ``route_*`` arrays are not built (set to None):
-        their only consumers are diagnostics that are meaningless at a
-        scale where they would not fit in memory anyway.
-        ``route_classes`` is still computed exactly, in dense
-        first-appearance order, by scanning rows until every achievable
-        sharing class has been seen (almost always just row 0).
+        Only the O(n) ingredients are kept (PU per rank, node per rank,
+        per-depth link LUTs); every per-pair table is a
+        :class:`_LazyPairView` memoizing ``src * n + dst -> value``.
+        Dense n² tables would be ~2 GB and tens of seconds at 4096
+        ranks, before the first message moves.  ``route_classes`` is
+        computed exactly, in row-major first-appearance order, by
+        scanning rows until every achievable sharing class has been
+        seen (almost always just row 0).
         """
         topo = self.topology
         params = self.params
@@ -389,9 +263,9 @@ class Network:
                 if pairs.shape[1] > np.unique(pairs[0]).size:
                     achievable.add(d)
 
-        # First-appearance (row-major) order, matching the dense
-        # builder observable for route_classes: scan whole rows
-        # vectorized, stop once every achievable depth has appeared.
+        # First-appearance (row-major) order, which route_classes
+        # consumers observe: scan whole rows vectorized, stop once
+        # every achievable depth has appeared.
         order: List[int] = []
         seen: set = set()
         for src in range(n):
@@ -429,25 +303,21 @@ class Network:
         self._lut_alpha = lut_alpha
         self._lut_bw = lut_bw
 
-        self.route_class = None
-        self.route_alpha = None
-        self.route_inv_bw = None
-        self.route_src_node = None
-        self.route_dst_node = None
-        self.route_cross = None
-
+        # The fused record transfer() reads with one lookup + unpack:
+        # (alpha, bandwidth, src node, dst node, NIC counted, NIC gate,
+        # memory gate).  Bandwidth is kept (not its inverse) because
+        # ``nbytes / bw`` must stay the exact division of the model.
         self._pair_l = _LazyPairView(self._resolve_pair)
+        # Single-field views for consumers that need just one of them
+        # (replay: alpha; repro.obs: class index per message).
         self._alpha_l = _LazyPairView(self._resolve_alpha)
-        self._bw_l = _LazyPairView(self._resolve_bw)
-        self._src_l = _LazyPairView(self._resolve_src)
-        self._dst_l = _LazyPairView(self._resolve_dst)
         self._cross_l = _LazyPairView(self._resolve_cross)
-        self._nic_l = _LazyPairView(self._resolve_nic)
-        self._mem_l = _LazyPairView(self._resolve_mem)
         self._cls_l = _LazyPairView(self._resolve_cls)
         self._clsidx_l = _LazyPairView(self._resolve_clsidx)
         self._o_send = float(params.send_overhead)
         self._mem_bw = params.mem_bandwidth
+        # Plain attribute (not a property): read once per receive
+        # completion on the hot path.
         self.recv_overhead = params.recv_overhead
 
     def _common_depth(self, src: int, dst: int) -> int:
@@ -482,25 +352,10 @@ class Network:
     def _resolve_alpha(self, key: int) -> float:
         return self._pair_l[key][0]
 
-    def _resolve_bw(self, key: int) -> float:
-        return self._pair_l[key][1]
-
-    def _resolve_src(self, key: int) -> int:
-        return self._pair_l[key][2]
-
-    def _resolve_dst(self, key: int) -> int:
-        return self._pair_l[key][3]
-
     def _resolve_cross(self, key: int) -> bool:
-        # The raw cross-node predicate (dense ``_cross_l``), not the
-        # record_nic-gated ``counted`` field of the pair tuple.
+        # The raw cross-node predicate, not the record_nic-gated
+        # ``counted`` field of the pair tuple.
         return self._common_depth(*divmod(key, self._n_ranks)) == 0
-
-    def _resolve_nic(self, key: int) -> bool:
-        return self._pair_l[key][5]
-
-    def _resolve_mem(self, key: int) -> bool:
-        return self._pair_l[key][6]
 
     def _resolve_clsidx(self, key: int) -> int:
         return self._lut_idx[self._common_depth(*divmod(key, self._n_ranks))]

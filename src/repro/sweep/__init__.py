@@ -6,14 +6,13 @@ that fleet of simulations fast, resumable and fault-tolerant:
 
 * :mod:`repro.sweep.registry` — every experiment decomposed into pure,
   picklable parameter cells;
-* :mod:`repro.sweep.executor` — a supervised multiprocessing pool with
-  per-cell timeouts, bounded retries with backoff, and crashed-worker
-  replacement;
+* :mod:`repro.sweep.executor` — cells on the supervised worker pool
+  (:mod:`repro.core.pool`: per-cell timeouts, bounded retries with
+  backoff, crashed-worker replacement);
 * :mod:`repro.sweep.cache` — a content-addressed JSON result cache
   keyed on (scenario, params, code fingerprint), so re-runs and
   partially failed sweeps resume instead of recomputing;
-* :mod:`repro.sweep.runner` — orchestration + run report + the
-  ``BENCH_sweep.json`` emitter;
+* :mod:`repro.sweep.runner` — orchestration + run report;
 * :mod:`repro.sweep.cli` — ``python -m repro.sweep run|ls|clean``.
 
 See DESIGN.md §4.2 for the architecture and failure semantics.
@@ -25,6 +24,6 @@ from repro.sweep.executor import (CellOutcome, CellTask,  # noqa: F401
 from repro.sweep.registry import (SCENARIOS, ScenarioSpec,  # noqa: F401
                                   SweepConfig, cell_id, get_scenario,
                                   scenario_names)
-from repro.sweep.runner import (RunReport, emit_bench,  # noqa: F401
-                                render_reports, results_by_scenario,
-                                run_sweep, select_cells)
+from repro.sweep.runner import (RunReport, render_reports,  # noqa: F401
+                                results_by_scenario, run_sweep,
+                                select_cells)

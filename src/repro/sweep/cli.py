@@ -10,7 +10,7 @@ Subcommands::
 Examples::
 
     python -m repro.sweep run --jobs 4 --filter 'fig5|fig6'
-    python -m repro.sweep run --smoke --jobs 2 --bench BENCH_sweep.json
+    python -m repro.sweep run --smoke --jobs 2 --report run.json
     python -m repro.sweep ls --filter fig5
     python -m repro.sweep clean --stale
 """
@@ -71,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--report", default=None, metavar="PATH",
                        help="machine-readable run report "
                             "(default <cache>/last-run.json)")
-    p_run.add_argument("--bench", default=None, metavar="PATH",
-                       help="also emit a BENCH_sweep.json perf record")
     p_run.add_argument("--show-reports", action="store_true",
                        help="print each figure's text report at the end")
     p_run.add_argument("--quiet", "-q", action="store_true",
@@ -156,9 +154,6 @@ def _cmd_run(args) -> int:
     if report_path:
         runner.write_run_report(report, report_path)
         print(f"run report: {report_path}")
-    if args.bench:
-        runner.emit_bench(report, args.bench)
-        print(f"bench record: {args.bench}")
     if args.show_reports:
         for name, text in runner.render_reports(report).items():
             print(f"\n===== {name} =====")

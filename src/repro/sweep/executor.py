@@ -1,72 +1,28 @@
-"""Sharded cell executor: a supervised multiprocessing worker pool.
+"""Sharded cell executor: sweep cells on the supervised worker pool.
 
-The executor fans cells out over ``jobs`` worker processes and
-supervises them from the parent:
-
-* **per-cell timeouts** — a worker that exceeds the deadline for its
-  cell is killed and replaced by a fresh process;
-* **crash replacement** — a worker that dies mid-cell (segfault,
-  ``os._exit``, OOM kill) is detected via its process sentinel and
-  replaced; the cell it held is requeued;
-* **bounded retries with backoff** — every requeue (crash, timeout or
-  Python exception inside the cell) counts as an attempt; a cell is
-  retried up to ``retries`` times with exponential backoff
-  (``backoff_s * 2**attempt``) before being reported as failed.
+A façade over :class:`repro.core.pool.SupervisedPool`, which owns the
+worker processes, per-cell timeouts, crash replacement, bounded retries
+with backoff and chaos injection.  This module only says what a sweep
+worker computes (:func:`repro.sweep.registry.compute_cell`) and maps
+the pool's tasks onto :class:`CellOutcome` records.
 
 Chaos injection (used by the CI ``sweep-smoke`` job and the executor
-tests) is gated behind ``REPRO_SWEEP_CHAOS``, e.g.
-``REPRO_SWEEP_CHAOS="crash=1,timeout=1"``: shared budget counters make
-exactly N workers hard-exit mid-cell / stall past the deadline, which
-must be invisible in the final results.
+tests) is read from ``REPRO_SWEEP_CHAOS``, e.g.
+``REPRO_SWEEP_CHAOS="crash=1,timeout=1"``: exactly N workers hard-exit
+mid-cell / stall past the deadline, which must be invisible in the
+final results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import asyncio
 import os
-import time
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional
 
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX hosts
-    resource = None
+from repro.core.pool import PoolTaskError, SupervisedPool, parse_chaos
 
 __all__ = ["CellTask", "CellOutcome", "SweepExecutor", "parse_chaos"]
-
-_EXIT = ("exit",)
-
-
-def _peak_rss_kb() -> int:
-    """The calling process's peak RSS in KiB (0 where unavailable).
-
-    ``ru_maxrss`` is KiB on Linux but bytes on macOS."""
-    if resource is None:
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if os.uname().sysname == "Darwin":  # pragma: no cover - macOS only
-        peak //= 1024
-    return int(peak)
-
-
-def parse_chaos(text: Optional[str]) -> Dict[str, int]:
-    """``"crash=1,timeout=2"`` → ``{"crash": 1, "timeout": 2}``."""
-    out: Dict[str, int] = {}
-    if not text:
-        return out
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        kind, _, count = token.partition("=")
-        if kind not in ("crash", "timeout"):
-            raise ValueError(f"unknown chaos kind {kind!r} "
-                             "(expected crash=N or timeout=N)")
-        out[kind] = int(count or 1)
-    return out
 
 
 @dataclass
@@ -74,9 +30,6 @@ class CellTask:
     index: int
     scenario: str
     params: Dict[str, Any]
-    attempts: int = 0
-    not_before: float = 0.0  # monotonic instant gating the retry
-    enqueued_at: float = 0.0  # monotonic instant the task became runnable
 
 
 @dataclass
@@ -96,106 +49,20 @@ class CellOutcome:
     peak_rss_kb: int = 0  # worker peak RSS while computing the cell
 
 
-def _worker_main(conn, worker_id: int, chaos_crash, chaos_timeout,
-                 stall_s: float) -> None:
-    """One worker: receive (task) tuples, compute, send results."""
+def _worker_init():
     from repro.sweep.registry import compute_cell
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return
-        if msg[0] == "exit":
-            return
-        _, index, scenario, params = msg
-        if chaos_crash is not None:
-            with chaos_crash.get_lock():
-                take = chaos_crash.value > 0
-                if take:
-                    chaos_crash.value -= 1
-            if take:
-                os._exit(42)  # simulated hard crash mid-cell
-        if chaos_timeout is not None:
-            with chaos_timeout.get_lock():
-                take = chaos_timeout.value > 0
-                if take:
-                    chaos_timeout.value -= 1
-            if take:
-                time.sleep(stall_s)  # stall past the per-cell deadline
-        t0 = time.perf_counter()
-        try:
-            payload = compute_cell(scenario, params)
-            conn.send(("ok", index, payload, time.perf_counter() - t0,
-                       _peak_rss_kb()))
-        except BaseException:
-            err = traceback.format_exc(limit=30)
-            try:
-                conn.send(("err", index, err, time.perf_counter() - t0,
-                           _peak_rss_kb()))
-            except (BrokenPipeError, OSError):
-                return
+    return compute_cell
 
 
-class _WorkerSlot:
-    def __init__(self, ctx, worker_id: int, chaos_crash, chaos_timeout,
-                 stall_s: float):
-        self.id = worker_id
-        parent_conn, child_conn = ctx.Pipe()
-        self.conn = parent_conn
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, worker_id, chaos_crash, chaos_timeout, stall_s),
-            daemon=True,
-            name=f"sweep-worker-{worker_id}",
-        )
-        self.proc.start()
-        child_conn.close()
-        self.task: Optional[CellTask] = None
-        self.deadline = float("inf")
-        self.assigned_at = 0.0
-        self.busy_s = 0.0  # accumulated busy time (utilization)
-
-    @property
-    def idle(self) -> bool:
-        return self.task is None
-
-    def assign(self, task: CellTask, timeout_s: float) -> None:
-        now = time.monotonic()
-        self.task = task
-        self.assigned_at = now
-        self.deadline = now + timeout_s
-        self.conn.send(("task", task.index, task.scenario, task.params))
-
-    def release(self) -> None:
-        self.busy_s += time.monotonic() - self.assigned_at
-        self.task = None
-        self.deadline = float("inf")
-
-    def kill(self) -> None:
-        if self.task is not None:
-            self.release()
-        try:
-            self.proc.kill()
-        except (OSError, AttributeError):
-            pass
-        self.proc.join(timeout=5.0)
-        self.conn.close()
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(_EXIT)
-        except (BrokenPipeError, OSError):
-            pass
-        self.proc.join(timeout=5.0)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
-        self.conn.close()
+def _worker_call(compute_cell, payload):
+    return compute_cell(*payload)
 
 
 class SweepExecutor:
-    """Run cells on a supervised pool; see the module docstring."""
+    """Run cells on a supervised pool of at most ``jobs`` workers (never
+    more than there are cells).  ``workers_spawned``, ``workers_replaced``
+    and ``utilization`` describe the latest :meth:`run`."""
 
     def __init__(
         self,
@@ -215,184 +82,42 @@ class SweepExecutor:
         self.workers_spawned = 0
         self.workers_replaced = 0
         self.utilization = 0.0
-        self._retired_busy_s = 0.0
-
-    # -- internals -----------------------------------------------------
-
-    def _ctx(self):
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-
-    def _spawn(self, ctx, chaos_crash, chaos_timeout) -> _WorkerSlot:
-        slot = _WorkerSlot(ctx, self.workers_spawned, chaos_crash,
-                           chaos_timeout, stall_s=self.timeout_s + 5.0)
-        self.workers_spawned += 1
-        return slot
-
-    def _replace(self, slots, i, ctx, chaos_crash, chaos_timeout) -> None:
-        slot = slots[i]
-        slot.kill()
-        self._retired_busy_s += slot.busy_s
-        slots[i] = self._spawn(ctx, chaos_crash, chaos_timeout)
-        self.workers_replaced += 1
-
-    def _requeue_or_fail(self, task: CellTask, reason: str, pending,
-                         outcomes, events) -> None:
-        task.attempts += 1
-        if task.attempts <= self.retries:
-            delay = self.backoff_s * (2.0 ** (task.attempts - 1))
-            task.enqueued_at = time.monotonic()
-            task.not_before = task.enqueued_at + delay
-            out = outcomes[task.index]
-            out.backoff_s += delay
-            out.retry_log.append(reason)
-            pending.append(task)
-            events(
-                {"type": "retry", "index": task.index, "reason": reason,
-                 "attempt": task.attempts, "backoff_s": delay})
-        else:
-            out = outcomes[task.index]
-            out.status = "failed"
-            out.error = reason
-            out.attempts = task.attempts
-            events({"type": "failed", "index": task.index, "reason": reason})
-
-    # -- main loop -----------------------------------------------------
 
     def run(self, tasks: List[CellTask],
             on_event: Optional[Callable[[Dict[str, Any]], None]] = None,
             ) -> List[CellOutcome]:
-        events = on_event or (lambda e: None)
-        outcomes = {
-            t.index: CellOutcome(index=t.index, scenario=t.scenario,
-                                 params=t.params, status="pending")
-            for t in tasks
-        }
-        pending: List[CellTask] = list(tasks)
-        t_enqueue = time.monotonic()
-        for t in pending:
-            t.enqueued_at = t_enqueue
-        done = 0
-        total = len(tasks)
-        if total == 0:
+        if not tasks:
             self.utilization = 0.0
             return []
+        return asyncio.run(self._run(tasks, on_event))
 
-        ctx = self._ctx()
-        chaos_crash = (ctx.Value("i", self.chaos.get("crash", 0))
-                       if self.chaos.get("crash") else None)
-        chaos_timeout = (ctx.Value("i", self.chaos.get("timeout", 0))
-                         if self.chaos.get("timeout") else None)
-
-        n_workers = min(self.jobs, total)
-        slots = [self._spawn(ctx, chaos_crash, chaos_timeout)
-                 for _ in range(n_workers)]
-        t_start = time.monotonic()
-
-        def finish(slot: _WorkerSlot, kind: str, payload, elapsed: float,
-                   rss_kb: int = 0):
-            nonlocal done
-            task = slot.task
-            slot.release()
-            out = outcomes[task.index]
-            if rss_kb > out.peak_rss_kb:
-                out.peak_rss_kb = rss_kb
-            if kind == "ok":
-                out.status = "ok"
-                out.result = payload
-                out.elapsed_s = elapsed
-                out.attempts = task.attempts + 1
-                done += 1
-                events({"type": "ok", "index": task.index,
-                        "elapsed_s": elapsed, "attempt": out.attempts,
-                        "worker": slot.id})
-            else:
-                self._requeue_or_fail(
-                    task, f"error in cell:\n{payload}", pending, outcomes,
-                    events)
-                if outcomes[task.index].status == "failed":
-                    done += 1
-
+    async def _run(self, tasks, on_event) -> List[CellOutcome]:
+        pool = SupervisedPool(
+            _worker_init, _worker_call, jobs=min(self.jobs, len(tasks)),
+            timeout_s=self.timeout_s, retries=self.retries,
+            backoff_s=self.backoff_s, chaos=self.chaos, on_event=on_event)
+        await pool.start()
         try:
-            while done < total:
-                now = time.monotonic()
-                # Assign ready tasks to idle workers.
-                for slot in slots:
-                    if not slot.idle or not pending:
-                        continue
-                    ready = [t for t in pending if t.not_before <= now]
-                    if not ready:
-                        continue
-                    task = min(ready, key=lambda t: t.index)
-                    pending.remove(task)
-                    outcomes[task.index].queue_wait_s += max(
-                        0.0, now - max(task.enqueued_at, task.not_before))
-                    slot.assign(task, self.timeout_s)
-                    events({"type": "start", "index": task.index,
-                            "attempt": task.attempts + 1, "worker": slot.id})
-
-                busy = [s for s in slots if not s.idle]
-                if not busy:
-                    if pending:
-                        sleep_until = min(t.not_before for t in pending)
-                        time.sleep(max(0.0, min(sleep_until - now, 0.5)))
-                        continue
-                    break  # nothing running, nothing pending
-
-                next_deadline = min(s.deadline for s in busy)
-                wait_s = max(0.0, min(next_deadline - now, 0.25))
-                readable = conn_wait(
-                    [s.conn for s in busy] + [s.proc.sentinel for s in busy],
-                    timeout=wait_s)
-                ready_set = set(readable)
-                now = time.monotonic()
-
-                for i, slot in enumerate(slots):
-                    if slot.idle:
-                        continue
-                    if slot.conn in ready_set:
-                        try:
-                            msg = slot.conn.recv()
-                            kind, _idx, payload, elapsed = msg[:4]
-                            rss_kb = msg[4] if len(msg) > 4 else 0
-                        except (EOFError, OSError):
-                            # Died between send and our read: treat as crash.
-                            task = slot.task
-                            self._replace(slots, i, ctx, chaos_crash,
-                                          chaos_timeout)
-                            self._requeue_or_fail(
-                                task, "worker crashed mid-cell", pending,
-                                outcomes, events)
-                            if outcomes[task.index].status == "failed":
-                                done += 1
-                            continue
-                        finish(slot, kind, payload, elapsed, rss_kb)
-                    elif slot.proc.sentinel in ready_set and not slot.proc.is_alive():
-                        task = slot.task
-                        exitcode = slot.proc.exitcode
-                        self._replace(slots, i, ctx, chaos_crash,
-                                      chaos_timeout)
-                        self._requeue_or_fail(
-                            task, f"worker crashed (exit {exitcode})",
-                            pending, outcomes, events)
-                        if outcomes[task.index].status == "failed":
-                            done += 1
-                    elif now > slot.deadline:
-                        task = slot.task
-                        self._replace(slots, i, ctx, chaos_crash,
-                                      chaos_timeout)
-                        self._requeue_or_fail(
-                            task,
-                            f"cell timeout after {self.timeout_s:.1f}s",
-                            pending, outcomes, events)
-                        if outcomes[task.index].status == "failed":
-                            done += 1
+            # Submission order is dispatch order: lowest index first.
+            ran = [pool.submit((t.scenario, t.params), index=t.index)
+                   for t in tasks]
+            results = await asyncio.gather(*(r.future for r in ran),
+                                           return_exceptions=True)
         finally:
-            wall = max(time.monotonic() - t_start, 1e-9)
-            busy_total = self._retired_busy_s + sum(s.busy_s for s in slots)
-            self.utilization = min(1.0, busy_total / (wall * n_workers))
-            for slot in slots:
-                slot.shutdown()
-
-        return [outcomes[t.index] for t in tasks]
+            stats = pool.stats()
+            self.workers_spawned = stats["spawned"]
+            self.workers_replaced = stats["replaced"]
+            self.utilization = stats["utilization"]
+            await pool.stop()
+        outcomes = []
+        for task, r, result in zip(tasks, ran, results):
+            failed = isinstance(result, PoolTaskError)
+            outcomes.append(CellOutcome(
+                index=task.index, scenario=task.scenario, params=task.params,
+                status="failed" if failed else "ok",
+                result=None if failed else result,
+                error=result.reason if failed else None,
+                attempts=r.attempts, elapsed_s=0.0 if failed else r.elapsed_s,
+                retry_log=r.retry_log, queue_wait_s=r.queue_wait_s,
+                backoff_s=r.backoff_s, peak_rss_kb=r.peak_rss_kb))
+        return outcomes

@@ -8,11 +8,9 @@ enumerates the selected scenarios' cells, serves every cell whose
 over the :class:`~repro.sweep.executor.SweepExecutor`, caches fresh
 results, and returns a :class:`RunReport` that can be serialized as
 the machine-readable run report or rendered into per-figure text
-reports.
-
-``emit_bench`` distills a report into ``BENCH_sweep.json`` — the
-repo's sweep performance trajectory (per-figure wall-clock, cache hit
-rate, worker utilization).
+reports.  What the sweep layer itself costs is on the benchmark ledger
+(``benchmarks/ledger/run.py``: ``sweep.overhead_s``,
+``sweep.cached_rerun_s``), computed from the run report.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -31,11 +28,10 @@ from repro.sweep.executor import CellTask, SweepExecutor
 from repro.sweep.registry import SweepConfig, cell_id, get_scenario
 
 __all__ = ["CellRecord", "RunReport", "select_cells", "run_sweep",
-           "results_by_scenario", "render_reports", "emit_bench",
-           "write_run_report"]
+           "results_by_scenario", "render_reports", "write_run_report"]
 
 # Schema 2 added the per-cell "telemetry" section (queue wait, backoff,
-# peak RSS) and the top-level "observability" section of the bench doc.
+# peak RSS).
 REPORT_SCHEMA = 2
 
 
@@ -238,48 +234,6 @@ def render_reports(report: RunReport) -> Dict[str, str]:
         name: get_scenario(name).report(results)
         for name, results in decoded.items()
     }
-
-
-def emit_bench(report: RunReport, path: str = "BENCH_sweep.json") -> Dict[str, Any]:
-    """Write the sweep's perf trajectory record; returns the document."""
-    per_figure: Dict[str, Dict[str, Any]] = {}
-    for cell in report.cells:
-        fig = per_figure.setdefault(cell.scenario, {
-            "cells": 0, "ok": 0, "failed": 0, "cache_hits": 0,
-            "computed_wall_s": 0.0,
-        })
-        fig["cells"] += 1
-        fig["ok" if cell.status == "ok" else "failed"] += 1
-        if cell.from_cache:
-            fig["cache_hits"] += 1
-        elif cell.status == "ok":
-            fig["computed_wall_s"] = round(
-                fig["computed_wall_s"] + cell.elapsed_s, 6)
-    totals = report.totals
-    doc = {
-        "bench": "repro.sweep",
-        "schema": REPORT_SCHEMA,
-        "python": sys.version.split()[0],
-        "cpus": os.cpu_count(),
-        "jobs": report.jobs,
-        "filter": report.filter,
-        "smoke": report.smoke,
-        "fingerprint": report.fingerprint,
-        "totals": totals,
-        "observability": {
-            "queue_wait_s_total": totals["queue_wait_s"],
-            "backoff_s_total": totals["backoff_s"],
-            "peak_rss_kb_max": totals["peak_rss_kb_max"],
-            "retries": totals["retries"],
-            "workers_replaced": totals["workers_replaced"],
-            "worker_utilization": totals["worker_utilization"],
-        },
-        "figures": per_figure,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
 
 
 def write_run_report(report: RunReport, path: str) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.placement.mapping import is_permutation
-from repro.replay.cli import BENCH_SCHEMA, main
+from repro.replay.cli import main
 from repro.replay.search import STRATEGIES, what_if_search
 
 
@@ -107,22 +107,6 @@ class TestCli:
         doc = json.loads(open(out).read())
         assert doc["exact"] is False
         assert doc["makespan"] > 0
-
-    def test_search_writes_bench(self, recorded_cell, tmp_path, capsys):
-        bench = str(tmp_path / "BENCH.json")
-        assert main(["search", recorded_cell,
-                     "--strategies", "treematch,greedy,local",
-                     "--bench", bench]) == 0
-        doc = json.loads(open(bench).read())
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["workload"] == "fig5"
-        assert set(doc["strategies"]) == {"treematch", "greedy", "local"}
-        for side in ("replay_search", "live_rerun"):
-            assert doc[side]["total_wall_seconds"] > 0
-            assert set(doc[side]["per_strategy"]) == set(doc["strategies"])
-        assert doc["speedup"] == pytest.approx(
-            doc["live_rerun"]["total_wall_seconds"]
-            / doc["replay_search"]["total_wall_seconds"])
 
     def test_diff_identical_traces(self, recorded_cell, capsys):
         assert main(["diff", recorded_cell, recorded_cell]) == 0

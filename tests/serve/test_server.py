@@ -9,6 +9,7 @@ the outside, the way an operator would.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -192,6 +193,44 @@ def test_crashed_worker_is_replaced_and_query_retried(
             stats = client.stats()
             assert stats["pool"]["replaced"] == 1
             assert stats["pool"]["retries"] == 1
+
+
+@pytest.mark.parametrize("reloader", ["worker", "daemon"])
+def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
+        serve_traces, serve_daemon, tmp_path, reloader):
+    """A trace file overwritten after ingest must never be scored under
+    its old fingerprint: whoever (re)loads the book — a worker on its
+    first touch, or the daemon after an LRU eviction — refuses, the
+    query gets ``trace-changed`` naming the path, and a re-ingest
+    serves the new file under the new fingerprint."""
+    from repro.replay.schema import ReplayTrace
+    from repro.replay.search import what_if_search
+
+    path = str(tmp_path / "live.trace")
+    shutil.copyfile(serve_traces[0], path)
+    flags = {"jobs": 1, "backoff": "0.01"}
+    if reloader == "daemon":
+        flags["cache_mb"] = 1
+    with serve_daemon(**flags) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fp_a = client.ingest(path)["fingerprint"]
+            if reloader == "daemon":
+                client.query(fp_a, strategies=["identity"])  # warm worker
+                client.ingest(serve_traces[1])               # evicts fp_a
+            shutil.copyfile(serve_traces[1], path)   # re-recorded in place
+
+            with pytest.raises(ServeError) as excinfo:
+                client.query(fp_a, strategies=["greedy"])
+            assert excinfo.value.code == "trace-changed"
+            assert path in str(excinfo.value)
+
+            fp_b = client.ingest(path)["fingerprint"]
+            assert fp_b != fp_a
+            served = client.query(fp_b, strategies=["greedy"])
+
+    direct = what_if_search(ReplayTrace.load(serve_traces[1]),
+                            strategies=["greedy"])
+    assert served["candidates"][0]["makespan"] == direct.best.makespan
 
 
 def test_unknown_fingerprint_and_bad_requests(serve_traces, serve_daemon):

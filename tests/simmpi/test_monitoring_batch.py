@@ -167,3 +167,27 @@ def test_trace_hook_sees_multiplicity_and_mode0_traffic():
         (3.5, 0, 3, 50, "coll", 1),
     ]
     assert pml.totals("p2p") == (0, 0)
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+def test_segmented_bcast_records_every_segment_or_nothing(monitored):
+    """Engine level: with monitoring on, each decomposed segment of a
+    tree broadcast is one record; with it off, nothing is recorded."""
+    from repro.simmpi import Cluster, Engine
+
+    engine = Engine(Cluster.plafrim(2, binding="rr"), seed=0)
+
+    def program(comm):
+        if monitored:
+            comm.engine.pml.set_mode(2)
+        for _ in range(2):
+            comm.bcast(None, root=0,
+                       nbytes=8_000_000 if comm.rank == 0 else None)
+
+    engine.run(program)
+    assert engine.messages > engine.n_ranks   # segmented, not one per rank
+    n_msgs, n_bytes = engine.pml.totals("coll")
+    if monitored:
+        assert n_msgs == engine.messages and n_bytes > 0
+    else:
+        assert (n_msgs, n_bytes) == (0, 0)

@@ -85,20 +85,6 @@ class TestArtifacts:
             assert tel["backoff_s"] >= 0.0
             assert tel["peak_rss_kb"] >= 0
 
-    def test_emit_bench(self, cache, tmp_path):
-        report = _selftest_sweep(cache)
-        path = tmp_path / "BENCH_sweep.json"
-        doc = runner.emit_bench(report, str(path))
-        assert json.loads(path.read_text()) == doc
-        fig = doc["figures"]["selftest"]
-        assert fig["cells"] == fig["ok"] == 4
-        assert fig["computed_wall_s"] >= 0.0
-        assert doc["totals"]["cache_hit_rate"] == 0.0
-        obs = doc["observability"]
-        assert obs["queue_wait_s_total"] >= 0.0
-        assert obs["retries"] == doc["totals"]["retries"]
-        assert obs["peak_rss_kb_max"] == doc["totals"]["peak_rss_kb_max"]
-
 
 class TestCli:
     def test_run_ls_clean(self, tmp_path, capsys):
@@ -106,7 +92,6 @@ class TestCli:
         common = ["--filter", "selftest", "--smoke", "--cache-dir", cache_dir]
 
         rc = cli.main(["run", *common, "--jobs", "2",
-                       "--bench", str(tmp_path / "bench.json"),
                        "--report", str(tmp_path / "run.json")])
         assert rc == 0
         out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -184,71 +186,57 @@ def test_nic_counter_monotone(events):
 
 
 # ---------------------------------------------------------------------------
-# big worlds: lazy routes and O(n) construction
+# routes: resolved on demand, O(n) construction
 
 
 @settings(max_examples=20, deadline=None)
 @given(level_lists, st.data())
 def test_lazy_routes_match_dense_everywhere(topo, data):
-    """Every per-pair quantity the engine, replayer, and obs layer read
-    resolves to exactly the dense table value — same Python objects'
-    worth of floats, so downstream arithmetic is bit-identical."""
+    """Every lazily resolved per-pair quantity the engine, replayer, and
+    obs layer read equals what a dense walk over the topology, the link
+    table and the binding says it is — for every pair."""
     n = data.draw(st.integers(1, min(topo.n_pus, 12)))
     binding = data.draw(st.permutations(list(range(topo.n_pus)))).copy()[:n]
     cl = Cluster(topo, n, binding=binding)
-    dense = Network(topo, binding, cl.params, seed=1, lazy_routes=False)
-    lazy = Network(topo, binding, cl.params, seed=1, lazy_routes=True)
-    assert lazy.lazy_routes and not dense.lazy_routes
-    assert lazy.route_classes == dense.route_classes
+    params = cl.params
+    if data.draw(st.booleans()):
+        params = dataclasses.replace(params, nic_serialize=False,
+                                     mem_bandwidth=None)
+    record_nic = data.draw(st.booleans())
+    net = Network(topo, binding, params, seed=1, record_nic=record_nic)
+    first_seen = []
     for src in range(n):
         for dst in range(n):
             k = src * n + dst
-            assert lazy._pair_l[k] == dense._pair_l[k]
-            assert lazy._alpha_l[k] == dense._alpha_l[k]
-            assert lazy._clsidx_l[k] == dense._clsidx_l[k]
-            assert lazy._cls_l[k] == dense._cls_l[k]
-            assert lazy._cross_l[k] == dense._cross_l[k]
-            assert lazy._cls_l[k] == topo.common_level_name(
-                binding[src], binding[dst]
+            cls = topo.common_level_name(binding[src], binding[dst])
+            if cls not in first_seen:
+                first_seen.append(cls)
+            link = params.link_for(cls, topo)
+            cross = cls == "cluster"
+            assert net._pair_l[k] == (
+                link.latency, link.bandwidth,
+                cl.node_of_rank(src), cl.node_of_rank(dst),
+                cross and record_nic,
+                cross and params.nic_serialize,
+                bool(params.mem_bandwidth) and cls != "self",
             )
-
-
-@settings(max_examples=20, deadline=None)
-@given(level_lists, st.data())
-def test_lazy_transfer_sequence_matches_dense(topo, data):
-    """A shared random message sequence produces identical
-    (sender_done, arrival) pairs and NIC horizons on both modes."""
-    n = data.draw(st.integers(1, min(topo.n_pus, 8)))
-    binding = list(range(n))
-    cl = Cluster(topo, n, binding=binding)
-    dense = Network(topo, binding, cl.params, seed=2, lazy_routes=False)
-    lazy = Network(topo, binding, cl.params, seed=2, lazy_routes=True)
-    msgs = data.draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                  st.integers(0, 10**6)),
-        max_size=20,
-    ))
-    t = 0.0
-    for src, dst, nbytes in msgs:
-        rd = dense.transfer(src, dst, nbytes, t)
-        rl = lazy.transfer(src, dst, nbytes, t)
-        assert rd == rl
-        t = rd[0]
-    assert dense._nic_free == lazy._nic_free
-    assert dense._mem_free == lazy._mem_free
+            assert net._alpha_l[k] == link.latency
+            assert net._cls_l[k] == net.sharing_class(src, dst) == cls
+            assert net.route_classes[net._clsidx_l[k]] == cls
+            assert net._cross_l[k] == cross
+    assert net.route_classes == tuple(first_seen)
 
 
 @settings(max_examples=5, deadline=None)
 @given(st.sampled_from(["packed", "rr", "random"]), st.integers(0, 3))
 def test_cluster_and_network_construct_at_4096_ranks(strategy, seed):
-    """The 10k-world gate: constructors stay O(n).  A dense build at
-    this scale would allocate ~2 GB of route tables; the lazy build
-    must finish instantly and resolve sampled pairs correctly."""
+    """The 10k-world gate: constructors stay O(n).  Dense route tables
+    at this scale would be ~2 GB; construction must finish instantly and
+    resolve sampled pairs correctly."""
     cluster = Cluster.plafrim(171, n_ranks=4096, binding=strategy, seed=seed)
     assert cluster.n_ranks == 4096
     assert len(cluster.binding) == 4096
     net = Network(cluster.topology, cluster.binding, cluster.params, seed=seed)
-    assert net.lazy_routes  # auto-selected at this scale
     assert set(net.route_classes) <= {"self", "core", "socket", "node",
                                       "cluster"}
     n = 4096
