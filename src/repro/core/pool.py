@@ -241,6 +241,10 @@ class SupervisedPool:
         self._slots = []
         self._loops = []
 
+    def worker_pids(self) -> List[int]:
+        """Process ids of the live workers (a replaced worker's is gone)."""
+        return [slot.proc.pid for slot in self._slots]
+
     def stats(self) -> Dict[str, Any]:
         wall = max(time.monotonic() - self.started_at, 1e-9)
         return {

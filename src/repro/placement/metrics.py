@@ -26,16 +26,26 @@ def _as_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _traffic(matrix, topology: Topology, rank_pus: Sequence[int]):
+    """The matrix's non-zero entries in row-major order, and for each
+    the depth of the deepest component its two PUs share.
+
+    The metrics below add their terms up in that order, one after the
+    other (``np.cumsum(...)[-1]``, not the pairwise ``np.sum``), so each
+    value is the one a double loop over the matrix gives, to the bit.
+    """
+    m = _as_matrix(matrix)
+    src, dst = np.nonzero(m)
+    pus = np.asarray(rank_pus, dtype=np.int64)
+    return m[src, dst], topology.common_depths(pus[src], pus[dst])
+
+
 def hop_bytes(matrix, topology: Topology, rank_pus: Sequence[int]) -> float:
     """Σ bytes(i,j) · tree-distance(pu_i, pu_j)."""
-    m = _as_matrix(matrix)
-    n = m.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if m[i, j]:
-                total += m[i, j] * topology.hop_distance(rank_pus[i], rank_pus[j])
-    return total
+    vals, depth = _traffic(matrix, topology, rank_pus)
+    if not len(vals):
+        return 0.0
+    return np.cumsum(vals * (2 * (topology.depth - depth)))[-1]
 
 
 def level_bytes(matrix, topology: Topology, rank_pus: Sequence[int]) -> Dict[str, float]:
@@ -44,16 +54,14 @@ def level_bytes(matrix, topology: Topology, rank_pus: Sequence[int]) -> Dict[str
     Keys: ``"cluster"`` (inter-node), each intermediate level name,
     and ``"self"``.
     """
-    m = _as_matrix(matrix)
-    n = m.shape[0]
+    vals, depth = _traffic(matrix, topology, rank_pus)
     out: Dict[str, float] = {"cluster": 0.0, "self": 0.0}
     for name in topology.level_names[:-1]:
         out[name] = 0.0
-    for i in range(n):
-        for j in range(n):
-            if m[i, j]:
-                cls = topology.common_level_name(rank_pus[i], rank_pus[j])
-                out[cls] = out.get(cls, 0.0) + m[i, j]
+    for d, name in enumerate(topology.sharing_classes):
+        mine = vals[depth == d]
+        if len(mine):
+            out[name] = np.cumsum(mine)[-1]
     return out
 
 
@@ -74,13 +82,11 @@ def modeled_cost(
     A coarse surrogate (ignores overlap), useful to rank placements:
     Σ bytes(i,j) / bandwidth(class(i,j)).
     """
-    m = _as_matrix(matrix)
-    n = m.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if m[i, j]:
-                cls = topology.common_level_name(rank_pus[i], rank_pus[j])
-                lp = params.link_for(cls, topology)
-                total += m[i, j] / lp.bandwidth
-    return total
+    vals, depth = _traffic(matrix, topology, rank_pus)
+    if not len(vals):
+        return 0.0
+    names = topology.sharing_classes
+    bandwidth = np.zeros(len(names))
+    for d in np.unique(depth).tolist():   # only the classes in use
+        bandwidth[d] = params.link_for(names[d], topology).bandwidth
+    return np.cumsum(vals / bandwidth[depth])[-1]

@@ -39,6 +39,7 @@ F       ``last[r] = tt`` (end-of-program compute tail)
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
@@ -228,17 +229,16 @@ def _replay_recorded(trace: ReplayTrace, net, exact: bool,
     recorded ``t`` (the compile cache's parallel column); the books are
     placement-invariant and come from the compile cache — treat the
     result's matrices as read-only."""
-    prog, counts, sizes, total_counts, total_sizes, _n, max_seq, t_col = \
-        _compile_trace(trace)
+    book = _compile_trace(trace)
     last = [0.0] * trace.world_size
-    arrivals: List[Optional[float]] = [None] * (max_seq + 1)
+    arrivals: List[Optional[float]] = [None] * (book.max_seq + 1)
     orecv = net.recv_overhead
     alpha = net._alpha_l
     nr = net._n_ranks
     transfer = net.transfer
     bad: List[str] = []
 
-    for rec, t in zip(prog, t_col.tolist()):
+    for rec, t in zip(book.prog, book.t.tolist()):
         k = rec[0]
         r = rec[1]
         gap = rec[-1] if k else rec[6]   # a send's last slot is its pair
@@ -280,10 +280,10 @@ def _replay_recorded(trace: ReplayTrace, net, exact: bool,
             f"{len(bad)} clock divergences in exact replay: {head}")
     return ReplayResult(
         clocks=last,
-        counts=counts,
-        sizes=sizes,
-        total_counts=total_counts,
-        total_sizes=total_sizes,
+        counts=book.counts,
+        sizes=book.sizes,
+        total_counts=book.total_counts,
+        total_sizes=book.total_sizes,
         n_messages=net.n_messages,
         exact=exact,
     )
@@ -309,8 +309,8 @@ class CompiledTrace(NamedTuple):
     ``t`` is the recorded issue time of each record, a float64 column
     parallel to ``prog``: only the exact interpreter reads it, so the
     per-candidate records stay as narrow as the hot loop needs.
-    :meth:`nbytes` is the memory estimate the serving layer's
-    byte-bounded LRU evicts by.
+    ``op_bytes`` is the resident size of ``prog``, worked out from the
+    per-kind record counts when the book is built (see :meth:`nbytes`).
     """
 
     prog: List[tuple]
@@ -321,25 +321,26 @@ class CompiledTrace(NamedTuple):
     n_messages: int
     max_seq: int
     t: "np.ndarray"
+    op_bytes: int
 
     def nbytes(self) -> int:
-        """Resident size of the book, in bytes.
+        """Resident size of the book, in bytes — what the serving
+        layer's byte-bounded LRU evicts by.
 
         Numpy buffers are exact; the compact op stream is estimated as
         the list spine + each record's tuple shell + one boxed float /
         large int per payload slot (CPython boxes are 28–32 bytes;
         small ints and the empty-overhead 0.0 are interned, so 32 per
         slot is a deliberate slight over-estimate — an LRU should err
-        toward evicting early, not late).
+        toward evicting early, not late).  A record's width is fixed by
+        its kind, so that estimate is arithmetic on the kind counts
+        (``op_bytes``), not a walk over the records.
         """
-        total = int(self.t.nbytes)
+        total = int(self.t.nbytes) + self.op_bytes
         for table in (self.counts, self.sizes,
                       self.total_counts, self.total_sizes):
             for mat in table.values():
                 total += int(mat.nbytes)
-        total += sys.getsizeof(self.prog)
-        for rec in self.prog:
-            total += sys.getsizeof(rec) + 32 * (len(rec) - 1)
         return total
 
 
@@ -407,20 +408,40 @@ def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
         else np.zeros(len(kind))
     pair = c.rank.astype(np.intp) * n + c.peer
     timed = kind < K_B
-    prog = merge_by_kind(kind[timed], (
-        kind_rows(kind, K_S, K_S, c.rank, c.peer, c.nbytes, charge, c.seq,
-                  c.gap, pair),
-        kind_rows(kind, K_R, K_R, c.rank, c.seq, c.gap),
-        kind_rows(kind, K_F, K_F, c.rank, c.gap),
-        kind_rows(kind, K_P, K_P, c.rank, c.peer, c.nbytes, charge, c.gap),
-        kind_rows(kind, K_G, K_G, c.rank, c.peer, c.nbytes, charge, c.gap),
-    ))
+    fields = (
+        (c.rank, c.peer, c.nbytes, charge, c.seq, c.gap, pair),   # K_S
+        (c.rank, c.seq, c.gap),                                   # K_R
+        (c.rank, c.gap),                                          # K_F
+        (c.rank, c.peer, c.nbytes, charge, c.gap),                # K_P
+        (c.rank, c.peer, c.nbytes, charge, c.gap),                # K_G
+    )
+    # (A generator: one kind's python-native columns alive at a time.)
+    # The collector is paused meanwhile — a hundred thousand fresh
+    # tuples of scalars hold no cycle, and with it running every 700th
+    # allocation starts a pass — and one young-generation pass at the
+    # end untracks them here instead of in whichever replay allocates
+    # next.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        prog = merge_by_kind(kind[timed], (
+            kind_rows(kind, code, code, *cols)
+            for code, cols in enumerate(fields)))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+            gc.collect(0)
+    per_kind = np.bincount(kind, minlength=len(fields)).tolist()
+    op_bytes = sys.getsizeof(prog) + sum(
+        count * (sys.getsizeof((0,) * (len(cols) + 1)) + 32 * len(cols))
+        for count, cols in zip(per_kind, fields))
     seqs = c.seq[(kind == K_S) | (kind == K_R)]
     compiled = CompiledTrace(
         prog, counts, sizes, total_counts, total_sizes,
         n_messages=len(msg),
         max_seq=int(seqs.max()) if len(seqs) else 0,
         t=c.t[timed],
+        op_bytes=op_bytes,
     )
     trace._compiled = compiled
     return compiled
@@ -451,11 +472,10 @@ def _replay_compiled(trace: ReplayTrace, net) -> ReplayResult:
     replayer never reads.  The shared matrices in the result come from
     the per-trace compile cache; treat them as read-only.
     """
-    prog, counts, sizes, total_counts, total_sizes, n_messages, max_seq, _t = \
-        _compile_trace(trace)
+    book = _compile_trace(trace)
     n = trace.world_size
     last = [0.0] * n
-    arrivals: List[Optional[float]] = [None] * (max_seq + 1)
+    arrivals: List[Optional[float]] = [None] * (book.max_seq + 1)
     orecv = net.recv_overhead
     alpha_l = net._alpha_l
     nr = net._n_ranks
@@ -470,7 +490,7 @@ def _replay_compiled(trace: ReplayTrace, net) -> ReplayResult:
     jpos = net._jit_pos
     transfer = net.transfer
 
-    for rec in prog:
+    for rec in book.prog:
         k = rec[0]
         if k == 0:  # send — Network.transfer inlined
             _, r, dst, nb, o, seq, gap, pidx = rec
@@ -551,11 +571,11 @@ def _replay_compiled(trace: ReplayTrace, net) -> ReplayResult:
     net._jit_blk = blk
     return ReplayResult(
         clocks=list(last),
-        counts=counts,
-        sizes=sizes,
-        total_counts=total_counts,
-        total_sizes=total_sizes,
-        n_messages=n_messages,
+        counts=book.counts,
+        sizes=book.sizes,
+        total_counts=book.total_counts,
+        total_sizes=book.total_sizes,
+        n_messages=book.n_messages,
         exact=False,
     )
 

@@ -246,10 +246,18 @@ def kind_rows(kind: np.ndarray, code: int, tag, *fields):
 
 
 def merge_by_kind(kind: np.ndarray, iters) -> List[tuple]:
-    """Interleave per-kind row iterators (indexed by kind code) back
-    into the order of the ``kind`` column."""
-    nxt = [it.__next__ for it in iters]
-    return [nxt[k]() for k in kind.tolist()]
+    """Interleave per-kind row iterators (``iters`` yields them in kind
+    code order, and may make them on demand) back into the order of the
+    ``kind`` column: each kind's rows are drained by ``np.fromiter`` and
+    scattered into place as one object array, so no python-level call
+    is made per record.
+    """
+    out = np.empty(len(kind), dtype=object)
+    for code, rows in enumerate(iters):
+        sel = kind == code
+        out[sel] = np.fromiter(rows, dtype=object,
+                               count=int(np.count_nonzero(sel)))
+    return out.tolist()
 
 
 def _events_from_columns(c: TraceColumns) -> List[tuple]:

@@ -4,26 +4,32 @@ The paper's loop is *monitoring data in, rank-reordering decision
 out*.  :mod:`repro.replay` made the decision step cheap — a recorded
 trace compiles once into placement-invariant books, and every what-if
 candidate re-costs in milliseconds.  This package serves that
-capability at traffic: a long-running asyncio daemon ingests recorded
-traces, keeps compiled books hot in a byte-bounded LRU keyed by
-content fingerprint, and answers placement what-if queries
+capability at traffic: a long-running asyncio daemon registers recorded
+traces by content fingerprint and answers placement what-if queries
 concurrently — cold candidates are scored on a supervised
 worker-process pool, hot (fingerprint, strategy, seed, substitution,
-focus) results come straight from the in-memory result cache.
+focus) results come straight from the in-memory result cache.  A
+compiled book exists only in the process that replays it: each worker
+keeps its own byte-bounded LRU, ``ingest`` is one pool task that leaves
+a worker hot, and the daemon holds the path, the file's identity and
+the few header facts its replies quote.
 
 Pieces:
 
 * :mod:`repro.serve.protocol` — length-prefixed JSON over TCP/Unix
   sockets, schema-versioned request/response envelopes with a
   validator;
-* :mod:`repro.serve.store` — the compiled-book LRU (evicts by the
-  books' real :meth:`~repro.replay.engine.CompiledTrace.nbytes`);
-* :mod:`repro.serve.workers` — candidate scoring on the supervised
-  worker pool (:mod:`repro.core.pool`: per-batch timeouts, bounded
-  retries with backoff, crashed-worker replacement);
-* :mod:`repro.serve.server` — the async core: accept loop, per-trace
-  compile deduplication, candidate batching across queries, bounded
-  queue with explicit backpressure, graceful drain on SIGTERM;
+* :mod:`repro.serve.store` — the workers' compiled-book LRU (evicts by
+  the books' real :meth:`~repro.replay.engine.CompiledTrace.nbytes`)
+  and the changed-file check every load makes;
+* :mod:`repro.serve.workers` — what a worker does (load, compile,
+  score) on the supervised pool (:mod:`repro.core.pool`: per-batch
+  timeouts, bounded retries with backoff, crashed-worker replacement),
+  and the daemon's view of it: loads counted, stores summed;
+* :mod:`repro.serve.server` — the async core: accept loop, trace
+  registry, cell single-flight and caches, candidate batching across
+  queries, bounded queue with explicit backpressure, graceful drain on
+  SIGTERM;
 * :mod:`repro.serve.client` — the thin blocking client the CLI and
   tests use.
 

@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backoff", type=float, default=0.05,
                    help="retry backoff base, seconds (doubles per attempt)")
     p.add_argument("--cache-mb", type=int, default=256,
-                   help="compiled-book LRU budget, MiB")
+                   help="compiled-book LRU budget per worker, MiB")
     p.add_argument("--max-queue", type=int, default=256,
                    help="cold-candidate admission bound")
     p.add_argument("--batch", type=int, default=8,
@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _endpoint_args(p)
     p.add_argument("trace", help="replay trace file")
     p.add_argument("--no-compile", action="store_true",
-                   help="register only; compile lazily on first query")
+                   help="register only; the first query's worker compiles")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("query", help="ask for placement advice")

@@ -27,8 +27,8 @@ Response types (server → client): ``pong``, ``ingested``, ``result``,
 ``overloaded`` / ``shutting-down`` / ``internal``.  An ``overloaded``
 error is the backpressure signal: the scoring queue is full and the
 request was rejected *before* admission, so retrying later is safe.
-``trace-changed`` means the file behind the fingerprint was rewritten
-or replaced since it was ingested: ingest it again.
+``trace-changed`` means the file behind the fingerprint was rewritten,
+replaced or removed since it was ingested: ingest it again.
 """
 
 from __future__ import annotations

@@ -4,20 +4,23 @@ One asyncio task per connection reads length-prefixed JSON requests
 (:mod:`repro.serve.protocol`) and dispatches them against three pieces
 of shared state:
 
-* the **book store** — a byte-bounded LRU of compiled traces keyed by
-  content fingerprint (:mod:`repro.serve.store`).  Compilation is
-  deduplicated with single-flight futures: when N clients race on a
-  cold fingerprint, exactly one compile runs (on an executor thread so
-  the loop keeps serving) and all N await the same future.  The
-  fingerprint → path registry survives eviction, so an evicted book
-  recompiles transparently on the next query.
+* the **trace registry** — per content fingerprint, the trace's path,
+  the identity of the file that was hashed and, once a worker has
+  loaded it, the few header facts replies quote (recorded binding and
+  makespan, world size, event count, resident bytes).  The daemon
+  holds no book: a book exists only in the process that replays it
+  (:mod:`repro.serve.workers`), ``ingest`` hands load + compile to the
+  pool as one task, and every load a worker reports — first touch, or
+  reload after an eviction — is counted in
+  ``repro_serve_compiles_total``.  The registry survives a worker's
+  eviction, so an evicted book reloads transparently on the next query.
 * the **result cache + scoring pool** — per-candidate results are
   cached under ``(fingerprint, strategy, seed, substitution, focus)``;
   this is sound because :func:`repro.replay.search.score_candidate` is
   deterministic and candidates are independent.  Cold cells are
-  deduplicated the same single-flight way and dispatched to the
-  supervised worker pool (:mod:`repro.serve.workers`), which batches
-  candidates across concurrent queries.
+  single-flight — N clients racing on one cell share one future and
+  one scoring task — and dispatched to the supervised worker pool,
+  which batches candidates across concurrent queries.
 * the **admission gate** — a query that needs more cold cells than the
   scoring queue has room for is rejected *before* anything is
   enqueued, with an ``overloaded`` error the client can retry on.
@@ -48,12 +51,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.errors import ServeProtocolError
+from repro.core.errors import ServeProtocolError, TraceSchemaError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
-from repro.serve.store import (BookEntry, BookStore, TraceChangedError,
-                               file_identity, require_unchanged)
-from repro.serve.workers import ScoreTask, WorkerPool, WorkerScoreError
+from repro.serve.store import (TraceChangedError, file_identity,
+                               require_unchanged)
+from repro.serve.workers import BookRef, ScoreTask, WorkerPool
 
 __all__ = ["ServeConfig", "PlacementServer", "LATENCY_BUCKETS"]
 
@@ -76,7 +79,7 @@ class ServeConfig:
     timeout_s: float = 60.0          # per-candidate scoring timeout
     retries: int = 2                 # scoring attempts beyond the first
     backoff_s: float = 0.05          # retry backoff base (doubles)
-    cache_bytes: int = 256 * 1024 * 1024   # compiled-book LRU budget
+    cache_bytes: int = 256 * 1024 * 1024   # book LRU budget, per worker
     max_queue: int = 256             # cold-cell admission bound
     batch: int = 8                   # candidates per worker round trip
     result_cache_max: int = 65536    # per-candidate result entries
@@ -96,14 +99,15 @@ class PlacementServer:
     def __init__(self, config: ServeConfig):
         self.config = config
         self.metrics = MetricsRegistry()
-        self.store = BookStore(max_bytes=config.cache_bytes)
         self.pool = WorkerPool(
             jobs=config.jobs, timeout_s=config.timeout_s,
             retries=config.retries, backoff_s=config.backoff_s,
-            batch=config.batch, book_bytes=config.cache_bytes)
+            batch=config.batch, book_bytes=config.cache_bytes,
+            on_load=self._book_loaded)
         # fingerprint -> (trace path, its file_identity when hashed)
         self._paths: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
-        self._compiling: Dict[str, asyncio.Future] = {}
+        # fingerprint -> header facts, from the first worker to load it
+        self._facts: Dict[str, Dict[str, Any]] = {}
         self._results: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self._responses: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self._inflight: Dict[Tuple, asyncio.Future] = {}
@@ -154,7 +158,8 @@ class PlacementServer:
             await self.start()
         self._log(f"serving on {self.config.endpoint()} "
                   f"(jobs={self.config.jobs}, "
-                  f"cache={self.store.max_bytes // (1024 * 1024)}MiB, "
+                  f"cache={self.config.cache_bytes // (1024 * 1024)}MiB"
+                  f"/worker, "
                   f"queue={self.config.max_queue})")
         await self._shutdown.wait()
         self._log("drain: listener closed, finishing in-flight requests")
@@ -234,9 +239,8 @@ class PlacementServer:
             self.metrics.counter("repro_serve_rejected_total",
                                  code=rej.code).inc()
             await self._send_error(writer, rej.code, str(rej))
-        except ServeProtocolError as exc:
-            await self._send_error(writer, "bad-request", str(exc))
-        except FileNotFoundError as exc:
+        except (ServeProtocolError, FileNotFoundError,
+                TraceSchemaError) as exc:   # the last: not a trace file
             await self._send_error(writer, "bad-request", str(exc))
         except Exception as exc:  # noqa: BLE001 - fail loudly, keep serving
             self._log(f"internal error on {mtype}: {exc!r}")
@@ -278,50 +282,22 @@ class PlacementServer:
             "compiled": False,
         }
         if doc.get("compile", True):
-            entry = await self._ensure_book(fp)
+            # One pool task: one worker holds the book when this reply
+            # goes out, and the first query scores on it.
+            await asyncio.shield(
+                self.pool.submit(BookRef(fp, path, identity)))
+            facts = self._facts[fp]
             reply["compiled"] = True
-            reply["nbytes"] = entry.nbytes
-            reply["world_size"] = entry.trace.world_size
-            reply["n_events"] = entry.trace.n_events
+            reply["nbytes"] = facts["nbytes"]
+            reply["world_size"] = facts["world_size"]
+            reply["n_events"] = facts["n_events"]
         self._observe_store()
         return reply
 
-    async def _ensure_book(self, fp: str) -> BookEntry:
-        """Hot book for ``fp`` — compiling at most once per residency.
-
-        Single-flight: concurrent callers on a cold fingerprint share
-        one future; the compile itself runs on an executor thread.
-        """
-        entry = self.store.get(fp)
-        if entry is not None:
-            return entry
-        fut = self._compiling.get(fp)
-        if fut is not None:
-            return await fut
-        loop = asyncio.get_running_loop()
-        fut = loop.create_future()
-        self._compiling[fp] = fut
-        try:
-            if fp not in self._paths:
-                raise _Reject(
-                    "unknown-fingerprint",
-                    f"fingerprint {fp[:12]}… was never ingested here")
-            entry = await loop.run_in_executor(
-                None, BookEntry.load, fp, *self._paths[fp])
-            self.metrics.counter("repro_serve_compiles_total").inc()
-            evicted = self.store.put(entry)
-            for gone in evicted:
-                self._log(f"evicted book {gone[:12]}… "
-                          f"(budget {self.store.max_bytes} bytes)")
-            fut.set_result(entry)
-            return entry
-        except BaseException as exc:
-            fut.set_exception(exc)
-            # someone may already be awaiting it; don't also warn
-            fut.exception()
-            raise
-        finally:
-            del self._compiling[fp]
+    def _book_loaded(self, fp: str, facts: Dict[str, Any]) -> None:
+        """A worker loaded and compiled ``fp``'s trace."""
+        self.metrics.counter("repro_serve_compiles_total").inc()
+        self._facts[fp] = facts
 
     # -- query ---------------------------------------------------------
 
@@ -343,8 +319,8 @@ class PlacementServer:
         focus = doc.get("focus")
 
         # Hot path: the whole ranked response for this exact query was
-        # built before — answer from memory without touching the pool,
-        # the book store, or the ranking code.
+        # built before — answer from memory without touching the pool
+        # or the ranking code.
         keys = [self._cell_key(fp, s, seed, substitute, focus)
                 for s in strategies]
         response_key = (tuple(keys),)
@@ -406,27 +382,18 @@ class PlacementServer:
                     key, shared, f))
             waits.append((i, shared))
 
-        # The hot book yields the recorded binding/clocks the response
-        # needs (workers load their own copy from the path).
-        entry = await self._ensure_book(fp)
-
-        try:
-            for i, fut in waits:
-                results[i] = await asyncio.shield(fut)
-        except WorkerScoreError:
-            # A worker that (re)loads the book refuses a replaced file;
-            # say so with the explicit code instead of "internal".
-            require_unchanged(fp, path, identity)
-            raise
+        for i, fut in waits:
+            results[i] = await asyncio.shield(fut)
+        # Any scored cell means a worker has loaded the book, and its
+        # report of that came in no later than the cell's result.
+        facts = self._facts[fp]
 
         order = sorted(range(len(results)),
                        key=lambda i: (results[i]["makespan"], i))
         ranked = [results[i] for i in order]
         best = ranked[0]
-        recorded = list(entry.trace.binding)
-        k = reorder_permutation(best["placement"], recorded)
-        recorded_makespan = (max(entry.trace.clocks)
-                             if entry.trace.clocks else 0.0)
+        k = reorder_permutation(best["placement"], facts["binding"])
+        recorded_makespan = facts["recorded_makespan"]
         reply = {
             "type": "result",
             "fingerprint": fp,
@@ -442,8 +409,8 @@ class PlacementServer:
                 "seed": seed,
                 "substitute": dict(substitute) if substitute else None,
                 "focus": focus,
-                "world_size": entry.trace.world_size,
-                "n_events": entry.trace.n_events,
+                "world_size": facts["world_size"],
+                "n_events": facts["n_events"],
             },
         }
         self._responses[response_key] = reply
@@ -483,7 +450,7 @@ class PlacementServer:
     # -- stats ---------------------------------------------------------
 
     def _do_stats(self) -> Dict[str, Any]:
-        self._observe_store()
+        store = self._observe_store()
         self._observe_queue()
         pool = self.pool.stats()
         self.metrics.gauge("repro_serve_worker_utilization").set(
@@ -494,7 +461,7 @@ class PlacementServer:
             "uptime_s": time.monotonic() - self._started_at,
             "draining": self._draining,
             "traces_known": len(self._paths),
-            "store": self.store.stats(),
+            "store": store,
             "result_cache": {
                 "entries": len(self._results),
                 "max_entries": self.config.result_cache_max,
@@ -507,11 +474,13 @@ class PlacementServer:
             "metrics": self.metrics.snapshot(),
         }
 
-    def _observe_store(self) -> None:
-        stats = self.store.stats()
+    def _observe_store(self) -> Dict[str, int]:
+        """The workers' stores, summed, as of each one's last reply."""
+        stats = self.pool.store_stats()
         self.metrics.gauge("repro_serve_books_resident").set(
             stats["entries"])
         self.metrics.gauge("repro_serve_books_bytes").set(stats["bytes"])
+        return stats
 
     def _observe_queue(self) -> None:
         self.metrics.gauge("repro_serve_queue_depth").set(

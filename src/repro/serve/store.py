@@ -2,14 +2,23 @@
 
 A *book* is one ingested trace held hot: the parsed
 :class:`~repro.replay.schema.ReplayTrace` plus its compiled form
-(:class:`~repro.replay.engine.CompiledTrace`).  Keys are **content
-fingerprints** (:func:`repro.core.fingerprint.file_digest` of the
-trace file), so the same trace ingested twice — or by two different
-paths — occupies one slot, and a re-recorded file at the same path is
-a *different* book: ingest notes the hashed file's
-:func:`file_identity`, and :meth:`BookEntry.load` refuses a file that
-no longer has it (:class:`TraceChangedError`) instead of filing the new
-bytes under the old fingerprint.
+(:class:`~repro.replay.engine.CompiledTrace`).  Books live only where
+they are replayed: each scoring worker owns one private
+:class:`BookStore`; the daemon holds none — per fingerprint it keeps
+the trace's path, its :func:`file_identity` and the few
+:meth:`BookEntry.facts` its replies quote, which the worker that loads
+a book reports back.
+
+Keys are **content fingerprints**
+(:func:`repro.core.fingerprint.file_digest` of the trace file), so the
+same trace ingested twice — or by two different paths — occupies one
+slot, and a re-recorded file at the same path is a *different* book:
+ingest notes the hashed file's :func:`file_identity`, and
+:meth:`BookEntry.load` refuses a file that no longer has it
+(:class:`TraceChangedError`) instead of filing the new bytes under the
+old fingerprint.  A book that is already resident is not checked
+again: it *is* the content that hashed to its fingerprint, whatever
+has happened to the file since.
 
 Eviction is by real resident size, not entry count: each entry's
 ``nbytes`` sums the compiled book's numpy buffers + op stream
@@ -18,11 +27,10 @@ Eviction is by real resident size, not entry count: each entry's
 its tuple view), and the store drops least-recently-used entries until
 the total fits ``max_bytes``.  The most recent entry is never evicted —
 a budget smaller than one book still serves that book (it just can't
-keep a second one warm).
+keep a second one warm).  An evicted book is reloaded from its path on
+the next task that names it.
 
-The store itself is synchronous and unlocked: the server wraps it in
-the event loop (single-threaded access), and each worker process owns
-a private instance.
+The store is synchronous and unlocked: one worker process, one store.
 """
 
 from __future__ import annotations
@@ -53,8 +61,13 @@ def file_identity(path: str) -> Tuple[int, int, int]:
 
 def require_unchanged(fingerprint: str, path: str, identity) -> None:
     """Raise :class:`TraceChangedError` unless ``path`` still has the
-    identity it had when it hashed to ``fingerprint``."""
-    if file_identity(path) != identity:
+    identity it had when it hashed to ``fingerprint`` (a file that is
+    gone has none)."""
+    try:
+        unchanged = file_identity(path) == identity
+    except FileNotFoundError:
+        unchanged = False
+    if not unchanged:
         raise TraceChangedError(
             f"trace file {path} changed on disk since it was ingested as "
             f"{fingerprint[:12]}…; ingest it again")
@@ -73,11 +86,17 @@ class BookEntry:
              identity: Tuple[int, int, int]) -> "BookEntry":
         """Load and compile ``path``, which must still be the file that
         hashed to ``fingerprint`` (``identity`` was taken then).  Checked
-        after the read, so a rewrite racing it is caught too."""
+        after the read, however that went: a rewrite racing it is caught
+        too, and whatever a changed file holds now — another trace,
+        half of one, nothing — it is refused as changed.  An unchanged
+        file that is not a trace raises the loader's
+        :class:`~repro.core.errors.TraceSchemaError`."""
         from repro.replay.schema import ReplayTrace
 
-        trace = ReplayTrace.load(path)
-        require_unchanged(fingerprint, path, identity)
+        try:
+            trace = ReplayTrace.load(path)
+        finally:
+            require_unchanged(fingerprint, path, identity)
         return cls.build(fingerprint, path, trace)
 
     @classmethod
@@ -92,6 +111,17 @@ class BookEntry:
             compiled=compiled,
             nbytes=compiled.nbytes() + trace.columns().footprint(),
         )
+
+    def facts(self) -> Dict[str, object]:
+        """What the daemon's replies quote of a book it does not hold."""
+        trace = self.trace
+        return {
+            "binding": [int(pu) for pu in trace.binding],
+            "recorded_makespan": max(trace.clocks) if trace.clocks else 0.0,
+            "world_size": trace.world_size,
+            "n_events": trace.n_events,
+            "nbytes": self.nbytes,
+        }
 
 
 class BookStore:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["Topology"]
 
 
@@ -52,6 +54,8 @@ class Topology:
             acc *= a
         self._strides = list(reversed(strides))
         self._n_pus = acc
+        # sharing class of two PUs, by the depth of their common ancestor
+        self._classes = ["cluster"] + names[:-1] + ["self"]
 
     # -- basic shape ---------------------------------------------------
 
@@ -141,12 +145,28 @@ class Topology:
         Returns ``"self"`` for identical PUs and ``"cluster"`` when the
         PUs share nothing below the root.
         """
-        d = self.common_depth(pu_a, pu_b)
-        if d == self.depth:
-            return "self"
-        if d == 0:
-            return "cluster"
-        return self._names[d - 1]
+        return self._classes[self.common_depth(pu_a, pu_b)]
+
+    @property
+    def sharing_classes(self) -> List[str]:
+        """:meth:`common_level_name` by :meth:`common_depth`:
+        ``"cluster"``, every level but the leaves', ``"self"``."""
+        return list(self._classes)
+
+    def common_depths(self, pus_a, pus_b) -> np.ndarray:
+        """:meth:`common_depth` of many PU pairs at once: two integer
+        arrays of one length in, their depths out."""
+        a = np.asarray(pus_a, dtype=np.int64)
+        b = np.asarray(pus_b, dtype=np.int64)
+        for pus in (a, b):
+            if len(pus) and not 0 <= pus.min() <= pus.max() < self._n_pus:
+                raise ValueError(f"PU out of range [0, {self._n_pus})")
+        # Strides nest, so the components that match are a prefix of the
+        # levels and counting them gives the depth (all of them: same PU).
+        depth = np.zeros(len(a), dtype=np.intp)
+        for stride in self._strides:
+            depth += a // stride == b // stride
+        return depth
 
     def hop_distance(self, pu_a: int, pu_b: int) -> int:
         """Tree distance: number of edges on the leaf-to-leaf path."""

@@ -164,3 +164,93 @@ class TestBaselineShapes:
                    greedy_edge_placement(m, topo, allowed),
                    local_search_placement(m, topo, allowed)):
             assert sorted(pl) == allowed
+
+
+# ---------------------------------------------------------------------------
+# the vectorised metrics against the double loops they replaced
+
+
+def _loop_hop_bytes(m, topology, rank_pus):
+    total = 0.0
+    for i in range(len(m)):
+        for j in range(len(m)):
+            if m[i, j]:
+                total += m[i, j] * topology.hop_distance(rank_pus[i],
+                                                         rank_pus[j])
+    return total
+
+
+def _loop_level_bytes(m, topology, rank_pus):
+    out = {"cluster": 0.0, "self": 0.0}
+    for name in topology.level_names[:-1]:
+        out[name] = 0.0
+    for i in range(len(m)):
+        for j in range(len(m)):
+            if m[i, j]:
+                cls = topology.common_level_name(rank_pus[i], rank_pus[j])
+                out[cls] = out.get(cls, 0.0) + m[i, j]
+    return out
+
+
+def _loop_modeled_cost(m, topology, rank_pus, params):
+    total = 0.0
+    for i in range(len(m)):
+        for j in range(len(m)):
+            if m[i, j]:
+                cls = topology.common_level_name(rank_pus[i], rank_pus[j])
+                total += m[i, j] / params.link_for(cls, topology).bandwidth
+    return total
+
+
+def _bits(value):
+    return (type(value), float(value).hex())
+
+
+class TestVectorisedMetricsEqualTheLoops:
+    """Same terms, same order of addition: every value to the bit (the
+    terms are floats of every magnitude, so a pairwise or reordered sum
+    would differ in the last place)."""
+
+    TOPOLOGIES = (
+        [("node", 4), ("socket", 2), ("core", 3)],
+        [("node", 3), ("core", 5)],
+        [("core", 6)],
+        [("rack", 2), ("node", 2), ("socket", 2), ("l3", 1), ("core", 2)],
+    )
+
+    @pytest.mark.parametrize("levels", TOPOLOGIES,
+                             ids=lambda lv: "x".join(str(a) for _, a in lv))
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_bit_identical(self, levels, density):
+        from repro.simmpi.network import plafrim_params
+
+        topology = Topology(levels)
+        params = plafrim_params()
+        rng = np.random.default_rng([len(levels), int(density * 100)])
+        for n in (1, 2, topology.n_pus // 2, topology.n_pus):
+            m = rng.random((n, n)) * 10.0 ** rng.integers(-3, 12, (n, n))
+            m[rng.random((n, n)) >= density] = 0.0
+            # shared PUs and a rank on its own PU's diagonal: "self"
+            pus = rng.integers(0, topology.n_pus, n).tolist()
+            assert _bits(hop_bytes(m, topology, pus)) == \
+                _bits(_loop_hop_bytes(m, topology, pus))
+            got = level_bytes(m, topology, pus)
+            want = _loop_level_bytes(m, topology, pus)
+            assert list(got) == list(want)
+            assert {k: _bits(v) for k, v in got.items()} == \
+                {k: _bits(v) for k, v in want.items()}
+            assert _bits(modeled_cost(m, topology, pus, params)) == \
+                _bits(_loop_modeled_cost(m, topology, pus, params))
+
+    def test_pu_out_of_range_and_uncovered_class(self, topo):
+        m = np.zeros((2, 2))
+        m[0, 1] = 1.0
+        with pytest.raises(ValueError, match="out of range"):
+            hop_bytes(m, topo, [0, 8])
+        # A rank that exchanges nothing is never looked at, as before.
+        assert hop_bytes(m, topo, [0, 1, 99]) == 2.0
+        # Only the classes traffic uses need link parameters.
+        cluster_only = NetworkParams(links={"cluster": LinkParams(1e-6, 1e9)})
+        assert modeled_cost(m, topo, [0, 4], cluster_only) == 1e-9
+        with pytest.raises(ValueError, match="no link parameters"):
+            modeled_cost(m, topo, [0, 1], cluster_only)

@@ -2,9 +2,9 @@
 
 Each test spawns its own ``python -m repro.serve start`` with the
 config it needs (tiny cache, chaos stalls, bounded queue) and talks to
-it with the real client over the real socket — compile deduplication,
-LRU eviction, backpressure, and SIGTERM drain are all observed from
-the outside, the way an operator would.
+it with the real client over the real socket — who loads a book and
+how often, LRU eviction, backpressure, and SIGTERM drain are all
+observed from the outside, the way an operator would.
 """
 
 import json
@@ -59,6 +59,30 @@ def test_parallel_clients_same_fingerprint_compile_once(
         assert stats["metrics"]["counters"][
             "repro_serve_compiles_total"] == 1
         assert stats["pool"]["tasks_ok"] == 1
+
+
+def test_a_book_is_built_once_in_the_worker_that_scores_on_it(
+        serve_traces, serve_daemon):
+    """``ingest`` is one pool task that leaves its worker hot; the
+    first query is a second task on the resident book, not a second
+    load + compile — in the daemon or anywhere else."""
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            ing = client.ingest(serve_traces[0])
+            assert ing["compiled"] and ing["world_size"] == 48
+            assert ing["n_events"] > 0
+            stats = client.stats()
+            assert stats["pool"]["tasks_ok"] == 1
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+            assert stats["store"]["entries"] == 1
+            assert stats["store"]["bytes"] == ing["nbytes"] > 0
+
+            res = client.query(ing["fingerprint"], strategies=["identity"])
+            assert res["meta"]["n_events"] == ing["n_events"]
+            stats = client.stats()
+            assert stats["pool"]["tasks_ok"] == 2
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+            assert stats["store"]["hits"] == 1
 
 
 def test_served_results_bit_identical_to_direct_search(
@@ -187,7 +211,8 @@ def test_crashed_worker_is_replaced_and_query_retried(
     with serve_daemon(jobs=1, backoff="0.01", env_extra=chaos) \
             as (sock, _proc):
         with ServeClient(path=sock) as client:
-            fp = client.ingest(serve_traces[0])["fingerprint"]
+            fp = client.ingest(serve_traces[0],
+                               compile=False)["fingerprint"]
             res = client.query(fp, strategies=["identity"])
             assert res["best"] == "identity"
             stats = client.stats()
@@ -195,27 +220,104 @@ def test_crashed_worker_is_replaced_and_query_retried(
             assert stats["pool"]["retries"] == 1
 
 
-@pytest.mark.parametrize("reloader", ["worker", "daemon"])
+def test_worker_crash_during_ingest_is_retried_and_counted_once(
+        serve_traces, serve_daemon):
+    """The crashed worker never reported a load, so the one that
+    answered is the only compile on the books."""
+    chaos = {"REPRO_SERVE_CHAOS": "crash=1"}
+    with serve_daemon(jobs=1, backoff="0.01", env_extra=chaos) \
+            as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            ing = client.ingest(serve_traces[0])
+            assert ing["compiled"] and ing["nbytes"] > 0
+            stats = client.stats()
+            assert stats["pool"]["replaced"] == 1
+            assert stats["pool"]["retries"] == 1
+            assert stats["store"]["entries"] == 1
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+            res = client.query(ing["fingerprint"], strategies=["identity"])
+            assert res["best"] == "identity"
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+
+
+def test_sigterm_during_an_ingest_compile_drains_then_exits_zero(
+        serve_traces, serve_daemon):
+    """SIGTERM while the pool holds an ingest's compile task: the
+    ingest is answered (or refused explicitly), then exit 0."""
+    chaos = {"REPRO_SERVE_CHAOS": "stall=2.0"}
+    with serve_daemon(jobs=1, env_extra=chaos) as (sock, proc):
+        outcome = {}
+
+        def ingest():
+            try:
+                with ServeClient(path=sock) as c:
+                    outcome["reply"] = c.ingest(serve_traces[0])
+            except ServeError as exc:
+                outcome["error"] = exc
+
+        t = threading.Thread(target=ingest)
+        t.start()
+        time.sleep(0.7)  # hashed, handed to the pool, stalling there
+        proc.send_signal(signal.SIGTERM)
+        t.join(timeout=120)
+        assert not t.is_alive()
+        assert "error" in outcome or outcome["reply"]["compiled"], outcome
+        assert proc.wait(timeout=60) == 0
+
+
+def test_interleaved_fingerprints_thrash_a_small_cache_never_an_error(
+        serve_traces, serve_daemon):
+    """Two books, room for one: every query evicts the other book and
+    reloads its own, and every answer is still the library's."""
+    from repro.replay.schema import ReplayTrace
+    from repro.replay.search import score_candidate
+
+    traces = [ReplayTrace.load(path) for path in serve_traces]
+    with serve_daemon(jobs=1, cache_mb=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fps = [client.ingest(path)["fingerprint"]
+                   for path in serve_traces]
+            assert _counters(client)["repro_serve_compiles_total"] == 2
+            for seed in (1, 2, 3):
+                for which in (0, 1):
+                    served = client.query(fps[which], strategies=["random"],
+                                          seed=seed)["candidates"][0]
+                    direct = score_candidate(traces[which], "random",
+                                             seed=seed)
+                    assert served["makespan"] == direct.makespan
+                    assert served["placement"] == \
+                        [int(p) for p in direct.placement]
+            stats = client.stats()
+            assert stats["store"]["entries"] == 1
+            assert stats["store"]["evictions"] == 7
+            assert _counters(client)["repro_serve_compiles_total"] == 8
+            assert stats["pool"]["tasks_failed"] == 0
+
+
+@pytest.mark.parametrize("load", ["first-touch", "reload-after-eviction"])
 def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
-        serve_traces, serve_daemon, tmp_path, reloader):
+        serve_traces, serve_daemon, tmp_path, load):
     """A trace file overwritten after ingest must never be scored under
-    its old fingerprint: whoever (re)loads the book — a worker on its
-    first touch, or the daemon after an LRU eviction — refuses, the
-    query gets ``trace-changed`` naming the path, and a re-ingest
-    serves the new file under the new fingerprint."""
+    its old fingerprint: the worker that has to read it — on its first
+    touch of a registered-only trace, or again after its LRU dropped
+    the book — refuses, the query gets ``trace-changed`` naming the
+    path, and a re-ingest serves the new file under the new
+    fingerprint."""
     from repro.replay.schema import ReplayTrace
     from repro.replay.search import what_if_search
 
     path = str(tmp_path / "live.trace")
     shutil.copyfile(serve_traces[0], path)
-    flags = {"jobs": 1, "backoff": "0.01"}
-    if reloader == "daemon":
+    flags = {"jobs": 1}
+    if load == "reload-after-eviction":
         flags["cache_mb"] = 1
     with serve_daemon(**flags) as (sock, _proc):
         with ServeClient(path=sock) as client:
-            fp_a = client.ingest(path)["fingerprint"]
-            if reloader == "daemon":
-                client.query(fp_a, strategies=["identity"])  # warm worker
+            if load == "first-touch":
+                fp_a = client.ingest(path, compile=False)["fingerprint"]
+            else:
+                fp_a = client.ingest(path)["fingerprint"]
+                client.query(fp_a, strategies=["identity"])  # resident
                 client.ingest(serve_traces[1])               # evicts fp_a
             shutil.copyfile(serve_traces[1], path)   # re-recorded in place
 
@@ -223,6 +325,9 @@ def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
                 client.query(fp_a, strategies=["greedy"])
             assert excinfo.value.code == "trace-changed"
             assert path in str(excinfo.value)
+            # A refusal is an answer: nothing was retried or failed.
+            pool = client.stats()["pool"]
+            assert pool["retries"] == 0 and pool["tasks_failed"] == 0
 
             fp_b = client.ingest(path)["fingerprint"]
             assert fp_b != fp_a
@@ -231,6 +336,73 @@ def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
     direct = what_if_search(ReplayTrace.load(serve_traces[1]),
                             strategies=["greedy"])
     assert served["candidates"][0]["makespan"] == direct.best.makespan
+
+
+def test_resident_book_still_answers_for_its_old_content(
+        serve_traces, serve_daemon, tmp_path):
+    """A book already in a worker *is* the content that hashed to its
+    fingerprint; rewriting the file under it changes nothing it says."""
+    from repro.replay.schema import ReplayTrace
+    from repro.replay.search import what_if_search
+
+    path = str(tmp_path / "live.trace")
+    shutil.copyfile(serve_traces[0], path)
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fp_a = client.ingest(path)["fingerprint"]
+            shutil.copyfile(serve_traces[1], path)
+            served = client.query(fp_a, strategies=["greedy"])
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+
+    direct = what_if_search(ReplayTrace.load(serve_traces[0]),
+                            strategies=["greedy"])
+    assert served["candidates"][0]["makespan"] == direct.best.makespan
+    assert served["recorded_makespan"] == direct.recorded_makespan
+
+
+def test_a_failed_first_query_does_not_lose_the_book_it_loaded(
+        serve_traces, serve_daemon):
+    """A registered-only trace whose first query cannot be scored (an
+    algorithm name nobody has) still left a book in the worker: that
+    query fails alone, the next one answers from the resident book,
+    and the one load is on the books."""
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fp = client.ingest(serve_traces[0],
+                               compile=False)["fingerprint"]
+            with pytest.raises(ServeError) as excinfo:
+                client.query(fp, strategies=["identity"],
+                             substitute={"bcast": "bogus"})
+            assert excinfo.value.code == "internal"
+            assert "unknown bcast algorithm" in str(excinfo.value)
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+
+            res = client.query(fp, strategies=["identity"])
+            assert res["best"] == "identity"
+            again = client.ingest(serve_traces[0])
+            assert again["known"] and again["compiled"]
+            assert again["n_events"] == res["meta"]["n_events"]
+            stats = client.stats()
+            assert _counters(client)["repro_serve_compiles_total"] == 1
+            assert stats["store"]["entries"] == 1
+            assert stats["pool"]["retries"] == 0
+
+
+def test_ingesting_a_file_that_is_no_trace_is_a_bad_request(
+        serve_daemon, tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("not a trace\n")
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.ingest(str(path))
+            assert excinfo.value.code == "bad-request"
+            assert "not a repro.replay trace" in str(excinfo.value)
+            stats = client.stats()
+            assert stats["pool"]["retries"] == 0
+            assert stats["pool"]["tasks_failed"] == 0
+            assert stats["store"]["entries"] == 0
+            assert client.ping()["type"] == "pong"
 
 
 def test_unknown_fingerprint_and_bad_requests(serve_traces, serve_daemon):

@@ -76,6 +76,14 @@ def test_built_entries_account_compiled_plus_events(serve_traces):
     assert cols.footprint() == 39 * trace.n_events    # the on-disk row
     assert entry.nbytes == entry.compiled.nbytes() + cols.footprint()
     assert entry.compiled.nbytes() > entry.compiled.t.nbytes > 0
+    # ... and what a worker reports of it to a daemon that holds none.
+    assert entry.facts() == {
+        "binding": list(trace.binding),
+        "recorded_makespan": max(trace.clocks),
+        "world_size": trace.world_size,
+        "n_events": trace.n_events,
+        "nbytes": entry.nbytes,
+    }
 
 
 def test_serving_a_trace_never_builds_the_tuple_view(serve_traces):

@@ -108,6 +108,27 @@ class TestDistances:
         for a, b in [(0, 11), (3, 40), (95, 1)]:
             assert plafrim4.common_depth(a, b) == plafrim4.common_depth(b, a)
 
+    @pytest.mark.parametrize("levels", [
+        [("node", 4), ("socket", 2), ("core", 12)],
+        [("core", 5)],
+        [("rack", 2), ("node", 3), ("socket", 1), ("core", 2)],
+    ])
+    def test_all_pairs_at_once_agree_with_one_pair_at_a_time(self, levels):
+        topo = Topology(levels)
+        pus = range(topo.n_pus)
+        a = [x for x in pus for _ in pus]
+        b = [y for _ in pus for y in pus]
+        depths = topo.common_depths(a, b).tolist()
+        assert depths == [topo.common_depth(x, y) for x, y in zip(a, b)]
+        assert [topo.sharing_classes[d] for d in depths] == \
+            [topo.common_level_name(x, y) for x, y in zip(a, b)]
+        assert topo.common_depths([], []).tolist() == []
+        for bad in (-1, topo.n_pus):
+            with pytest.raises(ValueError):
+                topo.common_depths([0, bad], [0, 0])
+            with pytest.raises(ValueError):
+                topo.common_depths([0, 0], [bad, 0])
+
     def test_equality_and_hash(self, plafrim4):
         same = Topology([("node", 4), ("socket", 2), ("core", 12)])
         other = Topology([("node", 4), ("socket", 2), ("core", 6)])
