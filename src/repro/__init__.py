@@ -26,7 +26,8 @@ The package is organised as:
     and the grouped-allgather micro-benchmark (paper §6.4).
 
 ``repro.experiments``
-    One driver per paper table/figure; see DESIGN.md for the index.
+    One cell function per paper table/figure; the grids are the
+    scenarios of ``repro.sweep.registry``.  See DESIGN.md §5.
 """
 
 __version__ = "1.0.0"

@@ -1,9 +1,15 @@
-"""``repro.experiments`` — one driver per paper table/figure.
+"""``repro.experiments`` — one module per paper table/figure.
 
-See DESIGN.md §5 for the experiment index and EXPERIMENTS.md for
-paper-vs-measured results.  Every driver has a ``run(...)`` returning
-structured records and a ``report(records)`` rendering the rows/series
-the paper plots.
+Each module holds the figure's *cell function* (the smallest
+independently computable unit — ``fig2_counters.run``,
+``fig4_overhead.run_point``, ``fig5_collectives.run_cell``,
+``fig6_allgather.run_cell``, ``fig7_cg.run_one``,
+``table1_treematch.run_order``), its result dataclass and a
+``report(results)`` rendering the rows the paper plots.  Which cells make
+up a figure at which scale is defined once, in
+:mod:`repro.sweep.registry`; ``python -m repro.experiments NAME`` and
+``python -m repro.sweep run`` both loop over that.  See DESIGN.md §5 for
+the experiment index and EXPERIMENTS.md for paper-vs-measured results.
 """
 
 from repro.experiments import (  # noqa: F401
@@ -14,4 +20,4 @@ from repro.experiments import (  # noqa: F401
     fig7_cg,
     table1_treematch,
 )
-from repro.experiments.common import Series, full_scale, render_table  # noqa: F401
+from repro.experiments.common import full_scale, render_table  # noqa: F401

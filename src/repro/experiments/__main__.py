@@ -1,105 +1,66 @@
-"""CLI: run any paper experiment and print its report.
+"""CLI: regenerate a paper experiment in-process and print its report.
 
 Usage::
 
-    python -m repro.experiments fig2
-    python -m repro.experiments fig4
-    python -m repro.experiments fig5 --op reduce
-    python -m repro.experiments fig6 --sizes 1,100,10000
-    python -m repro.experiments fig7 --seed 3
-    python -m repro.experiments table1
+    python -m repro.experiments fig5
+    python -m repro.experiments fig6 --sizes 1,100,10000 --seed 3
+    python -m repro.experiments fig7 --smoke
+    python -m repro.experiments fig5 --smoke --trace-out fig5.trace
     python -m repro.experiments all
 
-Every experiment accepts ``--seed`` and ``--sizes`` (the shared parser
-in :mod:`repro.experiments.common`); each ``fig*.py`` module is also
-directly runnable (``python -m repro.experiments.fig5_collectives``)
-with experiment-specific extras.  Set ``REPRO_FULL=1`` for the
-paper-scale grids.  For cached, parallel, fault-tolerant runs of the
-same grids use ``python -m repro.sweep run``.
+A serial, uncached loop over :mod:`repro.sweep.registry` — enumerate the
+scenario's cells, compute each, render — so it prints exactly what
+``python -m repro.sweep run --filter '^NAME$' --show-reports`` prints;
+use that for cached, parallel, fault-tolerant runs.  ``--trace-out PATH``
+records every simulated run as a replay trace (``PATH``, ``PATH.1``, …;
+check one with ``python -m repro.replay replay --verify PATH``).  Set
+``REPRO_FULL=1`` for the paper-scale grids.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-from repro.experiments import (
-    fig2_counters,
-    fig4_overhead,
-    fig5_collectives,
-    fig6_allgather,
-    fig7_cg,
-    table1_treematch,
-)
-from repro.experiments.common import experiment_parser
+from repro.replay import autorecord
+from repro.sweep.registry import (add_grid_flags, get_scenario, grid_config,
+                                  scenario_names)
 
-
-def run_fig2(args) -> None:
-    size_range = fig2_counters.DEFAULT_SIZE_RANGE
-    if args.sizes is not None and len(args.sizes) == 2:
-        size_range = (args.sizes[0], args.sizes[1])
-    seed = 42 if args.seed is None else args.seed
-    print(fig2_counters.report(
-        fig2_counters.run(seed=seed, size_range=size_range)))
-
-
-def run_fig4(args) -> None:
-    print(fig4_overhead.report(fig4_overhead.run(
-        sizes=args.sizes or fig4_overhead.DEFAULT_SIZES, seed=args.seed or 0)))
-
-
-def run_fig5(args) -> None:
-    ops = [args.op] if args.op else ["reduce", "bcast"]
-    for op in ops:
-        print(fig5_collectives.report(
-            fig5_collectives.run(op, sizes=args.sizes, seed=args.seed or 0)))
-        print()
-
-
-def run_fig6(args) -> None:
-    print(fig6_allgather.report(
-        fig6_allgather.run(sizes=args.sizes, seed=args.seed or 0)))
-
-
-def run_fig7(args) -> None:
-    print(fig7_cg.report(
-        fig7_cg.run(rank_counts=args.sizes, seed=args.seed or 0)))
-
-
-def run_table1(args) -> None:
-    print(table1_treematch.report(
-        table1_treematch.run(sizes=args.sizes, seed=args.seed or 0)))
-
-
-RUNNERS = {
-    "fig2": run_fig2,
-    "fig3": run_fig2,  # same experiment, cumulative view
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "fig6": run_fig6,
-    "fig7": run_fig7,
-    "table1": run_table1,
-}
+ALIASES = {"fig3": "fig2"}  # same experiment, cumulative view
+# --trace-out cannot serve these: table1 simulates nothing and whatif
+# owns the recorder while it runs.
+UNRECORDABLE = frozenset({"table1", "whatif"})
 
 
 def main(argv=None) -> int:
-    parser = experiment_parser(
-        "python -m repro.experiments",
-        "Regenerate a table/figure of the paper.",
-        sizes_help="experiment-specific size grid "
-                   "(buffer sizes, byte sizes, NP counts or matrix orders)",
-        default_seed=None,
-    )
-    parser.add_argument("experiment", choices=sorted(RUNNERS) + ["all"])
-    parser.add_argument("--op", choices=["reduce", "bcast"], default=None,
-                        help="fig5 only: run a single collective")
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate a table/figure of the paper.")
+    names = scenario_names()
+    parser.add_argument("experiment", choices=[*names, *ALIASES, "all"])
+    add_grid_flags(parser)
+    parser.add_argument("--trace-out", default=None, metavar="PATH",
+                        help="record every simulated run as a replay trace "
+                             "(PATH, then PATH.1, PATH.2, ...)")
     args = parser.parse_args(argv)
-    if args.experiment == "all":
-        for name in ("fig2", "fig4", "fig5", "fig6", "fig7", "table1"):
-            print(f"===== {name} =====")
-            RUNNERS[name](args)
-            print()
-    else:
-        RUNNERS[args.experiment](args)
+    selected = names if args.experiment == "all" else [
+        ALIASES.get(args.experiment, args.experiment)]
+    if args.trace_out:
+        if UNRECORDABLE.intersection(selected):
+            parser.error("--trace-out needs a simulated figure: not "
+                         "table1, whatif or all")
+        autorecord.enable_to(args.trace_out,
+                             meta={"workload": args.experiment})
+    config = grid_config(args)
+    try:
+        for name in selected:
+            spec = get_scenario(name)
+            if args.experiment == "all":
+                print(f"===== {name} =====")
+            print(spec.report([spec.compute(params)
+                               for params in spec.enumerate_cells(config)]))
+    finally:
+        autorecord.disable()
     return 0
 
 

@@ -23,12 +23,10 @@ import numpy as np
 from repro.core import api as mapi
 from repro.core.constants import Flags, MPI_M_DATA_IGNORE
 from repro.core.errors import raise_for_code
-from repro.experiments.common import (Series, experiment_parser,
-                                      handle_trace_in, render_table,
-                                      trace_capture)
+from repro.experiments.common import render_table
 from repro.simmpi import Cluster, Engine
 
-__all__ = ["CounterComparison", "run", "report", "main", "DEFAULT_SIZE_RANGE"]
+__all__ = ["CounterComparison", "run", "report", "DEFAULT_SIZE_RANGE"]
 
 DEFAULT_SIZE_RANGE = (1_000, 800_000)  # the paper's random 1–800 KB sends
 
@@ -162,35 +160,7 @@ def report(result: CounterComparison) -> str:
         ("max cumulative lag (bytes)", result.max_cumulative_lag),
         ("samples (10 ms windows)", len(result.times)),
     ]
-    series = Series("volumes")
     return render_table(
         ["quantity", "value"], rows,
         title="Fig. 2/3 — HW counters vs introspection monitoring",
     )
-
-
-def main(argv=None) -> int:
-    parser = experiment_parser(
-        "python -m repro.experiments.fig2_counters", __doc__,
-        sizes_help="message-size range as LO,HI bytes "
-                   f"(default {DEFAULT_SIZE_RANGE[0]},{DEFAULT_SIZE_RANGE[1]})",
-        default_seed=42,
-    )
-    parser.add_argument("--duration", type=float, default=5.0,
-                        help="virtual seconds of sender activity")
-    args = parser.parse_args(argv)
-    size_range = DEFAULT_SIZE_RANGE
-    if args.sizes is not None:
-        if len(args.sizes) != 2:
-            parser.error("--sizes takes exactly LO,HI for this experiment")
-        size_range = (args.sizes[0], args.sizes[1])
-    if handle_trace_in(args):
-        return 0
-    with trace_capture(args):
-        print(report(run(duration=args.duration, seed=args.seed,
-                         size_range=size_range)))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

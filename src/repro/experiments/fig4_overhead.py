@@ -14,22 +14,17 @@ indistinguishable from zero and bounded by a few microseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import stats
 
 from repro.core import api as mapi
 from repro.core.errors import raise_for_code
-from repro.experiments.common import (experiment_parser, full_scale,
-                                      handle_trace_in, render_table,
-                                      trace_capture)
+from repro.experiments.common import full_scale, render_table
 from repro.simmpi import MAX, Cluster, Engine
 
-__all__ = ["OverheadPoint", "measure_reduce_times", "run_point", "run",
-           "report", "main"]
-
-DEFAULT_SIZES = (1, 10, 100, 1_000, 10_000)  # bytes, the paper's x-range
+__all__ = ["OverheadPoint", "measure_reduce_times", "run_point", "report"]
 
 
 @dataclass
@@ -119,22 +114,6 @@ def run_point(
     )
 
 
-def run(
-    node_counts: Sequence[int] = (2, 4, 8),
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    reps: int = 0,
-    jitter: float = 0.08,
-    seed: int = 0,
-) -> List[OverheadPoint]:
-    """The full Fig. 4 grid.  ``reps`` defaults to 180 under
-    REPRO_FULL, 40 otherwise."""
-    return [
-        run_point(n_nodes, size, reps=reps, jitter=jitter, seed=seed)
-        for n_nodes in node_counts
-        for size in sizes
-    ]
-
-
 def _welch_dof(a: np.ndarray, b: np.ndarray) -> float:
     va, vb = a.var(ddof=1) / len(a), b.var(ddof=1) / len(b)
     if va + vb == 0:
@@ -158,27 +137,3 @@ def report(points: List[OverheadPoint]) -> str:
               "(positive = monitored slower)",
     )
     return table + f"\nworst-case |overhead|: {worst:.3f} us (paper: < 5 us)"
-
-
-def main(argv=None) -> int:
-    parser = experiment_parser(
-        "python -m repro.experiments.fig4_overhead", __doc__,
-        sizes_help="message sizes in bytes "
-                   f"(default {','.join(map(str, DEFAULT_SIZES))})",
-    )
-    parser.add_argument("--nodes", type=int, nargs="+", default=(2, 4, 8),
-                        help="node counts (24 ranks per node)")
-    parser.add_argument("--reps", type=int, default=0,
-                        help="repetitions (default: 40, or 180 under REPRO_FULL)")
-    args = parser.parse_args(argv)
-    if handle_trace_in(args):
-        return 0
-    with trace_capture(args):
-        print(report(run(node_counts=tuple(args.nodes),
-                         sizes=args.sizes or DEFAULT_SIZES,
-                         reps=args.reps, seed=args.seed)))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,15 +28,13 @@ import numpy as np
 from repro.core import api as mapi
 from repro.core.constants import Flags, MPI_M_DATA_IGNORE
 from repro.core.errors import raise_for_code
-from repro.experiments.common import (Series, experiment_parser, full_scale,
-                                      handle_trace_in, render_table,
-                                      trace_capture)
+from repro.experiments.common import full_scale, render_table
 from repro.apps.microbench import co_collective_kernel
 from repro.placement.reorder import co_reorder_from_matrix
 from repro.simmpi import MAX, Cluster, Engine
 
-__all__ = ["CollectivePoint", "run_cell", "run", "report", "main",
-           "DEFAULT_SIZES", "FULL_SIZES"]
+__all__ = ["CollectivePoint", "run_cell", "report", "DEFAULT_SIZES",
+           "FULL_SIZES"]
 
 DEFAULT_SIZES = (1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000)
 FULL_SIZES = DEFAULT_SIZES + (50_000_000, 100_000_000, 200_000_000)
@@ -145,20 +143,6 @@ def run_cell(
     ]
 
 
-def run(
-    op: str,
-    node_counts: Sequence[int] = (2, 4, 8),
-    sizes: Optional[Sequence[int]] = None,
-    reps: int = 3,
-    seed: int = 0,
-) -> List[CollectivePoint]:
-    """Fig. 5a (``op="reduce"``) or Fig. 5b (``op="bcast"``)."""
-    points: List[CollectivePoint] = []
-    for n_nodes in node_counts:
-        points.extend(run_cell(op, n_nodes, sizes=sizes, reps=reps, seed=seed))
-    return points
-
-
 def report(points: List[CollectivePoint]) -> str:
     rows = [
         (p.op, p.np_ranks, p.n_ints, round(p.t_baseline, 4),
@@ -172,30 +156,3 @@ def report(points: List[CollectivePoint]) -> str:
         title=f"Fig. 5 — MPI_{op.capitalize()} runtime: round-robin vs "
               "introspection-monitoring + rank reordering",
     )
-
-
-def main(argv=None) -> int:
-    parser = experiment_parser(
-        "python -m repro.experiments.fig5_collectives", __doc__,
-        sizes_help="buffer sizes in MPI_INT counts "
-                   f"(default {','.join(map(str, DEFAULT_SIZES))})",
-    )
-    parser.add_argument("--op", choices=["reduce", "bcast"], default=None,
-                        help="run a single collective (default: both)")
-    parser.add_argument("--nodes", type=int, nargs="+", default=(2, 4, 8),
-                        help="node counts (24 ranks per node)")
-    parser.add_argument("--reps", type=int, default=3)
-    args = parser.parse_args(argv)
-    if handle_trace_in(args):
-        return 0
-    with trace_capture(args):
-        for op in ([args.op] if args.op else ["reduce", "bcast"]):
-            print(report(run(op, node_counts=tuple(args.nodes),
-                             sizes=args.sizes, reps=args.reps,
-                             seed=args.seed)))
-            print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -25,7 +25,7 @@ perfectly periodic kernel; see DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -34,16 +34,11 @@ from repro.apps.cg import (CG_CLASSES, CGConfig, cg_setup,
 from repro.core import api as mapi
 from repro.core.constants import Flags, MPI_M_DATA_IGNORE
 from repro.core.errors import raise_for_code
-from repro.experiments.common import (experiment_parser, full_scale,
-                                      handle_trace_in, render_table,
-                                      trace_capture)
+from repro.experiments.common import render_table
 from repro.placement.reorder import co_reorder_from_matrix
 from repro.simmpi import Cluster, Engine
 
-__all__ = ["CGPoint", "run_one", "run", "report", "nodes_for", "main",
-           "default_grid"]
-
-MAPPINGS = ("random", "rr", "standard")
+__all__ = ["CGPoint", "run_one", "report", "nodes_for"]
 
 
 def nodes_for(np_ranks: int) -> int:
@@ -158,37 +153,6 @@ def run_one(
     )
 
 
-def default_grid(
-    classes: Optional[Sequence[str]] = None,
-    rank_counts: Optional[Sequence[int]] = None,
-) -> List[Tuple[str, int]]:
-    """The (class, NP) pairs the figure covers at the current scale."""
-    if full_scale():
-        return [(c, p) for c in (classes or ("B", "C", "D"))
-                for p in (rank_counts or (64, 128, 256))]
-    if classes is not None or rank_counts is not None:
-        return [(c, p) for c in (classes or ("B",))
-                for p in (rank_counts or (64,))]
-    return [("B", 64), ("C", 64), ("D", 64), ("B", 128), ("B", 256)]
-
-
-def run(
-    classes: Optional[Sequence[str]] = None,
-    rank_counts: Optional[Sequence[int]] = None,
-    mappings: Sequence[str] = MAPPINGS,
-    sim_iters: int = 2,
-    seed: int = 0,
-) -> List[CGPoint]:
-    """The Fig. 7 grid.  Defaults: classes B/C/D × NP 64 × all mappings
-    plus class B at 128/256; REPRO_FULL runs the complete paper grid."""
-    points: List[CGPoint] = []
-    for cg_class, np_ranks in default_grid(classes, rank_counts):
-        for mapping in mappings:
-            points.append(run_one(cg_class, np_ranks, mapping,
-                                  sim_iters=sim_iters, seed=seed))
-    return points
-
-
 def report(points: List[CGPoint]) -> str:
     rows = [
         (p.cg_class, p.np_ranks, p.mapping,
@@ -202,28 +166,3 @@ def report(points: List[CGPoint]) -> str:
         rows,
         title="Fig. 7 — NAS CG reordering gain (ratio > 1: reordering wins)",
     )
-
-
-def main(argv=None) -> int:
-    parser = experiment_parser(
-        "python -m repro.experiments.fig7_cg", __doc__,
-        sizes_help="rank counts NP (default: the paper grid 64,128,256)",
-    )
-    parser.add_argument("--classes", nargs="+", default=None,
-                        choices=sorted(CG_CLASSES),
-                        help="NPB classes (default: figure grid)")
-    parser.add_argument("--mappings", nargs="+", default=MAPPINGS,
-                        choices=MAPPINGS)
-    parser.add_argument("--sim-iters", type=int, default=2)
-    args = parser.parse_args(argv)
-    if handle_trace_in(args):
-        return 0
-    with trace_capture(args):
-        print(report(run(classes=args.classes, rank_counts=args.sizes,
-                         mappings=tuple(args.mappings),
-                         sim_iters=args.sim_iters, seed=args.seed)))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

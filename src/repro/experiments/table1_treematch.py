@@ -7,30 +7,24 @@ a dense 65536² float64 array would need ~34 GB, and placement-relevant
 communication matrices are sparse in practice — TreeMatch itself
 exploits that (documented substitution, DESIGN.md §6).
 
-Default sizes are scaled down (1024–8192); REPRO_FULL=1 runs the
-paper's four sizes.
+The orders run at each scale are the ``table1`` grid in
+:mod:`repro.sweep.registry`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.experiments.common import (experiment_parser, full_scale,
-                                      handle_trace_in, render_table,
-                                      trace_capture)
+from repro.experiments.common import render_table
 from repro.placement.treematch import treematch
 from repro.simmpi.topology import Topology
 
-__all__ = ["TreeMatchTiming", "synthetic_comm_matrix", "run_order", "run",
-           "report", "main"]
-
-DEFAULT_SIZES = (1024, 2048, 4096, 8192)
-FULL_SIZES = (8192, 16384, 32768, 65536)
+__all__ = ["TreeMatchTiming", "synthetic_comm_matrix", "run_order", "report"]
 
 
 @dataclass
@@ -85,13 +79,6 @@ def run_order(n: int, seed: int = 0) -> TreeMatchTiming:
     return TreeMatchTiming(order=n, seconds=dt)
 
 
-def run(sizes: Sequence[int] = None, seed: int = 0) -> List[TreeMatchTiming]:
-    """Time the mapping computation (real wall-clock, not virtual)."""
-    if sizes is None:
-        sizes = FULL_SIZES if full_scale() else DEFAULT_SIZES
-    return [run_order(n, seed=seed) for n in sizes]
-
-
 def report(timings: List[TreeMatchTiming]) -> str:
     paper = {8192: 2.6, 16384: 6.3, 32768: 20.9, 65536: 88.7}
     rows = [
@@ -103,21 +90,3 @@ def report(timings: List[TreeMatchTiming]) -> str:
         rows,
         title="Table 1 — TreeMatch reordering computation time",
     )
-
-
-def main(argv=None) -> int:
-    parser = experiment_parser(
-        "python -m repro.experiments.table1_treematch", __doc__,
-        sizes_help="matrix orders "
-                   f"(default {','.join(map(str, DEFAULT_SIZES))})",
-    )
-    args = parser.parse_args(argv)
-    if handle_trace_in(args):
-        return 0
-    with trace_capture(args):
-        print(report(run(sizes=args.sizes, seed=args.seed)))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

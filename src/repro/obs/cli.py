@@ -152,11 +152,11 @@ def _print_points(points, file=None) -> None:
 
 
 def _cmd_export(args) -> int:
-    from repro.experiments.common import handle_trace_in
-
     if args.trace_in:
-        return 0 if handle_trace_in(
-            args, consumer=lambda tr: _export_from_trace(args, tr)) else 1
+        from repro.replay.schema import ReplayTrace
+
+        _export_from_trace(args, ReplayTrace.load(args.trace_in))
+        return 0
 
     registry, spans, engine, tracer, _, points, sizes = \
         _instrumented_cell(args)
@@ -213,18 +213,13 @@ def _export_from_trace(args, trace) -> None:
 
 
 def _cmd_diagnose(args) -> int:
-    from repro.experiments.common import handle_trace_in
     from repro.obs.diagnose import diagnose, render_report, validate_report
     from repro.obs.timeline import Timeline
 
     if args.trace_in:
-        box = {}
-        handled = handle_trace_in(
-            args, consumer=lambda tr: box.update(
-                tl=Timeline.from_trace(tr)))
-        if not handled:  # pragma: no cover - trace_in is set
-            return 1
-        tl = box["tl"]
+        from repro.replay.schema import ReplayTrace
+
+        tl = Timeline.from_trace(ReplayTrace.load(args.trace_in))
         meta = {"trace": args.trace_in}
         # Report to stdout, logs to stderr — the convention every
         # machine-readable subcommand shares (repro.serve stats/query

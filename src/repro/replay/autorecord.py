@@ -17,7 +17,7 @@ Two front-ends:
     yielded list.
 
 ``enable_to(path)`` / ``disable()``
-    Imperative pair used by the shared ``--trace-out`` experiment flag.
+    Imperative pair behind ``python -m repro.experiments --trace-out``.
     The first finished run is dumped to ``path``, subsequent ones to
     ``path.1``, ``path.2``, ...
 """

@@ -7,9 +7,9 @@ Subcommands::
     search   score candidate placements offline
     diff     compare two traces (or two replays of one trace)
 
-The trace file is the interchange format: any experiment driver can
-produce one via its shared ``--trace-out`` flag
-(:mod:`repro.experiments.common`), and everything here consumes it.
+The trace file is the interchange format: ``python -m repro.experiments
+NAME --trace-out PATH`` produces one from any simulated figure, and
+everything here consumes it.
 How fast search is, and how far replayed makespans sit from live ones,
 is measured by ``benchmarks/ledger/run.py --workload advice``.
 """

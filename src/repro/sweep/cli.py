@@ -22,10 +22,9 @@ import os
 import sys
 from typing import Optional
 
-from repro.experiments.common import parse_sizes
 from repro.sweep import runner
 from repro.sweep.cache import ResultCache, default_cache_dir
-from repro.sweep.registry import SweepConfig, cell_id
+from repro.sweep.registry import add_grid_flags, cell_id, grid_config
 
 DEFAULT_REPORT = os.path.join("{cache}", "last-run.json")
 
@@ -45,13 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help=f"cache location (default {default_cache_dir()}"
                             " or $REPRO_SWEEP_CACHE)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="grid seed (default: per-scenario default)")
-        p.add_argument("--sizes", type=parse_sizes, default=None,
-                       metavar="N,N,...",
-                       help="override each scenario's size axis")
-        p.add_argument("--smoke", action="store_true",
-                       help="tiny CI grids instead of the defaults")
+        add_grid_flags(p)
 
     p_run = sub.add_parser("run", help="execute or resume a sweep")
     common(p_run)
@@ -118,7 +111,7 @@ def _progress_printer(total: int, quiet: bool):
 
 
 def _cmd_run(args) -> int:
-    config = SweepConfig(seed=args.seed, sizes=args.sizes, smoke=args.smoke)
+    config = grid_config(args)
     cache = ResultCache(root=args.cache_dir)
     cells = runner.select_cells(args.filter, config)
     print(f"sweep: {len(cells)} cells, jobs={args.jobs}, "
@@ -162,7 +155,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ls(args) -> int:
-    config = SweepConfig(seed=args.seed, sizes=args.sizes, smoke=args.smoke)
+    config = grid_config(args)
     cache = ResultCache(root=args.cache_dir)
     cells = runner.select_cells(args.filter, config)
     hits = 0

@@ -1,23 +1,31 @@
-"""Scenario registry: the paper's evaluation grid as pure, picklable cells.
+"""Scenario registry: the one index of the paper's experiments.
 
-Each scenario (one per paper figure/table) decomposes its parameter
-grid into *cells* — the smallest independently computable unit, always
-a pure function of a plain-dict parameter set.  A cell is computed by a
-worker process, serialized to canonical JSON for the cache, and decoded
-back into the experiment module's dataclasses for report rendering, so
-``python -m repro.sweep`` and the serial drivers share one source of
-truth for grids, defaults and report formats.
+Each scenario (one per paper figure/table) is defined here exactly once:
+``enumerate_cells`` is the single enumeration of its parameter grid at
+each scale (``--smoke`` / default / ``REPRO_FULL=1``), ``compute`` names
+the single function that computes a cell, ``encode`` / ``decode`` carry
+a result through the cache's canonical JSON, and ``report`` is the
+single renderer.  A *cell* is the smallest independently computable
+unit, a pure function of a plain-dict parameter set — for the figures,
+the keyword arguments of the cell function.  Both front doors consume
+this index and nothing else: ``python -m repro.sweep`` (cached,
+parallel, fault-tolerant) and ``python -m repro.experiments`` (serial,
+in-process, uncached), so a figure has one grid and one number per cell.
 
 Cell granularity per scenario:
 
 ========  ==========================================================
-fig2      one cell (single two-rank engine run)
-fig4      one cell per (node count, message size) — one Welch CI each
+fig2      one cell (single two-rank engine run) — ``fig2_counters.run``
+fig4      one cell per (node count, message size), one Welch CI each
+          — ``fig4_overhead.run_point``
 fig5      one cell per (op, node count) — the buffer sweep shares one
           monitored reordering, so it cannot split further
+          — ``fig5_collectives.run_cell``
 fig6      one cell per (nodes, buffer size, iterations), cold engine
+          — ``fig6_allgather.run_cell``
 fig7      one cell per (class, NP, mapping) — ``fig7_cg.run_one``
 table1    one cell per matrix order (real wall-clock timing)
+          — ``table1_treematch.run_order``
 whatif    one cell per (op, node count) — record a fig5 cell, then
           search candidate placements offline via repro.replay
 selftest  hidden micro-scenario used by executor tests and CI chaos
@@ -26,12 +34,22 @@ selftest  hidden micro-scenario used by executor tests and CI chaos
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.experiments import (fig2_counters, fig4_overhead,
+                               fig5_collectives, fig6_allgather, fig7_cg,
+                               table1_treematch)
+from repro.experiments.common import full_scale, parse_sizes, render_table
+
 __all__ = ["SweepConfig", "ScenarioSpec", "SCENARIOS", "get_scenario",
-           "scenario_names", "compute_cell", "cell_id"]
+           "scenario_names", "compute_cell", "cell_id", "add_grid_flags",
+           "grid_config"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +59,22 @@ class SweepConfig:
     seed: Optional[int] = None  # None: each scenario's own default
     sizes: Optional[Tuple[int, ...]] = None  # override the size axis
     smoke: bool = False  # tiny CI grids
+
+
+def add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per :class:`SweepConfig` field, defined once for both
+    front doors so they cannot enumerate different grids."""
+    parser.add_argument("--seed", type=int, default=None,
+                        help="grid seed (default: per-scenario default)")
+    parser.add_argument("--sizes", type=parse_sizes, default=None,
+                        metavar="N,N,...",
+                        help="override each scenario's size axis")
+    parser.add_argument("--smoke", action="store_true",
+                        help="tiny CI grids instead of the defaults")
+
+
+def grid_config(args: argparse.Namespace) -> SweepConfig:
+    return SweepConfig(seed=args.seed, sizes=args.sizes, smoke=args.smoke)
 
 
 @dataclass(frozen=True)
@@ -60,12 +94,25 @@ def cell_id(scenario: str, params: Dict[str, Any]) -> str:
     return f"{scenario}[{inner}]"
 
 
+def _kwargs(fn: Callable[..., Any]) -> Callable[[Dict[str, Any]], Any]:
+    """``compute`` for a scenario whose cell params are the keyword
+    arguments of its cell function."""
+    return lambda params: fn(**params)
+
+
+def _dataclass_codec(cls, many: bool = False):
+    """``(encode, decode)`` for a result that is one flat dataclass of
+    JSON scalars (``many``: a list of them)."""
+    if many:
+        return (lambda xs: [dataclasses.asdict(x) for x in xs],
+                lambda docs: [cls(**d) for d in docs])
+    return dataclasses.asdict, lambda doc: cls(**doc)
+
+
 # ---------------------------------------------------------------- fig2
 
 
 def _fig2_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments.common import full_scale
-
     if cfg.smoke:
         duration = 1.5
     else:
@@ -75,15 +122,6 @@ def _fig2_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
     if cfg.sizes is not None and len(cfg.sizes) == 2:
         params["size_range"] = list(cfg.sizes)
     return [params]
-
-
-def _fig2_compute(params: Dict[str, Any]):
-    from repro.experiments import fig2_counters
-
-    size_range = tuple(params.get("size_range",
-                                  fig2_counters.DEFAULT_SIZE_RANGE))
-    return fig2_counters.run(duration=params["duration"],
-                             seed=params["seed"], size_range=size_range)
 
 
 def _fig2_encode(res) -> Dict[str, Any]:
@@ -96,11 +134,7 @@ def _fig2_encode(res) -> Dict[str, Any]:
 
 
 def _fig2_decode(doc):
-    import numpy as np
-
-    from repro.experiments.fig2_counters import CounterComparison
-
-    return CounterComparison(
+    return fig2_counters.CounterComparison(
         times=np.asarray(doc["times"], dtype=float),
         hw_window=np.asarray(doc["hw_window"], dtype=np.int64),
         mon_window=np.asarray(doc["mon_window"], dtype=np.int64),
@@ -109,8 +143,6 @@ def _fig2_decode(doc):
 
 
 def _fig2_report(results: List[Any]) -> str:
-    from repro.experiments import fig2_counters
-
     return "\n\n".join(fig2_counters.report(r) for r in results)
 
 
@@ -118,15 +150,12 @@ def _fig2_report(results: List[Any]) -> str:
 
 
 def _fig4_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments import fig4_overhead
-    from repro.experiments.common import full_scale
-
     seed = 0 if cfg.seed is None else cfg.seed
     if cfg.smoke:
         nodes, sizes, reps = (2,), (1, 1_000), 10
     else:
         nodes = (2, 4, 8)
-        sizes = cfg.sizes or fig4_overhead.DEFAULT_SIZES
+        sizes = cfg.sizes or (1, 10, 100, 1_000, 10_000)  # bytes
         reps = 180 if full_scale() else 40
     return [
         {"n_nodes": n, "size_bytes": s, "reps": reps, "seed": seed}
@@ -134,44 +163,10 @@ def _fig4_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
     ]
 
 
-def _fig4_compute(params: Dict[str, Any]):
-    from repro.experiments import fig4_overhead
-
-    return fig4_overhead.run_point(
-        params["n_nodes"], params["size_bytes"], reps=params["reps"],
-        seed=params["seed"],
-    )
-
-
-def _fig4_encode(p) -> Dict[str, Any]:
-    return {
-        "np_ranks": int(p.np_ranks),
-        "size_bytes": int(p.size_bytes),
-        "mean_diff_us": float(p.mean_diff_us),
-        "ci95_us": float(p.ci95_us),
-        "n_reps": int(p.n_reps),
-    }
-
-
-def _fig4_decode(doc):
-    from repro.experiments.fig4_overhead import OverheadPoint
-
-    return OverheadPoint(**doc)
-
-
-def _fig4_report(results: List[Any]) -> str:
-    from repro.experiments import fig4_overhead
-
-    return fig4_overhead.report(results)
-
-
 # ---------------------------------------------------------------- fig5
 
 
 def _fig5_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments import fig5_collectives
-    from repro.experiments.common import full_scale
-
     seed = 0 if cfg.seed is None else cfg.seed
     if cfg.smoke:
         nodes: Tuple[int, ...] = (2,)
@@ -189,33 +184,7 @@ def _fig5_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
     ]
 
 
-def _fig5_compute(params: Dict[str, Any]):
-    from repro.experiments import fig5_collectives
-
-    return fig5_collectives.run_cell(
-        params["op"], params["n_nodes"], sizes=tuple(params["sizes"]),
-        reps=params["reps"], seed=params["seed"],
-    )
-
-
-def _fig5_encode(points) -> List[Dict[str, Any]]:
-    return [
-        {"op": p.op, "np_ranks": int(p.np_ranks), "n_ints": int(p.n_ints),
-         "t_baseline": float(p.t_baseline),
-         "t_reordered": float(p.t_reordered)}
-        for p in points
-    ]
-
-
-def _fig5_decode(doc):
-    from repro.experiments.fig5_collectives import CollectivePoint
-
-    return [CollectivePoint(**d) for d in doc]
-
-
 def _fig5_report(results: List[Any]) -> str:
-    from repro.experiments import fig5_collectives
-
     points = [p for cell in results for p in cell]
     out = []
     for op in ("reduce", "bcast"):
@@ -229,22 +198,21 @@ def _fig5_report(results: List[Any]) -> str:
 
 
 def _fig6_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments import fig6_allgather
-    from repro.experiments.common import full_scale
-
     seed = 0 if cfg.seed is None else cfg.seed
+    # sizes are MPI_INT counts; REPRO_FULL is the paper's 6x5 grid on
+    # 48/96/192 ranks, the default a 4x4 sub-grid on 48.
     if cfg.smoke:
         nodes: Tuple[int, ...] = (2,)
         sizes: Sequence[int] = (1, 100_000)
         iters: Sequence[int] = (1, 100)
     elif full_scale():
         nodes = (2, 4, 8)
-        sizes = cfg.sizes or fig6_allgather.FULL_SIZES
-        iters = fig6_allgather.FULL_ITERS
+        sizes = cfg.sizes or (1, 10, 100, 1_000, 10_000, 100_000)
+        iters = (1, 10, 100, 1_000, 10_000)
     else:
         nodes = (2,)
-        sizes = cfg.sizes or fig6_allgather.DEFAULT_SIZES
-        iters = fig6_allgather.DEFAULT_ITERS
+        sizes = cfg.sizes or (1, 100, 10_000, 100_000)
+        iters = (1, 10, 100, 1_000)
     return [
         {"n_nodes": n, "n_ints": s, "iterations": it, "group_size": 8,
          "seed": seed}
@@ -252,52 +220,25 @@ def _fig6_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
     ]
 
 
-def _fig6_compute(params: Dict[str, Any]):
-    from repro.experiments import fig6_allgather
-
-    return fig6_allgather.run_cell(
-        params["n_nodes"], params["n_ints"], params["iterations"],
-        group_size=params["group_size"], seed=params["seed"],
-    )
-
-
-def _fig6_encode(c) -> Dict[str, Any]:
-    return {
-        "np_ranks": int(c.np_ranks), "n_ints": int(c.n_ints),
-        "iterations": int(c.iterations), "t1": float(c.t1),
-        "t2": float(c.t2), "t3": float(c.t3),
-        "gain_percent": float(c.gain_percent),
-    }
-
-
-def _fig6_decode(doc):
-    from repro.experiments.fig6_allgather import HeatmapCell
-
-    return HeatmapCell(**doc)
-
-
-def _fig6_report(results: List[Any]) -> str:
-    from repro.experiments import fig6_allgather
-
-    return fig6_allgather.report(results)
-
-
 # ---------------------------------------------------------------- fig7
 
 
 def _fig7_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments import fig7_cg
-
     seed = 0 if cfg.seed is None else cfg.seed
+    mappings: Sequence[str] = ("random", "rr", "standard")
+    sim_iters = 2
     if cfg.smoke:
         grid = [("B", 64)]
-        mappings: Sequence[str] = ("rr",)
+        mappings = ("rr",)
         sim_iters = 1
+    elif full_scale():
+        grid = [(c, p) for c in ("B", "C", "D")
+                for p in (cfg.sizes or (64, 128, 256))]
+    elif cfg.sizes:
+        grid = [("B", p) for p in cfg.sizes]
     else:
-        rank_counts = cfg.sizes or None
-        grid = fig7_cg.default_grid(rank_counts=rank_counts)
-        mappings = fig7_cg.MAPPINGS
-        sim_iters = 2
+        # Classes B/C/D at NP 64 plus class B at 128/256.
+        grid = [("B", 64), ("C", 64), ("D", 64), ("B", 128), ("B", 256)]
     return [
         {"cg_class": c, "np_ranks": p, "mapping": m, "sim_iters": sim_iters,
          "seed": seed}
@@ -305,81 +246,28 @@ def _fig7_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
     ]
 
 
-def _fig7_compute(params: Dict[str, Any]):
-    from repro.experiments import fig7_cg
-
-    return fig7_cg.run_one(
-        params["cg_class"], params["np_ranks"], params["mapping"],
-        sim_iters=params["sim_iters"], seed=params["seed"],
-    )
-
-
-def _fig7_encode(p) -> Dict[str, Any]:
-    return {
-        "cg_class": p.cg_class, "np_ranks": int(p.np_ranks),
-        "mapping": p.mapping, "t_base": float(p.t_base),
-        "t_reordered": float(p.t_reordered),
-        "comm_base": float(p.comm_base),
-        "comm_reordered": float(p.comm_reordered),
-    }
-
-
-def _fig7_decode(doc):
-    from repro.experiments.fig7_cg import CGPoint
-
-    return CGPoint(**doc)
-
-
-def _fig7_report(results: List[Any]) -> str:
-    from repro.experiments import fig7_cg
-
-    return fig7_cg.report(results)
-
-
 # -------------------------------------------------------------- table1
 
 
 def _table1_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments import table1_treematch
-    from repro.experiments.common import full_scale
-
     seed = 0 if cfg.seed is None else cfg.seed
     if cfg.smoke:
         sizes: Sequence[int] = (256, 512)
     else:
-        sizes = cfg.sizes or (table1_treematch.FULL_SIZES if full_scale()
-                              else table1_treematch.DEFAULT_SIZES)
+        # The paper's four orders under REPRO_FULL, scaled down otherwise.
+        sizes = cfg.sizes or ((8192, 16384, 32768, 65536) if full_scale()
+                              else (1024, 2048, 4096, 8192))
     return [{"order": n, "seed": seed} for n in sizes]
 
 
 def _table1_compute(params: Dict[str, Any]):
-    from repro.experiments import table1_treematch
-
     return table1_treematch.run_order(params["order"], seed=params["seed"])
-
-
-def _table1_encode(t) -> Dict[str, Any]:
-    return {"order": int(t.order), "seconds": float(t.seconds)}
-
-
-def _table1_decode(doc):
-    from repro.experiments.table1_treematch import TreeMatchTiming
-
-    return TreeMatchTiming(**doc)
-
-
-def _table1_report(results: List[Any]) -> str:
-    from repro.experiments import table1_treematch
-
-    return table1_treematch.report(results)
 
 
 # -------------------------------------------------------------- whatif
 
 
 def _whatif_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
-    from repro.experiments import fig5_collectives
-
     seed = 0 if cfg.seed is None else cfg.seed
     if cfg.smoke:
         ops: Sequence[str] = ("reduce",)
@@ -401,7 +289,6 @@ def _whatif_cells(cfg: SweepConfig) -> List[Dict[str, Any]]:
 
 def _whatif_compute(params: Dict[str, Any]) -> Dict[str, Any]:
     """Record one fig5 cell live, then search placements offline."""
-    from repro.experiments import fig5_collectives
     from repro.replay import autorecord
     from repro.replay.search import what_if_search
 
@@ -429,8 +316,6 @@ def _whatif_compute(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _whatif_report(results: List[Any]) -> str:
-    from repro.experiments.common import render_table
-
     rows = []
     for r in results:
         for c in r["candidates"]:
@@ -472,8 +357,6 @@ def _selftest_compute(params: Dict[str, Any]):
 
 
 def _selftest_report(results: List[Any]) -> str:
-    from repro.experiments.common import render_table
-
     return render_table(["x", "y"],
                         [(r["x"], r["y"]) for r in results],
                         title="selftest — trivial cells")
@@ -492,23 +375,30 @@ def _register(spec: ScenarioSpec) -> None:
 
 _register(ScenarioSpec(
     "fig2", "Fig. 2/3 — HW counters vs introspection (§6.1)",
-    _fig2_cells, _fig2_compute, _fig2_encode, _fig2_decode, _fig2_report))
+    _fig2_cells, _kwargs(fig2_counters.run), _fig2_encode, _fig2_decode,
+    _fig2_report))
 _register(ScenarioSpec(
     "fig4", "Fig. 4 — monitoring overhead on MPI_Reduce (§6.2)",
-    _fig4_cells, _fig4_compute, _fig4_encode, _fig4_decode, _fig4_report))
+    _fig4_cells, _kwargs(fig4_overhead.run_point),
+    *_dataclass_codec(fig4_overhead.OverheadPoint), fig4_overhead.report))
 _register(ScenarioSpec(
     "fig5", "Fig. 5 — collective optimization by rank reordering (§6.3)",
-    _fig5_cells, _fig5_compute, _fig5_encode, _fig5_decode, _fig5_report))
+    _fig5_cells, _kwargs(fig5_collectives.run_cell),
+    *_dataclass_codec(fig5_collectives.CollectivePoint, many=True),
+    _fig5_report))
 _register(ScenarioSpec(
     "fig6", "Fig. 6 — reordering-gain heatmap, grouped allgathers (§6.4)",
-    _fig6_cells, _fig6_compute, _fig6_encode, _fig6_decode, _fig6_report))
+    _fig6_cells, _kwargs(fig6_allgather.run_cell),
+    *_dataclass_codec(fig6_allgather.HeatmapCell), fig6_allgather.report))
 _register(ScenarioSpec(
     "fig7", "Fig. 7 — NAS CG rank reordering (§6.5)",
-    _fig7_cells, _fig7_compute, _fig7_encode, _fig7_decode, _fig7_report))
+    _fig7_cells, _kwargs(fig7_cg.run_one),
+    *_dataclass_codec(fig7_cg.CGPoint), fig7_cg.report))
 _register(ScenarioSpec(
     "table1", "Table 1 — TreeMatch computation time (§7)",
-    _table1_cells, _table1_compute, _table1_encode, _table1_decode,
-    _table1_report))
+    _table1_cells, _table1_compute,
+    *_dataclass_codec(table1_treematch.TreeMatchTiming),
+    table1_treematch.report))
 _register(ScenarioSpec(
     "whatif", "What-if placement search on recorded replay traces",
     _whatif_cells, _whatif_compute, _identity, _identity, _whatif_report))

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablations of the design choices DESIGN.md §5 calls out.
 
 Not figures from the paper — these probe *why* the reproduction behaves
 as it does: collective algorithm choice, placement algorithm quality,
@@ -9,7 +9,6 @@ modes.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import once
 from repro.apps.microbench import collective_kernel
 from repro.core import api as mapi
 from repro.core.constants import Flags, MPI_M_DATA_IGNORE
@@ -39,7 +38,7 @@ def _measure_collective(op, algorithm, n_ints=10_000_000, n_nodes=2):
     return engine.run(prog)[0]
 
 
-def test_ablation_collective_algorithms(benchmark):
+def test_ablation_collective_algorithms():
     """Tree shape matters: the tuned algorithms beat the flat ones."""
 
     def run():
@@ -50,7 +49,7 @@ def test_ablation_collective_algorithms(benchmark):
                 rows.append((op, algo, _measure_collective(op, algo)))
         return rows
 
-    rows = once(benchmark, run)
+    rows = run()
     print()
     print(render_table(["op", "algorithm", "time (s)"],
                        [(o, a, round(t, 4)) for o, a, t in rows],
@@ -65,7 +64,7 @@ def test_ablation_collective_algorithms(benchmark):
     assert times[("reduce", "binary")] < times[("reduce", "binomial")]
 
 
-def test_ablation_placement_quality(benchmark):
+def test_ablation_placement_quality():
     """TreeMatch vs the baselines on a clustered communication matrix."""
     topo = Topology([("node", 4), ("socket", 2), ("core", 12)])
     rng = np.random.default_rng(7)
@@ -94,7 +93,7 @@ def test_ablation_placement_quality(benchmark):
             for name, pl in placements.items()
         }
 
-    scores = once(benchmark, run)
+    scores = run()
     print()
     print(render_table(["placement", "inter-node bytes"],
                        sorted(scores.items(), key=lambda kv: kv[1]),
@@ -104,7 +103,7 @@ def test_ablation_placement_quality(benchmark):
     assert scores["treematch"] <= scores["greedy-edge"] * 1.2
 
 
-def test_ablation_initial_mapping_sensitivity(benchmark):
+def test_ablation_initial_mapping_sensitivity():
     """§6.5/§7: TreeMatch output quality depends on the initial mapping."""
 
     def run():
@@ -136,7 +135,7 @@ def test_ablation_initial_mapping_sensitivity(benchmark):
             out[binding] = engine.run(prog)[0]
         return out
 
-    out = once(benchmark, run)
+    out = run()
     rows = [(b, round(t0, 4), round(t1, 4), round(t0 / t1, 2))
             for b, (t0, t1) in out.items()]
     print()
@@ -151,7 +150,7 @@ def test_ablation_initial_mapping_sensitivity(benchmark):
         assert t1 <= t0 * 1.15
 
 
-def test_ablation_monitoring_mode_cost(benchmark):
+def test_ablation_monitoring_mode_cost():
     """Monitoring modes 0/1/2 cost, on a communication-heavy loop."""
 
     def run_mode(mode):
@@ -169,7 +168,7 @@ def test_ablation_monitoring_mode_cost(benchmark):
     def run():
         return {mode: run_mode(mode) for mode in (0, 1, 2)}
 
-    times = once(benchmark, run)
+    times = run()
     print()
     print(render_table(["pml_monitoring_enable", "virtual time (s)"],
                        [(m, f"{t:.6f}") for m, t in times.items()],

@@ -49,9 +49,9 @@ class TestEnumeration:
 
 
 class TestComputeRoundTrip:
-    """Compute → encode → canonical JSON → decode for the cheap cells
-    (the expensive scenarios get the same treatment in the CI smoke
-    sweep; here we keep the tier-1 suite fast)."""
+    """Compute → encode → canonical JSON → decode, field by field, on
+    two cheap cells (every visible scenario's first smoke cell makes the
+    trip in ``tests/experiments/test_front_doors.py``)."""
 
     def test_selftest(self):
         payload = compute_cell("selftest", {"x": 5})
