@@ -32,13 +32,12 @@ __all__ = [
 class TraceSchemaError(ValueError):
     """A persisted trace/profile declares a schema this code cannot read.
 
-    Raised by every on-disk reader in the repository
-    (:meth:`repro.simmpi.trace.MessageTracer.load`,
-    :func:`repro.core.flushio.read_profile`,
+    Raised by the on-disk readers of the repository
+    (:func:`repro.core.flushio.read_profile`,
     :meth:`repro.replay.schema.ReplayTrace.load`) when the file carries
     an explicit ``schema=N`` marker for an unsupported ``N`` — as
-    opposed to the legacy headerless files, which still load with a
-    warning.
+    opposed to a flush profile written before the marker existed,
+    which still loads.
     """
 
 

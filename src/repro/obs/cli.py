@@ -4,7 +4,9 @@ Subcommands:
 
 * ``export`` — run one Fig. 5 cell with the observability layer
   enabled and write the Perfetto-loadable Chrome trace (plus,
-  optionally, the metrics snapshot and the raw message trace); with
+  optionally, the metrics snapshot and, with ``--trace-out``, the
+  replay trace of the run — the file ``top``, ``heatmap``,
+  ``--trace-in`` and ``python -m repro.replay`` read); with
   ``--trace-in`` the trace document is built from a recorded replay
   trace instead, no re-simulation;
 * ``diagnose`` — build the cross-layer timeline for a cell (live run
@@ -12,8 +14,9 @@ Subcommands:
   (:mod:`repro.obs.diagnose`), printing the findings and optionally
   writing the JSON report and an enriched Chrome trace;
 * ``top`` — hottest rank pairs (and, with a metrics snapshot, link
-  classes) from a dumped message trace;
-* ``heatmap`` — terminal comm-matrix render (reuses
+  classes) of a replay trace: every wire message, after collective
+  decomposition, monitored or not;
+* ``heatmap`` — terminal comm-matrix render of the same matrix (reuses
   :func:`repro.core.viz.render_heatmap`);
 * ``validate`` — structural check of an exported trace file.
 """
@@ -55,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Chrome trace output path")
     exp.add_argument("--metrics", default=None, metavar="PATH",
                      help="also write the metrics snapshot as JSON")
-    exp.add_argument("--messages", default=None, metavar="PATH",
-                     help="also dump the raw message trace")
+    exp.add_argument("--trace-out", default=None, metavar="PATH",
+                     help="also write the run's replay trace")
     exp.add_argument("--trace-in", default=None, metavar="PATH",
                      help="build the Perfetto trace from a recorded replay "
                           "trace instead of re-running the cell")
@@ -83,9 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--json", action="store_true",
                      help="print the JSON report instead of the rendering")
 
-    top = sub.add_parser("top", help="hottest rank pairs of a message trace")
-    top.add_argument("--messages", required=True,
-                     help="message trace from `export --messages`")
+    top = sub.add_parser("top", help="hottest rank pairs of a replay trace")
+    top.add_argument("trace", help="trace file from --trace-out")
     top.add_argument("-k", type=int, default=10, help="pairs to show")
     top.add_argument("--category", choices=["p2p", "coll", "osc"],
                      default=None)
@@ -93,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="metrics snapshot: adds a per-link-class section")
 
     hm = sub.add_parser("heatmap", help="terminal comm-matrix heatmap")
-    hm.add_argument("--messages", required=True)
+    hm.add_argument("trace", help="trace file from --trace-out")
     hm.add_argument("--category", choices=["p2p", "coll", "osc"],
                     default=None)
 
@@ -104,41 +106,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _instrumented_cell(args, capture_events: bool = False):
-    """Run one fig5 cell with obs enabled; returns the pieces the
-    export/diagnose commands join.
-
-    With ``capture_events`` the run is also ambiently recorded as a
-    replay trace (the event-level timeline layer); either way a
-    :class:`MessageTracer` observes per-message link traffic."""
-    import contextlib
-
+def _instrumented_cell(args):
+    """Run one fig5 cell with obs enabled and the replay recorder on;
+    returns the pieces the export/diagnose commands join."""
     from repro.experiments.common import parse_sizes
     from repro.experiments.fig5_collectives import run_cell
+    from repro.replay import autorecord
     from repro.simmpi import Cluster, Engine
-    from repro.simmpi.trace import MessageTracer
 
     sizes = args.sizes if args.sizes is not None else parse_sizes(
         _DEFAULT_SIZES)
     registry, spans = obs.enable()
     try:
-        if capture_events:
-            from repro.replay import autorecord
-            recording = autorecord.capture(
-                meta={"workload": "fig5_cell", "op": args.op})
-        else:
-            recording = contextlib.nullcontext([])
-        with recording as traces:
+        with autorecord.capture(meta={
+                "workload": "fig5_cell", "op": args.op,
+                "n_nodes": args.nodes, "sizes": list(sizes),
+                "reps": args.reps, "seed": args.seed}) as traces:
             cluster = Cluster.plafrim(args.nodes, binding="rr")
             engine = Engine(cluster, seed=args.seed)
-            tracer = MessageTracer.install(engine)
             with spans.wall_span("fig5.run_cell",
                                  {"op": args.op, "nodes": args.nodes}):
                 points = run_cell(args.op, args.nodes, sizes=sizes,
                                   reps=args.reps, seed=args.seed,
                                   engine=engine)
-        trace = traces[0] if traces else None
-        return registry, spans, engine, tracer, trace, points, sizes
+        return registry, spans, engine, traces[0], points, sizes
     except BaseException:
         obs.disable()
         raise
@@ -158,12 +149,11 @@ def _cmd_export(args) -> int:
         _export_from_trace(args, ReplayTrace.load(args.trace_in))
         return 0
 
-    registry, spans, engine, tracer, _, points, sizes = \
-        _instrumented_cell(args)
+    registry, spans, engine, trace, points, sizes = _instrumented_cell(args)
     try:
         from repro.obs.timeline import Timeline
 
-        tl = Timeline.from_run(engine, spans=spans, tracer=tracer)
+        tl = Timeline.from_run(engine, spans=spans, trace=trace)
         doc = chrome_trace(
             spans, n_ranks=engine.n_ranks,
             meta={"op": args.op, "nodes": args.nodes,
@@ -182,9 +172,9 @@ def _cmd_export(args) -> int:
         if args.metrics:
             dump_snapshot(args.metrics, registry)
             print(f"{args.metrics}: metrics snapshot")
-        if args.messages:
-            tracer.dump(args.messages)
-            print(f"{args.messages}: {len(tracer)} trace events")
+        if args.trace_out:
+            trace.dump(args.trace_out)
+            print(f"{args.trace_out}: replay trace, {trace.n_events} events")
         _print_points(points)
         return 0
     finally:
@@ -206,8 +196,8 @@ def _export_from_trace(args, trace) -> None:
     print(f"{args.out}: {len(tl.spans)} spans over {tl.world_size} ranks "
           f"from {args.trace_in} (virtual makespan {tl.makespan:.3f}s, "
           f"no re-simulation)")
-    if args.messages:
-        print("note: --messages needs a live run; ignored with --trace-in")
+    if args.trace_out:
+        print("note: --trace-out needs a live run; ignored with --trace-in")
     if args.metrics:
         print("note: --metrics needs a live run; ignored with --trace-in")
 
@@ -227,11 +217,9 @@ def _cmd_diagnose(args) -> int:
         print(f"diagnosing recorded trace {args.trace_in} "
               f"(no re-simulation)", file=sys.stderr)
     else:
-        registry, spans, engine, tracer, trace, points, sizes = \
-            _instrumented_cell(args, capture_events=True)
+        _, spans, engine, trace, points, sizes = _instrumented_cell(args)
         try:
-            tl = Timeline.from_run(engine, spans=spans, tracer=tracer,
-                                   trace=trace)
+            tl = Timeline.from_run(engine, spans=spans, trace=trace)
         finally:
             obs.disable()
         meta = {"op": args.op, "nodes": args.nodes,
@@ -265,19 +253,29 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
+def _pair_matrices(args):
+    """(world size, bytes, messages) per rank pair of a replay trace,
+    for one wire category or all of them."""
+    from repro.replay.engine import compile_trace
+    from repro.replay.schema import ReplayTrace
+
+    trace = ReplayTrace.load(args.trace)
+    book = compile_trace(trace)
+    cats = [args.category] if args.category else list(book.total_sizes)
+    return (trace.world_size,
+            sum(book.total_sizes[c] for c in cats),
+            sum(book.total_counts[c] for c in cats))
+
+
 def _cmd_top(args) -> int:
     import numpy as np
 
-    from repro.simmpi.trace import MessageTracer
-
-    tracer = MessageTracer.load(args.messages)
-    sizes = tracer.size_matrix(category=args.category)
-    counts = tracer.count_matrix(category=args.category)
+    n, sizes, counts = _pair_matrices(args)
     flat = sizes.ravel()
     order = np.argsort(flat)[::-1][: args.k]
-    n = tracer.world_size
     cat = args.category or "all"
-    print(f"top {args.k} rank pairs by bytes ({cat}, {len(tracer)} events):")
+    print(f"top {args.k} rank pairs by bytes "
+          f"({cat}, {int(counts.sum())} messages):")
     print(f"{'src':>5} {'dst':>5} {'bytes':>14} {'msgs':>8}")
     for idx in order:
         if flat[idx] == 0:
@@ -301,13 +299,11 @@ def _cmd_top(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     from repro.core.viz import render_heatmap
-    from repro.simmpi.trace import MessageTracer
 
-    tracer = MessageTracer.load(args.messages)
+    n, sizes, _ = _pair_matrices(args)
     cat = args.category or "all"
-    print(f"byte heatmap ({cat}, {tracer.world_size} ranks):")
-    print(render_heatmap(tracer.size_matrix(category=args.category),
-                         max_size=tracer.world_size))
+    print(f"byte heatmap ({cat}, {n} ranks):")
+    print(render_heatmap(sizes, max_size=n))
     return 0
 
 

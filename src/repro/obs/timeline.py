@@ -21,17 +21,21 @@ The correlation key is virtual time: every layer's timestamps come from
 the same per-rank simulated clocks, so window queries and interval
 joins need no clock alignment.
 
-Two ingestion paths build the same store:
+Two ingestion paths build the same store, and both read the recorded
+run the same way — from ``trace.columns()``
+(:class:`repro.replay.schema.TraceColumns`), vectorised, with **no
+re-simulation** and without ever materialising the trace's tuple view:
 
 * :meth:`Timeline.from_run` — after an instrumented live run (obs
-  enabled, optionally a :class:`~repro.simmpi.trace.MessageTracer`
-  and/or an ambient replay recording);
-* :meth:`Timeline.from_trace` — from a recorded replay trace alone,
-  with **no re-simulation**: per-event times are reconstructed from the
-  recorded ``t``/``gap`` pairs (the post-clock of event *i* is
-  ``t[i+1] - gap[i+1]``; the final ``F`` marker closes the stream), and
-  link classes are re-derived from the recorded topology + binding with
-  the same depth→class bijection the network model uses.
+  enabled, optionally an ambient replay recording): the live span
+  recorder, NIC histories and PML state, joined with the trace's
+  event-level layers;
+* :meth:`Timeline.from_trace` — from a recorded replay trace alone:
+  per-event times are reconstructed from the recorded ``t``/``gap``
+  pairs (the post-clock of event *i* is ``t[i+1] - gap[i+1]``; the
+  final ``F`` marker closes the stream), and link classes are
+  :attr:`Topology.sharing_classes` at :meth:`Topology.common_depths`
+  of the recorded binding — the network model's own rule.
 
 The diagnosis passes (:mod:`repro.obs.diagnose`) are pure consumers of
 this API; hand-built timelines (tests) construct :class:`Timeline`
@@ -45,6 +49,9 @@ from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
+
+from repro.replay.schema import (CATS, K_B, K_F, K_G, K_P, K_R, K_S,
+                                 params_from_json, topology_from_json)
 
 __all__ = [
     "CounterSeries", "SpanTable", "Span", "Wait", "CollectiveInstance",
@@ -78,18 +85,18 @@ class CounterSeries:
     def from_events(cls, events: Iterable[Tuple[float, float]]
                     ) -> "CounterSeries":
         """Build from (time, delta) samples; deltas at equal times merge."""
-        pairs = sorted(events)
-        times: List[float] = []
-        values: List[float] = []
-        total = 0.0
-        for t, d in pairs:
-            total += d
-            if times and times[-1] == t:
-                values[-1] = total
-            else:
-                times.append(t)
-                values.append(total)
-        return cls(times, values)
+        pairs = np.asarray(list(events), dtype=np.float64).reshape(-1, 2)
+        return cls.from_deltas(pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def from_deltas(cls, times: np.ndarray,
+                    deltas: np.ndarray) -> "CounterSeries":
+        """:meth:`from_events` over two parallel float arrays."""
+        order = np.lexsort((deltas, times))
+        times = times[order]
+        last = np.ones(len(times), dtype=bool)
+        last[:-1] = times[1:] != times[:-1]
+        return cls(times[last], np.cumsum(deltas[order])[last])
 
     def __len__(self) -> int:
         return len(self.times)
@@ -264,209 +271,167 @@ class CriticalSegment(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# replay-trace event ingestion
+# replay-trace ingestion
 
-#: kind -> (index of t, index of gap) for the timed event tuples.
-_TIMED = {"S": (7, 8), "R": (3, 4), "P": (5, 6), "G": (5, 6), "F": (2, 3)}
-
-_KIND_NAME = {"S": "send", "R": "wait", "P": "osc", "G": "osc",
-              "F": "finish"}
+_KIND_NAME = {K_S: "send", K_R: "wait", K_P: "osc", K_G: "osc",
+              K_F: "finish"}
 
 
-def _pair_class(pu_a: int, pu_b: int, strides: Sequence[int],
-                names: Sequence[str]) -> str:
-    """Sharing class of a PU pair — the network model's depth→class
-    bijection (0 = "cluster", full depth = "self", else the level
-    name), recomputed from the topology strides."""
-    depth = len(strides)
-    cd = 0
-    for s in strides:
-        if pu_a // s == pu_b // s:
-            cd += 1
-    if cd == 0:
-        return "cluster"
-    if cd == depth:
-        return "self"
-    return names[cd - 1]
+class _EventIndex(NamedTuple):
+    """The timed events of a trace, grouped by rank in recorded order —
+    what :meth:`Timeline.critical_path` walks.  ``start[r]`` is where
+    rank ``r``'s events begin (``start[world_size]`` closes the last
+    group); ``send_at[seq]`` is the position of the send that carries
+    sequence number ``seq`` (-1: none recorded)."""
+
+    rank: np.ndarray
+    kind: np.ndarray
+    t: np.ndarray        # issue time
+    end: np.ndarray      # clock after the event (never before ``t``)
+    seq: np.ndarray
+    gap: np.ndarray
+    start: np.ndarray
+    send_at: np.ndarray
 
 
-def _ingest_events(world_size: int, events: Sequence[tuple],
-                   comms: Dict[int, List[int]],
-                   clocks: Sequence[float],
-                   topology=None,
-                   binding: Optional[Sequence[int]] = None) -> Dict[str, Any]:
-    """One pass over a replay event stream → every event-level layer.
+def _ingest(trace) -> Dict[str, Any]:
+    """Every event-level layer of a :class:`ReplayTrace`, straight from
+    its columns, as :class:`Timeline` keyword arguments (``pml`` being
+    the per-category totals of the recorded monitored events).
 
-    Reconstructs per-event completion times from the recorded
-    ``t``/``gap`` pairs: the clock *after* timed event ``i`` of a rank
-    is ``t[i+1] - gap[i+1]`` (the ``F`` marker's own ``t`` closes the
-    stream), so no re-simulation is needed.
+    Per-event completion times need no re-simulation: the clock *after*
+    timed event ``i`` of a rank is ``t[i+1] - gap[i+1]`` of the same
+    rank (the ``F`` marker's own ``t`` closes the stream).  Link classes
+    come from the recorded topology and binding.
     """
-    streams: List[List[tuple]] = [[] for _ in range(world_size)]
-    n_sends = 0
-    max_seq = -1
-    for ev in events:
-        streams[ev[1]].append(ev)
-        if ev[0] == "S":
-            n_sends += 1
-            if ev[6] > max_seq:
-                max_seq = ev[6]
+    c = trace.columns()
+    topo = topology_from_json(trace.topology)
+    params = params_from_json(trace.params)
 
-    n_seq = max_seq + 1
-    msg_src = np.full(n_seq, -1, dtype=np.int32)
-    msg_dst = np.full(n_seq, -1, dtype=np.int32)
-    msg_nbytes = np.zeros(n_seq, dtype=np.int64)
-    msg_t_send = np.full(n_seq, np.nan)
-    msg_t_recv = np.full(n_seq, np.nan)
+    # Per-rank streams: a stable sort by rank keeps recorded order
+    # inside each; the timed events (S R F P G) carry the clocks.
+    order = np.argsort(c.rank, kind="stable")
+    is_timed = c.kind[order] < K_B
+    at = order[is_timed]
+    rank, kind, t, gap = c.rank[at], c.kind[at], c.t[at], c.gap[at]
+    seq, peer, nbytes = c.seq[at], c.peer[at], c.nbytes[at]
+    post = t.copy()
+    chained = np.flatnonzero(rank[1:] == rank[:-1])
+    post[chained] = t[chained + 1] - gap[chained + 1]
+    end = np.maximum(post, t)
 
-    spans_rows: List[tuple] = []
-    waits: List[Wait] = []
-    gaps: List[Tuple[int, float, float]] = []
-    colls: Dict[Tuple[int, int], CollectiveInstance] = {}
-    link_events: Dict[str, List[Tuple[float, float]]] = {}
-    node_events: Dict[int, List[Tuple[float, float]]] = {}
-    pml = {c: {"epoch": 0, "messages": 0, "bytes": 0}
-           for c in ("p2p", "coll", "osc")}
-    rank_events: List[List[tuple]] = [[] for _ in range(world_size)]
-    seq_site: Dict[int, Tuple[int, int]] = {}
+    computing = gap > 0.0
+    gaps = list(zip(rank[computing].tolist(),
+                    (t - gap)[computing].tolist(), t[computing].tolist()))
+    recv = kind == K_R
+    waits = list(map(Wait, rank[recv].tolist(), t[recv].tolist(),
+                     end[recv].tolist(), seq[recv].tolist()))
 
-    have_topo = topology is not None and binding is not None
-    if have_topo:
-        strides = [int(s) for s in topology._strides]
-        names = topology._names
-        pair_cls: Dict[Tuple[int, int], str] = {}
-
-    def link_class(src: int, dst: int) -> Optional[str]:
-        if not have_topo:
-            return None
-        key = (src, dst)
-        cls = pair_cls.get(key)
-        if cls is None:
-            cls = pair_cls[key] = _pair_class(
-                binding[src], binding[dst], strides, names)
-        return cls
-
-    def charge(src: int, dst: int, nbytes: int, t: float,
-               mcat: str) -> None:
-        cls = link_class(src, dst)
-        if cls is not None:
-            link_events.setdefault(cls, []).append((t, float(nbytes)))
-            if cls != "self":
-                node = binding[src] // strides[0]
-                node_events.setdefault(node, []).append((t, float(nbytes)))
-        if mcat:
-            rec = pml[mcat]
-            rec["epoch"] += 1
-            rec["messages"] += 1
-            rec["bytes"] += nbytes
-
-    for rank, stream in enumerate(streams):
-        timed = [(i, ev) for i, ev in enumerate(stream) if ev[0] in _TIMED]
-        posts: List[float] = []
-        for k, (i, ev) in enumerate(timed):
-            ti, gi = _TIMED[ev[0]]
-            if k + 1 < len(timed):
-                nxt = timed[k + 1][1]
-                nti, ngi = _TIMED[nxt[0]]
-                posts.append(nxt[nti] - nxt[ngi])
-            else:
-                posts.append(ev[ti])
-
-        cur_post = 0.0
-        coll_stack: List[Tuple[Tuple[int, int], float]] = []
-        inst_count: Dict[int, int] = {}
-        tk = 0
-        for i, ev in enumerate(stream):
-            kind = ev[0]
-            if kind == "B":
-                _, _, comm_id, op, alg, root, nbytes, segs = ev
-                k = inst_count.get(comm_id, 0)
-                inst_count[comm_id] = k + 1
-                key = (comm_id, k)
-                inst = colls.get(key)
-                if inst is None:
-                    inst = colls[key] = CollectiveInstance(
-                        comm_id=comm_id, index=k, op=op, alg=alg,
-                        root=root, nbytes=nbytes, segments=segs,
-                        ranks=tuple(comms.get(comm_id, ())))
-                inst.arrivals[rank] = cur_post
-                coll_stack.append((key, cur_post))
-                continue
-            if kind == "E":
-                if coll_stack:
-                    key, t0 = coll_stack.pop()
-                    inst = colls[key]
-                    if cur_post > inst.t_end:
-                        inst.t_end = cur_post
-                    spans_rows.append((rank, inst.name, t0,
-                                       max(cur_post, t0),
-                                       len(coll_stack), None))
-                continue
-
-            ti, gi = _TIMED[kind]
-            t, g = ev[ti], ev[gi]
-            post = posts[tk]
-            tk += 1
-            if g > 0.0:
-                gaps.append((rank, t - g, t))
-            seq = -1
-            if kind == "S":
-                seq = ev[6]
-                msg_src[seq] = rank
-                msg_dst[seq] = ev[2]
-                msg_nbytes[seq] = ev[3]
-                msg_t_send[seq] = t
-                seq_site[seq] = (rank, len(rank_events[rank]))
-                charge(rank, ev[2], ev[3], t, ev[5])
-            elif kind == "R":
-                seq = ev[2]
-                if 0 <= seq < n_seq:
-                    msg_t_recv[seq] = post
-                waits.append(Wait(rank, t, max(post, t), seq))
-            elif kind == "P":
-                charge(rank, ev[2], ev[3], t, ev[4])
-            elif kind == "G":
-                # gets move bytes target -> origin, as monitored
-                charge(ev[2], rank, ev[3], t, ev[4])
-            rank_events[rank].append((kind, t, max(post, t), seq, g))
-            cur_post = post
-
+    # Messages, indexed by sequence number: sends fill in who / how
+    # much / when issued, the matching receive-wait when it completed.
+    send = np.flatnonzero(kind == K_S)
+    n_seq = int(seq[send].max()) + 1 if len(send) else 0
+    send_at = np.full(n_seq, -1, dtype=np.intp)
+    send_at[seq[send]] = send
     messages = None
-    if n_seq:
-        messages = {"src": msg_src, "dst": msg_dst, "nbytes": msg_nbytes,
-                    "t_send": msg_t_send, "t_recv": msg_t_recv}
-
     counters: Dict[str, CounterSeries] = {}
-    for cls, evs in link_events.items():
-        counters[f"link:bytes:{cls}"] = CounterSeries.from_events(evs)
-    for node, evs in node_events.items():
-        counters[f"nic:issued:node{node}"] = CounterSeries.from_events(evs)
-    if messages is not None:
-        depth_events: List[Tuple[float, float]] = []
-        fallback = max(clocks) if clocks else 0.0
-        for s in range(n_seq):
-            if msg_src[s] < 0:
-                continue
-            t0 = float(msg_t_send[s])
-            t1 = float(msg_t_recv[s])
-            if np.isnan(t1):
-                t1 = fallback
-            depth_events.append((t0, 1.0))
-            depth_events.append((max(t1, t0), -1.0))
-        if depth_events:
-            counters["net:inflight"] = CounterSeries.from_events(depth_events)
+    if n_seq:
+        messages = {"src": np.full(n_seq, -1, dtype=np.int32),
+                    "dst": np.full(n_seq, -1, dtype=np.int32),
+                    "nbytes": np.zeros(n_seq, dtype=np.int64),
+                    "t_send": np.full(n_seq, np.nan),
+                    "t_recv": np.full(n_seq, np.nan)}
+        for name, col in (("src", rank), ("dst", peer), ("nbytes", nbytes),
+                          ("t_send", t)):
+            messages[name][seq[send]] = col[send]
+        matched = recv & (seq >= 0) & (seq < n_seq)
+        messages["t_recv"][seq[matched]] = post[matched]
+        sent = send_at >= 0
+        t0 = messages["t_send"][sent]
+        t1 = messages["t_recv"][sent]
+        t1 = np.where(np.isnan(t1), max(trace.clocks, default=0.0), t1)
+        counters["net:inflight"] = CounterSeries.from_deltas(
+            np.concatenate((t0, np.maximum(t1, t0))),
+            np.concatenate((np.ones(len(t0)), -np.ones(len(t0)))))
+
+    # What every S / P / G charged: bytes flow origin -> target, except
+    # that a get's flow target -> origin (as monitored).
+    moved = np.flatnonzero((kind == K_S) | (kind == K_P) | (kind == K_G))
+    is_get = kind[moved] == K_G
+    src = np.where(is_get, peer[moved], rank[moved])
+    dst = np.where(is_get, rank[moved], peer[moved])
+    m_t, m_bytes, mcat = t[moved], nbytes[moved], c.mcat[at][moved]
+    pml = {}
+    for code, cat in enumerate(CATS[1:], start=1):
+        booked = mcat == code
+        n = int(booked.sum())
+        pml[cat] = {"epoch": n, "messages": n,
+                    "bytes": int(m_bytes[booked].sum())}
+    pus = np.asarray(trace.binding, dtype=np.int64)
+    depth = topo.common_depths(pus[src], pus[dst])
+    classes = topo.sharing_classes
+    link_alpha = {}
+    for d in np.unique(depth).tolist():
+        on = depth == d
+        counters[f"link:bytes:{classes[d]}"] = CounterSeries.from_deltas(
+            m_t[on], m_bytes[on].astype(np.float64))
+        link_alpha[classes[d]] = params.link_for(classes[d], topo).latency
+    # The NIC ticks on cross-node transfers only, charged to the
+    # source's node.
+    cross = depth == 0
+    node = np.array([topo.node_of(pu) for pu in trace.binding])[src[cross]]
+    for nd in np.unique(node).tolist():
+        on = node == nd
+        counters[f"nic:issued:node{nd}"] = CounterSeries.from_deltas(
+            m_t[cross][on], m_bytes[cross][on].astype(np.float64))
+
+    # Collective markers carry no clock of their own: a B / E sits at
+    # the clock left by the rank's previous timed event (0.0 before
+    # the first).  Only these are walked in python.
+    before = (np.cumsum(is_timed) - 1)[~is_timed]
+    marks = order[~is_timed]
+    prev = np.maximum(before, 0)
+    clock = np.where((before >= 0) & (rank[prev] == c.rank[marks]),
+                     post[prev], 0.0)
+    instances: Dict[Tuple[int, int], CollectiveInstance] = {}
+    span_rows: List[tuple] = []
+    cur = -1
+    for r, k, sig, now in zip(c.rank[marks].tolist(), c.kind[marks].tolist(),
+                              c.peer[marks].tolist(), clock.tolist()):
+        if r != cur:
+            cur, stack, calls = r, [], {}
+        if k == K_B:
+            comm_id, op, alg, root, size, segs = c.colls[sig]
+            key = (comm_id, calls.get(comm_id, 0))
+            calls[comm_id] = key[1] + 1
+            inst = instances.get(key)
+            if inst is None:
+                inst = instances[key] = CollectiveInstance(
+                    comm_id=comm_id, index=key[1], op=op, alg=alg,
+                    root=root, nbytes=size, segments=segs,
+                    ranks=tuple(trace.comms.get(comm_id, ())))
+            inst.arrivals[r] = now
+            stack.append((inst, now))
+        elif stack:
+            inst, t0 = stack.pop()
+            inst.t_end = max(inst.t_end, now)
+            span_rows.append((r, inst.name, t0, max(now, t0), len(stack),
+                              None))
 
     return {
-        "spans_rows": spans_rows,
+        "spans": SpanTable.from_rows(span_rows),
+        "counters": counters,
+        "link_alpha": link_alpha,
+        "pml": pml,
+        "messages": messages,
         "waits": waits,
         "gaps": gaps,
-        "collectives": sorted(colls.values(),
-                              key=lambda c: (c.comm_id, c.index)),
-        "messages": messages,
-        "counters": counters,
-        "pml": pml,
-        "rank_events": rank_events,
-        "seq_site": seq_site,
+        "collectives": sorted(instances.values(),
+                              key=lambda i: (i.comm_id, i.index)),
+        "_index": _EventIndex(
+            rank, kind, t, end, seq, gap,
+            start=np.searchsorted(rank, np.arange(trace.world_size + 1)),
+            send_at=send_at),
     }
 
 
@@ -494,8 +459,7 @@ class Timeline:
                  collectives: Sequence[CollectiveInstance] = (),
                  clocks: Optional[Sequence[float]] = None,
                  meta: Optional[dict] = None,
-                 _rank_events: Optional[List[List[tuple]]] = None,
-                 _seq_site: Optional[Dict[int, Tuple[int, int]]] = None):
+                 _index: Optional[_EventIndex] = None):
         self.world_size = int(world_size)
         self.makespan = float(makespan)
         self.source = source
@@ -509,91 +473,43 @@ class Timeline:
         self.collectives = list(collectives)
         self.clocks = list(clocks) if clocks is not None else None
         self.meta = dict(meta or {})
-        self._rank_events = _rank_events
-        self._seq_site = _seq_site
+        self._index = _index
 
     # -- ingestion -------------------------------------------------------
 
     @classmethod
-    def from_run(cls, engine, spans=None, tracer=None, trace=None,
+    def from_run(cls, engine, spans=None, trace=None,
                  meta: Optional[dict] = None) -> "Timeline":
         """Ingest an instrumented live run.
 
         ``spans`` is the :class:`~repro.obs.spans.SpanRecorder` used
-        during the run (its integer lanes become the span table),
-        ``tracer`` an installed :class:`~repro.simmpi.trace.MessageTracer`
-        (per-message link-class series) and ``trace`` an ambient
-        :class:`~repro.replay.schema.ReplayTrace` capture (event-level
-        layers: messages, waits, collective arrivals).  All three are
+        during the run (its integer lanes become the span table) and
+        ``trace`` the ambient :class:`~repro.replay.schema.ReplayTrace`
+        capture of the same run (event-level layers: messages, waits,
+        collective arrivals, per-link-class series).  Both are
         optional; whatever is present is joined.
         """
-        net = engine.network
-        topo = engine.cluster.topology
-        params = net.params
-
-        ing: Dict[str, Any] = {}
-        if trace is not None:
-            ing = _ingest_events(
-                trace.world_size, trace.events, trace.comms, trace.clocks,
-                topology=topo, binding=net.binding)
-
-        counters: Dict[str, CounterSeries] = {}
-        nic = net.nic
-        for node in range(nic.n_nodes):
-            evs = nic.xmit_events(node)
-            if evs:
-                times, totals = zip(*evs)
-                counters[f"nic:xmit:node{node}"] = CounterSeries(times, totals)
-            evs = nic.rcv_events(node)
-            if evs:
-                times, totals = zip(*evs)
-                counters[f"nic:rcv:node{node}"] = CounterSeries(times, totals)
-
-        if ing:
-            counters.update(ing["counters"])
-        elif tracer is not None and len(tracer):
-            clsidx = net._clsidx_l
-            classes = net.route_classes
-            n = net._n_ranks
-            link_events: Dict[str, List[Tuple[float, float]]] = {}
-            for e in tracer.events:
-                cls_name = classes[clsidx[e.src * n + e.dst]]
-                link_events.setdefault(cls_name, []).append(
-                    (e.time, float(e.nbytes)))
-            for cls_name, evs in link_events.items():
-                counters[f"link:bytes:{cls_name}"] = \
-                    CounterSeries.from_events(evs)
-
-        link_alpha = {}
-        for key in counters:
-            if key.startswith("link:bytes:"):
-                cls_name = key[len("link:bytes:"):]
-                link_alpha[cls_name] = params.link_for(cls_name, topo).latency
-
-        span_rows = []
+        layers = _ingest(trace) if trace is not None else {}
+        # What the live recorders hold outranks its reconstruction.
+        layers["pml"] = engine.pml.snapshot_state()
         if spans is not None:
-            span_rows = [(lane, name, t0, t1, depth, args)
-                         for lane, name, t0, t1, depth, args in spans.finished
-                         if isinstance(lane, int)]
-        elif ing:
-            span_rows = ing["spans_rows"]
-
+            layers["spans"] = SpanTable.from_rows(
+                row for row in spans.finished if isinstance(row[0], int))
+        counters = layers.setdefault("counters", {})
+        nic = engine.network.nic
+        for node in range(nic.n_nodes):
+            for name, history in (("xmit", nic.xmit_events(node)),
+                                  ("rcv", nic.rcv_events(node))):
+                if history:
+                    counters[f"nic:{name}:node{node}"] = CounterSeries(
+                        *zip(*history))
         return cls(
             world_size=engine.n_ranks,
             makespan=engine.max_clock,
             source="run",
-            spans=SpanTable.from_rows(span_rows),
-            counters=counters,
-            link_alpha=link_alpha,
-            pml=engine.pml.snapshot_state(),
-            messages=ing.get("messages"),
-            waits=ing.get("waits", ()),
-            gaps=ing.get("gaps", ()),
-            collectives=ing.get("collectives", ()),
             clocks=engine.clocks(),
             meta=meta,
-            _rank_events=ing.get("rank_events"),
-            _seq_site=ing.get("seq_site"),
+            **layers,
         )
 
     @classmethod
@@ -601,46 +517,24 @@ class Timeline:
         """Ingest a recorded replay trace — no re-simulation.
 
         Link classes are derived from the recorded topology + binding;
-        NIC series are per-node *issue-time* cumulative bytes (the
-        hardware counter ticks at ``sender_done``, a send-overhead
-        later — close enough for windowed diagnosis, and noted in the
-        resulting meta).  PML epochs approximate the live counter by
-        the number of recorded monitored events.
+        ``nic:issued:node<N>`` series are per-node *issue-time*
+        cumulative bytes of the cross-node messages (what the node's
+        hardware counter totals; it ticks at ``sender_done``, a
+        send-overhead later — close enough for windowed diagnosis, and
+        noted in the resulting meta).  PML epochs approximate the live
+        counter by the number of recorded monitored events.
         """
-        from repro.replay.schema import params_from_json, topology_from_json
-
-        topo = topology_from_json(trace.topology)
-        params = params_from_json(trace.params)
-        ing = _ingest_events(
-            trace.world_size, trace.events, trace.comms, trace.clocks,
-            topology=topo, binding=trace.binding)
-
-        link_alpha = {}
-        for key in ing["counters"]:
-            if key.startswith("link:bytes:"):
-                cls_name = key[len("link:bytes:"):]
-                link_alpha[cls_name] = params.link_for(cls_name, topo).latency
-
         full_meta = {"nic_series": "issue-time approximation",
                      "pml_epochs": "recorded-event counts"}
         full_meta.update(trace.meta or {})
         full_meta.update(meta or {})
         return cls(
             world_size=trace.world_size,
-            makespan=max(trace.clocks) if trace.clocks else 0.0,
+            makespan=max(trace.clocks, default=0.0),
             source="trace",
-            spans=SpanTable.from_rows(ing["spans_rows"]),
-            counters=ing["counters"],
-            link_alpha=link_alpha,
-            pml=ing["pml"],
-            messages=ing["messages"],
-            waits=ing["waits"],
-            gaps=ing["gaps"],
-            collectives=ing["collectives"],
             clocks=trace.clocks,
             meta=full_meta,
-            _rank_events=ing["rank_events"],
-            _seq_site=ing["seq_site"],
+            **_ingest(trace),
         )
 
     # -- span / counter queries -----------------------------------------
@@ -758,20 +652,25 @@ class Timeline:
         the recorded sequence number); other events step backward on
         the same rank, emitting a ``compute`` segment for any recorded
         local gap.  Needs event-level ingestion (a replay trace)."""
-        if not self._rank_events:
+        ix = self._index
+        if ix is None or not len(ix.t):
             return []
-        finals = [(evs[-1][2] if evs else 0.0, r)
-                  for r, evs in enumerate(self._rank_events)]
-        _, rank = max(finals)
-        i = len(self._rank_events[rank]) - 1
+        # Start at the last event of the last-finishing rank (an idle
+        # rank finishes at 0.0; ties go to the highest rank).
+        final = ix.start[1:] - 1
+        clocks = np.where(final >= ix.start[:-1], ix.end[final], 0.0)
+        rank = max(zip(clocks.tolist(), range(len(clocks))))[1]
+        i = int(final[rank])
         segs: List[CriticalSegment] = []
-        while i >= 0 and len(segs) < max_segments:
-            kind, t, post, seq, gap = self._rank_events[rank][i]
-            segs.append(CriticalSegment(rank, t, post, _KIND_NAME[kind]))
-            if kind == "R" and seq >= 0 and self._seq_site is not None:
-                site = self._seq_site.get(seq)
-                if site is not None and site != (rank, i):
-                    rank, i = site
+        while i >= ix.start[rank] and len(segs) < max_segments:
+            kind, t, gap = int(ix.kind[i]), float(ix.t[i]), float(ix.gap[i])
+            segs.append(CriticalSegment(rank, t, float(ix.end[i]),
+                                        _KIND_NAME[kind]))
+            seq = int(ix.seq[i])
+            if kind == K_R and 0 <= seq < len(ix.send_at):
+                site = int(ix.send_at[seq])
+                if site >= 0 and site != i:
+                    rank, i = int(ix.rank[site]), site
                     continue
             if gap > 0.0:
                 segs.append(CriticalSegment(rank, t - gap, t, "compute"))

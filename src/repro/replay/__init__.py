@@ -16,7 +16,9 @@ Entry points::
     result = replay(traces[0])       # bit-exact identity re-cost
     best = what_if_search(traces[0])
 
-CLI: ``python -m repro.replay record|replay|search|diff``.
+CLI: ``python -m repro.replay replay|search|diff`` reads a trace file;
+``python -m repro.experiments NAME --trace-out PATH`` and ``python -m
+repro.obs export --trace-out PATH`` write one.
 
 This module is imported by the simulator engine at load time, so it
 re-exports lazily — nothing heavy is pulled in until used.

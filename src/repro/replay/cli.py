@@ -1,15 +1,16 @@
-"""``python -m repro.replay`` — record, replay, search, diff.
+"""``python -m repro.replay`` — replay, search, diff.
 
 Subcommands::
 
-    record   run a Fig. 5 collective cell under the recorder, write a trace
     replay   re-cost a trace (identity, new binding, or substituted algs)
     search   score candidate placements offline
     diff     compare two traces (or two replays of one trace)
 
-The trace file is the interchange format: ``python -m repro.experiments
-NAME --trace-out PATH`` produces one from any simulated figure, and
-everything here consumes it.
+The trace file is the interchange format, and everything here consumes
+it.  Recording one is the producers' job: ``python -m repro.experiments
+NAME --trace-out PATH`` from any simulated figure, ``python -m repro.obs
+export --trace-out PATH`` from an instrumented Fig. 5 cell, or
+``repro.replay.autorecord.capture()`` around any engine run.
 How fast search is, and how far replayed makespans sit from live ones,
 is measured by ``benchmarks/ledger/run.py --workload advice``.
 """
@@ -54,39 +55,6 @@ def _summary_lines(trace, res) -> List[str]:
         if total:
             lines.append(f"bytes[{cat}] {total}")
     return lines
-
-
-# ---------------------------------------------------------------------------
-# record
-
-
-def _cmd_record(args) -> int:
-    from repro.experiments import fig5_collectives
-    from repro.replay import autorecord
-
-    sizes = args.sizes or (1_000_000, 5_000_000)
-    meta = {
-        "workload": "fig5",
-        "op": args.op,
-        "n_nodes": args.nodes,
-        "sizes": list(sizes),
-        "reps": args.reps,
-        "seed": args.seed,
-    }
-    autorecord.enable_to(args.out, meta=meta)
-    try:
-        points = fig5_collectives.run_cell(
-            args.op, args.nodes, sizes=tuple(sizes), reps=args.reps,
-            seed=args.seed)
-    finally:
-        autorecord.disable()
-    trace = _load(args.out)
-    print(f"recorded {trace.n_events} events from fig5[{args.op}] "
-          f"({trace.world_size} ranks) -> {args.out}")
-    for p in points:
-        print(f"  n_ints={p.n_ints:>10}  baseline {p.t_baseline:.4f}s  "
-              f"reordered {p.t_reordered:.4f}s")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("record",
-                       help="run a Fig. 5 cell under the recorder")
-    p.add_argument("-o", "--out", required=True, metavar="PATH",
-                   help="trace file to write")
-    p.add_argument("--op", choices=["reduce", "bcast"], default="reduce")
-    p.add_argument("--nodes", type=int, default=2,
-                   help="PlaFRIM node count (24 ranks per node)")
-    p.add_argument("--sizes", type=_sizes, default=None, metavar="N,N,...",
-                   help="buffer sizes in MPI_INT counts "
-                        "(default 1000000,5000000)")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_record)
-
     p = sub.add_parser("replay", help="re-cost a recorded trace")
-    p.add_argument("trace", help="trace file from record / --trace-out")
+    p.add_argument("trace", help="trace file from --trace-out")
     p.add_argument("--binding", default=None, metavar="PU,PU,...",
                    help="rank->PU binding override (world-rank order)")
     p.add_argument("--swap-pus", type=int, nargs=2, default=None,
@@ -294,12 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="apply a substitution to the second trace")
     p.set_defaults(func=_cmd_diff)
     return parser
-
-
-def _sizes(text: str):
-    from repro.experiments.common import parse_sizes
-
-    return parse_sizes(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,9 +1,10 @@
 """On-disk and in-memory format of a replayable event trace.
 
-A :class:`ReplayTrace` is the dependency-carrying extension of
-:class:`repro.simmpi.trace.MessageTracer`: instead of flat
-``(time, src, dst, bytes)`` samples it stores the full PML-layer event
-stream of a run — sends with their matching receive sequence numbers,
+A :class:`ReplayTrace` is the one recorded form of a run, and the
+post-mortem comparator of the paper's §2 (the EZtrace / DUMPI class of
+tool: capture every message to a file, analyse offline).  Instead of
+flat ``(time, src, dst, bytes)`` samples it stores the full PML-layer
+event stream — sends with their matching receive sequence numbers,
 one-sided puts/gets, collective begin/end markers (post-decomposition,
 so the point-to-point pattern inside each collective is preserved) and
 per-rank finish times — plus everything needed to rebuild the network

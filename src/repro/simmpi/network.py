@@ -131,7 +131,7 @@ class NetworkParams:
         # Fall back towards deeper (cheaper) levels: cluster -> node ->
         # socket -> ... -> self, taking the first defined entry at or
         # below the requested class.
-        order = ["cluster"] + topology.level_names[:-1] + ["self"]
+        order = topology.sharing_classes
         if class_name not in order:
             raise ValueError(f"unknown sharing class {class_name!r}")
         for name in order[order.index(class_name) :]:
@@ -286,13 +286,9 @@ class Network:
         lut_idx = [-1] * (depth + 1)
         lut_alpha = [0.0] * (depth + 1)
         lut_bw = [1.0] * (depth + 1)
+        sharing = topo.sharing_classes
         for d in order:
-            if d == 0:
-                cls = "cluster"
-            elif d == depth:
-                cls = "self"
-            else:
-                cls = topo._names[d - 1]
+            cls = sharing[d]
             lut_idx[d] = len(class_names)
             class_names.append(cls)
             lp = params.link_for(cls, topo)

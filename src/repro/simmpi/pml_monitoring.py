@@ -160,10 +160,11 @@ class PmlMonitoring:
         # Per-category write epoch (bumped on every record, flushed or
         # not); snapshot layers compare epochs to skip unchanged data.
         self._epochs: Dict[str, int] = {c: 0 for c in CATEGORIES}
-        # Optional tap for trace-based tools (repro.simmpi.trace): a
-        # callable ``(t, src, dst, nbytes, category, count)`` invoked
-        # for every record, *before* the mode gate — tracers see
-        # messages even while monitoring is disabled.
+        # Optional per-message tap (repro.obs.hooks chains its link
+        # accounting here): a callable ``(t, src, dst, nbytes,
+        # category, count)`` invoked for every record, *before* the
+        # mode gate — it sees messages even while monitoring is
+        # disabled.
         self.trace_hook: Optional[Callable] = None
         # Installed by the engine: brings the calling rank's deferred
         # send up to date before the monitoring state is read or the
@@ -181,8 +182,8 @@ class PmlMonitoring:
     # -- pickling ----------------------------------------------------------
 
     # The runtime taps are rebound by whoever thaws the object (the
-    # engine's ``__setstate__`` re-installs ``sync``; tracers and the
-    # obs histogram re-attach themselves): only the counter state
+    # engine's ``__setstate__`` re-installs ``sync``; the obs hook and
+    # histogram re-attach themselves): only the counter state
     # itself travels.
     _EPHEMERAL = ("trace_hook", "sync", "_obs_batch_hist")
 

@@ -1,8 +1,8 @@
 """Shared fixture: one instrumented + recorded golden workload.
 
 The live run costs a few seconds, so a single session-scoped run
-(obs enabled, ambient replay capture, message tracer) serves every
-timeline/diagnosis test; treat the products as read-only.
+(obs enabled, ambient replay capture) serves every timeline/diagnosis
+test; treat the products as read-only.
 """
 
 import pytest
@@ -12,9 +12,7 @@ from repro.replay import autorecord
 
 
 @pytest.fixture(scope="session")
-def instrumented_fig5():
-    """(engine, spans, trace, results) for fig5_shaped with the obs
-    layer enabled and an ambient replay capture active."""
+def _fig5_run():
     from tests.golden.hotpath_workloads import fig5_shaped
 
     registry, spans = obs.enable()
@@ -24,7 +22,21 @@ def instrumented_fig5():
     finally:
         obs.disable()
     assert len(traces) == 1
-    return engine, spans, traces[0], results
+    return engine, spans, traces[0], results, registry.snapshot()["counters"]
+
+
+@pytest.fixture(scope="session")
+def instrumented_fig5(_fig5_run):
+    """(engine, spans, trace, results) for fig5_shaped with the obs
+    layer enabled and an ambient replay capture active."""
+    return _fig5_run[:4]
+
+
+@pytest.fixture(scope="session")
+def fig5_live_counters(_fig5_run):
+    """The metrics registry's counters after that run: what the live
+    PML hook and the engine counted, independently of the trace."""
+    return _fig5_run[4]
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -15,13 +16,13 @@ def exported(tmp_path_factory):
     paths = {
         "trace": str(d / "trace.json"),
         "metrics": str(d / "metrics.json"),
-        "messages": str(d / "messages.trace"),
+        "cell": str(d / "cell.trace"),
     }
     rc = cli.main([
         "export", "--nodes", "1", "--sizes", "50_000,100_000",
         "--out", paths["trace"],
         "--metrics", paths["metrics"],
-        "--messages", paths["messages"],
+        "--trace-out", paths["cell"],
     ])
     assert rc == 0
     return paths
@@ -51,11 +52,19 @@ class TestExport:
                    for k in snap["counters"])
 
     def test_messages_dumped(self, exported):
-        from repro.simmpi.trace import MessageTracer
+        """``--trace-out`` writes the run's replay trace: the one file
+        ``top`` / ``heatmap`` / ``--trace-in`` / ``repro.replay`` read."""
+        from repro.replay import ReplayTrace, replay
 
-        tracer = MessageTracer.load(exported["messages"])
-        assert tracer.world_size == 24
-        assert len(tracer) > 0
+        trace = ReplayTrace.load(exported["cell"])
+        assert trace.world_size == 24
+        assert trace.meta["workload"] == "fig5_cell"
+        with open(exported["metrics"], "r", encoding="utf-8") as fh:
+            snap = json.load(fh)
+        res = replay(trace, verify=True)
+        assert res.exact
+        assert res.n_messages == snap["counters"][
+            "repro_engine_messages_total"]
 
 
 class TestReaders:
@@ -71,19 +80,38 @@ class TestReaders:
         assert "error:" in capsys.readouterr().out
 
     def test_top(self, exported, capsys):
-        assert cli.main(["top", "--messages", exported["messages"],
+        assert cli.main(["top", exported["cell"],
                          "-k", "3", "--metrics", exported["metrics"]]) == 0
         out = capsys.readouterr().out
-        assert "top 3 rank pairs" in out
+        assert "top 3 rank pairs by bytes (all, 1285 messages):" in out
+        # The hottest pair of this cell, as the message-trace dump of
+        # the same run reported it before the replay trace replaced it.
+        assert out.splitlines()[2].split() == ["2", "0", "1,400,768", "6"]
         assert "per-link-class bytes:" in out
 
     def test_top_category_filter(self, exported, capsys):
-        assert cli.main(["top", "--messages", exported["messages"],
+        assert cli.main(["top", exported["cell"],
                          "--category", "coll"]) == 0
         assert "(coll," in capsys.readouterr().out
 
+    def test_top_matches_the_compiled_books(self, exported, capsys):
+        from repro.replay import ReplayTrace, compile_trace
+
+        book = compile_trace(ReplayTrace.load(exported["cell"]))
+        for cat in ("p2p", "coll", "osc"):
+            assert cli.main(["top", exported["cell"], "-k", "1000",
+                             "--category", cat]) == 0
+            rows = [line.split() for line in
+                    capsys.readouterr().out.splitlines()[2:]]
+            sizes, counts = book.total_sizes[cat], book.total_counts[cat]
+            assert len(rows) == np.count_nonzero(sizes)
+            for src, dst, nbytes, msgs in rows:
+                at = int(src), int(dst)
+                assert int(nbytes.replace(",", "")) == sizes[at]
+                assert int(msgs.replace(",", "")) == counts[at]
+
     def test_heatmap(self, exported, capsys):
-        assert cli.main(["heatmap", "--messages", exported["messages"]]) == 0
+        assert cli.main(["heatmap", exported["cell"]]) == 0
         out = capsys.readouterr().out
         assert "byte heatmap" in out
         assert "24 ranks" in out
@@ -187,6 +215,21 @@ class TestTraceIn:
         assert validate_report(doc) == []
         assert doc["source"] == "trace"
         assert doc["meta"]["trace"] == trace_path
+
+    def test_tuple_view_never_materialised(self, trace_path):
+        """Diagnosis and export read a loaded trace's columns; the
+        recorder's tuple form is never rebuilt for them."""
+        from repro.obs.diagnose import diagnose
+        from repro.obs.export import chrome_trace_from_timeline
+        from repro.obs.timeline import Timeline
+        from repro.replay import ReplayTrace
+
+        trace = ReplayTrace.load(trace_path)
+        tl = Timeline.from_trace(trace)
+        report = diagnose(tl)
+        assert tl.critical_path()
+        chrome_trace_from_timeline(tl, findings=report["findings"])
+        assert trace._events is None
 
     def test_export_from_trace(self, trace_path, tmp_path, capsys):
         from repro.obs.export import validate_chrome_trace

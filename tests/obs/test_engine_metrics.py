@@ -162,20 +162,18 @@ class TestEngineMetrics:
         assert counters["repro_session_events_total{event=runtime_install}"] == 4
         assert counters["repro_session_events_total{event=runtime_finalize}"] == 4
 
-    def test_chains_with_message_tracer(self, enabled):
-        from repro.simmpi.trace import MessageTracer
+    def test_link_accounting_sees_every_message(self, enabled):
+        from repro.replay import autorecord, compile_trace
 
         registry, _ = enabled
-        engine = small_engine(n_ranks=4)
-        tracer = MessageTracer.install(engine)
-
-        def prog(comm):
-            comm.barrier()
-
-        engine.run(prog)
-        # Both consumers saw every message despite sharing one hook slot.
+        with autorecord.capture() as traces:
+            engine = small_engine(n_ranks=4)
+            engine.run(lambda comm: comm.barrier())
+        # The PML hook's per-link totals, the engine's own counter and
+        # the recorded trace agree on how many messages flowed.
         counters = registry.snapshot()["counters"]
         link_msgs = sum(
             v for k, v in counters.items()
             if k.startswith("repro_net_link_messages_total"))
-        assert link_msgs == len(tracer) == engine.messages
+        assert (link_msgs == engine.messages
+                == compile_trace(traces[0]).n_messages == 8)

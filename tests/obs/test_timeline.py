@@ -143,17 +143,38 @@ class TestFromRun:
 
 
 class TestFromTrace:
-    def test_no_resimulation_join_matches_run(self, fig5_timelines):
+    def test_no_resimulation_join_matches_run(self, fig5_timelines,
+                                              fig5_live_counters):
         tl_run, tl_trace = fig5_timelines
         assert tl_trace.source == "trace"
         assert tl_trace.world_size == tl_run.world_size
         assert tl_trace.makespan == pytest.approx(tl_run.makespan)
         # The correlation keys line up across ingestion paths: same
-        # link classes, identical per-class byte totals.
+        # link classes, identical per-class byte totals ...
         assert tl_trace.link_classes() == tl_run.link_classes()
         for cls in tl_run.link_classes():
             assert tl_trace.link_bytes(cls) == tl_run.link_bytes(cls)
         assert tl_trace.pml["coll"]["bytes"] == tl_run.pml["coll"]["bytes"]
+        # ... and they are the totals the live PML hook accumulated,
+        # message by message, through the network's own route table.
+        live = {key.split("link=")[1].rstrip("}"): value
+                for key, value in fig5_live_counters.items()
+                if key.startswith("repro_net_link_bytes_total")}
+        assert live == {cls: tl_trace.link_bytes(cls)
+                        for cls in tl_trace.link_classes()}
+
+    def test_nic_issued_counts_what_the_nic_saw(self, instrumented_fig5,
+                                                fig5_timelines):
+        """``nic:issued:node<N>`` books cross-node messages only, like
+        the hardware counter it approximates: intra-node traffic (two
+        thirds of this run's bytes) never reaches the NIC."""
+        engine, _, _, _ = instrumented_fig5
+        _, tl = fig5_timelines
+        nic = engine.network.nic
+        assert nic.n_nodes == 2
+        for node in range(nic.n_nodes):
+            assert tl.counter(f"nic:issued:node{node}").total \
+                == nic.total_xmit_bytes(node) > 0
 
     def test_link_bytes_match_trace_byte_matrix(self, instrumented_fig5,
                                                 fig5_timelines):

@@ -184,35 +184,6 @@ def test_missing_schema_token_rejected(tmp_path):
 class TestSiblingReaders:
     """The satellite migration: every on-disk reader gates on schema."""
 
-    def test_message_tracer_roundtrip_and_gate(self, tmp_path):
-        from repro.simmpi.trace import MessageTracer, TraceEvent
-
-        tracer = MessageTracer(4)
-        tracer.events = [TraceEvent(0.5, 0, 1, 100, "p2p"),
-                         TraceEvent(1.5, 2, 3, 7, "coll", count=2)]
-        path = str(tmp_path / "m.trace")
-        tracer.dump(path)
-        first = open(path).readline()
-        assert f"schema={MessageTracer.SCHEMA}" in first
-        back = MessageTracer.load(path)
-        assert back.events == tracer.events
-
-        mangled = str(tmp_path / "m2.trace")
-        open(mangled, "w").write(
-            open(path).read().replace(
-                f"schema={MessageTracer.SCHEMA}", "schema=99"))
-        with pytest.raises(TraceSchemaError):
-            MessageTracer.load(mangled)
-
-    def test_message_tracer_legacy_headerless_still_loads(self, tmp_path):
-        from repro.simmpi.trace import MessageTracer
-
-        path = str(tmp_path / "legacy.trace")
-        open(path, "w").write("0.1 0 1 64 p2p 1\n")
-        with pytest.warns(UserWarning, match="world_size"):
-            back = MessageTracer.load(path)
-        assert back.world_size == 2
-
     def test_flush_profile_gate(self, tmp_path):
         from repro.core.flushio import (PROFILE_SCHEMA, read_profile,
                                         write_local_profile)

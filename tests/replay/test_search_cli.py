@@ -1,4 +1,4 @@
-"""What-if search behaviour and the four CLI subcommands."""
+"""What-if search behaviour and the three CLI subcommands."""
 
 import json
 
@@ -87,15 +87,26 @@ class TestWhatIfSearch:
 
 @pytest.fixture(scope="module")
 def recorded_cell(tmp_path_factory):
-    """A small fig5 cell recorded through the CLI."""
+    """A small fig5 cell, recorded and dumped for the CLI to read."""
+    from repro.experiments import fig5_collectives
+    from repro.replay import autorecord
+
     path = str(tmp_path_factory.mktemp("cli") / "cell.trace")
-    rc = main(["record", "-o", path, "--op", "reduce", "--nodes", "2",
-               "--sizes", "200000", "--reps", "1", "--seed", "0"])
-    assert rc == 0
+    with autorecord.capture(meta={"workload": "fig5"}) as traces:
+        fig5_collectives.run_cell("reduce", 2, sizes=(200_000,), reps=1,
+                                  seed=0)
+    traces[0].dump(path)
     return path
 
 
 class TestCli:
+    def test_every_subcommand_reads_a_trace(self, capsys):
+        """Recording is the producers' job (``--trace-out``,
+        ``autorecord.capture()``); this CLI has no door that writes."""
+        with pytest.raises(SystemExit):
+            main(["record", "-o", "never.trace"])
+        assert "{replay,search,diff}" in capsys.readouterr().err
+
     def test_replay_verify_identity(self, recorded_cell, capsys):
         assert main(["replay", recorded_cell, "--verify"]) == 0
         assert "exact" in capsys.readouterr().out

@@ -45,15 +45,12 @@ class TestScale:
             return (counts.tolist(), sizes.tolist())
 
         def traced_counts(monitored_flag):
-            from repro.simmpi.trace import MessageTracer
+            from repro.replay import autorecord, compile_trace
 
-            engine = Engine(Cluster.plafrim(2, binding="rr"))
-            tracer = MessageTracer.install(engine)
-            if monitored_flag:
-                engine.run(monitored)
-            else:
-                engine.run(_mixed_workload)
-            return tracer.count_matrix().tolist()
+            with autorecord.capture() as traces:
+                engine = Engine(Cluster.plafrim(2, binding="rr"))
+                engine.run(monitored if monitored_flag else _mixed_workload)
+            return sum(compile_trace(traces[0]).total_counts.values()).tolist()
 
         assert traced_counts(True) == traced_counts(False)
 

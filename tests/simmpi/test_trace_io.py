@@ -1,26 +1,46 @@
-"""Tests for the post-mortem tracer and the MPI-IO substrate."""
+"""Tests for the recorded message trace and the MPI-IO substrate."""
 
 import numpy as np
 import pytest
 
+from repro.replay import ReplayTrace, autorecord, compile_trace
+from repro.replay.schema import K_S
 from repro.simmpi import Cluster, Engine, RankFailure, Topology
 from repro.simmpi.io import File, FileSystem
-from repro.simmpi.trace import MessageTracer, TraceEvent
 from tests.conftest import run_spmd
 
 
-def traced_engine(n_ranks=4):
+def traced_run(prog, n_ranks=4):
+    """(engine, replay trace) of ``prog`` on a small two-node cluster."""
     topo = Topology([("node", 2), ("socket", 2), ("core", 4)])
-    cluster = Cluster(topo, n_ranks)
-    engine = Engine(cluster)
-    tracer = MessageTracer.install(engine)
-    return engine, tracer
+    with autorecord.capture() as traces:
+        engine = Engine(Cluster(topo, n_ranks))
+        engine.run(prog)
+    return engine, traces[0]
+
+
+def matrices(trace, category=None):
+    """(bytes, messages) per rank pair: every wire message, by raw
+    category (all of them summed by default)."""
+    book = compile_trace(trace)
+    cats = [category] if category else list(book.total_sizes)
+    return (sum(book.total_sizes[c] for c in cats),
+            sum(book.total_counts[c] for c in cats))
+
+
+def barrier_after_one_send(comm):
+    if comm.rank == 0:
+        comm.send(None, dest=3, nbytes=999)
+    elif comm.rank == 3:
+        comm.recv(source=0)
+    comm.barrier()
 
 
 class TestTracer:
-    def test_records_all_messages(self):
-        engine, tracer = traced_engine(2)
+    """The replay trace is the post-mortem record of what a run sent:
+    every message at the PML layer, after collective decomposition."""
 
+    def test_records_all_messages(self):
         def prog(comm):
             if comm.rank == 0:
                 comm.send(None, dest=1, nbytes=100)
@@ -29,143 +49,64 @@ class TestTracer:
                 comm.recv(source=0)
                 comm.recv(source=0)
 
-        engine.run(prog)
-        assert len(tracer) == 2
-        assert tracer.size_matrix()[0, 1] == 150
-        assert tracer.count_matrix()[0, 1] == 2
+        _, trace = traced_run(prog, 2)
+        sizes, counts = matrices(trace)
+        assert compile_trace(trace).n_messages == 2
+        assert sizes[0, 1] == 150
+        assert counts[0, 1] == 2
 
     def test_sees_messages_even_with_monitoring_off(self):
-        engine, tracer = traced_engine(4)
-
-        def prog(comm):
-            comm.barrier()
-
-        engine.run(prog)
+        engine, trace = traced_run(lambda comm: comm.barrier())
+        book = compile_trace(trace)
         assert engine.pml.mode == 0
         assert engine.pml.totals("coll") == (0, 0)  # monitoring off...
-        assert len(tracer) == 8  # ...but the trace has everything
+        assert book.counts["coll"].sum() == 0
+        assert book.total_counts["coll"].sum() == 8  # ...the trace has all
 
     def test_categories_separated(self):
-        engine, tracer = traced_engine(4)
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(None, dest=1, nbytes=10)
-            elif comm.rank == 1:
-                comm.recv(source=0)
-            comm.barrier()
-
-        engine.run(prog)
-        assert tracer.count_matrix("p2p").sum() == 1
-        assert tracer.count_matrix("coll").sum() == 8
-        assert tracer.count_matrix().sum() == 9
-
-    def test_timeline_bins(self):
-        engine, tracer = traced_engine(2)
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(None, dest=1, nbytes=1000)
-                comm.sleep(0.1)
-                comm.send(None, dest=1, nbytes=2000)
-            else:
-                comm.recv(source=0)
-                comm.recv(source=0)
-
-        engine.run(prog)
-        times, vols = tracer.timeline(bin_seconds=0.05)
-        assert vols.sum() == 3000
-        assert vols[0] == 1000
-        assert vols[-1] == 2000
+        _, trace = traced_run(barrier_after_one_send)
+        assert matrices(trace, "p2p")[1].sum() == 1
+        assert matrices(trace, "coll")[1].sum() == 8
+        assert matrices(trace)[1].sum() == 9
 
     def test_per_rank_and_filter(self):
-        engine, tracer = traced_engine(3)
-
         def prog(comm):
             if comm.rank == 2:
                 comm.send(None, dest=0, nbytes=7)
             elif comm.rank == 0:
                 comm.recv(source=2)
 
-        engine.run(prog)
-        assert tracer.per_rank_sent().tolist() == [0, 0, 7]
-        big = tracer.filtered(lambda e: e.nbytes > 5)
-        assert len(big) == 1 and big[0].src == 2
+        _, trace = traced_run(prog, 3)
+        assert matrices(trace)[0].sum(axis=1).tolist() == [0, 0, 7]
+        c = trace.columns()
+        big = (c.kind == K_S) & (c.nbytes > 5)
+        assert c.rank[big].tolist() == [2]
 
     def test_dump_load_roundtrip(self, tmp_path):
-        engine, tracer = traced_engine(2)
-
         def prog(comm):
             if comm.rank == 0:
                 comm.send(None, dest=1, nbytes=42)
             else:
                 comm.recv(source=0)
 
-        engine.run(prog)
+        _, trace = traced_run(prog, 2)
         path = str(tmp_path / "run.trace")
-        tracer.dump(path)
-        loaded = MessageTracer.load(path)
+        trace.dump(path)
+        loaded = ReplayTrace.load(path)
         assert loaded.world_size == 2
-        assert loaded.events == tracer.events
+        assert loaded.events == trace.events
 
     def test_roundtrip_preserves_matrices(self, tmp_path):
-        engine, tracer = traced_engine(4)
-
-        def prog(comm):
-            if comm.rank == 0:
-                comm.send(None, dest=3, nbytes=999)
-            elif comm.rank == 3:
-                comm.recv(source=0)
-            comm.barrier()
-
-        engine.run(prog)
+        _, trace = traced_run(barrier_after_one_send)
         path = str(tmp_path / "run.trace")
-        tracer.dump(path)
-        loaded = MessageTracer.load(path)
-        np.testing.assert_array_equal(loaded.count_matrix(),
-                                      tracer.count_matrix())
-        np.testing.assert_array_equal(loaded.size_matrix(),
-                                      tracer.size_matrix())
-        np.testing.assert_array_equal(loaded.size_matrix("p2p"),
-                                      tracer.size_matrix("p2p"))
-
-    def test_load_without_world_size_header_warns(self, tmp_path):
-        path = tmp_path / "headerless.trace"
-        path.write_text(
-            "# simmpi message trace\n"
-            "0.000000001 0 2 10 p2p 1\n"
-            "0.000000002 2 0 20 p2p 1\n"
-        )
-        with pytest.warns(UserWarning, match="missing world_size header"):
-            loaded = MessageTracer.load(str(path))
-        assert loaded.world_size == 3  # largest rank seen + 1
-        assert loaded.size_matrix()[0, 2] == 10
-
-    def test_timeline_rejects_bad_arguments(self):
-        _, tracer = traced_engine(2)
-        with pytest.raises(ValueError, match="bin_seconds must be > 0"):
-            tracer.timeline(bin_seconds=0)
-        with pytest.raises(ValueError, match="bin_seconds must be > 0"):
-            tracer.timeline(bin_seconds=-0.5)
-        with pytest.raises(ValueError, match="weight must be"):
-            tracer.timeline(bin_seconds=0.1, weight="latency")
-
-    def test_timeline_count_weight_honours_multiplicity(self):
-        tracer = MessageTracer(2)
-        tracer.events = [
-            TraceEvent(0.01, 0, 1, 300, "coll", count=3),
-            TraceEvent(0.01, 1, 0, 10, "p2p", count=1),
-            TraceEvent(0.12, 0, 1, 50, "p2p", count=1),
-        ]
-        times, msgs = tracer.timeline(bin_seconds=0.1, weight="count")
-        assert msgs.tolist() == [4, 1]
-        _, vols = tracer.timeline(bin_seconds=0.1)
-        assert vols.tolist() == [310, 50]
-        np.testing.assert_allclose(times, [0.1, 0.2])
+        trace.dump(path)
+        loaded = ReplayTrace.load(path)
+        for category in (None, "p2p", "coll"):
+            for got, want in zip(matrices(loaded, category),
+                                 matrices(trace, category)):
+                np.testing.assert_array_equal(got, want)
 
     def test_vectorized_reductions_match_naive(self):
-        engine, tracer = traced_engine(4)
-
         def prog(comm):
             me, n = comm.rank, comm.size
             comm.barrier()
@@ -173,27 +114,17 @@ class TestTracer:
                           sendtag=0, recvtag=0, nbytes=100 * (me + 1))
             comm.barrier()
 
-        engine.run(prog)
-        assert len(tracer) > 0
+        _, trace = traced_run(prog)
         counts = np.zeros((4, 4), dtype=np.int64)
         sizes = np.zeros((4, 4), dtype=np.int64)
-        sent = np.zeros(4, dtype=np.int64)
-        for e in tracer.events:
-            counts[e.src, e.dst] += e.count
-            sizes[e.src, e.dst] += e.nbytes
-            sent[e.src] += e.nbytes
-        np.testing.assert_array_equal(tracer.count_matrix(), counts)
-        np.testing.assert_array_equal(tracer.size_matrix(), sizes)
-        np.testing.assert_array_equal(tracer.per_rank_sent(), sent)
-        # Scalar binning reference for the timeline.
-        bins = {}
-        for e in tracer.events:
-            bins[int(e.time / 0.001)] = bins.get(int(e.time / 0.001), 0) \
-                + e.nbytes
-        _, vols = tracer.timeline(bin_seconds=0.001)
-        for b, v in bins.items():
-            assert vols[b] == v
-        assert vols.sum() == sizes.sum()
+        for ev in trace.events:
+            if ev[0] == "S":
+                counts[ev[1], ev[2]] += 1
+                sizes[ev[1], ev[2]] += ev[3]
+        assert counts.sum() > 0
+        got_sizes, got_counts = matrices(trace)
+        np.testing.assert_array_equal(got_counts, counts)
+        np.testing.assert_array_equal(got_sizes, sizes)
 
 
 class TestFileSystem:
