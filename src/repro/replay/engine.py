@@ -35,11 +35,20 @@ G       request flies ``tt + latency``; data returns target→origin;
         ``last[r] = max(tt, arrival) + recv_overhead``
 F       ``last[r] = tt`` (end-of-program compute tail)
 ======  ==============================================================
+
+``transfer`` is :meth:`Network.transfer`'s arithmetic in both regimes.
+Derived order calls it per message.  Recorded order does not: what a
+placement changes about a message depends only on its *cost class*
+(who to whom, how many bytes, monitored or not), a trace has a
+thousand of those for sixty thousand messages, so each replay prices
+the classes in one vectorised pass and one loop — exact, verified or
+re-placed — runs the max-plus recurrence over the compiled columns
+(:func:`_replay_in_order`; ``tests/replay/reference.py`` is the
+per-message interpreter it is pinned to).
 """
 
 from __future__ import annotations
 
-import gc
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
@@ -48,14 +57,11 @@ import numpy as np
 
 from repro.replay.schema import (
     K_B,
-    K_F,
     K_G,
     K_P,
     K_R,
     K_S,
     ReplayTrace,
-    kind_rows,
-    merge_by_kind,
     params_from_json,
     topology_from_json,
 )
@@ -159,6 +165,15 @@ def _build_network(trace: ReplayTrace, binding, topology, params, seed):
     if len(bnd) != trace.world_size:
         raise ReplayError(
             f"binding has {len(bnd)} entries for {trace.world_size} ranks")
+    # A PU the topology does not have would index the per-node tables
+    # out of range — or, negative, wrap into a wrong answer.
+    pus = np.asarray(bnd)
+    outside = np.flatnonzero((pus < 0) | (pus >= topo.n_pus))
+    if len(outside):
+        rank = int(outside[0])
+        raise ReplayError(
+            f"rank {rank} is bound to PU {bnd[rank]}, outside the "
+            f"topology's [0, {topo.n_pus})")
     sd = trace.seed if seed is None else int(seed)
     # record_nic=False: the replayer never reads the per-node hardware
     # counters, and skipping their per-message appends does not change
@@ -203,140 +218,67 @@ def replay(
     re-decomposed with the replacement algorithm and the whole trace is
     rescheduled in derived order.
     """
+    exact = not substitute and \
+        _is_exact(trace, binding, topology, params, seed)
+    if verify and not exact:
+        raise ReplayError("verify requires an exact (identity) replay")
+    net = _build_network(trace, binding, topology, params, seed)
     if substitute:
         from repro.replay.patterns import apply_substitution
 
-        per_rank = apply_substitution(trace, substitute)
-        net = _build_network(trace, binding, topology, params, seed)
-        return _replay_derived(trace, per_rank, net)
-    net = _build_network(trace, binding, topology, params, seed)
-    exact = _is_exact(trace, binding, topology, params, seed)
-    if verify and not exact:
-        raise ReplayError("verify requires an exact (identity) replay")
-    if exact or verify:
-        return _replay_recorded(trace, net, exact, verify)
-    return _replay_compiled(trace, net)
+        return _replay_derived(trace, apply_substitution(trace, substitute),
+                               net)
+    return _replay_in_order(trace, net, exact, verify)
 
 
 # ---------------------------------------------------------------------------
-# recorded-order replay
-
-
-def _replay_recorded(trace: ReplayTrace, net, exact: bool,
-                     verify: bool) -> ReplayResult:
-    """The interpreter: every message through :meth:`Network.transfer`,
-    over the compiled op stream.  Exact mode issues each event at its
-    recorded ``t`` (the compile cache's parallel column); the books are
-    placement-invariant and come from the compile cache — treat the
-    result's matrices as read-only."""
-    book = _compile_trace(trace)
-    last = [0.0] * trace.world_size
-    arrivals: List[Optional[float]] = [None] * (book.max_seq + 1)
-    orecv = net.recv_overhead
-    alpha = net._alpha_l
-    nr = net._n_ranks
-    transfer = net.transfer
-    bad: List[str] = []
-
-    for rec, t in zip(book.prog, book.t.tolist()):
-        k = rec[0]
-        r = rec[1]
-        gap = rec[-1] if k else rec[6]   # a send's last slot is its pair
-        if verify and gap == 0.0 and last[r] != t:
-            bad.append(f"rank {r}: computed {last[r]!r} != recorded {t!r}")
-        tt = t if exact else last[r] + gap
-        if k == 0:  # send
-            _, _r, dst, nb, o, seq, _gap, _pidx = rec
-            if o:
-                tt = tt + o
-            done, arr = transfer(r, dst, nb, tt)
-            arrivals[seq] = arr
-            last[r] = done
-        elif k == 1:  # receive-wait
-            arr = arrivals[rec[2]]
-            if arr is None:
-                raise ReplayError(
-                    f"receive references unsent message #{rec[2]}")
-            last[r] = max(tt, arr) + orecv
-        elif k == 2:  # final compute tail
-            last[r] = tt
-        elif k == 3:  # one-sided put
-            _, _r, dst, nb, o, _gap = rec
-            if o:
-                tt = tt + o
-            done, _arr = transfer(r, dst, nb, tt)
-            last[r] = done
-        else:  # one-sided get
-            _, _r, target, nb, o, _gap = rec
-            if o:
-                tt = tt + o
-            t_req = tt + alpha[r * nr + target]
-            _done, arr = transfer(target, r, nb, t_req)
-            last[r] = max(tt, arr) + orecv
-
-    if bad:
-        head = "; ".join(bad[:5])
-        raise ReplayVerifyError(
-            f"{len(bad)} clock divergences in exact replay: {head}")
-    return ReplayResult(
-        clocks=last,
-        counts=book.counts,
-        sizes=book.sizes,
-        total_counts=book.total_counts,
-        total_sizes=book.total_sizes,
-        n_messages=net.n_messages,
-        exact=exact,
-    )
-
-
-# ---------------------------------------------------------------------------
-# compiled recorded-order replay (the placement-search hot path)
+# the compiled trace
 
 
 class CompiledTrace(NamedTuple):
     """A trace pre-digested for repeated re-costing.
 
-    ``prog`` is the compact op stream of the timed events, one record
-    per event with the rank-pair index and the monitoring-overhead
-    charge resolved::
+    The timed events are three parallel python-list columns in recorded
+    order (lists, not arrays: the replay loop reads them one scalar at
+    a time).  ``rank`` and ``gap`` are the recorded ones; ``operand``
+    says what the event is, with ``n`` cost classes:
 
-        (0, rank, dst, nbytes, ovh, seq, gap, rank * n + dst)   send
-        (1, rank, seq, gap)                                     receive-wait
-        (2, rank, gap)                                          finish
-        (3, rank, target, nbytes, ovh, gap)                     put
-        (4, rank, target, nbytes, ovh, gap)                     get
+    ==============  ================================================
+    ``x >= 0``      receive-wait on the message of *ordinal* ``x``
+                    (its position among the S/P/G events, resolved
+                    from ``seq`` once, here)
+    ``-n <= x < 0``  an S, P or G of cost class ``classes[:, x]``
+    ``x < -n``      the rank's finish
+    ==============  ================================================
 
-    ``t`` is the recorded issue time of each record, a float64 column
-    parallel to ``prog``: only the exact interpreter reads it, so the
-    per-candidate records stay as narrow as the hot loop needs.
-    ``op_bytes`` is the resident size of ``prog``, worked out from the
-    per-kind record counts when the book is built (see :meth:`nbytes`).
+    ``classes`` is the distinct ``(src, dst, nbytes, charged)`` of the
+    trace's messages as four int64 rows, in the direction the data
+    flows (a get's is target → origin), the ``n_get`` get classes first
+    and everything that is priced like a send after them.  ``t`` is
+    the recorded issue time of each event (float64), which exact replay
+    issues at; ``op_bytes`` the resident size of the three lists (see
+    :meth:`nbytes`).
     """
 
-    prog: List[tuple]
+    rank: List[int]
+    operand: List[int]
+    gap: List[float]
+    classes: "np.ndarray"
+    n_get: int
     counts: Dict[str, "np.ndarray"]
     sizes: Dict[str, "np.ndarray"]
     total_counts: Dict[str, "np.ndarray"]
     total_sizes: Dict[str, "np.ndarray"]
     n_messages: int
-    max_seq: int
     t: "np.ndarray"
     op_bytes: int
 
     def nbytes(self) -> int:
         """Resident size of the book, in bytes — what the serving
-        layer's byte-bounded LRU evicts by.
-
-        Numpy buffers are exact; the compact op stream is estimated as
-        the list spine + each record's tuple shell + one boxed float /
-        large int per payload slot (CPython boxes are 28–32 bytes;
-        small ints and the empty-overhead 0.0 are interned, so 32 per
-        slot is a deliberate slight over-estimate — an LRU should err
-        toward evicting early, not late).  A record's width is fixed by
-        its kind, so that estimate is arithmetic on the kind counts
-        (``op_bytes``), not a walk over the records.
-        """
-        total = int(self.t.nbytes) + self.op_bytes
+        layer's byte-bounded LRU evicts by.  Numpy buffers plus
+        ``op_bytes``, both fixed when the book is built: no walk over
+        the columns."""
+        total = int(self.t.nbytes) + int(self.classes.nbytes) + self.op_bytes
         for table in (self.counts, self.sizes,
                       self.total_counts, self.total_sizes):
             for mat in table.values():
@@ -369,79 +311,84 @@ def _pair_matrices(flat, nb, codes, n: int):
     return counts, sizes
 
 
+def _list_bytes(column: np.ndarray) -> int:
+    """Resident size of ``column.tolist()``: the list's spine plus one
+    box per element — except that CPython keeps the ints of
+    ``[-5, 256]`` as shared singletons (every float is boxed)."""
+    boxed = len(column)
+    if column.dtype.kind == "i":
+        boxed -= int(np.count_nonzero((column >= -5) & (column <= 256)))
+    return sys.getsizeof([]) + 8 * len(column) \
+        + boxed * sys.getsizeof(1.0 if column.dtype.kind == "f" else 1 << 20)
+
+
 def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     """Pre-digest a trace for repeated re-costing (cached on the trace).
 
-    Two facts make this profitable: the byte matrices are
+    Three facts make this profitable: the byte matrices are
     *placement-invariant* (what was sent does not depend on where ranks
-    sit), so the books can be built once per trace instead of once per
-    replay; and B/E markers carry no cost in recorded order, so the
-    replay loops only need a compact op stream of the timed events.
-    Both are built from the trace's columns — vectorised books, op
-    records zipped from ``.tolist()`` columns — without touching the
-    event tuples.  Assumes the trace is not mutated afterwards (nothing
-    in this package mutates a trace).
+    sit), so the books are built once per trace instead of once per
+    replay; B/E markers carry no cost in recorded order, so the loop
+    only needs the timed events; and a trace has few distinct cost
+    classes, so which message a receive waits for and which class a
+    send belongs to are resolved here, once.  All of it is column
+    work — no tuple, no python-level step per event.  Assumes the
+    trace is not mutated afterwards (nothing in this package mutates a
+    trace).
     """
     cached = trace._compiled
     if cached is not None:
         return cached
     c = trace.columns()
     n = trace.world_size
-    kind = c.kind
+    timed = np.flatnonzero(c.kind < K_B)
+    kind = c.kind[timed]
+    is_msg = (kind == K_S) | (kind == K_P) | (kind == K_G)
+    msg = timed[is_msg]
 
-    # The books: every S/P/G moves nbytes rank -> peer, except that a
-    # get's data flows target -> origin.
-    msg = np.flatnonzero((kind == K_S) | (kind == K_P) | (kind == K_G))
-    rank = c.rank[msg].astype(np.intp)
-    peer = c.peer[msg].astype(np.intp)
-    is_get = kind[msg] == K_G
-    flat = np.where(is_get, peer, rank) * n + np.where(is_get, rank, peer)
-    nb = c.nbytes[msg].astype(np.uint64)
-    counts, sizes = _pair_matrices(flat, nb, c.mcat[msg], n)
-    total_counts, total_sizes = _pair_matrices(flat, nb, c.cat[msg], n)
+    # Every S/P/G moves nbytes rank -> peer, except that a get's data
+    # flows target -> origin.
+    is_get = kind[is_msg] == K_G
+    origin = c.rank[msg].astype(np.int64)
+    peer = c.peer[msg].astype(np.int64)
+    src = np.where(is_get, peer, origin)
+    dst = np.where(is_get, origin, peer)
+    flat = src * n + dst
+    nb = c.nbytes[msg]
+    weight = nb.astype(np.uint64)
+    counts, sizes = _pair_matrices(flat, weight, c.mcat[msg], n)
+    total_counts, total_sizes = _pair_matrices(flat, weight, c.cat[msg], n)
 
-    # The op stream: per-kind records over python-native columns,
-    # merged back into recorded order.  Kind codes of the timed events
-    # are the opcodes.
-    ovh = trace.monitoring_overhead
-    charge = np.where(c.mcat != 0, ovh, 0.0) if ovh > 0.0 \
-        else np.zeros(len(kind))
-    pair = c.rank.astype(np.intp) * n + c.peer
-    timed = kind < K_B
-    fields = (
-        (c.rank, c.peer, c.nbytes, charge, c.seq, c.gap, pair),   # K_S
-        (c.rank, c.seq, c.gap),                                   # K_R
-        (c.rank, c.gap),                                          # K_F
-        (c.rank, c.peer, c.nbytes, charge, c.gap),                # K_P
-        (c.rank, c.peer, c.nbytes, charge, c.gap),                # K_G
-    )
-    # (A generator: one kind's python-native columns alive at a time.)
-    # The collector is paused meanwhile — a hundred thousand fresh
-    # tuples of scalars hold no cycle, and with it running every 700th
-    # allocation starts a pass — and one young-generation pass at the
-    # end untracks them here instead of in whichever replay allocates
-    # next.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        prog = merge_by_kind(kind[timed], (
-            kind_rows(kind, code, code, *cols)
-            for code, cols in enumerate(fields)))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect(0)
-    per_kind = np.bincount(kind, minlength=len(fields)).tolist()
-    op_bytes = sys.getsizeof(prog) + sum(
-        count * (sys.getsizeof((0,) * (len(cols) + 1)) + 32 * len(cols))
-        for count, cols in zip(per_kind, fields))
-    seqs = c.seq[(kind == K_S) | (kind == K_R)]
+    # Cost classes: one integer key per message (sizes ranked first, so
+    # the key fits whatever the byte counts are), distinct keys sorted —
+    # gets first.
+    charged = (c.mcat[msg] != 0) & (trace.monitoring_overhead > 0.0)
+    size_rank = np.unique(nb, return_inverse=True)[1]
+    key = ((~is_get * (n * n) + flat) * (len(nb) + 1) + size_rank) * 2 \
+        + charged
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    classes = np.stack([src[first], dst[first], nb[first], charged[first]])
+
+    # Operands.  A receive names its message by ordinal; one that no
+    # send carries gets an ordinal past the last, which the replay
+    # reports like a receive issued ahead of its send.
+    operand = np.full(len(timed), -len(first) - 1, dtype=np.int64)
+    operand[is_msg] = cls - len(first)
+    is_send, is_wait = kind[is_msg] == K_S, kind == K_R
+    sends, waits = c.seq[msg[is_send]], c.seq[timed[is_wait]]
+    ordinal = np.full(max(sends.max(initial=-1), waits.max(initial=-1)) + 1,
+                      len(msg), dtype=np.int64)
+    ordinal[sends] = np.flatnonzero(is_send)
+    operand[is_wait] = ordinal[waits]
+
+    rank, gap = c.rank[timed], c.gap[timed]
     compiled = CompiledTrace(
-        prog, counts, sizes, total_counts, total_sizes,
+        rank.tolist(), operand.tolist(), gap.tolist(), classes,
+        int(np.count_nonzero(is_get[first])),
+        counts, sizes, total_counts, total_sizes,
         n_messages=len(msg),
-        max_seq=int(seqs.max()) if len(seqs) else 0,
         t=c.t[timed],
-        op_bytes=op_bytes,
+        op_bytes=sum(map(_list_bytes, (rank, operand, gap))),
     )
     trace._compiled = compiled
     return compiled
@@ -461,123 +408,154 @@ def trace_byte_matrix(trace: ReplayTrace,
     return out
 
 
-def _replay_compiled(trace: ReplayTrace, net) -> ReplayResult:
-    """Recorded-order re-costing under a non-identity configuration.
+# ---------------------------------------------------------------------------
+# recorded-order replay
 
-    Produces clocks bitwise-identical to :func:`_replay_recorded` in
-    non-exact mode (pinned by a test): the send path below inlines
-    :meth:`Network.transfer` operation-for-operation — same float
-    expression order, same jitter-stream consumption — minus the
-    per-message call overhead and the hardware-counter bookkeeping the
-    replayer never reads.  The shared matrices in the result come from
-    the per-trace compile cache; treat them as read-only.
+
+def _cost_rows(book: CompiledTrace, net, overhead: float) -> List[tuple]:
+    """Price the cost classes under ``net``'s placement: per class
+    ``(charge, alpha, nbytes / bw, nbytes / mem_bw, src node, dst node,
+    NIC gate, memory gate)`` — the terms :meth:`Network.transfer`
+    evaluates per message, with the same float expressions.  An
+    uncharged class carries ``-0.0``, the one float that adds to
+    nothing bit for bit."""
+    src, dst, nbytes, charged = book.classes
+    alpha, bw, src_node, dst_node, nic_gate, mem_gate = net.routes(src, dst)
+    mem_gate = mem_gate & (nbytes > 0)
+    mem_t = nbytes / net._mem_bw if mem_gate.any() else np.zeros(len(nbytes))
+    return list(zip(*(column.tolist() for column in (
+        np.where(charged, overhead, -0.0), alpha, nbytes / bw, mem_t,
+        src_node, dst_node, nic_gate, mem_gate))))
+
+
+def _replay_in_order(trace: ReplayTrace, net, exact: bool,
+                     verify: bool) -> ReplayResult:
+    """Every recorded-order replay: the max-plus recurrence over the
+    compiled columns, each message priced by its class's row.
+
+    Re-placed, an event issues at its rank's clock plus the recorded
+    gap.  Exact replay is the same expression over other lists: it
+    issues at the recorded ``t``, so ``t`` stands in for the gap and the
+    clock it is added to is read from a list of ``-0.0`` nobody writes
+    (``-0.0 + t`` is ``t`` bit for bit).  ``verify`` gives every event a
+    clock slot of its own, so the loop leaves behind when each one
+    completed and the audit is a pass over that (:func:`_audit`).
+
+    The loop is :meth:`Network.transfer` minus everything a class row
+    already holds and minus the hardware counters; jitter is the
+    network's own stream, two factors per message in recorded order.
+    The books in the result are the compile cache's: read-only.
     """
     book = _compile_trace(trace)
-    n = trace.world_size
-    last = [0.0] * n
-    arrivals: List[Optional[float]] = [None] * (book.max_seq + 1)
-    orecv = net.recv_overhead
-    alpha_l = net._alpha_l
-    nr = net._n_ranks
-    pair_l = net._pair_l
+    slot = range(len(book.rank)) if verify else book.rank
+    last = [0.0] * (len(slot) if verify else trace.world_size)
+    base = [-0.0] * len(last) if exact else last
+    rows = _cost_rows(book, net, trace.monitoring_overhead)
+    first_msg = -len(rows)
+    first_send = first_msg + book.n_get
     nic_free = net._nic_free
     mem_free = net._mem_free
-    mem_bw = net._mem_bw
     o_send = net._o_send
-    sigma = net._sigma
-    blk = net._jit_blk
-    jlen = len(blk)
-    jpos = net._jit_pos
-    transfer = net.transfer
+    o_recv = net.recv_overhead
+    jittered = net._sigma > 0.0
+    factors = net.jitter_factors(2 * book.n_messages) if jittered else []
+    draw = zip(factors[0::2], factors[1::2]).__next__
+    arrivals: List[float] = []
+    arrived = arrivals.append
 
-    for rec in book.prog:
-        k = rec[0]
-        if k == 0:  # send — Network.transfer inlined
-            _, r, dst, nb, o, seq, gap, pidx = rec
-            tt = last[r] + gap
-            if o:
-                tt = tt + o
-            alpha, bw, src_node, dst_node, _cross, nic_gate, mem_gate = \
-                pair_l[pidx]
-            if sigma > 0.0:
-                if jpos + 2 > jlen:
-                    # _refill_jitter slices the unconsumed tail from
-                    # _jit_pos, so the local cursor must be synced first.
-                    net._jit_pos = jpos
-                    blk = net._refill_jitter()
-                    jlen = len(blk)
-                    jpos = 0
-                lat = alpha * blk[jpos]
-                bwt = (nb / bw) * blk[jpos + 1]
-                jpos = jpos + 2
-            else:
-                lat = alpha
-                bwt = nb / bw
-            start = tt + o_send
-            if nic_gate:
-                f = nic_free[src_node]
-                if f > start:
-                    start = f
-            mem_gate = mem_gate and nb > 0
-            if mem_gate:
-                start = max(start, mem_free[src_node], mem_free[dst_node])
-            if nic_gate:
-                nic_free[src_node] = start + bwt
-            if mem_gate:
-                mem_t = nb / mem_bw
-                mem_free[src_node] = start + mem_t
-                if dst_node != src_node:
-                    mem_free[dst_node] = start + mem_t
-            arrivals[seq] = start + lat + bwt
-            last[r] = start + bwt
-        elif k == 1:  # receive-wait
-            _, r, seq, gap = rec
-            tt = last[r] + gap
-            arr = arrivals[seq]
-            if arr is None:
-                raise ReplayError(
-                    f"receive references unsent message #{seq}")
-            last[r] = arr + orecv if arr > tt else tt + orecv
-        elif k == 2:  # final compute tail
-            _, r, gap = rec
-            last[r] = last[r] + gap
-        elif k == 3:  # one-sided put
-            _, r, dst, nb, o, gap = rec
-            net._jit_pos = jpos
-            net._jit_blk = blk
-            tt = last[r] + gap
-            if o:
-                tt = tt + o
-            done, _arr = transfer(r, dst, nb, tt)
-            last[r] = done
-            blk = net._jit_blk
-            jlen = len(blk)
-            jpos = net._jit_pos
-        else:  # one-sided get
-            _, r, target, nb, o, gap = rec
-            net._jit_pos = jpos
-            net._jit_blk = blk
-            tt = last[r] + gap
-            if o:
-                tt = tt + o
-            t_req = tt + alpha_l[r * nr + target]
-            _done, arr = transfer(target, r, nb, t_req)
-            last[r] = max(tt, arr) + orecv
-            blk = net._jit_blk
-            jlen = len(blk)
-            jpos = net._jit_pos
+    try:
+        for r, x, g in zip(slot, book.operand,
+                           book.t.tolist() if exact else book.gap):
+            tt = base[r] + g
+            if x >= 0:  # receive-wait
+                arr = arrivals[x]
+                last[r] = (arr if arr > tt else tt) + o_recv
+            elif x >= first_msg:
+                charge, lat, bwt, mem_t, src_node, dst_node, nic_gate, \
+                    mem_gate = rows[x]
+                tt = tt + charge
+                # A get's request flies to the target first; the data
+                # then comes back like any send.
+                start = (tt if x >= first_send else tt + lat) + o_send
+                if jittered:
+                    j_lat, j_bw = draw()
+                    lat = lat * j_lat
+                    bwt = bwt * j_bw
+                if nic_gate:
+                    f = nic_free[src_node]
+                    if f > start:
+                        start = f
+                if mem_gate:
+                    f = mem_free[src_node]
+                    if f > start:
+                        start = f
+                    f = mem_free[dst_node]
+                    if f > start:
+                        start = f
+                    mem_free[src_node] = mem_free[dst_node] = start + mem_t
+                if nic_gate:
+                    nic_free[src_node] = start + bwt
+                arr = start + lat + bwt
+                arrived(arr)
+                if x >= first_send:  # send, put: injection is synchronous
+                    last[r] = start + bwt
+                else:
+                    last[r] = (arr if arr > tt else tt) + o_recv
+            else:  # final compute tail
+                last[r] = tt
+    except IndexError:
+        seq = _unsent_seq(trace, book)
+        if seq is None:
+            raise
+        raise ReplayError(
+            f"receive references unsent message #{seq}") from None
 
-    net._jit_pos = jpos
-    net._jit_blk = blk
+    if verify:
+        last = _audit(trace, book, last)
     return ReplayResult(
-        clocks=list(last),
+        clocks=last,
         counts=book.counts,
         sizes=book.sizes,
         total_counts=book.total_counts,
         total_sizes=book.total_sizes,
         n_messages=book.n_messages,
-        exact=False,
+        exact=exact,
     )
+
+
+def _unsent_seq(trace: ReplayTrace, book: CompiledTrace) -> Optional[int]:
+    """``seq`` of the first receive issued before its message (None:
+    every receive finds one)."""
+    c = trace.columns()
+    timed = c.kind < K_B
+    kind, seq = c.kind[timed], c.seq[timed]
+    issued = np.cumsum((kind == K_S) | (kind == K_P) | (kind == K_G))
+    early = np.flatnonzero(
+        (kind == K_R) & (np.asarray(book.operand) >= issued))
+    return int(seq[early[0]]) if len(early) else None
+
+
+def _audit(trace: ReplayTrace, book: CompiledTrace,
+           done: List[float]) -> List[float]:
+    """The ``verify`` check, from the completion time of every timed
+    event: wherever the recording says no time passed since the rank's
+    previous event (gap 0), that event's completion must *be* this
+    one's recorded issue time.  Returns the per-rank final clocks."""
+    rank = np.asarray(book.rank, dtype=np.intp)
+    order = np.argsort(rank, kind="stable")     # by rank, recorded order
+    follows = np.flatnonzero(np.diff(rank[order]) == 0)
+    before = np.zeros(len(rank))
+    before[order[follows + 1]] = np.asarray(done)[order[follows]]
+    bad = np.flatnonzero((np.asarray(book.gap) == 0.0) & (before != book.t))
+    if len(bad):
+        head = "; ".join(
+            f"rank {rank[i]}: computed {before[i].item()!r} != "
+            f"recorded {book.t[i].item()!r}" for i in bad[:5])
+        raise ReplayVerifyError(
+            f"{len(bad)} clock divergences in exact replay: {head}")
+    clocks = np.zeros(trace.world_size)
+    clocks[rank] = done                # repeated index: the last one stays
+    return clocks.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,24 @@ class Network:
             self._has_mem and d != self._depth,
         )
 
+    def routes(self, src_ranks, dst_ranks) -> Tuple[np.ndarray, ...]:
+        """The route of many rank pairs at once: arrays of ``alpha``,
+        bandwidth, source node, destination node, NIC gate and memory
+        gate — per pair what :meth:`_resolve_pair` answers (minus the
+        hardware-counter flag), from the same per-depth tables."""
+        pu = np.asarray(self.binding, dtype=np.int64)
+        node = np.asarray(self._rank_node_l, dtype=np.intp)
+        depth = self.topology.common_depths(pu[src_ranks], pu[dst_ranks])
+        cross = depth == 0
+        return (
+            np.asarray(self._lut_alpha)[depth],
+            np.asarray(self._lut_bw)[depth],
+            node[src_ranks],
+            node[dst_ranks],
+            cross & bool(self.params.nic_serialize),
+            (depth != self._depth) & self._has_mem,
+        )
+
     def _resolve_alpha(self, key: int) -> float:
         return self._pair_l[key][0]
 
@@ -367,14 +385,28 @@ class Network:
         self._jit_blk = []
         self._jit_pos = 0
 
-    def _refill_jitter(self) -> List[float]:
+    def _refill_jitter(self, blocks: int = 1) -> List[float]:
         # Keep any unconsumed factors: the block is a cache over the
         # scalar draw stream, never a resampling of it.
-        tail = self._jit_blk[self._jit_pos :]
-        fresh = np.exp(self._rng.normal(0.0, self._sigma, _JITTER_BLOCK)).tolist()
-        self._jit_blk = tail + fresh if tail else fresh
+        blk = self._jit_blk[self._jit_pos :]
+        for _ in range(blocks):
+            blk += np.exp(self._rng.normal(0.0, self._sigma, _JITTER_BLOCK)).tolist()
+        self._jit_blk = blk
         self._jit_pos = 0
-        return self._jit_blk
+        return blk
+
+    def jitter_factors(self, count: int) -> List[float]:
+        """The next ``count`` factors of the stream at once — what
+        that many scalar draws would hand out, drawn in the same blocks
+        (all 1.0 without jitter)."""
+        if self._sigma <= 0.0:
+            return [1.0] * count
+        short = count - (len(self._jit_blk) - self._jit_pos)
+        if short > 0:
+            self._refill_jitter(-(-short // _JITTER_BLOCK))
+        pos = self._jit_pos
+        self._jit_pos = pos + count
+        return self._jit_blk[pos : pos + count]
 
     def _jit(self) -> float:
         if self._sigma <= 0.0:

@@ -16,15 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.errors import TraceSchemaError
 from repro.replay import autorecord
-from repro.replay.engine import (
-    CATEGORIES,
-    _build_network,
-    _replay_compiled,
-    _replay_recorded,
-    compile_trace,
-    replay,
-)
+from repro.replay.engine import CATEGORIES, compile_trace, replay
 from repro.replay.schema import ReplayTrace
+from tests.replay.reference import reference_replay
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 FIXTURES = ("fig5.schema1.trace", "osc.schema1.trace")
@@ -167,11 +161,9 @@ def test_legacy_fixture_loads_converts_and_verifies(name, tmp_path):
         res = replay(trace, verify=True)
         assert res.clocks == trace.clocks
         assert _digest(res.clocks) == exact
-        slow = _replay_recorded(
-            trace, _build_network(trace, _permuted(trace), None, None, None),
-            exact=False, verify=False)
-        assert _digest(slow.clocks) == permuted
-        assert replay(trace, binding=_permuted(trace)).clocks == slow.clocks
+        slow, _ = reference_replay(trace, binding=_permuted(trace))
+        assert _digest(slow) == permuted
+        assert replay(trace, binding=_permuted(trace)).clocks == slow
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +171,10 @@ def test_legacy_fixture_loads_converts_and_verifies(name, tmp_path):
 
 
 def _compile_from_tuples(trace):
-    """The per-event compile the columnar one replaced (reference)."""
+    """The per-event compile (reference): for every timed event its
+    rank, its operand *resolved* — a message's cost class spelled out, a
+    receive's message ordinal — its gap and its ``t``; and the books."""
     n, ovh = trace.world_size, trace.monitoring_overhead
-    prog, t = [], []
     zeros = lambda: {c: np.zeros((n, n), dtype=np.uint64) for c in CATEGORIES}
     counts, sizes, total_counts, total_sizes = zeros(), zeros(), zeros(), zeros()
 
@@ -192,28 +185,47 @@ def _compile_from_tuples(trace):
             counts[mcat][src, dst] += np.uint64(1)
             sizes[mcat][src, dst] += np.uint64(nb)
 
+    messages = [ev for ev in trace.events if ev[0] in "SPG"]
+    ordinal = {ev[6]: i for i, ev in enumerate(messages) if ev[0] == "S"}
+    timed = []
     for ev in trace.events:
         kind = ev[0]
-        if kind == "S":
-            _, r, dst, nb, cat, mcat, seq, t_, gap = ev
-            o = ovh if (mcat and ovh > 0.0) else 0.0
-            prog.append((0, r, dst, nb, o, seq, gap, r * n + dst))
-            book(cat, mcat, r, dst, nb)
-        elif kind == "R":
-            prog.append((1, ev[1], ev[2], ev[4]))
-            t_ = ev[3]
-        elif kind == "F":
-            prog.append((2, ev[1], ev[3]))
-            t_ = ev[2]
-        elif kind in "PG":
-            _, r, peer, nb, mcat, t_, gap = ev
-            o = ovh if (mcat and ovh > 0.0) else 0.0
-            prog.append((3 if kind == "P" else 4, r, peer, nb, o, gap))
-            book("osc", mcat, *((r, peer) if kind == "P" else (peer, r)), nb)
-        else:
+        if kind in "BE":
             continue
-        t.append(t_)
-    return prog, counts, sizes, total_counts, total_sizes, t
+        if kind == "S":
+            _, r, dst, nb, cat, mcat, _seq, _t, _gap = ev
+            what = ("send", r, dst, nb, bool(mcat and ovh > 0.0))
+            book(cat, mcat, r, dst, nb)
+        elif kind in "PG":
+            _, r, peer, nb, mcat, _t, _gap = ev
+            src, dst = (r, peer) if kind == "P" else (peer, r)
+            what = ("send" if kind == "P" else "get", src, dst, nb,
+                    bool(mcat and ovh > 0.0))
+            book("osc", mcat, src, dst, nb)
+        elif kind == "R":
+            what = ("wait", ordinal.get(ev[2], len(messages)))
+        else:
+            what = ("finish",)
+        timed.append((ev[1], what, ev[-1], ev[-2]))
+    return timed, counts, sizes, total_counts, total_sizes, len(messages)
+
+
+def _resolved(book):
+    """A book's timed events in the reference's spelling."""
+    classes = list(zip(*book.classes.tolist()))
+    assert len(set(classes)) == len(classes)        # a class appears once
+
+    def what(x):
+        if x >= 0:
+            return ("wait", x)
+        if x < -len(classes):
+            return ("finish",)
+        src, dst, nb, charged = classes[x]
+        get = x + len(classes) < book.n_get         # the get classes lead
+        return ("get" if get else "send", src, dst, nb, bool(charged))
+
+    return [(r, what(x), gap, t) for r, x, gap, t in
+            zip(book.rank, book.operand, book.gap, book.t.tolist())]
 
 
 def _one_sided_recording():
@@ -233,16 +245,18 @@ def test_compile_from_columns_equals_per_event_compile(source, fig5_trace,
                 "osc.schema1.trace":
                     lambda: ReplayTrace.load(str(DATA / "osc.schema1.trace")),
                 "hand-built": _hand_built}[source]()
-    prog, counts, sizes, total_counts, total_sizes, t = \
+    timed, counts, sizes, total_counts, total_sizes, n_messages = \
         _compile_from_tuples(recorded)
     for trace in (recorded, _through_schema_2(recorded, tmp_path)):
         trace._compiled = None
         book = compile_trace(trace)
-        assert book.prog == prog
-        assert [[type(v) for v in rec] for rec in book.prog] == \
-            [[type(v) for v in rec] for rec in prog]
-        assert [x.hex() for x in book.t.tolist()] == [x.hex() for x in t]
-        assert book.n_messages == sum(rec[0] in (0, 3, 4) for rec in prog)
+        assert _bits(_resolved(book)) == _bits(timed)
+        # The loop reads python scalars, not numpy ones.
+        assert {type(v) for col in (book.rank, book.operand) for v in col} \
+            <= {int}
+        assert {type(v) for v in book.gap} <= {float}
+        assert book.classes.dtype == np.int64
+        assert book.n_messages == n_messages
         for got, want in ((book.counts, counts), (book.sizes, sizes),
                           (book.total_counts, total_counts),
                           (book.total_sizes, total_sizes)):
@@ -280,19 +294,14 @@ def test_interpreter_clocks_unchanged_from_the_text_format_build(
     for trace in (recorded, _through_schema_2(recorded, tmp_path)):
         assert _digest(replay(trace).clocks) == exact
         assert _digest(replay(trace, verify=True).clocks) == exact
-        identity = _replay_recorded(
-            trace, _build_network(trace, None, None, None, None),
-            exact=False, verify=False)
-        assert not identity.exact
-        slow = _replay_recorded(
-            trace, _build_network(trace, perm, None, None, None),
-            exact=False, verify=False)
-        assert _digest(slow.clocks) == permuted
-        fast = _replay_compiled(
-            trace, _build_network(trace, perm, None, None, None))
-        assert fast.clocks == slow.clocks
+        assert _digest(reference_replay(trace, exact=True)[0]) == exact
+        slow, _ = reference_replay(trace, binding=perm)
+        assert _digest(slow) == permuted
+        fast = replay(trace, binding=perm)
+        assert not fast.exact
+        assert fast.clocks == slow
         for c in CATEGORIES:
-            assert slow.total_sizes[c] is compile_trace(trace).total_sizes[c]
+            assert fast.total_sizes[c] is compile_trace(trace).total_sizes[c]
 
 
 def test_verify_audits_every_timed_event(fig5_trace):

@@ -14,14 +14,18 @@ def test_compile_trace_is_cached_and_tuple_compatible(fig5_trace):
     book = compile_trace(fig5_trace)
     assert isinstance(book, CompiledTrace)
     assert compile_trace(fig5_trace) is book        # cached on the trace
-    # Positional destructuring still works (NamedTuple); the recorded
-    # issue times ride in a column parallel to the op stream.
-    (prog, counts, sizes, total_counts, total_sizes, n_messages, max_seq, t,
-     op_bytes) = book
-    assert prog is book.prog
+    # Positional destructuring still works (NamedTuple): three list
+    # columns over the timed events, the class table, the books, and
+    # the recorded issue times in a float64 column parallel to the lists.
+    (rank, operand, gap, classes, n_get, counts, sizes, total_counts,
+     total_sizes, n_messages, t, op_bytes) = book
+    assert rank is book.rank and operand is book.operand
     assert n_messages == book.n_messages
     assert n_messages > 0
-    assert t.dtype == np.float64 and len(t) == len(prog)
+    assert t.dtype == np.float64
+    assert len(t) == len(rank) == len(operand) == len(gap)
+    assert classes.shape == (4, len(set(zip(*classes.tolist()))))
+    assert n_get == 0                               # fig5 has no one-sided op
 
 
 def test_nbytes_counts_numpy_tables_and_op_stream(fig5_trace):
@@ -32,8 +36,8 @@ def test_nbytes_counts_numpy_tables_and_op_stream(fig5_trace):
         for table in (book.counts, book.sizes, book.total_counts,
                       book.total_sizes)
         for mat in table.values())
-    assert nbytes > matrix_bytes + book.t.nbytes    # op stream counted too
-    assert nbytes > len(book.prog) * 32             # per-slot floor
+    assert nbytes > matrix_bytes + book.t.nbytes    # op columns counted too
+    assert nbytes > len(book.gap) * (3 * 8 + 24)    # three slots, a boxed gap
     # Every matrix really is a dense numpy buffer over the world.
     n = fig5_trace.world_size
     for mat in book.total_sizes.values():
@@ -61,16 +65,20 @@ def test_nbytes_scales_with_trace_size(fig5_trace):
 
 
 def _walked_nbytes(book) -> int:
-    """The walk over every record that ``nbytes()`` was (the oracle of
-    the arithmetic that replaced it)."""
-    total = int(book.t.nbytes)
+    """The ``sys.getsizeof`` walk over every slot (the oracle of the
+    arithmetic in ``nbytes()``): each element is a box of its own,
+    except the ints CPython keeps as singletons, which cost a book
+    nothing."""
+    total = int(book.t.nbytes) + int(book.classes.nbytes)
     for table in (book.counts, book.sizes,
                   book.total_counts, book.total_sizes):
         for mat in table.values():
             total += int(mat.nbytes)
-    total += sys.getsizeof(book.prog)
-    for rec in book.prog:
-        total += sys.getsizeof(rec) + 32 * (len(rec) - 1)
+    for column in (book.rank, book.operand, book.gap):
+        boxes = [v for v in column
+                 if not (isinstance(v, int) and -5 <= v <= 256)]
+        assert len({id(v) for v in boxes}) == len(boxes)
+        total += sys.getsizeof(column) + sum(map(sys.getsizeof, boxes))
     return total
 
 
@@ -88,4 +96,4 @@ def test_nbytes_arithmetic_equals_the_walk(source, fig5_trace, tmp_path):
     for form in (trace, ReplayTrace.load(path)):
         book = compile_trace(form)
         assert book.nbytes() == _walked_nbytes(book)
-        assert book.nbytes() > book.op_bytes >= sys.getsizeof(book.prog)
+        assert book.nbytes() > book.op_bytes >= 3 * sys.getsizeof(book.gap)

@@ -2,22 +2,29 @@
 and collective-algorithm substitution conservation.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.replay import autorecord
 from repro.replay.engine import (
     CATEGORIES,
     ReplayError,
-    _build_network,
-    _replay_compiled,
-    _replay_recorded,
+    compile_trace,
     replay,
     trace_byte_matrix,
 )
+from repro.replay.schema import ReplayTrace, params_from_json
+from repro.simmpi.topology import Topology
+from tests.replay.reference import reference_replay
+from tests.replay.test_columnar import (DATA, FIXTURES, _hand_built,
+                                        _one_sided_recording)
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden" / \
     "hotpath_golden.json"
@@ -71,22 +78,16 @@ class TestNonIdentityReplay:
         assert np.array_equal(moved.byte_matrix(), fig5_trace.byte_matrix())
 
     def test_fast_path_bitwise_equals_reference(self, fig5_trace):
-        """_replay_compiled inlines Network.transfer; any drift from the
-        straightforward interpreter is a bug, not a tolerance."""
+        """The replay loop prices messages by cost class; any drift
+        from the interpreter over the real Network.transfer is a bug,
+        not a tolerance."""
         rng = np.random.default_rng(5)
         for _ in range(3):
             perm = [int(p) for p in rng.permutation(fig5_trace.binding)]
-            slow = _replay_recorded(
-                fig5_trace, _build_network(fig5_trace, perm, None, None, None),
-                exact=False, verify=False)
-            fast = _replay_compiled(
-                fig5_trace, _build_network(fig5_trace, perm, None, None, None))
-            assert fast.clocks == slow.clocks
-            assert fast.n_messages == slow.n_messages
-            for c in CATEGORIES:
-                assert np.array_equal(fast.sizes[c], slow.sizes[c])
-                assert np.array_equal(fast.total_sizes[c],
-                                      slow.total_sizes[c])
+            clocks, n_messages = reference_replay(fig5_trace, binding=perm)
+            fast = replay(fig5_trace, binding=perm)
+            assert fast.clocks == clocks
+            assert fast.n_messages == n_messages
 
     def test_trace_byte_matrix_matches_event_sweep(self, fig5_trace):
         assert np.array_equal(trace_byte_matrix(fig5_trace),
@@ -99,6 +100,44 @@ class TestNonIdentityReplay:
         with pytest.raises(ReplayError):
             replay(fig5_trace, binding=list(reversed(fig5_trace.binding)),
                    verify=True)
+
+    def test_verify_under_substitution_rejected(self, fig5_trace):
+        """A substituted replay is rescheduled in derived order: there
+        is no recording to verify it against, and saying nothing would
+        read as "verified"."""
+        with pytest.raises(ReplayError, match="verify requires an exact"):
+            replay(fig5_trace, substitute={"reduce": "binomial"},
+                   verify=True)
+
+
+@pytest.fixture(scope="module")
+def fig5_fixture():
+    return ReplayTrace.load(str(DATA / "fig5.schema1.trace"))
+
+
+class TestBindingOutsideTheTopology:
+    """A PU the topology does not have is an error naming the rank —
+    not an IndexError mid-replay, and not (negative: python lists and
+    numpy tables wrap) a makespan."""
+
+    @pytest.mark.parametrize("pu", [-1, -30, 48, 10 ** 6])
+    def test_replay_names_the_rank_and_the_pu(self, fig5_fixture, pu):
+        assert Topology(fig5_fixture.topology).n_pus == 48
+        binding = list(fig5_fixture.binding)
+        binding[3] = pu
+        with pytest.raises(ReplayError,
+                           match=rf"rank 3 is bound to PU {pu}, outside"):
+            replay(fig5_fixture, binding=binding)
+        with pytest.raises(ReplayError, match="rank 3 is bound to PU"):
+            replay(fig5_fixture, binding=binding,
+                   substitute={"reduce": "binomial"})
+
+    def test_two_ranks_on_one_pu_stay_legal(self, fig5_fixture):
+        binding = list(fig5_fixture.binding)
+        binding[3] = binding[4]
+        res = replay(fig5_fixture, binding=binding)
+        assert res.clocks == reference_replay(fig5_fixture,
+                                              binding=binding)[0]
 
 
 class TestSubstitution:
@@ -169,3 +208,56 @@ def test_unsent_receive_raises(fig5_trace, tmp_path):
     trace.dump(path)
     with pytest.raises(ReplayError, match="unsent"):
         replay(ReplayTrace.load(path), binding=list(reversed(trace.binding)))
+
+
+# ---------------------------------------------------------------------------
+# the loop against the live arithmetic
+
+
+@pytest.fixture(scope="module")
+def sources(fig5_trace):
+    from tests.golden.hotpath_workloads import jittered_p2p
+
+    with autorecord.capture() as traces:
+        jittered_p2p()                              # jitter 0.15
+    out = {"fig5_shaped": fig5_trace,
+           "osc_and_overhead": _one_sided_recording(),   # puts, the charge
+           "jittered_p2p": traces[0],
+           "hand-built": _hand_built()}
+    for name in FIXTURES:                           # osc: jitter 0.1, P and G
+        out[name] = ReplayTrace.load(str(DATA / name))
+    return out
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replay_equals_the_reference_interpreter(sources, data):
+    """Whatever is changed about the network, the class-priced loop and
+    the interpreter stepping the real ``Network.transfer`` agree to the
+    last bit — exact mode included, when nothing is changed."""
+    trace = sources[data.draw(st.sampled_from(sorted(sources)), "source")]
+    knobs = {}
+    if data.draw(st.booleans(), "move"):
+        knobs["binding"] = data.draw(st.permutations(trace.binding), "binding")
+    if data.draw(st.booleans(), "re-parameterise"):
+        knobs["params"] = dataclasses.replace(
+            params_from_json(trace.params),
+            nic_serialize=data.draw(st.booleans(), "nic_serialize"),
+            mem_bandwidth=data.draw(st.sampled_from([None, 9e9]), "mem_bw"),
+            jitter=data.draw(st.sampled_from([0.0, 0.1]), "jitter"))
+    if data.draw(st.booleans(), "reseed"):
+        knobs["seed"] = data.draw(st.integers(0, 2 ** 31 - 1), "seed")
+    if data.draw(st.booleans(), "another machine"):
+        knobs["topology"] = Topology(
+            [("node", 3), ("core", max(trace.binding) // 3 + 1)])
+    res = replay(trace, **knobs)
+    clocks, n_messages = reference_replay(trace, exact=res.exact, **knobs)
+    assert res.exact or knobs
+    assert [c.hex() for c in res.clocks] == [c.hex() for c in clocks]
+    assert res.n_messages == n_messages
+    book = compile_trace(trace)
+    for got, want in ((res.counts, book.counts), (res.sizes, book.sizes),
+                      (res.total_counts, book.total_counts),
+                      (res.total_sizes, book.total_sizes)):
+        assert all(got[c] is want[c] for c in CATEGORIES)

@@ -111,6 +111,28 @@ class TestCli:
         assert main(["replay", recorded_cell, "--verify"]) == 0
         assert "exact" in capsys.readouterr().out
 
+    def test_verify_under_substitution_fails(self, recorded_cell, capsys):
+        """It used to print the verify line for a run that verified
+        nothing."""
+        assert main(["replay", recorded_cell, "--substitute",
+                     "reduce=binomial", "--verify"]) != 0
+        said = capsys.readouterr()
+        assert "verify requires an exact" in said.err
+        assert "verify" not in said.out
+
+    @pytest.mark.parametrize("flags", [
+        ["--swap-pus", "0", "-1"], ["--swap-pus", "0", "-30"],
+        ["--swap-pus", "0", "48"], ["--swap-pus", "0", "1000000"],
+        ["--binding=" + ",".join(["-1"] + [str(pu) for pu in range(1, 48)])],
+    ])
+    def test_pu_outside_the_topology_fails(self, recorded_cell, capsys,
+                                           flags):
+        assert main(["replay", recorded_cell, *flags]) != 0
+        said = capsys.readouterr()
+        assert "rank 0 is bound to PU" in said.err
+        assert "outside the topology's [0, 48)" in said.err
+        assert "makespan" not in said.out
+
     def test_replay_json_swap(self, recorded_cell, tmp_path):
         out = str(tmp_path / "replay.json")
         assert main(["replay", recorded_cell, "--swap-pus", "0", "24",

@@ -227,6 +227,42 @@ def test_lazy_routes_match_dense_everywhere(topo, data):
     assert net.route_classes == tuple(first_seen)
 
 
+@pytest.mark.parametrize("record_nic", [True, False])
+@pytest.mark.parametrize("strategy", ["rr", "packed", "random"])
+def test_vectorised_routes_equal_the_lazy_table(strategy, record_nic):
+    """``Network.routes`` — the replayer's one read per candidate — is
+    the per-pair record ``transfer`` unpacks, for every pair (minus the
+    hardware-counter flag, which only ``transfer`` consumes)."""
+    cluster = Cluster.plafrim(2, binding=strategy, seed=3)
+    n = cluster.n_ranks
+    net = Network(cluster.topology, cluster.binding, cluster.params,
+                  record_nic=record_nic)
+    src, dst = np.divmod(np.arange(n * n), n)
+    rows = list(zip(*(col.tolist() for col in net.routes(src, dst))))
+    for k, (alpha, bw, src_node, dst_node, nic_gate, mem_gate) in \
+            enumerate(rows):
+        assert (alpha, bw, src_node, dst_node, nic_gate, mem_gate) == \
+            net._pair_l[k][:4] + net._pair_l[k][5:]
+    assert {type(v) for row in rows for v in row} == {float, int, bool}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 2500), min_size=1, max_size=6),
+       st.sampled_from([0.0, 0.15]))
+def test_jitter_factors_are_the_scalar_stream(counts, sigma):
+    """Taking factors in bulk, in any mix of sizes and interleaved with
+    messages, hands out what one scalar draw per term would."""
+    cluster = Cluster.plafrim(2, binding="rr")
+    params = dataclasses.replace(cluster.params, jitter=sigma)
+    bulk = Network(cluster.topology, cluster.binding, params, seed=9)
+    scalar = Network(cluster.topology, cluster.binding, params, seed=9)
+    for count in counts:
+        assert bulk.jitter_factors(count) == \
+            [scalar._jit() for _ in range(count)]
+        assert bulk.transfer(0, 1, 4096, 0.0) == \
+            scalar.transfer(0, 1, 4096, 0.0)
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.sampled_from(["packed", "rr", "random"]), st.integers(0, 3))
 def test_cluster_and_network_construct_at_4096_ranks(strategy, seed):
