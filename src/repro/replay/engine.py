@@ -1,26 +1,38 @@
 """Replay a recorded event stream through the network cost model.
 
-Two scheduling regimes:
+One book, two schedulers.  A trace compiles once (:func:`_compile_trace`)
+into op columns, a table of *cost classes* — who to whom, how many
+bytes, monitored or not: a thousand for sixty thousand messages — and
+the placement-invariant byte matrices.  Each replay prices the classes
+under its placement in one vectorised pass (:func:`_cost_rows`, the
+terms of :meth:`Network.transfer` with the same float expressions) and
+draws jitter from the network's own stream; what differs is the order
+in which messages claim the shared state (jitter stream, NIC and
+memory-bandwidth windows):
 
-**Recorded order** (no collective substitution).  Events execute in
-the order the live engine's transfers claimed shared network state —
-the jitter stream, NIC serialization windows and memory-bandwidth
-windows are consumed in the identical sequence, so replaying the
-recorded configuration verbatim is *bit-exact*: per-pair byte matrices
-and every per-rank virtual clock match the live run to the last ulp.
-Under a different placement/topology/parameters the same global order
-is kept (it is a valid dependency order of the program) while issue
-times are re-derived from the recorded per-rank computation gaps —
-a deterministic, documented approximation: the live engine would claim
-resources in the new (clock, rank) order, replay claims them in the
-recorded order.
+**Recorded order** (:func:`_replay_in_order`; every replay without a
+substitution).  Events execute in the order the live engine's transfers
+claimed the network.  Replaying the recorded configuration verbatim is
+therefore *bit-exact*: per-pair byte matrices and every per-rank
+virtual clock match the live run to the last ulp (``verify`` audits
+it).  Under a different placement/topology/parameters the same global
+order is kept (it is a valid dependency order of the program) while
+issue times are re-derived from the recorded per-rank computation gaps
+— a deterministic, documented approximation: the live engine would
+claim resources in the new (clock, rank) order, replay claims them in
+the recorded order.  ``tests/replay/reference.py`` is the per-message
+interpreter it is pinned to.
 
-**Derived order** (collective substitution).  Substituted instances
-have no recorded order, so all events are rescheduled: each rank's
-stream is consumed in program order, receives unblock when their
-matching send has been injected, and among ready sends the earliest
-``(issue time, rank)`` goes first — the same tie-break the live
-scheduler uses.
+**Ready set** (:func:`_replay_ready`; substituted runs, which have no
+recorded order).  Each rank's events are consumed in program order,
+a receive completes once its message has been injected, and among the
+ranks parked on an injection the earliest ``(issue time, rank)`` goes
+next — the live scheduler's rule.  Exact about the *schedule* wherever
+no two ready injections tie in issue time: under the recorded binding
+it reproduces the recorded clocks bit for bit, and re-placed it equals
+a live re-run of the program on every rank for blocking collectives
+and point-to-point traffic (``tests/replay/live.py``; the known gaps
+are ROADMAP item 1b).
 
 Timing rules mirror the engine's hook sites one-to-one:
 
@@ -35,22 +47,13 @@ G       request flies ``tt + latency``; data returns target→origin;
         ``last[r] = max(tt, arrival) + recv_overhead``
 F       ``last[r] = tt`` (end-of-program compute tail)
 ======  ==============================================================
-
-``transfer`` is :meth:`Network.transfer`'s arithmetic in both regimes.
-Derived order calls it per message.  Recorded order does not: what a
-placement changes about a message depends only on its *cost class*
-(who to whom, how many bytes, monitored or not), a trace has a
-thousand of those for sixty thousand messages, so each replay prices
-the classes in one vectorised pass and one loop — exact, verified or
-re-placed — runs the max-plus recurrence over the compiled columns
-(:func:`_replay_in_order`; ``tests/replay/reference.py`` is the
-per-message interpreter it is pinned to).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -110,52 +113,8 @@ class ReplayResult:
         return out
 
 
-class _Books:
-    """Per-category (src, dst, nbytes) accumulators -> dense matrices."""
-
-    __slots__ = ("n", "mon", "tot")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.mon = {c: ([], [], []) for c in CATEGORIES}
-        self.tot = {c: ([], [], []) for c in CATEGORIES}
-
-    def book(self, cat: str, mcat: str, src: int, dst: int,
-             nbytes: int) -> None:
-        rows, cols, vals = self.tot[cat]
-        rows.append(src)
-        cols.append(dst)
-        vals.append(nbytes)
-        if mcat:
-            rows, cols, vals = self.mon[mcat]
-            rows.append(src)
-            cols.append(dst)
-            vals.append(nbytes)
-
-    def _dense(self, triples, weights: bool) -> Dict[str, np.ndarray]:
-        out = {}
-        for cat, (rows, cols, vals) in triples.items():
-            mat = np.zeros((self.n, self.n), dtype=np.uint64)
-            if rows:
-                w = (np.asarray(vals, dtype=np.uint64) if weights
-                     else np.uint64(1))
-                np.add.at(mat, (np.asarray(rows), np.asarray(cols)), w)
-            out[cat] = mat
-        return out
-
-    def result(self, clocks, n_messages, exact) -> ReplayResult:
-        return ReplayResult(
-            clocks=list(clocks),
-            counts=self._dense(self.mon, weights=False),
-            sizes=self._dense(self.mon, weights=True),
-            total_counts=self._dense(self.tot, weights=False),
-            total_sizes=self._dense(self.tot, weights=True),
-            n_messages=n_messages,
-            exact=exact,
-        )
-
-
-def _build_network(trace: ReplayTrace, binding, topology, params, seed):
+def _build_network(trace: ReplayTrace, binding, topology=None, params=None,
+                   seed=None):
     from repro.simmpi.network import Network
 
     topo = topology if topology is not None \
@@ -215,8 +174,9 @@ def replay(
 
     ``substitute`` maps collective op names to replacement algorithms,
     e.g. ``{"bcast": "chain"}`` — every recorded instance of the op is
-    re-decomposed with the replacement algorithm and the whole trace is
-    rescheduled in derived order.
+    re-decomposed with the replacement algorithm
+    (:func:`repro.replay.patterns.apply_substitution`) and the run that
+    makes is rescheduled by the ready-set kernel.
     """
     exact = not substitute and \
         _is_exact(trace, binding, topology, params, seed)
@@ -226,8 +186,7 @@ def replay(
     if substitute:
         from repro.replay.patterns import apply_substitution
 
-        return _replay_derived(trace, apply_substitution(trace, substitute),
-                               net)
+        return _replay_ready(apply_substitution(trace, substitute), net)
     return _replay_in_order(trace, net, exact, verify)
 
 
@@ -559,109 +518,124 @@ def _audit(trace: ReplayTrace, book: CompiledTrace,
 
 
 # ---------------------------------------------------------------------------
-# derived-order replay (collective substitution)
+# ready-set replay
 
 
-def _replay_derived(trace: ReplayTrace, per_rank: List[List[tuple]],
-                    net) -> ReplayResult:
+def _replay_ready(trace: ReplayTrace, net) -> ReplayResult:
+    """Reschedule ``trace`` the way the live engine would run it: each
+    rank's events in program order, a receive-wait completing once its
+    message has been injected, and of the ranks parked on an injection
+    the earliest ``(issue time, rank)`` claiming the network next.
+
+    The same book as :func:`_replay_in_order` and the same pricing — a
+    class row per message, the network's jitter stream in claim order —
+    under another scheduler: a cursor per rank over the compiled
+    columns, a heap of the parked injections, and one slot per message
+    ordinal for the receive waiting on it.  Needs no recorded global
+    order, so it also runs a substituted trace.
+    """
+    book = _compile_trace(trace)
     n = trace.world_size
+    rows = _cost_rows(book, net, trace.monitoring_overhead)
+    first_msg = -len(rows)
+    first_send = first_msg + book.n_get
+    nic_free = net._nic_free
+    mem_free = net._mem_free
+    o_send = net._o_send
+    o_recv = net.recv_overhead
+    jittered = net._sigma > 0.0
+    factors = net.jitter_factors(2 * book.n_messages) if jittered else []
+    draw = zip(factors[0::2], factors[1::2]).__next__
+
+    # Per-rank cursors: the columns in program order, cut by rank.  An
+    # injection also carries its own ordinal, the one receives name.
+    operand = np.asarray(book.operand, dtype=np.int64)
+    injects = (operand < 0) & (operand >= first_msg)
+    rank = np.asarray(book.rank, dtype=np.intp)
+    program = np.argsort(rank, kind="stable")
+    cut = np.searchsorted(rank[program], np.arange(n + 1)).tolist()
+    columns = [column[program].tolist() for column in (
+        operand, np.asarray(book.gap), np.cumsum(injects) - 1)]
+    cursors = [zip(*(column[a:b] for column in columns))
+               for a, b in zip(cut, cut[1:])]
+
     last = [0.0] * n
-    max_seq = max((ev[6] for q in per_rank for ev in q if ev[0] == "S"),
-                  default=0)
-    arrivals: List[Optional[float]] = [None] * (max_seq + 1)
-    books = _Books(n)
-    ovh = trace.monitoring_overhead
-    orecv = net.recv_overhead
-    alpha = net._alpha_l
-    nr = net._n_ranks
-    transfer = net.transfer
-    heads = [0] * n
-    remaining = sum(len(q) for q in per_rank)
-
-    while remaining:
-        progress = True
-        while progress:
-            progress = False
-            for r in range(n):
-                q = per_rank[r]
-                i = heads[r]
-                while i < len(q):
-                    ev = q[i]
-                    kind = ev[0]
-                    if kind == "B" or kind == "E":
-                        i += 1
-                        remaining -= 1
-                        progress = True
-                        continue
-                    if kind == "R":
-                        arr = arrivals[ev[2]]
-                        if arr is None:
-                            break
-                        last[r] = max(last[r] + ev[4], arr) + orecv
-                        i += 1
-                        remaining -= 1
-                        progress = True
-                        continue
-                    if kind == "F":
-                        last[r] = last[r] + ev[3]
-                        i += 1
-                        remaining -= 1
-                        progress = True
-                        continue
+    arrivals: List[Optional[float]] = [None] * (book.n_messages + 1)
+    waiting: List[Optional[tuple]] = [None] * (book.n_messages + 1)
+    parked: List[tuple] = []
+    runnable = list(range(n))
+    running = n
+    while True:
+        for r in runnable:
+            for x, g, ordinal in cursors[r]:
+                if x >= 0:  # receive-wait
+                    arr = arrivals[x]
+                    if arr is None:
+                        waiting[x] = (r, g)
+                        break
+                    tt = last[r] + g
+                    last[r] = (arr if arr > tt else tt) + o_recv
+                elif x >= first_msg:
+                    heappush(parked, (last[r] + g, r, x, ordinal))
                     break
-                heads[r] = i
-
-        # Among ranks parked on an injection (S/P/G), the earliest
-        # (issue time, rank) claims the network next — the live
-        # scheduler's tie-break.
-        best_r = -1
-        best_t = 0.0
-        for r in range(n):
-            q = per_rank[r]
-            if heads[r] < len(q):
-                ev = q[heads[r]]
-                if ev[0] in ("S", "P", "G"):
-                    t_issue = last[r] + ev[-1]
-                    if best_r < 0 or t_issue < best_t:
-                        best_r = r
-                        best_t = t_issue
-        if best_r < 0:
-            if remaining:
-                stuck = [(r, per_rank[r][heads[r]][0]) for r in range(n)
-                         if heads[r] < len(per_rank[r])]
-                raise ReplayError(
-                    f"replay deadlock: {remaining} events stuck, "
-                    f"blocked heads {stuck[:8]}")
+                else:  # final compute tail
+                    last[r] = last[r] + g
+            else:
+                running -= 1
+        if not parked:
             break
+        tt, r, x, ordinal = heappop(parked)
+        charge, lat, bwt, mem_t, src_node, dst_node, nic_gate, mem_gate = \
+            rows[x]
+        tt = tt + charge
+        start = (tt if x >= first_send else tt + lat) + o_send
+        if jittered:
+            j_lat, j_bw = draw()
+            lat = lat * j_lat
+            bwt = bwt * j_bw
+        if nic_gate:
+            f = nic_free[src_node]
+            if f > start:
+                start = f
+        if mem_gate:
+            f = mem_free[src_node]
+            if f > start:
+                start = f
+            f = mem_free[dst_node]
+            if f > start:
+                start = f
+            mem_free[src_node] = mem_free[dst_node] = start + mem_t
+        if nic_gate:
+            nic_free[src_node] = start + bwt
+        arr = arrivals[ordinal] = start + lat + bwt
+        if x >= first_send:  # send, put: injection is synchronous
+            last[r] = start + bwt
+        else:
+            last[r] = (arr if arr > tt else tt) + o_recv
+        runnable = [r]
+        if waiting[ordinal] is not None:
+            woken, g = waiting[ordinal]
+            tt = last[woken] + g
+            last[woken] = (arr if arr > tt else tt) + o_recv
+            runnable.append(woken)
 
-        r = best_r
-        ev = per_rank[r][heads[r]]
-        heads[r] += 1
-        remaining -= 1
-        kind = ev[0]
-        tt = best_t
-        if kind == "S":
-            _, _r, dst, nb, cat, mcat, seq, _t, _gap = ev
-            if mcat and ovh > 0.0:
-                tt = tt + ovh
-            done, arr = transfer(r, dst, nb, tt)
-            arrivals[seq] = arr
-            last[r] = done
-            books.book(cat, mcat, r, dst, nb)
-        elif kind == "P":
-            _, _r, dst, nb, mcat, _t, _gap = ev
-            if mcat and ovh > 0.0:
-                tt = tt + ovh
-            done, _arr = transfer(r, dst, nb, tt)
-            last[r] = done
-            books.book("osc", mcat, r, dst, nb)
-        else:  # "G"
-            _, _r, target, nb, mcat, _t, _gap = ev
-            if mcat and ovh > 0.0:
-                tt = tt + ovh
-            t_req = tt + alpha[r * nr + target]
-            _done, arr = transfer(target, r, nb, t_req)
-            last[r] = max(tt, arr) + orecv
-            books.book("osc", mcat, target, r, nb)
-
-    return books.result(last, net.n_messages, exact=False)
+    if running:
+        # Ranks still parked on a receive, and nothing left to inject.
+        if waiting[-1] is None:
+            stuck = sorted(w[0] for w in waiting if w is not None)
+            raise ReplayError(
+                f"replay deadlock: {running} ranks wait for messages sent "
+                f"only after their own receives complete, ranks {stuck[:8]}")
+        c = trace.columns()
+        seq = c.seq[c.kind < K_B][operand == book.n_messages]
+        raise ReplayError(
+            f"receive references unsent message #{seq[0]}")
+    return ReplayResult(
+        clocks=last,
+        counts=book.counts,
+        sizes=book.sizes,
+        total_counts=book.total_counts,
+        total_sizes=book.total_sizes,
+        n_messages=book.n_messages,
+        exact=False,
+    )

@@ -1,4 +1,5 @@
-"""Collective-algorithm substitution on recorded traces.
+"""Collective-algorithm substitution: a trace -> trace transform on
+the event columns (:func:`apply_substitution`).
 
 A recorded trace carries every collective *post-decomposition* (the
 paper's key property: the monitoring layer sees the point-to-point
@@ -30,14 +31,19 @@ edge); segment sizes follow ``split_buffer``'s abstract-buffer rule
 element boundaries instead, a difference of at most one element per
 segment).  Unrelated events recorded inside a region (that deferred
 point-to-point send from before the collective) are preserved in
-place.
+place; the generated rows go ahead of the region's E.  Python walks
+the B/E rows and the replacement decomposition; the rest is numpy over
+the columns in per-rank program order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
-from repro.replay.schema import ReplayTrace
+import numpy as np
+
+from repro.replay.schema import (CATS, COLUMN_LAYOUT, K_B, K_R, K_S,
+                                 ReplayTrace, TraceColumns)
 from repro.simmpi.errorsim import CommError
 
 __all__ = ["SUBSTITUTABLE", "apply_substitution", "parse_substitute"]
@@ -46,6 +52,12 @@ SUBSTITUTABLE = {
     "bcast": ("binomial", "flat", "chain"),
     "reduce": ("binomial", "binary", "flat"),
 }
+_COLL = CATS.index("coll")
+#: What :func:`_substitute_instance` says of each row it generates: the
+#: trace columns a generated row fills (``t`` and ``gap`` are zero) and
+#: ``before``, the row it goes ahead of.
+_GENERATED = ("kind", "rank", "peer", "nbytes", "seq", "cat", "mcat",
+              "before")
 
 
 def parse_substitute(pairs: Optional[List[str]]) -> Optional[Dict[str, str]]:
@@ -62,8 +74,12 @@ def parse_substitute(pairs: Optional[List[str]]) -> Optional[Dict[str, str]]:
 
 
 def apply_substitution(trace: ReplayTrace,
-                       substitute: Dict[str, str]) -> List[List[tuple]]:
-    """Return per-rank event streams with substituted collectives."""
+                       substitute: Dict[str, str]) -> ReplayTrace:
+    """The run ``trace`` would have recorded with every instance of the
+    ops in ``substitute`` decomposed by the named algorithm: a new
+    columns-only trace in per-rank program order (rank 0's events, then
+    rank 1's, ... — a substituted run has no recorded global order).
+    Its header, recorded clocks included, is ``trace``'s."""
     for op, alg in substitute.items():
         if op not in SUBSTITUTABLE:
             raise CommError(
@@ -74,77 +90,140 @@ def apply_substitution(trace: ReplayTrace,
                 f"unknown {op} algorithm {alg!r}; "
                 f"have {SUBSTITUTABLE[op]}")
 
+    c = trace.columns()
     n = trace.world_size
-    per_rank: List[List[tuple]] = [[] for _ in range(n)]
-    for ev in trace.events:
-        per_rank[ev[1]].append(ev)
+    program = np.argsort(c.rank, kind="stable")
+    kind, rank, peer, seq, nbytes, mcat = (
+        col[program] for col in (c.kind, c.rank, c.peer, c.seq, c.nbytes,
+                                 c.mcat))
+    instances = [inst for _, inst in sorted(
+        _find_instances(kind, rank, peer, c.colls).items())
+        if inst.op in substitute]
 
-    instances = _find_instances(per_rank)
-    seq_to_s = {ev[6]: ev for q in per_rank for ev in q if ev[0] == "S"}
-    seq_counter = [max(seq_to_s, default=-1) + 1]
+    # Which instance owns each row: the id (from 1) on a region's B and
+    # everything inside it, 0 on its E and outside.  Top-level regions
+    # are disjoint, so a running sum of +id / -id says it.
+    begins, ends, ids = np.array(
+        [(b, e, i) for i, inst in enumerate(instances, start=1)
+         for b, e in inst.regions.values()], dtype=np.int64).reshape(-1, 3).T
+    step = np.zeros(len(kind), dtype=np.int64)
+    step[begins] = ids
+    step[ends] = -ids
+    owner = np.cumsum(step)
+    # Their B rows name the new algorithm.
+    colls = list(c.colls)
+    renamed = np.arange(len(colls))
+    for i, sig in enumerate(c.colls):
+        if sig[1] in substitute:
+            sig = sig[:2] + (substitute[sig[1]],) + sig[3:]
+            if sig not in colls:
+                colls.append(sig)
+            renamed[i] = colls.index(sig)
+    peer[begins] = renamed[peer[begins]]
 
-    # (rank -> list of (i_begin, i_end, replacement_events)), spliced
-    # back-to-front so indices stay valid; dropped_seqs gathers every
-    # replaced message so its send can be erased wherever it
-    # materialized.
-    splices: Dict[int, List[Tuple[int, int, List[tuple]]]] = {}
-    dropped_seqs: set = set()
-    for key in sorted(instances):
-        inst = instances[key]
-        new_alg = substitute.get(inst["op"])
-        if new_alg is None:
-            continue
-        members = trace.comms.get(key[0])
+    # Every receive-wait inside a region was issued by that collective
+    # call; its sequence number names one of the instance's messages,
+    # whose send goes wherever it materialised.  Fresh numbers start
+    # past every one the trace mentions, sent or only waited for.
+    is_send = kind == K_S
+    waited = np.flatnonzero((kind == K_R) & (owner > 0))
+    fresh = int(seq.max(initial=-1)) + 1
+    owner_of_seq = np.zeros(fresh, dtype=np.int64)
+    owner_of_seq[seq[waited]] = owner[waited]
+    sent = np.zeros(fresh, dtype=bool)
+    sent[seq[is_send]] = True
+    unsent = waited[~sent[seq[waited]]]
+    if len(unsent):
+        first = unsent[np.argmin(seq[unsent])]
+        raise CommError(
+            f"trace references unsent message #{seq[first]} inside a "
+            f"{instances[owner[first] - 1].op} region")
+    replaced = np.flatnonzero(is_send & (owner_of_seq[seq] > 0))
+    replaced = replaced[np.lexsort((seq[replaced],
+                                    owner_of_seq[seq[replaced]]))]
+    upto = np.searchsorted(owner_of_seq[seq[replaced]],
+                           np.arange(len(instances) + 2))
+
+    generated = []
+    for i, inst in enumerate(instances, start=1):
+        members = trace.comms.get(inst.comm_id)
         if members is None:
             raise CommError(
-                f"trace lacks membership for communicator {key[0]}")
-        _substitute_instance(per_rank, inst, members, new_alg, seq_to_s,
-                             seq_counter, splices, dropped_seqs)
+                f"trace lacks membership for communicator {inst.comm_id}")
+        for member in members:
+            if member not in inst.regions:
+                raise CommError(
+                    f"rank {member} has no recorded region for "
+                    f"{inst.op} instance on communicator; trace truncated?")
+        was = replaced[upto[i]:upto[i + 1]]        # its sends, by seq
+        rows = _substitute_instance(
+            inst, substitute[inst.op], np.asarray(members),
+            rank[was].astype(np.int64) * n + peer[was], nbytes[was],
+            mcat[was], n)
+        rows["seq"] += fresh
+        fresh = int(rows["seq"].max(initial=fresh - 1)) + 1
+        generated.append(rows)
 
-    for r, repl in splices.items():
-        q = per_rank[r]
-        for i_b, i_e, events in sorted(repl, reverse=True):
-            q[i_b:i_e + 1] = events
-    if dropped_seqs:
-        # Erase replaced sends that materialized outside the replaced
-        # regions (generated sends use fresh sequence numbers, so only
-        # recorded events can match).
-        for r in range(n):
-            per_rank[r] = [ev for ev in per_rank[r]
-                           if not (ev[0] == "S" and ev[6] in dropped_seqs)]
-    return per_rank
+    # Splice: what is kept stays in program order, an instance's new
+    # rows go ahead of the E of the region of the rank that issues them.
+    gone = np.zeros(len(kind), dtype=bool)
+    gone[waited] = gone[replaced] = True
+    kept = np.flatnonzero(~gone)
+    none = np.zeros(0, dtype=np.int64)
+    new = {name: np.concatenate([none] + [rows[name] for rows in generated])
+           for name in _GENERATED}
+    into = np.argsort(np.concatenate([2 * kept + 1, 2 * new["before"]]),
+                      kind="stable")
+    columns, recorded = {}, program[kept]
+    for name, dtype in COLUMN_LAYOUT:
+        old = peer[kept] if name == "peer" else getattr(c, name)[recorded]
+        columns[name] = np.concatenate(
+            [old, new.get(name, np.zeros(len(new["before"])))]
+        ).astype(dtype)[into]
+    return trace._with_columns(TraceColumns(colls=colls, **columns))
 
 
 # ---------------------------------------------------------------------------
 # instance discovery
 
 
-def _find_instances(per_rank) -> Dict[tuple, dict]:
-    """Map (comm_id, occurrence) -> instance info with per-rank regions."""
-    instances: Dict[tuple, dict] = {}
-    for r, q in enumerate(per_rank):
-        occ: Dict[int, int] = {}
-        stack: List[Optional[tuple]] = []
-        for i, ev in enumerate(q):
-            kind = ev[0]
-            if kind == "B":
-                if not stack:
-                    cid = ev[2]
-                    k = (cid, occ.get(cid, 0))
-                    occ[cid] = k[1] + 1
-                    stack.append((k, i, ev))
-                else:  # nested collective: owned by the outer region
-                    stack.append(None)
-            elif kind == "E" and stack:
-                top = stack.pop()
-                if top is None:
-                    continue
-                k, i_b, bev = top
-                inst = instances.setdefault(
-                    k, {"op": bev[3], "alg": bev[4], "root": bev[5],
-                        "nbytes": bev[6], "segments": bev[7],
-                        "regions": {}})
-                inst["regions"][r] = (i_b, i)
+class _Instance(NamedTuple):
+    """One collective call: the signature its first rank recorded and
+    every rank's region, as (row of B, row of E) in program order."""
+
+    comm_id: int
+    op: str
+    alg: str
+    root: int
+    nbytes: int
+    segments: int
+    regions: Dict[int, tuple]
+
+
+def _find_instances(kind, rank, coll, colls) -> Dict[tuple, _Instance]:
+    """Map (comm_id, occurrence) -> instance, from the B/E rows of a
+    stream in per-rank program order."""
+    instances: Dict[tuple, _Instance] = {}
+    marks = np.flatnonzero(kind >= K_B)
+    here, occ, depth, top = -1, {}, 0, None
+    for i, begins, r, sig in zip(marks.tolist(),
+                                 (kind[marks] == K_B).tolist(),
+                                 rank[marks].tolist(), coll[marks].tolist()):
+        if r != here:
+            here, occ, depth, top = r, {}, 0, None
+        if begins:
+            if depth == 0:
+                cid = colls[sig][0]
+                top = (cid, occ.get(cid, 0)), i, sig
+                occ[cid] = top[0][1] + 1
+            depth += 1      # nested collective: owned by the outer region
+        elif depth:
+            depth -= 1
+            if depth == 0:
+                key, i_b, sig = top
+                if key not in instances:
+                    instances[key] = _Instance(*colls[sig], {})
+                instances[key].regions[r] = (i_b, i)
     return instances
 
 
@@ -152,130 +231,82 @@ def _find_instances(per_rank) -> Dict[tuple, dict]:
 # one instance
 
 
-def _substitute_instance(per_rank, inst, members, new_alg, seq_to_s,
-                         seq_counter, splices, dropped_seqs) -> None:
-    size = len(members)
-    root = max(0, inst["root"])
+def _nth_of_its_key(keys: np.ndarray) -> np.ndarray:
+    """For each element, how many equal ones come before it."""
+    by_key = np.argsort(keys, kind="stable")
+    ordered = keys[by_key]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    nth = np.empty(len(keys), dtype=np.int64)
+    nth[by_key] = np.arange(len(keys)) - np.repeat(
+        first, np.diff(np.r_[first, len(keys)]))
+    return nth
 
-    # Pass 1: every receive-wait inside a member region belongs to this
-    # instance; their sequence numbers name the instance's messages.
-    inst_seqs = set()
-    for rank, (i_b, i_e) in inst["regions"].items():
-        q = per_rank[rank]
-        for ev in q[i_b + 1:i_e]:
-            if ev[0] == "R":
-                inst_seqs.add(ev[2])
 
+def _substitute_instance(inst: _Instance, new_alg: str, members, was_pair,
+                         was_nbytes, was_mcat, n: int) -> Dict[str, np.ndarray]:
+    """Columns of the rows ``new_alg`` generates for one instance whose
+    recorded sends were ``was_*`` (in sequence order; a pair is
+    ``src * n + dst``), plus ``before``: the row each goes ahead of.
+    ``seq`` counts the instance's messages from 0."""
     # Monitoring category is a per-*message* property, not per-instance:
     # monitoring can flip mid-run, and a deferred send posted before the
     # flip materializes (and is categorized) after it.  Replaying the
     # matched sends' categories per pair in sequence order keeps the
     # monitored matrices exact under identity substitution; edges a new
-    # algorithm introduces fall back to the instance's dominant category.
-    pair_bytes: Dict[Tuple[int, int], int] = {}
-    pair_mcats: Dict[Tuple[int, int], List[str]] = {}
-    mcat_votes: Dict[str, int] = {}
-    for seq in sorted(inst_seqs):
-        sev = seq_to_s.get(seq)
-        if sev is None:
-            raise CommError(
-                f"trace references unsent message #{seq} inside a "
-                f"{inst['op']} region")
-        pair = (sev[1], sev[2])
-        pair_bytes[pair] = pair_bytes.get(pair, 0) + sev[3]
-        pair_mcats.setdefault(pair, []).append(sev[5])
-        mcat_votes[sev[5]] = mcat_votes.get(sev[5], 0) + 1
-    dropped_seqs.update(inst_seqs)
+    # algorithm introduces fall back to the instance's dominant category
+    # (of two as frequent, the one seen first).
+    by_pair = np.argsort(was_pair, kind="stable")
+    pairs = was_pair[by_pair]
+    payload, fallback = max(0, inst.nbytes), 0
+    if len(pairs):
+        first = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]])
+        payload = int(np.add.reduceat(was_nbytes[by_pair], first).max())
+        codes, seen, votes = np.unique(was_mcat, return_index=True,
+                                       return_counts=True)
+        fallback = codes[np.lexsort((seen, -votes))[0]]
+    mcats = np.append(was_mcat[by_pair], fallback)
 
-    fallback = max(mcat_votes, key=mcat_votes.get) if mcat_votes else ""
-    payload = max(pair_bytes.values(), default=max(0, inst["nbytes"]))
-    seg_sizes = _segment_sizes(inst, new_alg, payload)
-    generated = _generate(inst["op"], new_alg, members, root, seg_sizes,
-                          _mcat_lookup(pair_mcats, fallback), seq_counter)
-
-    for lr in range(size):
-        rank = members[lr]
-        region = inst["regions"].get(rank)
-        if region is None:
-            raise CommError(
-                f"rank {rank} has no recorded region for "
-                f"{inst['op']} instance on communicator; trace truncated?")
-        i_b, i_e = region
-        q = per_rank[rank]
-        bev = q[i_b]
-        new_b = bev[:4] + (new_alg,) + bev[5:]
-        carried = [ev for ev in q[i_b + 1:i_e]
-                   if not (ev[0] == "S" and ev[6] in inst_seqs)
-                   and not ev[0] == "R"]
-        events = [new_b] + carried + generated[lr] + [("E", rank)]
-        splices.setdefault(rank, []).append((i_b, i_e, events))
+    calls: List[tuple] = []      # (is send, local rank, local peer, nbytes, s)
+    if len(members) > 1:
+        generate = _gen_bcast if inst.op == "bcast" else _gen_reduce
+        generate(new_alg, len(members), max(0, inst.root),
+                 _segment_sizes(inst, new_alg, payload),
+                 lambda lr, dst, nb, s: calls.append((1, lr, dst, nb, s)),
+                 lambda lr, src, s: calls.append((0, lr, src, 0, s)))
+    sends, local, local_peer, nb, segment = \
+        np.array(calls, dtype=np.int64).reshape(-1, 5).T
+    sends = sends.astype(bool)
+    me, other = members[local], members[local_peer]
+    pair = np.where(sends, me * n + other, other * n + me)
+    # A message is its (pair, segment); its send and its receive-wait
+    # carry the same number.
+    seq = np.unique(pair * (len(calls) + 1) + segment, return_inverse=True)[1]
+    # The k-th send over a pair is categorised like the k-th recorded.
+    at = np.searchsorted(pairs, pair[sends]) + _nth_of_its_key(pair[sends])
+    known = at < np.searchsorted(pairs, pair[sends], side="right")
+    mcat = np.zeros(len(calls), dtype=np.int64)
+    mcat[sends] = mcats[np.where(known, at, len(pairs))]
+    ends = np.array([inst.regions[m][1] for m in members.tolist()])
+    return {"kind": np.where(sends, K_S, K_R), "rank": me,
+            "peer": np.where(sends, other, 0), "nbytes": nb, "seq": seq,
+            "cat": np.where(sends, _COLL, 0), "mcat": mcat,
+            "before": ends[local]}
 
 
 def _segment_sizes(inst, new_alg, payload: int) -> List[int]:
     from repro.simmpi.collectives.segment import n_segments
 
-    pipelined = (inst["op"], new_alg) not in (
+    pipelined = (inst.op, new_alg) not in (
         ("bcast", "flat"), ("bcast", "chain"), ("reduce", "flat"))
     if not pipelined:
         return [payload]
-    nseg = inst["segments"] if inst["segments"] > 0 else n_segments(payload)
+    nseg = inst.segments if inst.segments > 0 else n_segments(payload)
     base, extra = divmod(payload, nseg)
     return [base + 1] * extra + [base] * (nseg - extra)
 
 
 # ---------------------------------------------------------------------------
 # algorithm event generators (loop orders mirror the live code)
-
-
-def _mcat_lookup(pair_mcats, fallback):
-    """Per-pair monitoring categories, consumed in segment order."""
-    cursor: Dict[Tuple[int, int], int] = {}
-
-    def mcat_of(src_w: int, dst_w: int) -> str:
-        lst = pair_mcats.get((src_w, dst_w))
-        if lst is None:
-            return fallback
-        i = cursor.get((src_w, dst_w), 0)
-        if i >= len(lst):
-            return fallback
-        cursor[(src_w, dst_w)] = i + 1
-        return lst[i]
-
-    return mcat_of
-
-
-def _generate(op, alg, members, root, seg_sizes, mcat_of,
-              seq_counter) -> List[List[tuple]]:
-    seqs: Dict[Tuple[int, int, int], int] = {}
-
-    def seq_of(src_w: int, dst_w: int, s: int) -> int:
-        key = (src_w, dst_w, s)
-        got = seqs.get(key)
-        if got is None:
-            got = seq_counter[0]
-            seq_counter[0] += 1
-            seqs[key] = got
-        return got
-
-    size = len(members)
-    out: List[List[tuple]] = [[] for _ in range(size)]
-
-    def send(lr: int, dst_l: int, nb: int, s: int) -> None:
-        me_w, dst_w = members[lr], members[dst_l]
-        out[lr].append(("S", me_w, dst_w, nb, "coll", mcat_of(me_w, dst_w),
-                        seq_of(me_w, dst_w, s), 0.0, 0.0))
-
-    def recv(lr: int, src_l: int, s: int) -> None:
-        me_w, src_w = members[lr], members[src_l]
-        out[lr].append(("R", me_w, seq_of(src_w, me_w, s), 0.0, 0.0))
-
-    if size == 1:
-        return out
-    if op == "bcast":
-        _gen_bcast(alg, size, root, seg_sizes, send, recv)
-    else:
-        _gen_reduce(alg, size, root, seg_sizes, send, recv)
-    return out
 
 
 def _gen_bcast(alg, size, root, seg_sizes, send, recv) -> None:

@@ -11,7 +11,8 @@ per-rank finish times — plus everything needed to rebuild the network
 cost model exactly: topology, binding, link parameters, jitter seed,
 monitoring overhead.
 
-Event tuples (``trace.events``, the form the recorder produces)::
+Event tuples (the form the recorder produces and schema-1 files
+spell; everything downstream reads the columns)::
 
     ("S", rank, dst, nbytes, cat, mcat, seq, t, gap)   point-to-point send
     ("R", rank, seq, t, gap)                           matching receive-wait
@@ -63,8 +64,8 @@ file size is fully determined by the header: anything else — a
 truncated or overlong file, an unknown kind/category code, an index
 out of range — raises :class:`TraceSchemaError`.
 
-To read a file by hand: ``ReplayTrace.load(path).events`` gives the
-tuples above; ``ReplayTrace.load(path).columns()`` the numpy columns.
+To look inside a file: ``ReplayTrace.load(path).columns()`` — the
+numpy columns above, one row per event.
 
 Schema 1 (one text line per event, times as ``float.hex``) is still
 *read*; nothing writes it any more.
@@ -72,8 +73,8 @@ Schema 1 (one text line per event, times as ``float.hex``) is still
 
 from __future__ import annotations
 
+import copy
 import json
-from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -239,50 +240,6 @@ def _columns_from_events(events: List[tuple]) -> TraceColumns:
     return TraceColumns(colls=list(table), **col)
 
 
-def kind_rows(kind: np.ndarray, code: int, tag, *fields):
-    """Iterator of ``(tag, *fields)`` over the events of one kind, in
-    recorded order, as python scalars (``.tolist()`` columns)."""
-    pos = np.flatnonzero(kind == code)
-    return zip(repeat(tag), *(f[pos].tolist() for f in fields))
-
-
-def merge_by_kind(kind: np.ndarray, iters) -> List[tuple]:
-    """Interleave per-kind row iterators (``iters`` yields them in kind
-    code order, and may make them on demand) back into the order of the
-    ``kind`` column: each kind's rows are drained by ``np.fromiter`` and
-    scattered into place as one object array, so no python-level call
-    is made per record.
-    """
-    out = np.empty(len(kind), dtype=object)
-    for code, rows in enumerate(iters):
-        sel = kind == code
-        out[sel] = np.fromiter(rows, dtype=object,
-                               count=int(np.count_nonzero(sel)))
-    return out.tolist()
-
-
-def _events_from_columns(c: TraceColumns) -> List[tuple]:
-    """Columns -> the tuples the recorder produced (python ``int`` /
-    ``float`` / ``str`` throughout)."""
-    kind = c.kind
-    names = np.array(CATS, dtype=object)
-    cat, mcat = names[c.cat], names[c.mcat]
-    colls = c.colls
-    iters = [None] * len(KINDS)
-    iters[K_S] = kind_rows(kind, K_S, "S", c.rank, c.peer, c.nbytes, cat,
-                           mcat, c.seq, c.t, c.gap)
-    iters[K_R] = kind_rows(kind, K_R, "R", c.rank, c.seq, c.t, c.gap)
-    iters[K_F] = kind_rows(kind, K_F, "F", c.rank, c.t, c.gap)
-    iters[K_P] = kind_rows(kind, K_P, "P", c.rank, c.peer, c.nbytes, mcat,
-                           c.t, c.gap)
-    iters[K_G] = kind_rows(kind, K_G, "G", c.rank, c.peer, c.nbytes, mcat,
-                           c.t, c.gap)
-    iters[K_B] = (("B", r) + colls[i]
-                  for _, r, i in kind_rows(kind, K_B, "B", c.rank, c.peer))
-    iters[K_E] = kind_rows(kind, K_E, "E", c.rank)
-    return merge_by_kind(kind, iters)
-
-
 def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
     """Reject column values no recorder writes — a replay would turn
     them into wrong answers (numpy wraps negative indices silently)."""
@@ -323,11 +280,13 @@ def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
 class ReplayTrace:
     """Header + event stream of one recorded run.
 
-    The event stream has two interchangeable forms: the recorder's
-    tuple list (``events``) and numpy columns (:meth:`columns`, the
-    stored form).  A trace is constructed with one of them and derives
-    the other lazily, once; both are read-only afterwards (the compile
-    cache and the derived form would not see a mutation).
+    The event stream is numpy columns (:meth:`columns`): the stored
+    form and the one every consumer reads.  A trace built from tuples —
+    by the recorder, or from a schema-1 file — derives its columns
+    once and keeps the list it was handed as ``events``; a trace built
+    from columns (a schema-2 file, a substituted run) has nothing else.
+    Both are read-only afterwards (the compile cache would not see a
+    mutation).
     """
 
     def __init__(
@@ -356,15 +315,22 @@ class ReplayTrace:
         self._columns: Optional[TraceColumns] = None
         self._compiled = None          # replay.engine's compile cache
 
-    # -- the two forms of the event stream -------------------------------
+    # -- the event stream ------------------------------------------------
 
     @property
     def events(self) -> List[tuple]:
-        """The event tuples; materialised on first use for a loaded
-        trace.  Consumers that only need a count use :attr:`n_events`."""
+        """The tuple list this trace was built from, if it was."""
         if self._events is None:
-            self._events = _events_from_columns(self._columns)
+            raise AttributeError(
+                "this trace holds columns only (a schema-2 file or a "
+                "substituted run); read trace.columns()")
         return self._events
+
+    def _with_columns(self, columns: TraceColumns) -> "ReplayTrace":
+        """This trace's header over another event stream."""
+        other = copy.copy(self)
+        other._events, other._columns, other._compiled = None, columns, None
+        return other
 
     @property
     def n_events(self) -> int:

@@ -36,7 +36,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import obs as _obs
-from repro.replay.engine import ReplayResult, replay, trace_byte_matrix
+from repro.replay.engine import (ReplayResult, _build_network, _replay_ready,
+                                 replay, trace_byte_matrix)
 from repro.replay.schema import ReplayTrace, params_from_json, topology_from_json
 
 __all__ = ["STRATEGIES", "Candidate", "SearchResult", "score_candidate",
@@ -118,9 +119,20 @@ def _generator_matrix(matrix, topology, recorded, focus):
     return weighted_matrix(matrix, topology, recorded, focus)
 
 
+def _substituted(trace: ReplayTrace,
+                 substitute: Optional[Dict[str, str]]) -> Optional[ReplayTrace]:
+    """The run every candidate of a substituted search is scored on
+    (None: the recording itself).  It does not depend on the placement,
+    so a search builds it — and, on its first replay, its book — once."""
+    if not substitute:
+        return None
+    from repro.replay.patterns import apply_substitution
+
+    return apply_substitution(trace, substitute)
+
+
 def _score(trace: ReplayTrace, strategy: str, matrix, gen_matrix, topology,
-           params, recorded, seed: int,
-           substitute: Optional[Dict[str, str]],
+           params, recorded, seed: int, substituted: Optional[ReplayTrace],
            replays: Dict[tuple, ReplayResult]) -> Candidate:
     """``replays`` memoises the replay per distinct placement: every
     replay rebuilds the network from the trace header with the recorded
@@ -134,9 +146,11 @@ def _score(trace: ReplayTrace, strategy: str, matrix, gen_matrix, topology,
                                      recorded, seed)
     key = tuple(placement)
     res = replays.get(key)
-    if res is None:
-        res = replays[key] = replay(trace, binding=placement,
-                                    substitute=substitute)
+    if res is None and substituted is None:
+        res = replays[key] = replay(trace, binding=placement)
+    elif res is None:
+        res = replays[key] = _replay_ready(
+            substituted, _build_network(substituted, placement))
     wall = time.perf_counter() - t0
     return Candidate(
         strategy=strategy,
@@ -175,7 +189,7 @@ def score_candidate(
     matrix = trace_byte_matrix(trace)
     gen_matrix = _generator_matrix(matrix, topology, recorded, focus)
     return _score(trace, strategy, matrix, gen_matrix, topology, params,
-                  recorded, seed, substitute, {})
+                  recorded, seed, _substituted(trace, substitute), {})
 
 
 def what_if_search(
@@ -190,9 +204,9 @@ def what_if_search(
     Returns a :class:`SearchResult` whose candidates are sorted by
     replayed makespan (ties broken by strategy-list order, so the
     cheaper-to-apply strategy wins an exact tie).  ``substitute``
-    forwards a collective-algorithm substitution to every replay, so
-    "what if we *also* switched the bcast to chain" composes with the
-    placement axis.  ``focus`` (a :class:`repro.placement.focus.Focus`
+    scores every placement on the run with those collectives
+    re-decomposed, so "what if we *also* switched the bcast to chain"
+    composes with the placement axis.  ``focus`` (a :class:`repro.placement.focus.Focus`
     from a diagnosis report) re-weights the matrix the candidate
     generators optimize; see :func:`_generator_matrix`.
     """
@@ -215,13 +229,14 @@ def what_if_search(
     rec = _obs.spans()
 
     candidates: List[Candidate] = []
+    substituted = _substituted(trace, substitute)
     replays: Dict[tuple, ReplayResult] = {}
     for strategy in names:
         if rec is not None:
             rec.wall_begin(f"replay.search[{strategy}]")
         try:
             cand = _score(trace, strategy, matrix, gen_matrix, topology,
-                          params, recorded, seed, substitute, replays)
+                          params, recorded, seed, substituted, replays)
         finally:
             if rec is not None:
                 rec.wall_end()

@@ -21,6 +21,7 @@ from repro.replay.engine import (
     trace_byte_matrix,
 )
 from repro.replay.schema import ReplayTrace, params_from_json
+from repro.simmpi.errorsim import CommError
 from repro.simmpi.topology import Topology
 from tests.replay.reference import reference_replay
 from tests.replay.test_columnar import (DATA, FIXTURES, _hand_built,
@@ -176,22 +177,32 @@ class TestSubstitution:
                                   base.total_sizes["coll"])
 
     def test_unknown_algorithm_rejected(self, fig5_trace):
-        with pytest.raises(Exception):
+        with pytest.raises(CommError,
+                           match="unknown bcast algorithm 'no-such-alg'"):
             replay(fig5_trace, substitute={"bcast": "no-such-alg"})
+        with pytest.raises(CommError, match="cannot substitute 'gather'"):
+            replay(fig5_trace, substitute={"gather": "flat"})
 
 
-def _without_first_send(trace):
-    """A copy of ``trace`` whose first send is gone (a trace's events
-    are read-only once built, so corruption means a new trace)."""
+def _without_send(trace, seq):
+    """A copy of ``trace`` whose send of message ``seq`` is gone (a
+    trace's events are read-only once built, so corruption means a new
+    trace)."""
     from repro.replay.schema import ReplayTrace
 
-    events = list(trace.events)
-    del events[next(i for i, ev in enumerate(events) if ev[0] == "S")]
+    events = [ev for ev in trace.events
+              if not (ev[0] == "S" and ev[6] == seq)]
+    assert len(events) == len(trace.events) - 1
     return ReplayTrace(
         world_size=trace.world_size, topology=trace.topology,
         binding=trace.binding, params=trace.params, seed=trace.seed,
         monitoring_overhead=trace.monitoring_overhead, comms=trace.comms,
         clocks=trace.clocks, events=events, meta=trace.meta)
+
+
+def _without_first_send(trace):
+    return _without_send(
+        trace, next(ev[6] for ev in trace.events if ev[0] == "S"))
 
 
 def test_unsent_receive_raises(fig5_trace, tmp_path):
@@ -204,6 +215,10 @@ def test_unsent_receive_raises(fig5_trace, tmp_path):
         replay(trace, binding=list(reversed(trace.binding)))
     with pytest.raises(ReplayError, match="unsent"):
         replay(trace)
+    # ... and by the ready-set scheduler, which used to call it a
+    # deadlock of 12 944 events (the send is a barrier's: not replaced).
+    with pytest.raises(ReplayError, match="unsent message #0$"):
+        replay(trace, substitute={"reduce": "binomial"})
     path = str(tmp_path / "t.trace")
     trace.dump(path)
     with pytest.raises(ReplayError, match="unsent"):

@@ -9,6 +9,7 @@ import pytest
 from repro.core.errors import TraceSchemaError
 from repro.replay.schema import (COLUMN_LAYOUT, KINDS, SCHEMA_VERSION,
                                  ReplayTrace)
+from tests.replay.test_columnar import assert_same_columns
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -24,7 +25,7 @@ def test_dump_load_roundtrip_is_exact(fig5_trace, tmp_path):
     assert back.params == fig5_trace.params
     assert back.monitoring_overhead == fig5_trace.monitoring_overhead
     assert back.clocks == fig5_trace.clocks  # floats, bit-for-bit
-    assert back.events == fig5_trace.events
+    assert_same_columns(back, fig5_trace)
     assert back.meta == fig5_trace.meta
 
 

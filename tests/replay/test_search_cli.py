@@ -44,7 +44,6 @@ class TestWhatIfSearch:
         assert len(res.candidates) == 2
         assert res.meta["substitute"] == {"bcast": "chain"}
 
-
     def test_one_replay_per_distinct_placement(self, fig5_trace,
                                                monkeypatch):
         """The paper's baseline binding is round-robin, so on an
@@ -83,6 +82,43 @@ class TestWhatIfSearch:
         before = len(replayed)
         what_if_search(fig5_trace, strategies=["identity", "round_robin"])
         assert len(replayed) == before + 1
+
+
+    def test_a_search_substitutes_once(self, fig5_trace, monkeypatch):
+        """The substituted run does not depend on the placement: one
+        transform (and one compile of it) serves all six strategies —
+        it used to be redone per distinct placement, five times here —
+        and each candidate still equals ``score_candidate`` run alone."""
+        import dataclasses
+
+        from repro.replay import engine, patterns, search
+
+        built = []
+
+        def counting(trace, substitute):
+            built.append(real(trace, substitute))
+            return built[-1]
+
+        real = patterns.apply_substitution
+        monkeypatch.setattr(patterns, "apply_substitution", counting)
+        res = what_if_search(fig5_trace, seed=3,
+                             substitute={"reduce": "binomial"})
+        assert len(res.candidates) == 6 and len(built) == 1
+        assert built[0]._compiled is engine.compile_trace(built[0])
+
+        def fields(cand):
+            doc = dataclasses.asdict(cand)
+            del doc["wall_seconds"]
+            return doc
+
+        for cand in res.candidates:
+            alone = search.score_candidate(
+                fig5_trace, cand.strategy, seed=3,
+                substitute={"reduce": "binomial"})
+            assert fields(alone) == fields(cand)
+            assert cand.makespan == engine.replay(
+                fig5_trace, binding=cand.placement,
+                substitute={"reduce": "binomial"}).max_clock
 
 
 @pytest.fixture(scope="module")

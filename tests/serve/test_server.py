@@ -91,24 +91,31 @@ def test_served_results_bit_identical_to_direct_search(
     from repro.replay.search import what_if_search
 
     strategies = ["identity", "treematch", "greedy", "random"]
+    substitutions = [None, {"reduce": "binomial"}]
     with serve_daemon(jobs=2) as (sock, _proc):
         with ServeClient(path=sock) as client:
             fp = client.ingest(serve_traces[0])["fingerprint"]
-            served = client.query(fp, strategies=strategies, seed=3)
+            answers = [client.query(fp, strategies=strategies, seed=3,
+                                    substitute=substitute)
+                       for substitute in substitutions]
 
     trace = ReplayTrace.load(serve_traces[0])
-    direct = what_if_search(trace, strategies=strategies, seed=3)
-    by_strategy = {c.strategy: c for c in direct.candidates}
-    for cand in served["candidates"]:
-        ref = by_strategy[cand["strategy"]]
-        assert cand["makespan"] == ref.makespan
-        assert cand["placement"] == [int(p) for p in ref.placement]
-        assert cand["hop_bytes"] == ref.hop_bytes
-        assert cand["inter_node_bytes"] == ref.inter_node_bytes
-        assert cand["modeled_cost"] == ref.modeled_cost
-    assert served["best"] == direct.best.strategy
-    assert served["k"] == [int(v) for v in direct.k]
-    assert served["recorded_makespan"] == direct.recorded_makespan
+    for substitute, served in zip(substitutions, answers):
+        direct = what_if_search(trace, strategies=strategies, seed=3,
+                                substitute=substitute)
+        by_strategy = {c.strategy: c for c in direct.candidates}
+        for cand in served["candidates"]:
+            ref = by_strategy[cand["strategy"]]
+            assert cand["makespan"] == ref.makespan
+            assert cand["placement"] == [int(p) for p in ref.placement]
+            assert cand["hop_bytes"] == ref.hop_bytes
+            assert cand["inter_node_bytes"] == ref.inter_node_bytes
+            assert cand["modeled_cost"] == ref.modeled_cost
+        assert served["best"] == direct.best.strategy
+        assert served["k"] == [int(v) for v in direct.k]
+        assert served["recorded_makespan"] == direct.recorded_makespan
+    assert answers[0]["candidates"][0]["makespan"] != \
+        answers[1]["candidates"][0]["makespan"]
 
 
 def test_lru_evicts_by_bytes_and_recompiles_transparently(

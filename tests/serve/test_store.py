@@ -87,9 +87,11 @@ def test_built_entries_account_compiled_plus_events(serve_traces):
 
 
 def test_serving_a_trace_never_builds_the_tuple_view(serve_traces):
-    """load -> compile -> search -> book: all on the columns."""
-    from repro.replay import compile_trace, what_if_search
+    """load -> compile -> search -> book -> a substituted query, which
+    is what a worker runs per cell: all on the columns."""
+    from repro.replay import compile_trace, score_candidate, what_if_search
     from repro.replay.schema import ReplayTrace
+    from tests.replay.test_columnar import assert_holds_columns_only
 
     trace = ReplayTrace.load(serve_traces[0])
     compile_trace(trace)
@@ -97,6 +99,7 @@ def test_serving_a_trace_never_builds_the_tuple_view(serve_traces):
     entry = BookEntry.build("f" * 64, serve_traces[0], trace)
     assert res.meta["n_events"] == trace.n_events > 0
     assert entry.nbytes > 0
-    assert trace._events is None                      # still unmaterialised
-    assert len(trace.events) == trace.n_events        # and now it is
-    assert trace._events is not None
+    cand = score_candidate(trace, "random", seed=1,
+                           substitute={"reduce": "binomial"})
+    assert cand.makespan > 0.0
+    assert_holds_columns_only(trace)

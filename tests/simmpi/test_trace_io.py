@@ -8,6 +8,7 @@ from repro.replay.schema import K_S
 from repro.simmpi import Cluster, Engine, RankFailure, Topology
 from repro.simmpi.io import File, FileSystem
 from tests.conftest import run_spmd
+from tests.replay.test_columnar import assert_same_columns
 
 
 def traced_run(prog, n_ranks=4):
@@ -94,7 +95,7 @@ class TestTracer:
         trace.dump(path)
         loaded = ReplayTrace.load(path)
         assert loaded.world_size == 2
-        assert loaded.events == trace.events
+        assert_same_columns(loaded, trace)
 
     def test_roundtrip_preserves_matrices(self, tmp_path):
         _, trace = traced_run(barrier_after_one_send)
