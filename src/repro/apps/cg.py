@@ -37,10 +37,12 @@ spent by rank 0 in MPI calls").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from repro.simmpi.comm import Communicator
 from repro.simmpi.engine import _drive
@@ -124,6 +126,8 @@ def make_spd_matrix(na: int, nonzer: int, seed: int = 1) -> sp.csr_matrix:
     NPB's ``makea`` (documented substitution; the communication pattern
     does not depend on the matrix values).
     """
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     rows = np.repeat(np.arange(na), nonzer)
     cols = rng.integers(0, na, size=na * nonzer)

@@ -12,12 +12,17 @@ up a figure at which scale is defined once, in
 the experiment index and EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from repro.experiments import (  # noqa: F401
-    fig2_counters,
-    fig4_overhead,
-    fig5_collectives,
-    fig6_allgather,
-    fig7_cg,
-    table1_treematch,
-)
+import importlib
+
 from repro.experiments.common import full_scale, render_table  # noqa: F401
+
+__all__ = ["full_scale", "render_table", "fig2_counters", "fig4_overhead",
+           "fig5_collectives", "fig6_allgather", "fig7_cg", "table1_treematch"]
+
+
+def __getattr__(name: str):
+    """PEP 562: a figure module is imported when first named (DESIGN.md
+    "Import rule"), so ``repro.experiments.common`` costs no figure."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

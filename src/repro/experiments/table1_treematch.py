@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from repro.experiments.common import render_table
 from repro.placement.treematch import treematch
@@ -36,6 +38,8 @@ class TreeMatchTiming:
 def synthetic_comm_matrix(n: int, long_range: int = 12, seed: int = 0) -> sp.csr_matrix:
     """A sparse affinity matrix with locality structure: heavy ring
     neighbours plus ``long_range`` random lighter partners per row."""
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     rows = []
     cols = []

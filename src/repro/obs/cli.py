@@ -29,6 +29,7 @@ import sys
 from typing import List, Optional
 
 from repro import obs
+from repro.experiments.common import parse_sizes
 from repro.obs.export import (chrome_trace, chrome_trace_from_timeline,
                               validate_chrome_trace, write_chrome_trace)
 from repro.obs.metrics import dump_snapshot, load_snapshot
@@ -37,8 +38,6 @@ _DEFAULT_SIZES = "1_000_000,2_000_000"
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.experiments.common import parse_sizes
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -109,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _instrumented_cell(args):
     """Run one fig5 cell with obs enabled and the replay recorder on;
     returns the pieces the export/diagnose commands join."""
-    from repro.experiments.common import parse_sizes
     from repro.experiments.fig5_collectives import run_cell
     from repro.replay import autorecord
     from repro.simmpi import Cluster, Engine
@@ -321,16 +319,15 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "diagnose":
-        return _cmd_diagnose(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "heatmap":
-        return _cmd_heatmap(args)
-    return _cmd_validate(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    command = {"export": _cmd_export, "diagnose": _cmd_diagnose,
+               "top": _cmd_top, "heatmap": _cmd_heatmap,
+               "validate": _cmd_validate}[args.command]
+    try:
+        return command(args)
+    except OSError as exc:  # a trace, snapshot or output path
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

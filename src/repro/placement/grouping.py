@@ -14,19 +14,29 @@ where a dense 65536² array would need ~34 GB).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+import sys
+from typing import TYPE_CHECKING, List, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = ["greedy_group", "refine_groups", "symmetrize", "aggregate_matrix"]
 
-Matrix = Union[np.ndarray, sp.spmatrix]
+Matrix = Union[np.ndarray, "scipy.sparse.spmatrix"]
+
+
+def issparse(matrix) -> bool:
+    """``scipy.sparse.issparse`` without importing scipy (DESIGN.md
+    "Import rule"): a sparse matrix cannot exist before its module does."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(matrix)
 
 
 def symmetrize(matrix: Matrix) -> Matrix:
     """Affinity view of a (possibly asymmetric) traffic matrix: M + Mᵀ."""
-    if sp.issparse(matrix):
+    if issparse(matrix):
         out = (matrix + matrix.T).tocsr()
         out.setdiag(0)
         out.eliminate_zeros()
@@ -41,7 +51,7 @@ def symmetrize(matrix: Matrix) -> Matrix:
 
 def _add_row(vec: np.ndarray, W: Matrix, j: int, sign: float) -> None:
     """vec += sign * W[j], exploiting sparsity (CSR row slicing)."""
-    if sp.issparse(W):
+    if issparse(W):
         start, end = W.indptr[j], W.indptr[j + 1]
         idx = W.indices[start:end]
         if sign > 0:
@@ -74,7 +84,7 @@ def greedy_group(W: Matrix, sizes: Sequence[int]) -> List[List[int]]:
     ungrouped = np.ones(n, dtype=bool)
     # rem[i] = affinity of i to the currently ungrouped items; used to
     # seed groups around communication hot-spots.
-    if sp.issparse(W):
+    if issparse(W):
         rem = np.asarray(W.sum(axis=1)).ravel().astype(np.float64)
     else:
         rem = W.sum(axis=1).astype(np.float64)
@@ -104,6 +114,8 @@ def greedy_group(W: Matrix, sizes: Sequence[int]) -> List[List[int]]:
 
 def aggregate_matrix(W: Matrix, groups: Sequence[Sequence[int]]) -> Matrix:
     """Affinity between groups: Wg = S W Sᵀ with S the group indicator."""
+    from scipy.sparse import csr_matrix
+
     n = W.shape[0]
     g = len(groups)
     rows, cols = [], []
@@ -112,8 +124,8 @@ def aggregate_matrix(W: Matrix, groups: Sequence[Sequence[int]]) -> Matrix:
             rows.append(gi)
             cols.append(m)
     data = np.ones(len(rows), dtype=np.float64)
-    S = sp.csr_matrix((data, (rows, cols)), shape=(g, n))
-    if sp.issparse(W):
+    S = csr_matrix((data, (rows, cols)), shape=(g, n))
+    if issparse(W):
         out = (S @ W @ S.T).tocsr()
         out.setdiag(0)
         out.eliminate_zeros()
@@ -136,7 +148,7 @@ def refine_groups(W, groups, max_passes: int = 4):
     ``C[a,gi] + C[b,gj] − C[a,gj] − C[b,gi] + 2·W[a,b]``, evaluated for
     all (a, b) pairs at once.
     """
-    if sp.issparse(W):
+    if issparse(W):
         if W.shape[0] > 4096:
             return [list(g) for g in groups]
         W = np.asarray(W.todense())

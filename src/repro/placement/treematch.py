@@ -23,22 +23,21 @@ Both accept dense NumPy or ``scipy.sparse`` matrices.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.placement.grouping import (
+    Matrix,
     aggregate_matrix,
     greedy_group,
+    issparse,
     refine_groups,
     symmetrize,
 )
 from repro.simmpi.topology import Topology
 
 __all__ = ["treematch", "TreeMatchError"]
-
-Matrix = Union[np.ndarray, sp.spmatrix]
 
 
 #: Above this many items per level the swap-refinement pass is
@@ -176,8 +175,10 @@ def _bottom_up(matrix: Matrix, topology: Topology, pus: Sequence[int],
 
 def _pad(W: Matrix, m: int) -> Matrix:
     n = W.shape[0]
-    if sp.issparse(W):
-        out = sp.lil_matrix((m, m), dtype=np.float64)
+    if issparse(W):
+        from scipy.sparse import lil_matrix
+
+        out = lil_matrix((m, m), dtype=np.float64)
         out[:n, :n] = W
         return out.tocsr()
     out = np.zeros((m, m), dtype=np.float64)
@@ -238,7 +239,7 @@ def _split(
         return
 
     sizes = [len(members) for _, members in kids]
-    sub = W[np.ix_(procs, procs)] if not sp.issparse(W) else W[procs][:, procs].tocsr()
+    sub = W[np.ix_(procs, procs)] if not issparse(W) else W[procs][:, procs].tocsr()
     groups = greedy_group(sub, sizes)
     if refine and len(procs) <= _REFINE_LIMIT:
         groups = refine_groups(sub, groups)

@@ -253,12 +253,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.replay.engine import ReplayError
 
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ReplayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, ValueError) as exc:  # a path, strategy or binding
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

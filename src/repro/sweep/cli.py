@@ -19,14 +19,29 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Optional
 
 from repro.sweep import runner
 from repro.sweep.cache import ResultCache, default_cache_dir
-from repro.sweep.registry import add_grid_flags, cell_id, grid_config
+from repro.sweep.registry import (add_grid_flags, cell_id, grid_config,
+                                  scenario_names)
 
 DEFAULT_REPORT = os.path.join("{cache}", "last-run.json")
+
+
+def _scenario_filter(expr: str) -> str:
+    """``--filter``'s argparse type: a regex that selects a scenario.  A
+    typo must fail the command, not run zero cells and exit 0."""
+    names = scenario_names(include_hidden=True)
+    try:
+        if any(re.search(expr, name) for name in names):
+            return expr
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(f"bad regex {expr!r}: {exc}")
+    raise argparse.ArgumentTypeError(
+        f"{expr!r} matches no scenario; have {', '.join(names)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--filter", default=None, metavar="REGEX",
+                       type=_scenario_filter,
                        help="scenario name regex (e.g. 'fig5|fig6'); "
                             "default: every non-hidden scenario")
         p.add_argument("--cache-dir", default=None,
@@ -173,13 +189,8 @@ def _cmd_clean(args) -> int:
     cache = ResultCache(root=args.cache_dir)
     scenarios: Optional[list] = None
     if args.filter:
-        import re
-
-        rx = re.compile(args.filter)
-        from repro.sweep.registry import scenario_names
-
         scenarios = [n for n in scenario_names(include_hidden=True)
-                     if rx.search(n)]
+                     if re.search(args.filter, n)]
     removed = cache.clean(scenarios=scenarios, stale_only=args.stale)
     print(f"removed {removed} cache entries from {cache.root}")
     return 0

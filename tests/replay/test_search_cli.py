@@ -143,6 +143,15 @@ class TestCli:
             main(["record", "-o", "never.trace"])
         assert "{replay,search,diff}" in capsys.readouterr().err
 
+    def test_unknown_strategy_is_a_usage_error(self, recorded_cell, capsys):
+        """It used to die in ``what_if_search``'s ``ValueError``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["search", recorded_cell, "--strategies", "greedy,bogus"])
+        assert exc.value.code == 2
+        assert ("error: unknown search strategy 'bogus'; have ('identity', "
+                "'treematch', 'round_robin', 'random', 'greedy', 'local')"
+                ) in capsys.readouterr().err
+
     def test_replay_verify_identity(self, recorded_cell, capsys):
         assert main(["replay", recorded_cell, "--verify"]) == 0
         assert "exact" in capsys.readouterr().out

@@ -110,6 +110,21 @@ class TestCli:
         assert rc == 0
         assert "0/4 cells cached" in capsys.readouterr().out
 
+    def test_filter_matching_no_scenario_runs_nothing(self, tmp_path, capsys):
+        """It used to print "0/0 ok" and exit 0, so a typo in a CI filter
+        passed; now it names the scenarios and touches no cache."""
+        cache_dir = tmp_path / "c"
+        for command in ("run", "ls", "clean"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--filter", "fig55", "--smoke",
+                          "--cache-dir", str(cache_dir)])
+            assert exc.value.code == 2
+            said = capsys.readouterr()
+            assert "'fig55' matches no scenario; have fig2, fig4, fig5" \
+                in said.err
+            assert said.out == ""
+        assert not cache_dir.exists()
+
     def test_run_reports_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # A cell that always fails must fail the run (exit 1).
         from repro.sweep.registry import SCENARIOS

@@ -59,3 +59,27 @@ def test_entry_point_smoke_help(script, capsys):
         entry(["--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("script, argv, said", [
+    ("repro-sweep", ["ls", "--filter", "["], "bad regex '['"),
+    ("repro-sweep", ["run", "--filter", "zzz"], "matches no scenario; have"),
+    ("repro-replay", ["replay", "/nonexistent.trace"], "/nonexistent.trace"),
+    ("repro-obs", ["top", "/nonexistent.trace"], "/nonexistent.trace"),
+    ("repro-obs", ["diagnose", "--trace-in", "/nonexistent.trace"],
+     "/nonexistent.trace"),
+])
+def test_bad_input_is_a_usage_error_not_a_traceback(script, argv, said,
+                                                    capsys):
+    """A typo'd filter or path goes through the parser's ``error()``:
+    usage, one ``error:`` line, exit status 2 (an unknown strategy:
+    ``tests/replay/test_search_cli.py``)."""
+    mod_name, func_name = _scripts()[script].split(":")
+    entry = getattr(importlib.import_module(mod_name), func_name)
+    with pytest.raises(SystemExit) as exc:
+        entry(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    assert [said in line for line in err.splitlines()
+            if ": error: " in line] == [True]
