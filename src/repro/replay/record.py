@@ -15,6 +15,10 @@ the same rank.  Gaps absorb everything the replay engine does not
 model (compute, file I/O, send overheads already folded into clocks by
 the recorded run's own bookkeeping is *not* — those are re-derived),
 letting one trace be re-costed under a different placement.
+
+Each hook appends one fixed-width row to a ``schema.RowPacker``; a
+send's sequence number rides on its ``Message`` (``rseq``) to the
+receive-wait, so the recorder keeps no message alive.
 """
 
 from __future__ import annotations
@@ -22,38 +26,28 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.replay import autorecord
-from repro.replay.schema import ReplayTrace, params_to_json, topology_to_json
+from repro.replay.schema import (CAT_CODE, K_B, K_E, K_F, K_G, K_P, K_R, K_S,
+                                 ReplayTrace, RowPacker, params_to_json,
+                                 topology_to_json)
 
 __all__ = ["ReplayRecorder"]
 
+_OSC, _COLL, _P2P = CAT_CODE["osc"], CAT_CODE["coll"], CAT_CODE["p2p"]
+
 
 class ReplayRecorder:
-    __slots__ = ("engine", "meta", "events", "comms",
-                 "_last", "_msgseq", "_msgs", "_seq")
+    __slots__ = ("engine", "meta", "comms", "_rows", "_add", "_last", "_seq")
 
     def __init__(self, engine, meta: dict):
         self.engine = engine
         self.meta = meta
-        self.events: List[tuple] = []
         self.comms: Dict[int, List[int]] = {}
+        self._rows = RowPacker()
+        self._add = self._rows.add
         # rank -> virtual clock immediately after that rank's previous
         # recorded event (0.0 before the first: processes start at 0).
         self._last: Dict[int, float] = {}
-        # id(msg) -> send sequence number.  Never popped: a completed
-        # request's wait() may legally run twice (re-applying the clock
-        # update), and the strong refs in _msgs keep ids from recycling.
-        self._msgseq: Dict[int, int] = {}
-        self._msgs: List[object] = []
         self._seq = 0
-
-    # -- helpers ---------------------------------------------------------
-
-    def _mcat(self, category: str, recorded: bool) -> str:
-        if not recorded:
-            return ""
-        if self.engine.pml._mode == 1 and category == "coll":
-            return "p2p"
-        return category
 
     # -- hook sites ------------------------------------------------------
 
@@ -62,56 +56,48 @@ class ReplayRecorder:
         r = proc.rank
         seq = self._seq
         self._seq = seq + 1
-        self._msgseq[id(msg)] = seq
-        self._msgs.append(msg)
-        self.events.append(
-            ("S", r, dst_world, int(nbytes), category,
-             self._mcat(category, recorded), seq,
-             t_pre, t_pre - self._last.get(r, 0.0)))
+        msg.rseq = seq
+        cat = CAT_CODE[category]
+        # Mode-1 monitoring charges collective traffic as point-to-point.
+        mcat = 0 if not recorded else \
+            _P2P if cat == _COLL and self.engine.pml._mode == 1 else cat
+        self._add((t_pre, t_pre - self._last.get(r, 0.0), nbytes, r,
+                   dst_world, seq, K_S, cat, mcat))
         self._last[r] = proc.clock
 
     def on_recv(self, proc, t_pre: float, msg) -> None:
-        seq = self._msgseq.get(id(msg))
-        if seq is None:  # pragma: no cover - message predates recording
+        seq = msg.rseq
+        if seq < 0:  # pragma: no cover - message predates recording
             return
         r = proc.rank
-        self.events.append(
-            ("R", r, seq, t_pre, t_pre - self._last.get(r, 0.0)))
+        self._add((t_pre, t_pre - self._last.get(r, 0.0), 0, r, 0, seq,
+                   K_R, 0, 0))
         self._last[r] = proc.clock
 
     def on_put(self, proc, target_world: int, nbytes: int,
-               recorded: bool, t_pre: float) -> None:
+               recorded: bool, t_pre: float, kind: int = K_P) -> None:
         r = proc.rank
-        self.events.append(
-            ("P", r, target_world, int(nbytes),
-             self._mcat("osc", recorded),
-             t_pre, t_pre - self._last.get(r, 0.0)))
+        self._add((t_pre, t_pre - self._last.get(r, 0.0), nbytes, r,
+                   target_world, 0, kind, _OSC, _OSC if recorded else 0))
         self._last[r] = proc.clock
 
     def on_get(self, proc, target_world: int, nbytes: int,
                recorded: bool, t_pre: float) -> None:
-        r = proc.rank
-        self.events.append(
-            ("G", r, target_world, int(nbytes),
-             self._mcat("osc", recorded),
-             t_pre, t_pre - self._last.get(r, 0.0)))
-        self._last[r] = proc.clock
+        self.on_put(proc, target_world, nbytes, recorded, t_pre, K_G)
 
     def on_coll_begin(self, proc, comm, opname: str, alg, kwargs) -> None:
         cid = comm.id
         if cid not in self.comms:
             self.comms[cid] = list(comm.group)
-        root = kwargs.get("root")
-        nbytes = kwargs.get("nbytes")
-        segments = kwargs.get("segments")
-        self.events.append(
-            ("B", proc.rank, cid, opname, alg or "",
-             -1 if root is None else int(root),
-             -1 if nbytes is None else int(nbytes),
-             0 if segments is None else int(segments)))
+        root, nbytes, segs = map(kwargs.get, ("root", "nbytes", "segments"))
+        sig = (cid, opname, alg or "", -1 if root is None else int(root),
+               -1 if nbytes is None else int(nbytes), int(segs or 0))
+        colls = self._rows.colls
+        self._add((0.0, 0.0, 0, proc.rank, colls.setdefault(sig, len(colls)),
+                   0, K_B, 0, 0))
 
     def on_coll_end(self, proc) -> None:
-        self.events.append(("E", proc.rank))
+        self._add((0.0, 0.0, 0, proc.rank, 0, 0, K_E, 0, 0))
 
     # -- finalization ----------------------------------------------------
 
@@ -119,8 +105,8 @@ class ReplayRecorder:
         """Finalize the trace; the engine only calls this on clean runs."""
         for proc in engine.procs:
             t = proc.clock
-            self.events.append(
-                ("F", proc.rank, t, t - self._last.get(proc.rank, 0.0)))
+            self._add((t, t - self._last.get(proc.rank, 0.0), 0, proc.rank,
+                       0, 0, K_F, 0, 0))
         trace = ReplayTrace(
             world_size=engine.n_ranks,
             topology=topology_to_json(engine.cluster.topology),
@@ -130,7 +116,7 @@ class ReplayRecorder:
             monitoring_overhead=engine.monitoring_overhead,
             comms=self.comms,
             clocks=[p.clock for p in engine.procs],
-            events=self.events,
+            columns=self._rows.columns(),
             meta=dict(self.meta),
         )
         autorecord._finished(trace)

@@ -11,8 +11,9 @@ per-rank finish times — plus everything needed to rebuild the network
 cost model exactly: topology, binding, link parameters, jitter seed,
 monitoring overhead.
 
-Event tuples (the form the recorder produces and schema-1 files
-spell; everything downstream reads the columns)::
+Event tuples (spelled by schema-1 files and hand-built test traces; a
+recording is born as columns, and its ``.events`` builds these from its
+rows on access; everything downstream reads the columns)::
 
     ("S", rank, dst, nbytes, cat, mcat, seq, t, gap)   point-to-point send
     ("R", rank, seq, t, gap)                           matching receive-wait
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Sequence
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -96,10 +98,12 @@ COLUMN_LAYOUT = (
     ("rank", "<i4"), ("peer", "<i4"), ("seq", "<i4"),
     ("kind", "|u1"), ("cat", "|u1"), ("mcat", "|u1"),
 )
-_ROW_BYTES = sum(np.dtype(dt).itemsize for _, dt in COLUMN_LAYOUT)
-_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
-_CAT_CODE = {c: i for i, c in enumerate(CATS)}
-_OSC = _CAT_CODE["osc"]
+#: One event in layout order, packed (39 bytes); how many rows a
+#: :class:`RowPacker` holds as python tuples before packing them.
+ROW_DTYPE = np.dtype(list(COLUMN_LAYOUT))
+PACK_ROWS = 32768
+CAT_CODE = {c: i for i, c in enumerate(CATS)}
+_OSC = CAT_CODE["osc"]
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -195,60 +199,101 @@ class TraceColumns(NamedTuple):
         return sum(int(col.nbytes) for col in self[:len(COLUMN_LAYOUT)])
 
 
-def _columns_from_events(events: List[tuple]) -> TraceColumns:
-    """Recorder tuples -> columns (one grouping pass, then per-kind
-    bulk conversion; no per-event numpy call)."""
-    n = len(events)
-    groups: Dict[str, List[tuple]] = {k: [] for k in KINDS}
-    try:
-        for ev in events:
-            groups[ev[0]].append(ev)
-        kind = np.fromiter((_KIND_CODE[ev[0]] for ev in events),
-                           dtype=np.uint8, count=n)
-    except KeyError as exc:
-        raise ValueError(f"unknown event kind {exc.args[0]!r}") from None
-    col = {name: np.zeros(n, dtype=dt) for name, dt in COLUMN_LAYOUT}
-    col["kind"] = kind
+class RowPacker:
+    """Event rows (layout order, kind and categories as codes), packed
+    every :data:`PACK_ROWS`; ``colls`` interns ``B`` signatures."""
 
-    def fill(tag: str, **slots) -> None:
-        """Column <- tuple slot, for every event of one kind."""
-        if not groups[tag]:
-            return
-        pos = np.flatnonzero(kind == _KIND_CODE[tag])
-        values = list(zip(*groups[tag]))
-        for name, slot in slots.items():
-            column = values[slot]
-            if name in ("cat", "mcat"):
-                column = [_CAT_CODE[c] for c in column]
-            col[name][pos] = column
+    def __init__(self):
+        self.rows, self.packs, self.colls = [], [], {}
 
-    try:
-        fill("S", rank=1, peer=2, nbytes=3, cat=4, mcat=5, seq=6, t=7, gap=8)
-        fill("P", rank=1, peer=2, nbytes=3, mcat=4, t=5, gap=6)
-        fill("G", rank=1, peer=2, nbytes=3, mcat=4, t=5, gap=6)
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown message category {exc.args[0]!r}; have {CATS}") from None
-    col["cat"][(kind == K_P) | (kind == K_G)] = _OSC
-    fill("R", rank=1, seq=2, t=3, gap=4)
-    fill("F", rank=1, t=2, gap=3)
-    fill("B", rank=1)
-    fill("E", rank=1)
-    table: Dict[tuple, int] = {}
-    col["peer"][kind == K_B] = [table.setdefault(ev[2:], len(table))
-                                for ev in groups["B"]]
-    return TraceColumns(colls=list(table), **col)
+    def add(self, row: tuple) -> None:
+        rows = self.rows
+        rows.append(row)
+        if len(rows) >= PACK_ROWS:
+            self.packs.append(np.fromiter(rows, ROW_DTYPE, len(rows)))
+            rows.clear()
+
+    def columns(self) -> TraceColumns:
+        self.packs.append(np.fromiter(self.rows, ROW_DTYPE, len(self.rows)))
+        packs, self.rows, self.packs = self.packs, [], []
+        return TraceColumns(colls=list(self.colls), **{
+            name: np.concatenate([p[name] for p in packs])
+            for name, _ in COLUMN_LAYOUT})
+
+
+def _encode(ev: tuple, colls: Dict[tuple, int]) -> tuple:
+    """An event tuple as its row (the inverse of :func:`_decode`)."""
+    k, r = ev[0], ev[1]
+    if k == "S":
+        return (ev[7], ev[8], ev[3], r, ev[2], ev[6], K_S,
+                CAT_CODE[ev[4]], CAT_CODE[ev[5]])
+    if k == "R":
+        return (ev[3], ev[4], 0, r, 0, ev[2], K_R, 0, 0)
+    if k == "F":
+        return (ev[2], ev[3], 0, r, 0, 0, K_F, 0, 0)
+    if k == "P" or k == "G":
+        return (ev[5], ev[6], ev[3], r, ev[2], 0, KINDS.index(k), _OSC,
+                CAT_CODE[ev[4]])
+    if k == "B":
+        return (0.0, 0.0, 0, r, colls.setdefault(ev[2:], len(colls)), 0, K_B,
+                0, 0)
+    if k == "E":
+        return (0.0, 0.0, 0, r, 0, 0, K_E, 0, 0)
+    raise ValueError(f"unknown event kind {k!r}")
+
+
+def _decode(row: tuple, colls: List[tuple]) -> tuple:
+    """A row (python scalars, layout order) as its event tuple."""
+    t, gap, nbytes, r, peer, seq, k, cat, mcat = row
+    if k == K_S:
+        return ("S", r, peer, nbytes, CATS[cat], CATS[mcat], seq, t, gap)
+    if k == K_R:
+        return ("R", r, seq, t, gap)
+    if k == K_F:
+        return ("F", r, t, gap)
+    if k == K_B:
+        return ("B", r) + colls[peer]
+    if k == K_E:
+        return ("E", r)
+    return (KINDS[k], r, peer, nbytes, CATS[mcat], t, gap)
+
+
+class EventTuples(Sequence):
+    """A recording's events as tuples, each built from its row on
+    access: read-only, ``len`` is O(1), nothing is kept."""
+
+    def __init__(self, columns: TraceColumns):
+        self._cols = columns
+
+    def __len__(self) -> int:
+        return len(self._cols.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        c = self._cols                  # c[:-1]: the columns, not colls
+        return _decode(tuple(col.item(i) for col in c[:-1]), c.colls)
+
+    def __iter__(self):
+        c = self._cols
+        for lo in range(0, len(self), PACK_ROWS):
+            rows = zip(*(col[lo:lo + PACK_ROWS].tolist() for col in c[:-1]))
+            yield from (_decode(row, c.colls) for row in rows)
 
 
 def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
     """Reject column values no recorder writes — a replay would turn
-    them into wrong answers (numpy wraps negative indices silently)."""
+    them into wrong answers (numpy wraps negative indices silently, a
+    NaN passes every `>`, gaps summing past the float range overflow)."""
     def bad(what: str) -> TraceSchemaError:
         return TraceSchemaError(f"{path}: corrupt trace — {what}")
 
     n = len(c.kind)
     if n == 0:
         return
+    with np.errstate(over="ignore"):
+        if not (np.isfinite(c.t).all() and np.isfinite(np.abs(c.gap).sum())):
+            raise bad("non-finite t or gap, or gaps past the float range")
     if int(c.kind.max()) >= len(KINDS):
         raise bad(f"unknown event kind code {int(c.kind.max())}")
     if max(int(c.cat.max()), int(c.mcat.max())) >= len(CATS):
@@ -282,11 +327,11 @@ class ReplayTrace:
 
     The event stream is numpy columns (:meth:`columns`): the stored
     form and the one every consumer reads.  A trace built from tuples —
-    by the recorder, or from a schema-1 file — derives its columns
-    once and keeps the list it was handed as ``events``; a trace built
-    from columns (a schema-2 file, a substituted run) has nothing else.
-    Both are read-only afterwards (the compile cache would not see a
-    mutation).
+    by a test, or from a schema-1 file — derives its columns once and
+    keeps the list as ``events``; a recording, handed its ``columns``,
+    answers ``events`` with a view of them; a schema-2 file or a
+    substituted run has nothing else.  All are read-only afterwards
+    (the compile cache would not see a mutation).
     """
 
     def __init__(
@@ -301,6 +346,7 @@ class ReplayTrace:
         clocks: List[float],           # final per-rank virtual clocks
         events: Optional[List[tuple]] = None,
         meta: Optional[dict] = None,
+        columns: Optional[TraceColumns] = None,
     ):
         self.world_size = world_size
         self.topology = topology
@@ -311,15 +357,16 @@ class ReplayTrace:
         self.comms = comms
         self.clocks = clocks
         self.meta = {} if meta is None else meta
-        self._events: Optional[List[tuple]] = [] if events is None else events
-        self._columns: Optional[TraceColumns] = None
+        self._events: Optional[Sequence] = EventTuples(columns) \
+            if columns is not None else [] if events is None else events
+        self._columns: Optional[TraceColumns] = columns
         self._compiled = None          # replay.engine's compile cache
 
     # -- the event stream ------------------------------------------------
 
     @property
-    def events(self) -> List[tuple]:
-        """The tuple list this trace was built from, if it was."""
+    def events(self) -> Sequence:
+        """The tuples this trace was built from, or a recording's view."""
         if self._events is None:
             raise AttributeError(
                 "this trace holds columns only (a schema-2 file or a "
@@ -334,13 +381,19 @@ class ReplayTrace:
 
     @property
     def n_events(self) -> int:
-        if self._events is not None:
-            return len(self._events)
-        return len(self._columns.kind)
+        return len(self._columns.kind if self._events is None
+                   else self._events)
 
     def columns(self) -> TraceColumns:
         if self._columns is None:
-            self._columns = _columns_from_events(self._events)
+            packer = RowPacker()
+            try:
+                for ev in self._events:
+                    packer.add(_encode(ev, packer.colls))
+            except KeyError as exc:
+                raise ValueError(f"unknown message category {exc.args[0]!r}; "
+                                 f"have {CATS}") from None
+            self._columns = packer.columns()
         return self._columns
 
     # -- header ---------------------------------------------------------
@@ -455,12 +508,11 @@ def _parse_columns(raw: bytes, offset: int, hdr: dict, n_events: int,
     if hdr["columns"] != [list(c) for c in COLUMN_LAYOUT]:
         raise TraceSchemaError(
             f"{path}: unknown column layout {hdr['columns']!r}")
-    have = len(raw) - offset
-    if n_events < 0 or have != n_events * _ROW_BYTES:
+    have, want = len(raw) - offset, n_events * ROW_DTYPE.itemsize
+    if n_events < 0 or have != want:
         raise TraceSchemaError(
             f"{path}: truncated or overlong trace — header promises "
-            f"{n_events} events ({n_events * _ROW_BYTES} column bytes), "
-            f"found {have}")
+            f"{n_events} events ({want} column bytes), found {have}")
     cols = {}
     for name, dt in COLUMN_LAYOUT:
         cols[name] = np.frombuffer(raw, dtype=dt, count=n_events,

@@ -40,6 +40,8 @@ class Message:
     buf: Buffer
     arrival: float
     category: str = "p2p"
+    #: Send sequence number in a replay recording (-1: not recorded).
+    rseq: int = field(default=-1, compare=False, repr=False)
 
     @property
     def payload(self) -> Any:

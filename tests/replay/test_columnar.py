@@ -367,3 +367,43 @@ def test_file_cut_anywhere_raises_schema_error(whole_files, tmp_path, data):
         fh.write(raw[:cut])
     with pytest.raises(TraceSchemaError, match="cut.trace"):
         ReplayTrace.load(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flipped_bytes_are_an_error_or_a_finite_answer(whole_files, tmp_path,
+                                                       data):
+    """1-8 bytes of the column section XORed: the file is refused, or
+    every replay and search of it either answers with finite makespans
+    or says the trace is inconsistent — no other exception."""
+    raw = bytearray(whole_files[0])
+    start = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    n = (len(raw) - start) // 39
+    # Anywhere, or in the two sign/exponent bytes of a `t` or `gap` (the
+    # two leading float64 columns), which turn a time into NaN, inf,
+    # 1e300 or a subnormal.
+    where = st.one_of(st.integers(start, len(raw) - 1),
+                      st.integers(0, 4 * n - 1).map(
+                          lambda i: start + 8 * (i // 2) + 6 + i % 2))
+    flips = data.draw(st.lists(st.tuples(where, st.integers(1, 255)),
+                               min_size=1, max_size=8))
+    for at, mask in flips:
+        raw[at] ^= mask
+    path = str(tmp_path / "flipped.trace")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    try:
+        trace = ReplayTrace.load(path)
+    except TraceSchemaError as exc:
+        assert "flipped.trace" in str(exc)
+        return
+    from repro.replay import what_if_search
+    from repro.replay.engine import ReplayError
+
+    try:
+        assert np.isfinite(replay(trace).max_clock)
+        res = what_if_search(trace, seed=0)
+        assert all(np.isfinite(c.makespan) for c in res.candidates)
+    except ReplayError:
+        pass

@@ -105,11 +105,14 @@ def _mangle_header_key(magic, hdr, data):
                  data)
 
 
-def _poker(column, kind, value):
+def _poker(column, kind, value, *more_kinds):
+    """Overwrite ``column`` in the first row of ``kind`` (and of each of
+    ``more_kinds``) with ``value``."""
     def mangle(magic, hdr, data):
         n = hdr["n_events"]
-        return _join(magic, hdr,
-                     _poke(data, n, column, _first_row(data, n, kind), value))
+        for k in (kind,) + more_kinds:
+            data = _poke(data, n, column, _first_row(data, n, k), value)
+        return _join(magic, hdr, data)
     return mangle
 
 
@@ -137,6 +140,12 @@ BAD_FILES = {
     "negative size": _poker("nbytes", "S", -5),
     "sequence number out of range": _poker("seq", "R", 2 ** 31 - 1),
     "collective index out of range": _poker("peer", "B", 10 ** 6),
+    "NaN gap": _poker("gap", "R", float("nan")),
+    "+inf issue time": _poker("t", "S", float("inf")),
+    "-inf gap": _poker("gap", "F", float("-inf")),
+    # Each finite, together past the float range: a rank's clock adds up
+    # its gaps, and no recorded run has an infinite clock.
+    "gaps past the float range": _poker("gap", "S", 1e308, "R", "F"),
 }
 
 
