@@ -113,24 +113,33 @@ def greedy_group(W: Matrix, sizes: Sequence[int]) -> List[List[int]]:
 
 
 def aggregate_matrix(W: Matrix, groups: Sequence[Sequence[int]]) -> Matrix:
-    """Affinity between groups: Wg = S W Sᵀ with S the group indicator."""
-    from scipy.sparse import csr_matrix
+    """Affinity between groups: Wg = S W Sᵀ with S the group indicator.
 
+    A dense ``W`` is summed with numpy, rows then columns, over each
+    group's members in ascending order: scipy's CSR order, so the result
+    is ``S @ W @ S.T`` bit for bit.  Only a sparse ``W`` builds ``S``."""
     n = W.shape[0]
     g = len(groups)
-    rows, cols = [], []
-    for gi, members in enumerate(groups):
-        for m in members:
-            rows.append(gi)
-            cols.append(m)
-    data = np.ones(len(rows), dtype=np.float64)
-    S = csr_matrix((data, (rows, cols)), shape=(g, n))
+    members = [sorted(int(m) for m in grp) for grp in groups]
     if issparse(W):
+        from scipy.sparse import csr_matrix
+
+        rows = [gi for gi, ms in enumerate(members) for _ in ms]
+        cols = [m for ms in members for m in ms]
+        S = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g, n))
         out = (S @ W @ S.T).tocsr()
         out.setdiag(0)
         out.eliminate_zeros()
         return out
-    out = np.asarray(S @ W @ S.T)
+    W = np.asarray(W, dtype=np.float64)
+    SW = np.zeros((g, n))
+    for gi, ms in enumerate(members):
+        for m in ms:
+            SW[gi] += W[m]
+    out = np.zeros((g, g))
+    for gj, ms in enumerate(members):
+        for m in ms:
+            out[:, gj] += SW[:, m]
     np.fill_diagonal(out, 0.0)
     return out
 

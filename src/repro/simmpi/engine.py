@@ -710,8 +710,12 @@ class Engine:
         # through here; post_send's rare immediate path still calls the
         # method).  The nbytes >= 0 precondition is Buffer's invariant.
         net = self.network
-        alpha, bw, src_node, dst_node, cross, nic_gate, mem_gate = \
+        src_node = net._rank_node_l[proc.rank]
+        dst_node = net._rank_node_l[dst_world]
+        alpha, bw, _, _, cross, nic_gate, mem_gate = (
             net._pair_l[proc.rank * net._n_ranks + dst_world]
+            if src_node == dst_node
+            else net._node_l[src_node * net._n_nodes + dst_node])
         if net._sigma > 0.0:
             blk = net._jit_blk
             pos = net._jit_pos
@@ -748,21 +752,29 @@ class Engine:
         arrival = start + lat + bwt
         net.n_messages += 1
         if cross:
-            # Buffer.nbytes is a plain int by construction, so the NIC
-            # running totals need no cast here.
+            # NicCounters.record_xmit/record_rcv, inlined: the clamp and
+            # the running total read the series' tail (keep in sync with
+            # nic._Series.add).  Buffer.nbytes is a plain int by
+            # construction, so the running totals need no cast here.
             nic = net.nic
-            times, totals = nic._xmit[src_node]
+            s = nic._xmit[src_node]
             tv = sender_done
-            if times and tv < times[-1]:
-                tv = times[-1]
-            times.append(tv)
-            totals.append((totals[-1] if totals else 0) + nbytes)
-            times, totals = nic._rcv[dst_node]
+            if tv < s.last:
+                tv = s.last
+            total = s.total + nbytes
+            s.totals.append(total)
+            s.times.append(tv)
+            s.last = tv
+            s.total = total
+            s = nic._rcv[dst_node]
             tv = arrival
-            if times and tv < times[-1]:
-                tv = times[-1]
-            times.append(tv)
-            totals.append((totals[-1] if totals else 0) + nbytes)
+            if tv < s.last:
+                tv = s.last
+            total = s.total + nbytes
+            s.totals.append(total)
+            s.times.append(tv)
+            s.last = tv
+            s.total = total
 
         proc.clock = sender_done
         msg.arrival = arrival

@@ -10,9 +10,8 @@ per the MPI non-overtaking rule.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Hashable, Optional, Tuple
+from typing import Any, Hashable, List, Optional
 
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import SimError
@@ -53,29 +52,26 @@ class Message:
 
 
 class MatchQueue:
-    """Posted receives and unexpected messages for one (comm, dst)."""
+    """Posted receives and unexpected messages for one (comm, dst).
+
+    Both queues are plain lists: they rarely hold more than a few
+    entries, and a world keeps one queue per (communicator, rank), where
+    an empty ``deque`` would cost ~380 B each.
+    """
+
+    __slots__ = ("_posted", "_unexpected")
 
     def __init__(self) -> None:
-        self._posted: Deque[Any] = deque()  # RecvRequest objects
-        self._unexpected: Deque[Message] = deque()
-
-    @staticmethod
-    def _matches(req: Any, msg: Message) -> bool:
-        if req.context != msg.context:
-            return False
-        if req.source != ANY_SOURCE and req.source != msg.src:
-            return False
-        if req.tag != ANY_TAG and req.tag != msg.tag:
-            return False
-        return True
+        self._posted: List[Any] = []  # RecvRequest objects
+        self._unexpected: List[Message] = []
 
     def deliver(self, msg: Message) -> Optional[Any]:
         """A message arrived: bind it to the oldest matching receive.
 
         Returns the matched receive request (already bound), or ``None``
         if the message was queued as unexpected.  The match test is
-        inlined (cf. :meth:`_matches`): this runs once per simulated
-        message, usually against a one-entry queue.
+        inlined, here and in :meth:`post` / :meth:`probe`: this runs once
+        per simulated message, usually against a one-entry queue.
         """
         posted = self._posted
         if posted:
@@ -113,17 +109,12 @@ class MatchQueue:
         return False
 
     def probe(self, source: int, tag: int, context: Hashable) -> Optional[Message]:
-        """First queued unexpected message matching (source, tag, context)."""
-
-        class _Probe:
-            pass
-
-        probe = _Probe()
-        probe.source = source
-        probe.tag = tag
-        probe.context = context
+        """First queued unexpected message matching (source, tag,
+        context), left in the queue."""
         for msg in self._unexpected:
-            if self._matches(probe, msg):
+            if (msg.context == context
+                    and source in (ANY_SOURCE, msg.src)
+                    and tag in (ANY_TAG, msg.tag)):
                 return msg
         return None
 

@@ -21,13 +21,14 @@ jitter so that repeated runs show the run-to-run variance the paper's
 §6.2 statistics (180 repetitions, Welch t-test) rely on.
 
 Hot-path design: :meth:`Network.transfer` runs once per simulated
-message — millions of times per experiment — so a pair's route
-(``alpha``, bandwidth, endpoint nodes, NIC/memory gates) is resolved
-*once*, the first time the pair talks, and memoized; construction keeps
-only O(n) ingredients (PU and node per rank, one link per common-ancestor
-depth), so a 4096-rank world costs what its communication pattern
-touches, not n² entries.  ``transfer`` is then a dict hit, pure
-arithmetic and the shared-resource bookkeeping, and never calls
+message — millions of times per experiment — so a route (``alpha``,
+bandwidth, endpoint nodes, NIC/memory gates) is resolved *once*, the
+first time it is used, and memoized per node pair across nodes and per
+rank pair within a node; construction keeps only O(n) ingredients (PU
+and node per rank, one link per common-ancestor depth), so a 4096-rank
+world costs what its communication pattern touches, not n² entries.
+``transfer`` is then two list reads, a dict hit, pure arithmetic and
+the shared-resource bookkeeping, and never calls
 ``Topology.common_level_name`` or ``NetworkParams.link_for``.  Jitter
 factors are drawn from the seeded RNG in blocks and handed out in
 stream order, so a jittered run consumes the *same* draw sequence as
@@ -206,6 +207,7 @@ class Network:
         # configurations and never reads them); timing is unaffected.
         self._record_nic = bool(record_nic)
         n_nodes = topology.n_components(topology.level_names[0])
+        self._n_nodes = n_nodes
         self.nic = NicCounters(n_nodes, lanes=params.lanes)
         # Busy-until horizons per node, as plain Python floats: both
         # gates are read and written once per message, where list
@@ -303,7 +305,12 @@ class Network:
         # (alpha, bandwidth, src node, dst node, NIC counted, NIC gate,
         # memory gate).  Bandwidth is kept (not its inverse) because
         # ``nbytes / bw`` must stay the exact division of the model.
+        # A cross-node record depends only on the two nodes: the hot
+        # paths read it from ``_node_l`` (``src_node * n_nodes +
+        # dst_node``) and ``_pair_l`` only within a node, though
+        # ``_pair_l[k]`` answers any pair.
         self._pair_l = _LazyPairView(self._resolve_pair)
+        self._node_l = _LazyPairView(self._resolve_nodes)
         # Single-field views for consumers that need just one of them
         # (replay: alpha; repro.obs: class index per message).
         self._alpha_l = _LazyPairView(self._resolve_alpha)
@@ -333,16 +340,32 @@ class Network:
 
     def _resolve_pair(self, key: int) -> Tuple:
         src, dst = divmod(key, self._n_ranks)
+        src_node = self._rank_node_l[src]
+        dst_node = self._rank_node_l[dst]
+        if src_node != dst_node:
+            return self._node_l[src_node * self._n_nodes + dst_node]
         d = self._common_depth(src, dst)
-        cross = d == 0
         return (
             self._lut_alpha[d],
             self._lut_bw[d],
-            self._rank_node_l[src],
-            self._rank_node_l[dst],
-            cross and self._record_nic,
-            cross and self.params.nic_serialize,
+            src_node,
+            dst_node,
+            False,
+            False,
             self._has_mem and d != self._depth,
+        )
+
+    def _resolve_nodes(self, key: int) -> Tuple:
+        # Different nodes share no level: common depth 0, never "self".
+        src_node, dst_node = divmod(key, self._n_nodes)
+        return (
+            self._lut_alpha[0],
+            self._lut_bw[0],
+            src_node,
+            dst_node,
+            self._record_nic,
+            self.params.nic_serialize,
+            self._has_mem,
         )
 
     def routes(self, src_ranks, dst_ranks) -> Tuple[np.ndarray, ...]:
@@ -364,7 +387,7 @@ class Network:
         )
 
     def _resolve_alpha(self, key: int) -> float:
-        return self._pair_l[key][0]
+        return self._lut_alpha[self._common_depth(*divmod(key, self._n_ranks))]
 
     def _resolve_cross(self, key: int) -> bool:
         # The raw cross-node predicate, not the record_nic-gated
@@ -434,8 +457,12 @@ class Network:
         """
         if nbytes < 0:
             raise ValueError("negative message size")
-        alpha, bw, src_node, dst_node, cross, nic_gate, mem_gate = \
+        src_node = self._rank_node_l[src_rank]
+        dst_node = self._rank_node_l[dst_rank]
+        alpha, bw, _, _, cross, nic_gate, mem_gate = (
             self._pair_l[src_rank * self._n_ranks + dst_rank]
+            if src_node == dst_node
+            else self._node_l[src_node * self._n_nodes + dst_node])
         if self._sigma > 0.0:
             blk = self._jit_blk
             pos = self._jit_pos
@@ -474,20 +501,7 @@ class Network:
         self.n_messages += 1
 
         if cross:
-            # NicCounters.record_xmit/record_rcv, inlined (two calls per
-            # cross-node message): append to the per-node monotone
-            # (times, cumulative-bytes) series, clamping the timestamp.
-            nic = self.nic
-            times, totals = nic._xmit[src_node]
-            tv = sender_done
-            if times and tv < times[-1]:
-                tv = times[-1]
-            times.append(tv)
-            totals.append((totals[-1] if totals else 0) + int(nbytes))
-            times, totals = nic._rcv[dst_node]
-            tv = arrival
-            if times and tv < times[-1]:
-                tv = times[-1]
-            times.append(tv)
-            totals.append((totals[-1] if totals else 0) + int(nbytes))
+            nbytes = int(nbytes)
+            self.nic._xmit[src_node].add(sender_done, nbytes)
+            self.nic._rcv[dst_node].add(arrival, nbytes)
         return sender_done, arrival

@@ -15,9 +15,40 @@ read the counter *as of a given virtual time*, exactly like polling the
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Tuple
+from array import array
+from typing import List, Tuple
 
 __all__ = ["NicCounters"]
+
+
+class _Series:
+    """One counter's history: event times and cumulative byte totals in
+    typed arrays (16 B per event), plus the running tail (last time,
+    running total) as plain numbers, so a writer never unboxes an array
+    element.  Events arrive in simulation order, which can differ
+    slightly from virtual-time order, so a time is clamped to the tail
+    to keep the series monotone (a real counter is too).  Every writer —
+    :meth:`add` and its inlined copy in ``Engine._materialize`` — moves
+    the same tail.  A total that leaves int64 raises ``OverflowError``
+    and changes nothing.
+    """
+
+    __slots__ = ("times", "totals", "last", "total")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.totals = array("q")
+        self.last = float("-inf")
+        self.total = 0
+
+    def add(self, time: float, nbytes: int) -> None:
+        if time < self.last:
+            time = self.last
+        total = self.total + nbytes
+        self.totals.append(total)
+        self.times.append(time)
+        self.last = time
+        self.total = total
 
 
 class NicCounters:
@@ -30,35 +61,16 @@ class NicCounters:
             raise ValueError("lanes must be >= 1")
         self.n_nodes = n_nodes
         self.lanes = lanes
-        # Per node: sorted event times and cumulative byte totals.
-        self._xmit: Dict[int, Tuple[List[float], List[int]]] = {
-            n: ([], []) for n in range(n_nodes)
-        }
-        self._rcv: Dict[int, Tuple[List[float], List[int]]] = {
-            n: ([], []) for n in range(n_nodes)
-        }
+        self._xmit: List[_Series] = [_Series() for _ in range(n_nodes)]
+        self._rcv: List[_Series] = [_Series() for _ in range(n_nodes)]
 
     # -- recording (called by the network model) ------------------------
 
-    # record_xmit/record_rcv are flattened copies of the same append
-    # (they run once each per cross-node message): events arrive in
-    # simulation order, which can differ slightly from virtual-time
-    # order, so the timestamp is clamped to keep the cumulative series
-    # monotone (a real counter is too).
-
     def record_xmit(self, node: int, time: float, nbytes: int) -> None:
-        times, totals = self._xmit[node]
-        if times and time < times[-1]:
-            time = times[-1]
-        times.append(time)
-        totals.append((totals[-1] if totals else 0) + int(nbytes))
+        self._xmit[node].add(time, int(nbytes))
 
     def record_rcv(self, node: int, time: float, nbytes: int) -> None:
-        times, totals = self._rcv[node]
-        if times and time < times[-1]:
-            time = times[-1]
-        times.append(time)
-        totals.append((totals[-1] if totals else 0) + int(nbytes))
+        self._rcv[node].add(time, int(nbytes))
 
     # -- reading (what the experiment's sampler thread does) ------------
 
@@ -77,25 +89,24 @@ class NicCounters:
     def rcv_bytes(self, node: int, time: float) -> int:
         return self._read(self._rcv, node, time)
 
-    def _read(self, table, node: int, time: float) -> int:
-        if node not in table:
+    def _read(self, table: List[_Series], node: int, time: float) -> int:
+        if not 0 <= node < self.n_nodes:
             raise ValueError(f"no node {node}")
-        times, totals = table[node]
-        i = bisect.bisect_right(times, time)
-        return totals[i - 1] if i else 0
+        series = table[node]
+        i = bisect.bisect_right(series.times, time)
+        return series.totals[i - 1] if i else 0
 
     # -- introspection helpers ------------------------------------------
 
     def xmit_events(self, node: int) -> List[Tuple[float, int]]:
         """The full (time, cumulative bytes) transmit history of a node."""
-        times, totals = self._xmit[node]
-        return list(zip(times, totals))
+        series = self._xmit[node]
+        return list(zip(series.times, series.totals))
 
     def rcv_events(self, node: int) -> List[Tuple[float, int]]:
         """The full (time, cumulative bytes) receive history of a node."""
-        times, totals = self._rcv[node]
-        return list(zip(times, totals))
+        series = self._rcv[node]
+        return list(zip(series.times, series.totals))
 
     def total_xmit_bytes(self, node: int) -> int:
-        _, totals = self._xmit[node]
-        return totals[-1] if totals else 0
+        return self._xmit[node].total

@@ -165,9 +165,13 @@ class TestTable1:
         timings = [computed("table1", p) for p in grid]
         assert tuple(t.order for t in timings) == orders
         # Superlinear growth: the paper's column grows 2.4-4.2x per
-        # doubling of the order.
-        for a, b in zip(timings, timings[1:]):
-            assert b.seconds > 1.3 * a.seconds, (a, b)
+        # doubling of the order.  Wall-clock, so each order is judged by
+        # its least disturbed of three runs, not by one.
+        compute = get_scenario("table1").compute
+        best = [min([t.seconds] + [compute(p).seconds for _ in range(2)])
+                for t, p in zip(timings, grid)]
+        for order, a, b in zip(orders, best, best[1:]):
+            assert b > 1.3 * a, (order, a, b)
         # "Even for such large input size the time to compute the
         # reordering is less than 100 s."
         assert timings[-1].seconds < 100.0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.placement.grouping import aggregate_matrix, greedy_group, symmetrize
 
@@ -99,3 +101,37 @@ class TestAggregate:
         agg = aggregate_matrix(w, [[0], [1, 2]])
         assert sp.issparse(agg)
         assert agg[0, 1] == 3.0
+
+
+def _scipy_aggregate(w, groups):
+    """``S @ W @ S.T`` through scipy, as ``aggregate_matrix`` computed it
+    for dense input before it stopped importing scipy there."""
+    n, g = w.shape[0], len(groups)
+    rows = [gi for gi, members in enumerate(groups) for _ in members]
+    cols = [m for members in groups for m in members]
+    s = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g, n))
+    out = np.asarray(s @ w @ s.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200), max_groups=st.integers(1, 200),
+       integral=st.booleans(), exponent=st.floats(-3.0, 12.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_aggregate_is_scipys_bit_for_bit(n, max_groups, integral,
+                                               exponent, seed):
+    """The numpy sum adds in scipy's order, so TreeMatch on a dense
+    matrix places exactly as it did when it went through scipy."""
+    rng = np.random.default_rng(seed)
+    values = (rng.integers(0, 1000, (n, n)) if integral
+              else rng.random((n, n)))
+    w = values * 10.0 ** exponent
+    labels = rng.integers(0, min(max_groups, n), n)
+    groups = [rng.permutation(np.flatnonzero(labels == k)).tolist()
+              for k in range(labels.max() + 1)]
+    groups = [members for members in groups if members]
+    got = aggregate_matrix(w, groups)
+    want = _scipy_aggregate(w, groups)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

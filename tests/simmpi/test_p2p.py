@@ -147,6 +147,26 @@ class TestMatching:
         results, _ = run_spmd(prog, n_ranks=2)
         assert results[1] is None
 
+    def test_probe_finds_without_dequeuing(self):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send("hello", dest=1, tag=9)
+                return None
+            comm.compute(1.0)  # the message is queued as unexpected
+            exact = comm.probe(source=0, tag=9)
+            wild = comm.probe(source=ANY_SOURCE, tag=ANY_TAG)
+            again = comm.probe(source=0, tag=ANY_TAG)
+            got = comm.recv(source=0, tag=9)
+            after = comm.probe()
+            return exact, wild, again, got, after
+
+        results, _ = run_spmd(prog, n_ranks=2)
+        exact, wild, again, got, after = results[1]
+        assert exact is not None and exact.payload == "hello"
+        assert wild is exact and again is exact
+        assert got is exact  # probing left it for the receive
+        assert after is None
+
 
 class TestNonblocking:
     def test_isend_irecv_waitall(self):

@@ -31,7 +31,7 @@ BUDGET = {
     "repro.serve.server": HEAVY,
     "repro.serve.workers": HEAVY,
     "repro.obs.cli": HEAVY,
-    "repro.experiments.fig5_collectives": ("scipy.stats",),
+    "repro.experiments.fig5_collectives": HEAVY,
     "repro.experiments.__main__": ("scipy.stats",),
 }
 
@@ -90,14 +90,34 @@ def test_fig4_welch_ci_from_cold_is_bit_equal_to_the_golden():
 
 
 def test_treematch_builds_its_sparse_matrices_from_cold():
+    """Dense input never loads scipy; sparse input (Table 1) still works
+    from a cold interpreter, where only its caller imported scipy."""
     got = _cold(
         "import numpy as np\n"
         "from repro.placement.treematch import treematch\n"
         "from repro.simmpi.topology import Topology\n"
-        "cold = 'scipy.sparse' not in sys.modules\n"
         "m = np.arange(64.0).reshape(8, 8)\n"
-        "topo = Topology([('node', 2), ('socket', 2), ('core', 2)])",
-        result="[cold, sorted(treematch(m, topo)), "
-               "sorted(treematch(m[:6, :6], topo, allowed_pus=range(6)))]")
-    assert got["result"] == [True, list(range(8)), list(range(6))]
+        "topo = Topology([('node', 2), ('socket', 2), ('core', 2)])\n"
+        "dense = [sorted(treematch(m, topo)),\n"
+        "         sorted(treematch(m[:6, :6], topo, allowed_pus=range(6)))]\n"
+        "after_dense = [h for h in ('scipy.stats', 'scipy.sparse')\n"
+        "               if h in sys.modules]\n"
+        "import scipy.sparse as sp\n"
+        "s = sp.csr_matrix(m)\n"
+        "sparse = [sorted(treematch(s, topo)),\n"
+        "          sorted(treematch(s[:6, :6], topo, allowed_pus=range(6)))]",
+        result="[dense, after_dense, sparse]")
+    placed = [list(range(8)), list(range(6))]
+    assert got["result"] == [placed, [], placed]
     assert got["loaded"] == ["scipy.sparse"]
+
+
+@pytest.mark.parametrize("cell", [
+    "from repro.experiments import fig5_collectives\n"
+    "fig5_collectives.run_cell('reduce', 1, sizes=(1000,), reps=1)",
+    "from repro.experiments import fig7_cg\n"
+    "fig7_cg.run_one('S', 32, 'rr')",
+], ids=["fig5_reduce", "fig7_cg"])
+def test_reordering_cell_from_cold_loads_no_scipy(cell):
+    """Monitor, TreeMatch on the dense matrix, re-run: no heavy module."""
+    assert _cold(cell)["loaded"] == []
