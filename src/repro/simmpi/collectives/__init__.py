@@ -1,7 +1,7 @@
 """Collective operations, all decomposed into point-to-point messages.
 
 Every algorithm here is implemented strictly on top of
-``Communicator._isend`` / ``_irecv`` with the ``"coll"`` category, so
+``Communicator._co_isend`` / ``_irecv`` with the ``"coll"`` category, so
 the monitoring component records the *decomposition* of each collective
 — the paper's headline capability (§1, §4.5): a reduce is seen as its
 tree of sends, not as one opaque API call.
@@ -11,7 +11,10 @@ collective component); the paper's experiments use the binomial-tree
 broadcast and the in-order binary-tree reduce (Fig. 5 captions).
 
 Every decomposition is written once, as a ``co_*`` generator; the
-blocking spelling is the ``Communicator`` method of the same name.
+blocking spelling is the ``Communicator`` method of the same name.  An
+entry point that only validates and picks an algorithm returns that
+algorithm's generator (``()`` or ``util.done`` on one rank), so a
+parked rank holds no frame for it.
 """
 
 from repro.simmpi.collectives.barrier import co_barrier  # noqa: F401

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.simmpi.collectives.util import as_buffer, is_pow2, unwrap
+from repro.simmpi.collectives.util import (as_buffer, by_rank, done, is_pow2,
+                                          unwrap)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -37,17 +38,10 @@ def co_allgather(
     ctx = comm._next_collective_context("allgather")
     buf = as_buffer(value, nbytes)
     if comm.size == 1:
-        return [unwrap(buf)]
-
-    if algorithm == "ring":
-        pieces = yield from _ring(comm, buf, ctx)
-    elif algorithm == "recursive_doubling":
-        pieces = yield from _recursive_doubling(comm, buf, ctx)
-    elif algorithm == "bruck":
-        pieces = yield from _bruck(comm, buf, ctx)
-    else:
-        pieces = yield from _gather_bcast(comm, buf, ctx)
-    return [unwrap(pieces[r]) for r in range(comm.size)]
+        return done([unwrap(buf)])
+    algo = {"ring": _ring, "recursive_doubling": _recursive_doubling,
+            "bruck": _bruck, "gather_bcast": _gather_bcast}[algorithm]
+    return algo(comm, buf, ctx)
 
 
 def _piece_message(pieces: Dict[int, Buffer]) -> Buffer:
@@ -79,7 +73,7 @@ def _ring(comm, buf: Buffer, ctx):
         pieces[incoming] = msg.buf
         forward = incoming
     yield from comm._co_close_peer_batch(batch)
-    return pieces
+    return by_rank(pieces)
 
 
 def _recursive_doubling(comm, buf: Buffer, ctx):
@@ -93,7 +87,7 @@ def _recursive_doubling(comm, buf: Buffer, ctx):
         msg = yield from req.co_wait()
         pieces.update(msg.payload)
         mask <<= 1
-    return pieces
+    return by_rank(pieces)
 
 
 def _bruck(comm, buf: Buffer, ctx):
@@ -121,7 +115,7 @@ def _bruck(comm, buf: Buffer, ctx):
         pieces.update(msg.payload)
         k += 1
     assert len(pieces) == size
-    return pieces
+    return by_rank(pieces)
 
 
 def _gather_bcast(comm, buf: Buffer, ctx):
@@ -137,4 +131,4 @@ def _gather_bcast(comm, buf: Buffer, ctx):
         packed = None
     result = yield from co_bcast(comm, packed, root=0)
     payload = result.payload if isinstance(result, Buffer) else result
-    return dict(payload)
+    return by_rank(dict(payload))

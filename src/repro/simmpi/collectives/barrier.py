@@ -28,17 +28,17 @@ _TOKEN = Buffer(None, nbytes=0)
 
 
 def co_barrier(comm, algorithm: Optional[str] = None):
-    """Block until every rank has entered the barrier."""
+    """Block until every rank has entered the barrier (returns the
+    algorithm's generator, or ``()`` on one rank)."""
     algorithm = algorithm or "dissemination"
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown barrier algorithm {algorithm!r}; have {ALGORITHMS}")
     ctx = comm._next_collective_context("barrier")
     if comm.size == 1:
-        return
+        return ()
     if algorithm == "dissemination":
-        yield from _dissemination(comm, ctx)
-    else:
-        yield from _tree(comm, ctx)
+        return _dissemination(comm, ctx)
+    return _tree(comm, ctx)
 
 
 def _dissemination(comm, ctx):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.simmpi.collectives.segment import n_segments, join_payloads, split_buffer
-from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import as_buffer, done, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -47,16 +47,14 @@ def co_bcast(
     me = comm.rank
     size = comm.size
     if size == 1:
-        return unwrap(as_buffer(value, nbytes)) if me == root else None
+        return done(unwrap(as_buffer(value, nbytes)) if me == root else None)
 
     buf = as_buffer(value, nbytes) if me == root else None
     if algorithm == "binomial":
-        buf = yield from _binomial(comm, buf, root, ctx, segments)
-    elif algorithm == "flat":
-        buf = yield from _flat(comm, buf, root, ctx)
-    else:
-        buf = yield from _chain(comm, buf, root, ctx)
-    return unwrap(buf)
+        return _binomial(comm, buf, root, ctx, segments)
+    if algorithm == "flat":
+        return _flat(comm, buf, root, ctx)
+    return _chain(comm, buf, root, ctx)
 
 
 def _segment_count(comm, buf: Optional[Buffer], root: int,
@@ -112,7 +110,7 @@ def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
                                           batches[child])
         for child in children:
             yield from comm._co_close_peer_batch(batches[child])
-        return buf
+        return unwrap(buf)
 
     # Receivers: segment 0 carries the segment count in its header.
     msg0 = yield from comm._irecv(parent, 0, ctx).co_wait()
@@ -136,8 +134,8 @@ def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
     for child in children:
         yield from comm._co_close_peer_batch(batches[child])
     if nseg == 1:
-        return pieces[0]
-    return join_payloads(pieces, pieces[0])
+        return unwrap(pieces[0])
+    return unwrap(join_payloads(pieces, pieces[0]))
 
 
 def _flat(comm, buf: Optional[Buffer], root: int, ctx):
@@ -146,9 +144,9 @@ def _flat(comm, buf: Optional[Buffer], root: int, ctx):
         for dst in range(size):
             if dst != root:
                 yield from comm._co_isend(buf, dst, 0, ctx, "coll")
-        return buf
+        return unwrap(buf)
     msg = yield from comm._irecv(root, 0, ctx).co_wait()
-    return msg.buf
+    return unwrap(msg.buf)
 
 
 def _chain(comm, buf: Optional[Buffer], root: int, ctx):
@@ -161,4 +159,4 @@ def _chain(comm, buf: Optional[Buffer], root: int, ctx):
     if vr + 1 < size:
         dst = unvrank(vr + 1, root, size)
         yield from comm._co_isend(buf, dst, 0, ctx, "coll")
-    return buf
+    return unwrap(buf)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import (as_buffer, by_rank, done, unvrank,
+                                          unwrap, vrank)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -31,18 +32,11 @@ def co_gather(
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown gather algorithm {algorithm!r}; have {ALGORITHMS}")
     ctx = comm._next_collective_context("gather")
-    me, size = comm.rank, comm.size
     buf = as_buffer(value, nbytes)
-    if size == 1:
-        return [unwrap(buf)]
-
-    if algorithm == "binomial":
-        table = yield from _binomial(comm, buf, root, ctx)
-    else:
-        table = yield from _linear(comm, buf, root, ctx)
-    if me != root:
-        return None
-    return [unwrap(table[r]) for r in range(size)]
+    if comm.size == 1:
+        return done([unwrap(buf)])
+    algo = _binomial if algorithm == "binomial" else _linear
+    return algo(comm, buf, root, ctx)
 
 
 def _pack(table: Dict[int, Buffer]) -> Buffer:
@@ -67,7 +61,7 @@ def _binomial(comm, buf: Buffer, root: int, ctx):
             yield from comm._co_isend(_pack(table), dst, mask, ctx, "coll")
             return None
         mask <<= 1
-    return table
+    return by_rank(table)
 
 
 def _linear(comm, buf: Buffer, root: int, ctx):
@@ -81,4 +75,4 @@ def _linear(comm, buf: Buffer, root: int, ctx):
             continue
         msg = yield from comm._irecv(src, 0, ctx).co_wait()
         table[src] = msg.buf
-    return table
+    return by_rank(table)

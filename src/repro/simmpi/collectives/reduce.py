@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.simmpi.collectives.segment import join_payloads, n_segments, split_buffer
-from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import as_buffer, done, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 from repro.simmpi.op import Op, combine
@@ -46,10 +46,9 @@ def co_reduce(
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown reduce algorithm {algorithm!r}; have {ALGORITHMS}")
     ctx = comm._next_collective_context("reduce")
-    me, size = comm.rank, comm.size
     buf = as_buffer(value, nbytes)
-    if size == 1:
-        return unwrap(buf)
+    if comm.size == 1:
+        return done(unwrap(buf))
 
     nseg = max(1, int(segments)) if segments is not None else n_segments(buf.nbytes)
     if nseg > 1 and buf.payload is not None and not hasattr(buf.payload, "reshape"):
@@ -57,15 +56,10 @@ def co_reduce(
             "cannot segment a non-array payload; pass segments=1"
         )
 
-    if algorithm == "binomial":
-        out = yield from _tree_reduce(comm, buf, op, root, ctx, nseg,
-                                      _binomial_links)
-    elif algorithm == "binary":
-        out = yield from _tree_reduce(comm, buf, op, root, ctx, nseg,
-                                      _binary_links)
-    else:
-        out = yield from _flat(comm, buf, op, root, ctx)
-    return unwrap(out) if me == root else None
+    if algorithm == "flat":
+        return _flat(comm, buf, op, root, ctx)
+    links = _binomial_links if algorithm == "binomial" else _binary_links
+    return _tree_reduce(comm, buf, op, root, ctx, nseg, links)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +114,8 @@ def _tree_reduce(comm, buf: Buffer, op: Op, root: int, ctx, nseg: int,
         yield from comm._co_close_peer_batch(batch)
         return None
     if nseg == 1:
-        return out[0]
-    return join_payloads(out, buf)
+        return unwrap(out[0])
+    return unwrap(join_payloads(out, buf))
 
 
 def _flat(comm, buf: Buffer, op: Op, root: int, ctx):
@@ -134,4 +128,4 @@ def _flat(comm, buf: Buffer, op: Op, root: int, ctx):
             continue
         msg = yield from comm._irecv(src, 0, ctx).co_wait()
         buf = combine(op, buf, msg.buf)
-    return buf
+    return unwrap(buf)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.simmpi.collectives.util import as_buffer, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import as_buffer, done, unvrank, unwrap, vrank
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -42,13 +42,9 @@ def co_scatter(
             raise CommError(f"root must supply {size} values")
         table = {r: as_buffer(v, nbytes) for r, v in enumerate(values)}
     if size == 1:
-        return unwrap(table[0])
-
-    if algorithm == "binomial":
-        mine = yield from _binomial(comm, table, root, ctx)
-    else:
-        mine = yield from _linear(comm, table, root, ctx)
-    return unwrap(mine)
+        return done(unwrap(table[0]))
+    algo = _binomial if algorithm == "binomial" else _linear
+    return algo(comm, table, root, ctx)
 
 
 def _pack(table: Dict[int, Buffer]) -> Buffer:
@@ -85,7 +81,7 @@ def _binomial(comm, table: Optional[Dict[int, Buffer]], root: int, ctx):
             for r in sub:
                 del table[r]
         mask >>= 1
-    return table[me]
+    return unwrap(table[me])
 
 
 def _linear(comm, table: Optional[Dict[int, Buffer]], root: int, ctx):
@@ -94,6 +90,6 @@ def _linear(comm, table: Optional[Dict[int, Buffer]], root: int, ctx):
         for dst in range(size):
             if dst != root:
                 yield from comm._co_isend(table[dst], dst, 0, ctx, "coll")
-        return table[me]
+        return unwrap(table[me])
     msg = yield from comm._irecv(root, 0, ctx).co_wait()
-    return msg.buf
+    return unwrap(msg.buf)

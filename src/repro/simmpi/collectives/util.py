@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.simmpi.datatypes import Buffer
 
-__all__ = ["as_buffer", "unwrap", "vrank", "unvrank", "is_pow2", "ceil_log2"]
+__all__ = ["as_buffer", "unwrap", "vrank", "unvrank", "is_pow2", "ceil_log2",
+           "done", "by_rank"]
+
+
+def done(value: Any = None):
+    """A decomposition with nothing to send: returns ``value`` at once."""
+    return value
+    yield  # pragma: no cover - makes this a generator
+
+
+def by_rank(pieces: Dict[int, Buffer]) -> List[Any]:
+    """Every rank's piece, unwrapped, indexed by rank (gather results)."""
+    return [unwrap(pieces[r]) for r in range(len(pieces))]
 
 
 def as_buffer(value: Any, nbytes: Optional[int] = None) -> Buffer:

@@ -35,12 +35,6 @@ _PT2PT_CONTEXT = "pt2pt"
 _READY = _State.READY
 _BLOCKED = _State.BLOCKED
 
-# Eager sends complete at post time, so internal sends (collectives,
-# sendrecv) return this shared completed request instead of allocating
-# one per message.  The public ``isend`` allocates a real SendRequest
-# because its ``nbytes`` attribute is part of the user-facing API.
-_SEND_DONE = SendRequest(0)
-
 
 class Communicator:
     """A group of world ranks with its own matching context.
@@ -216,12 +210,18 @@ class Communicator:
 
     # -- internal point-to-point (collectives, OSC) -------------------------
 
-    def _isend(
+    def _co_isend(
         self, buf: Buffer, dest: int, tag: int, context: Hashable, category: str,
         batch=None,
-    ) -> Request:
-        # Park-free injection; only :meth:`_co_isend`, which has settled
-        # the caller's previous send, calls this.
+    ):
+        """Internal send (collectives, OSC), for ``yield from``.
+
+        Settles the caller's previous deferred send first — the one
+        place a send can park.  When that needs no park (nearly always)
+        the send is injected or deferred on the spot and the result is
+        ``()``: no generator is allocated.  Otherwise the result is the
+        engine's park generator, which sends once settled.
+        """
         # The payload is snapshotted here (the caller may reuse its
         # buffer after the eager return); recording, the overhead
         # charge, and the actual network transfer happen inside the
@@ -236,27 +236,30 @@ class Communicator:
             proc = _tls.proc
         except AttributeError:
             raise SimError("not inside a simulated MPI process") from None
+        eng = self.engine
+        if proc.pending is not None:
+            # Engine.co_settle, unrolled: no generator unless it parks.
+            nxt = eng._settle_scan(proc)
+            if nxt is not None:
+                return eng._co_settle_park(
+                    proc, nxt, self._co_isend,
+                    (buf, dest, tag, context, category, batch))
         nbytes = buf.nbytes
         payload = buf.payload
-        if payload is None:
-            # Abstract buffers carry no state a sender could mutate
-            # after the eager return — ship the descriptor itself
-            # instead of allocating a copy per message.
-            wire = buf
+        if isinstance(payload, np.ndarray):
+            # Buffer.copy_payload, inlined: arrays are value-copied.
+            wire = Buffer(payload.copy(), nbytes=nbytes)
         else:
-            # Buffer.copy_payload, inlined: arrays are value-copied,
-            # anything else is shipped as-is.
-            wire = Buffer(
-                payload.copy() if isinstance(payload, np.ndarray) else payload,
-                nbytes=nbytes,
-            )
+            # Anything else is shipped as-is (copy_payload), and Buffers
+            # are immutable descriptors: ship the sender's own instead
+            # of allocating a copy per message.
+            wire = buf
         mq = self._queues[dest]
         if mq is None:
             mq = self._queue(dest)
         # The deferral fast path (the branch nearly every message
         # takes): defer this send when any rank or queued send is due
-        # before us.  The caller has settled our previous send.
-        eng = self.engine
+        # before us.  Our previous send is settled by now.
         clock = proc.clock
         heap = eng._ready_heap
         pop = heapq.heappop
@@ -287,11 +290,14 @@ class Communicator:
             msg.buf = wire
             msg.arrival = 0.0
             msg.category = category
-            ps = [proc, mq, msg, self.group[dest], nbytes, batch, False]
-            proc.pending = ps
+            # The deferred-send record is its own heap entry (engine
+            # _PS_* layout).
             eng._qseq += 1
-            heapq.heappush(ph, (clock, proc.rank, eng._qseq, ps))
-            return _SEND_DONE
+            ps = [clock, proc.rank, eng._qseq, proc, mq, msg,
+                  self.group[dest], nbytes, batch, False]
+            proc.pending = ps
+            heapq.heappush(ph, ps)
+            return ()
         # Frontmost: the engine runs the transfer now.
         eng.post_send(
             proc,
@@ -305,27 +311,7 @@ class Communicator:
             category,
             batch,
         )
-        return _SEND_DONE
-
-    def _co_isend(
-        self, buf: Buffer, dest: int, tag: int, context: Hashable, category: str,
-        batch=None,
-    ):
-        """Internal send (collectives, OSC): settle the caller's
-        previous deferred send — the one place a send can park — then
-        inject through the park-free :meth:`_isend`."""
-        try:
-            proc = _tls.proc
-        except AttributeError:
-            raise SimError("not inside a simulated MPI process") from None
-        if proc.pending is not None:
-            # Engine.co_settle, unrolled: settle without allocating a
-            # sub-generator unless a park is actually needed (rare).
-            eng = self.engine
-            nxt = eng._settle_scan(proc)
-            if nxt is not None:
-                yield from eng._co_settle_park(proc, nxt)
-        return self._isend(buf, dest, tag, context, category, batch)
+        return ()
 
     def _open_peer_batch(self, dest: int, category: str) -> PeerBatch:
         """Open batched matrix bookkeeping for sends to one peer.
@@ -464,19 +450,30 @@ class Communicator:
     # -- collectives (implemented over _co_isend/_irecv) ---------------------
 
     def _co_spanned(self, opname, _alg, gen, *args, **kwargs):
-        """Run one collective, tracing it as a virtual-time span.
+        """One collective call, for ``yield from``.
 
-        Observation-only: the span recorder reads the caller's raw
-        clock before and after — it never settles deferred sends or
-        touches the scheduler, so the engine's call sequence is
-        identical with tracing off (``engine._obs_spans is None``, the
-        common case, costs one attribute read per collective call).
+        With neither a span recorder nor a replay recorder attached (the
+        common case) this is the decomposition's own generator: no
+        frame of its own.  Otherwise it is :meth:`_co_observed`, which
+        wraps the decomposition in the begin/end hooks.
+        """
+        eng = self.engine
+        if eng._obs_spans is None and eng._rr is None:
+            return gen(*args, **kwargs)
+        return self._co_observed(opname, _alg, gen, args, kwargs)
+
+    def _co_observed(self, opname, _alg, gen, args, kwargs):
+        """Run one collective, tracing it as a virtual-time span and/or
+        a recorded ``B``/``E`` pair.
+
+        Observation-only: the hooks read the caller's raw clock before
+        and after — they never settle deferred sends or touch the
+        scheduler, so the engine's call sequence is identical with
+        observation off.
         """
         eng = self.engine
         rec = eng._obs_spans
         rr = eng._rr
-        if rec is None and rr is None:
-            return (yield from gen(*args, **kwargs))
         try:
             proc = _tls.proc
         except AttributeError:
@@ -544,8 +541,8 @@ class Communicator:
     def co_barrier(self, algorithm: Optional[str] = None):
         from repro.simmpi.collectives.barrier import co_barrier
 
-        yield from self._co_spanned("barrier", algorithm, co_barrier, self,
-                                    algorithm=algorithm)
+        return self._co_spanned("barrier", algorithm, co_barrier, self,
+                                algorithm=algorithm)
 
     def co_bcast(self, value: Any = None, root: int = 0,
                  nbytes: Optional[int] = None,
@@ -553,9 +550,9 @@ class Communicator:
                  segments: Optional[int] = None):
         from repro.simmpi.collectives.bcast import co_bcast
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "bcast", algorithm, co_bcast, self, value, root=root,
-            nbytes=nbytes, algorithm=algorithm, segments=segments))
+            nbytes=nbytes, algorithm=algorithm, segments=segments)
 
     def co_reduce(self, value: Any, op: Op, root: int = 0,
                   nbytes: Optional[int] = None,
@@ -563,71 +560,71 @@ class Communicator:
                   segments: Optional[int] = None):
         from repro.simmpi.collectives.reduce import co_reduce
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "reduce", algorithm, co_reduce, self, value, op, root=root,
-            nbytes=nbytes, algorithm=algorithm, segments=segments))
+            nbytes=nbytes, algorithm=algorithm, segments=segments)
 
     def co_allreduce(self, value: Any, op: Op, nbytes: Optional[int] = None,
                      algorithm: Optional[str] = None):
         from repro.simmpi.collectives.allreduce import co_allreduce
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "allreduce", algorithm, co_allreduce, self, value, op,
-            nbytes=nbytes, algorithm=algorithm))
+            nbytes=nbytes, algorithm=algorithm)
 
     def co_gather(self, value: Any, root: int = 0,
                   nbytes: Optional[int] = None,
                   algorithm: Optional[str] = None):
         from repro.simmpi.collectives.gather import co_gather
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "gather", algorithm, co_gather, self, value, root=root,
-            nbytes=nbytes, algorithm=algorithm))
+            nbytes=nbytes, algorithm=algorithm)
 
     def co_scatter(self, values: Optional[Sequence[Any]] = None, root: int = 0,
                    nbytes: Optional[int] = None,
                    algorithm: Optional[str] = None):
         from repro.simmpi.collectives.scatter import co_scatter
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "scatter", algorithm, co_scatter, self, values, root=root,
-            nbytes=nbytes, algorithm=algorithm))
+            nbytes=nbytes, algorithm=algorithm)
 
     def co_allgather(self, value: Any, nbytes: Optional[int] = None,
                      algorithm: Optional[str] = None):
         from repro.simmpi.collectives.allgather import co_allgather
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "allgather", algorithm, co_allgather, self, value,
-            nbytes=nbytes, algorithm=algorithm))
+            nbytes=nbytes, algorithm=algorithm)
 
     def co_alltoall(self, values: Sequence[Any], nbytes: Optional[int] = None,
                     algorithm: Optional[str] = None):
         from repro.simmpi.collectives.alltoall import co_alltoall
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "alltoall", algorithm, co_alltoall, self, values,
-            nbytes=nbytes, algorithm=algorithm))
+            nbytes=nbytes, algorithm=algorithm)
 
     def co_scan(self, value: Any, op: Op, nbytes: Optional[int] = None):
         from repro.simmpi.collectives.scan import co_scan
 
-        return (yield from self._co_spanned(
-            "scan", None, co_scan, self, value, op, nbytes=nbytes))
+        return self._co_spanned(
+            "scan", None, co_scan, self, value, op, nbytes=nbytes)
 
     def co_exscan(self, value: Any, op: Op, nbytes: Optional[int] = None):
         from repro.simmpi.collectives.scan import co_exscan
 
-        return (yield from self._co_spanned(
-            "exscan", None, co_exscan, self, value, op, nbytes=nbytes))
+        return self._co_spanned(
+            "exscan", None, co_exscan, self, value, op, nbytes=nbytes)
 
     def co_reduce_scatter(self, values: Sequence[Any], op: Op,
                           nbytes: Optional[int] = None):
         from repro.simmpi.collectives.scan import co_reduce_scatter
 
-        return (yield from self._co_spanned(
+        return self._co_spanned(
             "reduce_scatter", None, co_reduce_scatter, self,
-            list(values), op, nbytes=nbytes))
+            list(values), op, nbytes=nbytes)
 
     # -- one-sided --------------------------------------------------------
 

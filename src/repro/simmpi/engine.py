@@ -47,6 +47,16 @@ rank is running materializes due transfers inline, in exactly the
 order a park-per-send engine would produce.  A sender parks only when
 a real rank (not just a pending transfer) must run before it.
 
+A deferred send is one list, both ``proc.pending`` and its pending-heap
+entry: ``[clock, rank, qseq, proc, queue, msg, dst_world, nbytes,
+batch, parked]`` (``_PS_*``; ``qseq`` is unique, so comparisons never
+reach ``proc``).  A generator program is its rank's continuation, with
+no wrapper frame.  A rank parks in :meth:`Engine._co_settle_park`
+(settling a deferred send, also for ``Communicator._co_isend``), in
+``RecvRequest.co_wait`` (which inlines that loop) or in
+:meth:`Engine.co_give_way`, so one parked in a barrier holds three
+frames: program, decomposition, park site.
+
 Ready-heap entries are ``(clock, rank, seq, proc, marker)``.  The
 ``marker`` field carries one further switch elision applied only *at
 pop time*, when the entry wins the heap, so it cannot perturb the
@@ -191,8 +201,11 @@ def _drive(gen):
     :class:`Aborted`) is thrown into the generator so its ``finally``
     blocks run.  With no thread task to park on — a blocking call inside
     a generator rank program, or outside any run — the call fails
-    instead of hanging.
+    instead of hanging.  Any iterable is accepted: a ``co_*`` call with
+    nothing to park on may return ``()`` instead of a generator.
     """
+    if not hasattr(gen, "send"):
+        gen = (directive for directive in gen)
     step, arg = gen.send, None
     try:
         while True:
@@ -217,8 +230,8 @@ def _drive(gen):
 
 def _as_generator(main: Callable) -> Callable:
     """A plain-callable rank program as a generator function that never
-    yields (its parks go through :func:`_drive`), so one
-    :meth:`Engine._rank_main` serves both spellings."""
+    yields (its parks go through :func:`_drive`), for
+    :meth:`Engine._rank_main` to run on the rank's thread."""
 
     def co_main(world, *args, **kwargs):
         result = main(world, *args, **kwargs)
@@ -235,25 +248,27 @@ def _as_generator(main: Callable) -> Callable:
 
 
 # A deferred message injection, materialized in ``(clock, rank)`` order
-# by whichever rank is running when it comes due.  Represented as a
-# plain list (building one is a single C-level op on the per-message
-# hot path); the slots are:
+# by whichever rank is running when it comes due.  Represented as one
+# plain list, pushed onto the pending heap as is (one C-level op on the
+# per-message hot path); the slots are:
 #
-#   [0] proc      — the sending SimProcess
-#   [1] queue     — destination MatchQueue
-#   [2] msg       — pre-built Message (arrival filled at materialization)
-#   [3] dst_world — destination world rank (for monitoring/transfer)
-#   [4] nbytes    — wire size
-#   [5] batch     — PeerBatch for batched collectives, else None; the
+#   [0:3] clock, rank, qseq — the heap key: the sender's clock and
+#                   rank at post, and a unique sequence number
+#   [3] proc      — the sending SimProcess
+#   [4] queue     — destination MatchQueue
+#   [5] msg       — pre-built Message (arrival filled at materialization)
+#   [6] dst_world — destination world rank (for monitoring/transfer)
+#   [7] nbytes    — wire size
+#   [8] batch     — PeerBatch for batched collectives, else None; the
 #                   send is still gated (and charged monitoring
 #                   overhead) individually at materialization
-#   [6] parked    — True once the owner parks awaiting
+#   [9] parked    — True once the owner parks awaiting
 #                   materialization; tells the materializer to resume
 #                   the owner right after the transfer (transfer +
 #                   continuation form one tenure, exactly as if the
 #                   sender had parked for every rank behind it)
-_PS_PROC, _PS_QUEUE, _PS_MSG, _PS_DSTW, _PS_NBYTES, _PS_BATCH, _PS_PARKED = \
-    range(7)
+(_PS_CLOCK, _PS_RANK, _PS_QSEQ, _PS_PROC, _PS_QUEUE, _PS_MSG, _PS_DSTW,
+ _PS_NBYTES, _PS_BATCH, _PS_PARKED) = range(10)
 
 
 class SimProcess:
@@ -279,9 +294,10 @@ class SimProcess:
         self.rank = rank
         self.clock = 0.0
         self.state = _State.NEW
-        # The rank continuation the scheduler resumes: a generator, or
-        # a _ThreadTask for a blocking program.  Live execution state —
-        # it does not survive pickling.
+        # The rank continuation the scheduler resumes: the program's
+        # generator (or the settle of its last send), or a _ThreadTask
+        # for a blocking program.  Live execution state — it does not
+        # survive pickling.
         self.task: Any = None
         self.blocked_on: Any = ""
         # The request this rank is currently parked in ``wait()`` on,
@@ -372,7 +388,7 @@ class Engine:
         self._switches = 0
         # (clock, rank, seq, proc, hint), lazily cleaned.
         self._ready_heap: List = []
-        # (clock, rank, qseq, pending-send list); entries are never stale.
+        # Deferred-send records (see _PS_*); entries are never stale.
         self._pending_heap: List = []
         self._qseq = 0
         self._n_done = 0
@@ -454,8 +470,9 @@ class Engine:
         self.procs = [SimProcess(self, r) for r in range(self.n_ranks)]
         self.world = Communicator(self, list(range(self.n_ranks)))
         for proc in self.procs:
-            body = self._rank_main(proc, main, args, kwargs)
-            proc.task = body if native else _ThreadTask(proc, body)
+            proc.task = (main(self.world, *args, **kwargs) if native else
+                         _ThreadTask(proc, self._rank_main(proc, main, args,
+                                                           kwargs)))
             self._set_ready(proc)
 
         if self._obs is not None:
@@ -542,7 +559,7 @@ class Engine:
         An entry is live when its sequence number is current and its
         process is in the state the entry stands for — READY for a
         normal entry, BLOCKED for a phantom.  The hot paths
-        (:meth:`_pop_ready`, :meth:`_settle_scan`, ``comm._isend``)
+        (:meth:`_pop_ready`, :meth:`_settle_scan`, ``comm._co_isend``)
         inline this loop.
         """
         heap = self._ready_heap
@@ -592,7 +609,7 @@ class Engine:
                 p = ph[0]
                 if t is None or p[0] < t[0] or (p[0] == t[0] and p[1] < t[1]):
                     pop(ph)
-                    owner = self._materialize(p[3])
+                    owner = self._materialize(p)
                     if owner is not None:
                         # The sender is parked on this very transfer:
                         # it resumes here, mid-tenure (its post-transfer
@@ -620,7 +637,7 @@ class Engine:
     def post_send(self, proc: SimProcess, queue, src_local: int,
                   dst_local: int, dst_world: int, buf, tag: int,
                   context, category: str, batch=None) -> None:
-        """Inject a message now: the caller (``comm._isend``) has settled
+        """Inject a message now: the caller (``comm._co_isend``) has settled
         this rank's previous send and found nothing due before its
         clock, so the transfer runs inline without a pending-send
         record.  This duplicates :meth:`_materialize` minus the
@@ -677,7 +694,7 @@ class Engine:
         when it is parked on this transfer and must be resumed now (its
         post-transfer code belongs to this tenure).
         """
-        proc, mq, msg, dst_world, nbytes, batch, parked = ps
+        _, _, _, proc, mq, msg, dst_world, nbytes, batch, parked = ps
         proc.pending = None
         clock = proc.clock
         if batch is None:
@@ -838,9 +855,10 @@ class Engine:
     # (finish / defensive pop / deadlock).
 
     def _rank_main(self, proc: SimProcess, main, args, kwargs):
-        """One rank's continuation: run the program, settle its last
-        send, record failure.  Completion bookkeeping (DONE, picking
-        the next rank) lives in the scheduler, at ``StopIteration``."""
+        """A blocking program's body on its thread: run the program,
+        settle its last send, record failure.  For a generator program
+        :meth:`_run_eventloop` does these jobs itself, at the program's
+        ``StopIteration`` and exception branches."""
         try:
             if self._aborting:
                 raise Aborted()
@@ -869,16 +887,25 @@ class Engine:
             self._resumes += 1
             try:
                 nxt = current.task.send(None)
-            except StopIteration:
-                # This rank finished (or failed, or unwound).
+            except StopIteration as stop:
+                # Finished.  The final settle (and a thread task, whose
+                # _rank_main stored it) returns None: keep the result.
+                if stop.value is not None:
+                    current.result = stop.value
+                if current.pending is not None and not self._aborting:
+                    # Settle the last send in this tenure: no new resume.
+                    current.task = self.co_settle(current)
+                    self._resumes -= 1
+                    continue
                 current.state = _State.DONE
                 self._n_done += 1
-                nxt = None if self._aborting else self._pop_ready()
-                if nxt is not None:
-                    self._switches += 1
-                    nxt.state = _State.RUNNING
-                    current = nxt
-                    continue
+            except BaseException as exc:  # noqa: BLE001 - via RankFailure
+                # A failed rank (Aborted is an unwind, not a failure).
+                if not isinstance(exc, Aborted):
+                    current.exc = exc
+                    self._aborting = True
+                current.state = _State.DONE
+                self._n_done += 1
             else:
                 if nxt is not None:
                     # The yield site already did the switch bookkeeping.
@@ -888,7 +915,7 @@ class Engine:
             if self._aborting or self._n_done == len(self.procs):
                 return
             nxt = self._pop_ready()
-            if nxt is not None:  # pragma: no cover - defensive
+            if nxt is not None:
                 self._switches += 1
                 nxt.state = _State.RUNNING
                 current = nxt
@@ -908,7 +935,8 @@ class Engine:
         suspension point (a never-started task surfaces it from
         ``throw`` itself — its body never runs, and a blocking program
         never gets a thread).  A task that yields while unwinding is
-        thrown at again.
+        thrown at again; one that raises anything else while unwinding
+        (a ``finally`` that fails) is a failed rank.
         """
         self._aborting = True
         for proc in self.procs:
@@ -916,7 +944,9 @@ class Engine:
             while proc.state is not _State.DONE:
                 try:
                     proc.task.throw(Aborted)
-                except (StopIteration, Aborted):
+                except BaseException as exc:  # noqa: BLE001 - via RankFailure
+                    if not isinstance(exc, (StopIteration, Aborted)):
+                        proc.exc = exc
                     proc.state = _State.DONE
                     self._n_done += 1
 
@@ -927,7 +957,7 @@ class Engine:
 
         This is the park-free common case of :meth:`co_settle`, split
         out as a plain method so the per-send settle costs no generator
-        allocation; :meth:`_co_settle_park` is its rare yielding tail.
+        allocation; :meth:`_co_settle_park` is its yielding tail.
         """
         heap = self._ready_heap
         ph = self._pending_heap
@@ -952,7 +982,7 @@ class Engine:
                 if t is None or p[0] < t[0] or \
                         (p[0] == t[0] and p[1] < t[1]):
                     pop(ph)
-                    owner = self._materialize(p[3])
+                    owner = self._materialize(p)
                     if owner is not None:
                         return owner
                     if proc.pending is None:
@@ -972,10 +1002,13 @@ class Engine:
                 continue
             return nxt
 
-    def _co_settle_park(self, proc: SimProcess, nxt: SimProcess):
-        """Yielding tail of :meth:`co_settle`: park for ``nxt``, then
-        keep settling until ``proc``'s deferred send is materialized."""
-        while True:
+    def _co_settle_park(self, proc: SimProcess, nxt: SimProcess,
+                        then=None, args=()):
+        """Yielding tail of :meth:`co_settle`: park for ``nxt`` until
+        ``proc``'s deferred send is materialized, then call
+        ``then(*args)`` (``Communicator._co_isend``'s own send).
+        ``RecvRequest.co_wait`` inlines the loop — keep them in sync."""
+        while nxt is not None:
             proc.pending[_PS_PARKED] = True
             proc.state = _State.READY
             self._switches += 1
@@ -985,11 +1018,9 @@ class Engine:
                 raise Aborted()
             proc.state = _State.RUNNING
             proc.blocked_on = ""
-            if proc.pending is None:
-                return
-            nxt = self._settle_scan(proc)
-            if nxt is None:
-                return
+            nxt = None if proc.pending is None else self._settle_scan(proc)
+        if then is not None:
+            then(*args)
 
     def co_settle(self, proc: SimProcess):
         """Materialize this process's deferred send, in global order:

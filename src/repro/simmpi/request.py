@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional
 
 from repro.simmpi.engine import Aborted as _Aborted
+from repro.simmpi.engine import _PS_PARKED, _drive, _tls
 from repro.simmpi.engine import _State as _St
-from repro.simmpi.engine import _drive, _tls
 from repro.simmpi.errorsim import SimError
 from repro.simmpi.match import Message
 
@@ -116,12 +116,22 @@ class RecvRequest(Request):
             # materialized (and can turn spurious wakes into phantoms).
             proc.wait_obj = self
             try:
-                # Engine.co_settle, inlined: a sub-generator allocation
-                # per park is measurable.  Keep in sync with engine.py.
+                # Engine.co_settle and _co_settle_park's loop, inlined: a
+                # sub-generator per park is measurable.  Keep in sync.
                 if proc.pending is not None:
                     nxt = engine._settle_scan(proc)
-                    if nxt is not None:
-                        yield from engine._co_settle_park(proc, nxt)
+                    while nxt is not None:
+                        proc.pending[_PS_PARKED] = True
+                        proc.state = _St.READY
+                        engine._switches += 1
+                        nxt.state = _St.RUNNING
+                        yield nxt
+                        if engine._aborting:
+                            raise _Aborted()
+                        proc.state = _St.RUNNING
+                        proc.blocked_on = ""
+                        nxt = (None if proc.pending is None
+                               else engine._settle_scan(proc))
                 while self._msg is None:
                     # The request itself is the block reason: its repr
                     # is only rendered if a deadlock dump needs it, so

@@ -148,6 +148,126 @@ def test_lowest_failed_rank_is_reported(program):
     assert isinstance(engine.procs[4].exc, ValueError)
 
 
+# -- a rank raising while others are parked settling a deferred send --------
+#
+# Rank 0 defers a send at t=3 and waits: settling it must let ranks 1
+# and 2 run first, so it parks inside co_wait's inlined settle loop.
+# Rank 1 defers a send at t=2 and sends again: settling parks it inside
+# the settling branch of the send.  Rank 2 then raises; rank 1 raises
+# again while being unwound, so it is the lowest failed rank.
+
+PARKED = {}
+
+
+def _settle_parks_gen(comm):
+    me = comm.rank
+    try:
+        if me == 0:
+            yield from comm.co_compute(3.0)
+            yield from comm.co_isend(None, dest=2, nbytes=8)
+            yield from comm.co_recv(source=1)
+        elif me == 1:
+            yield from comm.co_compute(2.0)
+            yield from comm.co_isend(None, dest=2, nbytes=8)
+            yield from comm.co_isend(None, dest=2, nbytes=8)
+        elif me == 2:
+            procs = comm.engine.procs
+            for p in procs[:2]:
+                task, names = p.task, []
+                while task is not None:
+                    names.append(task.gi_code.co_name)
+                    task = task.gi_yieldfrom
+                PARKED[p.rank] = (p.state.value, p.pending is not None, names)
+            raise ValueError("rank 2 fails while 0 and 1 are parked")
+    finally:
+        if me == 1:
+            raise KeyError("rank 1 fails while being unwound")
+
+
+def _settle_parks_blocking(comm):
+    me = comm.rank
+    try:
+        if me == 0:
+            comm.compute(3.0)
+            comm.isend(None, dest=2, nbytes=8)
+            comm.recv(source=1)
+        elif me == 1:
+            comm.compute(2.0)
+            comm.isend(None, dest=2, nbytes=8)
+            comm.isend(None, dest=2, nbytes=8)
+        elif me == 2:
+            raise ValueError("rank 2 fails while 0 and 1 are parked")
+    finally:
+        if me == 1:
+            raise KeyError("rank 1 fails while being unwound")
+
+
+@_both(_settle_parks_gen, _settle_parks_blocking)
+def test_rank_raising_while_others_park_in_settles(program):
+    PARKED.clear()
+    engine, outcome = _run_guarded(program, n_ranks=3)
+    assert isinstance(outcome, RankFailure)
+    assert outcome.rank == 1
+    assert isinstance(outcome.original, KeyError)
+    assert isinstance(engine.procs[2].exc, ValueError)
+    assert all(p.state.value == "done" for p in engine.procs)
+    if inspect.isgeneratorfunction(program):
+        # The scenario parked where it says: in co_wait's inlined loop
+        # and in the settling send's park generator, one frame each.
+        assert PARKED == {
+            0: ("ready", True, ["_settle_parks_gen", "co_recv", "co_wait"]),
+            1: ("ready", True, ["_settle_parks_gen", "co_isend",
+                                "_co_settle_park"]),
+        }
+
+
+# -- a program returning with its last send still deferred -------------------
+
+
+def _last_send_deferred_gen(comm):
+    if comm.rank == 0:
+        msg = yield from comm.co_recv(source=1)
+        return msg.nbytes
+    if comm.rank == 1:
+        yield from comm.co_compute(2.0)
+        yield from comm.co_send(None, dest=0, nbytes=64)  # deferred
+    return f"rank {comm.rank}"
+
+
+def _last_send_deferred_blocking(comm):
+    if comm.rank == 0:
+        return comm.recv(source=1).nbytes
+    if comm.rank == 1:
+        comm.compute(2.0)
+        comm.send(None, dest=0, nbytes=64)
+    return f"rank {comm.rank}"
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["obs-off", "obs-on"])
+def test_returning_program_settles_its_last_send(observed):
+    """The loop settles a send the program left deferred (the job a
+    wrapper frame used to do), in the same tenure: the result survives,
+    the receiver gets the message, and resumes still equal switches."""
+    from repro import obs
+
+    runs = {}
+    for program in (_last_send_deferred_gen, _last_send_deferred_blocking):
+        if observed:
+            obs.enable()
+        try:
+            engine, outcome = _run_guarded(program, n_ranks=3)
+        finally:
+            obs.disable()
+        assert outcome == [64, "rank 1", "rank 2"]
+        assert engine.resumes == engine.switches
+        runs[program] = engine
+    gen, blocking = runs.values()
+    # Rank 1's continuation ended as the settle the loop started for it.
+    assert gen.procs[1].task.gi_code.co_name == "co_settle"
+    assert gen.clocks() == blocking.clocks()
+    assert gen.switches == blocking.switches
+
+
 # -- misuse: blocking park inside a generator program ------------------------
 
 

@@ -1,0 +1,148 @@
+"""A parked rank stays shallow.
+
+A generator program is the rank's continuation itself, an unobserved
+collective hands back its algorithm's generator, and the park loops are
+inlined into the generators that park, so a rank blocked in a collective
+holds three frames: program → decomposition → ``co_wait``.  Observation
+(``repro.obs`` spans, replay recording) wraps the decomposition only
+while a recorder is attached, and must still see every call.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.replay import autorecord
+from repro.replay.schema import K_B, K_E
+from repro.simmpi import SUM, Cluster, Engine, current_process
+from repro.simmpi.collectives import allreduce, barrier, bcast
+
+N_RANKS = 64
+LATE = 5  # enters every collective last
+
+
+def _chain(task):
+    """The code names along a continuation's ``gi_yieldfrom`` chain."""
+    names = []
+    while task is not None:
+        names.append(task.gi_code.co_name)
+        task = task.gi_yieldfrom
+    return names
+
+
+COLLECTIVES = {
+    "barrier": (lambda comm: comm.co_barrier(), "_dissemination"),
+    # Recursive doubling is written inline in the entry point.
+    "allreduce": (lambda comm: comm.co_allreduce(np.float64(comm.rank), SUM),
+                  "co_allreduce"),
+    "bcast": (lambda comm: comm.co_bcast(np.float64(1.0), root=LATE),
+              "_binomial"),
+}
+
+
+def _stopped_mid(collective):
+    """A program whose rank ``LATE`` waits until every other rank is
+    parked inside ``collective``, then records their continuations'
+    chains before joining it."""
+    chains = {}
+
+    def program(comm):
+        proc = current_process()
+        if comm.rank == LATE:
+            yield from comm.co_compute(1.0)
+            yield from comm.engine.co_give_way(proc)  # everyone else parks
+            for other in comm.engine.procs:
+                if other is not proc:
+                    chains[other.rank] = (other.state.value,
+                                          _chain(other.task))
+        yield from collective(comm)
+
+    return program, chains
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTIVES))
+def test_a_rank_parked_in_a_collective_holds_three_frames(name):
+    collective, algorithm = COLLECTIVES[name]
+    program, chains = _stopped_mid(collective)
+    engine = Engine(Cluster.plafrim(-(-N_RANKS // 24), n_ranks=N_RANKS,
+                                    binding="rr"))
+    engine.run(program)
+    assert len(chains) == N_RANKS - 1
+    for rank, (state, names) in chains.items():
+        assert state == "blocked", (rank, state)
+        assert len(names) <= 3, (rank, names)
+        assert names == ["program", algorithm, "co_wait"], (rank, names)
+    assert engine.resumes == engine.switches
+
+
+def _barrier_program(comm):
+    gen = comm.co_barrier()
+    # Unobserved: the decomposition's own generator, no wrapper.
+    assert gen.gi_code is barrier._dissemination.__code__
+    yield from gen
+
+
+def _small_engine():
+    return Engine(Cluster.plafrim(1, n_ranks=8, binding="rr"))
+
+
+def test_unobserved_collective_is_the_algorithm_generator():
+    def program(comm):
+        assert comm.co_barrier().gi_code is barrier._dissemination.__code__
+        assert comm.co_barrier("tree").gi_code is barrier._tree.__code__
+        assert comm.co_allreduce(1.0, SUM).gi_code is \
+            allreduce.co_allreduce.__code__
+        assert comm.co_bcast(1.0).gi_code is bcast._binomial.__code__
+        return
+        yield  # pragma: no cover - makes this a generator program
+
+    engine = _small_engine()
+    engine.run(program)
+    assert engine.messages == 0  # returned, never run
+
+
+def test_observed_collective_still_emits_its_span():
+    _, spans = obs.enable()
+    try:
+        engine = _small_engine()
+        engine.run(_observed_barrier)
+    finally:
+        obs.disable()
+    lanes = [s[0] for s in spans.finished if s[1] == "barrier"]
+    assert sorted(lanes) == list(range(8))
+    assert engine.resumes == engine.switches
+
+
+def _observed_barrier(comm):
+    gen = comm.co_barrier()
+    # Observed: the begin/end wrapper, around the same decomposition.
+    assert gen.gi_code is not barrier._dissemination.__code__
+    yield from gen
+
+
+def test_recorded_collective_still_writes_begin_and_end_rows():
+    with autorecord.capture() as traces:
+        engine = _small_engine()
+        engine.run(_observed_barrier)
+    cols = traces[0].columns()
+    assert int((cols.kind == K_B).sum()) == 8
+    assert int((cols.kind == K_E).sum()) == 8
+    assert [c[1] for c in cols.colls] == ["barrier"]
+    assert engine.resumes == engine.switches
+
+
+def test_unobserved_run_matches_observed_run():
+    """The wrapper observes and never schedules: same clocks and
+    switches with a span recorder attached or not."""
+    plain = _small_engine()
+    plain.run(_barrier_program)
+    obs.enable()
+    try:
+        observed = _small_engine()
+        observed.run(_observed_barrier)
+    finally:
+        obs.disable()
+    assert plain.clocks() == observed.clocks()
+    assert plain.switches == observed.switches == observed.resumes
