@@ -253,15 +253,9 @@ def cg_setup(comm: Communicator, config: CGConfig) -> CGState:
 
 # ---------------------------------------------------------------------------
 # communication building blocks (all timed into state.comm_time)
-
-
-def _timed_sendrecv(comm, state: CGState, value, dest, source, tag, nbytes=None):
-    t0 = yield from comm.co_time()
-    msg = yield from comm.co_sendrecv(value, dest=dest, source=source,
-                                      sendtag=tag, recvtag=tag, nbytes=nbytes)
-    state.comm_time += (yield from comm.co_time()) - t0
-    state.mpi_calls += 2
-    return msg
+# A ladder reads the clock before its first exchange and after each one
+# (``co_wait`` returns with nothing pending, so the read after step i is
+# the one before step i + 1); a ladder of no steps reads no clock.
 
 
 def _row_ladder_sum(comm, state: CGState, value: float, tag: int):
@@ -270,15 +264,19 @@ def _row_ladder_sum(comm, state: CGState, value: float, tag: int):
     c = state.proc_col
     acc = value
     numeric = state.config.mode == "numeric"
+    if state.l2npcols:
+        t = yield from comm.co_time()
     for i in range(state.l2npcols):
         d = state.npcols >> (i + 1)
         partner = state.rank_of(state.proc_row, c ^ d)
-        msg = yield from _timed_sendrecv(
-            comm, state,
+        msg = yield from comm.co_sendrecv(
             np.float64(acc) if numeric else None,
-            dest=partner, source=partner, tag=tag + i,
+            dest=partner, source=partner, sendtag=tag + i, recvtag=tag + i,
             nbytes=None if numeric else 8,
         )
+        t0, t = t, (yield from comm.co_time())
+        state.comm_time += t - t0
+        state.mpi_calls += 2
         if numeric:
             acc += float(msg.payload)
     return acc
@@ -296,25 +294,28 @@ def _reduce_scatter_row(comm, state: CGState, w, tag: int):
     seg = w
     lo = 0  # global start of the held segment (numeric bookkeeping)
     length = state.row_len
+    if state.l2npcols:
+        t = yield from comm.co_time()
     for i in range(state.l2npcols):
         d = state.npcols >> (i + 1)
         partner = state.rank_of(state.proc_row, c ^ d)
         half = length // 2 if numeric else -(-length // 2)
+        theirs = None
         if numeric:
             keep_low = (c & d) == 0
             mine = seg[:half] if keep_low else seg[half:]
             theirs = seg[half:] if keep_low else seg[:half]
-            msg = yield from _timed_sendrecv(comm, state, theirs, dest=partner,
-                                             source=partner, tag=tag + i)
+        msg = yield from comm.co_sendrecv(
+            theirs, dest=partner, source=partner, sendtag=tag + i,
+            recvtag=tag + i, nbytes=None if numeric else 8 * half)
+        t0, t = t, (yield from comm.co_time())
+        state.comm_time += t - t0
+        state.mpi_calls += 2
+        if numeric:
             seg = mine + msg.payload
             if not keep_low:
                 lo += half
-            length = half
-        else:
-            yield from _timed_sendrecv(comm, state, None, dest=partner,
-                                       source=partner, tag=tag + i,
-                                       nbytes=8 * half)
-            length = half
+        length = half
     return seg, lo
 
 
@@ -327,19 +328,21 @@ def _allgather_column(comm, state: CGState, seg, tag: int):
     # col_len == nprows · chunk on both square and non-square grids.
     length = state.chunk
     steps = state.nprows.bit_length() - 1
+    if steps:
+        t = yield from comm.co_time()
     for i in range(steps):
         d = 1 << i
         partner = state.rank_of(r ^ d, state.proc_col)
+        msg = yield from comm.co_sendrecv(
+            dict(pieces) if numeric else None, dest=partner, source=partner,
+            sendtag=tag + i, recvtag=tag + i,
+            nbytes=None if numeric else 8 * length)
+        t0, t = t, (yield from comm.co_time())
+        state.comm_time += t - t0
+        state.mpi_calls += 2
         if numeric:
-            nbytes = None
-            payload = dict(pieces)
-            msg = yield from _timed_sendrecv(comm, state, payload, dest=partner,
-                                             source=partner, tag=tag + i)
             pieces.update(msg.payload)
         else:
-            yield from _timed_sendrecv(comm, state, None, dest=partner,
-                                       source=partner, tag=tag + i,
-                                       nbytes=8 * length)
             length *= 2
     if numeric:
         out = np.concatenate([pieces[j] for j in sorted(pieces)])
@@ -383,8 +386,8 @@ def _matvec(comm, state: CGState, p_seg):
     tag = _next_tag(state)
     t0 = yield from comm.co_time()
     req = comm.irecv(source=state.transpose_recv_from, tag=tag)
-    yield from comm.co_isend(seg, dest=state.transpose_send_to, tag=tag,
-                             nbytes=None if numeric else 8 * state.chunk)
+    yield from comm.co_send(seg, dest=state.transpose_send_to, tag=tag,
+                            nbytes=None if numeric else 8 * state.chunk)
     msg = yield from req.co_wait()
     state.comm_time += (yield from comm.co_time()) - t0
     state.mpi_calls += 2

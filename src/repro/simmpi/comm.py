@@ -73,9 +73,12 @@ class Communicator:
         try:
             return self._local_of_world[proc.rank]
         except KeyError:
-            raise CommError(
-                f"world rank {proc.rank} is not a member of this communicator"
-            ) from None
+            raise self._not_member(proc) from None
+
+    @staticmethod
+    def _not_member(proc) -> CommError:
+        return CommError(
+            f"world rank {proc.rank} is not a member of this communicator")
 
     def world_rank(self, local_rank: int) -> int:
         self._check_rank(local_rank)
@@ -113,14 +116,14 @@ class Communicator:
         ``pml.set_mode``): with the send already settled those inner
         settles find nothing, so the call never needs to park.
         """
-        proc = self._current()
+        proc = getattr(_tls, "proc", None) or self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
         return proc
 
     def co_time(self):
         """:attr:`time`, for generator programs."""
-        proc = self._current()
+        proc = getattr(_tls, "proc", None) or self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
         return proc.clock
@@ -129,7 +132,7 @@ class Communicator:
         """:meth:`compute`, for generator programs."""
         if seconds < 0:
             raise ValueError("cannot advance time backwards")
-        proc = self._current()
+        proc = getattr(_tls, "proc", None) or self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
         proc.clock += seconds
@@ -143,7 +146,7 @@ class Communicator:
     def send(self, value: Any = None, dest: int = 0, tag: int = 0,
              nbytes: Optional[int] = None) -> None:
         """Blocking (buffered-eager) send of ``value`` to ``dest``."""
-        _drive(self.co_isend(value, dest=dest, tag=tag, nbytes=nbytes))
+        _drive(self.co_send(value, dest=dest, tag=tag, nbytes=nbytes))
 
     def isend(self, value: Any = None, dest: int = 0, tag: int = 0,
               nbytes: Optional[int] = None) -> Request:
@@ -154,8 +157,8 @@ class Communicator:
         return _drive(self.co_recv(source=source, tag=tag))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
+        if source != ANY_SOURCE and not 0 <= source < len(self.group):
+            self._check_rank(source)  # raises
         return self._irecv(source, tag, _PT2PT_CONTEXT)
 
     def sendrecv(self, value: Any, dest: int, source: int = ANY_SOURCE,
@@ -171,42 +174,69 @@ class Communicator:
         return _drive(self.co_probe(source=source, tag=tag))
 
     # -- point-to-point, written once ----------------------------------------
+    #
+    # Like the collectives, plain methods that validate, post and inject
+    # when *called* (_irecv / _co_isend refuse a non-member), then hand
+    # back what parks.
 
     def co_send(self, value: Any = None, dest: int = 0, tag: int = 0,
                 nbytes: Optional[int] = None):
-        """:meth:`send`, for generator programs."""
-        yield from self.co_isend(value, dest=dest, tag=tag, nbytes=nbytes)
+        """:meth:`send`, for generator programs (``()`` unless it parks)."""
+        return self._co_isend(self._send_buffer(value, dest, tag, nbytes),
+                              dest, tag, _PT2PT_CONTEXT, "p2p")
 
     def co_isend(self, value: Any = None, dest: int = 0, tag: int = 0,
                  nbytes: Optional[int] = None):
         """Eager send; the returned request is already complete."""
-        if tag < 0:
-            raise CommError(f"user tags must be >= 0, got {tag}")
-        self._check_rank(dest)
-        buf = Buffer.wrap(value, nbytes)
+        buf = self._send_buffer(value, dest, tag, nbytes)
         yield from self._co_isend(buf, dest, tag, _PT2PT_CONTEXT, "p2p")
         return SendRequest(buf.nbytes)
 
     def co_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """:meth:`recv`, for generator programs."""
-        req = self.irecv(source=source, tag=tag)
-        return (yield from req.co_wait())
+        """:meth:`recv`, for generator programs: the request's ``co_wait``."""
+        return self.irecv(source, tag).co_wait()
 
     def co_sendrecv(self, value: Any, dest: int, source: int = ANY_SOURCE,
                     sendtag: int = 0, recvtag: int = ANY_TAG,
                     nbytes: Optional[int] = None):
-        """:meth:`sendrecv`, for generator programs."""
-        req = self.irecv(source=source, tag=recvtag)
-        yield from self.co_isend(value, dest=dest, tag=sendtag, nbytes=nbytes)
+        """:meth:`sendrecv`, for generator programs: the receive's
+        ``co_wait``, unless the send parks to settle the previous one."""
+        buf = self._send_buffer(value, dest, sendtag, nbytes)
+        if source != ANY_SOURCE and not 0 <= source < len(self.group):
+            self._check_rank(source)  # raises
+        req = self._irecv(source, recvtag, _PT2PT_CONTEXT)
+        park = self._co_isend(buf, dest, sendtag, _PT2PT_CONTEXT, "p2p")
+        return self._co_park_then_wait(park, req) if park else req.co_wait()
+
+    @staticmethod
+    def _co_park_then_wait(park, req):
+        yield from park
         return (yield from req.co_wait())
+
+    def _send_buffer(self, value: Any, dest: int, tag: int,
+                     nbytes: Optional[int]) -> Buffer:
+        """Check a user send's ``dest`` and ``tag``; return its buffer."""
+        if not 0 <= dest < len(self.group):
+            self._check_rank(dest)  # raises
+        if tag < 0:
+            raise CommError(f"user tags must be >= 0, got {tag}")
+        if value is None and nbytes is not None and nbytes >= 0:
+            # Buffer.abstract, inlined: every send of a modeled workload.
+            buf = Buffer.__new__(Buffer)
+            buf.payload, buf.nbytes = None, int(nbytes)
+            return buf
+        return Buffer.wrap(value, nbytes)
 
     def co_probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """:meth:`probe`, for generator programs."""
-        proc = self._current()
+        proc = getattr(_tls, "proc", None) or self._current()
+        try:
+            me = self._local_of_world[proc.rank]
+        except KeyError:
+            raise self._not_member(proc) from None
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
-        mq = self._queue(self._local_of_world[proc.rank])
-        return mq.probe(source, tag, _PT2PT_CONTEXT)
+        return self._queue(me).probe(source, tag, _PT2PT_CONTEXT)
 
     # -- internal point-to-point (collectives, OSC) -------------------------
 
@@ -231,11 +261,15 @@ class Communicator:
         # of the per-message accumulator update; see _open_peer_batch.
         # ``dest`` is trusted (user entry points validate); the caller
         # is resolved via the raw thread-local — this runs once per
-        # simulated message.
+        # simulated message — and refuses a non-member before settling.
         try:
             proc = _tls.proc
         except AttributeError:
             raise SimError("not inside a simulated MPI process") from None
+        try:
+            src = self._local_of_world[proc.rank]
+        except KeyError:
+            raise self._not_member(proc) from None
         eng = self.engine
         if proc.pending is not None:
             # Engine.co_settle, unrolled: no generator unless it parks.
@@ -283,7 +317,7 @@ class Communicator:
             # Message.__init__, unrolled (skips the generated dataclass
             # frame; arrival is filled at materialization).
             msg = Message.__new__(Message)
-            msg.src = self._local_of_world[proc.rank]
+            msg.src = src
             msg.dst = dest
             msg.tag = tag
             msg.context = context
@@ -302,7 +336,7 @@ class Communicator:
         eng.post_send(
             proc,
             mq,
-            self._local_of_world[proc.rank],
+            src,
             dest,
             self.group[dest],
             wire,
@@ -335,12 +369,15 @@ class Communicator:
 
     def _irecv(self, source: int, tag: int, context: Hashable) -> RecvRequest:
         # ``source`` is trusted (user entry points validate) and the
-        # queue probe is inlined, mirroring _isend.
+        # queue probe is inlined, mirroring _co_isend.
         try:
             proc = _tls.proc
         except AttributeError:
             raise SimError("not inside a simulated MPI process") from None
-        my_local = self._local_of_world[proc.rank]
+        try:
+            my_local = self._local_of_world[proc.rank]
+        except KeyError:
+            raise self._not_member(proc) from None
         # RecvRequest.__init__, unrolled (skips one interpreter frame
         # per receive; keep the field set in sync with request.py).
         req = RecvRequest.__new__(RecvRequest)

@@ -213,12 +213,81 @@ def test_rank_raising_while_others_park_in_settles(program):
     assert all(p.state.value == "done" for p in engine.procs)
     if inspect.isgeneratorfunction(program):
         # The scenario parked where it says: in co_wait's inlined loop
-        # and in the settling send's park generator, one frame each.
+        # (co_recv hands back co_wait itself) and in the settling send's
+        # park generator.
         assert PARKED == {
-            0: ("ready", True, ["_settle_parks_gen", "co_recv", "co_wait"]),
+            0: ("ready", True, ["_settle_parks_gen", "co_wait"]),
             1: ("ready", True, ["_settle_parks_gen", "co_isend",
                                 "_co_settle_park"]),
         }
+
+
+# -- a rank raising while the others are parked in a sendrecv ladder ---------
+#
+# Rank 3 lets every other rank run until it parks in a six-step ring
+# ladder (rank 3 + k waits at step k - 1 for what rank 3 never sends),
+# then raises; rank 1 raises again while being unwound, so it is the
+# lowest failed rank.
+
+LADDER = {}
+
+
+def _ring_ladder(comm, steps):
+    me, n = comm.rank, comm.size
+    for step in range(steps):
+        yield from comm.co_sendrecv(None, dest=(me + 1) % n,
+                                    source=(me - 1) % n, sendtag=step,
+                                    recvtag=step, nbytes=8)
+
+
+def _raise_in_ladder_gen(comm):
+    try:
+        if comm.rank == 3:
+            procs = comm.engine.procs
+            yield from comm.co_compute(1.0)
+            yield from comm.engine.co_give_way(procs[3])  # the others park
+            for p in procs[:3] + procs[4:]:
+                task, names = p.task, []
+                while task is not None:
+                    names.append(task.gi_code.co_name)
+                    task = task.gi_yieldfrom
+                LADDER[p.rank] = (p.state.value, names)
+            raise ValueError("rank 3 fails while the others are parked")
+        yield from _ring_ladder(comm, 6)
+    finally:
+        if comm.rank == 1:
+            raise KeyError("rank 1 fails while being unwound")
+
+
+def _raise_in_ladder_blocking(comm):
+    me, n = comm.rank, comm.size
+    try:
+        if me == 3:
+            comm.compute(1.0)
+            comm.engine.maybe_yield(comm.engine.procs[3])
+            raise ValueError("rank 3 fails while the others are parked")
+        for step in range(6):
+            comm.sendrecv(None, dest=(me + 1) % n, source=(me - 1) % n,
+                          sendtag=step, recvtag=step, nbytes=8)
+    finally:
+        if me == 1:
+            raise KeyError("rank 1 fails while being unwound")
+
+
+@_both(_raise_in_ladder_gen, _raise_in_ladder_blocking)
+def test_rank_raising_while_others_park_in_a_sendrecv_ladder(program):
+    LADDER.clear()
+    engine, outcome = _run_guarded(program)
+    assert isinstance(outcome, RankFailure)
+    assert outcome.rank == 1
+    assert isinstance(outcome.original, KeyError)
+    assert isinstance(engine.procs[3].exc, ValueError)
+    assert all(p.state.value == "done" for p in engine.procs)
+    if inspect.isgeneratorfunction(program):
+        # Every other rank was parked in the ladder's co_wait itself.
+        assert LADDER == {
+            r: ("blocked", ["_raise_in_ladder_gen", "_ring_ladder", "co_wait"])
+            for r in (0, 1, 2, 4, 5)}
 
 
 # -- a program returning with its last send still deferred -------------------

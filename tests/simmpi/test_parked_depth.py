@@ -5,7 +5,9 @@ collective hands back its algorithm's generator, and the park loops are
 inlined into the generators that park, so a rank blocked in a collective
 holds three frames: program → decomposition → ``co_wait``.  Observation
 (``repro.obs`` spans, replay recording) wraps the decomposition only
-while a recorder is attached, and must still see every call.
+while a recorder is attached, and must still see every call.  User
+point-to-point follows the same rule: ``co_sendrecv`` and ``co_recv``
+hand back the receive's own ``co_wait``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.apps.cg import CG_CLASSES, CGConfig, co_run_cg
 from repro.replay import autorecord
 from repro.replay.schema import K_B, K_E
 from repro.simmpi import SUM, Cluster, Engine, current_process
 from repro.simmpi.collectives import allreduce, barrier, bcast
+from repro.simmpi.comm import Communicator
+from repro.simmpi.request import RecvRequest
 
 N_RANKS = 64
 LATE = 5  # enters every collective last
@@ -146,3 +151,116 @@ def test_unobserved_run_matches_observed_run():
         obs.disable()
     assert plain.clocks() == observed.clocks()
     assert plain.switches == observed.switches == observed.resumes
+
+
+# -- user point-to-point ------------------------------------------------------
+
+WAIT_CODE = RecvRequest.co_wait.__code__
+
+
+OBSERVED = pytest.mark.parametrize("observed", [False, True],
+                                   ids=["obs-off", "obs-on"])
+
+
+def _run_maybe_observed(observed, make_engine, program):
+    if observed:
+        obs.enable()
+    try:
+        engine = make_engine()
+        results = engine.run(program)
+    finally:
+        obs.disable()
+    return engine, results
+
+
+@OBSERVED
+def test_user_p2p_hands_back_co_wait(observed):
+    def program(comm):
+        me, n = comm.rank, comm.size
+        gen = comm.co_sendrecv(None, dest=(me + 1) % n, source=(me - 1) % n,
+                               nbytes=8)
+        assert gen.gi_code is WAIT_CODE
+        yield from gen
+        if me == 0:
+            # Nothing to settle: injected or deferred on the spot.
+            assert comm.co_send(None, dest=1, tag=3, nbytes=8) == ()
+        elif me == 1:
+            gen = comm.co_recv(source=0, tag=3)
+            assert gen.gi_code is WAIT_CODE
+            return (yield from gen).nbytes
+
+    engine, results = _run_maybe_observed(observed, _small_engine, program)
+    assert results[1] == 8
+    assert engine.messages == 9
+    assert engine.resumes == engine.switches
+
+
+def test_a_cg_rank_parked_mid_ladder_holds_no_sendrecv_frame():
+    """NAS CG class S on 16 ranks, stopped while every rank but ``LATE``
+    is parked in an exchange: the ladder parks in ``co_wait`` itself."""
+    config = CGConfig(CG_CLASSES["S"], mode="modeled", niter=1)
+    program, chains = _stopped_mid(lambda comm: co_run_cg(comm, config))
+    engine = Engine(Cluster.plafrim(1, n_ranks=16, binding="rr"))
+    engine.run(program)
+    assert len(chains) == 15
+    ladders = {"_row_ladder_sum", "_reduce_scatter_row", "_allgather_column"}
+    for rank, (state, names) in chains.items():
+        assert state == "blocked", (rank, state)
+        assert names[-1] == "co_wait", (rank, names)
+        # The transpose exchange parks in _matvec, every other in a ladder.
+        assert names[-2] in ladders | {"_matvec"}, (rank, names)
+        assert "co_sendrecv" not in names and "_timed_sendrecv" not in names
+        assert len(names) <= 7, (rank, names)
+    # LATE's row partners finished their first step and wait on the second.
+    for rank in (4, 6):
+        assert chains[rank][1][-2:] == ["_row_ladder_sum", "co_wait"]
+    assert max(len(names) for _, names in chains.values()) == 7
+    assert engine.resumes == engine.switches
+
+
+def _park_then_wait_blocking(comm):
+    me = comm.rank
+    if me == 0:
+        return float(comm.sendrecv(np.float64(0.5), dest=1, source=1).payload)
+    if me == 1:
+        comm.compute(2.0)
+        comm.send(np.float64(1.5), dest=2)  # deferred: ranks 0 and 2 are behind
+        return float(comm.sendrecv(np.float64(2.5), dest=0, source=0).payload)
+    return float(comm.recv(source=1).payload)
+
+
+@OBSERVED
+def test_sendrecv_behind_a_send_that_must_park(observed):
+    """Rank 1's second send has to park to settle its first: its
+    ``co_sendrecv`` returns the park-then-wait generator, and the run
+    lands where the blocking spelling does."""
+    branches = []
+
+    def program(comm):
+        me = comm.rank
+        if me == 0:
+            msg = yield from comm.co_sendrecv(np.float64(0.5), dest=1,
+                                              source=1)
+        elif me == 1:
+            yield from comm.co_compute(2.0)
+            yield from comm.co_send(np.float64(1.5), dest=2)
+            gen = comm.co_sendrecv(np.float64(2.5), dest=0, source=0)
+            branches.append(gen.gi_code)
+            msg = yield from gen
+        else:
+            msg = yield from comm.co_recv(source=1)
+        return float(msg.payload)
+
+    def make():
+        return Engine(Cluster.plafrim(1, n_ranks=3, binding="rr"))
+
+    gen, gen_results = _run_maybe_observed(observed, make, program)
+    blocking, blocking_results = _run_maybe_observed(
+        observed, make, _park_then_wait_blocking)
+    assert branches == [Communicator._co_park_then_wait.__code__]
+    assert gen_results == blocking_results == [2.5, 0.5, 1.5]
+    assert gen.clocks() == blocking.clocks()
+    assert gen.switches == blocking.switches
+    assert gen.messages == blocking.messages == 3
+    assert gen.resumes == gen.switches
+    assert blocking.resumes == blocking.switches
