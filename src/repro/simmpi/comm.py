@@ -1,11 +1,16 @@
 """Communicators: point-to-point messaging, split/dup, and the PML hook.
 
-``Communicator._pml_send`` is the single choke point every message goes
-through — user point-to-point, the decomposition of every collective,
-and one-sided traffic alike.  That is where the monitoring component
+Every point-to-point message — user ``p2p`` traffic and the ``coll``
+decomposition of every collective alike — leaves through
+:meth:`Communicator._co_isend`, which builds one deferred-send entry and
+hands it to ``Engine._materialize``: on the spot when nothing is due
+before the sender, from the pending heap otherwise.  ``_materialize`` is
+the single choke point where the monitoring component
 (:mod:`repro.simmpi.pml_monitoring`) records the message and where the
 per-message monitoring overhead is charged, reproducing the vantage
-point of Open MPI's ``pml_monitoring``.
+point of Open MPI's ``pml_monitoring``.  One-sided ``osc`` traffic is
+recorded the same way in ``Window._put_body`` / ``_get_body``
+(:mod:`repro.simmpi.osc`).
 
 Collectives live in :mod:`repro.simmpi.collectives` and are attached
 here as thin delegating methods; all of them are implemented strictly
@@ -20,7 +25,8 @@ from typing import Any, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simmpi.datatypes import Buffer
-from repro.simmpi.engine import _State, _drive, _tls, current_process
+from repro.simmpi.engine import (_INF, _PS_QSEQ, _State, _bad_duration,
+                                  _drive, _tls, current_process)
 from repro.simmpi.errorsim import CommError, SimError
 from repro.simmpi.match import ANY_SOURCE, ANY_TAG, MatchQueue, Message
 from repro.simmpi.op import Op
@@ -130,8 +136,8 @@ class Communicator:
 
     def co_compute(self, seconds: float):
         """:meth:`compute`, for generator programs."""
-        if seconds < 0:
-            raise ValueError("cannot advance time backwards")
+        if not 0.0 <= seconds < _INF:
+            raise _bad_duration(seconds)
         proc = getattr(_tls, "proc", None) or self._current()
         if proc.pending is not None:
             yield from self.engine.co_settle(proc)
@@ -248,15 +254,15 @@ class Communicator:
 
         Settles the caller's previous deferred send first — the one
         place a send can park.  When that needs no park (nearly always)
-        the send is injected or deferred on the spot and the result is
-        ``()``: no generator is allocated.  Otherwise the result is the
-        engine's park generator, which sends once settled.
+        the send is materialized or deferred on the spot and the result
+        is ``()``: no generator is allocated.  Otherwise the result is
+        the engine's park generator, which sends once settled.
         """
         # The payload is snapshotted here (the caller may reuse its
         # buffer after the eager return); recording, the overhead
-        # charge, and the actual network transfer happen inside the
-        # engine — immediately when this rank is frontmost in virtual
-        # time (Engine.post_send), deferred otherwise.
+        # charge, and the actual network transfer happen in
+        # Engine._materialize — now when this rank is frontmost in
+        # virtual time, when the send comes due otherwise.
         # Sends carrying a ``batch`` (PeerBatch) tally into it instead
         # of the per-message accumulator update; see _open_peer_batch.
         # ``dest`` is trusted (user entry points validate); the caller
@@ -273,32 +279,42 @@ class Communicator:
         eng = self.engine
         if proc.pending is not None:
             # Engine.co_settle, unrolled: no generator unless it parks.
-            nxt = eng._settle_scan(proc)
+            nxt = eng._pop_ready(proc)
             if nxt is not None:
                 return eng._co_settle_park(
                     proc, nxt, self._co_isend,
                     (buf, dest, tag, context, category, batch))
-        nbytes = buf.nbytes
         payload = buf.payload
         if isinstance(payload, np.ndarray):
             # Buffer.copy_payload, inlined: arrays are value-copied.
-            wire = Buffer(payload.copy(), nbytes=nbytes)
-        else:
-            # Anything else is shipped as-is (copy_payload), and Buffers
-            # are immutable descriptors: ship the sender's own instead
-            # of allocating a copy per message.
-            wire = buf
+            buf = Buffer(payload.copy(), nbytes=buf.nbytes)
+        # Anything else is shipped as-is (copy_payload), and Buffers are
+        # immutable descriptors: ship the sender's own instead of
+        # allocating a copy per message.
         mq = self._queues[dest]
         if mq is None:
             mq = self._queue(dest)
-        # The deferral fast path (the branch nearly every message
-        # takes): defer this send when any rank or queued send is due
-        # before us.  Our previous send is settled by now.
+        # Message.__init__, unrolled (skips the generated dataclass
+        # frame; arrival is filled at materialization).
+        msg = Message.__new__(Message)
+        msg.src = src
+        msg.dst = dest
+        msg.tag = tag
+        msg.context = context
+        msg.buf = buf
+        msg.arrival = 0.0
+        msg.category = category
+        # The send is one engine _PS_* entry either way.
         clock = proc.clock
+        ps = [clock, proc.rank, 0, proc, mq, msg, self.group[dest],
+              buf.nbytes, batch, False]
+        # Defer it when any rank or queued send is due before us (the
+        # branch nearly every message takes).  Our previous send is
+        # settled by now.
         heap = eng._ready_heap
         pop = heapq.heappop
         entry = None
-        # Engine._clean_front, inlined.
+        # Engine.min_ready_clock's stale-entry scan, inlined.
         while heap:
             e = heap[0]
             p = e[3]
@@ -314,37 +330,12 @@ class Communicator:
         ph = eng._pending_heap
         if (entry is not None and entry[0] < clock) or \
                 (ph and ph[0][0] < clock):
-            # Message.__init__, unrolled (skips the generated dataclass
-            # frame; arrival is filled at materialization).
-            msg = Message.__new__(Message)
-            msg.src = src
-            msg.dst = dest
-            msg.tag = tag
-            msg.context = context
-            msg.buf = wire
-            msg.arrival = 0.0
-            msg.category = category
-            # The deferred-send record is its own heap entry (engine
-            # _PS_* layout).
             eng._qseq += 1
-            ps = [clock, proc.rank, eng._qseq, proc, mq, msg,
-                  self.group[dest], nbytes, batch, False]
+            ps[_PS_QSEQ] = eng._qseq
             proc.pending = ps
             heapq.heappush(ph, ps)
-            return ()
-        # Frontmost: the engine runs the transfer now.
-        eng.post_send(
-            proc,
-            mq,
-            src,
-            dest,
-            self.group[dest],
-            wire,
-            tag,
-            context,
-            category,
-            batch,
-        )
+        else:
+            eng._materialize(ps)
         return ()
 
     def _open_peer_batch(self, dest: int, category: str) -> PeerBatch:

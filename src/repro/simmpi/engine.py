@@ -23,7 +23,9 @@ the program (``inspect.isgeneratorfunction``), never off a knob:
   Both spellings therefore execute the identical engine call sequence
   (clocks, matrices and switch counts are bit-equal); what the blocking
   spelling pays is two lock handoffs (rank thread → loop → rank thread)
-  per switch instead of one ``send``.
+  per switch instead of one ``send``.  Both end the same way too: the
+  loop's ``StopIteration`` and exception branches store the result,
+  settle a send left deferred, and record a failure.
 
 Virtual time: each rank owns a clock (seconds).  Point-to-point sends
 and receives advance clocks according to the :mod:`repro.simmpi.network`
@@ -45,7 +47,11 @@ fully-described transfer (buffer copy, destination, category) keyed by
 engine interaction (``wait``, ``time``, another send, …), and whichever
 rank is running materializes due transfers inline, in exactly the
 order a park-per-send engine would produce.  A sender parks only when
-a real rank (not just a pending transfer) must run before it.
+a real rank (not just a pending transfer) must run before it.  There is
+one send path: every send is built as a deferred send, and one that
+nothing is due before is materialized on the spot
+(:meth:`Engine._materialize`, the monitoring component's vantage
+point for p2p and collective traffic).
 
 A deferred send is one list, both ``proc.pending`` and its pending-heap
 entry: ``[clock, rank, qseq, proc, queue, msg, dst_world, nbytes,
@@ -81,13 +87,13 @@ import heapq
 import inspect
 import threading
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.replay import autorecord as _replay
 from repro.simmpi.cluster import Cluster
 from repro.simmpi.errorsim import Aborted, DeadlockError, RankFailure, SimError
-from repro.simmpi.match import ANY_SOURCE, ANY_TAG, Message
+from repro.simmpi.match import ANY_SOURCE, ANY_TAG
 from repro.simmpi.mpit import MpiToolInterface
 from repro.simmpi.network import Network
 from repro.simmpi.pml_monitoring import PmlMonitoring
@@ -122,6 +128,17 @@ def current_process() -> "SimProcess":
     return proc
 
 
+_INF = float("inf")
+
+
+def _bad_duration(seconds: float) -> ValueError:
+    """The error for a compute/sleep time outside ``[0, inf)``: a NaN
+    clock would silently break the ready heap's order."""
+    if seconds < 0:
+        return ValueError("cannot advance time backwards")
+    return ValueError(f"a compute or sleep time must be finite, got {seconds}")
+
+
 # -- the blocking-program adapter ------------------------------------------
 #
 # Everything thread-shaped in the simulator lives between these rules.
@@ -130,19 +147,21 @@ def current_process() -> "SimProcess":
 class _ThreadTask:
     """A plain-callable rank program as a scheduler task.
 
-    Runs ``body`` (the rank's :meth:`Engine._rank_main` generator, whose
-    ``main`` is the blocking program) on an OS thread and speaks the
-    generator protocol to the event loop: ``send`` lets the thread run
-    to its next park and returns the directive it parked with, ``throw``
-    raises at its park site, a finished thread is ``StopIteration``.
-    Exactly one of {loop, rank thread} runs at any instant, so two locks
-    used as binary semaphores are the whole handshake.  The thread is
-    created by the first ``send``; a task aborted earlier never has one.
+    Runs ``main(*args, **kwargs)`` (the blocking program) on an OS
+    thread and speaks the generator protocol to the event loop: ``send``
+    lets the thread run to its next park and returns the directive it
+    parked with, ``throw`` raises at its park site, and a finished
+    thread ends the way a generator program does — its return value as
+    ``StopIteration(value)``, its exception as itself — so the loop's
+    own branches settle its last send and record its failure.  Exactly
+    one of {loop, rank thread} runs at any instant, so two locks used as
+    binary semaphores are the whole handshake.  The thread is created by
+    the first ``send``; a task aborted earlier never has one.
     """
 
-    def __init__(self, proc: "SimProcess", body):
+    def __init__(self, proc: "SimProcess", main: Callable, args, kwargs):
         self._proc = proc
-        self._body = body
+        self._call = (main, args, kwargs)
         self._thread: Optional[threading.Thread] = None
         self._resume = threading.Lock()  # loop -> thread: run
         self._resume.acquire()
@@ -151,6 +170,7 @@ class _ThreadTask:
         self._directive = None
         self._throw = None
         self._finished = False
+        self._end: Optional[BaseException] = None  # StopIteration or raised
 
     def send(self, _value):
         if self._thread is None:
@@ -163,7 +183,8 @@ class _ThreadTask:
         self._parked.acquire()
         if self._finished:
             self._thread.join()
-            raise StopIteration
+            end, self._end = self._end, None
+            raise end
         return self._directive
 
     def throw(self, exc):
@@ -185,8 +206,18 @@ class _ThreadTask:
 
     def _run(self) -> None:
         _tls.proc = self._proc
+        main, args, kwargs = self._call
         try:
-            _drive(self._body)
+            result = main(*args, **kwargs)
+            if inspect.isgenerator(result):
+                result.close()
+                raise SimError(
+                    "the rank program returned a generator that was never "
+                    "run; pass the generator function itself, e.g. "
+                    "engine.run(gen_fn, args=(...)), not a lambda calling it")
+            self._end = StopIteration(result)
+        except BaseException as exc:  # noqa: BLE001 - raised by send()
+            self._end = exc
         finally:
             self._finished = True
             self._parked.release()
@@ -226,25 +257,6 @@ def _drive(gen):
                 step, arg = gen.throw, exc
     except StopIteration as stop:
         return stop.value
-
-
-def _as_generator(main: Callable) -> Callable:
-    """A plain-callable rank program as a generator function that never
-    yields (its parks go through :func:`_drive`), for
-    :meth:`Engine._rank_main` to run on the rank's thread."""
-
-    def co_main(world, *args, **kwargs):
-        result = main(world, *args, **kwargs)
-        if inspect.isgenerator(result):
-            result.close()
-            raise SimError(
-                "the rank program returned a generator that was never "
-                "run; pass the generator function itself, e.g. "
-                "engine.run(gen_fn, args=(...)), not a lambda calling it")
-        return result
-        yield  # pragma: no cover - makes co_main a generator function
-
-    return co_main
 
 
 # A deferred message injection, materialized in ``(clock, rank)`` order
@@ -302,7 +314,7 @@ class SimProcess:
         self.blocked_on: Any = ""
         # The request this rank is currently parked in ``wait()`` on,
         # if any.  Message binds to *other* requests of this rank are
-        # provably spurious wakes (see Engine._wake_bound).
+        # provably spurious wakes (see Engine._materialize).
         self.wait_obj: Any = None
         # This rank's deferred send, if any (at most one: posting a
         # second send settles the first, since its injection clock
@@ -319,8 +331,8 @@ class SimProcess:
 
     def advance(self, seconds: float) -> None:
         """Move this rank's clock forward by ``seconds`` of work/sleep."""
-        if seconds < 0:
-            raise ValueError("cannot advance time backwards")
+        if not 0.0 <= seconds < _INF:
+            raise _bad_duration(seconds)
         if self.pending is not None:
             _drive(self.engine.co_settle(self))
         self.clock += seconds
@@ -465,14 +477,11 @@ class Engine:
             raise SimError("Engine.run is single-shot; build a new Engine")
         kwargs = kwargs or {}
         native = inspect.isgeneratorfunction(main)
-        if not native:
-            main = _as_generator(main)
         self.procs = [SimProcess(self, r) for r in range(self.n_ranks)]
         self.world = Communicator(self, list(range(self.n_ranks)))
         for proc in self.procs:
             proc.task = (main(self.world, *args, **kwargs) if native else
-                         _ThreadTask(proc, self._rank_main(proc, main, args,
-                                                           kwargs)))
+                         _ThreadTask(proc, main, (self.world, *args), kwargs))
             self._set_ready(proc)
 
         if self._obs is not None:
@@ -553,45 +562,51 @@ class Engine:
             (proc.clock, proc.rank, proc.ready_seq, proc, None),
         )
 
-    def _clean_front(self) -> Optional[Tuple]:
-        """Drop stale heap entries; return the valid front entry, if any.
+    def min_ready_clock(self) -> Optional[float]:
+        """Clock of the frontmost due work — rank or deferred send.
 
-        An entry is live when its sequence number is current and its
-        process is in the state the entry stands for — READY for a
-        normal entry, BLOCKED for a phantom.  The hot paths
-        (:meth:`_pop_ready`, :meth:`_settle_scan`, ``comm._co_isend``)
-        inline this loop.
+        Drops stale ready-heap entries on the way: an entry is live when
+        its sequence number is current and its process is in the state
+        the entry stands for — READY for a normal entry, BLOCKED for a
+        phantom.  The hot paths (:meth:`_pop_ready`,
+        ``comm._co_isend``) inline this loop.
         """
         heap = self._ready_heap
-        pop = heapq.heappop
+        clock = None
         while heap:
             entry = heap[0]
             proc = entry[3]
             if proc.ready_seq == entry[2]:
                 if entry[4] is None:
                     if proc.state is _State.READY:
-                        return entry
+                        clock = entry[0]
+                        break
                 elif proc.state is _State.BLOCKED:
-                    return entry
-            pop(heap)
-        return None
-
-    def min_ready_clock(self) -> Optional[float]:
-        """Clock of the frontmost due work — rank or deferred send."""
-        entry = self._clean_front()
-        clock = None if entry is None else entry[0]
+                    clock = entry[0]
+                    break
+            heapq.heappop(heap)
         ph = self._pending_heap
         if ph and (clock is None or ph[0][0] < clock):
             return ph[0][0]
         return clock
 
-    def _pop_ready(self) -> Optional[SimProcess]:
-        """Materialize due deferred sends, then pop the next rank."""
+    def _pop_ready(self, settling: Optional[SimProcess] = None
+                   ) -> Optional[SimProcess]:
+        """Materialize due deferred sends, then pop the next rank.
+
+        With ``settling``, stop early once that rank's own deferred send
+        is materialized (return None): this is the park-free common case
+        of :meth:`co_settle`, a plain method so the per-send settle
+        costs no generator allocation.  Either way a returned rank is
+        the continuation that must run next — for a settling rank, the
+        one it parks for (:meth:`_co_settle_park`).
+        """
         heap = self._ready_heap
         ph = self._pending_heap
         pop = heapq.heappop
         while True:
-            # _clean_front, inlined (this loop runs once per switch).
+            # The stale-entry scan of min_ready_clock, inlined (this
+            # loop runs once per switch).
             t = None
             while heap:
                 e = heap[0]
@@ -615,8 +630,13 @@ class Engine:
                         # it resumes here, mid-tenure (its post-transfer
                         # code belongs to the tenure that sent).
                         return owner
+                    if settling is not None and settling.pending is None:
+                        return None
                     continue
             if t is None:
+                if settling is not None and settling.pending is not None:
+                    raise SimError(  # pragma: no cover - invariant
+                        "deferred send lost from the queue")
                 return None
             entry = pop(heap)
             proc = entry[3]
@@ -634,65 +654,19 @@ class Engine:
 
     # -- deferred sends ----------------------------------------------------
 
-    def post_send(self, proc: SimProcess, queue, src_local: int,
-                  dst_local: int, dst_world: int, buf, tag: int,
-                  context, category: str, batch=None) -> None:
-        """Inject a message now: the caller (``comm._co_isend``) has settled
-        this rank's previous send and found nothing due before its
-        clock, so the transfer runs inline without a pending-send
-        record.  This duplicates :meth:`_materialize` minus the
-        deferral bookkeeping — keep the two in sync."""
-        clock = proc.clock
-        nbytes = buf.nbytes
-        if batch is None:
-            recorded = self.pml.record(proc.rank, dst_world, nbytes,
-                                       category, clock)
-        else:
-            # pml.note_batched, inlined (same observable behaviour as
-            # record: trace hook, mode gate, and mode-1 remapping all
-            # evaluated now; tallies land in the batch).
-            pml = self.pml
-            hook = pml.trace_hook
-            if hook is not None:
-                hook(clock, batch.src, batch.dst, nbytes, batch.category, 1)
-            mode = pml._mode
-            if mode == 0:
-                recorded = False
-            else:
-                tl = batch.tallies
-                if mode == 1 and batch.category == "coll":
-                    tl[2] += 1
-                    tl[3] += nbytes
-                else:
-                    tl[0] += 1
-                    tl[1] += nbytes
-                recorded = True
-        t_pre = clock
-        if recorded and self.monitoring_overhead > 0.0:
-            proc.clock = clock = clock + self.monitoring_overhead
-        sender_done, arrival = self.network.transfer(
-            proc.rank, dst_world, nbytes, clock
-        )
-        proc.clock = sender_done
-        msg = Message(src_local, dst_local, tag, context, buf,
-                      arrival, category)
-        req = queue.deliver(msg)
-        if req is not None:
-            self._wake_bound(req)
-        rr = self._rr
-        if rr is not None:
-            rr.on_send(proc, dst_world, nbytes, category, recorded,
-                       t_pre, msg)
-
     def _materialize(self, ps: list) -> Optional[SimProcess]:
-        """Execute a send: record, charge, transfer, deliver.
+        """Execute a send: record, charge, transfer, deliver, wake.
 
-        Runs at the exact position in the global ``(clock, rank)``
-        order where a park-per-send engine would resume the sender, so
-        the monitoring mode, jitter stream, and NIC/memory windows all
-        see the same sequence of operations.  Returns the owning process
-        when it is parked on this transfer and must be resumed now (its
-        post-transfer code belongs to this tenure).
+        The one place a p2p or collective message is sent, and so the
+        monitoring component's vantage point: ``Communicator._co_isend``
+        calls it on the spot when nothing is due before the sender, and
+        the scans call it for a deferred send when it comes due.  Either
+        way it runs at the exact position in the global ``(clock,
+        rank)`` order where a park-per-send engine would resume the
+        sender, so the monitoring mode, jitter stream, and NIC/memory
+        windows all see the same sequence of operations.  Returns the
+        owning process when it is parked on this transfer and must be
+        resumed now (its post-transfer code belongs to this tenure).
         """
         _, _, _, proc, mq, msg, dst_world, nbytes, batch, parked = ps
         proc.pending = None
@@ -701,9 +675,9 @@ class Engine:
             recorded = self.pml.record(proc.rank, dst_world, nbytes,
                                        msg.category, clock)
         else:
-            # pml.note_batched, inlined (keep in sync with post_send):
-            # gate and tally into the collective's PeerBatch at this
-            # exact point in the global order.
+            # pml.note_batched, inlined: gate and tally into the
+            # collective's PeerBatch at this exact point in the global
+            # order.
             pml = self.pml
             hook = pml.trace_hook
             if hook is not None:
@@ -723,9 +697,9 @@ class Engine:
         t_pre = clock
         if recorded and self.monitoring_overhead > 0.0:
             proc.clock = clock = clock + self.monitoring_overhead
-        # Network.transfer, inlined (nearly every message materializes
-        # through here; post_send's rare immediate path still calls the
-        # method).  The nbytes >= 0 precondition is Buffer's invariant.
+        # Network.transfer, inlined (every p2p and collective message
+        # passes here).  The nbytes >= 0 precondition is Buffer's
+        # invariant.
         net = self.network
         src_node = net._rank_node_l[proc.rank]
         dst_node = net._rank_node_l[dst_world]
@@ -795,7 +769,10 @@ class Engine:
 
         proc.clock = sender_done
         msg.arrival = arrival
-        # MatchQueue.deliver + the phantom-eliding wake, inlined.
+        # MatchQueue.deliver, inlined, then the poster's wake.  A wake
+        # of a rank still waiting on a *different* request whose message
+        # has not arrived (``waitall`` progress) is provably spurious, so
+        # it is enqueued as a phantom (see the module docstring).
         req = None
         posted = mq._posted
         if posted:
@@ -854,23 +831,6 @@ class Engine:
     # and the switch bookkeeping), or None to let the loop decide
     # (finish / defensive pop / deadlock).
 
-    def _rank_main(self, proc: SimProcess, main, args, kwargs):
-        """A blocking program's body on its thread: run the program,
-        settle its last send, record failure.  For a generator program
-        :meth:`_run_eventloop` does these jobs itself, at the program's
-        ``StopIteration`` and exception branches."""
-        try:
-            if self._aborting:
-                raise Aborted()
-            proc.result = yield from main(self.world, *args, **kwargs)
-            if proc.pending is not None:
-                yield from self.co_settle(proc)
-        except Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported via RankFailure
-            proc.exc = exc
-            self._aborting = True
-
     def _run_eventloop(self) -> None:
         """The scheduler: resume rank continuations one at a time.
 
@@ -888,8 +848,9 @@ class Engine:
             try:
                 nxt = current.task.send(None)
             except StopIteration as stop:
-                # Finished.  The final settle (and a thread task, whose
-                # _rank_main stored it) returns None: keep the result.
+                # Finished, in either spelling (a thread task ends with
+                # its program's StopIteration).  The final settle
+                # returns None: keep the result.
                 if stop.value is not None:
                     current.result = stop.value
                 if current.pending is not None and not self._aborting:
@@ -900,7 +861,8 @@ class Engine:
                 current.state = _State.DONE
                 self._n_done += 1
             except BaseException as exc:  # noqa: BLE001 - via RankFailure
-                # A failed rank (Aborted is an unwind, not a failure).
+                # A failed rank, in either spelling (Aborted is an
+                # unwind, not a failure).
                 if not isinstance(exc, Aborted):
                     current.exc = exc
                     self._aborting = True
@@ -950,58 +912,6 @@ class Engine:
                     proc.state = _State.DONE
                     self._n_done += 1
 
-    def _settle_scan(self, proc: SimProcess) -> Optional[SimProcess]:
-        """One settle pass: materialize due deferred sends until
-        ``proc``'s own send is done (return None) or a rank continuation
-        must run first (return it — the caller parks).
-
-        This is the park-free common case of :meth:`co_settle`, split
-        out as a plain method so the per-send settle costs no generator
-        allocation; :meth:`_co_settle_park` is its yielding tail.
-        """
-        heap = self._ready_heap
-        ph = self._pending_heap
-        pop = heapq.heappop
-        # _pop_ready's scan, stopping once proc's own send is done.
-        while True:
-            t = None
-            while heap:
-                e = heap[0]
-                p = e[3]
-                if p.ready_seq == e[2]:
-                    if e[4] is None:
-                        if p.state is _State.READY:
-                            t = e
-                            break
-                    elif p.state is _State.BLOCKED:
-                        t = e
-                        break
-                pop(heap)
-            if ph:
-                p = ph[0]
-                if t is None or p[0] < t[0] or \
-                        (p[0] == t[0] and p[1] < t[1]):
-                    pop(ph)
-                    owner = self._materialize(p)
-                    if owner is not None:
-                        return owner
-                    if proc.pending is None:
-                        return None
-                    continue
-            if t is None:
-                if proc.pending is not None:  # pragma: no cover - invariant
-                    raise SimError("deferred send lost from the queue")
-                return None
-            entry = pop(heap)
-            nxt = entry[3]
-            if entry[4] is _PHANTOM:
-                wo = nxt.wait_obj
-                if wo is not None and wo._msg is not None:
-                    return nxt
-                self._phantom_elisions += 1
-                continue
-            return nxt
-
     def _co_settle_park(self, proc: SimProcess, nxt: SimProcess,
                         then=None, args=()):
         """Yielding tail of :meth:`co_settle`: park for ``nxt`` until
@@ -1018,7 +928,7 @@ class Engine:
                 raise Aborted()
             proc.state = _State.RUNNING
             proc.blocked_on = ""
-            nxt = None if proc.pending is None else self._settle_scan(proc)
+            nxt = None if proc.pending is None else self._pop_ready(proc)
         if then is not None:
             then(*args)
 
@@ -1031,7 +941,7 @@ class Engine:
         inner settle then finds nothing and never needs to park."""
         if proc.pending is None:
             return
-        nxt = self._settle_scan(proc)
+        nxt = self._pop_ready(proc)
         if nxt is not None:
             yield from self._co_settle_park(proc, nxt)
 
@@ -1069,38 +979,3 @@ class Engine:
     def maybe_yield(self, proc: SimProcess) -> None:
         """Blocking :meth:`co_give_way`."""
         _drive(self.co_give_way(proc))
-
-    # -- primitives used by the communicator layer ---------------------------
-
-    def _wake_bound(self, req) -> None:
-        """Wake the poster of a receive that delivery just bound.
-
-        A wake of a rank that is still waiting on a *different* request
-        whose message has not arrived (``waitall`` progress) is provably
-        spurious — the rank would resume, re-check its wait loop, and
-        block again at the same clock.  Such wakes are enqueued as
-        phantom entries: they occupy the identical heap slot (so other
-        ranks' scheduling decisions are unchanged) but evaporate at pop
-        time without a switch.  (:meth:`_materialize` inlines this.)
-        """
-        proc = req.proc
-        if proc.state is not _State.BLOCKED:
-            return
-        wo = proc.wait_obj
-        proc.ready_seq += 1
-        if wo is not None and wo._msg is None:
-            heapq.heappush(
-                self._ready_heap,
-                (proc.clock, proc.rank, proc.ready_seq, proc, _PHANTOM),
-            )
-            return
-        proc.state = _State.READY
-        heapq.heappush(
-            self._ready_heap,
-            (proc.clock, proc.rank, proc.ready_seq, proc, None),
-        )
-
-    def charge_monitoring_overhead(self, proc: SimProcess, n_records: int = 1) -> None:
-        """Charge the per-message bookkeeping cost to a sender's clock."""
-        if self.pml.enabled and self.monitoring_overhead > 0.0:
-            proc.clock += self.monitoring_overhead * n_records

@@ -56,7 +56,11 @@ class MatchQueue:
 
     Both queues are plain lists: they rarely hold more than a few
     entries, and a world keeps one queue per (communicator, rank), where
-    an empty ``deque`` would cost ~380 B each.
+    an empty ``deque`` would cost ~380 B each.  :meth:`post` and
+    :meth:`deliver` are the reference forms of matching; the engine's
+    path inlines them (``Communicator._irecv`` posts,
+    ``Engine._materialize`` delivers), and the benchmark ledger prices
+    them as the per-message match cost.
     """
 
     __slots__ = ("_posted", "_unexpected")

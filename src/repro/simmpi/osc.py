@@ -110,8 +110,8 @@ class Window:
         target_w = comm.world_rank(target)
         t_pre = proc.clock
         recorded = engine.pml.record(origin_w, target_w, buf.nbytes, "osc")
-        if recorded:
-            engine.charge_monitoring_overhead(proc)
+        if recorded and engine.monitoring_overhead > 0.0:
+            proc.clock += engine.monitoring_overhead
         sender_done, _arrival = engine.network.transfer(
             origin_w, target_w, buf.nbytes, proc.clock
         )
@@ -147,8 +147,8 @@ class Window:
         target_w = comm.world_rank(target)
         t_pre = proc.clock
         recorded = engine.pml.record(target_w, origin_w, n, "osc")
-        if recorded:
-            engine.charge_monitoring_overhead(proc)
+        if recorded and engine.monitoring_overhead > 0.0:
+            proc.clock += engine.monitoring_overhead
         # Request flight to the target, then the data transfer back.
         cls = engine.network.sharing_class(origin_w, target_w)
         lp = engine.network.params.link_for(cls, engine.network.topology)

@@ -119,7 +119,7 @@ class RecvRequest(Request):
                 # Engine.co_settle and _co_settle_park's loop, inlined: a
                 # sub-generator per park is measurable.  Keep in sync.
                 if proc.pending is not None:
-                    nxt = engine._settle_scan(proc)
+                    nxt = engine._pop_ready(proc)
                     while nxt is not None:
                         proc.pending[_PS_PARKED] = True
                         proc.state = _St.READY
@@ -131,7 +131,7 @@ class RecvRequest(Request):
                         proc.state = _St.RUNNING
                         proc.blocked_on = ""
                         nxt = (None if proc.pending is None
-                               else engine._settle_scan(proc))
+                               else engine._pop_ready(proc))
                 while self._msg is None:
                     # The request itself is the block reason: its repr
                     # is only rendered if a deadlock dump needs it, so

@@ -352,7 +352,9 @@ def test_blocking_park_inside_generator_program_is_an_error():
 
     engine, outcome = _run_guarded(program, n_ranks=2)
     assert isinstance(outcome, RankFailure) and outcome.rank == 0
-    assert isinstance(outcome.original, SimError)
+    assert isinstance(outcome.__cause__, SimError)
+    assert outcome.__cause__ is outcome.original
+    assert str(outcome.original).startswith("a blocking call had to park")
     assert "co_*" in str(outcome.original)
 
 
@@ -381,7 +383,11 @@ def test_unrun_generator_result_is_an_error():
     """``engine.run(lambda comm: gen_fn(comm, x))`` used to "succeed"
     with zero messages and generator objects as results."""
     engine, outcome = _run_guarded(lambda comm: _kernel(comm, 10))
-    assert isinstance(outcome, SimError)
+    assert isinstance(outcome, RankFailure) and outcome.rank == 0
+    assert isinstance(outcome.__cause__, SimError)
+    assert outcome.__cause__ is outcome.original
+    assert str(outcome.original).startswith(
+        "the rank program returned a generator that was never run")
     assert "args=" in str(outcome.original)
     assert engine.messages == 0
 

@@ -1,0 +1,73 @@
+"""Every p2p and collective message is sent in one place.
+
+``Communicator._co_isend`` hands each send to ``Engine._materialize`` —
+on the spot when nothing is due before the sender, from the pending
+heap when it comes due — so the monitoring component's vantage point
+is a single function.  Wrapping it with a counter must account for
+every message the network carried, in both spellings, on a program
+whose sends take both branches.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.simmpi import Cluster, Engine
+from repro.simmpi.engine import _PS_QSEQ
+
+
+def _gen_program(comm):
+    me, n = comm.rank, comm.size
+    yield from comm.co_barrier()
+    for step in range(3):
+        yield from comm.co_sendrecv(None, dest=(me + 1) % n,
+                                    source=(me - 1) % n, sendtag=step,
+                                    recvtag=step, nbytes=1 << (10 + step))
+        yield from comm.co_compute(1e-6 * ((me * 7 + step) % 5))
+    value = yield from comm.co_bcast(np.arange(64.0), root=3, segments=4)
+    return float(value.sum())
+
+
+def _blocking_program(comm):
+    me, n = comm.rank, comm.size
+    comm.barrier()
+    for step in range(3):
+        comm.sendrecv(None, dest=(me + 1) % n, source=(me - 1) % n,
+                      sendtag=step, recvtag=step, nbytes=1 << (10 + step))
+        comm.compute(1e-6 * ((me * 7 + step) % 5))
+    value = comm.bcast(np.arange(64.0), root=3, segments=4)
+    return float(value.sum())
+
+
+def _counted_run(program):
+    engine = Engine(Cluster.plafrim(2, n_ranks=12, binding="rr", jitter=0.1))
+    calls = {"on_the_spot": 0, "deferred": 0}
+    materialize = engine._materialize
+
+    def counted(ps):
+        # A deferred send got a queue sequence number when it was pushed.
+        calls["deferred" if ps[_PS_QSEQ] else "on_the_spot"] += 1
+        return materialize(ps)
+
+    engine._materialize = counted
+    results = engine.run(program)
+    return engine, results, calls
+
+
+@pytest.mark.parametrize("program", [_gen_program, _blocking_program],
+                         ids=["generator", "blocking"])
+def test_every_message_goes_through_materialize(program):
+    engine, results, calls = _counted_run(program)
+    assert results == [float(np.arange(64).sum())] * 12
+    assert calls["on_the_spot"] + calls["deferred"] == engine.messages
+    # Both branches of the send ran: the frontmost one and the deferral.
+    assert calls["on_the_spot"] > 0 and calls["deferred"] > 0
+
+
+def test_both_spellings_send_the_same_way():
+    gen, _, gen_calls = _counted_run(_gen_program)
+    blocking, _, blocking_calls = _counted_run(_blocking_program)
+    assert gen_calls == blocking_calls
+    assert gen.clocks() == blocking.clocks()
+    assert gen.switches == blocking.switches
