@@ -142,7 +142,8 @@ def mpi_m_finalize() -> ErrorCode:
     Fails with ``MPI_M_SESSION_STILL_ACTIVE`` if any session has not
     been suspended.
     """
-    MonitoringRuntime.of(current_process()).finalize()
+    proc = current_process()
+    MonitoringRuntime.of(proc).finalize(proc)
     return MPI_SUCCESS
 
 

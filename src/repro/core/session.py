@@ -19,7 +19,8 @@ when data is read out.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,14 +54,19 @@ class Msid:
 
 
 class Session:
-    """One monitoring session: state machine + accumulated matrices."""
+    """One monitoring session: state machine + accumulated matrices.
+
+    The session reaches its runtime through a weak reference: the
+    runtime's table holds the session, and a strong reference back
+    would make every pair a reference cycle.
+    """
 
     ACTIVE = "active"
     SUSPENDED = "suspended"
     FREED = "freed"
 
     def __init__(self, runtime: "MonitoringRuntime", msid: Msid, comm):
-        self.runtime = runtime
+        self._runtime = weakref.ref(runtime)
         self.msid = msid
         self.comm = comm
         self.state = Session.ACTIVE
@@ -79,6 +85,10 @@ class Session:
         self._take_snapshot()
         _obs_registry().counter("repro_session_events_total",
                                 event="create").inc()
+
+    @property
+    def runtime(self) -> "MonitoringRuntime":
+        return self._runtime()
 
     # -- state transitions --------------------------------------------------
 
@@ -118,9 +128,12 @@ class Session:
                                 event="reset").inc()
 
     def free(self) -> None:
+        """End the session: the runtime forgets it, and its buffers go
+        with it (only the msid stays, as a tombstone)."""
         if self.state != Session.SUSPENDED:
             raise SessionNotSuspended("free requires a suspended session")
         self.state = Session.FREED
+        self.runtime._forget(self)
         _obs_registry().counter("repro_session_events_total",
                                 event="free").inc()
 
@@ -161,16 +174,20 @@ class MonitoringRuntime:
     Holds the MPI_T pvar session, the started pvar handles, and the
     table of monitoring sessions this process created.  Stored in the
     simulated process's ``userdata`` — the moral equivalent of the C
-    library's per-process globals.
+    library's per-process globals.  It keeps its rank's number and the
+    MPI_T interface, not the process or the engine: a runtime that is
+    never finalized stays in ``userdata`` and must not point back.
     """
 
     def __init__(self, proc):
-        self.proc = proc
-        self.engine = proc.engine
-        self.world_size = self.engine.n_ranks
+        self.rank = proc.rank
+        self.world_size = proc.engine.n_ranks
+        # Live (active or suspended) sessions by msid value; a freed
+        # session leaves only its value in ``_freed``.
         self.sessions: Dict[int, Session] = {}
+        self._freed: Set[int] = set()
         self._next_msid = 1
-        mpit = self.engine.mpit
+        mpit = self._mpit = proc.engine.mpit
         mpit.init_thread()
         # The library requires internal/external distinction (mode 2);
         # the cvar is the simulated --mca pml_monitoring_enable knob.
@@ -208,7 +225,7 @@ class MonitoringRuntime:
     def maybe_of(proc) -> Optional["MonitoringRuntime"]:
         return proc.userdata.get(_RUNTIME_KEY)
 
-    def finalize(self) -> None:
+    def finalize(self, proc) -> None:
         from repro.core.errors import SessionStillActive
 
         live = [s for s in self.sessions.values() if s.state == Session.ACTIVE]
@@ -217,18 +234,17 @@ class MonitoringRuntime:
                 f"{len(live)} session(s) still active at MPI_M_finalize"
             )
         self._pvar_session.free()
-        self.engine.mpit.finalize()
-        del self.proc.userdata[_RUNTIME_KEY]
+        self._mpit.finalize()
+        del proc.userdata[_RUNTIME_KEY]
         _obs_registry().counter("repro_session_events_total",
                                 event="runtime_finalize").inc()
 
     # -- session management --------------------------------------------------
 
     def create_session(self, comm) -> Session:
-        n_live = sum(1 for s in self.sessions.values() if s.state != Session.FREED)
-        if n_live >= MAX_SESSIONS:
+        if len(self.sessions) >= MAX_SESSIONS:
             raise SessionOverflow(f"maximum of {MAX_SESSIONS} sessions reached")
-        msid = Msid(self._next_msid, self.proc.rank)
+        msid = Msid(self._next_msid, self.rank)
         self._next_msid += 1
         session = Session(self, msid, comm)
         self.sessions[msid.value] = session
@@ -237,15 +253,22 @@ class MonitoringRuntime:
     def lookup(self, msid) -> Session:
         if not isinstance(msid, Msid):
             raise InvalidMsid(f"not a session identifier: {msid!r}")
-        session = self.sessions.get(msid.value)
-        if session is None or msid.owner_rank != self.proc.rank:
-            raise InvalidMsid(f"unknown msid {msid!r}")
-        if session.state == Session.FREED:
-            raise InvalidMsid(f"msid {msid!r} refers to a freed session")
-        return session
+        if msid.owner_rank == self.rank:
+            session = self.sessions.get(msid.value)
+            if session is not None:
+                return session
+            if msid.value in self._freed:
+                raise InvalidMsid(f"msid {msid!r} refers to a freed session")
+        raise InvalidMsid(f"unknown msid {msid!r}")
 
     def live_sessions(self):
-        return [s for s in self.sessions.values() if s.state != Session.FREED]
+        return list(self.sessions.values())
+
+    def _forget(self, session: Session) -> None:
+        """Keep only a freed session's tombstone: its msid value."""
+        value = session.msid.value
+        del self.sessions[value]
+        self._freed.add(value)
 
     # -- pvar access -----------------------------------------------------------
 

@@ -14,6 +14,10 @@ engines carry a plain ``None`` and pay nothing.  It does three things:
   :meth:`run_finished`, together with the engine's own counters
   (switches, messages, deferred sends, elided switches) and the
   per-category monitoring totals.
+
+The observer keeps no reference to its engine (the engine hands itself
+to :meth:`run_started` / :meth:`run_finished`), so the pair is not a
+reference cycle.
 """
 
 from __future__ import annotations
@@ -33,13 +37,12 @@ class EngineObserver:
     """Per-engine recorder; one instance per instrumented Engine."""
 
     __slots__ = (
-        "engine", "registry", "spans",
+        "registry", "spans",
         "_depth_hist", "_depth_max",
         "_link_msgs", "_link_bytes", "_link_lat",
     )
 
     def __init__(self, engine):
-        self.engine = engine
         self.registry = obs.registry()
         self.spans = obs.spans()
         self._depth_hist = self.registry.histogram(
@@ -53,15 +56,15 @@ class EngineObserver:
         self._link_msgs = [0] * n_classes
         self._link_bytes = [0] * n_classes
         self._link_lat = [0.0] * n_classes
-        self._install_link_hook()
+        self._install_link_hook(engine)
         engine.pml._obs_batch_hist = self.registry.histogram(
             "repro_pml_batch_segments", buckets=_BATCH_BUCKETS)
 
     # -- per-message (rides the PML trace hook) ---------------------------
 
-    def _install_link_hook(self) -> None:
-        pml = self.engine.pml
-        net = self.engine.network
+    def _install_link_hook(self, engine) -> None:
+        pml = engine.pml
+        net = engine.network
         prev = pml.trace_hook
         clsidx = net._clsidx_l
         alpha = net._alpha_l
@@ -91,19 +94,17 @@ class EngineObserver:
 
     # -- run lifecycle -----------------------------------------------------
 
-    def run_started(self) -> None:
+    def run_started(self, eng) -> None:
         if self.spans is not None:
-            self.spans.wall_begin("engine.run",
-                                  {"n_ranks": self.engine.n_ranks})
+            self.spans.wall_begin("engine.run", {"n_ranks": eng.n_ranks})
 
-    def run_finished(self) -> None:
+    def run_finished(self, eng) -> None:
         if self.spans is not None:
             self.spans.wall_end()
-        self._publish()
+        self._publish(eng)
 
-    def _publish(self) -> None:
+    def _publish(self, eng) -> None:
         reg = self.registry
-        eng = self.engine
         net = eng.network
         reg.counter("repro_engine_runs_total").inc()
         reg.counter("repro_engine_context_switches_total").inc(eng._switches)

@@ -36,10 +36,12 @@ _OSC, _COLL, _P2P = CAT_CODE["osc"], CAT_CODE["coll"], CAT_CODE["p2p"]
 
 
 class ReplayRecorder:
-    __slots__ = ("engine", "meta", "comms", "_rows", "_add", "_last", "_seq")
+    __slots__ = ("_pml", "meta", "comms", "_rows", "_add", "_last", "_seq")
 
     def __init__(self, engine, meta: dict):
-        self.engine = engine
+        # The engine's PML, not the engine: the engine holds this
+        # recorder, and hands itself to run_finished.
+        self._pml = engine.pml
         self.meta = meta
         self.comms: Dict[int, List[int]] = {}
         self._rows = RowPacker()
@@ -60,7 +62,7 @@ class ReplayRecorder:
         cat = CAT_CODE[category]
         # Mode-1 monitoring charges collective traffic as point-to-point.
         mcat = 0 if not recorded else \
-            _P2P if cat == _COLL and self.engine.pml._mode == 1 else cat
+            _P2P if cat == _COLL and self._pml._mode == 1 else cat
         self._add((t_pre, t_pre - self._last.get(r, 0.0), nbytes, r,
                    dst_world, seq, K_S, cat, mcat))
         self._last[r] = proc.clock

@@ -79,6 +79,23 @@ other ranks' sends.)
 
 Deadlock (all live ranks blocked) raises :class:`DeadlockError` with a
 per-rank state dump instead of hanging the host process.
+
+Lifetime
+--------
+
+The taps are installed when the engine is built: ``pml.sync`` (a bridge
+that reaches the engine through a weak reference, re-installed on a
+thawed engine), and — only if the layer was on at construction — the
+:mod:`repro.obs` observer and the replay recorder, which keep no
+reference to the engine (it hands itself to their ``run_started`` /
+``run_finished``).  :meth:`Engine.run` makes the run-time links back
+into the engine — each ``SimProcess.engine``, each communicator's
+``engine``, a blocking program's :class:`_ThreadTask` — and drops them
+once results are stored and the taps have finished (``_unlink``).  A
+finished engine therefore holds no reference cycle: the last reference
+to it frees it on the spot, without waiting for the cyclic collector.
+None of this is read per message.  A run that raises keeps its cycles
+through the traceback the caller holds.
 """
 
 from __future__ import annotations
@@ -86,6 +103,7 @@ from __future__ import annotations
 import heapq
 import inspect
 import threading
+import weakref
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -183,8 +201,13 @@ class _ThreadTask:
         self._parked.acquire()
         if self._finished:
             self._thread.join()
-            end, self._end = self._end, None
-            raise end
+            try:
+                # Raised from the attribute, not a local: a local would
+                # keep the exception alive in this frame, which the
+                # exception's own traceback keeps alive.
+                raise self._end
+            finally:
+                self._end = None
         return self._directive
 
     def throw(self, exc):
@@ -203,6 +226,12 @@ class _ThreadTask:
         exc, self._throw = self._throw, None
         if exc is not None:
             raise exc
+
+    def unlink(self) -> None:
+        """Drop the run-time references (rank, program and arguments,
+        last directive) once the task has ended: they point back into
+        the engine."""
+        self._proc = self._call = self._directive = None
 
     def _run(self) -> None:
         _tls.proc = self._proc
@@ -257,6 +286,31 @@ def _drive(gen):
                 step, arg = gen.throw, exc
     except StopIteration as stop:
         return stop.value
+
+
+def _settle_bridge(engine: "Engine") -> Callable[[], None]:
+    """``pml.sync`` for ``engine``: settle the calling rank's deferred
+    send, if it has one and is a rank of this engine.
+
+    Monitoring-state reads and mode changes observe/affect the global
+    record order, so they must happen at the same position a
+    non-deferred engine would put them — right after the caller's own
+    sends have completed.  Generator programs settle beforehand
+    (``comm.co_sync()``), so this finds nothing pending there.  The
+    bridge reaches the engine through a weak reference: the PML
+    belongs to the engine, and a bound method would make the pair a
+    reference cycle.
+    """
+    ref = weakref.ref(engine)
+
+    def settle_caller() -> None:
+        proc = getattr(_tls, "proc", None)
+        if proc is not None and proc.pending is not None:
+            engine = ref()
+            if engine is not None and proc.engine is engine:
+                _drive(engine.co_settle(proc))
+
+    return settle_caller
 
 
 # A deferred message injection, materialized in ``(clock, rank)`` order
@@ -390,7 +444,7 @@ class Engine:
         self.procs: List[SimProcess] = []
         self.mpit = MpiToolInterface()
         self.pml = PmlMonitoring(cluster.n_ranks, mpit=self.mpit)
-        self.pml.sync = self._settle_caller
+        self.pml.sync = _settle_bridge(self)
         # Shared registries used by the communicator layer; only one
         # rank runs at a time so plain dicts are safe.
         self.comm_registry: Dict[Any, Any] = {}
@@ -485,7 +539,7 @@ class Engine:
             self._set_ready(proc)
 
         if self._obs is not None:
-            self._obs.run_started()
+            self._obs.run_started(self)
         # The scheduler runs on the calling thread and leaves the
         # current-process slot exactly as it found it (nested engines,
         # post-run library calls).
@@ -501,15 +555,37 @@ class Engine:
             self._drain()
             _tls.proc = prev_proc
             if self._obs is not None:
-                self._obs.run_finished()
+                self._obs.run_finished(self)
             if clean and self._rr is not None:
                 self._rr.run_finished(self)
+            self._unlink()
 
         failed = [p for p in self.procs if p.exc is not None]
         if failed:
             p = min(failed, key=lambda q: q.rank)
             raise RankFailure(p.rank, p.exc) from p.exc
         return [p.result for p in self.procs]
+
+    def _unlink(self) -> None:
+        """Drop the run-time back-references into this engine.
+
+        Ranks, communicators and blocking-program tasks point back at
+        the engine while it runs; once the run is over nothing needs
+        them, and left in place they would make the finished engine a
+        knot of reference cycles that only the cyclic collector frees.
+        Dropped here, the last reference to the engine frees it.  What
+        a kept engine answers is unchanged: clocks, results, the
+        monitoring matrices, the NIC history, the registries.
+        """
+        from repro.simmpi.comm import Communicator  # local: avoid cycle
+
+        for proc in self.procs:
+            proc.engine = None
+            if isinstance(proc.task, _ThreadTask):
+                proc.task.unlink()
+        for comm in (self.world, *self.comm_registry.values()):
+            if isinstance(comm, Communicator):
+                comm.engine = None
 
     @property
     def max_clock(self) -> float:
@@ -543,7 +619,7 @@ class Engine:
         self.__dict__.update(state)
         self.mpit = MpiToolInterface()
         self.pml.register(self.mpit)
-        self.pml.sync = self._settle_caller
+        self.pml.sync = _settle_bridge(self)
         fs = self.__dict__.get("_filesystem")
         if fs is not None:
             fs._register_pvars(self.mpit)
@@ -809,20 +885,6 @@ class Engine:
         if parked:
             return proc
         return None
-
-    def _settle_caller(self) -> None:
-        """Settle the calling rank's deferred send, if it has one.
-
-        Installed as ``pml.sync``: monitoring-state reads and mode
-        changes observe/affect the global record order, so they must
-        happen at the same position a non-deferred engine would put
-        them — right after the caller's own sends have completed.
-        Generator programs settle beforehand (``comm.co_sync()``), so
-        this finds nothing pending there.
-        """
-        proc = getattr(_tls, "proc", None)
-        if proc is not None and proc.engine is self and proc.pending is not None:
-            _drive(self.co_settle(proc))
 
     # -- the scheduler --------------------------------------------------------
     #

@@ -37,11 +37,12 @@ class FileSystem:
     """Cluster-wide shared storage: a single bandwidth resource.
 
     Attached lazily to an engine (``FileSystem.of(engine)``); registers
-    its per-rank byte counters as MPI_T pvars on first attach.
+    its per-rank byte counters as MPI_T pvars on first attach.  It keeps
+    no reference to the engine (which holds it): a transfer reaches the
+    scheduler through the calling rank.
     """
 
     def __init__(self, engine, params: Optional[FileSystemParams] = None):
-        self.engine = engine
         self.params = params or FileSystemParams()
         self._busy_until = 0.0
         n = engine.n_ranks
@@ -77,7 +78,7 @@ class FileSystem:
     def co_transfer(self, proc, nbytes: int):
         """Stream ``nbytes`` through the shared FS, advancing the
         calling rank's clock (ops serialize on the storage resource)."""
-        yield from self.engine.co_give_way(proc)
+        yield from proc.engine.co_give_way(proc)
         start = max(proc.clock + self.params.latency, self._busy_until)
         dur = nbytes / self.params.bandwidth
         self._busy_until = start + dur
@@ -85,10 +86,13 @@ class FileSystem:
 
 
 class File:
-    """An open simulated file shared by a communicator."""
+    """An open simulated file shared by a communicator.
 
-    def __init__(self, fs: FileSystem, comm, name: str):
-        self.fs = fs
+    The file keeps no reference to its file system (which lists its
+    files): an operation reaches it through the calling rank's engine.
+    """
+
+    def __init__(self, comm, name: str):
         self.comm = comm
         self.name = name
         self._data: Dict[int, bytes] = {}  # offset -> chunk (exact writes)
@@ -114,7 +118,7 @@ class File:
         key = ("file", comm.id, seq, name)
         f = comm.engine.comm_registry.get(key)
         if f is None:
-            f = fs.files.get(name) or cls(fs, comm, name)
+            f = fs.files.get(name) or cls(comm, name)
             fs.files[name] = f
             comm.engine.comm_registry[key] = f
         return f
@@ -136,11 +140,9 @@ class File:
         self._check()
         buf = Buffer.wrap(data, nbytes)
         proc = self.comm._current()
-        yield from self.fs.co_transfer(proc, buf.nbytes)
-        return self._note_write(proc, offset, buf)
-
-    def _note_write(self, proc, offset: int, buf: Buffer) -> int:
-        self.fs.bytes_written[proc.rank] += np.uint64(buf.nbytes)
+        fs = FileSystem.of(proc.engine)
+        yield from fs.co_transfer(proc, buf.nbytes)
+        fs.bytes_written[proc.rank] += np.uint64(buf.nbytes)
         if buf.payload is not None:
             raw = self._encode(buf.payload)
             self._data[offset] = raw
@@ -155,8 +157,9 @@ class File:
         for abstract regions."""
         self._check()
         proc = self.comm._current()
-        yield from self.fs.co_transfer(proc, nbytes)
-        self.fs.bytes_read[proc.rank] += np.uint64(nbytes)
+        fs = FileSystem.of(proc.engine)
+        yield from fs.co_transfer(proc, nbytes)
+        fs.bytes_read[proc.rank] += np.uint64(nbytes)
         return self._data.get(offset)
 
     # -- collective operations ------------------------------------------------

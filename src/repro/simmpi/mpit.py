@@ -16,6 +16,7 @@ handle yields a snapshot copy.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
@@ -52,10 +53,14 @@ class _PerfVariable:
 
 
 class PvarHandle:
-    """A started/stopped handle on one pvar, bound to one process."""
+    """A started/stopped handle on one pvar, bound to one process.
+
+    The handle reaches its session through a weak reference (the session
+    lists its handles); a session that is gone counts as freed.
+    """
 
     def __init__(self, session: "PvarSession", var: _PerfVariable, rank: int):
-        self._session = session
+        self._session = weakref.ref(session)
         self._var = var
         self.rank = rank
         self.started = False
@@ -95,7 +100,8 @@ class PvarHandle:
     def _check(self) -> None:
         if self.freed:
             raise MpitError(f"handle on {self._var.name} already freed")
-        if self._session.freed:
+        session = self._session()
+        if session is None or session.freed:
             raise MpitError("pvar session already freed")
 
 

@@ -37,6 +37,7 @@ one scalar draw per term (bitwise identical results for a given seed).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,24 +62,28 @@ class _LazyPairView(dict):
     with ``__missing__`` makes that resolve-and-memoize.  A 4096-rank
     world touches the pairs its communication pattern actually uses —
     thousands, not 16.7 million.
+
+    A miss calls the :class:`Network` method named ``resolve`` through
+    a weak reference: the network owns its views, and a bound method
+    would make the network and each view a reference cycle.
     """
 
-    __slots__ = ("_resolve",)
+    __slots__ = ("_net", "_resolve")
 
-    def __init__(self, resolve):
+    def __init__(self, net: "Network", resolve: str):
         super().__init__()
+        self._net = weakref.ref(net)
         self._resolve = resolve
 
     def __missing__(self, key: int):
-        value = self._resolve(key)
+        value = getattr(self._net(), self._resolve)(key)
         self[key] = value
         return value
 
-    # Bound-method resolvers survive pickling (the instance travels by
-    # reference), but the memo does not need to: thaw empty and let
-    # entries recompute.
+    # The network travels by reference, but the memo does not need to:
+    # thaw empty and let entries recompute.
     def __reduce__(self):
-        return (_LazyPairView, (self._resolve,))
+        return (_LazyPairView, (self._net(), self._resolve))
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,10 @@ class Network:
         # IEEE doubles either way, so results are bit-identical).
         self._nic_free = [0.0] * n_nodes
         self._mem_free = [0.0] * n_nodes
-        self._rng = np.random.default_rng(seed)
+        # The jitter generator is built by the first refill: a run
+        # without jitter never loads numpy.random.
+        self._seed = seed
+        self._rng = None
         self._sigma = float(params.jitter)
         self._jit_blk: List[float] = []
         self._jit_pos = 0
@@ -254,15 +262,15 @@ class Network:
         # level-(d-1) component contains PUs from >= 2 distinct
         # level-d subcomponents; 0 iff there are >= 2 nodes; `depth`
         # always (the diagonal).
+        # (Sets, not np.unique: that would load numpy.ma.)
         achievable = {depth}
         if n > 1:
-            if np.unique(pu // strides[0]).size > 1:
+            if len(set(self._rank_node_l)) > 1:
                 achievable.add(0)
             for d in range(1, depth):
-                outer = pu // strides[d - 1]
-                inner = pu // strides[d]
-                pairs = np.unique(np.stack([outer, inner]), axis=1)
-                if pairs.shape[1] > np.unique(pairs[0]).size:
+                pairs = set(zip((pu // strides[d - 1]).tolist(),
+                                (pu // strides[d]).tolist()))
+                if len(pairs) > len({outer for outer, _ in pairs}):
                     achievable.add(d)
 
         # First-appearance (row-major) order, which route_classes
@@ -275,9 +283,7 @@ class Network:
             pu_src = int(pu[src])
             for stride in strides:
                 row += (pu // stride) == (pu_src // stride)
-            vals, first = np.unique(row, return_index=True)
-            for i in np.argsort(first, kind="stable"):
-                d = int(vals[i])
+            for d in dict.fromkeys(row.tolist()):
                 if d not in seen:
                     seen.add(d)
                     order.append(d)
@@ -309,14 +315,14 @@ class Network:
         # paths read it from ``_node_l`` (``src_node * n_nodes +
         # dst_node``) and ``_pair_l`` only within a node, though
         # ``_pair_l[k]`` answers any pair.
-        self._pair_l = _LazyPairView(self._resolve_pair)
-        self._node_l = _LazyPairView(self._resolve_nodes)
+        self._pair_l = _LazyPairView(self, "_resolve_pair")
+        self._node_l = _LazyPairView(self, "_resolve_nodes")
         # Single-field views for consumers that need just one of them
         # (replay: alpha; repro.obs: class index per message).
-        self._alpha_l = _LazyPairView(self._resolve_alpha)
-        self._cross_l = _LazyPairView(self._resolve_cross)
-        self._cls_l = _LazyPairView(self._resolve_cls)
-        self._clsidx_l = _LazyPairView(self._resolve_clsidx)
+        self._alpha_l = _LazyPairView(self, "_resolve_alpha")
+        self._cross_l = _LazyPairView(self, "_resolve_cross")
+        self._cls_l = _LazyPairView(self, "_resolve_cls")
+        self._clsidx_l = _LazyPairView(self, "_resolve_clsidx")
         self._o_send = float(params.send_overhead)
         self._mem_bw = params.mem_bandwidth
         # Plain attribute (not a property): read once per receive
@@ -404,7 +410,8 @@ class Network:
 
     def reseed(self, seed: int) -> None:
         """Reset the jitter stream (one seed per repetition in §6.2)."""
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng = None
         self._jit_blk = []
         self._jit_pos = 0
 
@@ -412,8 +419,11 @@ class Network:
         # Keep any unconsumed factors: the block is a cache over the
         # scalar draw stream, never a resampling of it.
         blk = self._jit_blk[self._jit_pos :]
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
         for _ in range(blocks):
-            blk += np.exp(self._rng.normal(0.0, self._sigma, _JITTER_BLOCK)).tolist()
+            blk += np.exp(rng.normal(0.0, self._sigma, _JITTER_BLOCK)).tolist()
         self._jit_blk = blk
         self._jit_pos = 0
         return blk

@@ -90,23 +90,28 @@ class NicCounters:
         return self._read(self._rcv, node, time)
 
     def _read(self, table: List[_Series], node: int, time: float) -> int:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"no node {node}")
-        series = table[node]
+        series = self._series(table, node)
         i = bisect.bisect_right(series.times, time)
         return series.totals[i - 1] if i else 0
+
+    def _series(self, table: List[_Series], node: int) -> _Series:
+        """``table[node]`` for an existing node only: a negative index
+        would silently answer for another node."""
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"no node {node}")
+        return table[node]
 
     # -- introspection helpers ------------------------------------------
 
     def xmit_events(self, node: int) -> List[Tuple[float, int]]:
         """The full (time, cumulative bytes) transmit history of a node."""
-        series = self._xmit[node]
+        series = self._series(self._xmit, node)
         return list(zip(series.times, series.totals))
 
     def rcv_events(self, node: int) -> List[Tuple[float, int]]:
         """The full (time, cumulative bytes) receive history of a node."""
-        series = self._rcv[node]
+        series = self._series(self._rcv, node)
         return list(zip(series.times, series.totals))
 
     def total_xmit_bytes(self, node: int) -> int:
-        return self._xmit[node].total
+        return self._series(self._xmit, node).total

@@ -150,6 +150,20 @@ class TestJitter:
         net._nic_free[:] = [0.0] * len(net._nic_free)  # reset resource state too
         assert net.transfer(0, 4, 1000, 0.0) == a
 
+    def test_the_generator_is_built_by_the_first_draw(self, topo):
+        """Lazy, but the same stream an eager ``default_rng(seed)``
+        gives — also after a reseed."""
+        p = simple_params(jitter=0.1)
+        net = Network(topo, list(range(8)), p, seed=7)
+        assert net._rng is None
+        want = np.exp(np.random.default_rng(7).normal(0.0, 0.1, 5)).tolist()
+        assert net.jitter_factors(5) == want
+        net.reseed(9)
+        assert net._rng is None
+        want = np.exp(np.random.default_rng(9).normal(0.0, 0.1, 3)).tolist()
+        assert net.jitter_factors(3) == want
+        assert Network(topo, list(range(8)), simple_params())._rng is None
+
 
 class TestNicCounters:
     def test_read_before_any_event(self):
@@ -205,3 +219,29 @@ def test_plafrim_preset_has_mem_contention():
     p = plafrim_params()
     assert p.mem_bandwidth is not None
     assert "cluster" in p.links and "socket" in p.links
+
+
+@pytest.mark.parametrize("binding", [
+    list(range(8)), [0, 4, 1, 5, 2, 6, 3, 7], [3, 2, 1, 0], [5], [6, 7],
+    [0, 2, 4, 6], [7, 3, 6, 2, 5, 1, 4, 0]])
+def test_route_classes_are_the_row_major_first_appearances(binding):
+    """Every sharing class some pair reaches, in the order a row-major
+    walk over all pairs first meets it."""
+    topo = Topology([("node", 2), ("socket", 2), ("core", 2)])
+    net = Network(topo, binding, simple_params())
+    walk = [net._common_depth(s, d)
+            for s in range(len(binding)) for d in range(len(binding))]
+    want = tuple(topo.sharing_classes[d] for d in dict.fromkeys(walk))
+    assert net.route_classes == want
+
+
+def test_lazy_views_resolve_after_a_pickle_round_trip():
+    import pickle
+
+    topo = Topology([("node", 2), ("socket", 2), ("core", 2)])
+    net = Network(topo, list(range(8)), simple_params(jitter=0.1), seed=2)
+    before = [net._pair_l[k] for k in range(64)]
+    thawed = pickle.loads(pickle.dumps(net))
+    assert thawed._pair_l._net() is thawed
+    assert [thawed._pair_l[k] for k in range(64)] == before
+    assert thawed.sharing_class(0, 7) == net.sharing_class(0, 7)

@@ -145,3 +145,22 @@ def test_running_total_past_int64_raises_instead_of_wrapping():
     # The failed append left the series as it was.
     assert nic.total_xmit_bytes(0) == 2**63 - 1
     assert nic.xmit_events(0) == [(1.0, 2**62), (2.0, 2**63 - 1)]
+
+
+@pytest.mark.parametrize("reader", [
+    lambda nic, node: nic.port_xmit_data(node, 1.0),
+    lambda nic, node: nic.xmit_bytes(node, 1.0),
+    lambda nic, node: nic.rcv_bytes(node, 1.0),
+    lambda nic, node: nic.xmit_events(node),
+    lambda nic, node: nic.rcv_events(node),
+    lambda nic, node: nic.total_xmit_bytes(node),
+], ids=["port_xmit_data", "xmit_bytes", "rcv_bytes", "xmit_events",
+        "rcv_events", "total_xmit_bytes"])
+@pytest.mark.parametrize("node", [-1, 2])
+def test_every_reader_rejects_a_node_that_does_not_exist(reader, node):
+    """A negative index would silently answer for node n - 1."""
+    nic = NicCounters(2)
+    nic.record_xmit(1, 0.5, 100)
+    nic.record_rcv(1, 0.5, 100)
+    with pytest.raises(ValueError, match=f"no node {node}"):
+        reader(nic, node)

@@ -121,3 +121,32 @@ def test_treematch_builds_its_sparse_matrices_from_cold():
 def test_reordering_cell_from_cold_loads_no_scipy(cell):
     """Monitor, TreeMatch on the dense matrix, re-run: no heavy module."""
     assert _cold(cell)["loaded"] == []
+
+
+_NUMPY_EXTRAS = "[m for m in ('numpy.random', 'numpy.ma') if m in sys.modules]"
+
+
+def test_a_cell_without_jitter_loads_no_numpy_random_or_ma():
+    """Without jitter the network never builds its generator, and route
+    construction counts sharing depths with sets, not ``np.unique``."""
+    got = _cold(
+        "from repro.experiments import fig5_collectives\n"
+        "fig5_collectives.run_cell('reduce', 1, sizes=(1000,), reps=1)",
+        result=_NUMPY_EXTRAS)
+    assert got["result"] == []
+
+
+@pytest.mark.parametrize("kwargs", ["jitter=0.1", "binding='random', seed=4"])
+def test_jittered_and_randomly_bound_clusters_still_run_from_cold(kwargs):
+    got = _cold(
+        "import numpy as np\n"
+        "from repro.simmpi import SUM, Cluster, Engine\n"
+        "def program(comm):\n"
+        "    yield from comm.co_barrier()\n"
+        "    return (yield from comm.co_allreduce(np.float64(1.0), SUM))\n"
+        f"engine = Engine(Cluster.plafrim(2, n_ranks=8, {kwargs}), seed=3)\n"
+        "out = [float(x) for x in engine.run(program)]",
+        result=f"[out, {_NUMPY_EXTRAS}]")
+    out, loaded = got["result"]
+    assert out == [8.0] * 8
+    assert "numpy.random" in loaded
