@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.obs.timeline import Timeline
+from repro.simmpi.collectives import default_algorithm
 
 __all__ = [
     "REPORT_SCHEMA", "REPORT_KIND", "PASSES", "SEVERITIES",
@@ -114,26 +115,6 @@ class Finding:
 
 # ---------------------------------------------------------------------------
 # the fig5 best-known-algorithm grid
-
-
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def default_algorithm(op: str, comm_size: int) -> Optional[str]:
-    """What the library runs when the caller passes ``algorithm=None``
-    (recorded as ``""`` in replay traces)."""
-    if op in ("reduce", "bcast", "gather", "scatter"):
-        return "binomial"
-    if op == "barrier":
-        return "dissemination"
-    if op == "alltoall":
-        return "pairwise"
-    if op == "allgather":
-        return "recursive_doubling" if _is_pow2(comm_size) else "ring"
-    if op == "allreduce":
-        return "recursive_doubling" if _is_pow2(comm_size) else "reduce_bcast"
-    return None
 
 
 def best_known_algorithm(op: str, nbytes: int,

@@ -6,10 +6,11 @@ paper's key property: the monitoring layer sees the point-to-point
 messages the algorithm actually generated) bracketed by B/E markers.
 Substituting an algorithm therefore means: find each instance of the
 op, erase its recorded point-to-point traffic, and synthesize the
-replacement algorithm's traffic over the same payload — mirroring the
-exact send/receive loop order of the live implementations in
-:mod:`repro.simmpi.collectives.bcast` / ``reduce`` so a substituted
-replay prices what the live run *would have* injected.
+replacement algorithm's traffic over the same payload.  The synthesis
+walks the live modules' ``tree()`` (:mod:`repro.simmpi.collectives.bcast`
+/ ``reduce``) segment by segment, in the order the live bodies send and
+receive, so a substituted replay prices what the live run *would have*
+injected.
 
 An instance is identified as the i-th top-level B marker per
 communicator on each member rank: collectives are globally ordered per
@@ -26,14 +27,22 @@ stream.
 
 The payload is measured from the matched sends (the maximum per-pair
 byte total — every algorithm here sends the full buffer over each tree
-edge); segment sizes follow ``split_buffer``'s abstract-buffer rule
-(big-first byte divmod — array payloads in the live run split on
-element boundaries instead, a difference of at most one element per
-segment).  Unrelated events recorded inside a region (that deferred
-point-to-point send from before the collective) are preserved in
-place; the generated rows go ahead of the region's E.  Python walks
-the B/E rows and the replacement decomposition; the rest is numpy over
-the columns in per-rank program order.
+edge).  The segment count is one for an algorithm that does not
+pipeline; for one that does, it is the recording's own (the most
+messages any pair carried) when the recorded algorithm pipelined too,
+and otherwise the live rule: the recorded ``segments``, else
+``n_segments`` of the payload.  Segment sizes follow ``split_buffer``'s
+abstract-buffer rule (big-first byte divmod).  Two divergences from the
+live run remain: array payloads split on element boundaries live, a
+difference of at most one element per segment; and a payload the live
+root cannot slice, recorded under ``flat`` / ``chain`` and substituted
+to a pipelined algorithm, gets the derived count where the live run
+would send one segment.
+
+Unrelated events recorded inside a region (that deferred point-to-point
+send from before the collective) are preserved in place; the generated
+rows go ahead of the region's E.  Python walks the B/E rows and the
+trees; the rest is numpy over the columns in per-rank program order.
 """
 
 from __future__ import annotations
@@ -44,14 +53,16 @@ import numpy as np
 
 from repro.replay.schema import (CATS, COLUMN_LAYOUT, K_B, K_R, K_S,
                                  ReplayTrace, TraceColumns)
+from repro.simmpi.collectives import bcast, default_algorithm, reduce
+from repro.simmpi.collectives.segment import n_segments, split_buffer
+from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
 __all__ = ["SUBSTITUTABLE", "apply_substitution", "parse_substitute"]
 
-SUBSTITUTABLE = {
-    "bcast": ("binomial", "flat", "chain"),
-    "reduce": ("binomial", "binary", "flat"),
-}
+#: The rooted ops, each by the module that runs it and states its trees.
+_TREES = {"bcast": bcast, "reduce": reduce}
+SUBSTITUTABLE = {op: module.ALGORITHMS for op, module in _TREES.items()}
 _COLL = CATS.index("coll")
 #: What :func:`_substitute_instance` says of each row it generates: the
 #: trace columns a generated row fills (``t`` and ``gap`` are zero) and
@@ -257,22 +268,39 @@ def _substitute_instance(inst: _Instance, new_alg: str, members, was_pair,
     # (of two as frequent, the one seen first).
     by_pair = np.argsort(was_pair, kind="stable")
     pairs = was_pair[by_pair]
-    payload, fallback = max(0, inst.nbytes), 0
+    payload, per_pair, fallback = max(0, inst.nbytes), 0, 0
     if len(pairs):
         first = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]])
         payload = int(np.add.reduceat(was_nbytes[by_pair], first).max())
+        per_pair = int(np.diff(np.r_[first, len(pairs)]).max())
         codes, seen, votes = np.unique(was_mcat, return_index=True,
                                        return_counts=True)
         fallback = codes[np.lexsort((seen, -votes))[0]]
     mcats = np.append(was_mcat[by_pair], fallback)
 
+    # The segment count: what the recording shows when it pipelined too
+    # (its segments crossed each edge), else the live rule.
+    size, root = len(members), max(0, inst.root)
+    module = _TREES[inst.op]
+    if new_alg not in module.PIPELINED:
+        nseg = 1
+    elif per_pair and (inst.alg or default_algorithm(inst.op, size)) \
+            in module.PIPELINED:
+        nseg = per_pair
+    else:
+        nseg = inst.segments if inst.segments > 0 else n_segments(payload)
+    seg_sizes = [piece.nbytes for piece in
+                 split_buffer(Buffer(None, nbytes=payload), nseg)]
+    # Walk the live tree: per segment, a bcast receives from its parent
+    # and sends to its children, a reduce the other way round.
     calls: List[tuple] = []      # (is send, local rank, local peer, nbytes, s)
-    if len(members) > 1:
-        generate = _gen_bcast if inst.op == "bcast" else _gen_reduce
-        generate(new_alg, len(members), max(0, inst.root),
-                 _segment_sizes(inst, new_alg, payload),
-                 lambda lr, dst, nb, s: calls.append((1, lr, dst, nb, s)),
-                 lambda lr, src, s: calls.append((0, lr, src, 0, s)))
+    for lr in range(size):
+        parent, children = module.tree(new_alg, lr, size, root)
+        up = [] if parent is None else [parent]
+        srcs, dsts = (up, children) if inst.op == "bcast" else (children, up)
+        for s, nb in enumerate(seg_sizes):
+            calls += [(0, lr, src, 0, s) for src in srcs]
+            calls += [(1, lr, dst, nb, s) for dst in dsts]
     sends, local, local_peer, nb, segment = \
         np.array(calls, dtype=np.int64).reshape(-1, 5).T
     sends = sends.astype(bool)
@@ -291,101 +319,3 @@ def _substitute_instance(inst: _Instance, new_alg: str, members, was_pair,
             "peer": np.where(sends, other, 0), "nbytes": nb, "seq": seq,
             "cat": np.where(sends, _COLL, 0), "mcat": mcat,
             "before": ends[local]}
-
-
-def _segment_sizes(inst, new_alg, payload: int) -> List[int]:
-    from repro.simmpi.collectives.segment import n_segments
-
-    pipelined = (inst.op, new_alg) not in (
-        ("bcast", "flat"), ("bcast", "chain"), ("reduce", "flat"))
-    if not pipelined:
-        return [payload]
-    nseg = inst.segments if inst.segments > 0 else n_segments(payload)
-    base, extra = divmod(payload, nseg)
-    return [base + 1] * extra + [base] * (nseg - extra)
-
-
-# ---------------------------------------------------------------------------
-# algorithm event generators (loop orders mirror the live code)
-
-
-def _gen_bcast(alg, size, root, seg_sizes, send, recv) -> None:
-    nseg = len(seg_sizes)
-    for lr in range(size):
-        vr = (lr - root) % size
-        if alg == "flat":
-            if vr == 0:
-                for dst in range(size):
-                    if dst != root:
-                        send(lr, dst, seg_sizes[0], 0)
-            else:
-                recv(lr, root, 0)
-            continue
-        if alg == "chain":
-            if vr > 0:
-                recv(lr, (vr - 1 + root) % size, 0)
-            if vr + 1 < size:
-                send(lr, (vr + 1 + root) % size, seg_sizes[0], 0)
-            continue
-        # binomial (see bcast._binomial): receive mask is the lowest
-        # set bit of the virtual rank; children descend from there.
-        recv_mask = 0
-        mask = 1
-        while mask < size:
-            if vr & mask:
-                recv_mask = mask
-                break
-            mask <<= 1
-        children = []
-        m = (recv_mask or mask) >> 1
-        while m > 0:
-            if vr + m < size:
-                children.append((vr + m + root) % size)
-            m >>= 1
-        if recv_mask == 0:  # root: pipeline every segment down the tree
-            for s, nb in enumerate(seg_sizes):
-                for child in children:
-                    send(lr, child, nb, s)
-        else:
-            parent = (vr - recv_mask + root) % size
-            recv(lr, parent, 0)
-            for child in children:
-                send(lr, child, seg_sizes[0], 0)
-            for s in range(1, nseg):
-                recv(lr, parent, s)
-                for child in children:
-                    send(lr, child, seg_sizes[s], s)
-
-
-def _gen_reduce(alg, size, root, seg_sizes, send, recv) -> None:
-    for lr in range(size):
-        vr = (lr - root) % size
-        if alg == "flat":
-            if vr == 0:
-                for src in range(size):
-                    if src != root:
-                        recv(lr, src, 0)
-            else:
-                send(lr, root, seg_sizes[0], 0)
-            continue
-        if alg == "binary":
-            children_v = [c for c in (2 * vr + 1, 2 * vr + 2) if c < size]
-            parent_v = None if vr == 0 else (vr - 1) // 2
-        else:  # binomial: ascending-mask children, reduced before forwarding
-            children_v = []
-            parent_v = None
-            mask = 1
-            while mask < size:
-                if vr & mask:
-                    parent_v = vr & ~mask
-                    break
-                if vr | mask < size and vr | mask != vr:
-                    children_v.append(vr | mask)
-                mask <<= 1
-        children = [(c + root) % size for c in children_v]
-        parent = None if parent_v is None else (parent_v + root) % size
-        for s, nb in enumerate(seg_sizes):
-            for child in children:
-                recv(lr, child, s)
-            if parent is not None:
-                send(lr, parent, nb, s)

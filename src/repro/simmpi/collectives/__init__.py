@@ -14,7 +14,8 @@ Every decomposition is written once, as a ``co_*`` generator; the
 blocking spelling is the ``Communicator`` method of the same name.  An
 entry point that only validates and picks an algorithm returns that
 algorithm's generator (``()`` or ``util.done`` on one rank), so a
-parked rank holds no frame for it.
+parked rank holds no frame for it.  What each entry runs when the
+caller names no algorithm is :func:`default_algorithm`.
 """
 
 from repro.simmpi.collectives.barrier import co_barrier  # noqa: F401
@@ -25,3 +26,4 @@ from repro.simmpi.collectives.gather import co_gather  # noqa: F401
 from repro.simmpi.collectives.scatter import co_scatter  # noqa: F401
 from repro.simmpi.collectives.allgather import co_allgather  # noqa: F401
 from repro.simmpi.collectives.alltoall import co_alltoall  # noqa: F401
+from repro.simmpi.collectives.util import default_algorithm  # noqa: F401

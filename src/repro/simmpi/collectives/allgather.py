@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.simmpi.collectives.util import (as_buffer, by_rank, done, is_pow2,
+from repro.simmpi.collectives.util import (as_buffer, by_rank,
+                                          default_algorithm, done, is_pow2,
                                           unwrap)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
@@ -29,8 +30,7 @@ def co_allgather(
 ):
     """Gather every rank's ``value``; all ranks return the full list,
     indexed by rank."""
-    if algorithm is None:
-        algorithm = "recursive_doubling" if is_pow2(comm.size) else "ring"
+    algorithm = algorithm or default_algorithm("allgather", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown allgather algorithm {algorithm!r}; have {ALGORITHMS}")
     if algorithm == "recursive_doubling" and not is_pow2(comm.size):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.simmpi.collectives.util import as_buffer, is_pow2, unwrap
+from repro.simmpi.collectives.util import (as_buffer, default_algorithm,
+                                           is_pow2, unwrap)
 from repro.simmpi.errorsim import CommError
 from repro.simmpi.op import Op, combine
 
@@ -28,8 +29,7 @@ def co_allreduce(
     algorithm: Optional[str] = None,
 ):
     """Reduce ``value`` across ranks; every rank returns the result."""
-    if algorithm is None:
-        algorithm = "recursive_doubling" if is_pow2(comm.size) else "reduce_bcast"
+    algorithm = algorithm or default_algorithm("allreduce", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown allreduce algorithm {algorithm!r}; have {ALGORITHMS}")
     if algorithm == "recursive_doubling" and not is_pow2(comm.size):

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
-from repro.simmpi.collectives.util import as_buffer, is_pow2, unwrap
+from repro.simmpi.collectives.util import (as_buffer, default_algorithm,
+                                           is_pow2, unwrap)
 from repro.simmpi.errorsim import CommError
 
 __all__ = ["co_alltoall", "ALGORITHMS"]
@@ -24,7 +25,7 @@ def co_alltoall(
 ):
     """Send ``values[j]`` to rank j; returns the items received, by
     source rank.  ``nbytes`` is the per-item size for abstract items."""
-    algorithm = algorithm or "pairwise"
+    algorithm = algorithm or default_algorithm("alltoall", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown alltoall algorithm {algorithm!r}; have {ALGORITHMS}")
     me, size = comm.rank, comm.size

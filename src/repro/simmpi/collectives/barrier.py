@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.simmpi.collectives.util import ceil_log2
+from repro.simmpi.collectives.util import ceil_log2, default_algorithm
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -30,7 +30,7 @@ _TOKEN = Buffer(None, nbytes=0)
 def co_barrier(comm, algorithm: Optional[str] = None):
     """Block until every rank has entered the barrier (returns the
     algorithm's generator, or ``()`` on one rank)."""
-    algorithm = algorithm or "dissemination"
+    algorithm = algorithm or default_algorithm("barrier", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown barrier algorithm {algorithm!r}; have {ALGORITHMS}")
     ctx = comm._next_collective_context("barrier")

@@ -6,7 +6,9 @@ inside nodes.  Large buffers are segmented and pipelined through the
 tree (like Open MPI's tuned component), so the monitoring component
 records one point-to-point message per segment per edge.
 
-The decompositions are ``co_`` generators (see barrier.py); the
+Each algorithm's tree is stated once, by :func:`tree`; the live bodies
+below and replay substitution (:mod:`repro.replay.patterns`) both walk
+it.  The decompositions are ``co_`` generators (see barrier.py); the
 blocking spelling is the ``Communicator`` method of the same name.
 """
 
@@ -15,13 +17,16 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.simmpi.collectives.segment import n_segments, join_payloads, split_buffer
-from repro.simmpi.collectives.util import as_buffer, done, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import (as_buffer, default_algorithm, done,
+                                           unvrank, unwrap, vrank)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
-__all__ = ["co_bcast", "ALGORITHMS"]
+__all__ = ["co_bcast", "tree", "ALGORITHMS", "PIPELINED"]
 
 ALGORITHMS = ("binomial", "flat", "chain")
+#: The algorithms that cut a large buffer into pipelined segments.
+PIPELINED = ("binomial",)
 
 
 def co_bcast(
@@ -40,9 +45,11 @@ def co_bcast(
     the data only in the unsegmented path).
     """
     comm._check_rank(root)
-    algorithm = algorithm or "binomial"
+    algorithm = algorithm or default_algorithm("bcast", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown bcast algorithm {algorithm!r}; have {ALGORITHMS}")
+    if segments is not None and segments < 1:
+        raise CommError(f"bcast wants segments >= 1, got {segments}")
     ctx = comm._next_collective_context("bcast")
     me = comm.rank
     size = comm.size
@@ -57,6 +64,32 @@ def co_bcast(
     return _chain(comm, buf, root, ctx)
 
 
+def tree(algorithm: str, rank: int, size: int, root: int):
+    """``(parent or None, children)`` of ``rank`` in ``algorithm``'s
+    tree rooted at ``root``, in real ranks; the children in the order
+    the rank sends to them."""
+    vr = vrank(rank, root, size)
+    if algorithm == "flat":
+        if vr:
+            return root, []
+        return None, [dst for dst in range(size) if dst != root]
+    if algorithm == "chain":
+        parent = unvrank(vr - 1, root, size) if vr else None
+        return parent, [unvrank(vr + 1, root, size)] if vr + 1 < size else []
+    # binomial: a rank receives over the lowest set bit of its virtual
+    # rank (the root over none) and sends over every lower bit, highest
+    # first.
+    low = vr & -vr
+    parent = unvrank(vr - low, root, size) if vr else None
+    children: List[int] = []
+    mask = (low or 1 << (size - 1).bit_length()) >> 1
+    while mask:
+        if vr + mask < size:
+            children.append(unvrank(vr + mask, root, size))
+        mask >>= 1
+    return parent, children
+
+
 def _segment_count(comm, buf: Optional[Buffer], root: int,
                    segments: Optional[int], ctx) -> int:
     """All ranks must agree on the segment count, which depends on the
@@ -64,7 +97,7 @@ def _segment_count(comm, buf: Optional[Buffer], root: int,
     message along the tree (folded into segment 0's tag in real
     implementations; one extra byte here)."""
     if segments is not None:
-        return max(1, int(segments))
+        return int(segments)
     if comm.rank == root:
         n = n_segments(buf.nbytes)
         if buf.payload is not None and not hasattr(buf.payload, "reshape"):
@@ -74,26 +107,8 @@ def _segment_count(comm, buf: Optional[Buffer], root: int,
 
 
 def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
-    me, size = comm.rank, comm.size
-    vr = vrank(me, root, size)
-
-    # Where do I receive from / send to?
-    recv_mask = 0
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            recv_mask = mask
-            break
-        mask <<= 1
-    children: List[int] = []
-    mask = (recv_mask or mask) >> 1
-    while mask > 0:
-        if vr + mask < size:
-            children.append(unvrank(vr + mask, root, size))
-        mask >>= 1
-
+    parent, children = tree("binomial", comm.rank, comm.size, root)
     nseg = _segment_count(comm, buf, root, segments, ctx)
-    parent = unvrank(vr - recv_mask, root, size) if recv_mask else None
 
     # Per-edge accounting is regular (nseg segments, whole buffer):
     # every segment send to a child tallies into one per-child batch.
@@ -139,24 +154,20 @@ def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
 
 
 def _flat(comm, buf: Optional[Buffer], root: int, ctx):
-    me, size = comm.rank, comm.size
-    if me == root:
-        for dst in range(size):
-            if dst != root:
-                yield from comm._co_isend(buf, dst, 0, ctx, "coll")
+    parent, children = tree("flat", comm.rank, comm.size, root)
+    if parent is None:
+        for dst in children:
+            yield from comm._co_isend(buf, dst, 0, ctx, "coll")
         return unwrap(buf)
-    msg = yield from comm._irecv(root, 0, ctx).co_wait()
+    msg = yield from comm._irecv(parent, 0, ctx).co_wait()
     return unwrap(msg.buf)
 
 
 def _chain(comm, buf: Optional[Buffer], root: int, ctx):
-    me, size = comm.rank, comm.size
-    vr = vrank(me, root, size)
-    if vr > 0:
-        src = unvrank(vr - 1, root, size)
-        msg = yield from comm._irecv(src, 0, ctx).co_wait()
+    parent, children = tree("chain", comm.rank, comm.size, root)
+    if parent is not None:
+        msg = yield from comm._irecv(parent, 0, ctx).co_wait()
         buf = msg.buf
-    if vr + 1 < size:
-        dst = unvrank(vr + 1, root, size)
+    for dst in children:
         yield from comm._co_isend(buf, dst, 0, ctx, "coll")
     return unwrap(buf)

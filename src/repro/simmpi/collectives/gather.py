@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.simmpi.collectives.util import (as_buffer, by_rank, done, unvrank,
+from repro.simmpi.collectives.util import (as_buffer, by_rank,
+                                          default_algorithm, done, unvrank,
                                           unwrap, vrank)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
@@ -28,7 +29,7 @@ def co_gather(
     """Gather every rank's ``value`` at ``root`` (returns ``None``
     elsewhere)."""
     comm._check_rank(root)
-    algorithm = algorithm or "binomial"
+    algorithm = algorithm or default_algorithm("gather", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown gather algorithm {algorithm!r}; have {ALGORITHMS}")
     ctx = comm._next_collective_context("gather")

@@ -6,7 +6,9 @@ buffer from each child.  Like Open MPI's tuned component, large
 buffers are segmented and pipelined through the tree; the monitoring
 component records one point-to-point message per segment per edge.
 
-The decompositions are ``co_`` generators (see barrier.py); the
+Each algorithm's tree is stated once, by :func:`tree`; the live bodies
+below and replay substitution (:mod:`repro.replay.patterns`) both walk
+it.  The decompositions are ``co_`` generators (see barrier.py); the
 blocking spelling is the ``Communicator`` method of the same name.
 """
 
@@ -14,15 +16,19 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.simmpi.collectives import bcast
 from repro.simmpi.collectives.segment import join_payloads, n_segments, split_buffer
-from repro.simmpi.collectives.util import as_buffer, done, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import (as_buffer, default_algorithm, done,
+                                           unvrank, unwrap, vrank)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 from repro.simmpi.op import Op, combine
 
-__all__ = ["co_reduce", "ALGORITHMS"]
+__all__ = ["co_reduce", "tree", "ALGORITHMS", "PIPELINED"]
 
 ALGORITHMS = ("binomial", "binary", "flat")
+#: The algorithms that cut a large buffer into pipelined segments.
+PIPELINED = ("binomial", "binary")
 
 
 def co_reduce(
@@ -42,60 +48,45 @@ def co_reduce(
     payloads that are not NumPy arrays).
     """
     comm._check_rank(root)
-    algorithm = algorithm or "binomial"
+    algorithm = algorithm or default_algorithm("reduce", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown reduce algorithm {algorithm!r}; have {ALGORITHMS}")
+    if segments is not None and segments < 1:
+        raise CommError(f"reduce wants segments >= 1, got {segments}")
     ctx = comm._next_collective_context("reduce")
     buf = as_buffer(value, nbytes)
     if comm.size == 1:
         return done(unwrap(buf))
 
-    nseg = max(1, int(segments)) if segments is not None else n_segments(buf.nbytes)
+    if algorithm not in PIPELINED:
+        return _flat(comm, buf, op, root, ctx)
+    nseg = int(segments) if segments is not None else n_segments(buf.nbytes)
     if nseg > 1 and buf.payload is not None and not hasattr(buf.payload, "reshape"):
         raise CommError(
             "cannot segment a non-array payload; pass segments=1"
         )
-
-    if algorithm == "flat":
-        return _flat(comm, buf, op, root, ctx)
-    links = _binomial_links if algorithm == "binomial" else _binary_links
-    return _tree_reduce(comm, buf, op, root, ctx, nseg, links)
+    return _tree_reduce(comm, buf, op, root, ctx, nseg, algorithm)
 
 
-# ---------------------------------------------------------------------------
-# tree shapes: (children, parent) in *virtual* rank space
-
-
-def _binary_links(vr: int, size: int):
-    children = [c for c in (2 * vr + 1, 2 * vr + 2) if c < size]
-    parent = None if vr == 0 else (vr - 1) // 2
-    return children, parent
-
-
-def _binomial_links(vr: int, size: int):
-    children = []
-    parent = None
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            parent = vr & ~mask
-            break
-        if vr | mask < size and vr | mask != vr:
-            children.append(vr | mask)
-        mask <<= 1
-    # Children must be reduced before forwarding: deepest (smallest
-    # offset) subtrees complete first, so receive in ascending order.
-    return children, parent
+def tree(algorithm: str, rank: int, size: int, root: int):
+    """``(parent or None, children)`` of ``rank`` in ``algorithm``'s
+    tree rooted at ``root``, in real ranks; the children in the order
+    the rank receives from them."""
+    if algorithm == "binary":   # heap order over the virtual ranks
+        vr = vrank(rank, root, size)
+        parent = unvrank((vr - 1) // 2, root, size) if vr else None
+        return parent, [unvrank(c, root, size)
+                        for c in (2 * vr + 1, 2 * vr + 2) if c < size]
+    # The broadcast's binomial tree or flat star with its arrows
+    # reversed.  A binomial node takes its children deepest (smallest
+    # offset) first: those subtrees complete first.
+    parent, children = bcast.tree(algorithm, rank, size, root)
+    return parent, children[::-1] if algorithm == "binomial" else children
 
 
 def _tree_reduce(comm, buf: Buffer, op: Op, root: int, ctx, nseg: int,
-                 links):
-    me, size = comm.rank, comm.size
-    vr = vrank(me, root, size)
-    children_v, parent_v = links(vr, size)
-    children = [unvrank(c, root, size) for c in children_v]
-    parent = None if parent_v is None else unvrank(parent_v, root, size)
-
+                 algorithm: str):
+    parent, children = tree(algorithm, comm.rank, comm.size, root)
     pieces = split_buffer(buf, nseg)
     out: List[Buffer] = []
     # Regular per-edge decomposition: the nseg segment sends to the
@@ -119,13 +110,11 @@ def _tree_reduce(comm, buf: Buffer, op: Op, root: int, ctx, nseg: int,
 
 
 def _flat(comm, buf: Buffer, op: Op, root: int, ctx):
-    me, size = comm.rank, comm.size
-    if me != root:
-        yield from comm._co_isend(buf, root, 0, ctx, "coll")
+    parent, children = tree("flat", comm.rank, comm.size, root)
+    if parent is not None:
+        yield from comm._co_isend(buf, parent, 0, ctx, "coll")
         return None
-    for src in range(size):
-        if src == root:
-            continue
+    for src in children:
         msg = yield from comm._irecv(src, 0, ctx).co_wait()
         buf = combine(op, buf, msg.buf)
     return unwrap(buf)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.simmpi.collectives.util import as_buffer, done, unvrank, unwrap, vrank
+from repro.simmpi.collectives.util import (as_buffer, default_algorithm, done,
+                                           unvrank, unwrap, vrank)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -30,7 +31,7 @@ def co_scatter(
     ``nbytes``, if given, is the per-item size (for abstract items).
     """
     comm._check_rank(root)
-    algorithm = algorithm or "binomial"
+    algorithm = algorithm or default_algorithm("scatter", comm.size)
     if algorithm not in ALGORITHMS:
         raise CommError(f"unknown scatter algorithm {algorithm!r}; have {ALGORITHMS}")
     ctx = comm._next_collective_context("scatter")

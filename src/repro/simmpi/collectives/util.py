@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional
 from repro.simmpi.datatypes import Buffer
 
 __all__ = ["as_buffer", "unwrap", "vrank", "unvrank", "is_pow2", "ceil_log2",
-           "done", "by_rank"]
+           "done", "by_rank", "default_algorithm"]
 
 
 def done(value: Any = None):
@@ -53,3 +53,20 @@ def ceil_log2(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return (n - 1).bit_length()
+
+
+def default_algorithm(op: str, size: int) -> Optional[str]:
+    """What ``co_<op>`` runs on ``size`` ranks when the caller passes no
+    algorithm (recorded as ``""`` in replay traces); ``None`` for an op
+    with a single algorithm."""
+    if op in ("bcast", "reduce", "gather", "scatter"):
+        return "binomial"
+    if op == "barrier":
+        return "dissemination"
+    if op == "alltoall":
+        return "pairwise"
+    if op == "allgather":
+        return "recursive_doubling" if is_pow2(size) else "ring"
+    if op == "allreduce":
+        return "recursive_doubling" if is_pow2(size) else "reduce_bcast"
+    return None

@@ -1,9 +1,12 @@
 """Unit tests for the collective algorithms (all decomposed into p2p)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.simmpi import MAX, MIN, RankFailure, SUM
+from repro.simmpi.collectives import default_algorithm
 from repro.simmpi.collectives.allgather import ALGORITHMS as AG_ALGOS
 from repro.simmpi.collectives.bcast import ALGORITHMS as BCAST_ALGOS
 from repro.simmpi.collectives.reduce import ALGORITHMS as REDUCE_ALGOS
@@ -375,3 +378,35 @@ class TestRabenseifnerAllreduce:
 
         with pytest.raises(RankFailure):
             run_spmd(prog, n_ranks=3)
+
+
+#: One call of each op that takes an algorithm, for ``run_spmd``.
+CALLS = {
+    "barrier": lambda comm, alg: comm.barrier(alg),
+    "bcast": lambda comm, alg: comm.bcast(1, root=0, algorithm=alg),
+    "reduce": lambda comm, alg: comm.reduce(np.float64(1), SUM,
+                                            algorithm=alg),
+    "allreduce": lambda comm, alg: comm.allreduce(np.float64(1), SUM,
+                                                  algorithm=alg),
+    "gather": lambda comm, alg: comm.gather(comm.rank, algorithm=alg),
+    "scatter": lambda comm, alg: comm.scatter(
+        list(range(comm.size)) if comm.rank == 0 else None, algorithm=alg),
+    "allgather": lambda comm, alg: comm.allgather(comm.rank, algorithm=alg),
+    "alltoall": lambda comm, alg: comm.alltoall(list(range(comm.size)),
+                                                algorithm=alg),
+}
+
+
+class TestDefaultAlgorithm:
+    """The default every entry runs is named in one place, and it is
+    one of the entry's own algorithms."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("op", sorted(CALLS))
+    def test_default_is_an_algorithm_a_live_call_accepts(self, op, n):
+        alg = default_algorithm(op, n)
+        module = importlib.import_module(f"repro.simmpi.collectives.{op}")
+        assert alg in module.ALGORITHMS
+        named, _ = run_spmd(lambda comm: CALLS[op](comm, alg), n_ranks=n)
+        unnamed, _ = run_spmd(lambda comm: CALLS[op](comm, None), n_ranks=n)
+        assert named == unnamed
