@@ -199,8 +199,13 @@ class CompiledTrace(NamedTuple):
 
     The timed events are three parallel python-list columns in recorded
     order (lists, not arrays: the replay loop reads them one scalar at
-    a time).  ``rank`` and ``gap`` are the recorded ones; ``operand``
-    says what the event is, with ``n`` cost classes:
+    a time).  A list holds one box per distinct value, not one per
+    slot: every event of a rank, every message of a cost class, every
+    finish and every ``+0.0`` gap reads one shared object (gaps are
+    shared by bit pattern, so a ``-0.0`` or a subnormal keeps a box of
+    its own); only a receive's ordinal is a box of its own.  ``rank``
+    and ``gap`` are the recorded ones; ``operand`` says what the event
+    is, with ``n`` cost classes:
 
     ==============  ================================================
     ``x >= 0``      receive-wait on the message of *ordinal* ``x``
@@ -215,8 +220,8 @@ class CompiledTrace(NamedTuple):
     flows (a get's is target → origin), the ``n_get`` get classes first
     and everything that is priced like a send after them.  ``t`` is
     the recorded issue time of each event (float64), which exact replay
-    issues at; ``op_bytes`` the resident size of the three lists (see
-    :meth:`nbytes`).
+    issues at; ``op_bytes`` the resident size of the three lists, each
+    shared box counted once (see :meth:`nbytes`).
     """
 
     rank: List[int]
@@ -270,15 +275,17 @@ def _pair_matrices(flat, nb, codes, n: int):
     return counts, sizes
 
 
-def _list_bytes(column: np.ndarray) -> int:
-    """Resident size of ``column.tolist()``: the list's spine plus one
-    box per element — except that CPython keeps the ints of
-    ``[-5, 256]`` as shared singletons (every float is boxed)."""
-    boxed = len(column)
-    if column.dtype.kind == "i":
-        boxed -= int(np.count_nonzero((column >= -5) & (column <= 256)))
-    return sys.getsizeof([]) + 8 * len(column) \
-        + boxed * sys.getsizeof(1.0 if column.dtype.kind == "f" else 1 << 20)
+def _list_bytes(slots: int, boxes: np.ndarray) -> int:
+    """Resident size of a list of ``slots`` slots over the objects whose
+    values are ``boxes``, one entry per object however many slots share
+    it: the list's spine plus each box once — except that CPython keeps
+    the ints of ``[-5, 256]`` as shared singletons (every float is
+    boxed)."""
+    boxed = len(boxes)
+    if boxes.dtype.kind == "i":
+        boxed -= int(np.count_nonzero((boxes >= -5) & (boxes <= 256)))
+    return sys.getsizeof([]) + 8 * slots \
+        + boxed * sys.getsizeof(1.0 if boxes.dtype.kind == "f" else 1 << 20)
 
 
 def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
@@ -328,26 +335,41 @@ def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     _, first, cls = np.unique(key, return_index=True, return_inverse=True)
     classes = np.stack([src[first], dst[first], nb[first], charged[first]])
 
-    # Operands.  A receive names its message by ordinal; one that no
-    # send carries gets an ordinal past the last, which the replay
-    # reports like a receive issued ahead of its send.
-    operand = np.full(len(timed), -len(first) - 1, dtype=np.int64)
-    operand[is_msg] = cls - len(first)
+    # One box per value: each list column indexes a table of boxes, so
+    # a rank, a class and the finish are one object however many events
+    # hold them, and the gaps share their +0.0 by bit pattern (any
+    # other, a -0.0 or a subnormal, keeps a box of its own).  A receive
+    # names its message by ordinal, a box of its own; one that no send
+    # carries gets an ordinal past the last, which the replay reports
+    # like a receive issued ahead of its send.
+    rank, gap = c.rank[timed], c.gap[timed]
+    ranks = np.array(range(n), dtype=object)[rank]
+    operand = np.full(len(timed), -len(first) - 1, dtype=object)
+    operand[is_msg] = np.array(range(-len(first), 0), dtype=object)[cls]
     is_send, is_wait = kind[is_msg] == K_S, kind == K_R
     sends, waits = c.seq[msg[is_send]], c.seq[timed[is_wait]]
     ordinal = np.full(max(sends.max(initial=-1), waits.max(initial=-1)) + 1,
                       len(msg), dtype=np.int64)
     ordinal[sends] = np.flatnonzero(is_send)
-    operand[is_wait] = ordinal[waits]
+    operand[is_wait] = received = ordinal[waits]
+    nonzero = np.flatnonzero(gap.view(np.int64))
+    gaps = np.full(len(timed), 0.0, dtype=object)
+    gaps[nonzero] = gap[nonzero]
 
-    rank, gap = c.rank[timed], c.gap[timed]
+    # The values of each column's distinct boxes, for op_bytes.
+    has_finish = len(timed) > len(msg) + len(received)
+    has_zero = len(timed) > len(nonzero)
+    boxes = (np.flatnonzero(np.bincount(rank, minlength=n)),
+             np.concatenate([np.arange(-len(first) - has_finish, 0),
+                             received]),
+             np.concatenate([gap[nonzero], np.zeros(int(has_zero))]))
     compiled = CompiledTrace(
-        rank.tolist(), operand.tolist(), gap.tolist(), classes,
+        ranks.tolist(), operand.tolist(), gaps.tolist(), classes,
         int(np.count_nonzero(is_get[first])),
         counts, sizes, total_counts, total_sizes,
         n_messages=len(msg),
         t=c.t[timed],
-        op_bytes=sum(map(_list_bytes, (rank, operand, gap))),
+        op_bytes=sum(_list_bytes(len(timed), b) for b in boxes),
     )
     trace._compiled = compiled
     return compiled
@@ -424,7 +446,7 @@ def _replay_in_order(trace: ReplayTrace, net, exact: bool,
 
     try:
         for r, x, g in zip(slot, book.operand,
-                           book.t.tolist() if exact else book.gap):
+                           memoryview(book.t) if exact else book.gap):
             tt = base[r] + g
             if x >= 0:  # receive-wait
                 arr = arrivals[x]

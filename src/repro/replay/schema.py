@@ -281,6 +281,18 @@ class EventTuples(Sequence):
             yield from (_decode(row, c.colls) for row in rows)
 
 
+def _check_header(trace: "ReplayTrace", path: str) -> None:
+    """Reject a header whose per-rank lists disagree with its own world
+    size: a clock short changes the recorded makespan every answer is
+    measured against, a binding short fails every replay after a clean
+    load."""
+    for what, have in (("clocks", trace.clocks), ("binding", trace.binding)):
+        if len(have) != trace.world_size:
+            raise TraceSchemaError(
+                f"{path}: corrupt trace — header has {len(have)} {what} "
+                f"entries for world_size {trace.world_size}")
+
+
 def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
     """Reject column values no recorder writes — a replay would turn
     them into wrong answers (numpy wraps negative indices silently, a
@@ -480,6 +492,7 @@ class ReplayTrace:
             raise TraceSchemaError(
                 f"{path}: truncated trace — header promises "
                 f"{n_events} events, found {trace.n_events}")
+        _check_header(trace, path)
         if schema == SCHEMA_VERSION:
             _check_columns(trace._columns, trace.world_size, path)
         return trace

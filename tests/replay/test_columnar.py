@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.errors import TraceSchemaError
 from repro.replay import autorecord
 from repro.replay.engine import CATEGORIES, compile_trace, replay
-from repro.replay.schema import COLUMN_LAYOUT, ReplayTrace
+from repro.replay.schema import COLUMN_LAYOUT, K_B, ReplayTrace
 from tests.replay.reference import reference_replay
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -282,6 +282,20 @@ def test_compile_from_columns_equals_per_event_compile(source, fig5_trace,
                               sum(total_sizes.values()))
         assert np.array_equal(trace.byte_matrix(monitored_only=True),
                               sum(sizes.values()))
+
+
+def test_shared_gaps_keep_every_bit(tmp_path):
+    """Only a gap whose bits are +0.0's reads the shared box: a -0.0
+    keeps its sign, a subnormal its value, in both in-memory forms."""
+    recorded = _hand_built()
+    for trace in (recorded, _through_schema_2(recorded, tmp_path)):
+        c = trace.columns()
+        gap = c.gap[c.kind < K_B].tolist()
+        book = compile_trace(trace)
+        assert _bits([book.gap]) == _bits([gap])
+        assert {"-0x0.0p+0", "-0x0.0000000000001p-1022"} <= \
+            {g.hex() for g in book.gap}
+        assert len({id(g) for g in book.gap if g.hex() == "0x0.0p+0"}) == 1
 
 
 def test_byte_sums_do_not_round_through_float():

@@ -1,5 +1,6 @@
 """CompiledTrace: public compile API, resident-size accounting."""
 
+import math
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ def test_nbytes_counts_numpy_tables_and_op_stream(fig5_trace):
                       book.total_sizes)
         for mat in table.values())
     assert nbytes > matrix_bytes + book.t.nbytes    # op columns counted too
-    assert nbytes > len(book.gap) * (3 * 8 + 24)    # three slots, a boxed gap
+    assert book.op_bytes <= _one_box_per_value_bound(book)
     # Every matrix really is a dense numpy buffer over the world.
     n = fig5_trace.world_size
     for mat in book.total_sizes.values():
@@ -64,22 +65,53 @@ def test_nbytes_scales_with_trace_size(fig5_trace):
     assert compile_trace(half).nbytes() < book.nbytes()
 
 
+def _one_box_per_value_bound(book) -> int:
+    """What three list columns cost when equal values share one box:
+    the spines, 28 B per receive ordinal and per cost class, 24 B per
+    gap whose bits are not +0.0's, and the shared +0.0 and finish."""
+    spines = 3 * (sys.getsizeof([]) + 8 * len(book.gap))
+    receives = sum(1 for x in book.operand if x >= 0)
+    nonzero = int(np.count_nonzero(
+        np.asarray(book.gap, dtype=np.float64).view(np.int64)))
+    return spines + 28 * (receives + book.classes.shape[1]) \
+        + 24 * nonzero + 24 + 28
+
+
 def _walked_nbytes(book) -> int:
     """The ``sys.getsizeof`` walk over every slot (the oracle of the
-    arithmetic in ``nbytes()``): each element is a box of its own,
-    except the ints CPython keeps as singletons, which cost a book
-    nothing."""
+    arithmetic in ``nbytes()``): each distinct box counts once, however
+    many slots hold it, and the ints CPython keeps as singletons cost a
+    book nothing."""
     total = int(book.t.nbytes) + int(book.classes.nbytes)
     for table in (book.counts, book.sizes,
                   book.total_counts, book.total_sizes):
         for mat in table.values():
             total += int(mat.nbytes)
+    boxes = {}
     for column in (book.rank, book.operand, book.gap):
-        boxes = [v for v in column
-                 if not (isinstance(v, int) and -5 <= v <= 256)]
-        assert len({id(v) for v in boxes}) == len(boxes)
-        total += sys.getsizeof(column) + sum(map(sys.getsizeof, boxes))
-    return total
+        total += sys.getsizeof(column)
+        boxes.update((id(v), v) for v in column
+                     if not (isinstance(v, int) and -5 <= v <= 256))
+    return total + sum(map(sys.getsizeof, boxes.values()))
+
+
+def test_a_book_holds_one_box_per_value(fig5_trace):
+    """Every send of one class reads one object, as does every +0.0
+    gap and every finish; a receive's ordinal is its own box."""
+    book = compile_trace(fig5_trace)
+    n_cls = book.classes.shape[1]
+    ids = {}
+    for x in book.operand:
+        if x < 0:
+            ids.setdefault(x, set()).add(id(x))
+    assert len(ids) == n_cls + 1                    # every class, the finish
+    assert all(len(same) == 1 for same in ids.values())
+    sends = sum(1 for x in book.operand if -n_cls <= x < 0)
+    assert sends > 5 * n_cls                        # ... shared by many
+    zero = {id(g) for g in book.gap
+            if g == 0.0 and math.copysign(1.0, g) > 0}
+    assert len(zero) == 1
+    assert sum(1 for g in book.gap if id(g) in zero) > len(book.gap) // 2
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,22 @@ def _mangle_header_key(magic, hdr, data):
                  data)
 
 
+def _drop_largest_clock(magic, hdr, data):
+    clocks = list(hdr["clocks"])
+    clocks.remove(max(clocks, key=float.fromhex))
+    return _join(magic, dict(hdr, clocks=clocks), data)
+
+
+#: Headers whose per-rank lists disagree with their own world size.
+#: Both loaded before, into a wrong recorded makespan or a book every
+#: replay of which fails.
+SHORT_HEADERS = {
+    "largest clock dropped": _drop_largest_clock,
+    "binding one short":
+        lambda m, h, d: _join(m, dict(h, binding=h["binding"][:-1]), d),
+}
+
+
 def _poker(column, kind, value, *more_kinds):
     """Overwrite ``column`` in the first row of ``kind`` (and of each of
     ``more_kinds``) with ``value``."""
@@ -130,6 +146,7 @@ BAD_FILES = {
     "header is not an object": _mangle_header_shape,
     "header lacks a field": _mangle_header_key,
     "header is not JSON": lambda m, h, d: m + b"\n# header {nope\n" + d,
+    **SHORT_HEADERS,
     "unknown kind code": _poker("kind", "S", 9),
     "unknown category code": _poker("cat", "S", 7),
     "unknown monitored-category code": _poker("mcat", "S", 200),
@@ -182,6 +199,15 @@ def test_schema_1_header_followed_by_garbage_rejected(tmp_path):
         open(path, "wb").write(magic + b"\n" + header + b"\n" + tail)
         with pytest.raises(TraceSchemaError, match="garbage.trace"):
             ReplayTrace.load(path)
+
+
+@pytest.mark.parametrize("what", sorted(SHORT_HEADERS))
+def test_schema_1_header_short_of_its_world_rejected(what, tmp_path):
+    raw = (DATA / "fig5.schema1.trace").read_bytes()
+    path = str(tmp_path / "short.trace")
+    open(path, "wb").write(SHORT_HEADERS[what](*_split(raw)))
+    with pytest.raises(TraceSchemaError, match="short.trace.*world_size"):
+        ReplayTrace.load(path)
 
 
 def test_missing_schema_token_rejected(tmp_path):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.serve.store import BookEntry, BookStore
+from repro.core.errors import TraceSchemaError
+from repro.serve.store import BookEntry, BookStore, file_identity
+from tests.replay.test_schema import SHORT_HEADERS, _split
 
 
 def _entry(fp: str, nbytes: int) -> BookEntry:
@@ -103,3 +105,17 @@ def test_serving_a_trace_never_builds_the_tuple_view(serve_traces):
                            substitute={"reduce": "binomial"})
     assert cand.makespan > 0.0
     assert_holds_columns_only(trace)
+
+
+@pytest.mark.parametrize("what", sorted(SHORT_HEADERS))
+def test_a_header_short_of_its_world_is_refused_at_load(what, serve_traces,
+                                                        tmp_path):
+    """A worker refuses the file the way it refuses any non-trace, so the
+    ingest is answered and no query is served from a bad book."""
+    path = str(tmp_path / "short.trace")
+    with open(serve_traces[0], "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(SHORT_HEADERS[what](*_split(raw)))
+    with pytest.raises(TraceSchemaError, match="world_size"):
+        BookEntry.load("f" * 64, path, file_identity(path))
