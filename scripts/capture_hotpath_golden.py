@@ -115,7 +115,8 @@ def _write(path: str, data: dict) -> None:
 def main() -> None:
     if sys.argv[1:] == ["substituted"]:
         # The recorded runs timeline_golden.json pins: both committed
-        # schema-1 fixtures (osc: jitter 0.1, put/get) and fig5_shaped.
+        # fixtures (osc: jitter 0.1, put/get; labelled by the schema-1
+        # files they were recorded as) and fig5_shaped.
         from tests.golden.timeline_workloads import INPUTS
 
         data = {}

@@ -29,6 +29,7 @@ import sys
 from typing import List, Optional
 
 from repro import obs
+from repro.core.errors import TraceSchemaError
 from repro.experiments.common import parse_sizes
 from repro.obs.export import (chrome_trace, chrome_trace_from_timeline,
                               validate_chrome_trace, write_chrome_trace)
@@ -326,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                "validate": _cmd_validate}[args.command]
     try:
         return command(args)
-    except OSError as exc:  # a trace, snapshot or output path
+    except (OSError, TraceSchemaError) as exc:  # a path, a corrupt file
         parser.error(str(exc))
 
 

@@ -17,6 +17,7 @@ snapshot is empty.  Code that resolves instruments through
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from bisect import bisect_left
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -177,15 +178,25 @@ def dump_snapshot(path: str, registry_or_snap: Any) -> None:
 def load_snapshot(path: str) -> Dict[str, Any]:
     """Load a metrics snapshot JSON written by :func:`dump_snapshot`.
 
-    Raises :class:`repro.core.errors.TraceSchemaError` on a schema this
-    reader does not understand; legacy files without a ``"schema"``
-    field still load, with a warning."""
+    Raises :class:`repro.core.errors.TraceSchemaError` on a file that
+    is not JSON, whose ``counters`` is not an object of finite numbers,
+    or whose schema this reader does not understand; legacy files
+    without a ``"schema"`` field still load, with a warning."""
     from repro.core.errors import TraceSchemaError
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "counters" not in doc:
-        raise TraceSchemaError(f"{path}: not a metrics snapshot")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:          # not JSON, or not UTF-8 text
+        raise TraceSchemaError(
+            f"{path}: not a metrics snapshot ({exc})") from None
+    counters = doc.get("counters") if isinstance(doc, dict) else None
+    if not isinstance(counters, dict) or not all(
+            isinstance(v, (int, float)) and math.isfinite(v)
+            for v in counters.values()):
+        raise TraceSchemaError(f"{path}: not a metrics snapshot "
+                               "(counters must be an object of numbers)")
     schema = doc.get("schema")
     if schema is None:
         warnings.warn(f"{path}: legacy metrics snapshot without a schema "

@@ -11,9 +11,9 @@ per-rank finish times — plus everything needed to rebuild the network
 cost model exactly: topology, binding, link parameters, jitter seed,
 monitoring overhead.
 
-Event tuples (spelled by schema-1 files and hand-built test traces; a
-recording is born as columns, and its ``.events`` builds these from its
-rows on access; everything downstream reads the columns)::
+A trace is its columns.  Event tuples are only the spelling of its
+``.events`` view, which builds each one from its row on access
+(everything downstream reads the columns)::
 
     ("S", rank, dst, nbytes, cat, mcat, seq, t, gap)   point-to-point send
     ("R", rank, seq, t, gap)                           matching receive-wait
@@ -57,19 +57,17 @@ be memory-mapped)::
 
 Slots a kind does not use are zero.  ``t``/``gap`` are stored as the
 raw float64 bits, so bit-exact identity replay needs no text
-round-trip (schema 1 spelled them ``float.hex``).  The few strings of
-a trace live in the header: ``"colls"`` lists every distinct
-``[comm_id, op, alg, root, nbytes, segs]`` signature of a ``B`` event,
-and the event's ``peer`` slot indexes it.  The layout is fixed, so the
-file size is fully determined by the header: anything else — a
-truncated or overlong file, an unknown kind/category code, an index
-out of range — raises :class:`TraceSchemaError`.
+round-trip.  The few strings of a trace live in the header:
+``"colls"`` lists every distinct ``[comm_id, op, alg, root, nbytes,
+segs]`` signature of a ``B`` event, and the event's ``peer`` slot
+indexes it.  The layout is fixed, so the file size is fully
+determined by the header: anything else — a truncated or overlong
+file, an unknown kind/category code, an index out of range — raises
+:class:`TraceSchemaError`.
 
 To look inside a file: ``ReplayTrace.load(path).columns()`` — the
-numpy columns above, one row per event.
-
-Schema 1 (one text line per event, times as ``float.hex``) is still
-*read*; nothing writes it any more.
+numpy columns above, one row per event.  Only schema 2 is read: a
+schema-1 (text) file is refused like any other unsupported schema.
 """
 
 from __future__ import annotations
@@ -221,27 +219,6 @@ class RowPacker:
             for name, _ in COLUMN_LAYOUT})
 
 
-def _encode(ev: tuple, colls: Dict[tuple, int]) -> tuple:
-    """An event tuple as its row (the inverse of :func:`_decode`)."""
-    k, r = ev[0], ev[1]
-    if k == "S":
-        return (ev[7], ev[8], ev[3], r, ev[2], ev[6], K_S,
-                CAT_CODE[ev[4]], CAT_CODE[ev[5]])
-    if k == "R":
-        return (ev[3], ev[4], 0, r, 0, ev[2], K_R, 0, 0)
-    if k == "F":
-        return (ev[2], ev[3], 0, r, 0, 0, K_F, 0, 0)
-    if k == "P" or k == "G":
-        return (ev[5], ev[6], ev[3], r, ev[2], 0, KINDS.index(k), _OSC,
-                CAT_CODE[ev[4]])
-    if k == "B":
-        return (0.0, 0.0, 0, r, colls.setdefault(ev[2:], len(colls)), 0, K_B,
-                0, 0)
-    if k == "E":
-        return (0.0, 0.0, 0, r, 0, 0, K_E, 0, 0)
-    raise ValueError(f"unknown event kind {k!r}")
-
-
 def _decode(row: tuple, colls: List[tuple]) -> tuple:
     """A row (python scalars, layout order) as its event tuple."""
     t, gap, nbytes, r, peer, seq, k, cat, mcat = row
@@ -259,8 +236,8 @@ def _decode(row: tuple, colls: List[tuple]) -> tuple:
 
 
 class EventTuples(Sequence):
-    """A recording's events as tuples, each built from its row on
-    access: read-only, ``len`` is O(1), nothing is kept."""
+    """A trace's events as tuples, each built from its row on access:
+    read-only, ``len`` is O(1), nothing is kept."""
 
     def __init__(self, columns: TraceColumns):
         self._cols = columns
@@ -285,7 +262,10 @@ def _check_header(trace: "ReplayTrace", path: str) -> None:
     """Reject a header whose per-rank lists disagree with its own world
     size: a clock short changes the recorded makespan every answer is
     measured against, a binding short fails every replay after a clean
-    load."""
+    load, and an empty world has no makespan at all."""
+    if trace.world_size < 1:
+        raise TraceSchemaError(
+            f"{path}: corrupt trace — world_size {trace.world_size}")
     for what, have in (("clocks", trace.clocks), ("binding", trace.binding)):
         if len(have) != trace.world_size:
             raise TraceSchemaError(
@@ -338,12 +318,9 @@ class ReplayTrace:
     """Header + event stream of one recorded run.
 
     The event stream is numpy columns (:meth:`columns`): the stored
-    form and the one every consumer reads.  A trace built from tuples —
-    by a test, or from a schema-1 file — derives its columns once and
-    keeps the list as ``events``; a recording, handed its ``columns``,
-    answers ``events`` with a view of them; a schema-2 file or a
-    substituted run has nothing else.  All are read-only afterwards
-    (the compile cache would not see a mutation).
+    form and the one every consumer reads; ``events`` is a view of
+    them.  A trace is read-only once built (the compile cache would not
+    see a mutation).
     """
 
     def __init__(
@@ -356,9 +333,8 @@ class ReplayTrace:
         monitoring_overhead: float,
         comms: Dict[int, List[int]],   # comm_id -> world ranks (group order)
         clocks: List[float],           # final per-rank virtual clocks
-        events: Optional[List[tuple]] = None,
+        columns: TraceColumns,
         meta: Optional[dict] = None,
-        columns: Optional[TraceColumns] = None,
     ):
         self.world_size = world_size
         self.topology = topology
@@ -369,43 +345,27 @@ class ReplayTrace:
         self.comms = comms
         self.clocks = clocks
         self.meta = {} if meta is None else meta
-        self._events: Optional[Sequence] = EventTuples(columns) \
-            if columns is not None else [] if events is None else events
-        self._columns: Optional[TraceColumns] = columns
+        self._columns = columns
         self._compiled = None          # replay.engine's compile cache
 
     # -- the event stream ------------------------------------------------
 
     @property
-    def events(self) -> Sequence:
-        """The tuples this trace was built from, or a recording's view."""
-        if self._events is None:
-            raise AttributeError(
-                "this trace holds columns only (a schema-2 file or a "
-                "substituted run); read trace.columns()")
-        return self._events
+    def events(self) -> EventTuples:
+        """The events as tuples, built from the columns on access."""
+        return EventTuples(self._columns)
 
     def _with_columns(self, columns: TraceColumns) -> "ReplayTrace":
         """This trace's header over another event stream."""
         other = copy.copy(self)
-        other._events, other._columns, other._compiled = None, columns, None
+        other._columns, other._compiled = columns, None
         return other
 
     @property
     def n_events(self) -> int:
-        return len(self._columns.kind if self._events is None
-                   else self._events)
+        return len(self._columns.kind)
 
     def columns(self) -> TraceColumns:
-        if self._columns is None:
-            packer = RowPacker()
-            try:
-                for ev in self._events:
-                    packer.add(_encode(ev, packer.colls))
-            except KeyError as exc:
-                raise ValueError(f"unknown message category {exc.args[0]!r}; "
-                                 f"have {CATS}") from None
-            self._columns = packer.columns()
         return self._columns
 
     # -- header ---------------------------------------------------------
@@ -453,17 +413,16 @@ class ReplayTrace:
                 f"{path}: not a repro.replay trace "
                 f"(expected leading {MAGIC!r} line)")
         schema = _parse_schema_token(first, path)
-        if schema not in (1, SCHEMA_VERSION):
+        if schema != SCHEMA_VERSION:
             raise TraceSchemaError(
                 f"{path}: trace schema {schema} is not supported "
-                f"(this build reads schemas 1 and {SCHEMA_VERSION})")
+                f"(this build reads schema {SCHEMA_VERSION} only)")
         end2 = raw.find(b"\n", end1 + 1)
         if end2 < 0 or not raw.startswith(b"# header ", end1 + 1):
             raise TraceSchemaError(
                 f"{path}: missing or truncated '# header' line")
         try:
             hdr = json.loads(raw[end1 + 1 + len(b"# header "):end2])
-            n_events = int(hdr["n_events"])
             trace = cls(
                 world_size=int(hdr["world_size"]),
                 topology=hdr["topology"],
@@ -474,27 +433,17 @@ class ReplayTrace:
                 comms={int(k): [int(r) for r in v]
                        for k, v in hdr["comms"].items()},
                 clocks=[float.fromhex(c) for c in hdr["clocks"]],
+                columns=_parse_columns(raw, end2 + 1, hdr, path),
                 meta=hdr.get("meta", {}),
             )
-            if schema == 1:
-                trace._events = _parse_text_events(raw, end2 + 1, path)
-            else:
-                trace._events = None
-                trace._columns = _parse_columns(raw, end2 + 1, hdr, n_events,
-                                                path)
         except TraceSchemaError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise TraceSchemaError(
                 f"{path}: malformed trace header "
                 f"({type(exc).__name__}: {exc})") from exc
-        if trace.n_events != n_events:
-            raise TraceSchemaError(
-                f"{path}: truncated trace — header promises "
-                f"{n_events} events, found {trace.n_events}")
         _check_header(trace, path)
-        if schema == SCHEMA_VERSION:
-            _check_columns(trace._columns, trace.world_size, path)
+        _check_columns(trace._columns, trace.world_size, path)
         return trace
 
     # -- convenience ----------------------------------------------------
@@ -513,11 +462,12 @@ class ReplayTrace:
 
 
 # ---------------------------------------------------------------------------
-# schema 2: the raw column section
+# the raw column section
 
 
-def _parse_columns(raw: bytes, offset: int, hdr: dict, n_events: int,
+def _parse_columns(raw: bytes, offset: int, hdr: dict,
                    path: str) -> TraceColumns:
+    n_events = int(hdr["n_events"])
     if hdr["columns"] != [list(c) for c in COLUMN_LAYOUT]:
         raise TraceSchemaError(
             f"{path}: unknown column layout {hdr['columns']!r}")
@@ -534,59 +484,6 @@ def _parse_columns(raw: bytes, offset: int, hdr: dict, n_events: int,
     colls = [(int(cid), str(op), str(alg), int(root), int(nb), int(segs))
              for cid, op, alg, root, nb, segs in hdr["colls"]]
     return TraceColumns(colls=colls, **cols)
-
-
-# ---------------------------------------------------------------------------
-# schema 1: one text line per event (read only)
-
-
-def _parse_text_events(raw: bytes, offset: int, path: str) -> List[tuple]:
-    try:
-        text = raw[offset:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceSchemaError(
-            f"{path}: schema-1 event section is not text ({exc})") from exc
-    if text and not text.endswith("\n"):
-        raise TraceSchemaError(f"{path}: truncated trace — last event line "
-                               "is cut short")
-    return [_parse_event(line, path, lineno)
-            for lineno, line in enumerate(text.split("\n"), start=3)
-            if line.strip() and not line.startswith("#")]
-
-
-def _unopt(s: str) -> str:
-    return "" if s == "-" else s
-
-
-def _parse_event(line: str, path: str, lineno: int) -> tuple:
-    parts = line.split()
-    kind = parts[0]
-    try:
-        if kind == "S":
-            return ("S", int(parts[1]), int(parts[2]), int(parts[3]),
-                    parts[4], _unopt(parts[5]), int(parts[6]),
-                    float.fromhex(parts[7]), float.fromhex(parts[8]))
-        if kind == "R":
-            return ("R", int(parts[1]), int(parts[2]),
-                    float.fromhex(parts[3]), float.fromhex(parts[4]))
-        if kind == "P" or kind == "G":
-            return (kind, int(parts[1]), int(parts[2]), int(parts[3]),
-                    _unopt(parts[4]),
-                    float.fromhex(parts[5]), float.fromhex(parts[6]))
-        if kind == "B":
-            return ("B", int(parts[1]), int(parts[2]), parts[3],
-                    _unopt(parts[4]), int(parts[5]), int(parts[6]),
-                    int(parts[7]))
-        if kind == "E":
-            return ("E", int(parts[1]))
-        if kind == "F":
-            return ("F", int(parts[1]),
-                    float.fromhex(parts[2]), float.fromhex(parts[3]))
-    except (IndexError, ValueError) as exc:
-        raise TraceSchemaError(
-            f"{path}:{lineno}: malformed {kind!r} event: {line!r}") from exc
-    raise TraceSchemaError(
-        f"{path}:{lineno}: unknown event kind {kind!r}")
 
 
 def _parse_schema_token(line: str, path: str) -> int:

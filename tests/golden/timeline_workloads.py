@@ -49,8 +49,8 @@ def fig5_shaped_trace() -> ReplayTrace:
 
 
 INPUTS: Dict[str, Callable[[], ReplayTrace]] = {
-    "fig5.schema1": _fixture("fig5.schema1.trace"),
-    "osc.schema1": _fixture("osc.schema1.trace"),
+    "fig5.schema1": _fixture("fig5.trace"),
+    "osc.schema1": _fixture("osc.trace"),
     "fig5_shaped": fig5_shaped_trace,
 }
 

@@ -216,20 +216,21 @@ class TestTraceIn:
         assert doc["source"] == "trace"
         assert doc["meta"]["trace"] == trace_path
 
-    def test_tuple_view_never_materialised(self, trace_path):
+    def test_tuple_view_never_materialised(self, trace_path, monkeypatch):
         """Diagnosis and export read a loaded trace's columns; the
         recorder's tuple form is never rebuilt for them."""
         from repro.obs.diagnose import diagnose
         from repro.obs.export import chrome_trace_from_timeline
         from repro.obs.timeline import Timeline
         from repro.replay import ReplayTrace
+        from tests.replay.test_columnar import forbid_tuples
 
+        forbid_tuples(monkeypatch)
         trace = ReplayTrace.load(trace_path)
         tl = Timeline.from_trace(trace)
         report = diagnose(tl)
         assert tl.critical_path()
         chrome_trace_from_timeline(tl, findings=report["findings"])
-        assert trace._events is None
 
     def test_export_from_trace(self, trace_path, tmp_path, capsys):
         from repro.obs.export import validate_chrome_trace
@@ -243,3 +244,39 @@ class TestTraceIn:
         assert validate_chrome_trace(doc) == []
         x = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
         assert x  # collective spans reconstructed from the trace
+
+
+class TestBadInputs:
+    """A corrupt trace or snapshot is the parser's one-line error (exit
+    2), the way ``python -m repro.replay`` reports it — no traceback."""
+
+    @staticmethod
+    def _refused(argv, path, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(lines) == 1 and path in lines[0], err
+
+    @pytest.mark.parametrize("command", ["top", "heatmap", "diagnose",
+                                         "export"])
+    def test_truncated_trace(self, exported, command, tmp_path, capsys):
+        with open(exported["cell"], "rb") as fh:
+            raw = fh.read()
+        cut = str(tmp_path / "cut.trace")
+        with open(cut, "wb") as fh:
+            fh.write(raw[: len(raw) // 2])
+        argv = {"top": ["top", cut], "heatmap": ["heatmap", cut],
+                "diagnose": ["diagnose", "--trace-in", cut],
+                "export": ["export", "--trace-in", cut,
+                           "--out", str(tmp_path / "t.json")]}[command]
+        self._refused(argv, cut, capsys)
+
+    @pytest.mark.parametrize("body", ["{nope", '{"counters": [1, 2]}',
+                                      '{"counters": {"x": "1"}}'])
+    def test_malformed_snapshot(self, exported, body, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(body)
+        self._refused(["top", exported["cell"], "--metrics", str(bad)],
+                      str(bad), capsys)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.core.errors import TraceSchemaError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NOOP_COUNTER,
@@ -13,6 +14,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    dump_snapshot,
+    load_snapshot,
 )
 
 
@@ -153,3 +156,29 @@ class TestDisabledMode:
             assert fresh.snapshot()["counters"] == {}
         finally:
             obs.disable()
+
+
+class TestSnapshotFile:
+    def test_round_trip(self, tmp_path):
+        reg = MetricsRegistry()
+        reg.counter("runs").inc(3)
+        path = str(tmp_path / "m.json")
+        dump_snapshot(path, reg)
+        assert load_snapshot(path)["counters"] == {"runs": 3}
+
+    @pytest.mark.parametrize("body", [
+        "{nope",                                # not JSON
+        b"\xff\xfe\x00garbage",                  # not even text
+        '{"counters": [1, 2]}',                 # counters not an object
+        '{"counters": {"runs": "3"}}',          # a counter not a number
+        '{"counters": {"runs": NaN}}',          # ... nor a finite one
+        '[{"counters": {}}]',                   # not an object at all
+    ])
+    def test_malformed_file_names_the_path(self, body, tmp_path):
+        path = tmp_path / "bad.json"
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
+        with pytest.raises(TraceSchemaError, match="bad.json"):
+            load_snapshot(str(path))

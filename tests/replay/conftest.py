@@ -1,12 +1,50 @@
 """Shared fixtures: record the golden fig5-shaped workload once.
 
 The live run costs a few seconds, so one session-scoped recording
-serves every replay test; treat the trace as read-only.
+serves every replay test; treat the trace as read-only.  Tests that
+hand-build a trace spell its events as tuples and pass
+``columns_of(events)``.
 """
 
 import pytest
 
 from repro.replay import autorecord
+from repro.replay.schema import (CAT_CODE, K_B, K_E, K_F, K_R, K_S, KINDS,
+                                 RowPacker, TraceColumns)
+
+
+def _row(ev: tuple, colls: dict) -> tuple:
+    """An event tuple as its row (the inverse of ``schema._decode``)."""
+    k, r = ev[0], ev[1]
+    if k == "S":
+        return (ev[7], ev[8], ev[3], r, ev[2], ev[6], K_S,
+                CAT_CODE[ev[4]], CAT_CODE[ev[5]])
+    if k == "R":
+        return (ev[3], ev[4], 0, r, 0, ev[2], K_R, 0, 0)
+    if k == "F":
+        return (ev[2], ev[3], 0, r, 0, 0, K_F, 0, 0)
+    if k == "P" or k == "G":
+        return (ev[5], ev[6], ev[3], r, ev[2], 0, KINDS.index(k),
+                CAT_CODE["osc"], CAT_CODE[ev[4]])
+    if k == "B":
+        return (0.0, 0.0, 0, r, colls.setdefault(ev[2:], len(colls)), 0, K_B,
+                0, 0)
+    if k == "E":
+        return (0.0, 0.0, 0, r, 0, 0, K_E, 0, 0)
+    raise ValueError(f"unknown event kind {k!r}")
+
+
+def columns_of(events) -> TraceColumns:
+    """The columns a recording of ``events`` (tuples, in the spelling of
+    ``ReplayTrace.events``) would hold."""
+    packer = RowPacker()
+    for ev in events:
+        try:
+            packer.add(_row(ev, packer.colls))
+        except KeyError as exc:
+            raise ValueError(
+                f"unknown message category {exc.args[0]!r}") from None
+    return packer.columns()
 
 
 @pytest.fixture(scope="session")

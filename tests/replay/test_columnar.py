@@ -1,9 +1,11 @@
-"""The columnar event store: schema-2 round-trips, the legacy schema-1
+"""The columnar event store: schema-2 round-trips, the committed
 fixtures, compile/replay straight from the columns, and truncation.
 
 The digests below were captured with the last text-format build (the
 parent of the columnar change): they pin the interpreter's clocks on a
-permuted binding, which no other golden reaches.
+permuted binding, which no other golden reaches.  The two fixtures were
+recorded as schema-1 text and converted to schema 2 once, by a build
+that still read both; their clocks are those of the text files.
 """
 
 import hashlib
@@ -15,18 +17,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import TraceSchemaError
-from repro.replay import autorecord
+from repro.replay import autorecord, schema
 from repro.replay.engine import CATEGORIES, compile_trace, replay
 from repro.replay.schema import COLUMN_LAYOUT, K_B, ReplayTrace
+from tests.replay.conftest import columns_of
 from tests.replay.reference import reference_replay
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
-FIXTURES = ("fig5.schema1.trace", "osc.schema1.trace")
+FIXTURES = ("fig5.trace", "osc.trace")
 #: sha256[:16] over the hex clocks: (exact replay, interpreter under
 #: ``default_rng(5).permutation(binding)``), from the parent build.
 PARENT_CLOCKS = {
-    "fig5.schema1.trace": ("8a76ef4832125efd", "02698e3dd1b8f232"),
-    "osc.schema1.trace": ("8969fba3f64ad84a", "ce81bae7b45b98d9"),
+    "fig5.trace": ("8a76ef4832125efd", "02698e3dd1b8f232"),
+    "osc.trace": ("8969fba3f64ad84a", "ce81bae7b45b98d9"),
     "fig5_shaped": ("463d7313d157b7dd", "c598ff45323bf3ab"),
     "osc_and_overhead": ("ee40938a7f2fbd6d", "d863e753f1fb97e8"),
 }
@@ -77,7 +80,7 @@ def _hand_built() -> ReplayTrace:
                 "nic_serialize": True, "mem_bandwidth": None,
                 "jitter": 0.0, "lanes": 1},
         seed=3, monitoring_overhead=1e-6, comms={7: [0, 1], 0: [0, 1, 2, 3]},
-        clocks=[2.5, 1.0, -0.0, 1e300], events=events,
+        clocks=[2.5, 1.0, -0.0, 1e300], columns=columns_of(events),
         meta={"workload": "hand-built", "note": "µ"})
 
 
@@ -99,11 +102,12 @@ def assert_same_columns(got: ReplayTrace, want: ReplayTrace) -> None:
         assert x.tobytes() == y.tobytes(), name
 
 
-def assert_holds_columns_only(trace: ReplayTrace) -> None:
-    """No tuple was built, and asking for them says where to look."""
-    assert trace._events is None
-    with pytest.raises(AttributeError, match=r"read trace\.columns\(\)"):
-        trace.events
+def forbid_tuples(monkeypatch) -> None:
+    """From here on, building an event tuple (``trace.events``) fails
+    the test: the code under test reads the columns."""
+    def built(row, colls):
+        raise AssertionError("an event tuple was built")
+    monkeypatch.setattr(schema, "_decode", built)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +117,8 @@ def assert_holds_columns_only(trace: ReplayTrace) -> None:
 def test_schema_2_roundtrip_is_bit_exact(tmp_path):
     trace = _hand_built()
     back = _through_schema_2(trace, tmp_path)
-    assert_holds_columns_only(back)             # stored form: the columns
-    assert back.n_events == len(trace.events)
+    assert back.n_events == len(back.events) == len(trace.events)
+    assert _bits(back.events) == _bits(trace.events)
     assert_same_columns(back, trace)
     assert [c.hex() for c in back.clocks] == [c.hex() for c in trace.clocks]
     assert back.comms == trace.comms and back.meta == trace.meta
@@ -137,47 +141,42 @@ def test_empty_trace_roundtrip(tmp_path):
     empty = ReplayTrace(
         world_size=4, topology=trace.topology, binding=trace.binding,
         params=trace.params, seed=0, monitoring_overhead=0.0, comms={},
-        clocks=[0.0] * 4)
+        clocks=[0.0] * 4, columns=columns_of([]))
     back = _through_schema_2(empty, tmp_path)
     assert back.n_events == 0 and len(back.columns().kind) == 0
-    assert_holds_columns_only(back)             # an error, not an empty list
+    assert list(back.events) == []
     assert replay(back).clocks == [0.0] * 4
 
 
-def test_unknown_kind_or_category_cannot_be_dumped(tmp_path):
-    trace = _hand_built()
+def test_unknown_kind_or_category_cannot_be_dumped():
+    """A hand-built event the columns cannot spell never becomes a
+    trace: the encoder refuses it."""
     for bad in (("X", 0), ("S", 0, 1, 8, "rdma", "", 9, 0.0, 0.0)):
-        broken = ReplayTrace(
-            world_size=4, topology=trace.topology, binding=trace.binding,
-            params=trace.params, seed=0, monitoring_overhead=0.0, comms={},
-            clocks=[0.0] * 4, events=[bad])
         with pytest.raises(ValueError, match="unknown"):
-            broken.dump(str(tmp_path / "broken.trace"))
+            columns_of([bad])
 
 
 # ---------------------------------------------------------------------------
-# the committed schema-1 files
+# the committed fixtures
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_legacy_fixture_loads_converts_and_verifies(name, tmp_path):
-    legacy = ReplayTrace.load(str(DATA / name))
-    assert legacy.n_events == len(legacy.events) > 0
+def test_fixture_loads_and_verifies(name, tmp_path):
+    trace = ReplayTrace.load(str(DATA / name))
+    assert trace.n_events == len(trace.events) > 0
     if name.startswith("osc"):
-        assert {ev[0] for ev in legacy.events} == set("SRPGBEF")
-    converted = _through_schema_2(legacy, tmp_path)
-    assert_holds_columns_only(converted)
-    assert_same_columns(converted, legacy)
-    assert converted.clocks == legacy.clocks
+        assert {ev[0] for ev in trace.events} == set("SRPGBEF")
+    # Dumping the loaded file writes it back byte for byte.
+    again = str(tmp_path / "again.trace")
+    trace.dump(again)
+    assert open(again, "rb").read() == (DATA / name).read_bytes()
     exact, permuted = PARENT_CLOCKS[name]
-    # The oracle steps the tuples the schema-1 file spelled.
-    slow, _ = reference_replay(legacy, binding=_permuted(legacy))
+    slow, _ = reference_replay(trace, binding=_permuted(trace))
     assert _digest(slow) == permuted
-    for trace in (legacy, converted):
-        res = replay(trace, verify=True)
-        assert res.clocks == trace.clocks
-        assert _digest(res.clocks) == exact
-        assert replay(trace, binding=_permuted(trace)).clocks == slow
+    res = replay(trace, verify=True)
+    assert res.clocks == trace.clocks
+    assert _digest(res.clocks) == exact
+    assert replay(trace, binding=_permuted(trace)).clocks == slow
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +250,12 @@ def _one_sided_recording():
 
 
 @pytest.mark.parametrize("source", ["fig5_shaped", "osc_and_overhead",
-                                    "osc.schema1.trace", "hand-built"])
+                                    "osc.trace", "hand-built"])
 def test_compile_from_columns_equals_per_event_compile(source, fig5_trace,
                                                        tmp_path):
     recorded = {"fig5_shaped": lambda: fig5_trace,
                 "osc_and_overhead": _one_sided_recording,
-                "osc.schema1.trace":
-                    lambda: ReplayTrace.load(str(DATA / "osc.schema1.trace")),
+                "osc.trace": lambda: ReplayTrace.load(str(DATA / "osc.trace")),
                 "hand-built": _hand_built}[source]()
     timed, counts, sizes, total_counts, total_sizes, n_messages = \
         _compile_from_tuples(recorded)
@@ -307,8 +305,8 @@ def test_byte_sums_do_not_round_through_float():
         world_size=4, topology=trace.topology, binding=trace.binding,
         params=trace.params, seed=0, monitoring_overhead=0.0, comms={},
         clocks=[0.0] * 4,
-        events=[("S", 0, 1, big, "p2p", "p2p", 0, 0.0, 0.0),
-                ("S", 0, 1, 1, "p2p", "p2p", 1, 0.0, 0.0)])
+        columns=columns_of([("S", 0, 1, big, "p2p", "p2p", 0, 0.0, 0.0),
+                            ("S", 0, 1, 1, "p2p", "p2p", 1, 0.0, 0.0)]))
     assert int(heavy.byte_matrix()[0, 1]) == big + 1
 
 
@@ -347,7 +345,8 @@ def test_verify_audits_every_timed_event(fig5_trace):
         binding=fig5_trace.binding, params=fig5_trace.params,
         seed=fig5_trace.seed,
         monitoring_overhead=fig5_trace.monitoring_overhead,
-        comms=fig5_trace.comms, clocks=fig5_trace.clocks, events=events)
+        comms=fig5_trace.comms, clocks=fig5_trace.clocks,
+        columns=columns_of(events))
     with pytest.raises(ReplayVerifyError, match="1 clock divergences"):
         replay(tampered, verify=True)
 
@@ -357,19 +356,16 @@ def test_verify_audits_every_timed_event(fig5_trace):
 
 
 @pytest.fixture(scope="module")
-def whole_files(tmp_path_factory):
-    """(schema-2 bytes, schema-1 bytes) of the one-sided fixture."""
-    legacy = DATA / "osc.schema1.trace"
-    path = tmp_path_factory.mktemp("cut") / "whole.trace"
-    ReplayTrace.load(str(legacy)).dump(str(path))
-    return path.read_bytes(), legacy.read_bytes()
+def whole_file():
+    """The bytes of the one-sided fixture."""
+    return (DATA / "osc.trace").read_bytes()
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_file_cut_anywhere_raises_schema_error(whole_files, tmp_path, data):
-    raw = data.draw(st.sampled_from(whole_files))
+def test_file_cut_anywhere_raises_schema_error(whole_file, tmp_path, data):
+    raw = whole_file
     header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
     # Bias toward the interesting places: inside the two text lines and
     # just around the header/data boundary, as well as anywhere at all.
@@ -386,12 +382,12 @@ def test_file_cut_anywhere_raises_schema_error(whole_files, tmp_path, data):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_flipped_bytes_are_an_error_or_a_finite_answer(whole_files, tmp_path,
+def test_flipped_bytes_are_an_error_or_a_finite_answer(whole_file, tmp_path,
                                                        data):
     """1-8 bytes of the column section XORed: the file is refused, or
     every replay and search of it either answers with finite makespans
     or says the trace is inconsistent — no other exception."""
-    raw = bytearray(whole_files[0])
+    raw = bytearray(whole_file)
     start = raw.index(b"\n", raw.index(b"\n") + 1) + 1
     n = (len(raw) - start) // 39
     # Anywhere, or in the two sign/exponent bytes of a `t` or `gap` (the

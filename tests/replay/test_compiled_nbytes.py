@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.replay import CompiledTrace, ReplayTrace, compile_trace
+from tests.replay.conftest import columns_of
 from tests.replay.test_columnar import (DATA, FIXTURES, _hand_built,
                                         _one_sided_recording)
 
@@ -59,7 +60,7 @@ def test_nbytes_scales_with_trace_size(fig5_trace):
         monitoring_overhead=fig5_trace.monitoring_overhead,
         comms=fig5_trace.comms,
         clocks=fig5_trace.clocks,
-        events=fig5_trace.events[: len(fig5_trace.events) // 2],
+        columns=columns_of(fig5_trace.events[: len(fig5_trace.events) // 2]),
         meta=fig5_trace.meta,
     )
     assert compile_trace(half).nbytes() < book.nbytes()
@@ -117,8 +118,8 @@ def test_a_book_holds_one_box_per_value(fig5_trace):
 @pytest.mark.parametrize(
     "source", ["fig5_shaped", "osc_and_overhead", "hand-built", *FIXTURES])
 def test_nbytes_arithmetic_equals_the_walk(source, fig5_trace, tmp_path):
-    """Every record kind (the one-sided fixtures have P and G), both
-    in-memory forms, both file schemas."""
+    """Every record kind (the one-sided fixtures have P and G), as
+    handed over and as loaded back from a file."""
     trace = {"fig5_shaped": lambda: fig5_trace,
              "osc_and_overhead": _one_sided_recording,
              "hand-built": _hand_built}.get(

@@ -23,6 +23,7 @@ from repro.replay.engine import (
 from repro.replay.schema import ReplayTrace, params_from_json
 from repro.simmpi.errorsim import CommError
 from repro.simmpi.topology import Topology
+from tests.replay.conftest import columns_of
 from tests.replay.reference import reference_replay
 from tests.replay.test_columnar import (DATA, FIXTURES, _hand_built,
                                         _one_sided_recording)
@@ -113,7 +114,7 @@ class TestNonIdentityReplay:
 
 @pytest.fixture(scope="module")
 def fig5_fixture():
-    return ReplayTrace.load(str(DATA / "fig5.schema1.trace"))
+    return ReplayTrace.load(str(DATA / "fig5.trace"))
 
 
 class TestBindingOutsideTheTopology:
@@ -197,7 +198,7 @@ def _without_send(trace, seq):
         world_size=trace.world_size, topology=trace.topology,
         binding=trace.binding, params=trace.params, seed=trace.seed,
         monitoring_overhead=trace.monitoring_overhead, comms=trace.comms,
-        clocks=trace.clocks, events=events, meta=trace.meta)
+        clocks=trace.clocks, columns=columns_of(events), meta=trace.meta)
 
 
 def _without_first_send(trace):

@@ -18,7 +18,8 @@ from repro.simmpi import MAX, SUM, Cluster, Engine
 from scripts.capture_hotpath_golden import (SUBSTITUTED_OUT,
                                             substituted_cells)
 from tests.replay.live import live_clocks
-from tests.replay.test_columnar import assert_holds_columns_only
+from tests.replay.conftest import columns_of
+from tests.replay.test_columnar import forbid_tuples
 from tests.replay.test_engine import _without_send
 
 
@@ -55,16 +56,16 @@ def test_substituted_replays_match_the_parent_bit_for_bit(name, inputs):
         assert cell == golden[key], key
 
 
-def test_a_substituted_run_is_a_columns_only_trace(inputs, tmp_path):
+def test_a_substituted_run_is_a_columns_only_trace(inputs, tmp_path,
+                                                   monkeypatch):
     """Per-rank program order, generated messages numbered past every
     ``seq`` the recording mentions, its books the result's own — from a
-    file-loaded trace, which stays tuple-free."""
+    file-loaded trace, with no event tuple built."""
     path = str(tmp_path / "fig5.trace")
     inputs["fig5_shaped"].dump(path)
+    forbid_tuples(monkeypatch)
     trace = ReplayTrace.load(path)
     run = apply_substitution(trace, {"bcast": "chain", "reduce": "flat"})
-    assert_holds_columns_only(run)
-    assert_holds_columns_only(trace)
     assert run.binding == trace.binding and run.comms == trace.comms
     was, now = trace.columns(), run.columns()
     assert np.all(np.diff(now.rank) >= 0)
@@ -139,9 +140,10 @@ def test_a_wait_cycle_is_a_deadlock_not_a_hang():
         world_size=2, topology=base.topology, binding=[0, 1],
         params=base.params, seed=0, monitoring_overhead=0.0, comms={},
         clocks=[0.0, 0.0],
-        events=[("R", 0, 1, 0.0, 0.0), ("S", 0, 1, 8, "p2p", "", 0, 0.0, 0.0),
-                ("R", 1, 0, 0.0, 0.0), ("S", 1, 0, 8, "p2p", "", 1, 0.0, 0.0),
-                ("F", 0, 0.0, 0.0), ("F", 1, 0.0, 0.0)])
+        columns=columns_of([
+            ("R", 0, 1, 0.0, 0.0), ("S", 0, 1, 8, "p2p", "", 0, 0.0, 0.0),
+            ("R", 1, 0, 0.0, 0.0), ("S", 1, 0, 8, "p2p", "", 1, 0.0, 0.0),
+            ("F", 0, 0.0, 0.0), ("F", 1, 0.0, 0.0)]))
     with pytest.raises(ReplayError, match=r"deadlock: 2 ranks .* \[0, 1\]"):
         _ready(trace)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.replay import autorecord
 from repro.replay.schema import ReplayTrace
+from tests.replay.conftest import columns_of
 from tests.replay.test_columnar import _bits, _hand_built, assert_same_columns
 
 #: sha256 of (the schema-2 file dumped from the recording, the float-bit
@@ -194,7 +195,7 @@ def _over(**stream) -> ReplayTrace:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(events=_event_lists())
 def test_encoder_and_view_are_inverses(events, tmp_path):
-    from_tuples = _over(events=events)
+    from_tuples = _over(columns=columns_of(events))
     path = str(tmp_path / "inverse.trace")
     from_tuples.dump(path)
     assert_same_columns(ReplayTrace.load(path), from_tuples)
