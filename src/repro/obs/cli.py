@@ -308,7 +308,11 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_validate(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:      # not JSON, or not UTF-8 text
+            raise TraceSchemaError(
+                f"{args.path}: not a Chrome trace ({exc})") from None
     errors = validate_chrome_trace(doc, n_ranks=args.ranks)
     if errors:
         for e in errors:

@@ -9,6 +9,9 @@ tree of sends, not as one opaque API call.
 Each module offers several algorithms (mirroring Open MPI's tuned
 collective component); the paper's experiments use the binomial-tree
 broadcast and the in-order binary-tree reduce (Fig. 5 captions).
+Every rooted tree lives in :func:`bcast.tree` / :func:`reduce.tree`:
+gather, scatter, the tree barrier and replay substitution walk them,
+and per-rank pieces travel packed by :func:`util.pack`.
 
 Every decomposition is written once, as a ``co_*`` generator; the
 blocking spelling is the ``Communicator`` method of the same name.  An

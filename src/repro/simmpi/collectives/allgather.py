@@ -13,7 +13,7 @@ from typing import Any, Dict, Optional
 
 from repro.simmpi.collectives.util import (as_buffer, by_rank,
                                           default_algorithm, done, is_pow2,
-                                          unwrap)
+                                          pack, unwrap)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -44,17 +44,6 @@ def co_allgather(
     return algo(comm, buf, ctx)
 
 
-def _piece_message(pieces: Dict[int, Buffer]) -> Buffer:
-    """Pack a set of per-rank pieces into one wire message.
-
-    The payload is the dict itself (copy semantics apply at send time);
-    the wire size is the sum of the piece sizes, so the timing model and
-    the monitoring component both see the true transferred volume.
-    """
-    total = sum(b.nbytes for b in pieces.values())
-    return Buffer(dict(pieces), nbytes=total)
-
-
 def _ring(comm, buf: Buffer, ctx):
     me, size = comm.rank, comm.size
     right = (me + 1) % size
@@ -83,7 +72,7 @@ def _recursive_doubling(comm, buf: Buffer, ctx):
     while mask < size:
         peer = me ^ mask
         req = comm._irecv(peer, mask, ctx)
-        yield from comm._co_isend(_piece_message(pieces), peer, mask, ctx, "coll")
+        yield from comm._co_isend(pack(pieces), peer, mask, ctx, "coll")
         msg = yield from req.co_wait()
         pieces.update(msg.payload)
         mask <<= 1
@@ -110,7 +99,7 @@ def _bruck(comm, buf: Buffer, ctx):
         window = [(me + j) % size for j in range(min(dist, size))]
         tosend = {r: pieces[r] for r in window if r in pieces}
         req = comm._irecv(src, k, ctx)
-        yield from comm._co_isend(_piece_message(tosend), dst, k, ctx, "coll")
+        yield from comm._co_isend(pack(tosend), dst, k, ctx, "coll")
         msg = yield from req.co_wait()
         pieces.update(msg.payload)
         k += 1
@@ -126,7 +115,7 @@ def _gather_bcast(comm, buf: Buffer, ctx):
     gathered = yield from co_gather(comm, buf, root=0)
     if me == 0:
         table = {r: as_buffer(v) for r, v in enumerate(gathered)}
-        packed = _piece_message(table)
+        packed = pack(table)
     else:
         packed = None
     result = yield from co_bcast(comm, packed, root=0)

@@ -48,6 +48,7 @@ def co_allreduce(
             nbytes=nbytes if comm.rank == 0 else None))
 
     if algorithm == "rabenseifner":
+        from repro.simmpi.collectives.allgather import co_allgather
         from repro.simmpi.collectives.scan import co_reduce_scatter
 
         # Reduce-scatter + allgather: bandwidth-optimal (2·(p-1)/p · n
@@ -60,8 +61,8 @@ def co_allreduce(
         if buf.payload is None:
             parts = [None] * size
             mine = yield from co_reduce_scatter(comm, parts, op, nbytes=chunk)
-            got = yield from comm.co_allgather(
-                mine if hasattr(mine, "nbytes") else None, nbytes=chunk)
+            got = yield from co_allgather(
+                comm, mine if hasattr(mine, "nbytes") else None, nbytes=chunk)
             total = sum(g.nbytes if hasattr(g, "nbytes") else chunk
                         for g in got)
             from repro.simmpi.datatypes import Buffer
@@ -73,7 +74,7 @@ def co_allreduce(
         per = -(-flat.size // size)
         parts = [flat[i * per : (i + 1) * per].copy() for i in range(size)]
         mine = yield from co_reduce_scatter(comm, parts, op)
-        got = yield from comm.co_allgather(mine)
+        got = yield from co_allgather(comm, mine)
         out = np.concatenate([np.asarray(g).reshape(-1) for g in got])
         out = out[: flat.size]
         ref = np.asarray(buf.payload)

@@ -1,5 +1,9 @@
 """Barrier algorithms: dissemination (default) and tree.
 
+The tree barrier walks the binomial trees rooted at rank 0 that
+:func:`repro.simmpi.collectives.reduce.tree` (fan-in) and
+:func:`repro.simmpi.collectives.bcast.tree` (fan-out) state.
+
 Barriers generate *zero-length* point-to-point messages — the message
 counts still increment, which is exactly the caveat the paper gives in
 §4.1 ("some collective MPI routines might generate point-to-point
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.simmpi.collectives import bcast, reduce
 from repro.simmpi.collectives.util import ceil_log2, default_algorithm
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
@@ -53,28 +58,16 @@ def _dissemination(comm, ctx):
 
 
 def _tree(comm, ctx):
-    """Binomial fan-in to rank 0 then binomial fan-out."""
+    """Fan-in over the binomial reduce tree rooted at rank 0 (tag 0),
+    then fan-out over the binomial broadcast tree (tag 1)."""
     me, size = comm.rank, comm.size
-    # Fan-in.
-    mask = 1
-    while mask < size:
-        if me & mask == 0:
-            src = me | mask
-            if src < size:
-                yield from comm._irecv(src, mask, ctx).co_wait()
-        else:
-            yield from comm._co_isend(_TOKEN, me & ~mask, mask, ctx, "coll")
-            break
-        mask <<= 1
-    # Fan-out (release), reusing the binomial broadcast structure.
-    mask = 1
-    while mask < size:
-        if me & mask:
-            yield from comm._irecv(me - mask, size + mask, ctx).co_wait()
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if me + mask < size:
-            yield from comm._co_isend(_TOKEN, me + mask, size + mask, ctx, "coll")
-        mask >>= 1
+    parent, children = reduce.tree("binomial", me, size, 0)
+    for child in children:
+        yield from comm._irecv(child, 0, ctx).co_wait()
+    if parent is not None:
+        yield from comm._co_isend(_TOKEN, parent, 0, ctx, "coll")
+    parent, children = bcast.tree("binomial", me, size, 0)
+    if parent is not None:
+        yield from comm._irecv(parent, 1, ctx).co_wait()
+    for child in children:
+        yield from comm._co_isend(_TOKEN, child, 1, ctx, "coll")

@@ -7,9 +7,10 @@ tree (like Open MPI's tuned component), so the monitoring component
 records one point-to-point message per segment per edge.
 
 Each algorithm's tree is stated once, by :func:`tree`; the live bodies
-below and replay substitution (:mod:`repro.replay.patterns`) both walk
-it.  The decompositions are ``co_`` generators (see barrier.py); the
-blocking spelling is the ``Communicator`` method of the same name.
+below, scatter, the tree barrier's fan-out and replay substitution
+(:mod:`repro.replay.patterns`) all walk it.  The decompositions are
+``co_`` generators (see barrier.py); the blocking spelling is the
+``Communicator`` method of the same name.
 """
 
 from __future__ import annotations

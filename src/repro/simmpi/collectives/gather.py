@@ -1,16 +1,20 @@
 """Gather algorithms: binomial tree (default) and linear.
 
-The decompositions are ``co_`` generators (see barrier.py); the
-blocking spelling is the ``Communicator`` method of the same name.
+Both walk the reduce's tree, :func:`repro.simmpi.collectives.reduce.tree`
+(``linear`` is its ``flat`` star): a rank receives each child's table in
+the tree's order, then sends the union to its parent.  The
+decompositions are ``co_`` generators (see barrier.py); the blocking
+spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.simmpi.collectives.util import (as_buffer, by_rank,
-                                          default_algorithm, done, unvrank,
-                                          unwrap, vrank)
+from repro.simmpi.collectives import reduce
+from repro.simmpi.collectives.util import (as_buffer, by_rank, copied,
+                                          default_algorithm, done, pack,
+                                          unwrap)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
 
@@ -36,44 +40,20 @@ def co_gather(
     buf = as_buffer(value, nbytes)
     if comm.size == 1:
         return done([unwrap(buf)])
-    algo = _binomial if algorithm == "binomial" else _linear
-    return algo(comm, buf, root, ctx)
+    shape = "flat" if algorithm == "linear" else algorithm
+    return _tree(comm, buf, root, ctx, shape)
 
 
-def _pack(table: Dict[int, Buffer]) -> Buffer:
-    total = sum(b.nbytes for b in table.values())
-    return Buffer(dict(table), nbytes=total)
-
-
-def _binomial(comm, buf: Buffer, root: int, ctx):
-    me, size = comm.rank, comm.size
-    vr = vrank(me, root, size)
-    table: Dict[int, Buffer] = {me: buf}
-    mask = 1
-    while mask < size:
-        if vr & mask == 0:
-            src_v = vr | mask
-            if src_v < size:
-                msg = yield from comm._irecv(
-                    unvrank(src_v, root, size), mask, ctx).co_wait()
-                table.update(msg.payload)
-        else:
-            dst = unvrank(vr & ~mask, root, size)
-            yield from comm._co_isend(_pack(table), dst, mask, ctx, "coll")
-            return None
-        mask <<= 1
-    return by_rank(table)
-
-
-def _linear(comm, buf: Buffer, root: int, ctx):
-    me, size = comm.rank, comm.size
-    if me != root:
-        yield from comm._co_isend(buf, root, 0, ctx, "coll")
+def _tree(comm, buf: Buffer, root: int, ctx, shape: str):
+    parent, children = reduce.tree(shape, comm.rank, comm.size, root)
+    # Only the root keeps the table: every other rank's piece is copied
+    # as it enters it, so the root never holds a sender's live array.
+    table: Dict[int, Buffer] = {
+        comm.rank: buf if parent is None else copied(buf)}
+    for child in children:
+        msg = yield from comm._irecv(child, 0, ctx).co_wait()
+        table.update(msg.payload)
+    if parent is not None:
+        yield from comm._co_isend(pack(table), parent, 0, ctx, "coll")
         return None
-    table: Dict[int, Buffer] = {me: buf}
-    for src in range(size):
-        if src == root:
-            continue
-        msg = yield from comm._irecv(src, 0, ctx).co_wait()
-        table[src] = msg.buf
     return by_rank(table)

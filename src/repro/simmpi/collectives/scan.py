@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.simmpi.collectives.util import as_buffer, unwrap
+from repro.simmpi.collectives.util import as_buffer, pack, unwrap
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.op import Op, combine
 
@@ -94,11 +94,9 @@ def co_reduce_scatter(comm, values: List[Any], op: Op,
             else:
                 send_idx = range(lo, mid)
                 keep = (mid, hi)
-            payload = {j: bufs[j] for j in send_idx}
-            total = sum(b.nbytes for b in payload.values())
             req = comm._irecv(partner, hi - lo, ctx)
-            yield from comm._co_isend(
-                Buffer(payload, nbytes=total), partner, hi - lo, ctx, "coll")
+            yield from comm._co_isend(pack({j: bufs[j] for j in send_idx}),
+                                      partner, hi - lo, ctx, "coll")
             msg = yield from req.co_wait()
             for j, b in msg.payload.items():
                 bufs[j] = combine(op, bufs[j], b)

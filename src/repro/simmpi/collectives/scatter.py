@@ -1,14 +1,20 @@
 """Scatter algorithms: binomial tree (default) and linear.
 
-The decompositions are ``co_`` generators (see barrier.py); the
-blocking spelling is the ``Communicator`` method of the same name.
+Both walk the broadcast's tree, :func:`repro.simmpi.collectives.bcast.tree`
+(``linear`` is its ``flat`` star): each child gets the items of its own
+subtree, which runs in virtual ranks from the child up to the sender's
+next-higher child, or to the end of the sender's range.  The
+decompositions are ``co_`` generators (see barrier.py); the blocking
+spelling is the ``Communicator`` method of the same name.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from repro.simmpi.collectives.util import (as_buffer, default_algorithm, done,
+from repro.simmpi.collectives import bcast
+from repro.simmpi.collectives.util import (as_buffer, copied,
+                                           default_algorithm, done, pack,
                                            unvrank, unwrap, vrank)
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.errorsim import CommError
@@ -41,56 +47,30 @@ def co_scatter(
     if me == root:
         if values is None or len(values) != size:
             raise CommError(f"root must supply {size} values")
+        # Each item reaches one rank; the ones that leave the root are
+        # copied here, so no receiver holds the root's live array.
         table = {r: as_buffer(v, nbytes) for r, v in enumerate(values)}
+        table = {r: b if r == root else copied(b) for r, b in table.items()}
     if size == 1:
         return done(unwrap(table[0]))
-    algo = _binomial if algorithm == "binomial" else _linear
-    return algo(comm, table, root, ctx)
+    shape = "flat" if algorithm == "linear" else algorithm
+    return _tree(comm, table, root, ctx, shape)
 
 
-def _pack(table: Dict[int, Buffer]) -> Buffer:
-    total = sum(b.nbytes for b in table.values())
-    return Buffer(dict(table), nbytes=total)
-
-
-def _binomial(comm, table: Optional[Dict[int, Buffer]], root: int, ctx):
+def _tree(comm, table: Optional[Dict[int, Buffer]], root: int, ctx,
+          shape: str):
     me, size = comm.rank, comm.size
-    vr = vrank(me, root, size)
-
-    # Receive the block of items for my subtree.
-    mask = 1
-    while mask < size:
-        if vr & mask:
-            src = unvrank(vr - mask, root, size)
-            msg = yield from comm._irecv(src, mask, ctx).co_wait()
-            table = dict(msg.payload)
-            break
-        mask <<= 1
-
-    # Forward sub-blocks to my children (largest subtree first).
-    mask >>= 1
-    while mask > 0:
-        if vr + mask < size:
-            dst_v = vr + mask
-            sub = {
-                r: b
-                for r, b in table.items()
-                if dst_v <= vrank(r, root, size) < dst_v + mask
-            }
-            yield from comm._co_isend(
-                _pack(sub), unvrank(dst_v, root, size), mask, ctx, "coll")
-            for r in sub:
-                del table[r]
-        mask >>= 1
+    parent, children = bcast.tree(shape, me, size, root)
+    if parent is not None:
+        msg = yield from comm._irecv(parent, 0, ctx).co_wait()
+        table = msg.payload
+    # The table holds the sender's own range of virtual ranks; a child's
+    # subtree ends where the next-higher child's begins.
+    starts = sorted(vrank(c, root, size) for c in children)
+    ends = dict(zip(starts, starts[1:] + [vrank(me, root, size) + len(table)]))
+    for child in children:
+        lo = vrank(child, root, size)
+        owners = [unvrank(v, root, size) for v in range(lo, ends[lo])]
+        yield from comm._co_isend(pack({r: table[r] for r in owners}),
+                                  child, 0, ctx, "coll")
     return unwrap(table[me])
-
-
-def _linear(comm, table: Optional[Dict[int, Buffer]], root: int, ctx):
-    me, size = comm.rank, comm.size
-    if me == root:
-        for dst in range(size):
-            if dst != root:
-                yield from comm._co_isend(table[dst], dst, 0, ctx, "coll")
-        return unwrap(table[me])
-    msg = yield from comm._irecv(root, 0, ctx).co_wait()
-    return unwrap(msg.buf)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.simmpi.datatypes import Buffer
 
 __all__ = ["as_buffer", "unwrap", "vrank", "unvrank", "is_pow2", "ceil_log2",
-           "done", "by_rank", "default_algorithm"]
+           "done", "by_rank", "pack", "copied", "default_algorithm"]
 
 
 def done(value: Any = None):
@@ -19,6 +21,28 @@ def done(value: Any = None):
 def by_rank(pieces: Dict[int, Buffer]) -> List[Any]:
     """Every rank's piece, unwrapped, indexed by rank (gather results)."""
     return [unwrap(pieces[r]) for r in range(len(pieces))]
+
+
+def pack(pieces: Dict[int, Buffer]) -> Buffer:
+    """Pack per-rank pieces into one wire message.
+
+    The payload is a copy of the dict, not of its pieces (see
+    :func:`copied`); the wire size is the sum of the piece sizes, so the
+    timing model and the monitoring component both see the true volume.
+    """
+    return Buffer(dict(pieces), nbytes=sum(b.nbytes for b in pieces.values()))
+
+
+def copied(buf: Buffer) -> Buffer:
+    """``buf`` with a NumPy payload value-copied; any other buffer as is.
+
+    The send path copies only a top-level array, so a piece that travels
+    inside a :func:`pack`-ed table is copied once, where it enters the
+    table, to keep copy semantics for the rank that ends up holding it.
+    """
+    if isinstance(buf.payload, np.ndarray):
+        return Buffer(buf.payload.copy(), nbytes=buf.nbytes)
+    return buf
 
 
 def as_buffer(value: Any, nbytes: Optional[int] = None) -> Buffer:

@@ -156,10 +156,51 @@ def osc_and_overhead():
     return engine, results
 
 
+def rooted_trees():
+    """Every rooted tree: gather, scatter and the barrier in each of
+    their algorithms, bcast flat/chain, reduce flat, and the composed
+    reduce_scatter / gather_bcast allgather — 13 ranks (no power of
+    two), non-zero roots, jitter, monitoring mode 2.  Captured from
+    the mask-loop implementations, before gather, scatter and the tree
+    barrier walked ``bcast.tree`` / ``reduce.tree``."""
+    cluster = Cluster.plafrim(2, n_ranks=13, binding="rr", jitter=0.1)
+    engine = Engine(cluster, seed=5)
+
+    def program(comm):
+        comm.engine.pml.set_mode(2)
+        me, n = comm.rank, comm.size
+        out = []
+        for root in (n - 1, 3):
+            for alg in ("binomial", "linear"):
+                got = comm.gather(me * 3, root=root, nbytes=1_000 + 100 * me,
+                                  algorithm=alg)
+                out.append(got)
+                values = [10 * r for r in range(n)] if me == root else None
+                out.append(comm.scatter(values, root=root, nbytes=20_000,
+                                        algorithm=alg))
+            for alg in ("flat", "chain"):
+                comm.bcast(None, root=root,
+                           nbytes=300_000 if me == root else None,
+                           algorithm=alg)
+            comm.reduce(None, SUM, root=root, nbytes=60_000, algorithm="flat")
+        for alg in ("dissemination", "tree"):
+            comm.barrier(algorithm=alg)
+        sub = comm.split(int(me < 8), me)
+        out.append(int(sub.reduce_scatter(list(range(sub.size)), SUM,
+                                          nbytes=4_000)))
+        out.append(sub.allgather(me, nbytes=500, algorithm="gather_bcast"))
+        out.append(_hx(comm.time))
+        return out
+
+    results = engine.run(program)
+    return engine, results
+
+
 WORKLOADS: Dict[str, Any] = {
     "fig5_shaped": fig5_shaped,
     "fig6_shaped": fig6_shaped,
     "mixed_monitored": mixed_monitored,
     "jittered_p2p": jittered_p2p,
     "osc_and_overhead": osc_and_overhead,
+    "rooted_trees": rooted_trees,
 }

@@ -280,3 +280,9 @@ class TestBadInputs:
         bad.write_text(body)
         self._refused(["top", exported["cell"], "--metrics", str(bad)],
                       str(bad), capsys)
+
+    @pytest.mark.parametrize("body", [b"{nope", b"\x80"])
+    def test_validate_not_json(self, body, tmp_path, capsys):
+        bad = tmp_path / "t.json"
+        bad.write_bytes(body)
+        self._refused(["validate", str(bad)], str(bad), capsys)

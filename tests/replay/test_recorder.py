@@ -126,6 +126,23 @@ def test_recorder_keeps_no_message_alive():
     assert live_messages() == before
 
 
+@pytest.mark.parametrize("algorithm", ["recursive_doubling", "reduce_bcast",
+                                       "rabenseifner"])
+def test_a_composed_allreduce_is_one_region(algorithm):
+    """Whatever an allreduce algorithm is built from, a rank records one
+    ``B`` marker for it: the parts run as module generators, not as the
+    spanned ``Communicator`` methods that would each open a region."""
+    from repro.simmpi import SUM
+    from tests.conftest import run_spmd
+
+    with autorecord.capture() as traces:
+        run_spmd(lambda comm: comm.allreduce(
+            None, SUM, nbytes=4096, algorithm=algorithm), n_ranks=4)
+    begins = [ev for ev in traces[0].events if ev[0] == "B"]
+    assert sorted(ev[1] for ev in begins) == [0, 1, 2, 3]
+    assert {ev[3] for ev in begins} == {"allreduce"}
+
+
 def test_len_of_a_recording_allocates_nothing():
     from repro.experiments import fig5_collectives
 

@@ -186,15 +186,40 @@ class TestGatherScatter:
                 assert res is None
 
     @pytest.mark.parametrize("algorithm", ["binomial", "linear"])
-    @pytest.mark.parametrize("n", SIZES)
-    def test_scatter(self, algorithm, n):
+    @pytest.mark.parametrize(
+        "n, root", [pytest.param(n, 0, id=str(n)) for n in SIZES]
+        + [pytest.param(n, n - 1, id=f"{n}-last") for n in SIZES])
+    def test_scatter(self, algorithm, n, root):
         def prog(comm):
             values = [f"item{i}" for i in range(comm.size)] \
-                if comm.rank == 0 else None
-            return comm.scatter(values, root=0, algorithm=algorithm)
+                if comm.rank == root else None
+            return comm.scatter(values, root=root, algorithm=algorithm)
 
         results, _ = run_spmd(prog, n_ranks=n)
         assert results == [f"item{i}" for i in range(n)]
+
+    @pytest.mark.parametrize("algorithm", ["binomial", "linear"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_arrays_are_copied_not_shared(self, algorithm, n):
+        # Messages have copy semantics: after a gather or a scatter of
+        # arrays, a write on one rank must not show on another.
+        def prog(comm):
+            mine = np.zeros(3)
+            got = comm.gather(mine, root=0, algorithm=algorithm)
+            values = [np.zeros(3) for _ in range(comm.size)] \
+                if comm.rank == 0 else None
+            item = comm.scatter(values, root=0, algorithm=algorithm)
+            comm.barrier()
+            if comm.rank != 0:
+                mine[:] = 7
+                item[:] = 7
+            comm.barrier()
+            if comm.rank == 0:
+                return [a.tolist() for a in got + values]
+            return None
+
+        results, _ = run_spmd(prog, n_ranks=n)
+        assert results[0] == [[0.0] * 3] * (2 * n)
 
     def test_scatter_requires_values_at_root(self):
         def prog(comm):
