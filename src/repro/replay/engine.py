@@ -288,6 +288,55 @@ def _list_bytes(slots: int, boxes: np.ndarray) -> int:
         + boxed * sys.getsizeof(1.0 if boxes.dtype.kind == "f" else 1 << 20)
 
 
+def _rank_column(rank: np.ndarray, n: int):
+    """The ``rank`` list, one box per rank, and its resident size."""
+    size = _list_bytes(len(rank),
+                       np.flatnonzero(np.bincount(rank, minlength=n)))
+    return np.array(range(n), dtype=object)[rank].tolist(), size
+
+
+def _ordinals(kind: np.ndarray, seq: np.ndarray, n_messages: int):
+    """Which message each receive of the timed events ``kind`` / ``seq``
+    waits for, by its ordinal among the S/P/G events; one that no send
+    carries gets ``n_messages``, past the last, which the replay reports
+    like a receive issued ahead of its send."""
+    is_msg = (kind == K_S) | (kind == K_P) | (kind == K_G)
+    is_send = kind[is_msg] == K_S
+    sends, waits = seq[is_msg][is_send], seq[kind == K_R]
+    ordinal = np.full(max(sends.max(initial=-1), waits.max(initial=-1)) + 1,
+                      n_messages, dtype=np.int64)
+    ordinal[sends] = np.flatnonzero(is_send)
+    return ordinal[waits]
+
+
+def _operand_column(kind: np.ndarray, cls: np.ndarray, n_cls: int,
+                    received: np.ndarray):
+    """The ``operand`` list of the timed events ``kind``, whose messages
+    are of cost classes ``cls`` and whose receives wait for the
+    ``received`` ordinals, and its resident size: one box per class and
+    one for the finish, each receive's ordinal a box of its own."""
+    is_msg = (kind == K_S) | (kind == K_P) | (kind == K_G)
+    has_finish = len(kind) > len(cls) + len(received)
+    size = _list_bytes(len(kind), np.concatenate(
+        [np.arange(-n_cls - has_finish, 0), received]))
+    operand = np.full(len(kind), -n_cls - 1, dtype=object)
+    operand[is_msg] = np.array(range(-n_cls, 0), dtype=object)[cls]
+    operand[kind == K_R] = received
+    return operand.tolist(), size
+
+
+def _gap_column(gap: np.ndarray):
+    """The ``gap`` list and its resident size: the gaps share their
+    ``+0.0`` by bit pattern (any other, a ``-0.0`` or a subnormal,
+    keeps a box of its own)."""
+    nonzero = np.flatnonzero(gap.view(np.int64))
+    size = _list_bytes(len(gap), np.concatenate(
+        [gap[nonzero], np.zeros(int(len(gap) > len(nonzero)))]))
+    gaps = np.full(len(gap), 0.0, dtype=object)
+    gaps[nonzero] = gap[nonzero]
+    return gaps.tolist(), size
+
+
 def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     """Pre-digest a trace for repeated re-costing (cached on the trace).
 
@@ -298,9 +347,12 @@ def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     only needs the timed events; and a trace has few distinct cost
     classes, so which message a receive waits for and which class a
     send belongs to are resolved here, once.  All of it is column
-    work — no tuple, no python-level step per event.  Assumes the
-    trace is not mutated afterwards (nothing in this package mutates a
-    trace).
+    work — no tuple, no python-level step per event.  The build holds
+    the book plus about one column (DESIGN.md §4.4): each temporary is
+    dropped after its last reader, and each list column is built by a
+    helper whose object array is gone before the next is built.
+    Assumes the trace is not mutated afterwards (nothing in this
+    package mutates a trace).
     """
     cached = trace._compiled
     if cached is not None:
@@ -309,21 +361,22 @@ def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     n = trace.world_size
     timed = np.flatnonzero(c.kind < K_B)
     kind = c.kind[timed]
-    is_msg = (kind == K_S) | (kind == K_P) | (kind == K_G)
-    msg = timed[is_msg]
+    msg = timed[(kind == K_S) | (kind == K_P) | (kind == K_G)]
 
     # Every S/P/G moves nbytes rank -> peer, except that a get's data
     # flows target -> origin.
-    is_get = kind[is_msg] == K_G
+    is_get = c.kind[msg] == K_G
     origin = c.rank[msg].astype(np.int64)
     peer = c.peer[msg].astype(np.int64)
     src = np.where(is_get, peer, origin)
     dst = np.where(is_get, origin, peer)
+    del origin, peer
     flat = src * n + dst
     nb = c.nbytes[msg]
     weight = nb.astype(np.uint64)
     counts, sizes = _pair_matrices(flat, weight, c.mcat[msg], n)
     total_counts, total_sizes = _pair_matrices(flat, weight, c.cat[msg], n)
+    del weight
 
     # Cost classes: one integer key per message (sizes ranked first, so
     # the key fits whatever the byte counts are), distinct keys sorted —
@@ -332,44 +385,27 @@ def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
     size_rank = np.unique(nb, return_inverse=True)[1]
     key = ((~is_get * (n * n) + flat) * (len(nb) + 1) + size_rank) * 2 \
         + charged
+    del size_rank, flat
     _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    del key
     classes = np.stack([src[first], dst[first], nb[first], charged[first]])
+    n_get, n_messages = int(np.count_nonzero(is_get[first])), len(msg)
+    del msg, first, src, dst, nb, charged, is_get
 
     # One box per value: each list column indexes a table of boxes, so
     # a rank, a class and the finish are one object however many events
-    # hold them, and the gaps share their +0.0 by bit pattern (any
-    # other, a -0.0 or a subnormal, keeps a box of its own).  A receive
-    # names its message by ordinal, a box of its own; one that no send
-    # carries gets an ordinal past the last, which the replay reports
-    # like a receive issued ahead of its send.
-    rank, gap = c.rank[timed], c.gap[timed]
-    ranks = np.array(range(n), dtype=object)[rank]
-    operand = np.full(len(timed), -len(first) - 1, dtype=object)
-    operand[is_msg] = np.array(range(-len(first), 0), dtype=object)[cls]
-    is_send, is_wait = kind[is_msg] == K_S, kind == K_R
-    sends, waits = c.seq[msg[is_send]], c.seq[timed[is_wait]]
-    ordinal = np.full(max(sends.max(initial=-1), waits.max(initial=-1)) + 1,
-                      len(msg), dtype=np.int64)
-    ordinal[sends] = np.flatnonzero(is_send)
-    operand[is_wait] = received = ordinal[waits]
-    nonzero = np.flatnonzero(gap.view(np.int64))
-    gaps = np.full(len(timed), 0.0, dtype=object)
-    gaps[nonzero] = gap[nonzero]
-
-    # The values of each column's distinct boxes, for op_bytes.
-    has_finish = len(timed) > len(msg) + len(received)
-    has_zero = len(timed) > len(nonzero)
-    boxes = (np.flatnonzero(np.bincount(rank, minlength=n)),
-             np.concatenate([np.arange(-len(first) - has_finish, 0),
-                             received]),
-             np.concatenate([gap[nonzero], np.zeros(int(has_zero))]))
+    # hold them, and so are the +0.0 gaps; the sizes count each box once.
+    rank, rank_bytes = _rank_column(c.rank[timed], n)
+    operand, operand_bytes = _operand_column(
+        kind, cls, classes.shape[1], _ordinals(kind, c.seq[timed], n_messages))
+    del kind, cls
+    gap, gap_bytes = _gap_column(c.gap[timed])
     compiled = CompiledTrace(
-        ranks.tolist(), operand.tolist(), gaps.tolist(), classes,
-        int(np.count_nonzero(is_get[first])),
+        rank, operand, gap, classes, n_get,
         counts, sizes, total_counts, total_sizes,
-        n_messages=len(msg),
+        n_messages=n_messages,
         t=c.t[timed],
-        op_bytes=sum(_list_bytes(len(timed), b) for b in boxes),
+        op_bytes=rank_bytes + operand_bytes + gap_bytes,
     )
     trace._compiled = compiled
     return compiled

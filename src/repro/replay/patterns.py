@@ -64,11 +64,10 @@ __all__ = ["SUBSTITUTABLE", "apply_substitution", "parse_substitute"]
 _TREES = {"bcast": bcast, "reduce": reduce}
 SUBSTITUTABLE = {op: module.ALGORITHMS for op, module in _TREES.items()}
 _COLL = CATS.index("coll")
-#: What :func:`_substitute_instance` says of each row it generates: the
-#: trace columns a generated row fills (``t`` and ``gap`` are zero) and
-#: ``before``, the row it goes ahead of.
-_GENERATED = ("kind", "rank", "peer", "nbytes", "seq", "cat", "mcat",
-              "before")
+#: What :func:`_substitute_instance` says of each row it generates, with
+#: the dtype it is kept in: the trace columns a generated row fills
+#: (``t`` and ``gap`` are zero) and ``before``, the row it goes ahead of.
+_GENERATED = dict(COLUMN_LAYOUT[2:], before=np.int64)
 
 
 def parse_substitute(pairs: Optional[List[str]]) -> Optional[Dict[str, str]]:
@@ -117,10 +116,10 @@ def apply_substitution(trace: ReplayTrace,
     begins, ends, ids = np.array(
         [(b, e, i) for i, inst in enumerate(instances, start=1)
          for b, e in inst.regions.values()], dtype=np.int64).reshape(-1, 3).T
-    step = np.zeros(len(kind), dtype=np.int64)
-    step[begins] = ids
-    step[ends] = -ids
-    owner = np.cumsum(step)
+    owner = np.zeros(len(kind), dtype=np.int64)
+    owner[begins] = ids
+    owner[ends] = -ids
+    np.cumsum(owner, out=owner)
     # Their B rows name the new algorithm.
     colls = list(c.colls)
     renamed = np.arange(len(colls))
@@ -155,6 +154,18 @@ def apply_substitution(trace: ReplayTrace,
     upto = np.searchsorted(owner_of_seq[seq[replaced]],
                            np.arange(len(instances) + 2))
 
+    # What outlives the program order: the replaced sends' pairs, sizes
+    # and categories, and the kept rows — where each was recorded, and
+    # its peer (a B row's renamed one).
+    was_pair = rank[replaced].astype(np.int64) * n + peer[replaced]
+    was_nbytes, was_mcat = nbytes[replaced], mcat[replaced]
+    gone = np.zeros(len(kind), dtype=bool)
+    gone[waited] = gone[replaced] = True
+    kept = np.flatnonzero(~gone)
+    recorded, peer = program[kept], peer[kept]
+    del (program, kind, rank, seq, nbytes, mcat, owner, owner_of_seq,
+         sent, is_send, waited, replaced, gone)
+
     generated = []
     for i, inst in enumerate(instances, start=1):
         members = trace.comms.get(inst.comm_id)
@@ -166,31 +177,39 @@ def apply_substitution(trace: ReplayTrace,
                 raise CommError(
                     f"rank {member} has no recorded region for "
                     f"{inst.op} instance on communicator; trace truncated?")
-        was = replaced[upto[i]:upto[i + 1]]        # its sends, by seq
+        was = slice(upto[i], upto[i + 1])          # its sends, by seq
         rows = _substitute_instance(
             inst, substitute[inst.op], np.asarray(members),
-            rank[was].astype(np.int64) * n + peer[was], nbytes[was],
-            mcat[was], n)
+            was_pair[was], was_nbytes[was], was_mcat[was], n)
         rows["seq"] += fresh
         fresh = int(rows["seq"].max(initial=fresh - 1)) + 1
-        generated.append(rows)
+        generated.append({name: column.astype(_GENERATED[name])
+                          for name, column in rows.items()})
 
-    # Splice: what is kept stays in program order, an instance's new
-    # rows go ahead of the E of the region of the rank that issues them.
-    gone = np.zeros(len(kind), dtype=bool)
-    gone[waited] = gone[replaced] = True
-    kept = np.flatnonzero(~gone)
-    none = np.zeros(0, dtype=np.int64)
-    new = {name: np.concatenate([none] + [rows[name] for rows in generated])
-           for name in _GENERATED}
-    into = np.argsort(np.concatenate([2 * kept + 1, 2 * new["before"]]),
-                      kind="stable")
-    columns, recorded = {}, program[kept]
+    # Splice: what is kept stays in program order, and an instance's
+    # new rows go ahead of the E of the region of the rank that issues
+    # them, in the order they were generated.  So a kept row's place is
+    # its index among the kept plus the new rows that land ahead of it,
+    # and a new row's is the kept rows before its E plus the new rows
+    # sorted ahead of it.  Each column is scattered into its final
+    # dtype, the generated rows joined one column at a time.
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([np.zeros(0, dtype=_GENERATED[name])]
+                              + [rows.pop(name) for rows in generated])
+
+    before = joined("before")
+    order = np.argsort(before, kind="stable")
+    ahead = before[order]
+    at_kept = np.arange(len(kept)) + np.searchsorted(ahead, kept, "right")
+    at_new = np.empty(len(order), dtype=np.int64)
+    at_new[order] = np.searchsorted(kept, ahead) + np.arange(len(order))
+    del kept, before, order, ahead
+    columns = {}
     for name, dtype in COLUMN_LAYOUT:
-        old = peer[kept] if name == "peer" else getattr(c, name)[recorded]
-        columns[name] = np.concatenate(
-            [old, new.get(name, np.zeros(len(new["before"])))]
-        ).astype(dtype)[into]
+        column = columns[name] = np.empty(len(at_kept) + len(at_new), dtype)
+        column[at_kept] = peer if name == "peer" \
+            else getattr(c, name)[recorded]
+        column[at_new] = joined(name) if name in _GENERATED else 0
     return trace._with_columns(TraceColumns(colls=colls, **columns))
 
 

@@ -131,8 +131,8 @@ def validate_query(doc: Dict[str, Any]) -> None:
             raise ServeProtocolError(
                 "query.strategies must be a non-empty list of strings")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ServeProtocolError("query.seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ServeProtocolError("query.seed must be a non-negative integer")
     substitute = doc.get("substitute")
     if substitute is not None:
         if (not isinstance(substitute, dict)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.simmpi.collectives.util import (as_buffer, by_rank,
+from repro.simmpi.collectives.util import (as_buffer, by_rank, copied,
                                           default_algorithm, done, is_pow2,
                                           pack, unwrap)
 from repro.simmpi.datatypes import Buffer
@@ -67,7 +67,7 @@ def _ring(comm, buf: Buffer, ctx):
 
 def _recursive_doubling(comm, buf: Buffer, ctx):
     me, size = comm.rank, comm.size
-    pieces: Dict[int, Buffer] = {me: buf}
+    pieces: Dict[int, Buffer] = {me: copied(buf)}
     mask = 1
     while mask < size:
         peer = me ^ mask
@@ -76,7 +76,7 @@ def _recursive_doubling(comm, buf: Buffer, ctx):
         msg = yield from req.co_wait()
         pieces.update(msg.payload)
         mask <<= 1
-    return by_rank(pieces)
+    return _unpacked(pieces, me, buf)
 
 
 def _bruck(comm, buf: Buffer, ctx):
@@ -88,7 +88,7 @@ def _bruck(comm, buf: Buffer, ctx):
     partial final round, unlike recursive doubling.
     """
     me, size = comm.rank, comm.size
-    pieces: Dict[int, Buffer] = {me: buf}
+    pieces: Dict[int, Buffer] = {me: copied(buf)}
     k = 0
     while (1 << k) < size:
         dist = 1 << k
@@ -104,7 +104,7 @@ def _bruck(comm, buf: Buffer, ctx):
         pieces.update(msg.payload)
         k += 1
     assert len(pieces) == size
-    return by_rank(pieces)
+    return _unpacked(pieces, me, buf)
 
 
 def _gather_bcast(comm, buf: Buffer, ctx):
@@ -115,9 +115,21 @@ def _gather_bcast(comm, buf: Buffer, ctx):
     gathered = yield from co_gather(comm, buf, root=0)
     if me == 0:
         table = {r: as_buffer(v) for r, v in enumerate(gathered)}
+        table[me] = copied(table[me])       # gather copied every other
         packed = pack(table)
     else:
         packed = None
     result = yield from co_bcast(comm, packed, root=0)
     payload = result.payload if isinstance(result, Buffer) else result
-    return by_rank(dict(payload))
+    return _unpacked(payload, me, buf)
+
+
+def _unpacked(pieces: Dict[int, Buffer], me: int, buf: Buffer):
+    """A rank's result out of packed tables, which hand every rank the
+    same piece objects.  The tables hold a copy of each rank's own
+    ``buf``, so no rank sees another reuse its value after the call;
+    the result holds ``buf`` itself, and every other NumPy piece is
+    copied as it leaves (:func:`copied`), once per receiver, so no two
+    ranks share one."""
+    return by_rank({r: buf if r == me else copied(b)
+                    for r, b in pieces.items()})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.simmpi.collectives.util import as_buffer, pack, unwrap
+from repro.simmpi.collectives.util import as_buffer, copied, pack, unwrap
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.op import Op, combine
 
@@ -95,8 +95,12 @@ def co_reduce_scatter(comm, values: List[Any], op: Op,
                 send_idx = range(lo, mid)
                 keep = (mid, hi)
             req = comm._irecv(partner, hi - lo, ctx)
-            yield from comm._co_isend(pack({j: bufs[j] for j in send_idx}),
-                                      partner, hi - lo, ctx, "coll")
+            # Each piece goes to one partner, which may keep it (an op
+            # can return an operand) while this rank's caller reuses
+            # its values: a NumPy piece is copied as it enters the table.
+            yield from comm._co_isend(
+                pack({j: copied(bufs[j]) for j in send_idx}),
+                partner, hi - lo, ctx, "coll")
             msg = yield from req.co_wait()
             for j, b in msg.payload.items():
                 bufs[j] = combine(op, bufs[j], b)

@@ -4,6 +4,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ServeProtocolError
 from repro.serve import protocol
@@ -92,10 +94,56 @@ def test_envelope_schema_and_type_checked():
     ({"fingerprint": "ab", "substitute": {"reduce": 3}}, "substitute"),
     ({"fingerprint": "ab", "focus": 5}, "focus"),
     ({"fingerprint": "ab", "focus": {"straggler_ranks": ["x"]}}, "focus"),
+    ({"fingerprint": "ab", "seed": -1}, "seed"),
 ])
 def test_query_validation_rejects(body, message):
     with pytest.raises(ServeProtocolError, match=message):
         protocol.validate_query(body)
+
+
+#: Any JSON value.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+#: The fields of a well-formed request, each by what it may hold.
+_FIELDS = {
+    "fingerprint": st.text(min_size=1, max_size=8),
+    "path": st.text(min_size=1, max_size=8),
+    "strategies": st.lists(st.text(max_size=8), min_size=1, max_size=3),
+    "seed": st.integers(min_value=0),
+    "substitute": st.dictionaries(st.text(max_size=8), st.text(max_size=8),
+                                  max_size=2),
+    "focus": st.fixed_dictionaries({}, optional={
+        "straggler_ranks": st.lists(st.integers(), max_size=3),
+        "congested_classes": st.lists(st.text(max_size=8), max_size=3)}),
+    "compile": st.booleans(),
+    "drain": st.booleans(),
+}
+_WELL_FORMED = st.fixed_dictionaries(
+    {"schema": st.just(protocol.PROTOCOL_SCHEMA),
+     "type": st.sampled_from(protocol.REQUEST_TYPES),
+     "fingerprint": _FIELDS["fingerprint"], "path": _FIELDS["path"]},
+    optional={field: _FIELDS[field] for field in list(_FIELDS)[2:]})
+
+
+@pytest.mark.parametrize("field", ["schema", "type", *_FIELDS])
+@settings(max_examples=50, deadline=None)
+@given(doc=_WELL_FORMED, value=_JSON,
+       other=st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
+def test_any_json_object_validates_or_is_a_protocol_error(field, doc, value,
+                                                          other):
+    """A request either passes validation or is refused as a protocol
+    error (``bad-request``), never anything else: a well-formed request
+    with ``field`` replaced by any JSON value, and any JSON object."""
+    for request in ({**doc, field: value}, other):
+        try:
+            assert protocol.validate_request(request) \
+                in protocol.REQUEST_TYPES
+        except ServeProtocolError:
+            pass
 
 
 def test_full_request_validation():

@@ -259,6 +259,24 @@ class TestAllgather:
         expected = [chr(ord("a") + i) for i in range(n)]
         assert all(r == expected for r in results)
 
+    @pytest.mark.parametrize("algorithm", AG_ALGOS)
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_arrays_are_copied_not_shared(self, algorithm, n):
+        # Each rank gets its own copy of every other rank's piece, taken
+        # before that rank may reuse its value: writes right after the
+        # call, to the input or to any piece, show on no other rank.
+        def prog(comm):
+            mine = np.full(3, float(comm.rank))
+            got = comm.allgather(mine, algorithm=algorithm)
+            seen = [piece.tolist() for piece in got]
+            mine[:] = -1
+            for piece in got:
+                piece[:] = -2
+            return seen
+
+        results, _ = run_spmd(prog, n_ranks=n)
+        assert results == [[[float(r)] * 3 for r in range(n)]] * n
+
     def test_default_algorithm_selection(self):
         def prog(comm):
             return comm.allgather(comm.rank)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simmpi import MAX, RankFailure, SUM
+from repro.simmpi.op import Op
 from tests.conftest import run_spmd
 
 SIZES = [1, 2, 3, 4, 5, 8]
@@ -104,6 +105,27 @@ class TestReduceScatter:
         results, _ = run_spmd(prog, n_ranks=4)
         # result at rank j = sum over ranks of (rank + j)
         assert results == [[6.0 + 4 * j] * 2 for j in range(4)]
+
+    @pytest.mark.parametrize("op", [SUM, Op("second", lambda a, b: b)])
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_arrays_are_copied_not_shared(self, op, n):
+        # A partner may keep a piece it was sent (an op can return an
+        # operand): writes right after the call, to the values or to
+        # the result, change what no other rank gets.
+        def prog(comm, write):
+            values = [np.full(2, float(comm.rank * 10 + j))
+                      for j in range(comm.size)]
+            got = comm.reduce_scatter(values, op)
+            seen = got.tolist()
+            if write:
+                for v in values:
+                    v[:] = -1
+                got[:] = -2
+            return seen
+
+        quiet, _ = run_spmd(lambda comm: prog(comm, False), n_ranks=n)
+        results, _ = run_spmd(lambda comm: prog(comm, True), n_ranks=n)
+        assert results == quiet
 
     def test_wrong_value_count(self):
         def prog(comm):
