@@ -78,7 +78,6 @@ def test_disabled_mode_is_structurally_noop():
     assert engine._obs is None
     assert engine._obs_spans is None
     assert engine.pml.trace_hook is None
-    assert engine.pml._obs_batch_hist is None
 
 
 def test_baseline_co_wait_is_faithful():

@@ -8,8 +8,8 @@ engines carry a plain ``None`` and pay nothing.  It does three things:
   per-link-class message/byte/latency totals in plain Python lists (the
   ``hook is not None`` branch is one the PML already pays, so enabling
   obs adds no new branch to the per-message path);
-* samples cheap signals on the engine's *per-wait* paths (ready-queue
-  depth at block time, PML batch segment counts at close);
+* samples a cheap signal on the engine's *per-wait* path (ready-queue
+  depth at block time);
 * publishes everything into the metrics registry once, at
   :meth:`run_finished`, together with the engine's own counters
   (switches, messages, deferred sends, elided switches) and the
@@ -27,10 +27,8 @@ from repro.simmpi.pml_monitoring import CATEGORIES
 
 __all__ = ["EngineObserver"]
 
-#: Ready-queue depths are small (bounded by world size); batch sizes by
-#: the largest per-peer segment count.
+#: Ready-queue depths are small (bounded by world size).
 _DEPTH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-_BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 
 class EngineObserver:
@@ -57,8 +55,6 @@ class EngineObserver:
         self._link_bytes = [0] * n_classes
         self._link_lat = [0.0] * n_classes
         self._install_link_hook(engine)
-        engine.pml._obs_batch_hist = self.registry.histogram(
-            "repro_pml_batch_segments", buckets=_BATCH_BUCKETS)
 
     # -- per-message (rides the PML trace hook) ---------------------------
 
@@ -73,14 +69,14 @@ class EngineObserver:
         byts = self._link_bytes
         lats = self._link_lat
 
-        def hook(t, src, dst, nbytes, category, count):
+        def hook(t, src, dst, nbytes, category):
             pair = src * n + dst
             i = clsidx[pair]
-            msgs[i] += count
+            msgs[i] += 1
             byts[i] += nbytes
-            lats[i] += alpha[pair] * count
+            lats[i] += alpha[pair]
             if prev is not None:
-                prev(t, src, dst, nbytes, category, count)
+                prev(t, src, dst, nbytes, category)
 
         pml.trace_hook = hook
 

@@ -521,8 +521,10 @@ class Timeline:
         cumulative bytes of the cross-node messages (what the node's
         hardware counter totals; it ticks at ``sender_done``, a
         send-overhead later — close enough for windowed diagnosis, and
-        noted in the resulting meta).  PML epochs approximate the live
-        counter by the number of recorded monitored events.
+        noted in the resulting meta).  A category's PML epoch is the
+        number of recorded events monitored in it: every message is one
+        record and each record moves the live epoch once, so this equals
+        the live counter on a run that never calls ``pml.reset()``.
         """
         full_meta = {"nic_series": "issue-time approximation",
                      "pml_epochs": "recorded-event counts"}

@@ -87,6 +87,11 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
         doc = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServeProtocolError(f"frame payload is not JSON: {exc}") from None
+    except RecursionError:
+        # A frame far under the size cap can still nest deeper than the
+        # parser recurses; it is a bad request like any other.
+        raise ServeProtocolError(
+            "frame payload is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ServeProtocolError(
             f"frame payload must be a JSON object, got {type(doc).__name__}")
@@ -108,7 +113,8 @@ def _frame_length(header: bytes) -> int:
 def validate_envelope(doc: Dict[str, Any], types) -> str:
     """Check schema + type; returns the type.  Raises on violation."""
     schema = doc.get("schema")
-    if schema != PROTOCOL_SCHEMA:
+    # ``type(...) is int``: ``True`` and ``1.0`` compare equal to 1.
+    if type(schema) is not int or schema != PROTOCOL_SCHEMA:
         raise ServeProtocolError(
             f"message schema={schema!r}, this build speaks "
             f"schema={PROTOCOL_SCHEMA}")

@@ -49,19 +49,18 @@ def _ring(comm, buf: Buffer, ctx):
     right = (me + 1) % size
     left = (me - 1) % size
     pieces: Dict[int, Buffer] = {me: buf}
-    # The ring's per-peer decomposition is regular — size-1 pieces, all
-    # to the right neighbour: the whole rotation tallies into one batch.
-    batch = comm._open_peer_batch(right, "coll")
     # Step k: forward the piece received at step k-1 (own piece first).
     forward = me
     for step in range(size - 1):
         req = comm._irecv(left, step, ctx)
-        yield from comm._co_isend(pieces[forward], right, step, ctx, "coll", batch)
+        yield from comm._co_isend(pieces[forward], right, step, ctx, "coll")
         msg = yield from req.co_wait()
         incoming = (left - step) % size  # origin of the piece at this step
         pieces[incoming] = msg.buf
         forward = incoming
-    yield from comm._co_close_peer_batch(batch)
+    # Settle the last forward's send before the collective returns,
+    # so it materializes before the recorded end marker.
+    yield from comm.co_sync()
     return by_rank(pieces)
 
 

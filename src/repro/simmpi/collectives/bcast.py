@@ -111,10 +111,6 @@ def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
     parent, children = tree("binomial", comm.rank, comm.size, root)
     nseg = _segment_count(comm, buf, root, segments, ctx)
 
-    # Per-edge accounting is regular (nseg segments, whole buffer):
-    # every segment send to a child tallies into one per-child batch.
-    batches = {c: comm._open_peer_batch(c, "coll") for c in children}
-
     if parent is None:
         pieces = split_buffer(buf, nseg)
         hdr = Buffer(("BCAST_HDR", nseg, pieces[0].payload),
@@ -122,10 +118,11 @@ def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
         for s, piece in enumerate(pieces):
             wire = hdr if s == 0 else piece
             for child in children:
-                yield from comm._co_isend(wire, child, s, ctx, "coll",
-                                          batches[child])
-        for child in children:
-            yield from comm._co_close_peer_batch(batches[child])
+                yield from comm._co_isend(wire, child, s, ctx, "coll")
+        if children:
+            # Settle the last segment's send before the collective
+            # returns, so it materializes before the recorded end marker.
+            yield from comm.co_sync()
         return unwrap(buf)
 
     # Receivers: segment 0 carries the segment count in its header.
@@ -139,16 +136,14 @@ def _binomial(comm, buf: Optional[Buffer], root: int, ctx, segments):
         nseg = 1
         pieces = [msg0.buf]
     for child in children:
-        yield from comm._co_isend(msg0.buf, child, 0, ctx, "coll",
-                                  batches[child])
+        yield from comm._co_isend(msg0.buf, child, 0, ctx, "coll")
     for s in range(1, nseg):
         msg = yield from comm._irecv(parent, s, ctx).co_wait()
         pieces.append(msg.buf)
         for child in children:
-            yield from comm._co_isend(msg.buf, child, s, ctx, "coll",
-                                      batches[child])
-    for child in children:
-        yield from comm._co_close_peer_batch(batches[child])
+            yield from comm._co_isend(msg.buf, child, s, ctx, "coll")
+    if children:
+        yield from comm.co_sync()
     if nseg == 1:
         return unwrap(pieces[0])
     return unwrap(join_payloads(pieces, pieces[0]))

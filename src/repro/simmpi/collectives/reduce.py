@@ -90,20 +90,19 @@ def _tree_reduce(comm, buf: Buffer, op: Op, root: int, ctx, nseg: int,
     parent, children = tree(algorithm, comm.rank, comm.size, root)
     pieces = split_buffer(buf, nseg)
     out: List[Buffer] = []
-    # Regular per-edge decomposition: the nseg segment sends to the
-    # parent tally into one batch.
-    batch = None if parent is None else comm._open_peer_batch(parent, "coll")
     for s, piece in enumerate(pieces):
         acc = piece
         for child in children:
             msg = yield from comm._irecv(child, s, ctx).co_wait()
             acc = combine(op, acc, msg.buf)
         if parent is not None:
-            yield from comm._co_isend(acc, parent, s, ctx, "coll", batch)
+            yield from comm._co_isend(acc, parent, s, ctx, "coll")
         else:
             out.append(acc)
     if parent is not None:
-        yield from comm._co_close_peer_batch(batch)
+        # Settle the last segment's send before the collective
+        # returns, so it materializes before the recorded end marker.
+        yield from comm.co_sync()
         return None
     if nseg == 1:
         return unwrap(out[0])

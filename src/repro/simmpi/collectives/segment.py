@@ -5,12 +5,8 @@ segments through the tree, which turns the collective from
 latency-bound (depth × full-buffer transfers) into throughput-bound —
 the regime in which the paper's Fig. 5 reordering gains arise.  The
 monitoring component consequently sees one point-to-point message per
-segment per tree edge, exactly as on the real stack.
-
-Because the per-peer decomposition is *regular* (a fixed segment count
-covering the whole buffer), the pipelined collectives account their
-segment sends through one :class:`~repro.simmpi.pml_monitoring.PeerBatch`
-per tree edge instead of one accumulator update per segment.
+segment per tree edge, exactly as on the real stack: each segment send
+is one record, gated by the monitoring mode in force when it is sent.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import numpy as np
 
 from repro.simmpi.datatypes import Buffer
 
-__all__ = ["n_segments", "split_buffer", "join_payloads", "total_nbytes",
+__all__ = ["n_segments", "split_buffer", "join_payloads",
            "DEFAULT_SEGMENT_BYTES", "MAX_SEGMENTS"]
 
 #: Segment size used by the pipelined algorithms (Open MPI's tuned
@@ -73,15 +69,6 @@ def split_buffer(buf: Buffer, segments: int) -> List[Buffer]:
         f"cannot segment a {type(buf.payload).__name__} payload; "
         "use segments=1"
     )
-
-
-def total_nbytes(pieces: List[Buffer]) -> int:
-    """Wire volume of a regular segmented decomposition.
-
-    Pipelined collectives send each piece once per tree edge; the edge
-    total is what a :class:`PeerBatch` accumulates across the segment
-    sends of that edge."""
-    return sum(p.nbytes for p in pieces)
 
 
 def join_payloads(pieces: List[Buffer], like: Buffer) -> Buffer:

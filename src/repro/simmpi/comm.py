@@ -30,7 +30,6 @@ from repro.simmpi.engine import (_INF, _PS_QSEQ, _State, _bad_duration,
 from repro.simmpi.errorsim import CommError, SimError
 from repro.simmpi.match import ANY_SOURCE, ANY_TAG, MatchQueue, Message
 from repro.simmpi.op import Op
-from repro.simmpi.pml_monitoring import PeerBatch
 from repro.simmpi.request import RecvRequest, Request, SendRequest
 
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
@@ -246,10 +245,8 @@ class Communicator:
 
     # -- internal point-to-point (collectives, OSC) -------------------------
 
-    def _co_isend(
-        self, buf: Buffer, dest: int, tag: int, context: Hashable, category: str,
-        batch=None,
-    ):
+    def _co_isend(self, buf: Buffer, dest: int, tag: int, context: Hashable,
+                  category: str):
         """Internal send (collectives, OSC), for ``yield from``.
 
         Settles the caller's previous deferred send first — the one
@@ -263,8 +260,6 @@ class Communicator:
         # charge, and the actual network transfer happen in
         # Engine._materialize — now when this rank is frontmost in
         # virtual time, when the send comes due otherwise.
-        # Sends carrying a ``batch`` (PeerBatch) tally into it instead
-        # of the per-message accumulator update; see _open_peer_batch.
         # ``dest`` is trusted (user entry points validate); the caller
         # is resolved via the raw thread-local — this runs once per
         # simulated message — and refuses a non-member before settling.
@@ -283,7 +278,7 @@ class Communicator:
             if nxt is not None:
                 return eng._co_settle_park(
                     proc, nxt, self._co_isend,
-                    (buf, dest, tag, context, category, batch))
+                    (buf, dest, tag, context, category))
         payload = buf.payload
         if isinstance(payload, np.ndarray):
             # Buffer.copy_payload, inlined: arrays are value-copied.
@@ -307,7 +302,7 @@ class Communicator:
         # The send is one engine _PS_* entry either way.
         clock = proc.clock
         ps = [clock, proc.rank, 0, proc, mq, msg, self.group[dest],
-              buf.nbytes, batch, False]
+              buf.nbytes, False]
         # Defer it when any rank or queued send is due before us (the
         # branch nearly every message takes).  Our previous send is
         # settled by now.
@@ -337,26 +332,6 @@ class Communicator:
         else:
             eng._materialize(ps)
         return ()
-
-    def _open_peer_batch(self, dest: int, category: str) -> PeerBatch:
-        """Open batched matrix bookkeeping for sends to one peer.
-
-        Segmented/pipelined collectives whose per-peer decomposition is
-        regular tag their segment sends with the returned batch; each
-        send is still mode-gated individually when it materializes, but
-        the tallies fold into the monitoring accumulators in one update
-        at :meth:`_co_close_peer_batch`."""
-        proc = self._current()
-        return PeerBatch(proc.rank, self.group[dest], category)
-
-    def _co_close_peer_batch(self, batch: PeerBatch):
-        """Fold a batch's tallies into the monitoring accumulators;
-        the caller's deferred send is settled first so ``close_batch``'s
-        own sync finds nothing pending."""
-        proc = self._current()
-        if proc.pending is not None:
-            yield from self.engine.co_settle(proc)
-        self.engine.pml.close_batch(batch)
 
     def _irecv(self, source: int, tag: int, context: Hashable) -> RecvRequest:
         # ``source`` is trusted (user entry points validate) and the

@@ -51,12 +51,13 @@ a real rank (not just a pending transfer) must run before it.  There is
 one send path: every send is built as a deferred send, and one that
 nothing is due before is materialized on the spot
 (:meth:`Engine._materialize`, the monitoring component's vantage
-point for p2p and collective traffic).
+point for p2p and collective traffic: every message, each segment of
+a pipelined collective included, is one ``pml.record`` call there).
 
 A deferred send is one list, both ``proc.pending`` and its pending-heap
 entry: ``[clock, rank, qseq, proc, queue, msg, dst_world, nbytes,
-batch, parked]`` (``_PS_*``; ``qseq`` is unique, so comparisons never
-reach ``proc``).  A generator program is its rank's continuation, with
+parked]`` (``_PS_*``; ``qseq`` is unique, so comparisons never reach
+``proc``).  A generator program is its rank's continuation, with
 no wrapper frame.  A rank parks in :meth:`Engine._co_settle_park`
 (settling a deferred send, also for ``Communicator._co_isend``), in
 ``RecvRequest.co_wait`` (which inlines that loop) or in
@@ -324,17 +325,15 @@ def _settle_bridge(engine: "Engine") -> Callable[[], None]:
 #   [4] queue     — destination MatchQueue
 #   [5] msg       — pre-built Message (arrival filled at materialization)
 #   [6] dst_world — destination world rank (for monitoring/transfer)
-#   [7] nbytes    — wire size
-#   [8] batch     — PeerBatch for batched collectives, else None; the
-#                   send is still gated (and charged monitoring
-#                   overhead) individually at materialization
-#   [9] parked    — True once the owner parks awaiting
+#   [7] nbytes    — wire size; recorded (and charged monitoring
+#                   overhead) at materialization, one record per send
+#   [8] parked    — True once the owner parks awaiting
 #                   materialization; tells the materializer to resume
 #                   the owner right after the transfer (transfer +
 #                   continuation form one tenure, exactly as if the
 #                   sender had parked for every rank behind it)
 (_PS_CLOCK, _PS_RANK, _PS_QSEQ, _PS_PROC, _PS_QUEUE, _PS_MSG, _PS_DSTW,
- _PS_NBYTES, _PS_BATCH, _PS_PARKED) = range(10)
+ _PS_NBYTES, _PS_PARKED) = range(9)
 
 
 class SimProcess:
@@ -744,32 +743,11 @@ class Engine:
         owning process when it is parked on this transfer and must be
         resumed now (its post-transfer code belongs to this tenure).
         """
-        _, _, _, proc, mq, msg, dst_world, nbytes, batch, parked = ps
+        _, _, _, proc, mq, msg, dst_world, nbytes, parked = ps
         proc.pending = None
         clock = proc.clock
-        if batch is None:
-            recorded = self.pml.record(proc.rank, dst_world, nbytes,
-                                       msg.category, clock)
-        else:
-            # pml.note_batched, inlined: gate and tally into the
-            # collective's PeerBatch at this exact point in the global
-            # order.
-            pml = self.pml
-            hook = pml.trace_hook
-            if hook is not None:
-                hook(clock, batch.src, batch.dst, nbytes, batch.category, 1)
-            mode = pml._mode
-            if mode == 0:
-                recorded = False
-            else:
-                tl = batch.tallies
-                if mode == 1 and batch.category == "coll":
-                    tl[2] += 1
-                    tl[3] += nbytes
-                else:
-                    tl[0] += 1
-                    tl[1] += nbytes
-                recorded = True
+        recorded = self.pml.record(proc.rank, dst_world, nbytes,
+                                   msg.category, clock)
         t_pre = clock
         if recorded and self.monitoring_overhead > 0.0:
             proc.clock = clock = clock + self.monitoring_overhead

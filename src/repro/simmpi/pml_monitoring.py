@@ -25,9 +25,10 @@ into the numpy matrices only when somebody *reads* them (a pvar read, a
 session snapshot, ``totals``).  Each category also carries a
 monotonically increasing *epoch* so snapshot/diff layers can skip
 categories that have not changed since they last looked
-(:meth:`epoch`).  :meth:`record_batch` folds ``count`` same-peer
-messages into one accumulator update; segmented collectives use it for
-their regular per-peer decompositions.
+(:meth:`epoch`).  There is one way in: every message, a segment of
+a pipelined collective included, is one :meth:`record` call, so a
+category's epoch counts the messages monitored in it (since the last
+:meth:`reset`).
 
 The matrices are exposed through MPI_T performance variables
 (:mod:`repro.simmpi.mpit`); the high-level library never touches this
@@ -42,38 +43,10 @@ import numpy as np
 
 from repro.simmpi.mpit import MpiToolInterface
 
-__all__ = ["PmlMonitoring", "PeerBatch", "CATEGORIES", "PVAR_NAMES"]
+__all__ = ["PmlMonitoring", "CATEGORIES", "PVAR_NAMES"]
 
 CATEGORIES: Tuple[str, ...] = ("p2p", "coll", "osc")
 
-
-class PeerBatch:
-    """Accumulator for one collective's sends to one peer.
-
-    Segmented/pipelined collectives with a regular per-peer
-    decomposition open a batch, tag every segment send with it, and
-    close it when the decomposition is done.  Each send is still
-    *gated individually* when it materializes — against the monitoring
-    mode at that moment in the global order, exactly like an
-    individually recorded send (a session can open or close between
-    two segments of the same batch) — but the gated tallies fold into
-    the pending accumulators in one update at close instead of one per
-    segment.
-
-    ``tallies`` is ``[count, bytes]`` recorded under the batch's own
-    category followed by ``[count, bytes]`` recorded while mode 1
-    remapped collective-internal traffic to ``p2p``.
-    """
-
-    __slots__ = ("src", "dst", "category", "tallies")
-
-    def __init__(self, src: int, dst: int, category: str):
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown category {category!r}")
-        self.src = src
-        self.dst = dst
-        self.category = category
-        self.tallies = [0, 0, 0, 0]
 
 #: MPI_T pvar names per category, mirroring the Open MPI component.
 PVAR_NAMES: Dict[str, Tuple[str, str]] = {
@@ -157,12 +130,13 @@ class PmlMonitoring:
         self._pend: Dict[str, Dict[Tuple[int, int], list]] = {
             c: {} for c in CATEGORIES
         }
-        # Per-category write epoch (bumped on every record, flushed or
-        # not); snapshot layers compare epochs to skip unchanged data.
+        # Per-category write epoch (bumped once per recorded message,
+        # flushed or not, and by reset); snapshot layers compare
+        # epochs to skip unchanged data.
         self._epochs: Dict[str, int] = {c: 0 for c in CATEGORIES}
         # Optional per-message tap (repro.obs.hooks chains its link
         # accounting here): a callable ``(t, src, dst, nbytes,
-        # category, count)`` invoked for every record, *before* the
+        # category)`` invoked for every record, *before* the
         # mode gate — it sees messages even while monitoring is
         # disabled.
         self.trace_hook: Optional[Callable] = None
@@ -171,21 +145,15 @@ class PmlMonitoring:
         # mode changed, so both happen at the same point in the global
         # order as with non-deferred sends.
         self.sync: Optional[Callable[[], None]] = None
-        # Set by repro.obs.hooks.EngineObserver: a histogram observing
-        # the segment count of every closed PeerBatch.  Stays None on
-        # uninstrumented engines (close_batch checks once per batch,
-        # not per message).
-        self._obs_batch_hist = None
         if mpit is not None:
             self.register(mpit)
 
     # -- pickling ----------------------------------------------------------
 
     # The runtime taps are rebound by whoever thaws the object (the
-    # engine's ``__setstate__`` re-installs ``sync``; the obs hook and
-    # histogram re-attach themselves): only the counter state
-    # itself travels.
-    _EPHEMERAL = ("trace_hook", "sync", "_obs_batch_hist")
+    # engine's ``__setstate__`` re-installs ``sync``; the obs hook
+    # re-attaches itself): only the counter state itself travels.
+    _EPHEMERAL = ("trace_hook", "sync")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -197,7 +165,6 @@ class PmlMonitoring:
         self.__dict__.update(state)
         self.trace_hook = None
         self.sync = None
-        self._obs_batch_hist = None
 
     # -- MPI_T surface ----------------------------------------------------
 
@@ -271,26 +238,25 @@ class PmlMonitoring:
                t: Optional[float] = None) -> bool:
         """Record one sent message; returns True iff it was recorded.
 
-        Called by the engine's send materialization for *every*
-        message, including the zero-length ones some collectives
-        generate (the count still increments — the paper warns users
-        about exactly those).  ``t`` is the sender's virtual clock at
-        the send, forwarded to the trace hook (deferred sends are
-        materialized by whichever rank holds the baton, so the hook
-        cannot derive it from the calling thread).
-
-        Semantically ``record_batch(src, dst, 1, nbytes, category)``,
-        but flattened: this is the per-message hot path and saves the
-        two extra call frames.  The category check stays unconditional
-        (it must fire even while monitoring is disabled).
+        Called once by the engine's send materialization for *every*
+        message — each segment of a pipelined collective, and the
+        zero-length messages some collectives generate (the count
+        still increments — the paper warns users about exactly those)
+        — at its point in the global order, so the mode in force then
+        gates it.  ``t`` is the sender's virtual clock at the send,
+        forwarded to the trace hook (deferred sends are materialized
+        by whichever rank holds the baton, so the hook cannot derive
+        it from the calling thread).  The category and size checks
+        stay unconditional (they must fire even while monitoring is
+        disabled).
         """
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}")
         if nbytes < 0:
-            raise ValueError("count and total_bytes must be >= 0")
+            raise ValueError("nbytes must be >= 0")
         hook = self.trace_hook
         if hook is not None:
-            hook(t, src, dst, nbytes, category, 1)
+            hook(t, src, dst, nbytes, category)
         mode = self._mode
         if mode == 0:
             return False
@@ -305,88 +271,6 @@ class PmlMonitoring:
             entry[1] += nbytes
         self._epochs[category] += 1
         return True
-
-    def record_batch(self, src: int, dst: int, count: int, total_bytes: int,
-                     category: str, t: Optional[float] = None) -> bool:
-        """Record ``count`` messages totalling ``total_bytes`` to one peer.
-
-        Equivalent to ``count`` individual :meth:`record` calls for the
-        matrices and totals; the trace hook sees one event carrying the
-        multiplicity.  Returns True iff the messages were recorded.
-        """
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown category {category!r}")
-        if count < 0 or total_bytes < 0:
-            raise ValueError("count and total_bytes must be >= 0")
-        if self.trace_hook is not None:
-            self.trace_hook(t, src, dst, total_bytes, category, count)
-        if self._mode == 0 or count == 0:
-            return False
-        if self._mode == 1 and category == "coll":
-            # No internal/external distinction: collective-internal
-            # traffic is indistinguishable from user point-to-point.
-            category = "p2p"
-        self._accumulate(src, dst, count, total_bytes, category)
-        return True
-
-    def note_batched(self, batch: PeerBatch, nbytes: int,
-                     t: Optional[float] = None) -> bool:
-        """Gate one batched send at its materialization point.
-
-        Same observable behaviour as :meth:`record` — trace hook, mode
-        gate, and mode-1 remapping all evaluated *now* — except that
-        the tallies land in the batch instead of the accumulator dicts.
-        Returns True iff the message was recorded (the engine charges
-        the monitoring overhead on that)."""
-        hook = self.trace_hook
-        if hook is not None:
-            hook(t, batch.src, batch.dst, nbytes, batch.category, 1)
-        mode = self._mode
-        if mode == 0:
-            return False
-        tl = batch.tallies
-        if mode == 1 and batch.category == "coll":
-            tl[2] += 1
-            tl[3] += nbytes
-        else:
-            tl[0] += 1
-            tl[1] += nbytes
-        return True
-
-    def close_batch(self, batch: PeerBatch) -> None:
-        """Fold a finished batch into the pending accumulators.
-
-        Settles the caller's own deferred send first so the batch's
-        last segment has materialized (and been gated) before its
-        tallies are read."""
-        if self.sync is not None:
-            self.sync()
-        n_cat, b_cat, n_p2p, b_p2p = batch.tallies
-        h = self._obs_batch_hist
-        if h is not None:
-            h.observe(n_cat + n_p2p)
-        if n_cat:
-            self._accumulate(batch.src, batch.dst, n_cat, b_cat, batch.category)
-        if n_p2p:
-            self._accumulate(batch.src, batch.dst, n_p2p, b_p2p, "p2p")
-        batch.tallies = [0, 0, 0, 0]
-
-    def _accumulate(self, src: int, dst: int, count: int, total_bytes: int,
-                    category: str) -> None:
-        """Fold already-gated records into the pending accumulators.
-
-        The category must already be resolved (mode-1 remapping done);
-        no trace hook, no validation — this is the tail of
-        :meth:`record_batch` and the flush target of
-        :class:`PeerBatch`."""
-        pend = self._pend[category]
-        entry = pend.get((src, dst))
-        if entry is None:
-            pend[(src, dst)] = [count, total_bytes]
-        else:
-            entry[0] += count
-            entry[1] += total_bytes
-        self._epochs[category] += 1
 
     # -- reading (flushes the accumulators) ---------------------------------
 
@@ -455,7 +339,7 @@ class PmlMonitoring:
         """Per-category ``{"epoch", "messages", "bytes"}`` — the shape
         cross-layer consumers (:mod:`repro.obs.timeline`) ingest.
 
-        Flushes pending batches (via :meth:`totals`), so it is only
+        Flushes pending records (via :meth:`totals`), so it is only
         safe once the run has drained — the same contract as reading
         the matrices.
         """

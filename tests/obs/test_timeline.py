@@ -116,6 +116,13 @@ class TestFromRun:
         # NIC cumulative series straight off the hardware counters.
         assert tl.counter_keys("nic:xmit:")
 
+    def test_pml_layer_equals_trace_reconstruction(self, fig5_timelines):
+        """Every message is one PML record, so the live totals and
+        epochs equal the recording's monitored rows per category."""
+        tl_run, tl_trace = fig5_timelines
+        assert tl_run.pml == tl_trace.pml
+        assert tl_run.pml["coll"]["epoch"] == tl_run.pml["coll"]["messages"]
+
     def test_nic_series_matches_counters(self, instrumented_fig5,
                                          fig5_timelines):
         engine, _, _, _ = instrumented_fig5

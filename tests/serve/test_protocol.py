@@ -71,12 +71,16 @@ def test_non_json_payload_rejected():
         protocol.decode_payload(b"\xff\xfe")
     with pytest.raises(ServeProtocolError, match="JSON object"):
         protocol.decode_payload(b"[1,2]")
+    # Nested deeper than the parser recurses, yet far under the cap.
+    with pytest.raises(ServeProtocolError, match="nested too deeply"):
+        protocol.decode_payload(b"[" * 100_000 + b"]" * 100_000)
 
 
 def test_envelope_schema_and_type_checked():
-    with pytest.raises(ServeProtocolError, match="schema"):
-        protocol.validate_envelope({"schema": 99, "type": "ping"},
-                                   protocol.REQUEST_TYPES)
+    for schema in (99, True, 1.0, "1", None):
+        with pytest.raises(ServeProtocolError, match="schema"):
+            protocol.validate_envelope({"schema": schema, "type": "ping"},
+                                       protocol.REQUEST_TYPES)
     with pytest.raises(ServeProtocolError, match="unknown message type"):
         protocol.validate_envelope({"schema": 1, "type": "frobnicate"},
                                    protocol.REQUEST_TYPES)

@@ -412,6 +412,29 @@ def test_ingesting_a_file_that_is_no_trace_is_a_bad_request(
             assert client.ping()["type"] == "pong"
 
 
+def test_deeply_nested_frame_is_a_bad_request(serve_daemon):
+    """A frame nested deeper than the JSON parser recurses (200 kB, far
+    under the size cap) is answered ``bad-request``; the daemon goes on
+    serving."""
+    import socket
+    import struct
+
+    from repro.serve import protocol
+
+    payload = b"[" * 100_000 + b"]" * 100_000
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30)
+            raw.connect(sock)
+            raw.sendall(struct.pack(">I", len(payload)) + payload)
+            reply = protocol.read_frame_sock(raw)
+        assert reply["type"] == "error"
+        assert reply["code"] == "bad-request"
+        assert "nested too deeply" in reply["message"]
+        with ServeClient(path=sock) as client:
+            assert client.ping()["type"] == "pong"
+
+
 def test_unknown_fingerprint_and_bad_requests(serve_traces, serve_daemon):
     with serve_daemon(jobs=1) as (sock, _proc):
         with ServeClient(path=sock) as client:
