@@ -134,10 +134,7 @@ def _build_network(trace: ReplayTrace, binding, topology=None, params=None,
             f"rank {rank} is bound to PU {bnd[rank]}, outside the "
             f"topology's [0, {topo.n_pus})")
     sd = trace.seed if seed is None else int(seed)
-    # record_nic=False: the replayer never reads the per-node hardware
-    # counters, and skipping their per-message appends does not change
-    # any cost computation.
-    return Network(topo, bnd, prm, seed=sd, record_nic=False)
+    return Network(topo, bnd, prm, seed=sd)
 
 
 def _is_exact(trace: ReplayTrace, binding, topology, params, seed) -> bool:

@@ -111,13 +111,12 @@ def _gather_bcast(comm, buf: Buffer, ctx):
     from repro.simmpi.collectives.gather import co_gather
 
     me = comm.rank
-    gathered = yield from co_gather(comm, buf, root=0)
-    if me == 0:
-        table = {r: as_buffer(v) for r, v in enumerate(gathered)}
-        table[me] = copied(table[me])       # gather copied every other
-        packed = pack(table)
-    else:
-        packed = None
+    # Gather each rank's piece as a Buffer (copied as it enters), so the
+    # root's table keeps every piece's declared size, not the size of
+    # its bare value.
+    gathered = yield from co_gather(
+        comm, Buffer(copied(buf), nbytes=buf.nbytes), root=0)
+    packed = pack(dict(enumerate(gathered))) if me == 0 else None
     result = yield from co_bcast(comm, packed, root=0)
     payload = result.payload if isinstance(result, Buffer) else result
     return _unpacked(payload, me, buf)

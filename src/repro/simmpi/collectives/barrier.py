@@ -46,14 +46,16 @@ def co_barrier(comm, algorithm: Optional[str] = None):
     return _tree(comm, ctx)
 
 
-def _dissemination(comm, ctx):
+def _dissemination(comm, ctx, category: str = "coll"):
+    """Round k: a token to ``rank + 2^k``, one from ``rank - 2^k``.
+    ``Window.co_fence`` runs it too, as ``"osc"`` traffic."""
     me, size = comm.rank, comm.size
     for k in range(ceil_log2(size)):
         dist = 1 << k
         dst = (me + dist) % size
         src = (me - dist) % size
         req = comm._irecv(src, k, ctx)
-        yield from comm._co_isend(_TOKEN, dst, k, ctx, "coll")
+        yield from comm._co_isend(_TOKEN, dst, k, ctx, category)
         yield from req.co_wait()
 
 

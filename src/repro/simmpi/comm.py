@@ -334,8 +334,7 @@ class Communicator:
         return ()
 
     def _irecv(self, source: int, tag: int, context: Hashable) -> RecvRequest:
-        # ``source`` is trusted (user entry points validate) and the
-        # queue probe is inlined, mirroring _co_isend.
+        # ``source`` is trusted (user entry points validate).
         try:
             proc = _tls.proc
         except AttributeError:
@@ -356,18 +355,7 @@ class Communicator:
         mq = self._queues[my_local]
         if mq is None:
             mq = self._queue(my_local)
-        # MatchQueue.post, inlined (once per receive): bind the oldest
-        # matching unexpected message, else enqueue the receive.
-        unexpected = mq._unexpected
-        if unexpected:
-            for i, msg in enumerate(unexpected):
-                if (msg.context == context
-                        and source in (ANY_SOURCE, msg.src)
-                        and tag in (ANY_TAG, msg.tag)):
-                    del unexpected[i]
-                    req._msg = msg  # req is fresh: never double-bound
-                    return req
-        mq._posted.append(req)
+        mq.post(req)
         return req
 
     def _queue(self, dst_local: int) -> MatchQueue:

@@ -53,6 +53,12 @@ nothing is due before is materialized on the spot
 (:meth:`Engine._materialize`, the monitoring component's vantage
 point for p2p and collective traffic: every message, each segment of
 a pipelined collective included, is one ``pml.record`` call there).
+Each step of a message runs in the module that owns it —
+``PmlMonitoring.record``, ``Network.transfer``, ``MatchQueue.deliver``
+(and ``MatchQueue.post`` for a receive, from ``Communicator._irecv``)
+— so the costs the benchmark ledger probes are the code that runs;
+``_materialize`` itself keeps only the overhead charge, the wake and
+the recorder hook.
 
 A deferred send is one list, both ``proc.pending`` and its pending-heap
 entry: ``[clock, rank, qseq, proc, queue, msg, dst_world, nbytes,
@@ -112,7 +118,6 @@ from repro import obs as _obs
 from repro.replay import autorecord as _replay
 from repro.simmpi.cluster import Cluster
 from repro.simmpi.errorsim import Aborted, DeadlockError, RankFailure, SimError
-from repro.simmpi.match import ANY_SOURCE, ANY_TAG
 from repro.simmpi.mpit import MpiToolInterface
 from repro.simmpi.network import Network
 from repro.simmpi.pml_monitoring import PmlMonitoring
@@ -750,100 +755,15 @@ class Engine:
                                    msg.category, clock)
         t_pre = clock
         if recorded and self.monitoring_overhead > 0.0:
-            proc.clock = clock = clock + self.monitoring_overhead
-        # Network.transfer, inlined (every p2p and collective message
-        # passes here).  The nbytes >= 0 precondition is Buffer's
-        # invariant.
-        net = self.network
-        src_node = net._rank_node_l[proc.rank]
-        dst_node = net._rank_node_l[dst_world]
-        alpha, bw, _, _, cross, nic_gate, mem_gate = (
-            net._pair_l[proc.rank * net._n_ranks + dst_world]
-            if src_node == dst_node
-            else net._node_l[src_node * net._n_nodes + dst_node])
-        if net._sigma > 0.0:
-            blk = net._jit_blk
-            pos = net._jit_pos
-            if pos + 2 > len(blk):
-                blk = net._refill_jitter()
-                pos = 0
-            lat = alpha * blk[pos]
-            bwt = (nbytes / bw) * blk[pos + 1]
-            net._jit_pos = pos + 2
-        else:
-            lat = alpha
-            bwt = nbytes / bw
-        start = clock + net._o_send
-        if nic_gate:
-            nic_free = net._nic_free
-            f = nic_free[src_node]
-            if f > start:
-                start = f
-        if mem_gate and nbytes > 0:
-            mem_free = net._mem_free
-            f = mem_free[src_node]
-            if f > start:
-                start = f
-            f = mem_free[dst_node]
-            if f > start:
-                start = f
-            mem_t = start + nbytes / net._mem_bw
-            mem_free[src_node] = mem_t
-            if dst_node != src_node:
-                mem_free[dst_node] = mem_t
-        sender_done = start + bwt
-        if nic_gate:
-            nic_free[src_node] = sender_done
-        arrival = start + lat + bwt
-        net.n_messages += 1
-        if cross:
-            # NicCounters.record_xmit/record_rcv, inlined: the clamp and
-            # the running total read the series' tail (keep in sync with
-            # nic._Series.add).  Buffer.nbytes is a plain int by
-            # construction, so the running totals need no cast here.
-            nic = net.nic
-            s = nic._xmit[src_node]
-            tv = sender_done
-            if tv < s.last:
-                tv = s.last
-            total = s.total + nbytes
-            s.totals.append(total)
-            s.times.append(tv)
-            s.last = tv
-            s.total = total
-            s = nic._rcv[dst_node]
-            tv = arrival
-            if tv < s.last:
-                tv = s.last
-            total = s.total + nbytes
-            s.totals.append(total)
-            s.times.append(tv)
-            s.last = tv
-            s.total = total
-
-        proc.clock = sender_done
-        msg.arrival = arrival
-        # MatchQueue.deliver, inlined, then the poster's wake.  A wake
-        # of a rank still waiting on a *different* request whose message
-        # has not arrived (``waitall`` progress) is provably spurious, so
-        # it is enqueued as a phantom (see the module docstring).
-        req = None
-        posted = mq._posted
-        if posted:
-            ctx, src, tag = msg.context, msg.src, msg.tag
-            for i, r in enumerate(posted):
-                if (r.context == ctx
-                        and r.source in (ANY_SOURCE, src)
-                        and r.tag in (ANY_TAG, tag)):
-                    del posted[i]
-                    if r._msg is not None:
-                        raise SimError("receive request bound twice")
-                    r._msg = msg
-                    req = r
-                    break
-        if req is None:
-            mq._unexpected.append(msg)
-        else:
+            clock += self.monitoring_overhead
+        proc.clock, msg.arrival = self.network.transfer(
+            proc.rank, dst_world, nbytes, clock)
+        # The poster's wake.  A wake of a rank still waiting on a
+        # *different* request whose message has not arrived (``waitall``
+        # progress) is provably spurious, so it is enqueued as a phantom
+        # (see the module docstring).
+        req = mq.deliver(msg)
+        if req is not None:
             rp = req.proc
             if rp.state is _State.BLOCKED:
                 rp.ready_seq += 1

@@ -57,10 +57,10 @@ class MatchQueue:
     Both queues are plain lists: they rarely hold more than a few
     entries, and a world keeps one queue per (communicator, rank), where
     an empty ``deque`` would cost ~380 B each.  :meth:`post` and
-    :meth:`deliver` are the reference forms of matching; the engine's
-    path inlines them (``Communicator._irecv`` posts,
-    ``Engine._materialize`` delivers), and the benchmark ledger prices
-    them as the per-message match cost.
+    :meth:`deliver` are the one copy of matching: ``Communicator._irecv``
+    posts every receive and ``Engine._materialize`` delivers every
+    message, so the benchmark ledger's per-message match cost prices
+    code every simulation runs.
     """
 
     __slots__ = ("_posted", "_unexpected")

@@ -29,7 +29,10 @@ and node per rank, one link per common-ancestor depth), so a 4096-rank
 world costs what its communication pattern touches, not n² entries.
 ``transfer`` is then two list reads, a dict hit, pure arithmetic and
 the shared-resource bookkeeping, and never calls
-``Topology.common_level_name`` or ``NetworkParams.link_for``.  Jitter
+``Topology.common_level_name`` or ``NetworkParams.link_for``.  It is
+the one copy of the model a live message runs: ``Engine._materialize``
+and the one-sided operations call it, and the replayer reads the same
+route records in bulk (:meth:`Network.routes`).  Jitter
 factors are drawn from the seeded RNG in blocks and handed out in
 stream order, so a jittered run consumes the *same* draw sequence as
 one scalar draw per term (bitwise identical results for a given seed).
@@ -202,15 +205,10 @@ class Network:
         binding: Sequence[int],
         params: NetworkParams,
         seed: int = 0,
-        record_nic: bool = True,
     ):
         self.topology = topology
         self.binding = list(binding)
         self.params = params
-        # record_nic=False skips the per-message hardware-counter
-        # appends (the trace replayer scores thousands of what-if
-        # configurations and never reads them); timing is unaffected.
-        self._record_nic = bool(record_nic)
         n_nodes = topology.n_components(topology.level_names[0])
         self._n_nodes = n_nodes
         self.nic = NicCounters(n_nodes, lanes=params.lanes)
@@ -308,19 +306,18 @@ class Network:
         self._lut_bw = lut_bw
 
         # The fused record transfer() reads with one lookup + unpack:
-        # (alpha, bandwidth, src node, dst node, NIC counted, NIC gate,
-        # memory gate).  Bandwidth is kept (not its inverse) because
-        # ``nbytes / bw`` must stay the exact division of the model.
-        # A cross-node record depends only on the two nodes: the hot
-        # paths read it from ``_node_l`` (``src_node * n_nodes +
-        # dst_node``) and ``_pair_l`` only within a node, though
-        # ``_pair_l[k]`` answers any pair.
+        # (alpha, bandwidth, src node, dst node, NIC gate, memory gate),
+        # the six fields routes() answers per pair.  Bandwidth is kept
+        # (not its inverse) because ``nbytes / bw`` must stay the exact
+        # division of the model.  A cross-node record depends only on
+        # the two nodes: transfer() reads it from ``_node_l``
+        # (``src_node * n_nodes + dst_node``) and ``_pair_l`` only
+        # within a node, though ``_pair_l[k]`` answers any pair.
         self._pair_l = _LazyPairView(self, "_resolve_pair")
         self._node_l = _LazyPairView(self, "_resolve_nodes")
         # Single-field views for consumers that need just one of them
         # (replay: alpha; repro.obs: class index per message).
         self._alpha_l = _LazyPairView(self, "_resolve_alpha")
-        self._cross_l = _LazyPairView(self, "_resolve_cross")
         self._cls_l = _LazyPairView(self, "_resolve_cls")
         self._clsidx_l = _LazyPairView(self, "_resolve_clsidx")
         self._o_send = float(params.send_overhead)
@@ -357,7 +354,6 @@ class Network:
             src_node,
             dst_node,
             False,
-            False,
             self._has_mem and d != self._depth,
         )
 
@@ -369,7 +365,6 @@ class Network:
             self._lut_bw[0],
             src_node,
             dst_node,
-            self._record_nic,
             self.params.nic_serialize,
             self._has_mem,
         )
@@ -377,8 +372,8 @@ class Network:
     def routes(self, src_ranks, dst_ranks) -> Tuple[np.ndarray, ...]:
         """The route of many rank pairs at once: arrays of ``alpha``,
         bandwidth, source node, destination node, NIC gate and memory
-        gate — per pair what :meth:`_resolve_pair` answers (minus the
-        hardware-counter flag), from the same per-depth tables."""
+        gate — per pair what :meth:`_resolve_pair` answers, from the
+        same per-depth tables."""
         pu = np.asarray(self.binding, dtype=np.int64)
         node = np.asarray(self._rank_node_l, dtype=np.intp)
         depth = self.topology.common_depths(pu[src_ranks], pu[dst_ranks])
@@ -394,11 +389,6 @@ class Network:
 
     def _resolve_alpha(self, key: int) -> float:
         return self._lut_alpha[self._common_depth(*divmod(key, self._n_ranks))]
-
-    def _resolve_cross(self, key: int) -> bool:
-        # The raw cross-node predicate, not the record_nic-gated
-        # ``counted`` field of the pair tuple.
-        return self._common_depth(*divmod(key, self._n_ranks)) == 0
 
     def _resolve_clsidx(self, key: int) -> int:
         return self._lut_idx[self._common_depth(*divmod(key, self._n_ranks))]
@@ -469,7 +459,7 @@ class Network:
             raise ValueError("negative message size")
         src_node = self._rank_node_l[src_rank]
         dst_node = self._rank_node_l[dst_rank]
-        alpha, bw, _, _, cross, nic_gate, mem_gate = (
+        alpha, bw, _, _, nic_gate, mem_gate = (
             self._pair_l[src_rank * self._n_ranks + dst_rank]
             if src_node == dst_node
             else self._node_l[src_node * self._n_nodes + dst_node])
@@ -488,29 +478,31 @@ class Network:
 
         start = t_send + self._o_send
         if nic_gate:
-            f = self._nic_free[src_node]
+            nic_free = self._nic_free
+            f = nic_free[src_node]
             if f > start:
                 start = f
-        mem_gate = mem_gate and nbytes > 0
-        if mem_gate:
-            start = max(start, self._mem_free[src_node],
-                        self._mem_free[dst_node])
-
-        if nic_gate:
-            self._nic_free[src_node] = start + bwt
-        if mem_gate:
+        if mem_gate and nbytes > 0:
             # Every message occupies DRAM copy bandwidth on each node it
             # touches (once per node: single-copy shared-memory model).
-            mem_t = nbytes / self._mem_bw
-            self._mem_free[src_node] = start + mem_t
+            mem_free = self._mem_free
+            f = mem_free[src_node]
+            if f > start:
+                start = f
+            f = mem_free[dst_node]
+            if f > start:
+                start = f
+            mem_t = start + nbytes / self._mem_bw
+            mem_free[src_node] = mem_t
             if dst_node != src_node:
-                self._mem_free[dst_node] = start + mem_t
-
+                mem_free[dst_node] = mem_t
         sender_done = start + bwt
+        if nic_gate:
+            nic_free[src_node] = sender_done
         arrival = start + lat + bwt
         self.n_messages += 1
 
-        if cross:
+        if src_node != dst_node:
             nbytes = int(nbytes)
             self.nic._xmit[src_node].add(sender_done, nbytes)
             self.nic._rcv[dst_node].add(arrival, nbytes)

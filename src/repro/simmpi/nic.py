@@ -7,7 +7,8 @@ number of lanes (see the Mellanox note cited as [1] in the paper).
 
 :class:`NicCounters` reproduces that interface for the simulated
 cluster: every time a message crosses a node boundary the network model
-calls :meth:`record_xmit`, and any process (or a monitoring thread) can
+appends to the source node's transmit and the destination node's
+receive history, and any process (or a monitoring thread) can
 read the counter *as of a given virtual time*, exactly like polling the
 ``/sys/class/infiniband/.../port_xmit_data`` file.
 """
@@ -27,10 +28,11 @@ class _Series:
     running total) as plain numbers, so a writer never unboxes an array
     element.  Events arrive in simulation order, which can differ
     slightly from virtual-time order, so a time is clamped to the tail
-    to keep the series monotone (a real counter is too).  Every writer —
-    :meth:`add` and its inlined copy in ``Engine._materialize`` — moves
-    the same tail.  A total that leaves int64 raises ``OverflowError``
-    and changes nothing.
+    to keep the series monotone (a real counter is too).  :meth:`add` is
+    the one writer of the tail, reached from ``Network.transfer`` (every
+    cross-node message) and :meth:`NicCounters.record_xmit` /
+    :meth:`~NicCounters.record_rcv`.  A total that leaves int64 raises
+    ``OverflowError`` and changes nothing.
     """
 
     __slots__ = ("times", "totals", "last", "total")

@@ -17,7 +17,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.simmpi.collectives.util import ceil_log2
+from repro.simmpi.collectives.barrier import _dissemination
 from repro.simmpi.datatypes import Buffer
 from repro.simmpi.engine import _drive
 from repro.simmpi.errorsim import CommError
@@ -68,16 +68,10 @@ class Window:
         _drive(self.co_fence())
 
     def co_fence(self):
-        """Synchronize all window members (dissemination, osc traffic)."""
-        comm = self.comm
+        """Synchronize all window members: the dissemination barrier, in
+        the window's own context, as osc traffic."""
         ctx = ("osc-fence", self.id, self._fence_seq())
-        me, size = comm.rank, comm.size
-        token = Buffer(None, nbytes=0)
-        for k in range(ceil_log2(size)) if size > 1 else []:
-            dist = 1 << k
-            req = comm._irecv((me - dist) % size, tag=k, context=ctx)
-            yield from comm._co_isend(token, (me + dist) % size, k, ctx, "osc")
-            yield from req.co_wait()
+        return _dissemination(self.comm, ctx, "osc")
 
     def _fence_seq(self) -> int:
         proc = self.comm._current()

@@ -74,10 +74,11 @@ class RecvRequest(Request):
     # -- called by the match queue -------------------------------------
 
     def bind(self, msg: Message) -> None:
-        """Attach the matched message.  Waking the poster (if it is
-        parked) is the *caller's* job: the engine's delivery sites
-        run the wake inline right after :meth:`MatchQueue.deliver`
-        returns the bound request, and binds at post time never need
+        """Attach the matched message.  :meth:`MatchQueue.post` and
+        :meth:`MatchQueue.deliver` bind inline, the same way.  Waking
+        the poster (if it is parked) is the *caller's* job:
+        ``Engine._materialize`` runs the wake right after ``deliver``
+        returns the bound request, and a bind at post time never needs
         one — the poster is the currently running process."""
         if self._msg is not None:
             raise SimError("receive request bound twice")

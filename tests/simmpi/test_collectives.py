@@ -277,6 +277,25 @@ class TestAllgather:
         results, _ = run_spmd(prog, n_ranks=n)
         assert results == [[[float(r)] * 3 for r in range(n)]] * n
 
+    @pytest.mark.parametrize("algorithm", AG_ALGOS)
+    def test_declared_size_is_what_every_message_carries(self, algorithm):
+        # A concrete value sent with a declared size travels at that
+        # size in every piece, however the algorithm forwards it.
+        def prog(comm):
+            enable_monitoring(comm)
+            return comm.allgather(comm.rank, nbytes=500, algorithm=algorithm)
+
+        results, engine = run_spmd(prog, n_ranks=4)
+        assert results == [[0, 1, 2, 3]] * 4
+        assert engine.pml.totals("coll") == {
+            "ring": (12, 6000),
+            "recursive_doubling": (8, 6000),
+            "bruck": (8, 6000),
+            # Binomial gather (2 000 B over 3 edges), then the 2 000 B
+            # table broadcast over 3 edges.
+            "gather_bcast": (6, 8000),
+        }[algorithm]
+
     def test_default_algorithm_selection(self):
         def prog(comm):
             return comm.allgather(comm.rank)

@@ -1,10 +1,11 @@
 """The simulated NIC keeps one history per node, whoever writes it.
 
-Three writers append to a node's counter series: ``Engine._materialize``
-(deferred point-to-point sends), ``Network.transfer`` (immediate sends
-and both one-sided operations) and ``NicCounters.record_xmit`` /
-``record_rcv``.  They share one running tail (last time, running total),
-so the series stays monotone and its total equals the cross-node bytes
+One writer appends to a node's counter series, ``_Series.add``, and two
+paths reach it: ``Network.transfer``, which costs every message
+(point-to-point and collective sends materialized by the engine, and
+both one-sided operations), and ``NicCounters.record_xmit`` /
+``record_rcv``.  The series keeps one running tail (last time, running
+total), so it stays monotone and its total equals the cross-node bytes
 actually sent.  A writer that skips the tail changes no clock, and one
 that skips the clamp changes no total either, so only a check on the
 series itself sees every such slip.
@@ -74,30 +75,46 @@ def run():
     cluster = Cluster.plafrim(3, binding="rr", jitter=0.1)
     engine = Engine(cluster, seed=5)
     net = engine.network
-    direct = []  # cross-node transfers written through Network.transfer
-    transfer = net.transfer
+    # Cross-node transfers costed by Network.transfer, by caller: the
+    # engine's send path or a one-sided put/get.
+    cross = {"materialized": 0, "one_sided": 0}
+    inside = []
+    transfer, materialize = net.transfer, engine._materialize
+
+    def counting_materialize(ps):
+        inside.append(ps)
+        try:
+            return materialize(ps)
+        finally:
+            inside.pop()
 
     def counting_transfer(src, dst, nbytes, t_send):
         if cluster.node_of_rank(src) != cluster.node_of_rank(dst):
-            direct.append(nbytes)
+            cross["materialized" if inside else "one_sided"] += 1
         return transfer(src, dst, nbytes, t_send)
 
     net.transfer = counting_transfer
+    engine._materialize = counting_materialize
     engine.run(_program)
-    del net.transfer
-    return cluster, engine, direct
+    del net.transfer, engine._materialize
+    return cluster, engine, cross
 
 
 def test_both_hot_paths_wrote_the_series(run):
-    _cluster, engine, direct = run
+    """Every NIC event was written through ``Network.transfer``: one
+    transmit and one receive event per cross-node transfer, from the
+    send path and the one-sided operations alike."""
+    _cluster, engine, cross = run
     nic = engine.network.nic
-    events = sum(len(nic.xmit_events(n)) for n in range(nic.n_nodes))
-    assert any(direct), "no cross-node transfer went through Network.transfer"
-    assert events > len(direct), "no cross-node send was materialized"
+    for table in (nic._xmit, nic._rcv):
+        assert sum(len(series.times) for series in table) == \
+            sum(cross.values())
+    assert cross["materialized"] > 0, "no cross-node send was materialized"
+    assert cross["one_sided"] > 0, "no cross-node put or get"
 
 
 def test_each_node_series_is_monotone_and_totals_the_bytes_sent(run):
-    cluster, engine, _direct = run
+    cluster, engine, _cross = run
     nic = engine.network.nic
     want = _expected_xmit(cluster, nic.n_nodes)
     assert sum(want) > 0
@@ -115,14 +132,14 @@ def test_each_node_series_is_monotone_and_totals_the_bytes_sent(run):
 
 
 def test_series_are_eight_byte_typed_arrays(run):
-    _cluster, engine, _direct = run
+    _cluster, engine, _cross = run
     for series in engine.network.nic._xmit + engine.network.nic._rcv:
         assert series.times.itemsize == 8
         assert series.totals.itemsize == 8
 
 
 def test_array_history_pickles_and_thaws_equal(run):
-    _cluster, engine, _direct = run
+    _cluster, engine, _cross = run
     nic = engine.network.nic
     thawed = pickle.loads(pickle.dumps(engine)).network.nic
     for node in range(nic.n_nodes):

@@ -5,7 +5,10 @@ on the spot when nothing is due before the sender, from the pending
 heap when it comes due — so the monitoring component's vantage point
 is a single function.  Wrapping it with a counter must account for
 every message the network carried, in both spellings, on a program
-whose sends take both branches.
+whose sends take both branches.  The steps it runs per message are
+the owning modules' own: ``Network.transfer`` costs it and
+``MatchQueue.deliver`` / ``MatchQueue.post`` match it, with no inlined
+copy beside them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 
 from repro.simmpi import Cluster, Engine
 from repro.simmpi.engine import _PS_QSEQ
+from repro.simmpi.match import MatchQueue
 
 
 def _gen_program(comm):
@@ -42,16 +46,40 @@ def _blocking_program(comm):
 
 def _counted_run(program):
     engine = Engine(Cluster.plafrim(2, n_ranks=12, binding="rr", jitter=0.1))
-    calls = {"on_the_spot": 0, "deferred": 0}
+    calls = dict.fromkeys(("on_the_spot", "deferred", "transfer", "deliver",
+                           "bound_at_deliver", "post", "bound_at_post"), 0)
     materialize = engine._materialize
+    transfer = engine.network.transfer
+    deliver, post = MatchQueue.deliver, MatchQueue.post
 
     def counted(ps):
         # A deferred send got a queue sequence number when it was pushed.
         calls["deferred" if ps[_PS_QSEQ] else "on_the_spot"] += 1
         return materialize(ps)
 
+    def counted_transfer(*args):
+        calls["transfer"] += 1
+        return transfer(*args)
+
+    def counted_deliver(queue, msg):
+        calls["deliver"] += 1
+        req = deliver(queue, msg)
+        calls["bound_at_deliver"] += req is not None
+        return req
+
+    def counted_post(queue, req):
+        calls["post"] += 1
+        bound = post(queue, req)
+        calls["bound_at_post"] += bound
+        return bound
+
     engine._materialize = counted
-    results = engine.run(program)
+    engine.network.transfer = counted_transfer
+    MatchQueue.deliver, MatchQueue.post = counted_deliver, counted_post
+    try:
+        results = engine.run(program)
+    finally:
+        MatchQueue.deliver, MatchQueue.post = deliver, post
     return engine, results, calls
 
 
@@ -63,6 +91,22 @@ def test_every_message_goes_through_materialize(program):
     assert calls["on_the_spot"] + calls["deferred"] == engine.messages
     # Both branches of the send ran: the frontmost one and the deferral.
     assert calls["on_the_spot"] > 0 and calls["deferred"] > 0
+
+
+@pytest.mark.parametrize("program", [_gen_program, _blocking_program],
+                         ids=["generator", "blocking"])
+def test_every_message_runs_the_one_transfer_and_match(program):
+    """A message is costed by ``Network.transfer`` and matched by
+    ``MatchQueue.deliver``; a receive is matched by ``MatchQueue.post``.
+    Every message of this program is received, so each is bound exactly
+    once, on one side or the other."""
+    engine, _results, calls = _counted_run(program)
+    assert calls["transfer"] == calls["deliver"] == engine.messages
+    assert calls["post"] == engine.messages
+    assert calls["bound_at_deliver"] + calls["bound_at_post"] == \
+        engine.messages
+    # Both sides of the match ran: receive first and message first.
+    assert calls["bound_at_deliver"] > 0 and calls["bound_at_post"] > 0
 
 
 def test_both_spellings_send_the_same_way():

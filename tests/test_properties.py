@@ -202,8 +202,7 @@ def test_lazy_routes_match_dense_everywhere(topo, data):
     if data.draw(st.booleans()):
         params = dataclasses.replace(params, nic_serialize=False,
                                      mem_bandwidth=None)
-    record_nic = data.draw(st.booleans())
-    net = Network(topo, binding, params, seed=1, record_nic=record_nic)
+    net = Network(topo, binding, params, seed=1)
     first_seen = []
     for src in range(n):
         for dst in range(n):
@@ -216,33 +215,29 @@ def test_lazy_routes_match_dense_everywhere(topo, data):
             assert net._pair_l[k] == (
                 link.latency, link.bandwidth,
                 cl.node_of_rank(src), cl.node_of_rank(dst),
-                cross and record_nic,
                 cross and params.nic_serialize,
                 bool(params.mem_bandwidth) and cls != "self",
             )
             assert net._alpha_l[k] == link.latency
             assert net._cls_l[k] == net.sharing_class(src, dst) == cls
             assert net.route_classes[net._clsidx_l[k]] == cls
-            assert net._cross_l[k] == cross
     assert net.route_classes == tuple(first_seen)
 
 
-@pytest.mark.parametrize("record_nic", [True, False])
+@pytest.mark.parametrize("nic_serialize", [True, False])
 @pytest.mark.parametrize("strategy", ["rr", "packed", "random"])
-def test_vectorised_routes_equal_the_lazy_table(strategy, record_nic):
+def test_vectorised_routes_equal_the_lazy_table(strategy, nic_serialize):
     """``Network.routes`` — the replayer's one read per candidate — is
-    the per-pair record ``transfer`` unpacks, for every pair (minus the
-    hardware-counter flag, which only ``transfer`` consumes)."""
+    the per-pair record ``transfer`` unpacks, whole, for every pair,
+    with the NIC gate on and off."""
     cluster = Cluster.plafrim(2, binding=strategy, seed=3)
     n = cluster.n_ranks
-    net = Network(cluster.topology, cluster.binding, cluster.params,
-                  record_nic=record_nic)
+    params = dataclasses.replace(cluster.params, nic_serialize=nic_serialize)
+    net = Network(cluster.topology, cluster.binding, params)
     src, dst = np.divmod(np.arange(n * n), n)
     rows = list(zip(*(col.tolist() for col in net.routes(src, dst))))
-    for k, (alpha, bw, src_node, dst_node, nic_gate, mem_gate) in \
-            enumerate(rows):
-        assert (alpha, bw, src_node, dst_node, nic_gate, mem_gate) == \
-            net._pair_l[k][:4] + net._pair_l[k][5:]
+    for k, row in enumerate(rows):
+        assert row == net._pair_l[k]
     assert {type(v) for row in rows for v in row} == {float, int, bool}
 
 
@@ -283,7 +278,7 @@ def test_cluster_and_network_construct_at_4096_ranks(strategy, seed):
         assert cls == cluster.topology.common_level_name(
             cluster.binding[src], cluster.binding[dst]
         )
-        alpha, bw, src_node, dst_node, _, nic_gate, _ = net._pair_l[k]
+        alpha, bw, src_node, dst_node, nic_gate, _ = net._pair_l[k]
         assert src_node == cluster.node_of_rank(int(src))
         assert dst_node == cluster.node_of_rank(int(dst))
         assert nic_gate == (cls == "cluster")
