@@ -77,7 +77,7 @@ def test_disabled_mode_is_structurally_noop():
     engine = Engine(Cluster.plafrim(1), seed=0)
     assert engine._obs is None
     assert engine._obs_spans is None
-    assert engine.pml.trace_hook is None
+    assert engine._observe is None
 
 
 def test_baseline_co_wait_is_faithful():

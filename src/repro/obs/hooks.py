@@ -4,10 +4,10 @@
 at construction time — only when the layer is enabled, so disabled
 engines carry a plain ``None`` and pay nothing.  It does three things:
 
-* chains a per-message hook onto ``pml.trace_hook`` that accumulates
-  per-link-class message/byte/latency totals in plain Python lists (the
-  ``hook is not None`` branch is one the PML already pays, so enabling
-  obs adds no new branch to the per-message path);
+* hangs ``on_message`` on the engine's per-message observer slot: it
+  accumulates per-link-class message/byte/latency totals in plain
+  Python lists for every message, monitored or not (the slot's ``is
+  not None`` test is one a plain run already pays);
 * samples a cheap signal on the engine's *per-wait* path (ready-queue
   depth at block time);
 * publishes everything into the metrics registry once, at
@@ -35,7 +35,7 @@ class EngineObserver:
     """Per-engine recorder; one instance per instrumented Engine."""
 
     __slots__ = (
-        "registry", "spans",
+        "registry", "spans", "on_message",
         "_depth_hist", "_depth_max",
         "_link_msgs", "_link_bytes", "_link_lat",
     )
@@ -48,37 +48,26 @@ class EngineObserver:
         self._depth_max = 0
         net = engine.network
         n_classes = len(net.route_classes)
-        # Per-link-class accumulators, indexed like route_classes; the
-        # chained hook below bumps these per message and run_finished
-        # publishes them as labelled counters.
-        self._link_msgs = [0] * n_classes
-        self._link_bytes = [0] * n_classes
-        self._link_lat = [0.0] * n_classes
-        self._install_link_hook(engine)
+        # Per-link-class accumulators, indexed like route_classes;
+        # on_message bumps these per message and run_finished publishes
+        # them as labelled counters.
+        msgs = self._link_msgs = [0] * n_classes
+        byts = self._link_bytes = [0] * n_classes
+        lats = self._link_lat = [0.0] * n_classes
+        clsidx, alpha, n = net._clsidx_l, net._alpha_l, net._n_ranks
 
-    # -- per-message (rides the PML trace hook) ---------------------------
-
-    def _install_link_hook(self, engine) -> None:
-        pml = engine.pml
-        net = engine.network
-        prev = pml.trace_hook
-        clsidx = net._clsidx_l
-        alpha = net._alpha_l
-        n = net._n_ranks
-        msgs = self._link_msgs
-        byts = self._link_bytes
-        lats = self._link_lat
-
-        def hook(t, src, dst, nbytes, category):
-            pair = src * n + dst
+        def on_message(kind, proc, peer, nbytes, category, mcat, t_pre, msg):
+            # Per message, from the engine's observer slot: a closure
+            # over the lists, not self.  A get's bytes flow target ->
+            # origin.
+            pair = (peer * n + proc.rank if kind == "G"
+                    else proc.rank * n + peer)
             i = clsidx[pair]
             msgs[i] += 1
             byts[i] += nbytes
             lats[i] += alpha[pair]
-            if prev is not None:
-                prev(t, src, dst, nbytes, category)
 
-        pml.trace_hook = hook
+        self.on_message = on_message
 
     # -- per-wait sampling -------------------------------------------------
 

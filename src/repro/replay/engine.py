@@ -68,11 +68,10 @@ from repro.replay.schema import (
     params_from_json,
     topology_from_json,
 )
+from repro.simmpi.pml_monitoring import CATEGORIES
 
 __all__ = ["ReplayError", "ReplayVerifyError", "ReplayResult",
            "CompiledTrace", "compile_trace", "replay", "trace_byte_matrix"]
-
-CATEGORIES = ("p2p", "coll", "osc")
 
 
 class ReplayError(RuntimeError):

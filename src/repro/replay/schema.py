@@ -80,6 +80,7 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 from repro.core.errors import TraceSchemaError
+from repro.simmpi.pml_monitoring import CATEGORIES
 
 SCHEMA_VERSION = 2
 MAGIC = "# repro.replay trace"
@@ -88,8 +89,9 @@ MAGIC = "# repro.replay trace"
 #: the compiled op stream's opcodes (see ``replay.engine``).
 KINDS = ("S", "R", "F", "P", "G", "B", "E")
 K_S, K_R, K_F, K_P, K_G, K_B, K_E = range(7)
-#: Category codes, shared by ``cat`` and ``mcat``; 0 is "not monitored".
-CATS = ("", "p2p", "coll", "osc")
+#: Category codes, shared by ``cat`` and ``mcat``; 0 is "not monitored"
+#: (the codes ``PmlMonitoring.record`` returns).
+CATS = ("",) + CATEGORIES
 #: On-disk column order and dtypes (widest first: natural alignment).
 COLUMN_LAYOUT = (
     ("t", "<f8"), ("gap", "<f8"), ("nbytes", "<i8"),
@@ -97,7 +99,7 @@ COLUMN_LAYOUT = (
     ("kind", "|u1"), ("cat", "|u1"), ("mcat", "|u1"),
 )
 #: One event in layout order, packed (39 bytes); how many rows a
-#: :class:`RowPacker` holds as python tuples before packing them.
+#: :class:`RowPacker` holds as python scalars before packing them.
 ROW_DTYPE = np.dtype(list(COLUMN_LAYOUT))
 PACK_ROWS = 32768
 CAT_CODE = {c: i for i, c in enumerate(CATS)}
@@ -198,25 +200,25 @@ class TraceColumns(NamedTuple):
 
 
 class RowPacker:
-    """Event rows (layout order, kind and categories as codes), packed
-    every :data:`PACK_ROWS`; ``colls`` interns ``B`` signatures."""
+    """Event rows, flat: writers extend ``rows`` by each row's fields
+    (layout order, kind and categories as codes) and :meth:`pack` every
+    :data:`PACK_ROWS` rows; ``colls`` interns ``B`` signatures."""
 
     def __init__(self):
         self.rows, self.packs, self.colls = [], [], {}
 
-    def add(self, row: tuple) -> None:
-        rows = self.rows
-        rows.append(row)
-        if len(rows) >= PACK_ROWS:
-            self.packs.append(np.fromiter(rows, ROW_DTYPE, len(rows)))
-            rows.clear()
+    def pack(self) -> None:
+        rows, width = self.rows, len(COLUMN_LAYOUT)
+        self.packs.append([np.array(rows[i::width], dtype)
+                           for i, (_, dtype) in enumerate(COLUMN_LAYOUT)])
+        rows.clear()
 
     def columns(self) -> TraceColumns:
-        self.packs.append(np.fromiter(self.rows, ROW_DTYPE, len(self.rows)))
-        packs, self.rows, self.packs = self.packs, [], []
+        self.pack()
+        packs, self.packs = self.packs, []
         return TraceColumns(colls=list(self.colls), **{
-            name: np.concatenate([p[name] for p in packs])
-            for name, _ in COLUMN_LAYOUT})
+            name: np.concatenate([p[i] for p in packs])
+            for i, (name, _) in enumerate(COLUMN_LAYOUT)})
 
 
 def _decode(row: tuple, colls: List[tuple]) -> tuple:

@@ -92,6 +92,11 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
         # parser recurses; it is a bad request like any other.
         raise ServeProtocolError(
             "frame payload is nested too deeply to parse") from None
+    except ValueError as exc:
+        # Valid JSON the interpreter refuses to convert: an integer
+        # longer than ``sys.get_int_max_str_digits()``.
+        raise ServeProtocolError(
+            f"frame payload cannot be parsed: {exc}") from None
     if not isinstance(doc, dict):
         raise ServeProtocolError(
             f"frame payload must be a JSON object, got {type(doc).__name__}")

@@ -58,7 +58,11 @@ Each step of a message runs in the module that owns it —
 (and ``MatchQueue.post`` for a receive, from ``Communicator._irecv``)
 — so the costs the benchmark ledger probes are the code that runs;
 ``_materialize`` itself keeps only the overhead charge, the wake and
-the recorder hook.
+the observer slot: ``_observe``, None unless the replay recorder or
+:mod:`repro.obs` is attached, is called once per message after the
+transfer (also by ``Window`` put / get) with ``(kind, proc, peer,
+nbytes, category, mcat, t_pre, msg)`` — ``mcat`` is what ``pml.record``
+returned, ``msg`` None for one-sided traffic.
 
 A deferred send is one list, both ``proc.pending`` and its pending-heap
 entry: ``[clock, rank, qseq, proc, queue, msg, dst_world, nbytes,
@@ -484,6 +488,13 @@ class Engine:
         # active when this engine was built; same is-not-None fast-path
         # discipline as the observer.
         self._rr = _replay.attach(self)
+        # The observer slot: the attached taps' on_message, fanned out
+        # here, once, when both are.
+        taps = [t.on_message for t in (self._obs, self._rr) if t is not None]
+        if len(taps) > 1:
+            self._observe = lambda *event: [tap(*event) for tap in taps]
+        else:
+            self._observe = taps[0] if taps else None
         self.world = None  # set by run(); apps may also build comms directly
 
     # -- identifiers ------------------------------------------------------
@@ -611,7 +622,7 @@ class Engine:
     # can run a fresh program if it never ran one, but it is not a
     # resumable mid-run scheduler — rank continuations do not survive
     # the trip (see SimProcess.__getstate__).
-    _EPHEMERAL = ("mpit", "_obs", "_obs_spans", "_rr")
+    _EPHEMERAL = ("mpit", "_obs", "_obs_spans", "_rr", "_observe")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -630,6 +641,7 @@ class Engine:
         self._obs = None
         self._obs_spans = None
         self._rr = None
+        self._observe = None
 
     # -- ready heap ---------------------------------------------------------
 
@@ -750,11 +762,9 @@ class Engine:
         """
         _, _, _, proc, mq, msg, dst_world, nbytes, parked = ps
         proc.pending = None
-        clock = proc.clock
-        recorded = self.pml.record(proc.rank, dst_world, nbytes,
-                                   msg.category, clock)
-        t_pre = clock
-        if recorded and self.monitoring_overhead > 0.0:
+        t_pre = clock = proc.clock
+        mcat = self.pml.record(proc.rank, dst_world, nbytes, msg.category)
+        if mcat and self.monitoring_overhead > 0.0:
             clock += self.monitoring_overhead
         proc.clock, msg.arrival = self.network.transfer(
             proc.rank, dst_world, nbytes, clock)
@@ -776,10 +786,10 @@ class Engine:
                     heapq.heappush(self._ready_heap,
                                    (rp.clock, rp.rank, rp.ready_seq, rp,
                                     None))
-        rr = self._rr
-        if rr is not None:
-            rr.on_send(proc, dst_world, nbytes, msg.category, recorded,
-                       t_pre, msg)
+        observe = self._observe
+        if observe is not None:
+            observe("S", proc, dst_world, nbytes, msg.category, mcat, t_pre,
+                    msg)
         if parked:
             return proc
         return None

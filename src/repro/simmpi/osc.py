@@ -103,16 +103,16 @@ class Window:
         origin_w = proc.rank
         target_w = comm.world_rank(target)
         t_pre = proc.clock
-        recorded = engine.pml.record(origin_w, target_w, buf.nbytes, "osc")
-        if recorded and engine.monitoring_overhead > 0.0:
+        mcat = engine.pml.record(origin_w, target_w, buf.nbytes, "osc")
+        if mcat and engine.monitoring_overhead > 0.0:
             proc.clock += engine.monitoring_overhead
         sender_done, _arrival = engine.network.transfer(
             origin_w, target_w, buf.nbytes, proc.clock
         )
         proc.clock = sender_done
-        rr = engine._rr
-        if rr is not None:
-            rr.on_put(proc, target_w, buf.nbytes, recorded, t_pre)
+        observe = engine._observe
+        if observe is not None:
+            observe("P", proc, target_w, buf.nbytes, "osc", mcat, t_pre, None)
         self._memory[target] = buf.copy_payload()
         self._nbytes[target] = buf.nbytes
 
@@ -140,8 +140,8 @@ class Window:
         origin_w = proc.rank
         target_w = comm.world_rank(target)
         t_pre = proc.clock
-        recorded = engine.pml.record(target_w, origin_w, n, "osc")
-        if recorded and engine.monitoring_overhead > 0.0:
+        mcat = engine.pml.record(target_w, origin_w, n, "osc")
+        if mcat and engine.monitoring_overhead > 0.0:
             proc.clock += engine.monitoring_overhead
         # Request flight to the target, then the data transfer back.
         cls = engine.network.sharing_class(origin_w, target_w)
@@ -151,9 +151,9 @@ class Window:
             target_w, origin_w, n, t_request_arrives
         )
         proc.clock = max(proc.clock, arrival) + engine.network.recv_overhead
-        rr = engine._rr
-        if rr is not None:
-            rr.on_get(proc, target_w, n, recorded, t_pre)
+        observe = engine._observe
+        if observe is not None:
+            observe("G", proc, target_w, n, "osc", mcat, t_pre, None)
         data = self._memory.get(target)
         if isinstance(data, np.ndarray):
             return data.copy()

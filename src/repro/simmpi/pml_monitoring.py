@@ -46,6 +46,8 @@ from repro.simmpi.mpit import MpiToolInterface
 __all__ = ["PmlMonitoring", "CATEGORIES", "PVAR_NAMES"]
 
 CATEGORIES: Tuple[str, ...] = ("p2p", "coll", "osc")
+#: Category -> the code :meth:`PmlMonitoring.record` returns for it.
+_CODE = {c: i for i, c in enumerate(CATEGORIES, start=1)}
 
 
 #: MPI_T pvar names per category, mirroring the Open MPI component.
@@ -134,12 +136,6 @@ class PmlMonitoring:
         # flushed or not, and by reset); snapshot layers compare
         # epochs to skip unchanged data.
         self._epochs: Dict[str, int] = {c: 0 for c in CATEGORIES}
-        # Optional per-message tap (repro.obs.hooks chains its link
-        # accounting here): a callable ``(t, src, dst, nbytes,
-        # category)`` invoked for every record, *before* the
-        # mode gate — it sees messages even while monitoring is
-        # disabled.
-        self.trace_hook: Optional[Callable] = None
         # Installed by the engine: brings the calling rank's deferred
         # send up to date before the monitoring state is read or the
         # mode changed, so both happen at the same point in the global
@@ -150,20 +146,16 @@ class PmlMonitoring:
 
     # -- pickling ----------------------------------------------------------
 
-    # The runtime taps are rebound by whoever thaws the object (the
-    # engine's ``__setstate__`` re-installs ``sync``; the obs hook
-    # re-attaches itself): only the counter state itself travels.
-    _EPHEMERAL = ("trace_hook", "sync")
-
+    # The runtime tap is rebound by whoever thaws the object (the
+    # engine's ``__setstate__`` re-installs ``sync``): only the counter
+    # state itself travels.
     def __getstate__(self):
         state = self.__dict__.copy()
-        for key in self._EPHEMERAL:
-            state.pop(key, None)
+        state.pop("sync", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self.trace_hook = None
         self.sync = None
 
     # -- MPI_T surface ----------------------------------------------------
@@ -234,34 +226,28 @@ class PmlMonitoring:
 
     # -- the hook -------------------------------------------------------------
 
-    def record(self, src: int, dst: int, nbytes: int, category: str,
-               t: Optional[float] = None) -> bool:
-        """Record one sent message; returns True iff it was recorded.
+    def record(self, src: int, dst: int, nbytes: int, category: str) -> int:
+        """Record one sent message; returns the code of the category it
+        was booked under: 0 (not booked, mode 0), else 1, 2 or 3 for
+        p2p, coll and osc after mode 1's ``coll -> p2p`` remap.
 
-        Called once by the engine's send materialization for *every*
-        message — each segment of a pipelined collective, and the
-        zero-length messages some collectives generate (the count
-        still increments — the paper warns users about exactly those)
-        — at its point in the global order, so the mode in force then
-        gates it.  ``t`` is the sender's virtual clock at the send,
-        forwarded to the trace hook (deferred sends are materialized
-        by whichever rank holds the baton, so the hook cannot derive
-        it from the calling thread).  The category and size checks
-        stay unconditional (they must fire even while monitoring is
-        disabled).
+        Called for *every* message — each segment of a pipelined
+        collective, and the zero-length messages some collectives
+        generate (the count still increments — the paper warns users
+        about exactly those) — at its point in the global order, so the
+        mode in force then gates it.  The category and size checks stay
+        unconditional (they must fire even while monitoring is disabled).
         """
-        if category not in CATEGORIES:
+        code = _CODE.get(category)
+        if code is None:
             raise ValueError(f"unknown category {category!r}")
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        hook = self.trace_hook
-        if hook is not None:
-            hook(t, src, dst, nbytes, category)
         mode = self._mode
         if mode == 0:
-            return False
-        if mode == 1 and category == "coll":
-            category = "p2p"
+            return 0
+        if mode == 1 and code == 2:
+            category, code = "p2p", 1
         pend = self._pend[category]
         entry = pend.get((src, dst))
         if entry is None:
@@ -270,7 +256,7 @@ class PmlMonitoring:
             entry[0] += 1
             entry[1] += nbytes
         self._epochs[category] += 1
-        return True
+        return code
 
     # -- reading (flushes the accumulators) ---------------------------------
 

@@ -1,5 +1,7 @@
 """End-to-end: an instrumented engine run populates the registry."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestEngineMetrics:
         engine = small_engine()
         assert engine._obs is None
         assert engine._obs_spans is None
-        assert engine.pml.trace_hook is None
+        assert engine._observe is None
 
     def test_run_publishes_engine_counters(self, enabled):
         registry, _ = enabled
@@ -177,3 +179,54 @@ class TestEngineMetrics:
             if k.startswith("repro_net_link_messages_total"))
         assert (link_msgs == engine.messages
                 == compile_trace(traces[0]).n_messages == 8)
+
+
+def _osc_mix(comm):
+    me, n = comm.rank, comm.size
+    comm.barrier()
+    win = comm.win_create(np.zeros(8), nbytes=64)
+    win.fence()
+    win.put(np.ones(2), target=(me + 3) % n, nbytes=16)
+    win.fence()
+    if me % 2:
+        win.get(target=(me + 4) % n, nbytes=48)
+    win.fence()
+    comm.engine.pml.set_mode(2)
+    comm.bcast(None, root=1, nbytes=20_000 if me == 1 else None, segments=2)
+    comm.sendrecv(None, dest=(me + 5) % n, source=(me - 5) % n, nbytes=900)
+
+
+def _observed_run(obs_on: bool, record: bool, tmp_path):
+    """(link-class counters, dumped trace bytes) of one ``_osc_mix`` run."""
+    from repro.replay import autorecord
+
+    if obs_on:
+        registry, _ = obs.enable()
+    try:
+        with contextlib.ExitStack() as stack:
+            traces = (stack.enter_context(autorecord.capture()) if record
+                      else None)
+            engine = small_engine()
+            engine.run(_osc_mix)
+        links = ({k: v for k, v in registry.snapshot()["counters"].items()
+                  if k.startswith("repro_net_link_")} if obs_on else None)
+    finally:
+        if obs_on:
+            obs.disable()
+    if not record:
+        return links, None
+    path = tmp_path / f"obs{int(obs_on)}.trace"
+    traces[0].dump(str(path))
+    return links, path.read_bytes()
+
+
+def test_obs_and_recorder_share_the_slot_without_changing_either(tmp_path):
+    """With both taps on, the engine fans each message out to both: the
+    link-class counters equal an obs-only run's and the trace bytes a
+    recording-only run's."""
+    links_both, trace_both = _observed_run(True, True, tmp_path)
+    links_obs, _ = _observed_run(True, False, tmp_path)
+    _, trace_rec = _observed_run(False, True, tmp_path)
+    assert links_both == links_obs
+    assert len(links_both) >= 6          # two classes at least, three kinds
+    assert trace_both == trace_rec

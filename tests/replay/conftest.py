@@ -40,7 +40,7 @@ def columns_of(events) -> TraceColumns:
     packer = RowPacker()
     for ev in events:
         try:
-            packer.add(_row(ev, packer.colls))
+            packer.rows += _row(ev, packer.colls)
         except KeyError as exc:
             raise ValueError(
                 f"unknown message category {exc.args[0]!r}") from None

@@ -222,3 +222,59 @@ def test_encoder_and_view_are_inverses(events, tmp_path):
     assert _bits(list(view)) == _bits(events)
     assert _bits([view[i] for i in range(-len(events), 0)]) == _bits(events)
     assert _bits(view[1::2]) == _bits(events[1::2])
+
+
+# ---------------------------------------------------------------------------
+# what recording costs the live run
+
+
+def test_one_python_call_per_recorded_row():
+    """Each row is written by the one hook call that observed it: no
+    row builder, packer method or category re-derivation runs beside
+    it (below ``PACK_ROWS`` rows, so no pack either).  Counted with the
+    profiler over the replay package, up to ``run_finished``."""
+    import os
+    import sys
+
+    import repro.replay
+    from repro.replay.schema import K_F, KINDS, PACK_ROWS
+    from repro.simmpi import Cluster, Engine
+
+    def program(comm):
+        me, n = comm.rank, comm.size
+        win = yield from comm.co_win_create(np.zeros(8), nbytes=64)
+        yield from win.co_fence()
+        yield from win.co_put(np.ones(2), target=(me + 1) % n, nbytes=16)
+        yield from win.co_fence()
+        yield from win.co_get(target=(me + 2) % n, nbytes=24)
+        yield from win.co_fence()
+        yield from comm.co_bcast(None, root=0,
+                                 nbytes=9_000 if me == 0 else None,
+                                 segments=3)
+        yield from comm.co_sendrecv(None, dest=(me + 1) % n,
+                                    source=(me - 1) % n, nbytes=500)
+
+    package = os.path.dirname(repro.replay.__file__) + os.sep
+    calls, finishing = [], []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event != "call" or not code.co_filename.startswith(package):
+            return
+        if code.co_name == "run_finished":
+            finishing.append(code)
+        elif not finishing:
+            calls.append(code.co_name)
+
+    with autorecord.capture() as traces:
+        engine = Engine(Cluster.plafrim(2, n_ranks=8, binding="rr"), seed=1)
+        sys.setprofile(profile)
+        try:
+            engine.run(program)
+        finally:
+            sys.setprofile(None)
+    kind = traces[0].columns().kind
+    rows = int((kind != K_F).sum())
+    assert {KINDS[k] for k in kind.tolist()} == set("SRPGBEF")
+    assert 0 < rows < PACK_ROWS
+    assert len(calls) == rows

@@ -1,10 +1,12 @@
 """Unit tests for the wire protocol: framing, schema, validation."""
 
+import json
 import socket
 import struct
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ServeProtocolError
@@ -74,6 +76,19 @@ def test_non_json_payload_rejected():
     # Nested deeper than the parser recurses, yet far under the cap.
     with pytest.raises(ServeProtocolError, match="nested too deeply"):
         protocol.decode_payload(b"[" * 100_000 + b"]" * 100_000)
+
+
+def test_integer_past_the_digit_limit_is_a_protocol_error():
+    """Valid JSON whose integer the interpreter will not convert (more
+    than ``sys.get_int_max_str_digits()`` digits) is refused like any
+    other bad payload, not raised as a bare ``ValueError``."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # pragma: no cover - the limit was switched off
+        pytest.skip("no integer digit limit in this interpreter")
+    digits = b"7" * (limit + 1)
+    for payload in (b'{"seed": ' + digits + b"}", b"[" + digits + b"]"):
+        with pytest.raises(ServeProtocolError, match="cannot be parsed"):
+            protocol.decode_payload(payload)
 
 
 def test_envelope_schema_and_type_checked():
@@ -162,3 +177,74 @@ def test_full_request_validation():
                   "focus": {"straggler_ranks": [3], "weight": 2.0,
                             "congested_classes": ["Switch"]}}
     assert protocol.validate_request(good_focus) == "query"
+
+
+# ---------------------------------------------------------------------------
+# the framing, fuzzed: a dict, None at a clean EOF, or a protocol error
+
+
+def _json_text(inner):
+    items = st.lists(inner, max_size=4)
+    pairs = st.lists(st.tuples(st.text(max_size=6).map(json.dumps), inner),
+                     max_size=4)
+    return st.one_of(
+        items.map(lambda xs: "[" + ",".join(xs) + "]"),
+        pairs.map(lambda kv: "{" + ",".join(f"{k}:{v}" for k, v in kv)
+                  + "}"))
+
+
+#: JSON-shaped text: scalars (integers with long digit runs among them)
+#: in arrays and objects, nested a few levels or thousands deep, and
+#: any prefix of such a text.
+_DIGITS = st.integers(1, 6_000).map(lambda n: "-" * (n % 2) + "9" * n)
+_SCALARS = st.one_of(
+    st.sampled_from(["null", "true", "false", "1e999", "-0.0", "NaN"]),
+    st.integers().map(str), _DIGITS, st.text(max_size=8).map(json.dumps))
+_DEEP = st.tuples(st.integers(1, 5_000), st.sampled_from(['[', '{"a":'])) \
+    .map(lambda d: d[1] * d[0] + "0" + ("]" if d[1] == "[" else "}") * d[0])
+_WHOLE = st.one_of(st.recursive(_SCALARS, _json_text, max_leaves=12), _DEEP)
+_JSON_SHAPED = st.one_of(
+    _WHOLE,
+    _WHOLE.flatmap(lambda t: st.integers(0, len(t)).map(lambda k: t[:k])))
+
+
+def _dict_or_refused(read, eof=False):
+    """``read()`` returns a dict (or ``None``, where ``eof`` allows it)
+    or raises :class:`ServeProtocolError`; any other exception fails."""
+    try:
+        doc = read()
+    except ServeProtocolError:
+        return
+    assert isinstance(doc, dict) or (eof and doc is None)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(payload=st.one_of(st.binary(max_size=512),
+                         _JSON_SHAPED.map(str.encode)))
+def test_decode_payload_is_a_dict_or_a_protocol_error(payload):
+    _dict_or_refused(lambda: protocol.decode_payload(payload))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(header=st.one_of(st.none(), st.binary(max_size=6)),
+       payload=st.one_of(st.binary(max_size=512),
+                         _JSON_SHAPED.map(str.encode)))
+def test_read_frame_sock_is_a_dict_none_or_a_protocol_error(header, payload):
+    """Whatever a peer writes before closing — a header announcing the
+    payload's own length (``None``) or arbitrary bytes, then any
+    payload — the blocking reader returns a dict or ``None``, or raises
+    :class:`ServeProtocolError`; it neither hangs nor leaks another
+    exception."""
+    if header is None:
+        header = struct.pack(">I", len(payload))
+    a, b = socket.socketpair()
+    try:
+        a.sendall(header + payload)   # < 100 kB: fits the socket buffer
+        a.close()
+        b.settimeout(30)
+        _dict_or_refused(lambda: protocol.read_frame_sock(b), eof=True)
+    finally:
+        a.close()
+        b.close()

@@ -435,6 +435,31 @@ def test_deeply_nested_frame_is_a_bad_request(serve_daemon):
             assert client.ping()["type"] == "pong"
 
 
+def test_integer_past_the_digit_limit_is_a_bad_request(serve_daemon):
+    """A frame holding an integer longer than the interpreter converts
+    (4300 digits by default) is answered ``bad-request``, not dropped;
+    the daemon goes on serving."""
+    import socket
+    import struct
+
+    from repro.serve import protocol
+
+    payload = b'{"schema": 1, "type": "query", "seed": ' + b"9" * 10_000 \
+        + b"}"
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30)
+            raw.connect(sock)
+            raw.sendall(struct.pack(">I", len(payload)) + payload)
+            reply = protocol.read_frame_sock(raw)
+        assert reply is not None, "the daemon dropped the connection"
+        assert reply["type"] == "error"
+        assert reply["code"] == "bad-request"
+        assert "cannot be parsed" in reply["message"]
+        with ServeClient(path=sock) as client:
+            assert client.ping()["type"] == "pong"
+
+
 def test_unknown_fingerprint_and_bad_requests(serve_traces, serve_daemon):
     with serve_daemon(jobs=1) as (sock, _proc):
         with ServeClient(path=sock) as client:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.replay import autorecord
-from repro.replay.schema import CAT_CODE, K_G, K_P, K_S
+from repro.replay.schema import CAT_CODE, CATS, K_G, K_P, K_S
 from repro.simmpi import SUM, Cluster, Engine
 from repro.simmpi.pml_monitoring import CATEGORIES, PmlMonitoring
 from tests.golden.hotpath_workloads import WORKLOADS
@@ -110,26 +110,58 @@ def test_epochs_move_only_for_written_categories():
     assert pml.epoch("osc") == before["osc"]
 
 
-def test_trace_hook_sees_mode0_traffic():
-    """The trace hook fires before the mode gate (tracers see disabled
-    traffic), once per message, with the sender's clock."""
+@pytest.mark.parametrize("mode, booked", [
+    (0, {"p2p": 0, "coll": 0, "osc": 0}),
+    (1, {"p2p": 1, "coll": 1, "osc": 3}),
+    (2, {"p2p": 1, "coll": 2, "osc": 3}),
+])
+def test_record_returns_the_booked_code(mode, booked):
+    """``record`` answers the code of the matrix it booked the message
+    in — 0 for none, else its index in ``schema.CATS`` — with mode 1's
+    ``coll -> p2p`` remap applied."""
     pml = PmlMonitoring(4)
+    pml.set_mode(mode)
+    for category, code in booked.items():
+        assert pml.record(0, 1, 10, category) == code
+        assert CATS[code] == ("" if mode == 0 else
+                              "p2p" if mode == 1 and category == "coll"
+                              else category)
+
+
+def test_category_codes_have_one_definition():
+    assert CATS == ("",) + CATEGORIES
+    for code, category in enumerate(CATEGORIES, start=1):
+        assert CATS[code] == category and CAT_CODE[category] == code
+
+
+def test_observer_slot_sees_mode0_traffic():
+    """The engine's observer slot sees every message, monitored or not,
+    once, after its transfer: mode-0 traffic arrives with mcat 0 and
+    the sender's clock before the send."""
+    engine = Engine(Cluster.plafrim(1, n_ranks=4, binding="packed"), seed=0)
+    assert engine._observe is None
     events = []
-    pml.trace_hook = lambda t, src, dst, nbytes, cat: events.append(
-        (t, src, dst, nbytes, cat))
+    engine._observe = lambda kind, proc, peer, nbytes, cat, mcat, t_pre, \
+        msg: events.append((kind, proc.rank, peer, nbytes, cat, mcat, t_pre,
+                            proc.clock > t_pre, msg is not None))
 
-    pml.record(0, 1, 10, "p2p", t=1.5)  # mode 0: dropped but traced
-    pml.set_mode(2)
-    pml.record(0, 2, 300, "coll", t=2.5)
-    pml.record(0, 2, 50, "coll", t=3.5)
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.co_compute(1.5)
+            yield from comm.co_send(None, dest=1, nbytes=10)    # mode 0
+            yield from comm.co_sync()
+            comm.engine.pml.set_mode(2)
+            yield from comm.co_send(None, dest=2, nbytes=300)
+        elif comm.rank in (1, 2):
+            yield from comm.co_recv(source=0)
 
+    engine.run(program)
     assert events == [
-        (1.5, 0, 1, 10, "p2p"),
-        (2.5, 0, 2, 300, "coll"),
-        (3.5, 0, 2, 50, "coll"),
+        ("S", 0, 1, 10, "p2p", 0, 1.5, True, True),
+        ("S", 0, 2, 300, "p2p", CAT_CODE["p2p"], events[1][6], True, True),
     ]
-    assert pml.totals("p2p") == (0, 0)
-    assert pml.totals("coll") == (2, 350)
+    assert events[1][6] > 1.5
+    assert engine.pml.totals("p2p") == (1, 300)
 
 
 @pytest.mark.parametrize("monitored", [False, True])

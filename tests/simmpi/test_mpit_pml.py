@@ -71,7 +71,7 @@ class TestPmlMonitoring:
     def test_disabled_by_default(self):
         pml = PmlMonitoring(4)
         assert not pml.enabled
-        assert pml.record(0, 1, 100, "p2p") is False
+        assert pml.record(0, 1, 100, "p2p") == 0
         assert pml.totals("p2p") == (0, 0)
 
     def test_mode1_collapses_categories(self):

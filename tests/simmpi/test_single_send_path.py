@@ -8,7 +8,8 @@ every message the network carried, in both spellings, on a program
 whose sends take both branches.  The steps it runs per message are
 the owning modules' own: ``Network.transfer`` costs it and
 ``MatchQueue.deliver`` / ``MatchQueue.post`` match it, with no inlined
-copy beside them.
+copy beside them.  Once the network has carried a message, one
+observer slot sees it: every send, put and get is one call.
 """
 
 from __future__ import annotations
@@ -107,6 +108,46 @@ def test_every_message_runs_the_one_transfer_and_match(program):
         engine.messages
     # Both sides of the match ran: receive first and message first.
     assert calls["bound_at_deliver"] > 0 and calls["bound_at_post"] > 0
+
+
+def _osc_program(comm):
+    me, n = comm.rank, comm.size
+    yield from comm.co_barrier()
+    win = yield from comm.co_win_create(np.zeros(8), nbytes=64)
+    yield from win.co_fence()
+    if me % 3 == 0:
+        yield from win.co_put(np.ones(2), target=(me + 1) % n, nbytes=16)
+    yield from win.co_fence()
+    if me % 2 == 0:
+        yield from win.co_get(target=(me + 5) % n, nbytes=24)
+    yield from win.co_fence()
+    yield from comm.co_bcast(None, root=0, nbytes=3_000 if me == 0 else None,
+                             segments=3)
+
+
+@pytest.mark.parametrize("program", [_gen_program, _osc_program],
+                         ids=["p2p+coll", "osc"])
+def test_one_observer_call_per_message(program):
+    """The engine's observer slot is called once per message the network
+    carried — by ``_materialize`` for each send, by ``Window`` for each
+    put and each get — and by nothing else."""
+    engine = Engine(Cluster.plafrim(2, n_ranks=12, binding="rr", jitter=0.1))
+    kinds = []
+    engine._observe = lambda kind, *_: kinds.append(kind)
+    materialize = engine._materialize
+    sends = []
+
+    def counted(ps):
+        sends.append(ps)
+        return materialize(ps)
+
+    engine._materialize = counted
+    engine.run(program)
+    n_put = 4 if program is _osc_program else 0     # ranks 0, 3, 6, 9
+    n_get = 6 if program is _osc_program else 0     # even ranks
+    assert kinds.count("S") == len(sends) > 0
+    assert (kinds.count("P"), kinds.count("G")) == (n_put, n_get)
+    assert len(kinds) == len(sends) + n_put + n_get == engine.messages
 
 
 def test_both_spellings_send_the_same_way():
