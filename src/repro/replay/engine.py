@@ -14,13 +14,17 @@ memory-bandwidth windows):
 substitution).  Events execute in the order the live engine's transfers
 claimed the network.  Replaying the recorded configuration verbatim is
 therefore *bit-exact*: per-pair byte matrices and every per-rank
-virtual clock match the live run to the last ulp (``verify`` audits
-it).  Under a different placement/topology/parameters the same global
-order is kept (it is a valid dependency order of the program) while
-issue times are re-derived from the recorded per-rank computation gaps
-— a deterministic, documented approximation: the live engine would
-claim resources in the new (clock, rank) order, replay claims them in
-the recorded order.  ``tests/replay/reference.py`` is the per-message
+virtual clock match the live run to the last ulp.  Since such a walk
+issues each rank's finish at its recorded time, an exact replay reads
+the recording instead of walking it — each rank's clock is its
+finish's ``t``, kept in the book — and only ``verify`` walks, to audit
+the timing model against the recording.  Under a different
+placement/topology/parameters the same global order is kept (it is a
+valid dependency order of the program) while issue times are
+re-derived from the recorded per-rank computation gaps — a
+deterministic, documented approximation: the live engine would claim
+resources in the new (clock, rank) order, replay claims them in the
+recorded order.  ``tests/replay/reference.py`` is the per-message
 interpreter it is pinned to.
 
 **Ready set** (:func:`_replay_ready`; substituted runs, which have no
@@ -37,7 +41,7 @@ are ROADMAP item 1b).
 Timing rules mirror the engine's hook sites one-to-one:
 
 ======  ==============================================================
-event   clock update (``tt`` = issue time; exact mode uses the
+event   clock update (``tt`` = issue time; an exact walk uses the
         recorded absolute ``t``, otherwise ``last[r] + gap``)
 ======  ==============================================================
 S       ``tt += ovh`` if monitored; ``last[r] = transfer(...)[0]``
@@ -60,6 +64,7 @@ import numpy as np
 
 from repro.replay.schema import (
     K_B,
+    K_F,
     K_G,
     K_P,
     K_R,
@@ -162,11 +167,14 @@ def replay(
 ) -> ReplayResult:
     """Re-cost a recorded run, optionally under a different placement.
 
-    With every knob left at None the replay is *exact*: issue times use
-    the recorded absolute clocks and the result is bit-identical to the
-    live run.  ``verify=True`` additionally cross-checks the recomputed
-    clocks against the recorded ones at every zero-gap event (a strong
-    internal-consistency audit of the timing model).
+    With every knob left at None the replay is *exact* and bit-identical
+    to the live run, so it walks nothing: each rank's clock is the
+    recorded issue time of its finish, which is where a walk issuing
+    every event at its recorded time ends.  ``verify=True`` does walk,
+    re-costing every message at its recorded issue time, and
+    cross-checks the recomputed clocks against the recorded ones at
+    every zero-gap event (a strong internal-consistency audit of the
+    timing model).
 
     ``substitute`` maps collective op names to replacement algorithms,
     e.g. ``{"bcast": "chain"}`` — every recorded instance of the op is
@@ -183,6 +191,12 @@ def replay(
         from repro.replay.patterns import apply_substitution
 
         return _replay_ready(apply_substitution(trace, substitute), net)
+    book = _compile_trace(trace)
+    if book.unsent is not None:
+        raise ReplayError(
+            f"receive references unsent message #{book.unsent}")
+    if exact and not verify and book.finish is not None:
+        return _result(book, book.finish.tolist(), exact=True)
     return _replay_in_order(trace, net, exact, verify)
 
 
@@ -214,10 +228,15 @@ class CompiledTrace(NamedTuple):
     ``classes`` is the distinct ``(src, dst, nbytes, charged)`` of the
     trace's messages as four int64 rows, in the direction the data
     flows (a get's is target → origin), the ``n_get`` get classes first
-    and everything that is priced like a send after them.  ``t`` is
-    the recorded issue time of each event (float64), which exact replay
-    issues at; ``op_bytes`` the resident size of the three lists, each
-    shared box counted once (see :meth:`nbytes`).
+    and everything that is priced like a send after them.  ``finish``
+    is each rank's clock under exact replay (float64): the recorded
+    issue time of its last timed event, a finish — or ``None`` when
+    some rank's last timed event is not one, and exact replay has to
+    walk.  ``unsent`` is the ``seq`` of the first receive recorded
+    before its message (``None``: every receive finds one), the error
+    of every recorded-order replay.  ``op_bytes`` is the resident size
+    of the three lists, each shared box counted once (see
+    :meth:`nbytes`).
     """
 
     rank: List[int]
@@ -230,7 +249,8 @@ class CompiledTrace(NamedTuple):
     total_counts: Dict[str, "np.ndarray"]
     total_sizes: Dict[str, "np.ndarray"]
     n_messages: int
-    t: "np.ndarray"
+    finish: Optional["np.ndarray"]
+    unsent: Optional[int]
     op_bytes: int
 
     def nbytes(self) -> int:
@@ -238,7 +258,9 @@ class CompiledTrace(NamedTuple):
         layer's byte-bounded LRU evicts by.  Numpy buffers plus
         ``op_bytes``, both fixed when the book is built: no walk over
         the columns."""
-        total = int(self.t.nbytes) + int(self.classes.nbytes) + self.op_bytes
+        total = int(self.classes.nbytes) + self.op_bytes
+        if self.finish is not None:
+            total += int(self.finish.nbytes)
         for table in (self.counts, self.sizes,
                       self.total_counts, self.total_sizes):
             for mat in table.values():
@@ -293,16 +315,39 @@ def _rank_column(rank: np.ndarray, n: int):
 
 def _ordinals(kind: np.ndarray, seq: np.ndarray, n_messages: int):
     """Which message each receive of the timed events ``kind`` / ``seq``
-    waits for, by its ordinal among the S/P/G events; one that no send
-    carries gets ``n_messages``, past the last, which the replay reports
-    like a receive issued ahead of its send."""
+    waits for, by its ordinal among the S/P/G events — one that no send
+    carries gets ``n_messages``, past the last — and the ``seq`` of the
+    first receive that comes before its message in recorded order
+    (None: every receive finds one)."""
     is_msg = (kind == K_S) | (kind == K_P) | (kind == K_G)
     is_send = kind[is_msg] == K_S
-    sends, waits = seq[is_msg][is_send], seq[kind == K_R]
+    is_recv = kind == K_R
+    sends, waits = seq[is_msg][is_send], seq[is_recv]
     ordinal = np.full(max(sends.max(initial=-1), waits.max(initial=-1)) + 1,
                       n_messages, dtype=np.int64)
     ordinal[sends] = np.flatnonzero(is_send)
-    return ordinal[waits]
+    received = ordinal[waits]
+    del ordinal
+    early = np.flatnonzero(received >= np.cumsum(is_msg)[is_recv])
+    return received, (int(waits[early[0]]) if len(early) else None)
+
+
+def _finish_clocks(c, timed: np.ndarray, kind: np.ndarray,
+                   n: int) -> Optional[np.ndarray]:
+    """Each rank's clock at the end of an exact replay of the columns
+    ``c``'s ``timed`` events, whose kinds are ``kind``: the recorded
+    ``t`` of its last event, when that is a finish (the walk issues it
+    at ``-0.0 + t``, which is ``t`` bit for bit), and ``0.0`` for a rank
+    with no event.  None when some rank ends on another kind — only a
+    walk knows that rank's clock."""
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, c.rank[timed], np.arange(len(timed)))
+    ends = last[last >= 0]
+    if not (kind[ends] == K_F).all():
+        return None
+    clocks = np.zeros(n)
+    clocks[last >= 0] = c.t[timed[ends]]
+    return clocks
 
 
 def _operand_column(kind: np.ndarray, cls: np.ndarray, n_cls: int,
@@ -376,31 +421,39 @@ def _compile_trace(trace: ReplayTrace) -> CompiledTrace:
 
     # Cost classes: one integer key per message (sizes ranked first, so
     # the key fits whatever the byte counts are), distinct keys sorted —
-    # gets first.
+    # gets first — and decoded back into the class table.
     charged = (c.mcat[msg] != 0) & (trace.monitoring_overhead > 0.0)
-    size_rank = np.unique(nb, return_inverse=True)[1]
-    key = ((~is_get * (n * n) + flat) * (len(nb) + 1) + size_rank) * 2 \
-        + charged
-    del size_rank, flat
-    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
-    del key
-    classes = np.stack([src[first], dst[first], nb[first], charged[first]])
-    n_get, n_messages = int(np.count_nonzero(is_get[first])), len(msg)
-    del msg, first, src, dst, nb, charged, is_get
+    size_of = np.unique(nb)
+    n_ranks = len(nb) + 1
+    key = ((~is_get * (n * n) + flat) * n_ranks
+           + np.searchsorted(size_of, nb)) * 2 + charged
+    n_messages = len(msg)
+    del flat, msg, src, dst, nb, charged, is_get
+    key, cls = np.unique(key, return_inverse=True)
+    pair, size_rank = np.divmod(key >> 1, n_ranks)
+    pair %= n * n
+    classes = np.stack([pair // n, pair % n, size_of[size_rank], key & 1])
+    n_get = int(np.count_nonzero(key < n * n * n_ranks * 2))
+    del key, pair, size_rank, size_of
 
     # One box per value: each list column indexes a table of boxes, so
     # a rank, a class and the finish are one object however many events
     # hold them, and so are the +0.0 gaps; the sizes count each box once.
     rank, rank_bytes = _rank_column(c.rank[timed], n)
+    received, unsent = _ordinals(kind, c.seq[timed], n_messages)
     operand, operand_bytes = _operand_column(
-        kind, cls, classes.shape[1], _ordinals(kind, c.seq[timed], n_messages))
-    del kind, cls
-    gap, gap_bytes = _gap_column(c.gap[timed])
+        kind, cls, classes.shape[1], received)
+    del cls, received
+    finish = _finish_clocks(c, timed, kind, n)
+    gap = c.gap[timed]
+    del kind, timed
+    gap, gap_bytes = _gap_column(gap)
     compiled = CompiledTrace(
         rank, operand, gap, classes, n_get,
         counts, sizes, total_counts, total_sizes,
         n_messages=n_messages,
-        t=c.t[timed],
+        finish=finish,
+        unsent=unsent,
         op_bytes=rank_bytes + operand_bytes + gap_bytes,
     )
     trace._compiled = compiled
@@ -441,28 +494,48 @@ def _cost_rows(book: CompiledTrace, net, overhead: float) -> List[tuple]:
         src_node, dst_node, nic_gate, mem_gate))))
 
 
+def _result(book: CompiledTrace, clocks: List[float],
+            exact: bool) -> ReplayResult:
+    """A replay's result: its clocks and the compile cache's books
+    (read-only)."""
+    return ReplayResult(
+        clocks=clocks,
+        counts=book.counts,
+        sizes=book.sizes,
+        total_counts=book.total_counts,
+        total_sizes=book.total_sizes,
+        n_messages=book.n_messages,
+        exact=exact,
+    )
+
+
 def _replay_in_order(trace: ReplayTrace, net, exact: bool,
                      verify: bool) -> ReplayResult:
-    """Every recorded-order replay: the max-plus recurrence over the
-    compiled columns, each message priced by its class's row.
+    """Every recorded-order walk: the max-plus recurrence over the
+    compiled columns, each message priced by its class's row.  The
+    caller has checked that every receive comes after its message
+    (``book.unsent``).
 
     Re-placed, an event issues at its rank's clock plus the recorded
-    gap.  Exact replay is the same expression over other lists: it
-    issues at the recorded ``t``, so ``t`` stands in for the gap and the
-    clock it is added to is read from a list of ``-0.0`` nobody writes
-    (``-0.0 + t`` is ``t`` bit for bit).  ``verify`` gives every event a
-    clock slot of its own, so the loop leaves behind when each one
-    completed and the audit is a pass over that (:func:`_audit`).
+    gap.  An exact walk (``verify``, or a rank that does not end on its
+    finish) is the same expression over other lists: it issues at the
+    recorded ``t``, so ``t`` stands in for the gap and the clock it is
+    added to is read from a list of ``-0.0`` nobody writes (``-0.0 + t``
+    is ``t`` bit for bit).  ``verify`` gives every event a clock slot of
+    its own, so the loop leaves behind when each one completed and the
+    audit is a pass over that (:func:`_audit`).
 
     The loop is :meth:`Network.transfer` minus everything a class row
     already holds and minus the hardware counters; jitter is the
     network's own stream, two factors per message in recorded order.
-    The books in the result are the compile cache's: read-only.
     """
     book = _compile_trace(trace)
     slot = range(len(book.rank)) if verify else book.rank
     last = [0.0] * (len(slot) if verify else trace.world_size)
     base = [-0.0] * len(last) if exact else last
+    if exact:
+        c = trace.columns()
+        issued = c.t[c.kind < K_B]
     rows = _cost_rows(book, net, trace.monitoring_overhead)
     first_msg = -len(rows)
     first_send = first_msg + book.n_get
@@ -476,94 +549,68 @@ def _replay_in_order(trace: ReplayTrace, net, exact: bool,
     arrivals: List[float] = []
     arrived = arrivals.append
 
-    try:
-        for r, x, g in zip(slot, book.operand,
-                           memoryview(book.t) if exact else book.gap):
-            tt = base[r] + g
-            if x >= 0:  # receive-wait
-                arr = arrivals[x]
+    for r, x, g in zip(slot, book.operand,
+                       memoryview(issued) if exact else book.gap):
+        tt = base[r] + g
+        if x >= 0:  # receive-wait
+            arr = arrivals[x]
+            last[r] = (arr if arr > tt else tt) + o_recv
+        elif x >= first_msg:
+            charge, lat, bwt, mem_t, src_node, dst_node, nic_gate, \
+                mem_gate = rows[x]
+            tt = tt + charge
+            # A get's request flies to the target first; the data
+            # then comes back like any send.
+            start = (tt if x >= first_send else tt + lat) + o_send
+            if jittered:
+                j_lat, j_bw = draw()
+                lat = lat * j_lat
+                bwt = bwt * j_bw
+            if nic_gate:
+                f = nic_free[src_node]
+                if f > start:
+                    start = f
+            if mem_gate:
+                f = mem_free[src_node]
+                if f > start:
+                    start = f
+                f = mem_free[dst_node]
+                if f > start:
+                    start = f
+                mem_free[src_node] = mem_free[dst_node] = start + mem_t
+            if nic_gate:
+                nic_free[src_node] = start + bwt
+            arr = start + lat + bwt
+            arrived(arr)
+            if x >= first_send:  # send, put: injection is synchronous
+                last[r] = start + bwt
+            else:
                 last[r] = (arr if arr > tt else tt) + o_recv
-            elif x >= first_msg:
-                charge, lat, bwt, mem_t, src_node, dst_node, nic_gate, \
-                    mem_gate = rows[x]
-                tt = tt + charge
-                # A get's request flies to the target first; the data
-                # then comes back like any send.
-                start = (tt if x >= first_send else tt + lat) + o_send
-                if jittered:
-                    j_lat, j_bw = draw()
-                    lat = lat * j_lat
-                    bwt = bwt * j_bw
-                if nic_gate:
-                    f = nic_free[src_node]
-                    if f > start:
-                        start = f
-                if mem_gate:
-                    f = mem_free[src_node]
-                    if f > start:
-                        start = f
-                    f = mem_free[dst_node]
-                    if f > start:
-                        start = f
-                    mem_free[src_node] = mem_free[dst_node] = start + mem_t
-                if nic_gate:
-                    nic_free[src_node] = start + bwt
-                arr = start + lat + bwt
-                arrived(arr)
-                if x >= first_send:  # send, put: injection is synchronous
-                    last[r] = start + bwt
-                else:
-                    last[r] = (arr if arr > tt else tt) + o_recv
-            else:  # final compute tail
-                last[r] = tt
-    except IndexError:
-        seq = _unsent_seq(trace, book)
-        if seq is None:
-            raise
-        raise ReplayError(
-            f"receive references unsent message #{seq}") from None
+        else:  # final compute tail
+            last[r] = tt
 
     if verify:
-        last = _audit(trace, book, last)
-    return ReplayResult(
-        clocks=last,
-        counts=book.counts,
-        sizes=book.sizes,
-        total_counts=book.total_counts,
-        total_sizes=book.total_sizes,
-        n_messages=book.n_messages,
-        exact=exact,
-    )
+        last = _audit(trace, book, issued, last)
+    return _result(book, last, exact)
 
 
-def _unsent_seq(trace: ReplayTrace, book: CompiledTrace) -> Optional[int]:
-    """``seq`` of the first receive issued before its message (None:
-    every receive finds one)."""
-    c = trace.columns()
-    timed = c.kind < K_B
-    kind, seq = c.kind[timed], c.seq[timed]
-    issued = np.cumsum((kind == K_S) | (kind == K_P) | (kind == K_G))
-    early = np.flatnonzero(
-        (kind == K_R) & (np.asarray(book.operand) >= issued))
-    return int(seq[early[0]]) if len(early) else None
-
-
-def _audit(trace: ReplayTrace, book: CompiledTrace,
+def _audit(trace: ReplayTrace, book: CompiledTrace, issued: np.ndarray,
            done: List[float]) -> List[float]:
     """The ``verify`` check, from the completion time of every timed
     event: wherever the recording says no time passed since the rank's
     previous event (gap 0), that event's completion must *be* this
-    one's recorded issue time.  Returns the per-rank final clocks."""
+    one's recorded issue time (``issued``).  Returns the per-rank final
+    clocks."""
     rank = np.asarray(book.rank, dtype=np.intp)
     order = np.argsort(rank, kind="stable")     # by rank, recorded order
     follows = np.flatnonzero(np.diff(rank[order]) == 0)
     before = np.zeros(len(rank))
     before[order[follows + 1]] = np.asarray(done)[order[follows]]
-    bad = np.flatnonzero((np.asarray(book.gap) == 0.0) & (before != book.t))
+    bad = np.flatnonzero((np.asarray(book.gap) == 0.0) & (before != issued))
     if len(bad):
         head = "; ".join(
             f"rank {rank[i]}: computed {before[i].item()!r} != "
-            f"recorded {book.t[i].item()!r}" for i in bad[:5])
+            f"recorded {issued[i].item()!r}" for i in bad[:5])
         raise ReplayVerifyError(
             f"{len(bad)} clock divergences in exact replay: {head}")
     clocks = np.zeros(trace.world_size)
@@ -575,6 +622,34 @@ def _audit(trace: ReplayTrace, book: CompiledTrace,
 # ready-set replay
 
 
+def _program_order(trace: ReplayTrace, book: CompiledTrace) -> List[tuple]:
+    """Each rank's timed events in program order, as three lists —
+    ``operand``, ``gap`` and, for an injection, its message ordinal (the
+    one receives name) — built on the first ready-set replay of a trace
+    and cached next to its book, so every candidate of a substituted
+    search shares them and a trace replayed only in recorded order
+    never pays for them.  The operand and gap lists hold the book's own
+    boxes."""
+    cached = trace._program
+    if cached is not None:
+        return cached
+    operand = np.asarray(book.operand, dtype=np.int64)
+    injects = (operand < 0) & (operand >= -book.classes.shape[1])
+    ordinal = np.where(injects, np.cumsum(injects) - 1, -1)
+    del operand, injects
+    rank = np.asarray(book.rank, dtype=np.intp)
+    program = np.argsort(rank, kind="stable")
+    cut = np.searchsorted(rank[program], np.arange(trace.world_size + 1))
+    del rank
+    columns = [np.array(book.operand, dtype=object)[program],
+               np.array(book.gap, dtype=object)[program],
+               ordinal[program]]
+    del program, ordinal
+    trace._program = [tuple(column[a:b].tolist() for column in columns)
+                      for a, b in zip(cut.tolist(), cut[1:].tolist())]
+    return trace._program
+
+
 def _replay_ready(trace: ReplayTrace, net) -> ReplayResult:
     """Reschedule ``trace`` the way the live engine would run it: each
     rank's events in program order, a receive-wait completing once its
@@ -583,10 +658,12 @@ def _replay_ready(trace: ReplayTrace, net) -> ReplayResult:
 
     The same book as :func:`_replay_in_order` and the same pricing — a
     class row per message, the network's jitter stream in claim order —
-    under another scheduler: a cursor per rank over the compiled
-    columns, a heap of the parked injections, and one slot per message
-    ordinal for the receive waiting on it.  Needs no recorded global
-    order, so it also runs a substituted trace.
+    under another scheduler: a cursor per rank over its program order
+    (:func:`_program_order`), a heap of the parked injections, and one
+    slot per message ordinal for the receive waiting on it.  A claim
+    runs the claiming rank on, then the rank its message woke, to their
+    next park.  Needs no recorded global order, so it also runs a
+    substituted trace.
     """
     book = _compile_trace(trace)
     n = trace.world_size
@@ -600,78 +677,72 @@ def _replay_ready(trace: ReplayTrace, net) -> ReplayResult:
     jittered = net._sigma > 0.0
     factors = net.jitter_factors(2 * book.n_messages) if jittered else []
     draw = zip(factors[0::2], factors[1::2]).__next__
-
-    # Per-rank cursors: the columns in program order, cut by rank.  An
-    # injection also carries its own ordinal, the one receives name.
-    operand = np.asarray(book.operand, dtype=np.int64)
-    injects = (operand < 0) & (operand >= first_msg)
-    rank = np.asarray(book.rank, dtype=np.intp)
-    program = np.argsort(rank, kind="stable")
-    cut = np.searchsorted(rank[program], np.arange(n + 1)).tolist()
-    columns = [column[program].tolist() for column in (
-        operand, np.asarray(book.gap), np.cumsum(injects) - 1)]
-    cursors = [zip(*(column[a:b] for column in columns))
-               for a, b in zip(cut, cut[1:])]
+    cursors = [zip(*columns) for columns in _program_order(trace, book)]
 
     last = [0.0] * n
     arrivals: List[Optional[float]] = [None] * (book.n_messages + 1)
     waiting: List[Optional[tuple]] = [None] * (book.n_messages + 1)
     parked: List[tuple] = []
-    runnable = list(range(n))
+    starting = list(range(n - 1, -1, -1))
     running = n
+    woken = -1
+    # Each pass runs one rank on to its next park: the rank the last
+    # claim woke, else a rank not started yet, else the next claimer.
     while True:
-        for r in runnable:
-            for x, g, ordinal in cursors[r]:
-                if x >= 0:  # receive-wait
-                    arr = arrivals[x]
-                    if arr is None:
-                        waiting[x] = (r, g)
-                        break
-                    tt = last[r] + g
-                    last[r] = (arr if arr > tt else tt) + o_recv
-                elif x >= first_msg:
-                    heappush(parked, (last[r] + g, r, x, ordinal))
-                    break
-                else:  # final compute tail
-                    last[r] = last[r] + g
+        if woken >= 0:
+            r, woken = woken, -1
+        elif starting:
+            r = starting.pop()
+        elif parked:
+            tt, r, x, ordinal = heappop(parked)
+            charge, lat, bwt, mem_t, src_node, dst_node, nic_gate, \
+                mem_gate = rows[x]
+            tt = tt + charge
+            start = (tt if x >= first_send else tt + lat) + o_send
+            if jittered:
+                j_lat, j_bw = draw()
+                lat = lat * j_lat
+                bwt = bwt * j_bw
+            if nic_gate:
+                f = nic_free[src_node]
+                if f > start:
+                    start = f
+            if mem_gate:
+                f = mem_free[src_node]
+                if f > start:
+                    start = f
+                f = mem_free[dst_node]
+                if f > start:
+                    start = f
+                mem_free[src_node] = mem_free[dst_node] = start + mem_t
+            if nic_gate:
+                nic_free[src_node] = start + bwt
+            arr = arrivals[ordinal] = start + lat + bwt
+            if x >= first_send:  # send, put: injection is synchronous
+                last[r] = start + bwt
             else:
-                running -= 1
-        if not parked:
-            break
-        tt, r, x, ordinal = heappop(parked)
-        charge, lat, bwt, mem_t, src_node, dst_node, nic_gate, mem_gate = \
-            rows[x]
-        tt = tt + charge
-        start = (tt if x >= first_send else tt + lat) + o_send
-        if jittered:
-            j_lat, j_bw = draw()
-            lat = lat * j_lat
-            bwt = bwt * j_bw
-        if nic_gate:
-            f = nic_free[src_node]
-            if f > start:
-                start = f
-        if mem_gate:
-            f = mem_free[src_node]
-            if f > start:
-                start = f
-            f = mem_free[dst_node]
-            if f > start:
-                start = f
-            mem_free[src_node] = mem_free[dst_node] = start + mem_t
-        if nic_gate:
-            nic_free[src_node] = start + bwt
-        arr = arrivals[ordinal] = start + lat + bwt
-        if x >= first_send:  # send, put: injection is synchronous
-            last[r] = start + bwt
+                last[r] = (arr if arr > tt else tt) + o_recv
+            if waiting[ordinal] is not None:
+                woken, g = waiting[ordinal]
+                tt = last[woken] + g
+                last[woken] = (arr if arr > tt else tt) + o_recv
         else:
-            last[r] = (arr if arr > tt else tt) + o_recv
-        runnable = [r]
-        if waiting[ordinal] is not None:
-            woken, g = waiting[ordinal]
-            tt = last[woken] + g
-            last[woken] = (arr if arr > tt else tt) + o_recv
-            runnable.append(woken)
+            break
+        for x, g, ordinal in cursors[r]:
+            if x >= 0:  # receive-wait
+                arr = arrivals[x]
+                if arr is None:
+                    waiting[x] = (r, g)
+                    break
+                tt = last[r] + g
+                last[r] = (arr if arr > tt else tt) + o_recv
+            elif x >= first_msg:
+                heappush(parked, (last[r] + g, r, x, ordinal))
+                break
+            else:  # final compute tail
+                last[r] = last[r] + g
+        else:
+            running -= 1
 
     if running:
         # Ranks still parked on a receive, and nothing left to inject.
@@ -681,15 +752,6 @@ def _replay_ready(trace: ReplayTrace, net) -> ReplayResult:
                 f"replay deadlock: {running} ranks wait for messages sent "
                 f"only after their own receives complete, ranks {stuck[:8]}")
         c = trace.columns()
-        seq = c.seq[c.kind < K_B][operand == book.n_messages]
-        raise ReplayError(
-            f"receive references unsent message #{seq[0]}")
-    return ReplayResult(
-        clocks=last,
-        counts=book.counts,
-        sizes=book.sizes,
-        total_counts=book.total_counts,
-        total_sizes=book.total_sizes,
-        n_messages=book.n_messages,
-        exact=False,
-    )
+        seq = c.seq[c.kind < K_B][np.asarray(book.operand) == book.n_messages]
+        raise ReplayError(f"receive references unsent message #{seq[0]}")
+    return _result(book, last, exact=False)

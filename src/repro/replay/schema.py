@@ -349,6 +349,7 @@ class ReplayTrace:
         self.meta = {} if meta is None else meta
         self._columns = columns
         self._compiled = None          # replay.engine's compile cache
+        self._program = None           # ... and its ready-set program order
 
     # -- the event stream ------------------------------------------------
 
@@ -360,7 +361,7 @@ class ReplayTrace:
     def _with_columns(self, columns: TraceColumns) -> "ReplayTrace":
         """This trace's header over another event stream."""
         other = copy.copy(self)
-        other._columns, other._compiled = columns, None
+        other._columns, other._compiled, other._program = columns, None, None
         return other
 
     @property

@@ -213,6 +213,8 @@ def what_if_search(
     from repro.placement.mapping import reorder_permutation
 
     names = list(strategies) if strategies is not None else list(STRATEGIES)
+    if not names:
+        raise ValueError(f"no search strategy given; have {STRATEGIES}")
     for s in names:
         if s not in STRATEGIES:
             raise ValueError(f"unknown search strategy {s!r}; "

@@ -39,7 +39,7 @@ def _traced_peak(step):
 
 def test_compile_holds_its_book_plus_one_column(fig5_trace):
     book, peak = _traced_peak(lambda: _compile_trace(_fresh(fig5_trace)))
-    assert peak <= 1.75 * book.nbytes(), (peak, book.nbytes())
+    assert peak <= 1.5 * book.nbytes(), (peak, book.nbytes())
 
 
 def test_substitution_holds_its_output_plus_one_column(fig5_trace):

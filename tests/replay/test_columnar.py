@@ -223,8 +223,9 @@ def _compile_from_tuples(trace):
     return timed, counts, sizes, total_counts, total_sizes, len(messages)
 
 
-def _resolved(book):
-    """A book's timed events in the reference's spelling."""
+def _resolved(book, trace):
+    """A book's timed events in the reference's spelling, with the
+    recorded issue times ``trace``'s columns hold."""
     classes = list(zip(*book.classes.tolist()))
     assert len(set(classes)) == len(classes)        # a class appears once
 
@@ -237,8 +238,9 @@ def _resolved(book):
         get = x + len(classes) < book.n_get         # the get classes lead
         return ("get" if get else "send", src, dst, nb, bool(charged))
 
+    c = trace.columns()
     return [(r, what(x), gap, t) for r, x, gap, t in
-            zip(book.rank, book.operand, book.gap, book.t.tolist())]
+            zip(book.rank, book.operand, book.gap, c.t[c.kind < K_B].tolist())]
 
 
 def _one_sided_recording():
@@ -262,7 +264,7 @@ def test_compile_from_columns_equals_per_event_compile(source, fig5_trace,
     for trace in (recorded, _through_schema_2(recorded, tmp_path)):
         trace._compiled = None
         book = compile_trace(trace)
-        assert _bits(_resolved(book)) == _bits(timed)
+        assert _bits(_resolved(book, trace)) == _bits(timed)
         # The loop reads python scalars, not numpy ones.
         assert {type(v) for col in (book.rank, book.operand) for v in col} \
             <= {int}

@@ -17,15 +17,17 @@ def test_compile_trace_is_cached_and_tuple_compatible(fig5_trace):
     assert isinstance(book, CompiledTrace)
     assert compile_trace(fig5_trace) is book        # cached on the trace
     # Positional destructuring still works (NamedTuple): three list
-    # columns over the timed events, the class table, the books, and
-    # the recorded issue times in a float64 column parallel to the lists.
+    # columns over the timed events, the class table, the books, each
+    # rank's finish clock in a float64 column, and no unsent receive.
     (rank, operand, gap, classes, n_get, counts, sizes, total_counts,
-     total_sizes, n_messages, t, op_bytes) = book
+     total_sizes, n_messages, finish, unsent, op_bytes) = book
     assert rank is book.rank and operand is book.operand
     assert n_messages == book.n_messages
     assert n_messages > 0
-    assert t.dtype == np.float64
-    assert len(t) == len(rank) == len(operand) == len(gap)
+    assert finish.dtype == np.float64
+    assert finish.tolist() == fig5_trace.clocks
+    assert unsent is None
+    assert len(rank) == len(operand) == len(gap)
     assert classes.shape == (4, len(set(zip(*classes.tolist()))))
     assert n_get == 0                               # fig5 has no one-sided op
 
@@ -38,7 +40,7 @@ def test_nbytes_counts_numpy_tables_and_op_stream(fig5_trace):
         for table in (book.counts, book.sizes, book.total_counts,
                       book.total_sizes)
         for mat in table.values())
-    assert nbytes > matrix_bytes + book.t.nbytes    # op columns counted too
+    assert nbytes > matrix_bytes + book.finish.nbytes  # op columns too
     assert book.op_bytes <= _one_box_per_value_bound(book)
     # Every matrix really is a dense numpy buffer over the world.
     n = fig5_trace.world_size
@@ -83,7 +85,9 @@ def _walked_nbytes(book) -> int:
     arithmetic in ``nbytes()``): each distinct box counts once, however
     many slots hold it, and the ints CPython keeps as singletons cost a
     book nothing."""
-    total = int(book.t.nbytes) + int(book.classes.nbytes)
+    total = int(book.classes.nbytes)
+    if book.finish is not None:
+        total += int(book.finish.nbytes)
     for table in (book.counts, book.sizes,
                   book.total_counts, book.total_sizes):
         for mat in table.values():

@@ -1,0 +1,98 @@
+"""How much work a replay does, pinned: an exact replay reads the
+recording instead of walking it, a search walks once per re-placed
+placement, and a substituted search builds its ready-set program order
+once."""
+
+import pytest
+
+from repro.replay import ReplayTrace, engine, replay, what_if_search
+from repro.replay.engine import ReplayError
+from repro.replay.schema import K_F
+from tests.replay.reference import reference_replay
+from tests.replay.test_columnar import DATA, FIXTURES
+from tests.replay.test_engine import _without_first_send
+
+
+@pytest.fixture(scope="module")
+def fig5_fixture():
+    return ReplayTrace.load(str(DATA / "fig5.trace"))
+
+
+def test_a_search_walks_only_the_re_placed_candidates(fig5_fixture,
+                                                      monkeypatch):
+    walks = []
+    real = engine._replay_in_order
+
+    def counted(trace, *args):
+        walks.append(trace)
+        return real(trace, *args)
+
+    monkeypatch.setattr(engine, "_replay_in_order", counted)
+    res = what_if_search(fig5_fixture)
+    moved = {tuple(c.placement) for c in res.candidates} \
+        - {tuple(fig5_fixture.binding)}
+    assert len(walks) == len(moved) == 4
+    by_name = {c.strategy: c for c in res.candidates}
+    assert by_name["identity"].makespan == res.recorded_makespan
+    del walks[:]
+    replay(fig5_fixture)
+    assert walks == []
+    replay(fig5_fixture, verify=True)
+    assert len(walks) == 1
+
+
+def test_a_substituted_search_orders_its_program_once(fig5_fixture,
+                                                      monkeypatch):
+    built = []
+    real = engine._program_order
+
+    def counted(trace, *args):
+        if trace._program is None:
+            built.append(trace)
+        return real(trace, *args)
+
+    monkeypatch.setattr(engine, "_program_order", counted)
+    res = what_if_search(fig5_fixture, substitute={"reduce": "binomial"})
+    assert len(res.candidates) == 6
+    assert len(built) == 1
+    # A trace scored only in recorded order never builds one.
+    what_if_search(fig5_fixture)
+    assert len(built) == 1 and fig5_fixture._program is None
+
+
+@pytest.mark.parametrize("source", FIXTURES)
+def test_reading_the_recording_equals_walking_it(source):
+    """The no-walk clocks are the verified walk's, to the bit — on the
+    one-sided fixture (jitter 0.1, puts and gets) too."""
+    trace = ReplayTrace.load(str(DATA / source))
+    read = replay(trace)
+    walked = replay(trace, verify=True)
+    assert read.exact and walked.exact
+    assert [c.hex() for c in read.clocks] == \
+        [c.hex() for c in walked.clocks]
+    assert read.n_messages == walked.n_messages
+    assert read.total_sizes is walked.total_sizes
+
+
+def test_a_rank_that_does_not_end_on_its_finish_is_walked(fig5_fixture):
+    c = fig5_fixture.columns()
+    keep = c.kind != K_F
+    cut = fig5_fixture._with_columns(c._replace(**{
+        name: getattr(c, name)[keep] for name in c._fields[:-1]}))
+    assert engine.compile_trace(cut).finish is None
+    clocks, _ = reference_replay(cut, exact=True)
+    for kwargs in ({}, {"verify": True}):
+        assert [x.hex() for x in replay(cut, **kwargs).clocks] == \
+            [x.hex() for x in clocks]
+
+
+def test_an_unsent_message_reads_the_same_on_every_path(fig5_fixture):
+    trace = _without_first_send(fig5_fixture)
+    errors = []
+    for kwargs in ({}, {"verify": True},
+                   {"binding": list(reversed(trace.binding))},
+                   {"substitute": {"reduce": "binomial"}}):
+        with pytest.raises(ReplayError) as err:
+            replay(trace, **kwargs)
+        errors.append(str(err.value))
+    assert errors == ["receive references unsent message #0"] * 4

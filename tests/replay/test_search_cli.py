@@ -38,6 +38,11 @@ class TestWhatIfSearch:
         with pytest.raises(ValueError, match="unknown search strategy"):
             what_if_search(fig5_trace, strategies=["identity", "bogus"])
 
+    def test_empty_strategy_list_rejected(self, fig5_trace):
+        with pytest.raises(ValueError, match="no search strategy given; "
+                                             "have \\('identity'"):
+            what_if_search(fig5_trace, strategies=[])
+
     def test_substitution_composes(self, fig5_trace):
         res = what_if_search(fig5_trace, strategies=["identity", "treematch"],
                              substitute={"bcast": "chain"})

@@ -77,7 +77,7 @@ def test_built_entries_account_compiled_plus_events(serve_traces):
         if name != "colls")
     assert cols.footprint() == 39 * trace.n_events    # the on-disk row
     assert entry.nbytes == entry.compiled.nbytes() + cols.footprint()
-    assert entry.compiled.nbytes() > entry.compiled.t.nbytes > 0
+    assert entry.compiled.nbytes() > entry.compiled.op_bytes > 0
     # ... and what a worker reports of it to a daemon that holds none.
     assert entry.facts() == {
         "binding": list(trace.binding),
