@@ -104,11 +104,11 @@ def _cmd_search(args) -> int:
     from repro.placement.focus import focus_from_args
     from repro.replay.engine import compile_trace
     from repro.replay.patterns import parse_substitute
-    from repro.replay.search import STRATEGIES, what_if_search
+    from repro.replay.search import speedup_of, what_if_search
 
     trace = _load(args.trace)
     strategies = ([s.strip() for s in args.strategies.split(",") if s.strip()]
-                  if args.strategies else list(STRATEGIES))
+                  if args.strategies else None)
     focus = focus_from_args(args)
     t0 = time.perf_counter()
     res = what_if_search(trace, strategies=strategies, seed=args.seed,
@@ -118,7 +118,7 @@ def _cmd_search(args) -> int:
     book = compile_trace(trace)
     rows = [
         (c.strategy, round(c.makespan, 6),
-         round(res.recorded_makespan / c.makespan, 3) if c.makespan else "inf",
+         round(speedup_of(res.recorded_makespan, c.makespan), 3),
          int(c.inter_node_bytes), round(c.wall_seconds * 1e3, 1))
         for c in res.candidates
     ]
@@ -136,23 +136,8 @@ def _cmd_search(args) -> int:
           f"({book.n_messages} messages), shared across all "
           f"{len(res.candidates)} candidates")
     if args.json:
-        doc = {
-            "recorded_makespan": res.recorded_makespan,
-            "best": res.best.strategy,
-            "speedup": res.speedup,
-            "k": [int(v) for v in res.k],
-            "candidates": [
-                {"strategy": c.strategy, "makespan": c.makespan,
-                 "placement": c.placement, "hop_bytes": c.hop_bytes,
-                 "inter_node_bytes": c.inter_node_bytes,
-                 "modeled_cost": c.modeled_cost,
-                 "wall_seconds": c.wall_seconds}
-                for c in res.candidates
-            ],
-            "meta": res.meta,
-        }
         with open(args.json, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(res.to_dict(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
     return 0
 

@@ -6,8 +6,10 @@ of shared state:
 
 * the **trace registry** — per content fingerprint, the trace's path,
   the identity of the file that was hashed and, once a worker has
-  loaded it, the few header facts replies quote (recorded binding and
-  makespan, world size, event count, resident bytes).  The daemon
+  loaded it, the few facts replies quote
+  (:func:`repro.replay.search.recorded_facts` — recorded binding and
+  exact-replay makespan, world size, event count — and resident
+  bytes).  The daemon
   holds no book: a book exists only in the process that replays it
   (:mod:`repro.serve.workers`), ``ingest`` hands load + compile to the
   pool as one task, and every load a worker reports — first touch, or
@@ -20,7 +22,11 @@ of shared state:
   deterministic and candidates are independent.  Cold cells are
   single-flight — N clients racing on one cell share one future and
   one scoring task — and dispatched to the supervised worker pool,
-  which batches candidates across concurrent queries.
+  which batches candidates across concurrent queries.  The cells are
+  ranked by :func:`repro.replay.search.rank_candidates`, and a reply
+  is that result's ``to_dict()`` in an envelope (``type``,
+  ``fingerprint``, ``cache``, ``elapsed_s``): the document a direct
+  search gives.
 * the **admission gate** — a query that needs more cold cells than the
   scoring queue has room for is rejected *before* anything is
   enqueued, with an ``overloaded`` error the client can retry on.
@@ -106,9 +112,10 @@ class PlacementServer:
             on_load=self._book_loaded)
         # fingerprint -> (trace path, its file_identity when hashed)
         self._paths: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
-        # fingerprint -> header facts, from the first worker to load it
+        # fingerprint -> the facts the first worker to load it reported
         self._facts: Dict[str, Dict[str, Any]] = {}
-        self._results: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
+        # cell key -> its scored repro.replay.search.Candidate
+        self._results: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._responses: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._pending_cells = 0                   # admitted, not yet done
@@ -302,28 +309,29 @@ class PlacementServer:
     # -- query ---------------------------------------------------------
 
     async def _do_query(self, doc: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.placement.mapping import reorder_permutation
-        from repro.replay.search import STRATEGIES
+        from repro.placement.focus import Focus
+        from repro.replay.search import rank_candidates, strategy_names
 
         fp = doc["fingerprint"]
         if fp not in self._paths:
             raise _Reject("unknown-fingerprint",
                           f"fingerprint {fp[:12]}… was never ingested here")
-        strategies = doc.get("strategies") or list(STRATEGIES)
-        for s in strategies:
-            if s not in STRATEGIES:
-                raise ServeProtocolError(
-                    f"unknown strategy {s!r}; have {STRATEGIES}")
+        try:
+            strategies = strategy_names(doc.get("strategies"))
+            focus = (Focus.from_dict(doc["focus"]) if doc.get("focus")
+                     else None)
+        except (TypeError, ValueError) as exc:
+            raise ServeProtocolError(str(exc)) from None
         seed = int(doc.get("seed", 0))
         substitute = doc.get("substitute")
-        focus = doc.get("focus")
 
         # Hot path: the whole ranked response for this exact query was
         # built before — answer from memory without touching the pool
-        # or the ranking code.
+        # or the ranking code.  Focuses that differ only in list order
+        # share cells but echo themselves, so the focus keys the reply.
         keys = [self._cell_key(fp, s, seed, substitute, focus)
                 for s in strategies]
-        response_key = (tuple(keys),)
+        response_key = (tuple(keys), focus)
         hot = self._responses.get(response_key)
         if hot is not None:
             self._responses.move_to_end(response_key)
@@ -335,7 +343,7 @@ class PlacementServer:
         hits = misses = 0
         waits: List[Tuple[int, asyncio.Future]] = []
         cold: List[Tuple[int, Tuple]] = []
-        results: List[Optional[Dict[str, Any]]] = [None] * len(keys)
+        results: List[Any] = [None] * len(keys)     # Candidates
         for i, key in enumerate(keys):
             cached = self._results.get(key)
             if cached is not None:
@@ -386,33 +394,10 @@ class PlacementServer:
             results[i] = await asyncio.shield(fut)
         # Any scored cell means a worker has loaded the book, and its
         # report of that came in no later than the cell's result.
-        facts = self._facts[fp]
-
-        order = sorted(range(len(results)),
-                       key=lambda i: (results[i]["makespan"], i))
-        ranked = [results[i] for i in order]
-        best = ranked[0]
-        k = reorder_permutation(best["placement"], facts["binding"])
-        recorded_makespan = facts["recorded_makespan"]
-        reply = {
-            "type": "result",
-            "fingerprint": fp,
-            "recorded_makespan": recorded_makespan,
-            "best": best["strategy"],
-            "speedup": (recorded_makespan / best["makespan"]
-                        if best["makespan"] else float("inf")),
-            "k": [int(v) for v in k],
-            "candidates": ranked,
-            "cache": {"hits": hits, "misses": misses},
-            "meta": {
-                "strategies": strategies,
-                "seed": seed,
-                "substitute": dict(substitute) if substitute else None,
-                "focus": focus,
-                "world_size": facts["world_size"],
-                "n_events": facts["n_events"],
-            },
-        }
+        res = rank_candidates(results, self._facts[fp], seed, substitute,
+                              focus)
+        reply = {"type": "result", "fingerprint": fp, **res.to_dict(),
+                 "cache": {"hits": hits, "misses": misses}}
         self._responses[response_key] = reply
         while len(self._responses) > self.config.result_cache_max:
             self._responses.popitem(last=False)
@@ -443,9 +428,8 @@ class PlacementServer:
         sub_key = (json.dumps(substitute, sort_keys=True,
                               separators=(",", ":"))
                    if substitute else "")
-        focus_key = (json.dumps(focus, sort_keys=True,
-                                separators=(",", ":")) if focus else "")
-        return (fp, strategy, seed, sub_key, focus_key)
+        return (fp, strategy, seed, sub_key,
+                focus.cache_key() if focus else "")
 
     # -- stats ---------------------------------------------------------
 

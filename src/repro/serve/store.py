@@ -113,15 +113,13 @@ class BookEntry:
         )
 
     def facts(self) -> Dict[str, object]:
-        """What the daemon's replies quote of a book it does not hold."""
-        trace = self.trace
-        return {
-            "binding": [int(pu) for pu in trace.binding],
-            "recorded_makespan": max(trace.clocks) if trace.clocks else 0.0,
-            "world_size": trace.world_size,
-            "n_events": trace.n_events,
-            "nbytes": self.nbytes,
-        }
+        """What the daemon's replies quote of a book it does not hold:
+        the recording's :func:`~repro.replay.search.recorded_facts`
+        (which the daemon ranks its candidates against) and the
+        book's size."""
+        from repro.replay.search import recorded_facts
+
+        return {**recorded_facts(self.trace), "nbytes": self.nbytes}
 
 
 class BookStore:

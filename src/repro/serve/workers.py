@@ -14,18 +14,20 @@ file is read and compiled: a task names its book by fingerprint, path
 and the file identity ingest noted (:class:`BookRef`), the worker
 answers from its resident copy or loads it — refusing a file that is
 no longer the one that was fingerprinted, or never was a trace — and
-says so in its reply, together with the header facts the daemon quotes
-and its store's counters.  A bare :class:`BookRef` is ingest's "have
-this book hot" task; a :class:`ScoreTask` also scores one candidate on
-it, by :func:`repro.replay.search.score_candidate` — the exact code
-path of a direct ``repro.replay search`` — which is what makes served
-results bit-identical to offline ones.  A refused file and a candidate
-whose scoring raised are *answers*, carried in the reply beside the
-load report: loading and scoring are deterministic, so the pool's
-retries (kept for crashes and timeouts) could not change them, and a
-book that stays resident is always reported.  :class:`WorkerPool` is
-the daemon's view of all that: futures of results, a callback per
-reported load, and the live workers' store counters summed.
+says so in its reply, together with the recording's facts the daemon
+ranks against and its store's counters.  A bare :class:`BookRef` is
+ingest's "have this book hot" task; a :class:`ScoreTask` also scores
+one candidate on it, by :func:`repro.replay.search.score_candidate` —
+the exact code path of a direct ``repro.replay search`` — and returns
+its :class:`~repro.replay.search.Candidate` as it is, which is what
+makes served results bit-identical to offline ones.  A refused file
+and a candidate whose scoring raised are *answers*, carried in the
+reply beside the load report: loading and scoring are deterministic,
+so the pool's retries (kept for crashes and timeouts) could not change
+them, and a book that stays resident is always reported.
+:class:`WorkerPool` is the daemon's view of all that: futures of
+results, a callback per reported load, and the live workers' store
+counters summed.
 
 Chaos injection for the tests/CI is read from ``REPRO_SERVE_CHAOS``:
 ``"stall=0.5"`` makes every batch sleep first (holds tasks in flight,
@@ -68,7 +70,7 @@ class ScoreTask(BookRef):
     strategy: str
     seed: int = 0
     substitute: Optional[Dict[str, str]] = None
-    focus: Optional[Dict[str, Any]] = None
+    focus: Any = None    # a repro.placement.focus.Focus, or None
 
 
 def _serve_one(store: BookStore, task: BookRef) -> Dict[str, Any]:
@@ -87,8 +89,12 @@ def _serve_one(store: BookStore, task: BookRef) -> Dict[str, Any]:
             reply["loaded"] = entry.facts()
             store.put(entry)
     if entry is not None and isinstance(task, ScoreTask):
+        from repro.replay.search import score_candidate
+
         try:
-            reply["result"] = _score_one(entry.trace, task)
+            reply["result"] = score_candidate(
+                entry.trace, task.strategy, seed=task.seed,
+                substitute=task.substitute, focus=task.focus)
         except Exception:
             # The book stays resident whatever scoring made of it, so
             # the load report must get out: raising here would drop it.
@@ -97,30 +103,12 @@ def _serve_one(store: BookStore, task: BookRef) -> Dict[str, Any]:
     return reply
 
 
-def _score_one(trace, task: ScoreTask) -> Dict[str, Any]:
-    from repro.placement.focus import Focus
-    from repro.replay.search import score_candidate
-
-    cand = score_candidate(
-        trace, task.strategy, seed=int(task.seed),
-        substitute=task.substitute,
-        focus=Focus.from_dict(task.focus) if task.focus else None)
-    return {
-        "strategy": cand.strategy,
-        "placement": [int(p) for p in cand.placement],
-        "makespan": cand.makespan,
-        "hop_bytes": cand.hop_bytes,
-        "inter_node_bytes": cand.inter_node_bytes,
-        "modeled_cost": cand.modeled_cost,
-        "wall_seconds": cand.wall_seconds,
-    }
-
-
 class WorkerPool(SupervisedPool):
     """The daemon's scoring pool: :class:`BookRef` / :class:`ScoreTask`
-    in, result dict out.  ``on_load(fingerprint, facts)`` is called for
-    every book load a worker reports (first touch, or reload after an
-    eviction or a crash); ``book_bytes`` bounds each worker's store."""
+    in, :class:`~repro.replay.search.Candidate` out.
+    ``on_load(fingerprint, facts)`` is called for every book load a
+    worker reports (first touch, or reload after an eviction or a
+    crash); ``book_bytes`` bounds each worker's store."""
 
     def __init__(
         self,
@@ -147,8 +135,9 @@ class WorkerPool(SupervisedPool):
             backoff_s=backoff_s, batch=batch, chaos=chaos)
 
     def submit(self, task: BookRef) -> "asyncio.Future":
-        """Queue one task; the future resolves to the candidate's result
-        dict (None for a bare :class:`BookRef`) once the book is
+        """Queue one task; the future resolves to the scored
+        :class:`~repro.replay.search.Candidate` (None for a bare
+        :class:`BookRef`) once the book is
         resident in the worker that ran it, or raises what the worker
         refused the file with
         (:class:`~repro.serve.store.TraceChangedError`,

@@ -296,38 +296,26 @@ def _whatif_compute(params: Dict[str, Any]) -> Dict[str, Any]:
         fig5_collectives.run_cell(
             params["op"], params["n_nodes"], sizes=tuple(params["sizes"]),
             reps=params["reps"], seed=params["seed"])
-    trace = traces[0]
-    res = what_if_search(trace, strategies=params["strategies"],
+    res = what_if_search(traces[0], strategies=params["strategies"],
                          seed=params["seed"])
-    return {
-        "op": params["op"],
-        "np_ranks": trace.world_size,
-        "n_events": trace.n_events,
-        "recorded_makespan": res.recorded_makespan,
-        "best": res.best.strategy,
-        "speedup": res.speedup,
-        "k": [int(v) for v in res.k],
-        "candidates": [
-            {"strategy": c.strategy, "makespan": c.makespan,
-             "inter_node_bytes": c.inter_node_bytes}
-            for c in res.candidates
-        ],
-    }
+    return {"op": params["op"], **res.to_dict()}
 
 
 def _whatif_report(results: List[Any]) -> str:
+    from repro.replay.search import speedup_of
+
     rows = []
     for r in results:
         for c in r["candidates"]:
             rows.append((
-                r["op"], r["np_ranks"], c["strategy"],
+                r["op"], r["meta"]["world_size"], c["strategy"],
                 round(c["makespan"], 6),
-                round(r["recorded_makespan"] / c["makespan"], 3)
-                if c["makespan"] else "inf",
+                round(speedup_of(r["recorded_makespan"], c["makespan"]), 3),
                 int(c["inter_node_bytes"]),
             ))
     best = "; ".join(
-        f"{r['op']}/np{r['np_ranks']}: {r['best']} ({r['speedup']:.2f}x)"
+        f"{r['op']}/np{r['meta']['world_size']}: {r['best']} "
+        f"({r['speedup']:.2f}x)"
         for r in results)
     table = render_table(
         ["op", "np", "strategy", "makespan (s)", "speedup",

@@ -47,6 +47,20 @@ def columns_of(events) -> TraceColumns:
     return packer.columns()
 
 
+def answer_bits(doc):
+    """A search answer document (``SearchResult.to_dict()``, read back
+    or not) with every float as its ``float.hex`` and the host-time
+    ``wall_seconds`` dropped: equal means equal to the bit."""
+    if isinstance(doc, float):
+        return float(doc).hex()
+    if isinstance(doc, dict):
+        return {k: answer_bits(v) for k, v in doc.items()
+                if k != "wall_seconds"}
+    if isinstance(doc, (list, tuple)):
+        return [answer_bits(v) for v in doc]
+    return doc
+
+
 @pytest.fixture(scope="session")
 def fig5_recording():
     """(trace, engine, results) for the golden fig5_shaped workload."""

@@ -209,6 +209,27 @@ class TestCli:
         assert [c["strategy"] for c in doc["candidates"]]
         assert is_permutation(doc["k"])
 
+    @pytest.mark.parametrize("flags, kwargs", [
+        ([], {}),
+        (["--substitute", "reduce=binomial"],
+         {"substitute": {"reduce": "binomial"}}),
+    ])
+    def test_search_json_is_the_library_document(self, recorded_cell,
+                                                 tmp_path, flags, kwargs):
+        """``--json`` writes ``what_if_search(...).to_dict()``, all of
+        it, to the bit (but for the host-time ``wall_seconds``)."""
+        from repro.replay.schema import ReplayTrace
+        from tests.replay.conftest import answer_bits
+
+        out = str(tmp_path / "search.json")
+        assert main(["search", recorded_cell, "--seed", "3", *flags,
+                     "--json", out]) == 0
+        direct = what_if_search(ReplayTrace.load(recorded_cell), seed=3,
+                                **kwargs)
+        with open(out) as fh:
+            assert answer_bits(json.load(fh)) == \
+                answer_bits(direct.to_dict())
+
 
 class TestRecorderGating:
     def test_no_recording_outside_capture(self):

@@ -87,35 +87,62 @@ def test_a_book_is_built_once_in_the_worker_that_scores_on_it(
 
 def test_served_results_bit_identical_to_direct_search(
         serve_traces, serve_daemon):
+    """A served answer is the library's document in an envelope: the
+    whole of it, plain, substituted and focused, to the bit."""
+    from repro.placement.focus import Focus
     from repro.replay.schema import ReplayTrace
     from repro.replay.search import what_if_search
+    from tests.replay.conftest import answer_bits
 
     strategies = ["identity", "treematch", "greedy", "random"]
-    substitutions = [None, {"reduce": "binomial"}]
+    focus = {"straggler_ranks": [0, 1], "congested_classes": ["Switch"]}
+    queries = [(None, None), ({"reduce": "binomial"}, None), (None, focus)]
     with serve_daemon(jobs=2) as (sock, _proc):
         with ServeClient(path=sock) as client:
             fp = client.ingest(serve_traces[0])["fingerprint"]
             answers = [client.query(fp, strategies=strategies, seed=3,
-                                    substitute=substitute)
-                       for substitute in substitutions]
+                                    substitute=substitute, focus=focus)
+                       for substitute, focus in queries]
 
     trace = ReplayTrace.load(serve_traces[0])
-    for substitute, served in zip(substitutions, answers):
-        direct = what_if_search(trace, strategies=strategies, seed=3,
-                                substitute=substitute)
-        by_strategy = {c.strategy: c for c in direct.candidates}
-        for cand in served["candidates"]:
-            ref = by_strategy[cand["strategy"]]
-            assert cand["makespan"] == ref.makespan
-            assert cand["placement"] == [int(p) for p in ref.placement]
-            assert cand["hop_bytes"] == ref.hop_bytes
-            assert cand["inter_node_bytes"] == ref.inter_node_bytes
-            assert cand["modeled_cost"] == ref.modeled_cost
-        assert served["best"] == direct.best.strategy
-        assert served["k"] == [int(v) for v in direct.k]
-        assert served["recorded_makespan"] == direct.recorded_makespan
+    for (substitute, focus), served in zip(queries, answers):
+        direct = what_if_search(
+            trace, strategies=strategies, seed=3, substitute=substitute,
+            focus=Focus.from_dict(focus) if focus else None)
+        envelope = {key: served.pop(key) for key in
+                    ("type", "fingerprint", "cache", "elapsed_s", "schema")}
+        assert envelope["type"] == "result" and envelope["fingerprint"] == fp
+        assert answer_bits(served) == answer_bits(direct.to_dict())
     assert answers[0]["candidates"][0]["makespan"] != \
         answers[1]["candidates"][0]["makespan"]
+    assert answers[2]["meta"]["focus"] == {**focus, "weight": 4.0}
+
+
+def test_every_answer_quotes_the_exact_replays_makespan(
+        serve_traces, serve_daemon, tmp_path):
+    """The recorded makespan is the exact replay's, read from the ``F``
+    rows, not the header's ``clocks``: on a file where the two disagree
+    the ``identity`` candidate, the library and the daemon all quote
+    the replay."""
+    from repro.replay import replay
+    from repro.replay.schema import ReplayTrace
+    from repro.replay.search import what_if_search
+
+    trace = ReplayTrace.load(serve_traces[0])
+    trace.clocks = [2.0 * c for c in trace.clocks]
+    path = str(tmp_path / "clocks-off.trace")
+    trace.dump(path)
+    trace = ReplayTrace.load(path)
+    exact = replay(trace).max_clock
+    assert max(trace.clocks) != exact
+    res = what_if_search(trace, strategies=["identity", "treematch"])
+    assert res.recorded_makespan == exact
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fp = client.ingest(path)["fingerprint"]
+            served = client.query(fp, strategies=["identity", "treematch"])
+    assert served["recorded_makespan"] == res.recorded_makespan == exact
+    assert served["speedup"] == res.speedup
 
 
 def test_lru_evicts_by_bytes_and_recompiles_transparently(
@@ -473,6 +500,12 @@ def test_unknown_fingerprint_and_bad_requests(serve_traces, serve_daemon):
             assert excinfo.value.code == "bad-request"
 
             with pytest.raises(ServeError) as excinfo:
+                client.query(fp, strategies=["identity"],
+                             focus={"straggler_ranks": [0],
+                                    "weight": "heavy"})
+            assert excinfo.value.code == "bad-request"
+
+            with pytest.raises(ServeError) as excinfo:
                 client.request({"type": "query"})  # no fingerprint
             assert excinfo.value.code == "bad-request"
 
@@ -504,6 +537,22 @@ def test_focus_from_diagnosis_narrows_generators(serve_traces,
             assert again["candidates"][0]["makespan"] == \
                 focused["candidates"][0]["makespan"]
             assert plain["candidates"][0]["strategy"] == "treematch"
+            # The focus is keyed the way the library reads it: list
+            # order and an omitted default weight name the same cell,
+            # and each reply echoes its own focus as Focus.to_dict().
+            reordered = {"congested_classes": ["Switch"],
+                         "straggler_ranks": [1, 0]}
+            same = client.query(fp, strategies=["treematch"],
+                                focus=reordered)
+            assert same["cache"] == {"hits": 1, "misses": 0}
+            assert same["candidates"] == focused["candidates"]
+            assert same["meta"]["focus"] == {**reordered, "weight": 4.0}
+            # A focus that names nothing is the unfocused cell.
+            empty = client.query(fp, strategies=["treematch"],
+                                 focus={"straggler_ranks": []})
+            assert empty["cache"] == {"hits": 1, "misses": 0}
+            assert empty["meta"]["focus"] is None
+            assert empty["candidates"] == plain["candidates"]
 
 
 def test_stats_and_query_cli_json_to_stdout(serve_traces, serve_daemon):

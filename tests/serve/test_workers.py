@@ -46,7 +46,7 @@ def test_store_stats_cover_live_workers_only(serve_traces):
         os.kill(pool.worker_pids()[0], signal.SIGKILL)
         result = await pool.submit(
             ScoreTask(ref.fingerprint, ref.path, ref.identity, "identity"))
-        assert result["strategy"] == "identity"
+        assert result.strategy == "identity"
         assert pool.stats()["replaced"] == 1
         after = pool.store_stats()
         assert after["entries"] == 1 and after["bytes"] == before["bytes"]
@@ -118,7 +118,7 @@ def test_a_load_is_reported_even_if_the_scoring_after_it_raises(
 
         good = await pool.submit(
             ScoreTask(ref.fingerprint, ref.path, ref.identity, "identity"))
-        assert good["strategy"] == "identity"
+        assert good.strategy == "identity"
         assert pool.store_stats()["hits"] == 1
 
     assert _run(scenario) == [ref.fingerprint]
