@@ -46,7 +46,7 @@ from repro.simmpi.collectives import default_algorithm
 
 __all__ = [
     "REPORT_SCHEMA", "REPORT_KIND", "PASSES", "SEVERITIES",
-    "DiagnosisConfig", "Finding",
+    "THRESHOLDS", "Finding",
     "default_algorithm", "best_known_algorithm",
     "detect_congested_links", "detect_stragglers",
     "detect_alg_mismatch", "detect_stalls",
@@ -62,35 +62,32 @@ PASSES = ("congested_links", "stragglers", "alg_mismatch", "stalls")
 SEVERITIES = ("info", "warning", "critical")
 
 
-@dataclass
-class DiagnosisConfig:
-    """Detector thresholds (documented in DESIGN.md §4.6)."""
-
+#: Detector thresholds (DESIGN.md §4.6), echoed as the report's
+#: ``config`` block.
+THRESHOLDS = {
     # congested_links: flag a class whose bytes·latency score is both
     # >= factor x the sibling median and >= min_share of the total.
-    congestion_factor: float = 4.0
-    congestion_min_share: float = 0.5
-
+    "congestion_factor": 4.0,
+    "congestion_min_share": 0.5,
     # stragglers: lateness threshold is max(rel*IQR, min_seconds,
     # makespan_frac*makespan); a rank is flagged when it is late at >=
     # late_share of >= min_instances instances it participates in.
-    straggler_rel_iqr: float = 3.0
-    straggler_min_seconds: float = 0.0
-    straggler_makespan_frac: float = 0.02
-    straggler_late_share: float = 0.5
-    straggler_min_instances: int = 2
-
+    "straggler_rel_iqr": 3.0,
+    "straggler_min_seconds": 0.0,
+    "straggler_makespan_frac": 0.02,
+    "straggler_late_share": 0.5,
+    "straggler_min_instances": 2,
     # alg_mismatch: ignore collectives smaller than this (algorithm
     # choice is latency-bound noise below it).
-    alg_min_bytes: int = 1_000_000
-
+    "alg_min_bytes": 1_000_000,
     # stalls: a wait is a candidate when it lasts >= max(min_seconds,
     # min_fraction*makespan) and its in-flight coverage leaves >=
     # empty_share of the window empty.
-    stall_min_seconds: float = 0.0
-    stall_min_fraction: float = 0.05
-    stall_empty_share: float = 0.9
-    stall_max_findings: int = 8
+    "stall_min_seconds": 0.0,
+    "stall_min_fraction": 0.05,
+    "stall_empty_share": 0.9,
+    "stall_max_findings": 8,
+}
 
 
 @dataclass
@@ -139,8 +136,7 @@ def best_known_algorithm(op: str, nbytes: int,
 # detectors
 
 
-def detect_congested_links(tl: Timeline,
-                           cfg: DiagnosisConfig) -> List[Finding]:
+def detect_congested_links(tl: Timeline) -> List[Finding]:
     classes = tl.link_classes()
     scores: Dict[str, float] = {}
     for cls in classes:
@@ -158,9 +154,9 @@ def detect_congested_links(tl: Timeline,
         siblings = [s for c, s in live.items() if c != cls]
         med = float(np.median(siblings))
         share = score / total
-        if med <= 0 or score < cfg.congestion_factor * med:
+        if med <= 0 or score < THRESHOLDS["congestion_factor"] * med:
             continue
-        if share < cfg.congestion_min_share:
+        if share < THRESHOLDS["congestion_min_share"]:
             continue
         t0, t1 = tl.counter(f"link:bytes:{cls}").window_of_mass()
         out.append(Finding(
@@ -179,7 +175,7 @@ def detect_congested_links(tl: Timeline,
     return out
 
 
-def detect_stragglers(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
+def detect_stragglers(tl: Timeline) -> List[Finding]:
     late_by_rank: Dict[int, int] = {}
     seen_by_rank: Dict[int, int] = {}
     lateness_by_rank: Dict[int, List[float]] = {}
@@ -190,9 +186,9 @@ def detect_stragglers(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
         vals = np.asarray(list(arrivals.values()))
         med = float(np.median(vals))
         iqr = float(np.percentile(vals, 75) - np.percentile(vals, 25))
-        thresh = max(cfg.straggler_rel_iqr * iqr,
-                     cfg.straggler_min_seconds,
-                     cfg.straggler_makespan_frac * tl.makespan)
+        thresh = max(THRESHOLDS["straggler_rel_iqr"] * iqr,
+                     THRESHOLDS["straggler_min_seconds"],
+                     THRESHOLDS["straggler_makespan_frac"] * tl.makespan)
         for rank, arr in arrivals.items():
             seen_by_rank[rank] = seen_by_rank.get(rank, 0) + 1
             if arr - med > thresh:
@@ -203,9 +199,9 @@ def detect_stragglers(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
                                key=lambda kv: -kv[1]):
         n_seen = seen_by_rank[rank]
         share = n_late / n_seen
-        if n_seen < cfg.straggler_min_instances:
+        if n_seen < THRESHOLDS["straggler_min_instances"]:
             continue
-        if share < cfg.straggler_late_share:
+        if share < THRESHOLDS["straggler_late_share"]:
             continue
         mean_late = float(np.mean(lateness_by_rank[rank]))
         out.append(Finding(
@@ -221,10 +217,10 @@ def detect_stragglers(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
     return out
 
 
-def detect_alg_mismatch(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
+def detect_alg_mismatch(tl: Timeline) -> List[Finding]:
     grouped: Dict[tuple, Dict[str, Any]] = {}
     for inst in tl.collectives:
-        if inst.nbytes < cfg.alg_min_bytes:
+        if inst.nbytes < THRESHOLDS["alg_min_bytes"]:
             continue
         size = len(inst.ranks) or tl.world_size
         used = inst.alg or default_algorithm(inst.op, size)
@@ -260,11 +256,11 @@ def detect_alg_mismatch(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
     return out
 
 
-def detect_stalls(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
+def detect_stalls(tl: Timeline) -> List[Finding]:
     if tl.messages is None:
         return []
-    min_dur = max(cfg.stall_min_seconds,
-                  cfg.stall_min_fraction * tl.makespan)
+    min_dur = max(THRESHOLDS["stall_min_seconds"],
+                  THRESHOLDS["stall_min_fraction"] * tl.makespan)
     if min_dur <= 0:
         return []
     out: List[Finding] = []
@@ -273,7 +269,7 @@ def detect_stalls(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
             break
         covered = tl.inflight_coverage(w.rank, w.t0, w.t1)
         empty = 1.0 - covered / w.duration
-        if empty < cfg.stall_empty_share:
+        if empty < THRESHOLDS["stall_empty_share"]:
             continue
         sender = -1
         issued_at = None
@@ -299,7 +295,7 @@ def detect_stalls(tl: Timeline, cfg: DiagnosisConfig) -> List[Finding]:
                     "awaited_seq": w.seq, "sender": sender,
                     "sender_issue_time": issued_at},
         ))
-        if len(out) >= cfg.stall_max_findings:
+        if len(out) >= THRESHOLDS["stall_max_findings"]:
             break
     return out
 
@@ -324,15 +320,13 @@ def _pass_has_data(tl: Timeline, name: str) -> bool:
     return bool(tl.waits) and tl.messages is not None
 
 
-def diagnose(tl: Timeline, config: Optional[DiagnosisConfig] = None,
-             meta: Optional[dict] = None) -> Dict[str, Any]:
+def diagnose(tl: Timeline, meta: Optional[dict] = None) -> Dict[str, Any]:
     """Run every detector pass; returns the report document."""
-    cfg = config or DiagnosisConfig()
     findings: List[Finding] = []
     passes: List[Dict[str, Any]] = []
     for name in PASSES:
         ran = _pass_has_data(tl, name)
-        found = _DETECTORS[name](tl, cfg) if ran else []
+        found = _DETECTORS[name](tl) if ran else []
         findings.extend(found)
         passes.append({"name": name, "ran": ran, "findings": len(found)})
     sev_rank = {s: i for i, s in enumerate(SEVERITIES)}
@@ -344,7 +338,7 @@ def diagnose(tl: Timeline, config: Optional[DiagnosisConfig] = None,
         "world_size": tl.world_size,
         "makespan_seconds": tl.makespan,
         "layers": tl.layer_summary(),
-        "config": asdict(cfg),
+        "config": dict(THRESHOLDS),
         "passes": passes,
         "findings": [f.to_dict() for f in findings],
     }

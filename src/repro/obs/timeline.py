@@ -18,8 +18,8 @@ slow" questions need all of them joined on one clock.  A
   computation gaps.
 
 The correlation key is virtual time: every layer's timestamps come from
-the same per-rank simulated clocks, so window queries and interval
-joins need no clock alignment.
+the same per-rank simulated clocks, so joining them needs no clock
+alignment.
 
 Two ingestion paths build the same store, and both read the recorded
 run the same way — from ``trace.columns()``
@@ -45,17 +45,15 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.replay.schema import (CATS, K_B, K_F, K_G, K_P, K_R, K_S,
+from repro.replay.schema import (CATS, K_B, K_G, K_P, K_R, K_S,
                                  params_from_json, topology_from_json)
 
 __all__ = [
-    "CounterSeries", "SpanTable", "Span", "Wait", "CollectiveInstance",
-    "CriticalSegment", "Timeline",
+    "CounterSeries", "SpanTable", "Wait", "CollectiveInstance", "Timeline",
 ]
 
 
@@ -110,10 +108,6 @@ class CounterSeries:
         i = int(np.searchsorted(self.times, t, side="right"))
         return float(self.values[i - 1]) if i else 0.0
 
-    def delta(self, t0: float, t1: float) -> float:
-        """Increase over the window ``(t0, t1]``."""
-        return self.at(t1) - self.at(t0)
-
     def window_of_mass(self, lo: float = 0.05,
                        hi: float = 0.95) -> Tuple[float, float]:
         """Times bracketing the ``[lo, hi]`` fraction of the final total.
@@ -131,22 +125,12 @@ class CounterSeries:
         return (float(self.times[i0]), float(self.times[i1]))
 
 
-class Span(NamedTuple):
-    rank: int
-    name: str
-    t0: float
-    t1: float
-    depth: int
-    args: Optional[dict]
-
-
 class SpanTable:
     """Columnar span storage: parallel arrays plus an interned name list.
 
     Rows come from :attr:`repro.obs.spans.SpanRecorder.finished`
     (integer lanes only) or from collective markers reconstructed out
-    of a replay trace; either way selection is vectorized over the
-    columns and only materializes :class:`Span` rows on demand.
+    of a replay trace.
     """
 
     __slots__ = ("rank", "t0", "t1", "depth", "name_id", "names", "args")
@@ -193,34 +177,6 @@ class SpanTable:
     def __len__(self) -> int:
         return len(self.rank)
 
-    def select(self, t0: Optional[float] = None, t1: Optional[float] = None,
-               ranks: Optional[Iterable[int]] = None,
-               names: Optional[Iterable[str]] = None) -> np.ndarray:
-        """Indices of spans overlapping ``[t0, t1]`` with the given
-        rank/name filters (all filters optional)."""
-        mask = np.ones(len(self.rank), dtype=bool)
-        if t0 is not None:
-            mask &= self.t1 >= t0
-        if t1 is not None:
-            mask &= self.t0 <= t1
-        if ranks is not None:
-            mask &= np.isin(self.rank, np.asarray(list(ranks)))
-        if names is not None:
-            wanted = {n for n in names}
-            ids = [i for i, n in enumerate(self.names) if n in wanted]
-            mask &= np.isin(self.name_id, np.asarray(ids, dtype=np.int32))
-        return np.flatnonzero(mask)
-
-    def row(self, i: int) -> Span:
-        return Span(int(self.rank[i]), self.names[self.name_id[i]],
-                    float(self.t0[i]), float(self.t1[i]),
-                    int(self.depth[i]), self.args[i])
-
-    def rows(self, idx: Optional[Iterable[int]] = None) -> List[Span]:
-        if idx is None:
-            idx = range(len(self))
-        return [self.row(int(i)) for i in idx]
-
 
 @dataclass(frozen=True)
 class Wait:
@@ -263,35 +219,8 @@ class CollectiveInstance:
         return f"{self.op}[{self.alg}]" if self.alg else self.op
 
 
-class CriticalSegment(NamedTuple):
-    rank: int
-    t0: float
-    t1: float
-    kind: str  # "send" | "wait" | "osc" | "compute" | "finish"
-
-
 # ---------------------------------------------------------------------------
 # replay-trace ingestion
-
-_KIND_NAME = {K_S: "send", K_R: "wait", K_P: "osc", K_G: "osc",
-              K_F: "finish"}
-
-
-class _EventIndex(NamedTuple):
-    """The timed events of a trace, grouped by rank in recorded order —
-    what :meth:`Timeline.critical_path` walks.  ``start[r]`` is where
-    rank ``r``'s events begin (``start[world_size]`` closes the last
-    group); ``send_at[seq]`` is the position of the send that carries
-    sequence number ``seq`` (-1: none recorded)."""
-
-    rank: np.ndarray
-    kind: np.ndarray
-    t: np.ndarray        # issue time
-    end: np.ndarray      # clock after the event (never before ``t``)
-    seq: np.ndarray
-    gap: np.ndarray
-    start: np.ndarray
-    send_at: np.ndarray
 
 
 def _ingest(trace) -> Dict[str, Any]:
@@ -331,8 +260,6 @@ def _ingest(trace) -> Dict[str, Any]:
     # much / when issued, the matching receive-wait when it completed.
     send = np.flatnonzero(kind == K_S)
     n_seq = int(seq[send].max()) + 1 if len(send) else 0
-    send_at = np.full(n_seq, -1, dtype=np.intp)
-    send_at[seq[send]] = send
     messages = None
     counters: Dict[str, CounterSeries] = {}
     if n_seq:
@@ -346,7 +273,7 @@ def _ingest(trace) -> Dict[str, Any]:
             messages[name][seq[send]] = col[send]
         matched = recv & (seq >= 0) & (seq < n_seq)
         messages["t_recv"][seq[matched]] = post[matched]
-        sent = send_at >= 0
+        sent = messages["src"] >= 0
         t0 = messages["t_send"][sent]
         t1 = messages["t_recv"][sent]
         t1 = np.where(np.isnan(t1), max(trace.clocks, default=0.0), t1)
@@ -428,10 +355,6 @@ def _ingest(trace) -> Dict[str, Any]:
         "gaps": gaps,
         "collectives": sorted(instances.values(),
                               key=lambda i: (i.comm_id, i.index)),
-        "_index": _EventIndex(
-            rank, kind, t, end, seq, gap,
-            start=np.searchsorted(rank, np.arange(trace.world_size + 1)),
-            send_at=send_at),
     }
 
 
@@ -458,8 +381,7 @@ class Timeline:
                  gaps: Sequence[Tuple[int, float, float]] = (),
                  collectives: Sequence[CollectiveInstance] = (),
                  clocks: Optional[Sequence[float]] = None,
-                 meta: Optional[dict] = None,
-                 _index: Optional[_EventIndex] = None):
+                 meta: Optional[dict] = None):
         self.world_size = int(world_size)
         self.makespan = float(makespan)
         self.source = source
@@ -473,7 +395,6 @@ class Timeline:
         self.collectives = list(collectives)
         self.clocks = list(clocks) if clocks is not None else None
         self.meta = dict(meta or {})
-        self._index = _index
 
     # -- ingestion -------------------------------------------------------
 
@@ -539,19 +460,7 @@ class Timeline:
             **_ingest(trace),
         )
 
-    # -- span / counter queries -----------------------------------------
-
-    def span_indices(self, t0: Optional[float] = None,
-                     t1: Optional[float] = None,
-                     ranks: Optional[Iterable[int]] = None,
-                     names: Optional[Iterable[str]] = None) -> np.ndarray:
-        return self.spans.select(t0=t0, t1=t1, ranks=ranks, names=names)
-
-    def spans_between(self, t0: Optional[float] = None,
-                      t1: Optional[float] = None,
-                      ranks: Optional[Iterable[int]] = None,
-                      names: Optional[Iterable[str]] = None) -> List[Span]:
-        return self.spans.rows(self.span_indices(t0, t1, ranks, names))
+    # -- queries ---------------------------------------------------------
 
     def counter_keys(self, prefix: Optional[str] = None) -> List[str]:
         keys = sorted(self.counters)
@@ -562,9 +471,6 @@ class Timeline:
     def counter(self, key: str) -> CounterSeries:
         return self.counters[key]
 
-    def counter_delta(self, key: str, t0: float, t1: float) -> float:
-        return self.counters[key].delta(t0, t1)
-
     def link_classes(self) -> List[str]:
         return [k[len("link:bytes:"):]
                 for k in self.counter_keys("link:bytes:")]
@@ -572,45 +478,6 @@ class Timeline:
     def link_bytes(self, cls_name: str) -> float:
         series = self.counters.get(f"link:bytes:{cls_name}")
         return series.total if series is not None else 0.0
-
-    # -- event-level queries ---------------------------------------------
-
-    def waits_of(self, rank: int) -> List[Wait]:
-        return [w for w in self.waits if w.rank == rank]
-
-    def rank_gaps(self, rank: int,
-                  min_gap: float = 0.0) -> List[Tuple[float, float]]:
-        """Local-computation gaps of one rank: intervals between an
-        event's completion and the next event's issue, straight from
-        the recorded ``gap`` fields."""
-        return [(t0, t1) for r, t0, t1 in self.gaps
-                if r == rank and (t1 - t0) >= min_gap]
-
-    def overlap_join(self, a_idx: Iterable[int],
-                     b_idx: Iterable[int]) -> List[Tuple[int, int]]:
-        """Interval overlap join over two span-index sets.
-
-        Returns ``(i, j)`` pairs (indices into the span table) whose
-        intervals intersect, via a sweep over both sets sorted by start
-        time — the primitive "which collectives overlap this stall"
-        queries build on.
-        """
-        a = sorted((float(self.spans.t0[i]), float(self.spans.t1[i]), int(i))
-                   for i in a_idx)
-        b = sorted((float(self.spans.t0[j]), float(self.spans.t1[j]), int(j))
-                   for j in b_idx)
-        out: List[Tuple[int, int]] = []
-        start = 0
-        for at0, at1, i in a:
-            # advance past b-intervals that end before this one starts
-            while start < len(b) and b[start][1] < at0:
-                start += 1
-            for bt0, bt1, j in b[start:]:
-                if bt0 > at1:
-                    break
-                if bt1 >= at0:
-                    out.append((i, j))
-        return out
 
     def inflight_coverage(self, rank: int, t0: float, t1: float) -> float:
         """Seconds of ``[t0, t1]`` during which at least one message
@@ -645,40 +512,6 @@ class Timeline:
                 cur_hi = e
         covered += cur_hi - cur_lo
         return covered
-
-    def critical_path(self, max_segments: int = 4096
-                      ) -> List[CriticalSegment]:
-        """Backward walk from the last-finishing rank's final event.
-
-        Receive-waits jump to the sender of the awaited message (via
-        the recorded sequence number); other events step backward on
-        the same rank, emitting a ``compute`` segment for any recorded
-        local gap.  Needs event-level ingestion (a replay trace)."""
-        ix = self._index
-        if ix is None or not len(ix.t):
-            return []
-        # Start at the last event of the last-finishing rank (an idle
-        # rank finishes at 0.0; ties go to the highest rank).
-        final = ix.start[1:] - 1
-        clocks = np.where(final >= ix.start[:-1], ix.end[final], 0.0)
-        rank = max(zip(clocks.tolist(), range(len(clocks))))[1]
-        i = int(final[rank])
-        segs: List[CriticalSegment] = []
-        while i >= ix.start[rank] and len(segs) < max_segments:
-            kind, t, gap = int(ix.kind[i]), float(ix.t[i]), float(ix.gap[i])
-            segs.append(CriticalSegment(rank, t, float(ix.end[i]),
-                                        _KIND_NAME[kind]))
-            seq = int(ix.seq[i])
-            if kind == K_R and 0 <= seq < len(ix.send_at):
-                site = int(ix.send_at[seq])
-                if site >= 0 and site != i:
-                    rank, i = int(ix.rank[site]), site
-                    continue
-            if gap > 0.0:
-                segs.append(CriticalSegment(rank, t - gap, t, "compute"))
-            i -= 1
-        segs.reverse()
-        return segs
 
     # -- export bridge ---------------------------------------------------
 

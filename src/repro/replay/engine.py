@@ -137,6 +137,14 @@ def _build_network(trace: ReplayTrace, binding, topology=None, params=None,
         raise ReplayError(
             f"rank {rank} is bound to PU {bnd[rank]}, outside the "
             f"topology's [0, {topo.n_pus})")
+    # Two ranks on one PU is no placement a run can have (Cluster
+    # refuses it too).
+    first: Dict[int, int] = {}
+    for rank, pu in enumerate(bnd):
+        other = first.setdefault(pu, rank)
+        if other != rank:
+            raise ReplayError(
+                f"ranks {other} and {rank} are both bound to PU {pu}")
     sd = trace.seed if seed is None else int(seed)
     return Network(topo, bnd, prm, seed=sd)
 
@@ -186,10 +194,10 @@ def replay(
         _is_exact(trace, binding, topology, params, seed)
     if verify and not exact:
         raise ReplayError("verify requires an exact (identity) replay")
-    net = _build_network(trace, binding, topology, params, seed)
     if substitute:
         from repro.replay.patterns import apply_substitution
 
+        net = _build_network(trace, binding, topology, params, seed)
         return _replay_ready(apply_substitution(trace, substitute), net)
     book = _compile_trace(trace)
     if book.unsent is not None:
@@ -197,6 +205,7 @@ def replay(
             f"receive references unsent message #{book.unsent}")
     if exact and not verify and book.finish is not None:
         return _result(book, book.finish.tolist(), exact=True)
+    net = _build_network(trace, binding, topology, params, seed)
     return _replay_in_order(trace, net, exact, verify)
 
 

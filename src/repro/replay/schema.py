@@ -264,7 +264,10 @@ def _check_header(trace: "ReplayTrace", path: str) -> None:
     """Reject a header whose per-rank lists disagree with its own world
     size: a clock short changes the recorded makespan every answer is
     measured against, a binding short fails every replay after a clean
-    load, and an empty world has no makespan at all."""
+    load, and an empty world has no makespan at all.  A binding must
+    also be a placement a run can have, one distinct PU of the topology
+    per rank: an exact replay reads the recording without building a
+    network, so nothing after the load would check it."""
     if trace.world_size < 1:
         raise TraceSchemaError(
             f"{path}: corrupt trace — world_size {trace.world_size}")
@@ -273,6 +276,12 @@ def _check_header(trace: "ReplayTrace", path: str) -> None:
             raise TraceSchemaError(
                 f"{path}: corrupt trace — header has {len(have)} {what} "
                 f"entries for world_size {trace.world_size}")
+    pus = trace.binding
+    n_pus = topology_from_json(trace.topology).n_pus
+    if len(set(pus)) < len(pus) or not all(0 <= pu < n_pus for pu in pus):
+        raise TraceSchemaError(
+            f"{path}: corrupt trace — the binding is not one distinct PU "
+            f"of the topology's [0, {n_pus}) per rank")
 
 
 def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:

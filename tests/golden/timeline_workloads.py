@@ -5,8 +5,8 @@ Three recorded runs — the two committed schema-1 fixtures of
 of the hot-path ``fig5_shaped`` workload — each ingested with
 :meth:`Timeline.from_trace` and reduced to what the golden pins:
 ``layer_summary()``, a digest of every layer with each float spelled
-``float.hex`` (rows in store order, so ordering is pinned too), the
-critical path, and the ``diagnose`` passes and findings in full.
+``float.hex`` (rows in store order, so ordering is pinned too), and the
+``diagnose`` passes and findings in full.
 
 ``timeline_golden.json`` was captured from the tuple-walking ingestion
 (``_ingest_events``, one python step per recorded event) before the
@@ -92,8 +92,6 @@ def snapshot(trace: ReplayTrace) -> Dict[str, Any]:
                                   _hx_all(tl.counter(key).values))))
             for key in tl.counter_keys()
             if not key.startswith("nic:issued:")},
-        "critical_path": _digest([[s.rank, _hx(s.t0), _hx(s.t1), s.kind]
-                                  for s in tl.critical_path()]),
         "passes": report["passes"],
         "findings": report["findings"],
     }

@@ -6,16 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs.diagnose import (DiagnosisConfig, best_known_algorithm,
-                                default_algorithm, detect_alg_mismatch,
-                                detect_congested_links, detect_stalls,
-                                detect_stragglers, diagnose, render_report,
-                                validate_report, PASSES, REPORT_KIND,
-                                REPORT_SCHEMA)
+from repro.obs.diagnose import (best_known_algorithm, default_algorithm,
+                                detect_alg_mismatch, detect_congested_links,
+                                detect_stalls, detect_stragglers, diagnose,
+                                render_report, validate_report, PASSES,
+                                REPORT_KIND, REPORT_SCHEMA)
 from repro.obs.timeline import (CollectiveInstance, CounterSeries, Timeline,
                                 Wait)
-
-CFG = DiagnosisConfig()
 
 
 def _series(total):
@@ -34,7 +31,7 @@ def _link_timeline(cluster_bytes, node_bytes):
 class TestCongestedLinks:
     def test_planted_hot_class_flagged(self):
         tl = _link_timeline(cluster_bytes=1e9, node_bytes=1e7)
-        found = detect_congested_links(tl, CFG)
+        found = detect_congested_links(tl)
         assert len(found) == 1
         f = found[0]
         assert f.subject == "cluster"
@@ -45,11 +42,11 @@ class TestCongestedLinks:
     def test_balanced_classes_clean(self):
         # Equal bytes*latency cost on both classes: nothing stands out.
         tl = _link_timeline(cluster_bytes=7e8, node_bytes=1.5e9)
-        assert detect_congested_links(tl, CFG) == []
+        assert detect_congested_links(tl) == []
 
     def test_single_live_class_skipped(self):
         tl = _link_timeline(cluster_bytes=1e9, node_bytes=0.0)
-        assert detect_congested_links(tl, CFG) == []
+        assert detect_congested_links(tl) == []
 
 
 def _collectives(arrival_sets, op="reduce", alg="", nbytes=100):
@@ -70,7 +67,7 @@ class TestStragglers:
             {0: 3.00, 1: 3.01, 2: 2.99, 3: 3.85},
         ])
         tl = Timeline(world_size=4, makespan=10.0, collectives=insts)
-        found = detect_stragglers(tl, CFG)
+        found = detect_stragglers(tl)
         assert len(found) == 1
         f = found[0]
         assert f.subject == "rank 3"
@@ -83,7 +80,7 @@ class TestStragglers:
             {0: 2.00, 1: 2.02, 2: 1.98, 3: 2.01},
         ])
         tl = Timeline(world_size=4, makespan=10.0, collectives=insts)
-        assert detect_stragglers(tl, CFG) == []
+        assert detect_stragglers(tl) == []
 
     def test_one_off_lateness_below_share_clean(self):
         # Late once out of three: below the 50% late-share bar.
@@ -93,7 +90,7 @@ class TestStragglers:
             {0: 3.0, 1: 3.0, 2: 3.0, 3: 3.0},
         ])
         tl = Timeline(world_size=4, makespan=10.0, collectives=insts)
-        assert detect_stragglers(tl, CFG) == []
+        assert detect_stragglers(tl) == []
 
 
 class TestAlgMismatch:
@@ -109,7 +106,7 @@ class TestAlgMismatch:
         insts = _collectives([{r: 1.0 for r in range(8)}] * 2,
                              op="reduce", alg="binomial", nbytes=8_000_000)
         tl = Timeline(world_size=8, makespan=10.0, collectives=insts)
-        found = detect_alg_mismatch(tl, CFG)
+        found = detect_alg_mismatch(tl)
         assert len(found) == 1
         f = found[0]
         assert f.detail["algorithm"] == "binomial"
@@ -122,20 +119,20 @@ class TestAlgMismatch:
         insts = _collectives([{r: 1.0 for r in range(8)}],
                              op="reduce", alg="", nbytes=8_000_000)
         tl = Timeline(world_size=8, makespan=10.0, collectives=insts)
-        found = detect_alg_mismatch(tl, CFG)
+        found = detect_alg_mismatch(tl)
         assert len(found) == 1 and found[0].detail["algorithm"] == "binomial"
 
     def test_best_choice_clean(self):
         insts = _collectives([{r: 1.0 for r in range(8)}],
                              op="reduce", alg="binary", nbytes=8_000_000)
         tl = Timeline(world_size=8, makespan=10.0, collectives=insts)
-        assert detect_alg_mismatch(tl, CFG) == []
+        assert detect_alg_mismatch(tl) == []
 
     def test_small_messages_ignored(self):
         insts = _collectives([{r: 1.0 for r in range(8)}],
                              op="reduce", alg="flat", nbytes=50_000)
         tl = Timeline(world_size=8, makespan=10.0, collectives=insts)
-        assert detect_alg_mismatch(tl, CFG) == []
+        assert detect_alg_mismatch(tl) == []
 
 
 def _stall_timeline(t_send, t_recv=None):
@@ -155,7 +152,7 @@ def _stall_timeline(t_send, t_recv=None):
 class TestStalls:
     def test_planted_serialization_stall_flagged(self):
         tl = _stall_timeline(t_send=5.9)     # wire empty for 98% of wait
-        found = detect_stalls(tl, CFG)
+        found = detect_stalls(tl)
         assert len(found) == 1
         f = found[0]
         assert f.subject == "rank 1"
@@ -169,7 +166,7 @@ class TestStalls:
         # data was on the wire nearly the whole wait, so this is a
         # transfer-time (bandwidth) wait, not serialization.
         tl = _stall_timeline(t_send=1.1, t_recv=5.95)
-        assert detect_stalls(tl, CFG) == []
+        assert detect_stalls(tl) == []
 
     def test_short_waits_clean(self):
         messages = {
@@ -182,7 +179,7 @@ class TestStalls:
         tl = Timeline(world_size=4, makespan=10.0,
                       waits=[Wait(rank=1, t0=0.0, t1=0.1, seq=0)],
                       messages=messages)
-        assert detect_stalls(tl, CFG) == []
+        assert detect_stalls(tl) == []
 
 
 class TestReport:

@@ -1,6 +1,6 @@
 """``Timeline.from_trace`` against the snapshots captured from the
-tuple-walking ingestion it replaced: every layer, the critical path and
-the diagnosis findings, bit for bit, on three recorded runs."""
+tuple-walking ingestion it replaced: every layer and the diagnosis
+findings, bit for bit, on three recorded runs."""
 
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """How much work a replay does, pinned: an exact replay reads the
-recording instead of walking it, a search walks once per re-placed
-placement, and a substituted search builds its ready-set program order
-once."""
+recording instead of walking it (and builds no network to walk it on),
+a search walks once per re-placed placement, and a substituted search
+builds its ready-set program order once."""
 
 import pytest
 
@@ -58,6 +58,24 @@ def test_a_substituted_search_orders_its_program_once(fig5_fixture,
     # A trace scored only in recorded order never builds one.
     what_if_search(fig5_fixture)
     assert len(built) == 1 and fig5_fixture._program is None
+
+
+def test_an_exact_replay_builds_no_network(fig5_fixture, monkeypatch):
+    from repro.simmpi import network
+
+    built = []
+    real = network.Network
+
+    def counted(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(network, "Network", counted)
+    replay(fig5_fixture)
+    replay(fig5_fixture, binding=list(fig5_fixture.binding))
+    assert built == []
+    replay(fig5_fixture, verify=True)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("source", FIXTURES)

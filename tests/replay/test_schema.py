@@ -118,6 +118,18 @@ SHORT_HEADERS = {
 }
 
 
+#: Bindings no run can have.  Each loaded before, and an exact replay,
+#: which builds no network, answered with the recorded clocks.
+BAD_BINDINGS = {
+    "two ranks on one PU": lambda m, h, d: _join(
+        m, dict(h, binding=h["binding"][:1] * 2 + h["binding"][2:]), d),
+    "a PU outside the topology": lambda m, h, d: _join(
+        m, dict(h, binding=[10 ** 6] + h["binding"][1:]), d),
+    "a negative PU": lambda m, h, d: _join(
+        m, dict(h, binding=[-1] + h["binding"][1:]), d),
+}
+
+
 def _poker(column, kind, value, *more_kinds):
     """Overwrite ``column`` in the first row of ``kind`` (and of each of
     ``more_kinds``) with ``value``."""
@@ -144,6 +156,7 @@ BAD_FILES = {
     "header lacks a field": _mangle_header_key,
     "header is not JSON": lambda m, h, d: m + b"\n# header {nope\n" + d,
     **SHORT_HEADERS,
+    **BAD_BINDINGS,
     # An empty world has no makespan: every replay and search fails.
     "empty world": lambda m, h, d: _join(
         m, dict(h, world_size=0, binding=[], clocks=[], n_events=0,

@@ -183,6 +183,13 @@ class TestCli:
         assert "outside the topology's [0, 48)" in said.err
         assert "makespan" not in said.out
 
+    def test_two_ranks_on_one_pu_fail(self, recorded_cell, capsys):
+        binding = ",".join(["1"] + [str(pu) for pu in range(1, 48)])
+        assert main(["replay", recorded_cell, "--binding=" + binding]) != 0
+        said = capsys.readouterr()
+        assert "ranks 0 and 1 are both bound to PU 1" in said.err
+        assert "makespan" not in said.out
+
     def test_replay_json_swap(self, recorded_cell, tmp_path):
         out = str(tmp_path / "replay.json")
         assert main(["replay", recorded_cell, "--swap-pus", "0", "24",
