@@ -221,10 +221,6 @@ class MonitoringRuntime:
             raise MissingInit("no call to MPI_M_init has been done")
         return rt
 
-    @staticmethod
-    def maybe_of(proc) -> Optional["MonitoringRuntime"]:
-        return proc.userdata.get(_RUNTIME_KEY)
-
     def finalize(self, proc) -> None:
         from repro.core.errors import SessionStillActive
 

@@ -45,6 +45,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -229,23 +230,25 @@ def _ingest(trace) -> Dict[str, Any]:
     the per-category totals of the recorded monitored events).
 
     Per-event completion times need no re-simulation: the clock *after*
-    timed event ``i`` of a rank is ``t[i+1] - gap[i+1]`` of the same
-    rank (the ``F`` marker's own ``t`` closes the stream).  Link classes
-    come from the recorded topology and binding.
+    timed event ``i`` of a rank is ``t[i+1] - gap[i+1]`` in its program
+    order (:meth:`ReplayTrace.program`; the ``F`` marker's own ``t``
+    closes it).  Link classes come from the recorded topology and binding.
     """
     c = trace.columns()
     topo = topology_from_json(trace.topology)
     params = params_from_json(trace.params)
 
-    # Per-rank streams: a stable sort by rank keeps recorded order
-    # inside each; the timed events (S R F P G) carry the clocks.
-    order = np.argsort(c.rank, kind="stable")
+    # The timed events (S R F P G) carry the clocks; rank r's are
+    # at[timed[r]:timed[r + 1]], so event i is followed on its rank by
+    # i + 1 unless i + 1 is a timed[r].
+    order, cut = trace.program()
     is_timed = c.kind[order] < K_B
+    timed = np.cumsum(np.r_[0, is_timed])[cut]
     at = order[is_timed]
     rank, kind, t, gap = c.rank[at], c.kind[at], c.t[at], c.gap[at]
     seq, peer, nbytes = c.seq[at], c.peer[at], c.nbytes[at]
     post = t.copy()
-    chained = np.flatnonzero(rank[1:] == rank[:-1])
+    chained = np.delete(np.arange(len(t) + 1), timed) - 1
     post[chained] = t[chained + 1] - gap[chained + 1]
     end = np.maximum(post, t)
 
@@ -313,37 +316,36 @@ def _ingest(trace) -> Dict[str, Any]:
             m_t[cross][on], m_bytes[cross][on].astype(np.float64))
 
     # Collective markers carry no clock of their own: a B / E sits at
-    # the clock left by the rank's previous timed event (0.0 before
-    # the first).  Only these are walked in python.
-    before = (np.cumsum(is_timed) - 1)[~is_timed]
+    # the clock its rank's previous timed event left, 0.0 before the
+    # first (`post` with a 0.0 put ahead of each rank's).  Only these
+    # are walked in python, rank by rank.
     marks = order[~is_timed]
-    prev = np.maximum(before, 0)
-    clock = np.where((before >= 0) & (rank[prev] == c.rank[marks]),
-                     post[prev], 0.0)
+    clock = np.insert(post, timed[:-1], 0.0)[
+        np.cumsum(is_timed)[~is_timed] + c.rank[marks]]
+    rows = zip(c.kind[marks].tolist(), c.peer[marks].tolist(),
+               clock.tolist())
     instances: Dict[Tuple[int, int], CollectiveInstance] = {}
     span_rows: List[tuple] = []
-    cur = -1
-    for r, k, sig, now in zip(c.rank[marks].tolist(), c.kind[marks].tolist(),
-                              c.peer[marks].tolist(), clock.tolist()):
-        if r != cur:
-            cur, stack, calls = r, [], {}
-        if k == K_B:
-            comm_id, op, alg, root, size, segs = c.colls[sig]
-            key = (comm_id, calls.get(comm_id, 0))
-            calls[comm_id] = key[1] + 1
-            inst = instances.get(key)
-            if inst is None:
-                inst = instances[key] = CollectiveInstance(
-                    comm_id=comm_id, index=key[1], op=op, alg=alg,
-                    root=root, nbytes=size, segments=segs,
-                    ranks=tuple(trace.comms.get(comm_id, ())))
-            inst.arrivals[r] = now
-            stack.append((inst, now))
-        elif stack:
-            inst, t0 = stack.pop()
-            inst.t_end = max(inst.t_end, now)
-            span_rows.append((r, inst.name, t0, max(now, t0), len(stack),
-                              None))
+    for r, n in enumerate(np.diff(cut - timed).tolist()):
+        stack, calls = [], {}
+        for k, sig, now in islice(rows, n):
+            if k == K_B:
+                comm_id, op, alg, root, size, segs = c.colls[sig]
+                key = (comm_id, calls.get(comm_id, 0))
+                calls[comm_id] = key[1] + 1
+                inst = instances.get(key)
+                if inst is None:
+                    inst = instances[key] = CollectiveInstance(
+                        comm_id=comm_id, index=key[1], op=op, alg=alg,
+                        root=root, nbytes=size, segments=segs,
+                        ranks=tuple(trace.comms.get(comm_id, ())))
+                inst.arrivals[r] = now
+                stack.append((inst, now))
+            elif stack:
+                inst, t0 = stack.pop()
+                inst.t_end = max(inst.t_end, now)
+                span_rows.append((r, inst.name, t0, max(now, t0), len(stack),
+                                  None))
 
     return {
         "spans": SpanTable.from_rows(span_rows),

@@ -607,12 +607,12 @@ def _audit(trace: ReplayTrace, book: CompiledTrace, issued: np.ndarray,
            done: List[float]) -> List[float]:
     """The ``verify`` check, from the completion time of every timed
     event: wherever the recording says no time passed since the rank's
-    previous event (gap 0), that event's completion must *be* this
-    one's recorded issue time (``issued``).  Returns the per-rank final
-    clocks."""
+    previous event (gap 0; :func:`_timed_program`), that event's
+    completion must *be* this one's recorded issue time (``issued``).
+    Returns the per-rank final clocks."""
     rank = np.asarray(book.rank, dtype=np.intp)
-    order = np.argsort(rank, kind="stable")     # by rank, recorded order
-    follows = np.flatnonzero(np.diff(rank[order]) == 0)
+    order, cut = _timed_program(trace)
+    follows = np.delete(np.arange(len(order) + 1), cut) - 1  # same rank next
     before = np.zeros(len(rank))
     before[order[follows + 1]] = np.asarray(done)[order[follows]]
     bad = np.flatnonzero((np.asarray(book.gap) == 0.0) & (before != issued))
@@ -631,14 +631,22 @@ def _audit(trace: ReplayTrace, book: CompiledTrace, issued: np.ndarray,
 # ready-set replay
 
 
+def _timed_program(trace: ReplayTrace):
+    """:meth:`ReplayTrace.program` of the book's rows, the timed events."""
+    order, cut = trace.program()
+    timed = trace.columns().kind < K_B
+    keep = timed[order]
+    return (np.cumsum(timed) - 1)[order[keep]], np.cumsum(np.r_[0, keep])[cut]
+
+
 def _program_order(trace: ReplayTrace, book: CompiledTrace) -> List[tuple]:
-    """Each rank's timed events in program order, as three lists —
-    ``operand``, ``gap`` and, for an injection, its message ordinal (the
-    one receives name) — built on the first ready-set replay of a trace
-    and cached next to its book, so every candidate of a substituted
-    search shares them and a trace replayed only in recorded order
-    never pays for them.  The operand and gap lists hold the book's own
-    boxes."""
+    """Each rank's timed events in program order (:func:`_timed_program`),
+    as three lists — ``operand``, ``gap`` and, for an injection, its
+    message ordinal (the one receives name) — built on the first
+    ready-set replay of a trace and cached next to its book, so every
+    candidate of a substituted search shares them and a trace replayed
+    only in recorded order never pays for them.  The operand and gap
+    lists hold the book's own boxes."""
     cached = trace._program
     if cached is not None:
         return cached
@@ -646,10 +654,7 @@ def _program_order(trace: ReplayTrace, book: CompiledTrace) -> List[tuple]:
     injects = (operand < 0) & (operand >= -book.classes.shape[1])
     ordinal = np.where(injects, np.cumsum(injects) - 1, -1)
     del operand, injects
-    rank = np.asarray(book.rank, dtype=np.intp)
-    program = np.argsort(rank, kind="stable")
-    cut = np.searchsorted(rank[program], np.arange(trace.world_size + 1))
-    del rank
+    program, cut = _timed_program(trace)
     columns = [np.array(book.operand, dtype=object)[program],
                np.array(book.gap, dtype=object)[program],
                ordinal[program]]

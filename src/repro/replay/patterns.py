@@ -47,6 +47,7 @@ trees; the rest is numpy over the columns in per-rank program order.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -102,12 +103,12 @@ def apply_substitution(trace: ReplayTrace,
 
     c = trace.columns()
     n = trace.world_size
-    program = np.argsort(c.rank, kind="stable")
+    program, cut = trace.program()
     kind, rank, peer, seq, nbytes, mcat = (
         col[program] for col in (c.kind, c.rank, c.peer, c.seq, c.nbytes,
                                  c.mcat))
     instances = [inst for _, inst in sorted(
-        _find_instances(kind, rank, peer, c.colls).items())
+        _find_instances(kind, peer, cut, c.colls).items())
         if inst.op in substitute]
 
     # Which instance owns each row: the id (from 1) on a region's B and
@@ -230,30 +231,29 @@ class _Instance(NamedTuple):
     regions: Dict[int, tuple]
 
 
-def _find_instances(kind, rank, coll, colls) -> Dict[tuple, _Instance]:
+def _find_instances(kind, coll, cut, colls) -> Dict[tuple, _Instance]:
     """Map (comm_id, occurrence) -> instance, from the B/E rows of a
-    stream in per-rank program order."""
+    stream in per-rank program order, rank r's rows from ``cut[r]``."""
     instances: Dict[tuple, _Instance] = {}
     marks = np.flatnonzero(kind >= K_B)
-    here, occ, depth, top = -1, {}, 0, None
-    for i, begins, r, sig in zip(marks.tolist(),
-                                 (kind[marks] == K_B).tolist(),
-                                 rank[marks].tolist(), coll[marks].tolist()):
-        if r != here:
-            here, occ, depth, top = r, {}, 0, None
-        if begins:
-            if depth == 0:
-                cid = colls[sig][0]
-                top = (cid, occ.get(cid, 0)), i, sig
-                occ[cid] = top[0][1] + 1
-            depth += 1      # nested collective: owned by the outer region
-        elif depth:
-            depth -= 1
-            if depth == 0:
-                key, i_b, sig = top
-                if key not in instances:
-                    instances[key] = _Instance(*colls[sig], {})
-                instances[key].regions[r] = (i_b, i)
+    rows = zip(marks.tolist(), (kind[marks] == K_B).tolist(),
+               coll[marks].tolist())
+    for r, n in enumerate(np.diff(np.searchsorted(marks, cut)).tolist()):
+        occ, depth, top = {}, 0, None
+        for i, begins, sig in islice(rows, n):
+            if begins:
+                if depth == 0:
+                    cid = colls[sig][0]
+                    top = (cid, occ.get(cid, 0)), i, sig
+                    occ[cid] = top[0][1] + 1
+                depth += 1      # nested collective: owned by the outer region
+            elif depth:
+                depth -= 1
+                if depth == 0:
+                    key, i_b, sig = top
+                    if key not in instances:
+                        instances[key] = _Instance(*colls[sig], {})
+                    instances[key].regions[r] = (i_b, i)
     return instances
 
 

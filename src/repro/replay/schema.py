@@ -284,14 +284,15 @@ def _check_header(trace: "ReplayTrace", path: str) -> None:
             f"of the topology's [0, {n_pus}) per rank")
 
 
-def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
+def _check_columns(c: TraceColumns, clocks: List[float], path: str) -> None:
     """Reject column values no recorder writes — a replay would turn
     them into wrong answers (numpy wraps negative indices silently, a
-    NaN passes every `>`, gaps summing past the float range overflow)."""
+    NaN passes every `>`, gaps summing past the float range overflow,
+    a header clock other than its rank's finish is a second makespan)."""
     def bad(what: str) -> TraceSchemaError:
         return TraceSchemaError(f"{path}: corrupt trace — {what}")
 
-    n = len(c.kind)
+    n, world_size = len(c.kind), len(clocks)
     if n == 0:
         return
     with np.errstate(over="ignore"):
@@ -319,6 +320,10 @@ def _check_columns(c: TraceColumns, world_size: int, path: str) -> None:
     if len(coll) and (int(coll.min()) < 0
                       or int(coll.max()) >= len(c.colls)):
         raise bad("collective signature index out of range")
+    fin = kind == K_F
+    if np.any(c.t[fin].view(np.int64)
+              != np.asarray(clocks)[c.rank[fin]].view(np.int64)):
+        raise bad("a finish whose t is not its rank's header clock")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +384,13 @@ class ReplayTrace:
 
     def columns(self) -> TraceColumns:
         return self._columns
+
+    def program(self):
+        """``(order, cut)``, not cached: the stable argsort by rank, and
+        rank ``r``'s rows in recorded order at ``order[cut[r]:cut[r + 1]]``."""
+        rank = self._columns.rank
+        return np.argsort(rank, kind="stable"), np.cumsum(
+            np.r_[0, np.bincount(rank, minlength=self.world_size)])
 
     # -- header ---------------------------------------------------------
 
@@ -455,7 +467,7 @@ class ReplayTrace:
                 f"{path}: malformed trace header "
                 f"({type(exc).__name__}: {exc})") from exc
         _check_header(trace, path)
-        _check_columns(trace._columns, trace.world_size, path)
+        _check_columns(trace._columns, trace.clocks, path)
         return trace
 
     # -- convenience ----------------------------------------------------

@@ -155,10 +155,6 @@ class BookStore:
         self.hits += 1
         return entry
 
-    def peek(self, fingerprint: str) -> Optional[BookEntry]:
-        """Like :meth:`get` but touches neither recency nor counters."""
-        return self._entries.get(fingerprint)
-
     def put(self, entry: BookEntry) -> List[str]:
         """Insert (or refresh) an entry; returns evicted fingerprints."""
         old = self._entries.pop(entry.fingerprint, None)

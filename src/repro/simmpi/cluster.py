@@ -97,12 +97,6 @@ class Cluster:
     def node_of_rank(self, rank: int) -> int:
         return self.topology.node_of(self.binding[rank])
 
-    def rebind(self, binding: Union[str, Sequence[int]], seed: int = 0) -> "Cluster":
-        """A copy of this cluster with a different rank→PU binding."""
-        return Cluster(
-            self.topology, self.n_ranks, binding=binding, params=self.params, seed=seed
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Cluster({self.topology!r}, n_ranks={self.n_ranks}, "

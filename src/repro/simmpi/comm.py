@@ -89,9 +89,6 @@ class Communicator:
         self._check_rank(local_rank)
         return self.group[local_rank]
 
-    def contains_current(self) -> bool:
-        return self._current().rank in self._local_of_world
-
     # -- time -----------------------------------------------------------------
     #
     # Every service that can park is written once, as a ``co_``

@@ -125,7 +125,3 @@ class MatchQueue:
     @property
     def n_posted(self) -> int:
         return len(self._posted)
-
-    @property
-    def n_unexpected(self) -> int:
-        return len(self._unexpected)

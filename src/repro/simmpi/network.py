@@ -398,13 +398,6 @@ class Network:
 
     # -- jitter ----------------------------------------------------------
 
-    def reseed(self, seed: int) -> None:
-        """Reset the jitter stream (one seed per repetition in §6.2)."""
-        self._seed = seed
-        self._rng = None
-        self._jit_blk = []
-        self._jit_pos = 0
-
     def _refill_jitter(self, blocks: int = 1) -> List[float]:
         # Keep any unconsumed factors: the block is a cache over the
         # scalar draw stream, never a resampling of it.

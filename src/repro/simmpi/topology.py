@@ -112,14 +112,6 @@ class Topology:
             n *= a
         return n
 
-    def pus_of_component(self, level: str, index: int) -> range:
-        """The PUs under one component (leaves are contiguous)."""
-        d = self._level_index(level)
-        stride = self._strides[d]
-        if not 0 <= index < self.n_components(level):
-            raise ValueError(f"no {level} #{index}")
-        return range(index * stride, (index + 1) * stride)
-
     # -- distances -----------------------------------------------------
 
     def common_depth(self, pu_a: int, pu_b: int) -> int:

@@ -176,6 +176,19 @@ class TestFromTrace:
         assert len(tl.waits) == n_recv
         assert all(w.t1 >= w.t0 for w in tl.waits)
 
+    def test_markers_ahead_of_every_timed_event_sit_at_zero(self):
+        """A rank's B / E before its first timed event sits at 0.0, also
+        in a trace with no timed event at all (such a file loads)."""
+        from tests.replay.conftest import columns_of
+        from tests.replay.test_columnar import _hand_built
+
+        base = _hand_built()
+        for timed in ([], [("F", 0, 2.5, 0.5)]):
+            trace = base._with_columns(columns_of(timed + [
+                ("B", 1, 7, "bcast", "binomial", 0, 4096, 2), ("E", 1)]))
+            (inst,) = Timeline.from_trace(trace).collectives
+            assert inst.arrivals == {1: 0.0} and inst.t_end == 0.0
+
     def test_as_finished_spans_roundtrip(self, fig5_timelines):
         _, tl = fig5_timelines
         rows = tl.as_finished_spans()

@@ -68,7 +68,7 @@ def _hand_built() -> ReplayTrace:
          0.0),
         ("R", 0, 1, 2.0, 0.0),
         ("E", 2),
-        ("F", 0, 2.5, 0.5), ("F", 1, 1.0, 0.0), ("F", 2, 0.75, -0.0),
+        ("F", 0, 2.5, 0.5), ("F", 1, 1.0, 0.0), ("F", 2, -0.0, -0.0),
         ("F", 3, 1e300, 0.0),
     ]
     return ReplayTrace(

@@ -1,7 +1,8 @@
 """How much work a replay does, pinned: an exact replay reads the
 recording instead of walking it (and builds no network to walk it on),
-a search walks once per re-placed placement, and a substituted search
-builds its ready-set program order once."""
+a search walks once per re-placed placement, a substituted search
+builds its ready-set program order once, and only the substituted
+paths cut a trace into per-rank programs."""
 
 import pytest
 
@@ -58,6 +59,41 @@ def test_a_substituted_search_orders_its_program_once(fig5_fixture,
     # A trace scored only in recorded order never builds one.
     what_if_search(fig5_fixture)
     assert len(built) == 1 and fig5_fixture._program is None
+
+
+def _count_programs(monkeypatch) -> list:
+    """The traces ``ReplayTrace.program()`` is called on from here on."""
+    calls = []
+    real = ReplayTrace.program
+
+    def counted(trace):
+        calls.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(ReplayTrace, "program", counted)
+    return calls
+
+
+def test_the_recorded_order_paths_cut_no_program(monkeypatch):
+    """Compiling, an exact replay and a search in recorded order never
+    sort a trace by rank."""
+    calls = _count_programs(monkeypatch)
+    trace = ReplayTrace.load(str(DATA / "fig5.trace"))
+    engine.compile_trace(trace)
+    replay(trace)
+    what_if_search(trace)
+    assert calls == []
+
+
+def test_a_substituted_search_cuts_two_programs(monkeypatch):
+    """One on the recording, for the substitution; one on the run it
+    makes, for the ready-set order all six candidates share."""
+    calls = _count_programs(monkeypatch)
+    trace = ReplayTrace.load(str(DATA / "fig5.trace"))
+    res = what_if_search(trace, substitute={"reduce": "binomial"})
+    assert len(res.candidates) == 6
+    assert len(calls) == 2 and calls[0] is trace
+    assert calls[1] is not trace and calls[1]._program is not None
 
 
 def test_an_exact_replay_builds_no_network(fig5_fixture, monkeypatch):

@@ -179,9 +179,12 @@ _signatures = st.tuples(
 
 @st.composite
 def _event_lists(draw):
-    """Every kind, in any order; ``seq`` in range and ``B`` signatures
-    drawn from a short list, so they repeat."""
+    """Every kind, in any order; ``seq`` in range, ``B`` signatures
+    drawn from a short list, so they repeat, and each ``F`` at its
+    rank's header clock, as a loaded trace's must be: ``(clocks,
+    events)``."""
     n = draw(st.integers(1, 40))
+    clocks = draw(st.lists(_floats, min_size=WORLD, max_size=WORLD))
     seqs = st.integers(0, n - 1)
     pool = draw(st.lists(_signatures, min_size=1, max_size=3))
     event = st.one_of(
@@ -196,27 +199,28 @@ def _event_lists(draw):
         st.builds(lambda r, sig: ("B", r) + sig, _ranks,
                   st.sampled_from(pool)),
         st.tuples(st.just("E"), _ranks),
-        st.tuples(st.just("F"), _ranks, _floats, _floats))
-    return draw(st.lists(event, min_size=n, max_size=n))
+        st.builds(lambda r, gap: ("F", r, clocks[r], gap), _ranks, _floats))
+    return clocks, draw(st.lists(event, min_size=n, max_size=n))
 
 
-def _over(**stream) -> ReplayTrace:
+def _over(clocks, **stream) -> ReplayTrace:
     base = _hand_built()
     return ReplayTrace(
         world_size=WORLD, topology=base.topology, binding=base.binding,
         params=base.params, seed=0, monitoring_overhead=0.0,
-        comms={7: [0, 1]}, clocks=[0.0] * WORLD, **stream)
+        comms={7: [0, 1]}, clocks=clocks, **stream)
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(events=_event_lists())
-def test_encoder_and_view_are_inverses(events, tmp_path):
-    from_tuples = _over(columns=columns_of(events))
+@given(drawn=_event_lists())
+def test_encoder_and_view_are_inverses(drawn, tmp_path):
+    clocks, events = drawn
+    from_tuples = _over(clocks, columns=columns_of(events))
     path = str(tmp_path / "inverse.trace")
     from_tuples.dump(path)
     assert_same_columns(ReplayTrace.load(path), from_tuples)
-    recording = _over(columns=from_tuples.columns())
+    recording = _over(clocks, columns=from_tuples.columns())
     view = recording.events
     assert len(view) == recording.n_events == len(events)
     assert _bits(list(view)) == _bits(events)

@@ -177,6 +177,13 @@ BAD_FILES = {
     # Each finite, together past the float range: a rank's clock adds up
     # its gaps, and no recorded run has an infinite clock.
     "gaps past the float range": _poker("gap", "S", 1e308, "R", "F"),
+    # A finish and its rank's header clock are one number: a file where
+    # they differ, even by the last bit, states two makespans.
+    "a finish off its header clock": _poker("t", "F", 0.5),
+    "a header clock one ulp off its finish": lambda m, h, d: _join(
+        m, dict(h, clocks=[np.nextafter(float.fromhex(h["clocks"][0]),
+                                        np.inf).hex()] + h["clocks"][1:]),
+        d),
 }
 
 

@@ -121,26 +121,32 @@ def test_served_results_bit_identical_to_direct_search(
 def test_every_answer_quotes_the_exact_replays_makespan(
         serve_traces, serve_daemon, tmp_path):
     """The recorded makespan is the exact replay's, read from the ``F``
-    rows, not the header's ``clocks``: on a file where the two disagree
-    the ``identity`` candidate, the library and the daemon all quote
-    the replay."""
+    rows, which a loaded file's header ``clocks`` equal: the ``identity``
+    candidate, the library and the daemon all quote it, and a file whose
+    header says otherwise is refused by the loader and by ``ingest``."""
+    from repro.core.errors import TraceSchemaError
     from repro.replay import replay
     from repro.replay.schema import ReplayTrace
     from repro.replay.search import what_if_search
 
     trace = ReplayTrace.load(serve_traces[0])
+    exact = replay(trace).max_clock
+    assert max(trace.clocks) == exact
+    res = what_if_search(trace, strategies=["identity", "treematch"])
+    assert res.recorded_makespan == exact
     trace.clocks = [2.0 * c for c in trace.clocks]
     path = str(tmp_path / "clocks-off.trace")
     trace.dump(path)
-    trace = ReplayTrace.load(path)
-    exact = replay(trace).max_clock
-    assert max(trace.clocks) != exact
-    res = what_if_search(trace, strategies=["identity", "treematch"])
-    assert res.recorded_makespan == exact
+    with pytest.raises(TraceSchemaError, match="clocks-off.trace"):
+        ReplayTrace.load(path)
     with serve_daemon(jobs=1) as (sock, _proc):
         with ServeClient(path=sock) as client:
-            fp = client.ingest(path)["fingerprint"]
+            fp = client.ingest(serve_traces[0])["fingerprint"]
             served = client.query(fp, strategies=["identity", "treematch"])
+            with pytest.raises(ServeError) as excinfo:
+                client.ingest(path)
+            assert excinfo.value.code == "bad-request"
+            assert "header clock" in str(excinfo.value)
     assert served["recorded_makespan"] == res.recorded_makespan == exact
     assert served["speedup"] == res.speedup
 

@@ -53,13 +53,6 @@ class TestConfiguration:
         assert c.binding == [7, 0, 4]
         assert c.binding_strategy == "explicit"
 
-    def test_rebind_copies(self):
-        c = Cluster.plafrim(2, binding="packed")
-        r = c.rebind("rr")
-        assert c.binding != r.binding
-        assert c.topology == r.topology
-        assert c.params is r.params
-
     def test_too_many_ranks(self):
         topo = Topology([("node", 1), ("core", 2)])
         with pytest.raises(ValueError):

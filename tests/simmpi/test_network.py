@@ -142,26 +142,14 @@ class TestJitter:
         assert a == b
         assert a != c
 
-    def test_reseed_resets_stream(self, topo):
-        p = simple_params(jitter=0.1)
-        net = Network(topo, list(range(8)), p, seed=1)
-        a = net.transfer(0, 4, 1000, 0.0)
-        net.reseed(1)
-        net._nic_free[:] = [0.0] * len(net._nic_free)  # reset resource state too
-        assert net.transfer(0, 4, 1000, 0.0) == a
-
     def test_the_generator_is_built_by_the_first_draw(self, topo):
         """Lazy, but the same stream an eager ``default_rng(seed)``
-        gives — also after a reseed."""
+        gives."""
         p = simple_params(jitter=0.1)
         net = Network(topo, list(range(8)), p, seed=7)
         assert net._rng is None
         want = np.exp(np.random.default_rng(7).normal(0.0, 0.1, 5)).tolist()
         assert net.jitter_factors(5) == want
-        net.reseed(9)
-        assert net._rng is None
-        want = np.exp(np.random.default_rng(9).normal(0.0, 0.1, 3)).tolist()
-        assert net.jitter_factors(3) == want
         assert Network(topo, list(range(8)), simple_params())._rng is None
 
 

@@ -73,14 +73,6 @@ class TestCoords:
         assert plafrim4.n_components("socket") == 8
         assert plafrim4.n_components("core") == 96
 
-    def test_pus_of_component(self, plafrim4):
-        assert list(plafrim4.pus_of_component("node", 1)) == list(range(24, 48))
-        assert list(plafrim4.pus_of_component("socket", 3)) == list(range(36, 48))
-
-    def test_pus_of_component_bad_index(self, plafrim4):
-        with pytest.raises(ValueError):
-            plafrim4.pus_of_component("node", 4)
-
     def test_unknown_level(self, plafrim4):
         with pytest.raises(ValueError):
             plafrim4.component_of(0, "rack")
