@@ -76,7 +76,7 @@ def test_disabled_mode_is_structurally_noop():
     assert obs.spans() is None
     engine = Engine(Cluster.plafrim(1), seed=0)
     assert engine._obs is None
-    assert engine._obs_spans is None
+    assert engine._rr is None
     assert engine._observe is None
 
 

@@ -18,10 +18,10 @@ Four pillars:
   ``diagnose`` / ``top`` / ``heatmap`` / ``validate``) and the sweep
   run report's per-cell telemetry.
 
-The layer is **disabled by default** and near-free when off: enabling
-costs a process-wide flag read at ``Engine`` construction, and the
-per-message accounting rides the PML trace hook — a branch the hot
-path already pays.  Turn it on with ``REPRO_OBS=1`` in the environment
+The layer is **disabled by default** and near-free when off (a flag
+read at ``Engine`` construction); an engine built while it is on
+records its run, and obs reads its counters and spans from the rows.
+Turn it on with ``REPRO_OBS=1`` in the environment
 (read once at import) or programmatically::
 
     from repro import obs

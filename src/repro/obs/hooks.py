@@ -2,18 +2,13 @@
 
 :class:`EngineObserver` is created by :class:`~repro.simmpi.engine.Engine`
 at construction time — only when the layer is enabled, so disabled
-engines carry a plain ``None`` and pay nothing.  It does three things:
-
-* hangs ``on_message`` on the engine's per-message observer slot: it
-  accumulates per-link-class message/byte/latency totals in plain
-  Python lists for every message, monitored or not (the slot's ``is
-  not None`` test is one a plain run already pays);
-* samples a cheap signal on the engine's *per-wait* path (ready-queue
-  depth at block time);
-* publishes everything into the metrics registry once, at
-  :meth:`run_finished`, together with the engine's own counters
-  (switches, messages, deferred sends, elided switches) and the
-  per-category monitoring totals.
+engines carry a plain ``None`` and pay nothing.  An observed engine
+also records (:mod:`repro.replay.autorecord`).  The observer samples
+the ready-queue depth on the engine's *per-wait* path; at
+:meth:`run_finished`, handed the run's trace (unfinished if the run
+raised), it publishes the per-link-class totals of the recorded
+messages, the engine's own counters and the per-category monitoring
+totals, and adds the recorded collective spans to the span recorder.
 
 The observer keeps no reference to its engine (the engine hands itself
 to :meth:`run_started` / :meth:`run_finished`), so the pair is not a
@@ -22,7 +17,12 @@ reference cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
+import numpy as np
+
 from repro import obs
+from repro.obs.timeline import collective_spans, message_flows
 from repro.simmpi.pml_monitoring import CATEGORIES
 
 __all__ = ["EngineObserver"]
@@ -34,40 +34,17 @@ _DEPTH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 class EngineObserver:
     """Per-engine recorder; one instance per instrumented Engine."""
 
-    __slots__ = (
-        "registry", "spans", "on_message",
-        "_depth_hist", "_depth_max",
-        "_link_msgs", "_link_bytes", "_link_lat",
-    )
+    __slots__ = ("registry", "spans", "_depth_hist", "_depth_max", "_rr",
+                 "_phases")
 
-    def __init__(self, engine):
+    def __init__(self):
         self.registry = obs.registry()
         self.spans = obs.spans()
         self._depth_hist = self.registry.histogram(
             "repro_engine_ready_queue_depth", buckets=_DEPTH_BUCKETS)
         self._depth_max = 0
-        net = engine.network
-        n_classes = len(net.route_classes)
-        # Per-link-class accumulators, indexed like route_classes;
-        # on_message bumps these per message and run_finished publishes
-        # them as labelled counters.
-        msgs = self._link_msgs = [0] * n_classes
-        byts = self._link_bytes = [0] * n_classes
-        lats = self._link_lat = [0.0] * n_classes
-        clsidx, alpha, n = net._clsidx_l, net._alpha_l, net._n_ranks
-
-        def on_message(kind, proc, peer, nbytes, category, mcat, t_pre, msg):
-            # Per message, from the engine's observer slot: a closure
-            # over the lists, not self.  A get's bytes flow target ->
-            # origin.
-            pair = (peer * n + proc.rank if kind == "G"
-                    else proc.rank * n + peer)
-            i = clsidx[pair]
-            msgs[i] += 1
-            byts[i] += nbytes
-            lats[i] += alpha[pair]
-
-        self.on_message = on_message
+        self._rr = None         # the run's recorder
+        self._phases = {}       # lane -> (rows recorded at begins, at ends)
 
     # -- per-wait sampling -------------------------------------------------
 
@@ -77,18 +54,34 @@ class EngineObserver:
         if depth > self._depth_max:
             self._depth_max = depth
 
+    def begin(self, lane, name: str, t: float, args=None) -> None:
+        """Span a phase (``virtual_span``'s, placement.reorder's), noting
+        how far the recording had got, for the collectives' depth."""
+        self.spans.begin(lane, name, t, args)
+        self._phases.setdefault(lane, ([], []))[0].append(len(self._rr))
+
+    def end(self, lane, t: float) -> str:
+        self._phases[lane][1].append(len(self._rr))
+        return self.spans.end(lane, t)
+
     # -- run lifecycle -----------------------------------------------------
 
     def run_started(self, eng) -> None:
-        if self.spans is not None:
-            self.spans.wall_begin("engine.run", {"n_ranks": eng.n_ranks})
+        self._rr = eng._rr
+        self.spans.wall_begin("engine.run", {"n_ranks": eng.n_ranks})
 
-    def run_finished(self, eng) -> None:
-        if self.spans is not None:
-            self.spans.wall_end()
-        self._publish(eng)
+    def run_finished(self, eng, trace) -> None:
+        def phases_open(rank: int, row: int) -> int:
+            begins, ends = self._phases.get(rank, ((), ()))
+            return bisect_right(begins, row) - bisect_right(ends, row)
 
-    def _publish(self, eng) -> None:
+        self.spans.wall_end()
+        rows, _ = collective_spans(trace, *trace.program(),
+                                   phases_open=phases_open)
+        self.spans.finished.extend(rows)
+        self._publish(eng, trace)
+
+    def _publish(self, eng, trace) -> None:
         reg = self.registry
         net = eng.network
         reg.counter("repro_engine_runs_total").inc()
@@ -112,14 +105,26 @@ class EngineObserver:
             self._depth_max)
         reg.gauge("repro_engine_virtual_makespan_seconds").set_max(
             eng.max_clock)
-        for i, cls in enumerate(net.route_classes):
-            if self._link_msgs[i]:
+        # Every recorded message on its link class, summed in row order,
+        # the order the messages moved: each latency total is the
+        # per-message sum, to the bit.
+        c = trace.columns()
+        moved, src, dst = message_flows(c.kind, c.rank, c.peer)
+        pu = np.asarray(net.binding)
+        depth = net.topology.common_depths(pu[src], pu[dst])
+        sharing = net.topology.sharing_classes
+        msgs, byts, lats = (
+            np.bincount(depth, weights=w, minlength=len(sharing))
+            for w in (None, c.nbytes[moved], net.routes(src, dst)[0]))
+        for cls in net.route_classes:
+            d = sharing.index(cls)
+            if msgs[d]:
                 reg.counter("repro_net_link_messages_total",
-                            link=cls).inc(self._link_msgs[i])
+                            link=cls).inc(int(msgs[d]))
                 reg.counter("repro_net_link_bytes_total",
-                            link=cls).inc(self._link_bytes[i])
+                            link=cls).inc(int(byts[d]))
                 reg.counter("repro_net_link_latency_seconds_total",
-                            link=cls).inc(self._link_lat[i])
+                            link=cls).inc(float(lats[d]))
         # totals() flushes; pml.sync no-ops on the main thread so this
         # is safe after the run has drained.
         for cat in CATEGORIES:

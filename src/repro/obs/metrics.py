@@ -188,12 +188,12 @@ def load_snapshot(path: str) -> Dict[str, Any]:
         raw = fh.read()
     try:
         doc = json.loads(raw)
-    except ValueError as exc:          # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or deep
         raise TraceSchemaError(
             f"{path}: not a metrics snapshot ({exc})") from None
     counters = doc.get("counters") if isinstance(doc, dict) else None
     if not isinstance(counters, dict) or not all(
-            isinstance(v, (int, float)) and math.isfinite(v)
+            type(v) is int or type(v) is float and math.isfinite(v)
             for v in counters.values()):
         raise TraceSchemaError(f"{path}: not a metrics snapshot "
                                "(counters must be an object of numbers)")

@@ -96,9 +96,9 @@ class SpanRecorder:
 
 
 @contextmanager
-def virtual_span(rec: Optional[SpanRecorder], proc, name: str,
-                 args: Optional[dict] = None):
-    """Span over ``proc``'s virtual clock; no-op when ``rec`` is None.
+def virtual_span(rec, proc, name: str, args: Optional[dict] = None):
+    """Span over ``proc``'s virtual clock on ``rec`` (a recorder with
+    :class:`SpanRecorder`'s ``begin`` / ``end``); no-op when it is None.
 
     Reads ``proc.clock`` raw (no settle): a deferred send still in
     flight is charged to whichever span is open when it materializes,

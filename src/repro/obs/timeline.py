@@ -224,6 +224,57 @@ class CollectiveInstance:
 # replay-trace ingestion
 
 
+def message_flows(kind, rank, peer):
+    """``(rows, src, dst)`` of the rows that move bytes (S / P / G):
+    origin -> target, except that a get's flow target -> origin (as
+    monitored)."""
+    moved = np.flatnonzero((kind == K_S) | (kind == K_P) | (kind == K_G))
+    is_get = kind[moved] == K_G
+    return (moved, np.where(is_get, peer[moved], rank[moved]),
+            np.where(is_get, rank[moved], peer[moved]))
+
+
+def collective_spans(trace, order, cut, derived=None,
+                     phases_open=lambda rank, row: 0):
+    """``(span rows, instances)`` of a trace's ``B`` / ``E`` markers, rank
+    by rank over ``trace.program()``'s ``order, cut``.  A marker's clock
+    is its ``t``, or ``derived[i]`` (if given) where that is 0, as in every
+    file older than marker clocks.  A span's depth: the collectives open
+    around it plus ``phases_open(rank, row of its E)``."""
+    c = trace.columns()
+    is_mark = c.kind[order] >= K_B
+    marks = order[is_mark]
+    clock = c.t[marks]
+    if derived is not None:
+        clock = np.where(clock != 0.0, clock, derived)
+    rows = zip(marks.tolist(), c.kind[marks].tolist(),
+               c.peer[marks].tolist(), clock.tolist())
+    instances: Dict[Tuple[int, int], CollectiveInstance] = {}
+    span_rows: List[tuple] = []
+    counts = np.diff(np.cumsum(np.r_[0, is_mark])[cut])
+    for r, n in enumerate(counts.tolist()):
+        stack, calls = [], {}
+        for i, k, sig, now in islice(rows, n):
+            if k == K_B:
+                comm_id, op, alg, root, size, segs = c.colls[sig]
+                key = (comm_id, calls.get(comm_id, 0))
+                calls[comm_id] = key[1] + 1
+                inst = instances.get(key)
+                if inst is None:
+                    inst = instances[key] = CollectiveInstance(
+                        comm_id=comm_id, index=key[1], op=op, alg=alg,
+                        root=root, nbytes=size, segments=segs,
+                        ranks=tuple(trace.comms.get(comm_id, ())))
+                inst.arrivals[r] = now
+                stack.append((inst, now))
+            elif stack:
+                inst, t0 = stack.pop()
+                inst.t_end = max(inst.t_end, now)
+                span_rows.append((r, inst.name, t0, max(now, t0),
+                                  len(stack) + phases_open(r, i), None))
+    return span_rows, instances
+
+
 def _ingest(trace) -> Dict[str, Any]:
     """Every event-level layer of a :class:`ReplayTrace`, straight from
     its columns, as :class:`Timeline` keyword arguments (``pml`` being
@@ -284,12 +335,7 @@ def _ingest(trace) -> Dict[str, Any]:
             np.concatenate((t0, np.maximum(t1, t0))),
             np.concatenate((np.ones(len(t0)), -np.ones(len(t0)))))
 
-    # What every S / P / G charged: bytes flow origin -> target, except
-    # that a get's flow target -> origin (as monitored).
-    moved = np.flatnonzero((kind == K_S) | (kind == K_P) | (kind == K_G))
-    is_get = kind[moved] == K_G
-    src = np.where(is_get, peer[moved], rank[moved])
-    dst = np.where(is_get, rank[moved], peer[moved])
+    moved, src, dst = message_flows(kind, rank, peer)
     m_t, m_bytes, mcat = t[moved], nbytes[moved], c.mcat[at][moved]
     pml = {}
     for code, cat in enumerate(CATS[1:], start=1):
@@ -315,37 +361,11 @@ def _ingest(trace) -> Dict[str, Any]:
         counters[f"nic:issued:node{nd}"] = CounterSeries.from_deltas(
             m_t[cross][on], m_bytes[cross][on].astype(np.float64))
 
-    # Collective markers carry no clock of their own: a B / E sits at
-    # the clock its rank's previous timed event left, 0.0 before the
-    # first (`post` with a 0.0 put ahead of each rank's).  Only these
-    # are walked in python, rank by rank.
-    marks = order[~is_timed]
-    clock = np.insert(post, timed[:-1], 0.0)[
-        np.cumsum(is_timed)[~is_timed] + c.rank[marks]]
-    rows = zip(c.kind[marks].tolist(), c.peer[marks].tolist(),
-               clock.tolist())
-    instances: Dict[Tuple[int, int], CollectiveInstance] = {}
-    span_rows: List[tuple] = []
-    for r, n in enumerate(np.diff(cut - timed).tolist()):
-        stack, calls = [], {}
-        for k, sig, now in islice(rows, n):
-            if k == K_B:
-                comm_id, op, alg, root, size, segs = c.colls[sig]
-                key = (comm_id, calls.get(comm_id, 0))
-                calls[comm_id] = key[1] + 1
-                inst = instances.get(key)
-                if inst is None:
-                    inst = instances[key] = CollectiveInstance(
-                        comm_id=comm_id, index=key[1], op=op, alg=alg,
-                        root=root, nbytes=size, segments=segs,
-                        ranks=tuple(trace.comms.get(comm_id, ())))
-                inst.arrivals[r] = now
-                stack.append((inst, now))
-            elif stack:
-                inst, t0 = stack.pop()
-                inst.t_end = max(inst.t_end, now)
-                span_rows.append((r, inst.name, t0, max(now, t0), len(stack),
-                                  None))
+    # A legacy marker's clock: where its rank's previous timed event
+    # left the clock (`post` with a 0.0 put ahead of each rank's).
+    derived = np.insert(post, timed[:-1], 0.0)[
+        np.cumsum(is_timed)[~is_timed] + c.rank[order[~is_timed]]]
+    span_rows, instances = collective_spans(trace, order, cut, derived)
 
     return {
         "spans": SpanTable.from_rows(span_rows),

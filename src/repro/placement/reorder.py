@@ -91,7 +91,7 @@ def co_reorder_from_matrix(
     matrix).  Returns ``(opt_comm, k)`` on every rank.
     """
     me = comm.rank
-    rec = comm.engine._obs_spans
+    rec = comm.engine._obs          # spans the phases when obs is on
     proc = comm._current() if rec is not None else None
     with virtual_span(rec, proc, "reorder.from_matrix"):
         if me == 0:
@@ -179,7 +179,7 @@ def co_reorder_iterative(
     before each settles the caller's deferred send, so their internal
     settles find nothing to park on (DESIGN.md §4.5).
     """
-    rec = comm.engine._obs_spans
+    rec = comm.engine._obs
     proc = comm._current() if rec is not None else None
     yield from comm.co_sync()
     if manage_env:

@@ -75,19 +75,21 @@ def disable() -> None:
     _state.update(active=False, meta=None, sink=None, path=None, count=0)
 
 
-def attach(engine) -> Optional[object]:
+def attach(engine, observed: bool = False) -> Optional[object]:
     """Called by Engine.__init__; returns a recorder or None.
 
     Engines built while recording is off never record (the flag is
     sampled once, at construction), which keeps nested helper engines
     out of a capture only if they are constructed outside the block —
-    engines built inside record as expected.
+    engines built inside record as expected.  An ``observed`` engine
+    (obs on) records either way, outside a capture for obs alone.
     """
-    if not _state["active"]:
+    if not (_state["active"] or observed):
         return None
     from repro.replay.record import ReplayRecorder
 
-    return ReplayRecorder(engine, dict(_state["meta"] or {}))
+    return ReplayRecorder(engine, dict(_state["meta"] or {})
+                          if _state["active"] else None)
 
 
 def _finished(trace) -> None:

@@ -15,7 +15,9 @@ the local-computation gap ``gap = t - clock_after_previous_event`` on
 the same rank.  Gaps absorb everything the replay engine does not
 model (compute, file I/O, send overheads already folded into clocks by
 the recorded run's own bookkeeping is *not* — those are re-derived),
-letting one trace be re-costed under a different placement.
+letting one trace be re-costed under a different placement.  A ``B``
+/ ``E`` marker's ``t`` is its rank's raw clock at the call's entry /
+exit (``gap`` 0).
 
 Each hook call writes one row: it extends a ``schema.RowPacker``'s flat
 list by the nine fields (packed every ``PACK_ROWS`` rows), ``mcat``
@@ -53,6 +55,10 @@ class ReplayRecorder:
         # recorded event (0.0 before the first: processes start at 0).
         self._last = [0.0] * engine.n_ranks
         self._seq = 0
+
+    def __len__(self) -> int:       # rows recorded so far
+        return (len(self._packer.packs) * PACK_ROWS
+                + len(self._rows) // len(COLUMN_LAYOUT))
 
     # -- hook sites ------------------------------------------------------
 
@@ -92,23 +98,24 @@ class ReplayRecorder:
                -1 if nbytes is None else int(nbytes), int(segs or 0))
         colls = self._packer.colls
         rows = self._rows
-        rows += (0.0, 0.0, 0, proc.rank, colls.setdefault(sig, len(colls)),
-                 0, K_B, 0, 0)
+        rows += (proc.clock, 0.0, 0, proc.rank,
+                 colls.setdefault(sig, len(colls)), 0, K_B, 0, 0)
         if len(rows) >= _PACK_LEN:
             self._packer.pack()
 
     def on_coll_end(self, proc) -> None:
         rows = self._rows
-        rows += (0.0, 0.0, 0, proc.rank, 0, 0, K_E, 0, 0)
+        rows += (proc.clock, 0.0, 0, proc.rank, 0, 0, K_E, 0, 0)
         if len(rows) >= _PACK_LEN:
             self._packer.pack()
 
     # -- finalization ----------------------------------------------------
 
-    def run_finished(self, engine) -> None:
-        """Finalize the trace; the engine only calls this on clean runs."""
+    def run_finished(self, engine, clean: bool) -> ReplayTrace:
+        """The run's trace, closed by an ``F`` per rank and handed to
+        the capture (if attached for one) when ``clean``."""
         rows, last = self._rows, self._last
-        for proc in engine.procs:
+        for proc in engine.procs if clean else ():
             t = proc.clock
             rows += (t, t - last[proc.rank], 0, proc.rank, 0, 0, K_F, 0, 0)
         trace = ReplayTrace(
@@ -121,6 +128,8 @@ class ReplayRecorder:
             comms=self.comms,
             clocks=[p.clock for p in engine.procs],
             columns=self._packer.columns(),
-            meta=dict(self.meta),
+            meta=dict(self.meta or {}),
         )
-        autorecord._finished(trace)
+        if clean and self.meta is not None:
+            autorecord._finished(trace)
+        return trace

@@ -438,46 +438,32 @@ class Communicator:
     # -- collectives (implemented over _co_isend/_irecv) ---------------------
 
     def _co_spanned(self, opname, _alg, gen, *args, **kwargs):
-        """One collective call, for ``yield from``.
-
-        With neither a span recorder nor a replay recorder attached (the
-        common case) this is the decomposition's own generator: no
-        frame of its own.  Otherwise it is :meth:`_co_observed`, which
-        wraps the decomposition in the begin/end hooks.
-        """
-        eng = self.engine
-        if eng._obs_spans is None and eng._rr is None:
+        """One collective call, for ``yield from``: with no replay
+        recorder attached (the common case) the decomposition's own
+        generator, no frame of its own; else :meth:`_co_observed`."""
+        if self.engine._rr is None:
             return gen(*args, **kwargs)
         return self._co_observed(opname, _alg, gen, args, kwargs)
 
     def _co_observed(self, opname, _alg, gen, args, kwargs):
-        """Run one collective, tracing it as a virtual-time span and/or
-        a recorded ``B``/``E`` pair.
+        """Run one collective, recorded as a ``B``/``E`` pair (also the
+        span :mod:`repro.obs` reads back).
 
         Observation-only: the hooks read the caller's raw clock before
         and after — they never settle deferred sends or touch the
         scheduler, so the engine's call sequence is identical with
         observation off.
         """
-        eng = self.engine
-        rec = eng._obs_spans
-        rr = eng._rr
+        rr = self.engine._rr
         try:
             proc = _tls.proc
         except AttributeError:
             raise SimError("not inside a simulated MPI process") from None
-        if rr is not None:
-            rr.on_coll_begin(proc, self, opname, _alg, kwargs)
-        if rec is not None:
-            name = opname if _alg is None else f"{opname}[{_alg}]"
-            rec.begin(proc.rank, name, proc.clock)
+        rr.on_coll_begin(proc, self, opname, _alg, kwargs)
         try:
             return (yield from gen(*args, **kwargs))
         finally:
-            if rec is not None:
-                rec.end(proc.rank, proc.clock)
-            if rr is not None:
-                rr.on_coll_end(proc)
+            rr.on_coll_end(proc)
 
     # Blocking spellings: each drives its co_ form (below).
 

@@ -58,8 +58,9 @@ Each step of a message runs in the module that owns it —
 (and ``MatchQueue.post`` for a receive, from ``Communicator._irecv``)
 — so the costs the benchmark ledger probes are the code that runs;
 ``_materialize`` itself keeps only the overhead charge, the wake and
-the observer slot: ``_observe``, None unless the replay recorder or
-:mod:`repro.obs` is attached, is called once per message after the
+the observer slot: ``_observe``, the replay recorder's
+``on_message`` (None unless recording or :mod:`repro.obs`, which reads
+the recording, is on), is called once per message after the
 transfer (also by ``Window`` put / get) with ``(kind, proc, peer,
 nbytes, category, mcat, t_pre, msg)`` — ``mcat`` is what ``pml.record``
 returned, ``msg`` None for one-sided traffic.
@@ -476,25 +477,15 @@ class Engine:
         # this engine was built; every hot-path consultation is a
         # single ``is not None`` check on a per-wait (not per-message)
         # path.
+        self._obs = None
         if _obs.is_enabled():
             from repro.obs.hooks import EngineObserver  # local: lazy
-
-            self._obs = EngineObserver(self)
-            self._obs_spans = self._obs.spans
-        else:
-            self._obs = None
-            self._obs_spans = None
-        # Replay recording: None unless repro.replay.autorecord was
-        # active when this engine was built; same is-not-None fast-path
-        # discipline as the observer.
-        self._rr = _replay.attach(self)
-        # The observer slot: the attached taps' on_message, fanned out
-        # here, once, when both are.
-        taps = [t.on_message for t in (self._obs, self._rr) if t is not None]
-        if len(taps) > 1:
-            self._observe = lambda *event: [tap(*event) for tap in taps]
-        else:
-            self._observe = taps[0] if taps else None
+            self._obs = EngineObserver()
+        # Replay recording, None unless repro.replay.autorecord was
+        # active or obs (which reads the recording) enabled when this
+        # engine was built; its on_message is the observer slot.
+        self._rr = _replay.attach(self, self._obs is not None)
+        self._observe = None if self._rr is None else self._rr.on_message
         self.world = None  # set by run(); apps may also build comms directly
 
     # -- identifiers ------------------------------------------------------
@@ -569,10 +560,10 @@ class Engine:
                      and all(p.exc is None for p in self.procs))
             self._drain()
             _tls.proc = prev_proc
+            trace = (None if self._rr is None
+                     else self._rr.run_finished(self, clean))
             if self._obs is not None:
-                self._obs.run_finished(self)
-            if clean and self._rr is not None:
-                self._rr.run_finished(self)
+                self._obs.run_finished(self, trace)
             self._unlink()
 
         failed = [p for p in self.procs if p.exc is not None]
@@ -622,7 +613,7 @@ class Engine:
     # can run a fresh program if it never ran one, but it is not a
     # resumable mid-run scheduler — rank continuations do not survive
     # the trip (see SimProcess.__getstate__).
-    _EPHEMERAL = ("mpit", "_obs", "_obs_spans", "_rr", "_observe")
+    _EPHEMERAL = ("mpit", "_obs", "_rr", "_observe")
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -639,7 +630,6 @@ class Engine:
         if fs is not None:
             fs._register_pvars(self.mpit)
         self._obs = None
-        self._obs_spans = None
         self._rr = None
         self._observe = None
 

@@ -60,8 +60,8 @@ _JITTER_BLOCK = 1024
 class _LazyPairView(dict):
     """Flat ``src * n + dst``-indexed mapping, computed on first touch.
 
-    Every consumer (engine send materialization, replay scoring, obs
-    link accounting) only ever does ``view[pair]``, and dict indexing
+    Every consumer (engine send materialization, the replay oracle)
+    only ever does ``view[pair]``, and dict indexing
     with ``__missing__`` makes that resolve-and-memoize.  A 4096-rank
     world touches the pairs its communication pattern actually uses —
     thousands, not 16.7 million.
@@ -289,19 +289,16 @@ class Network:
                 break
 
         class_names: List[str] = []
-        lut_idx = [-1] * (depth + 1)
         lut_alpha = [0.0] * (depth + 1)
         lut_bw = [1.0] * (depth + 1)
-        sharing = topo.sharing_classes
+        sharing = self._sharing = topo.sharing_classes
         for d in order:
             cls = sharing[d]
-            lut_idx[d] = len(class_names)
             class_names.append(cls)
             lp = params.link_for(cls, topo)
             lut_alpha[d] = lp.latency
             lut_bw[d] = lp.bandwidth
         self.route_classes = tuple(class_names)
-        self._lut_idx = lut_idx
         self._lut_alpha = lut_alpha
         self._lut_bw = lut_bw
 
@@ -316,10 +313,9 @@ class Network:
         self._pair_l = _LazyPairView(self, "_resolve_pair")
         self._node_l = _LazyPairView(self, "_resolve_nodes")
         # Single-field views for consumers that need just one of them
-        # (replay: alpha; repro.obs: class index per message).
+        # (the replay oracle: alpha; sharing_class: the class name).
         self._alpha_l = _LazyPairView(self, "_resolve_alpha")
         self._cls_l = _LazyPairView(self, "_resolve_cls")
-        self._clsidx_l = _LazyPairView(self, "_resolve_clsidx")
         self._o_send = float(params.send_overhead)
         self._mem_bw = params.mem_bandwidth
         # Plain attribute (not a property): read once per receive
@@ -390,11 +386,8 @@ class Network:
     def _resolve_alpha(self, key: int) -> float:
         return self._lut_alpha[self._common_depth(*divmod(key, self._n_ranks))]
 
-    def _resolve_clsidx(self, key: int) -> int:
-        return self._lut_idx[self._common_depth(*divmod(key, self._n_ranks))]
-
     def _resolve_cls(self, key: int) -> str:
-        return self.route_classes[self._clsidx_l[key]]
+        return self._sharing[self._common_depth(*divmod(key, self._n_ranks))]
 
     # -- jitter ----------------------------------------------------------
 

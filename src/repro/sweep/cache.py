@@ -85,23 +85,10 @@ class ResultCache:
     # -- read/write ----------------------------------------------------
 
     def get(self, scenario: str, params: Dict[str, Any]) -> Optional[CacheEntry]:
-        path = self.path_for(scenario, params)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        if doc.get("schema") != _SCHEMA:
-            return None
-        key = self.key_for(scenario, params)
-        if doc.get("key") != key:
-            return None  # prefix collision or stale rename
-        return CacheEntry(
-            scenario=doc["scenario"], params=doc["params"],
-            fingerprint=doc["fingerprint"], key=doc["key"],
-            result=doc["result"], elapsed_s=doc.get("elapsed_s", 0.0),
-            created_unix=doc.get("created_unix", 0.0), path=path,
-        )
+        entry = _read_entry(self.path_for(scenario, params))
+        if entry is None or entry.key != self.key_for(scenario, params):
+            return None  # missing, corrupt, prefix collision or stale rename
+        return entry
 
     def put(self, scenario: str, params: Dict[str, Any], result: Any,
             elapsed_s: float = 0.0) -> CacheEntry:
@@ -144,20 +131,9 @@ class ResultCache:
         for name in sorted(os.listdir(self.root)):
             if not name.endswith(".json"):
                 continue
-            path = os.path.join(self.root, name)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if doc.get("schema") != _SCHEMA:
-                continue
-            yield CacheEntry(
-                scenario=doc.get("scenario", "?"), params=doc.get("params", {}),
-                fingerprint=doc.get("fingerprint", ""), key=doc.get("key", ""),
-                result=doc.get("result"), elapsed_s=doc.get("elapsed_s", 0.0),
-                created_unix=doc.get("created_unix", 0.0), path=path,
-            )
+            entry = _read_entry(os.path.join(self.root, name))
+            if entry is not None:
+                yield entry
 
     def clean(self, scenarios: Optional[List[str]] = None,
               stale_only: bool = False) -> int:
@@ -175,3 +151,21 @@ class ResultCache:
             os.unlink(entry.path)
             removed += 1
         return removed
+
+
+def _read_entry(path: str) -> Optional[CacheEntry]:
+    """The entry in ``path``; None for a missing file, or one that is
+    not UTF-8, not JSON (or too deep to parse), not an object of ours."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or doc.get("schema") != _SCHEMA:
+        return None
+    return CacheEntry(
+        scenario=doc.get("scenario", "?"), params=doc.get("params", {}),
+        fingerprint=doc.get("fingerprint", ""), key=doc.get("key", ""),
+        result=doc.get("result"), elapsed_s=doc.get("elapsed_s", 0.0),
+        created_unix=doc.get("created_unix", 0.0), path=path,
+    )

@@ -13,6 +13,7 @@ from repro.experiments import fig7_cg
 from repro.replay import autorecord
 from tests.golden.apps_workloads import (GOLDEN_PATH, WORKLOADS,
                                          WORKLOADS_CO, snapshot)
+from tests.replay.conftest import markers_at_zero
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,8 @@ def test_generator_spelling_matches_golden(name, golden):
 
 #: sha256 of the two recordings (baseline, reordered) of
 #: ``fig7_cg.run_one("S", 16, "rr")``, dumped; captured before the user
-#: point-to-point entry points handed back ``co_wait`` themselves.
+#: point-to-point entry points handed back ``co_wait`` themselves, and
+#: before markers carried their clock (so dumped ``markers_at_zero``).
 FIG7_CG_RECORDINGS = (
     "254a06012c99f8c7ab6e5a822132aa7953f523225e0f075586cf4cbffcb25eb1",
     "ece286120c857e79b86290dd448eef8962454fe6109b92ee002727c99316cb69",
@@ -58,6 +60,6 @@ def test_fig7_cg_recordings_are_the_pinned_bytes(tmp_path):
     digests = []
     for i, trace in enumerate(traces):
         path = tmp_path / f"cg{i}.trace"
-        trace.dump(str(path))
+        markers_at_zero(trace).dump(str(path))
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert tuple(digests) == FIG7_CG_RECORDINGS

@@ -41,7 +41,7 @@ class TestEngineMetrics:
     def test_disabled_engine_carries_no_observer(self):
         engine = small_engine()
         assert engine._obs is None
-        assert engine._obs_spans is None
+        assert engine._rr is None
         assert engine._observe is None
 
     def test_run_publishes_engine_counters(self, enabled):
@@ -180,6 +180,33 @@ class TestEngineMetrics:
         assert (link_msgs == engine.messages
                 == compile_trace(traces[0]).n_messages == 8)
 
+    def test_a_raising_run_still_counts_what_it_sent(self, enabled):
+        """Counters come from the recording, also of a run that raised:
+        its link totals are the messages it got onto the wire."""
+        from repro.simmpi import RankFailure
+
+        registry, _ = enabled
+        engine = small_engine()
+
+        def prog(comm):
+            me, n = comm.rank, comm.size
+            comm.barrier()
+            comm.sendrecv(None, dest=(me + 1) % n, source=(me - 1) % n,
+                          nbytes=3_000)
+            if me == 5:
+                raise RuntimeError("boom")
+            comm.barrier()
+
+        with pytest.raises(RankFailure):
+            engine.run(prog)
+        counters = registry.snapshot()["counters"]
+        link = {kind: sum(v for k, v in counters.items()
+                          if k.startswith(f"repro_net_link_{kind}_total"))
+                for kind in ("messages", "bytes")}
+        assert counters["repro_engine_runs_total"] == 1
+        assert link["messages"] == engine.messages > 8
+        assert link["bytes"] >= 3_000
+
 
 def _osc_mix(comm):
     me, n = comm.rank, comm.size
@@ -195,6 +222,36 @@ def _osc_mix(comm):
     comm.bcast(None, root=1, nbytes=20_000 if me == 1 else None, segments=2)
     comm.sendrecv(None, dest=(me + 5) % n, source=(me - 5) % n, nbytes=900)
 
+
+def test_link_totals_are_the_per_message_sums():
+    """The link counters, summed from the recording's rows, equal a
+    per-message walk through the network's own route table, to the
+    bit: the loop obs ran live before it read the recording."""
+    from repro.replay import autorecord
+
+    registry, _ = obs.enable()
+    try:
+        with autorecord.capture() as traces:
+            engine = small_engine()
+            engine.run(_osc_mix)
+    finally:
+        obs.disable()
+    net, n = engine.network, engine.n_ranks
+    want = {"messages": {}, "bytes": {}, "latency_seconds": {}}
+    for ev in traces[0].events:
+        if ev[0] in ("S", "P", "G"):
+            src, dst = (ev[2], ev[1]) if ev[0] == "G" else (ev[1], ev[2])
+            cls = net.sharing_class(src, dst)
+            for kind, x in (("messages", 1), ("bytes", ev[3]),
+                            ("latency_seconds", net._alpha_l[src * n + dst])):
+                want[kind][cls] = want[kind].get(cls, 0) + x
+    counters = registry.snapshot()["counters"]
+    for kind, per_class in want.items():
+        got = {cls: counters[f"repro_net_link_{kind}_total{{link={cls}}}"]
+               for cls in per_class}
+        assert got == per_class
+        assert [v.hex() for v in got.values() if isinstance(v, float)] == \
+            [v.hex() for v in per_class.values() if isinstance(v, float)]
 
 def _observed_run(obs_on: bool, record: bool, tmp_path):
     """(link-class counters, dumped trace bytes) of one ``_osc_mix`` run."""

@@ -1,6 +1,12 @@
 """Metrics registry semantics and the disabled-mode no-op contract."""
 
+import json
+import math
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.errors import TraceSchemaError
@@ -173,6 +179,8 @@ class TestSnapshotFile:
         '{"counters": {"runs": "3"}}',          # a counter not a number
         '{"counters": {"runs": NaN}}',          # ... nor a finite one
         '[{"counters": {}}]',                   # not an object at all
+        '{"counters": {"runs": true}}',         # a bool is not a count
+        '{"counters": ' + "[" * 200_000,        # nested past the parser
     ])
     def test_malformed_file_names_the_path(self, body, tmp_path):
         path = tmp_path / "bad.json"
@@ -182,3 +190,28 @@ class TestSnapshotFile:
             path.write_text(body)
         with pytest.raises(TraceSchemaError, match="bad.json"):
             load_snapshot(str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.one_of(
+    st.binary(max_size=200),
+    st.recursive(st.none() | st.booleans() | st.floats() | st.integers()
+                 | st.text(max_size=8),
+                 lambda kids: st.lists(kids, max_size=4)
+                 | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+                 max_leaves=12).map(
+        lambda doc: json.dumps({"counters": doc}).encode())))
+def test_any_bytes_load_as_a_snapshot_or_refuse(tmp_path_factory, body):
+    """A file's bytes give a snapshot whose counters are all finite
+    non-bool numbers, or a TraceSchemaError — never anything else."""
+    path = tmp_path_factory.mktemp("snap") / "m.json"
+    path.write_bytes(body)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            doc = load_snapshot(str(path))
+    except TraceSchemaError:
+        return
+    assert isinstance(doc, dict)
+    assert all(type(v) in (int, float) and math.isfinite(v)
+               for v in doc["counters"].values())

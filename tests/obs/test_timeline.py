@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.obs.timeline import CounterSeries, SpanTable, Timeline
+from repro.replay.schema import ReplayTrace
 
 
 class TestCounterSeries:
@@ -196,6 +197,66 @@ class TestFromTrace:
         rank, name, t0, t1, depth, args = rows[0]
         assert isinstance(rank, int) and isinstance(name, str)
         assert t1 >= t0
+
+
+def _collective_rows(tl):
+    """A timeline's collective span rows ``(rank, name, t0, t1)``, sorted
+    (the dotted names are placement.reorder's phases)."""
+    return sorted((int(r), tl.spans.names[i], t0, t1)
+                  for r, i, t0, t1 in zip(tl.spans.rank, tl.spans.name_id,
+                                          tl.spans.t0.tolist(),
+                                          tl.spans.t1.tolist())
+                  if "." not in tl.spans.names[i])
+
+
+def _arrivals(tl):
+    return [(c.comm_id, c.index, c.arrivals, c.t_end)
+            for c in tl.collectives]
+
+
+def _probe_run():
+    """barrier; rank 0 computes for 1 ms; bcast — on 48 ranks, with obs
+    on and the run recorded."""
+    from repro import obs
+    from repro.replay import autorecord
+    from repro.simmpi import Cluster, Engine
+
+    def prog(comm):
+        yield from comm.co_barrier()
+        if comm.rank == 0:
+            yield from comm.co_compute(1e-3)
+        yield from comm.co_bcast(None, root=0, nbytes=4096)
+
+    _, spans = obs.enable()
+    try:
+        with autorecord.capture() as traces:
+            engine = Engine(Cluster.plafrim(2), seed=0)
+            engine.run(prog)
+    finally:
+        obs.disable()
+    return engine, spans, traces[0]
+
+
+class TestOneRecordOfCollectives:
+    """A collective's span and arrival clocks are the recorded ones: the
+    live run's spans (which obs reads back from the recording) and a
+    timeline of the trace file alone agree to the bit."""
+
+    def test_fig5_spans_and_arrivals_agree(self, fig5_timelines):
+        tl_run, tl_trace = fig5_timelines
+        assert _collective_rows(tl_run) == _collective_rows(tl_trace)
+        assert _arrivals(tl_run) == _arrivals(tl_trace)
+
+    def test_a_span_after_compute_starts_after_it(self, tmp_path):
+        engine, spans, trace = _probe_run()
+        tl_run = Timeline.from_run(engine, spans=spans, trace=trace)
+        path = str(tmp_path / "probe.trace")
+        trace.dump(path)
+        tl_file = Timeline.from_trace(ReplayTrace.load(path))
+        assert _collective_rows(tl_run) == _collective_rows(tl_file)
+        assert _arrivals(tl_run) == _arrivals(tl_file)
+        (bcast,) = [c for c in tl_file.collectives if c.op == "bcast"]
+        assert bcast.arrivals[0] > 1e-3 > bcast.arrivals[1]
 
 
 class TestHandBuilt:

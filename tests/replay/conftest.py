@@ -6,6 +6,7 @@ hand-build a trace spell its events as tuples and pass
 ``columns_of(events)``.
 """
 
+import numpy as np
 import pytest
 
 from repro.replay import autorecord
@@ -45,6 +46,14 @@ def columns_of(events) -> TraceColumns:
             raise ValueError(
                 f"unknown message category {exc.args[0]!r}") from None
     return packer.columns()
+
+
+def markers_at_zero(trace):
+    """``trace`` with the ``t`` of its ``B`` / ``E`` rows zeroed: what a
+    recorder wrote before markers carried their clock."""
+    c = trace.columns()
+    return trace._with_columns(c._replace(t=np.where(c.kind >= K_B, 0.0,
+                                                      c.t)))
 
 
 def answer_bits(doc):

@@ -62,7 +62,7 @@ def test_round_trip_preserves_observables():
 def test_no_live_threads_or_semaphores_in_state():
     engine, _ = _finished_engine()
     state = engine.__getstate__()
-    for key in ("mpit", "_obs", "_obs_spans", "_rr"):
+    for key in ("mpit", "_obs", "_rr", "_observe"):
         assert key not in state
     for proc in state["procs"]:
         assert proc.task is not None  # the (finished) thread task

@@ -2,10 +2,15 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.sweep import runner
 from repro.sweep.cache import ResultCache, canonical_dumps, cell_key
+from repro.sweep.registry import SweepConfig
 
 FP = "f" * 64
 PARAMS = {"n_nodes": 2, "size_bytes": 1000, "seed": 0}
@@ -92,6 +97,48 @@ class TestInvalidation:
         with open(entry.path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert cache.get("fig4", PARAMS) is None
+
+    @pytest.mark.parametrize("body", [
+        b"\xff\xfe not utf-8",            # UnicodeDecodeError
+        b'[{"schema": 1}]',               # a JSON array, not an object
+        b"[" * 200_000,                   # past the parser's depth
+    ])
+    def test_unreadable_entry_is_a_miss_everywhere(self, cache, body):
+        entry = cache.put("fig4", PARAMS, {"x": 1})
+        with open(entry.path, "wb") as fh:
+            fh.write(body)
+        assert cache.get("fig4", PARAMS) is None
+        assert list(cache.entries()) == []
+        assert cache.clean() == 0
+
+
+def _selftest_cells():
+    return runner.select_cells("selftest", SweepConfig(smoke=True))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.one_of(st.binary(max_size=256),
+                      st.text(max_size=64).map(str.encode)))
+def test_any_bytes_in_an_entry_give_a_miss_and_a_recompute(tmp_path, body):
+    """Whatever an entry file holds, reading it gives None or an entry,
+    and a sweep over that cell recomputes it rather than crashing."""
+    cache = ResultCache(root=tempfile.mkdtemp(dir=tmp_path))
+    cell = _selftest_cells()[0]
+    path = cache.put(cell["scenario"], cell["params"], {"x": -1}).path
+    with open(path, "wb") as fh:
+        fh.write(body)
+    got = cache.get(cell["scenario"], cell["params"])
+    assert got is None or got.key == cache.key_for(cell["scenario"],
+                                                   cell["params"])
+    assert all(e.path == path for e in cache.entries())
+    report = runner.run_sweep(filter_expr="selftest",
+                              config=SweepConfig(smoke=True), jobs=1,
+                              cache=cache)
+    assert report.totals["failed"] == 0
+    assert report.totals["computed"] >= 1
+    assert report.cells[0].result == {"x": cell["params"]["x"],
+                                      "y": cell["params"]["x"] ** 2}
 
 
 class TestMaintenance:

@@ -220,7 +220,6 @@ def test_lazy_routes_match_dense_everywhere(topo, data):
             )
             assert net._alpha_l[k] == link.latency
             assert net._cls_l[k] == net.sharing_class(src, dst) == cls
-            assert net.route_classes[net._clsidx_l[k]] == cls
     assert net.route_classes == tuple(first_seen)
 
 
