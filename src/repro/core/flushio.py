@@ -138,32 +138,64 @@ def read_profile(path: str) -> Dict[str, Any]:
 
     Returns ``{"kind": ..., "meta": {...}, "data": ndarray}`` where
     ``data`` is an ``(n, 4)`` src/dst/count/bytes table for local
-    profiles and an ``(n, n)`` matrix for root profiles.
+    profiles and an ``(n, n)`` matrix for root profiles.  A file that is
+    not one raises ``ValueError`` naming ``path`` — not ASCII, a row
+    that is not unsigned 64-bit integers, rows of unequal width, a
+    ``rank`` / ``comm_size`` that is not an integer, no ``kind`` — and
+    one declaring another (or an unreadable) ``schema``
+    :class:`TraceSchemaError`.
     """
+    def bad(what: str) -> ValueError:
+        return ValueError(f"{path}: malformed MPI_Monitoring profile, {what}")
+
     meta: Dict[str, Any] = {}
     kind = None
     rows = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        k, v = token.split("=", 1)
-                        meta[k] = v
-                kind = meta.get("kind", kind)
-                continue
-            rows.append([int(tok) for tok in line.split()])
+        try:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        if "=" in token:
+                            k, v = token.split("=", 1)
+                            meta[k] = v
+                    kind = meta.get("kind", kind)
+                    continue
+                try:
+                    row = [int(tok) for tok in line.split()]
+                except ValueError as exc:
+                    raise bad(f"a row that is not integers ({exc})") \
+                        from None
+                if not all(0 <= v < 1 << 64 for v in row):
+                    raise bad("a value outside the unsigned 64-bit range")
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise bad(f"not ASCII ({exc.reason} at byte {exc.start})") \
+                from None
     if kind is None:
         raise ValueError(f"{path} is not an MPI_Monitoring profile")
-    if "schema" in meta and int(meta["schema"]) != PROFILE_SCHEMA:
+    if "schema" in meta and _schema_of(meta["schema"]) != PROFILE_SCHEMA:
         raise TraceSchemaError(
             f"{path}: profile schema={meta['schema']}, this reader "
             f"understands schema={PROFILE_SCHEMA}")
+    if len({len(row) for row in rows}) > 1:
+        raise bad("rows of unequal width")
     data = np.array(rows, dtype=np.uint64)
     for key in ("rank", "comm_size"):
         if key in meta:
-            meta[key] = int(meta[key])
+            try:
+                meta[key] = int(meta[key])
+            except ValueError:
+                raise bad(f"{key}={meta[key]} is not an integer") from None
     return {"kind": kind, "meta": meta, "data": data}
+
+
+def _schema_of(token: str):
+    """A header's ``schema=`` value as an int (None: not one)."""
+    try:
+        return int(token)
+    except ValueError:
+        return None

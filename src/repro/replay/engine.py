@@ -664,6 +664,20 @@ def _program_order(trace: ReplayTrace, book: CompiledTrace) -> List[tuple]:
     return trace._program
 
 
+def ready_nbytes(trace: ReplayTrace) -> int:
+    """Resident size of all a ready-set replay of ``trace`` reads besides
+    the network, built here if it is not yet: the event columns, the
+    book (:meth:`CompiledTrace.nbytes`) and the program order
+    (:func:`_program_order`: per rank a tuple of three list spines over
+    the book's boxes, plus a box for each injection ordinal past
+    CPython's small ints) — what keeping a substituted run costs."""
+    book = _compile_trace(trace)
+    spines = sum(sys.getsizeof(lists) + sum(map(sys.getsizeof, lists))
+                 for lists in _program_order(trace, book))
+    boxed = max(book.n_messages - 257, 0) * sys.getsizeof(1 << 20)
+    return trace.columns().footprint() + book.nbytes() + spines + boxed
+
+
 def _replay_ready(trace: ReplayTrace, net) -> ReplayResult:
     """Reschedule ``trace`` the way the live engine would run it: each
     rank's events in program order, a receive-wait completing once its

@@ -107,6 +107,7 @@ _OSC = CAT_CODE["osc"]
 
 __all__ = [
     "SCHEMA_VERSION",
+    "ColumnsReleasedError",
     "ReplayTrace",
     "TraceColumns",
     "params_to_json",
@@ -330,13 +331,19 @@ def _check_columns(c: TraceColumns, clocks: List[float], path: str) -> None:
 # the trace object
 
 
+class ColumnsReleasedError(RuntimeError):
+    """A trace's event columns were read after a serving worker had
+    released them (:meth:`ReplayTrace.release_columns`)."""
+
+
 class ReplayTrace:
     """Header + event stream of one recorded run.
 
     The event stream is numpy columns (:meth:`columns`): the stored
     form and the one every consumer reads; ``events`` is a view of
     them.  A trace is read-only once built (the compile cache would not
-    see a mutation).
+    see a mutation).  A serving worker releases the columns of a book
+    it replays only from its compiled form (:meth:`release_columns`).
     """
 
     def __init__(
@@ -370,7 +377,7 @@ class ReplayTrace:
     @property
     def events(self) -> EventTuples:
         """The events as tuples, built from the columns on access."""
-        return EventTuples(self._columns)
+        return EventTuples(self.columns())
 
     def _with_columns(self, columns: TraceColumns) -> "ReplayTrace":
         """This trace's header over another event stream."""
@@ -380,15 +387,27 @@ class ReplayTrace:
 
     @property
     def n_events(self) -> int:
-        return len(self._columns.kind)
+        return len(self.columns().kind)
 
     def columns(self) -> TraceColumns:
+        if self._columns is None:
+            raise ColumnsReleasedError(
+                "this trace's event columns were released once it was "
+                "compiled; only its book and header facts remain")
         return self._columns
+
+    def release_columns(self) -> None:
+        """Drop the event columns (and the file buffer a loaded trace's
+        columns view), keeping the header and the compile cache.  For a
+        book whose exact replay reads its compiled finish clocks and
+        never walks: every later read of the columns raises
+        :class:`ColumnsReleasedError`."""
+        self._columns = None
 
     def program(self):
         """``(order, cut)``, not cached: the stable argsort by rank, and
         rank ``r``'s rows in recorded order at ``order[cut[r]:cut[r + 1]]``."""
-        rank = self._columns.rank
+        rank = self.columns().rank
         return np.argsort(rank, kind="stable"), np.cumsum(
             np.r_[0, np.bincount(rank, minlength=self.world_size)])
 

@@ -194,7 +194,8 @@ class _Search:
     ``round_robin`` coincide on every rr-recorded trace)."""
 
     def __init__(self, trace: ReplayTrace,
-                 substitute: Optional[Dict[str, str]], focus):
+                 substitute: Optional[Dict[str, str]], focus,
+                 run: Optional[ReplayTrace] = None):
         self.trace = trace
         self.topology = topology_from_json(trace.topology)
         self.params = params_from_json(trace.params)
@@ -213,9 +214,9 @@ class _Search:
                                               self.recorded, focus)
         # The substituted run (None: the recording itself) does not
         # depend on the placement: built — and, on its first replay,
-        # compiled — once per search.
-        self.substituted = None
-        if substitute:
+        # compiled — once per search, unless the caller holds it.
+        self.substituted = run
+        if substitute and run is None:
             from repro.replay.patterns import apply_substitution
 
             self.substituted = apply_substitution(trace, substitute)
@@ -254,6 +255,7 @@ def score_candidate(
     seed: int = 0,
     substitute: Optional[Dict[str, str]] = None,
     focus=None,
+    run: Optional[ReplayTrace] = None,
 ) -> Candidate:
     """Score one placement strategy against a recorded trace.
 
@@ -263,9 +265,12 @@ def score_candidate(
     produced for it inside a full sweep.  This is the unit of work the
     ``repro.serve`` worker pool dispatches (and its result cache keys);
     :func:`rank_candidates` turns such candidates into the answer.
+    ``run`` is ``apply_substitution(trace, substitute)`` when the caller
+    already holds it (a serving worker keeps one per substitution), so
+    ``trace`` needs only its book.
     """
     (strategy,) = strategy_names([strategy])
-    return _Search(trace, substitute, focus).score(strategy, int(seed))
+    return _Search(trace, substitute, focus, run).score(strategy, int(seed))
 
 
 def what_if_search(

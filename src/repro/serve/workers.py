@@ -20,11 +20,16 @@ ingest's "have this book hot" task; a :class:`ScoreTask` also scores
 one candidate on it, by :func:`repro.replay.search.score_candidate` —
 the exact code path of a direct ``repro.replay search`` — and returns
 its :class:`~repro.replay.search.Candidate` as it is, which is what
-makes served results bit-identical to offline ones.  A refused file
-and a candidate whose scoring raised are *answers*, carried in the
-reply beside the load report: loading and scoring are deterministic,
-so the pool's retries (kept for crashes and timeouts) could not change
-them, and a book that stays resident is always reported.
+makes served results bit-identical to offline ones.  A resident book
+holds no event columns, so a substituted task scores on the run its
+store builds from the file once per substitution and keeps
+(:meth:`~repro.serve.store.BookStore.run`); the file is checked again
+on that read, and a changed one is refused like a changed reload.  A
+refused file and a candidate whose scoring raised are *answers*,
+carried in the reply beside the load report: loading and scoring are
+deterministic, so the pool's retries (kept for crashes and timeouts)
+could not change them, and a book that stays resident is always
+reported.
 :class:`WorkerPool` is the daemon's view of all that: futures of
 results, a callback per reported load, and the live workers' store
 counters summed.
@@ -92,9 +97,15 @@ def _serve_one(store: BookStore, task: BookRef) -> Dict[str, Any]:
         from repro.replay.search import score_candidate
 
         try:
+            run = None
+            if task.substitute:
+                run = store.run(entry, task.path, task.identity,
+                                task.substitute)
             reply["result"] = score_candidate(
                 entry.trace, task.strategy, seed=task.seed,
-                substitute=task.substitute, focus=task.focus)
+                substitute=task.substitute, focus=task.focus, run=run)
+        except (TraceChangedError, TraceSchemaError) as exc:
+            reply["refused"] = exc
         except Exception:
             # The book stays resident whatever scoring made of it, so
             # the load report must get out: raising here would drop it.

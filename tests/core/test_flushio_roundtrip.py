@@ -7,9 +7,12 @@ the exact matrices that were written, and the ``#`` header metadata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import flushio
 from repro.core.constants import Flags
+from repro.core.errors import TraceSchemaError
 
 
 def _local_vectors(n, seed=0):
@@ -109,6 +112,60 @@ class TestErrors:
         p.write_text("1 2 3 4\n")
         with pytest.raises(ValueError, match="not an MPI_Monitoring"):
             flushio.read_profile(str(p))
+
+
+HEAD = b"# MPI_Monitoring profile schema=1\n# kind=local rank=0 comm_size=2\n"
+
+
+@pytest.mark.parametrize("body, match", [
+    (HEAD + b"1 -2\n", "unsigned 64-bit"),
+    (HEAD + b"0 1 " + b"9" * 30 + b" 4\n", "unsigned 64-bit"),
+    (HEAD + b"0 0 1 8\n0 1 1\n", "unequal width"),
+    (HEAD + b"0 1 x 8\n", "not integers"),
+    (HEAD.replace(b"comm_size=2", b"comm_size=q"), "comm_size=q"),
+    (HEAD + b"0 1 \xff 8\n", "not ASCII"),
+], ids=["negative", "past-uint64", "ragged", "not-an-integer",
+        "comm-size", "not-ascii"])
+def test_a_malformed_profile_is_a_value_error_naming_it(tmp_path, body,
+                                                         match):
+    path = tmp_path / "bad.prof"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match=match) as err:
+        flushio.read_profile(str(path))
+    assert type(err.value) is ValueError and str(path) in str(err.value)
+
+
+def test_an_unreadable_schema_is_a_schema_error(tmp_path):
+    path = tmp_path / "bad.prof"
+    path.write_bytes(HEAD.replace(b"schema=1", b"schema=one"))
+    with pytest.raises(TraceSchemaError, match="schema=one"):
+        flushio.read_profile(str(path))
+
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "-2", "7", "18446744073709551615", "18446744073709551616",
+     "9" * 30, "x", "1_0", "#", "kind=local", "schema=1", "schema=2",
+     "rank=q", "comm_size=3", "\t", "\xe9"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=6).map(
+        lambda lines: "\n".join(lines).encode("utf-8"))))
+def test_any_bytes_load_as_a_profile_or_refuse(tmp_path_factory, body):
+    """A file's bytes give a profile dict, or a ValueError naming the
+    file, or a TraceSchemaError — never anything else."""
+    path = tmp_path_factory.mktemp("prof") / "p.prof"
+    path.write_bytes(body)
+    try:
+        prof = flushio.read_profile(str(path))
+    except TraceSchemaError:
+        return
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(path) in str(exc)
+        return
+    assert isinstance(prof, dict) and prof["data"].dtype == np.uint64
 
 
 class TestAtomicWrite:

@@ -1,8 +1,9 @@
 """Shared fixtures for the serve tests.
 
 Two session-scoped fig5 recordings (different seeds, so different
-fingerprints) feed every test, and ``serve_daemon`` spawns a real
-``python -m repro.serve start`` subprocess on a private Unix socket —
+fingerprints) feed every test — the LRU tests two larger ones — and
+``serve_daemon`` spawns a real ``python -m repro.serve start``
+subprocess on a private Unix socket —
 the tests exercise the daemon exactly the way production would, signal
 delivery and all.
 """
@@ -23,27 +24,38 @@ import pytest
 _COUNTER = itertools.count()
 
 
-@pytest.fixture(scope="session")
-def serve_traces(tmp_path_factory):
-    """Two small recorded fig5 traces with distinct fingerprints."""
+def _record(root, reps: int):
+    """Two fig5 recordings (seeds 0 and 1) of ``reps`` repetitions."""
     from repro.experiments import fig5_collectives
     from repro.replay import autorecord
 
-    root = tmp_path_factory.mktemp("serve-traces")
     paths = []
     for seed in (0, 1):
         path = str(root / f"fig5-seed{seed}.trace")
         autorecord.enable_to(path, meta={
             "workload": "fig5", "op": "reduce", "n_nodes": 2,
-            "sizes": [100_000], "reps": 1, "seed": seed,
+            "sizes": [100_000], "reps": reps, "seed": seed,
         })
         try:
             fig5_collectives.run_cell("reduce", 2, sizes=(100_000,),
-                                      reps=1, seed=seed)
+                                      reps=reps, seed=seed)
         finally:
             autorecord.disable()
         paths.append(path)
     return paths
+
+
+@pytest.fixture(scope="session")
+def serve_traces(tmp_path_factory):
+    """Two small recorded fig5 traces with distinct fingerprints."""
+    return _record(tmp_path_factory.mktemp("serve-traces"), reps=1)
+
+
+@pytest.fixture(scope="session")
+def lru_traces(tmp_path_factory):
+    """Two recordings whose books (≈ 0.85 MB each) do not both fit the
+    smallest store budget, ``--cache-mb 1``."""
+    return _record(tmp_path_factory.mktemp("lru-traces"), reps=8)
 
 
 @pytest.fixture()

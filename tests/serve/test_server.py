@@ -22,7 +22,11 @@ from repro.serve.client import ServeClient, ServeError
 
 
 def _counters(client) -> dict:
-    return client.stats()["metrics"]["counters"]
+    return _counters_of(client.stats())
+
+
+def _counters_of(stats) -> dict:
+    return stats["metrics"]["counters"]
 
 
 def test_parallel_clients_same_fingerprint_compile_once(
@@ -152,14 +156,14 @@ def test_every_answer_quotes_the_exact_replays_makespan(
 
 
 def test_lru_evicts_by_bytes_and_recompiles_transparently(
-        serve_traces, serve_daemon):
+        lru_traces, serve_daemon):
     """A 1 MiB budget can't hold two multi-MiB books: the second
     ingest evicts the first, and querying the evicted book recompiles
     it (counted) instead of failing."""
     with serve_daemon(jobs=1, cache_mb=1) as (sock, _proc):
         with ServeClient(path=sock) as client:
-            fp0 = client.ingest(serve_traces[0])["fingerprint"]
-            fp1 = client.ingest(serve_traces[1])["fingerprint"]
+            fp0 = client.ingest(lru_traces[0])["fingerprint"]
+            fp1 = client.ingest(lru_traces[1])["fingerprint"]
             assert fp0 != fp1
             stats = client.stats()
             assert stats["store"]["entries"] == 1
@@ -306,17 +310,17 @@ def test_sigterm_during_an_ingest_compile_drains_then_exits_zero(
 
 
 def test_interleaved_fingerprints_thrash_a_small_cache_never_an_error(
-        serve_traces, serve_daemon):
+        lru_traces, serve_daemon):
     """Two books, room for one: every query evicts the other book and
     reloads its own, and every answer is still the library's."""
     from repro.replay.schema import ReplayTrace
     from repro.replay.search import score_candidate
 
-    traces = [ReplayTrace.load(path) for path in serve_traces]
+    traces = [ReplayTrace.load(path) for path in lru_traces]
     with serve_daemon(jobs=1, cache_mb=1) as (sock, _proc):
         with ServeClient(path=sock) as client:
             fps = [client.ingest(path)["fingerprint"]
-                   for path in serve_traces]
+                   for path in lru_traces]
             assert _counters(client)["repro_serve_compiles_total"] == 2
             for seed in (1, 2, 3):
                 for which in (0, 1):
@@ -336,7 +340,7 @@ def test_interleaved_fingerprints_thrash_a_small_cache_never_an_error(
 
 @pytest.mark.parametrize("load", ["first-touch", "reload-after-eviction"])
 def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
-        serve_traces, serve_daemon, tmp_path, load):
+        lru_traces, serve_daemon, tmp_path, load):
     """A trace file overwritten after ingest must never be scored under
     its old fingerprint: the worker that has to read it — on its first
     touch of a registered-only trace, or again after its LRU dropped
@@ -347,7 +351,7 @@ def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
     from repro.replay.search import what_if_search
 
     path = str(tmp_path / "live.trace")
-    shutil.copyfile(serve_traces[0], path)
+    shutil.copyfile(lru_traces[0], path)
     flags = {"jobs": 1}
     if load == "reload-after-eviction":
         flags["cache_mb"] = 1
@@ -358,8 +362,8 @@ def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
             else:
                 fp_a = client.ingest(path)["fingerprint"]
                 client.query(fp_a, strategies=["identity"])  # resident
-                client.ingest(serve_traces[1])               # evicts fp_a
-            shutil.copyfile(serve_traces[1], path)   # re-recorded in place
+                client.ingest(lru_traces[1])               # evicts fp_a
+            shutil.copyfile(lru_traces[1], path)   # re-recorded in place
 
             with pytest.raises(ServeError) as excinfo:
                 client.query(fp_a, strategies=["greedy"])
@@ -373,7 +377,7 @@ def test_replaced_trace_file_is_an_error_not_a_wrong_answer(
             assert fp_b != fp_a
             served = client.query(fp_b, strategies=["greedy"])
 
-    direct = what_if_search(ReplayTrace.load(serve_traces[1]),
+    direct = what_if_search(ReplayTrace.load(lru_traces[1]),
                             strategies=["greedy"])
     assert served["candidates"][0]["makespan"] == direct.best.makespan
 
@@ -398,6 +402,58 @@ def test_resident_book_still_answers_for_its_old_content(
                             strategies=["greedy"])
     assert served["candidates"][0]["makespan"] == direct.best.makespan
     assert served["recorded_makespan"] == direct.recorded_makespan
+
+
+def test_a_substituted_run_is_built_once_and_counted_in_the_store(
+        serve_traces, serve_daemon):
+    """The first substituted query makes its worker's store grow by the
+    run; another query on the same substitution reaches the worker
+    again (other seed) and adds no bytes and no compile."""
+    sub = {"reduce": "binomial"}
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fp = client.ingest(serve_traces[0])["fingerprint"]
+            book = client.stats()["store"]["bytes"]
+            client.query(fp, seed=1, substitute=sub)
+            first = client.stats()
+            again = client.query(fp, seed=2, substitute=sub)
+            second = client.stats()
+    assert again["cache"]["misses"] == 6
+    assert first["store"]["bytes"] > book
+    assert second["store"]["bytes"] == first["store"]["bytes"]
+    assert _counters_of(second)["repro_serve_compiles_total"] == \
+        _counters_of(first)["repro_serve_compiles_total"] == 1
+
+
+def test_a_substituted_query_on_a_replaced_file_is_trace_changed(
+        serve_traces, serve_daemon, tmp_path):
+    """A resident book has no columns to substitute: the worker reads
+    the file for the run, finds it rewritten and refuses it, keeping
+    nothing; the book still answers for its own content."""
+    from repro.replay.schema import ReplayTrace
+    from repro.replay.search import what_if_search
+
+    path = str(tmp_path / "live.trace")
+    shutil.copyfile(serve_traces[0], path)
+    with serve_daemon(jobs=1) as (sock, _proc):
+        with ServeClient(path=sock) as client:
+            fp = client.ingest(path)["fingerprint"]
+            book = client.stats()["store"]["bytes"]
+            shutil.copyfile(serve_traces[1], path)
+            with pytest.raises(ServeError) as excinfo:
+                client.query(fp, strategies=["greedy"],
+                             substitute={"reduce": "binomial"})
+            assert excinfo.value.code == "trace-changed"
+            assert path in str(excinfo.value)
+            stats = client.stats()
+            assert stats["store"]["bytes"] == book
+            assert stats["pool"]["retries"] == 0
+            assert stats["pool"]["tasks_failed"] == 0
+            served = client.query(fp, strategies=["greedy"])
+
+    direct = what_if_search(ReplayTrace.load(serve_traces[0]),
+                            strategies=["greedy"])
+    assert served["candidates"][0]["makespan"] == direct.best.makespan
 
 
 def test_a_failed_first_query_does_not_lose_the_book_it_loaded(

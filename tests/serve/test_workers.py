@@ -122,3 +122,97 @@ def test_a_load_is_reported_even_if_the_scoring_after_it_raises(
         assert pool.store_stats()["hits"] == 1
 
     assert _run(scenario) == [ref.fingerprint]
+
+
+# -- what a worker holds and builds, driven in-process ----------------------
+
+def test_a_worker_entry_holds_no_event_columns_after_ingest(serve_traces):
+    from repro.replay.schema import ColumnsReleasedError
+    from repro.serve.store import BookStore
+    from repro.serve.workers import _serve_one
+
+    path = serve_traces[0]
+    store = BookStore()
+    reply = _serve_one(store, BookRef("f" * 64, path, file_identity(path)))
+    entry = store.get("f" * 64)
+    assert reply["loaded"]["nbytes"] == entry.nbytes \
+        == entry.compiled.nbytes()
+    with pytest.raises(ColumnsReleasedError):
+        entry.trace.columns()
+
+
+SIX = ["identity", "treematch", "round_robin", "random", "greedy", "local"]
+
+
+def test_a_substituted_query_builds_its_run_once(serve_traces, monkeypatch):
+    """Six strategies on one substitution: one re-read, one transform,
+    one compile and program order; the same query again builds nothing
+    and adds no bytes.  Every candidate is the library's, to the bit."""
+    from repro.replay import patterns
+    from repro.replay.schema import ReplayTrace
+    from repro.replay.search import what_if_search
+    from repro.serve.store import BookStore
+    from repro.serve.workers import _serve_one
+
+    calls = []
+    real = patterns.apply_substitution
+
+    def counted(trace, substitute):
+        calls.append(substitute)
+        return real(trace, substitute)
+
+    monkeypatch.setattr(patterns, "apply_substitution", counted)
+    path = serve_traces[0]
+    sub = {"reduce": "binomial"}
+    direct = what_if_search(ReplayTrace.load(path), strategies=SIX, seed=2,
+                            substitute=sub)
+    assert len(calls) == 1
+    by_name = {c.strategy: c for c in direct.candidates}
+    store = BookStore()
+    ref = BookRef("f" * 64, path, file_identity(path))
+    _serve_one(store, ref)
+    book = store.total_bytes
+    for round_ in (1, 2):
+        for strategy in SIX:
+            reply = _serve_one(store, ScoreTask(
+                ref.fingerprint, ref.path, ref.identity, strategy, seed=2,
+                substitute=dict(sub)))
+            assert reply["error"] is None and reply["refused"] is None
+            cand, ref_cand = reply["result"], by_name[strategy]
+            assert cand.makespan.hex() == ref_cand.makespan.hex()
+            assert cand.placement == ref_cand.placement
+        assert len(calls) == 2              # the library's, and one here
+        assert len(store.get(ref.fingerprint).runs) == 1
+        if round_ == 1:
+            grown = store.total_bytes
+            assert grown > book
+        assert store.total_bytes == grown == reply["store"]["bytes"]
+
+
+def test_a_substituted_query_on_a_rewritten_file_is_refused(serve_traces,
+                                                            tmp_path):
+    """The resident book cannot make the run; the file it would be made
+    from is no longer the fingerprinted one: refused, nothing kept, and
+    the book still answers unsubstituted queries."""
+    import shutil
+
+    from repro.serve.store import BookStore
+    from repro.serve.workers import _serve_one
+
+    path = str(tmp_path / "live.trace")
+    shutil.copyfile(serve_traces[0], path)
+    store = BookStore()
+    ref = BookRef("f" * 64, path, file_identity(path))
+    _serve_one(store, ref)
+    book = store.total_bytes
+    shutil.copyfile(serve_traces[1], path)
+    reply = _serve_one(store, ScoreTask(
+        ref.fingerprint, ref.path, ref.identity, "greedy",
+        substitute={"reduce": "binomial"}))
+    assert isinstance(reply["refused"], TraceChangedError)
+    assert reply["result"] is None and reply["error"] is None
+    assert store.get(ref.fingerprint).runs == {}
+    assert store.total_bytes == book == reply["store"]["bytes"]
+    plain = _serve_one(store, ScoreTask(
+        ref.fingerprint, ref.path, ref.identity, "greedy"))
+    assert plain["result"].makespan > 0.0
